@@ -27,6 +27,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pdagent/internal/compress"
@@ -120,6 +121,10 @@ type Platform struct {
 	collected      map[string]bool
 	collectedOrder []string // FIFO for the bounded window
 	collectedRec   int      // record id of the collected record
+
+	// packCap is the last upload's packed size: the next body buffer's
+	// capacity, so packing does not grow it step by step.
+	packCap atomic.Int64
 
 	// rng drives retry jitter; seeded from the owner so simulations
 	// stay reproducible across runs.

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"pdagent/internal/netsim"
 	"pdagent/internal/pisec"
 	"pdagent/internal/rms"
+	"pdagent/internal/transport"
 	"pdagent/internal/wire"
 )
 
@@ -322,5 +324,56 @@ func TestNewPlatformValidation(t *testing.T) {
 	}
 	if _, err := NewPlatform(Config{Owner: "x"}); err == nil {
 		t.Error("missing transport accepted")
+	}
+}
+
+// keepBodies retains the uploaded dispatch bodies themselves, not
+// copies — as the benchmark's traced pass does.
+type keepBodies struct {
+	transport.RoundTripper
+	bodies [][]byte
+}
+
+func (k *keepBodies) RoundTrip(ctx context.Context, addr string, req *transport.Request) (*transport.Response, error) {
+	if req.Path == "/pdagent/dispatch" {
+		k.bodies = append(k.bodies, req.Body)
+	}
+	return k.RoundTripper.RoundTrip(ctx, addr, req)
+}
+
+// TestUploadsShareSessionNotBuffer: a platform's uploads are one sealed
+// session (same wrapped key on the wire), yet each body stays intact
+// after later uploads — a RoundTripper may keep req.Body.
+func TestUploadsShareSessionNotBuffer(t *testing.T) {
+	var keep *keepBodies
+	f := newFixture(t, func(cfg *Config) {
+		keep = &keepBodies{RoundTripper: cfg.Transport}
+		cfg.Transport = keep
+	})
+	ctx := context.Background()
+	if err := f.plat.Subscribe(ctx, "gw-d", "echo"); err != nil {
+		t.Fatal(err)
+	}
+	memos := []string{strings.Repeat("long memo ", 200), "short", strings.Repeat("mid ", 40)}
+	for _, m := range memos {
+		if _, err := f.plat.Dispatch(ctx, "echo", map[string]mavm.Value{"memo": mavm.Str(m)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(keep.bodies) != len(memos) {
+		t.Fatalf("kept %d bodies, want %d", len(keep.bodies), len(memos))
+	}
+	const wrappedAt, wrappedLen = 8, 128 // "PISEC1" + u16, RSA-1024 fixture key
+	for i, body := range keep.bodies {
+		pi, err := wire.Unpack(body, kp)
+		if err != nil {
+			t.Fatalf("kept body %d no longer unpacks: %v", i, err)
+		}
+		if got := pi.Params["memo"].AsStr(); got != memos[i] {
+			t.Fatalf("kept body %d now carries a %d-byte memo, want %d", i, len(got), len(memos[i]))
+		}
+		if !bytes.Equal(body[wrappedAt:wrappedAt+wrappedLen], keep.bodies[0][wrappedAt:wrappedAt+wrappedLen]) {
+			t.Fatalf("upload %d started a new sealed session", i)
+		}
 	}
 }

@@ -70,10 +70,14 @@ func (p *Platform) uploadPI(ctx context.Context, pi *wire.PackedInformation) (st
 		}
 		key = entry.key
 	}
-	body, err := wire.Pack(pi, p.cfg.Codec, key)
+	// One right-sized allocation per upload. The body is not recycled
+	// after the round trip: a RoundTripper may keep req.Body (the
+	// benchmark's traced pass does).
+	body, err := wire.AppendPack(make([]byte, 0, p.packCap.Load()), pi, p.cfg.Codec, key)
 	if err != nil {
 		return "", err
 	}
+	p.packCap.Store(int64(len(body)))
 	gw := entry.sub.Gateway
 	resp, err := p.roundTrip(ctx, gw, &transport.Request{Path: "/pdagent/dispatch", Body: body})
 	if err != nil {

@@ -166,6 +166,11 @@ type Config struct {
 // does not say otherwise.
 const defaultOutboundWorkers = 16
 
+// maxDispatchBody bounds a device upload. A catalogue PI packs to a few
+// KiB; transport's own read limit is 64 MiB, all of which would be MD5'd
+// and decrypted before the sender has proven anything.
+const maxDispatchBody = 1 << 20
+
 // Gateway is one gateway instance.
 type Gateway struct {
 	cfg   Config
@@ -658,6 +663,12 @@ func (g *Gateway) dispatchDevice(ctx context.Context, req *transport.Request) *t
 			resp.SetHeader("retry-after", g.shedRetryAfter)
 			return resp
 		}
+	}
+	// Bound what an unauthenticated sender can have hashed and
+	// decrypted: not retryable, the same body will never fit.
+	if len(req.Body) > maxDispatchBody {
+		return transport.Errorf(transport.StatusBadRequest,
+			"packed information is %d bytes, limit %d", len(req.Body), maxDispatchBody)
 	}
 	// Step 1-2: security check and decryption (Figure 7), then
 	// decompression and XML parsing (the XML Writer).

@@ -148,6 +148,19 @@ func (g *Gateway) initObserve() {
 	g.mMailboxUs = m.Histogram("pdagent_mailbox_cycle_us",
 		"Mailbox fetch/ack or long-poll cycle latency, microseconds.")
 
+	// The unseal stage counts itself: pisec keeps the atomics (nothing
+	// is threaded through wire.Unpack), the scrape reads them.
+	kp := g.cfg.KeyPair
+	m.CounterVecFunc("pdagent_unseal_total",
+		"Sealed envelopes past the MD5 check, by path: full ran the RSA private-key operation, resumed found the session key in the table.",
+		"path", func() map[string]float64 {
+			full, resumed, _ := kp.UnsealStats()
+			return map[string]float64{"full": float64(full), "resumed": float64(resumed)}
+		})
+	m.GaugeFunc("pdagent_unseal_sessions",
+		"Session keys held in the unseal table (bounded; a miss is a full unseal).",
+		func() float64 { _, _, n := kp.UnsealStats(); return float64(n) })
+
 	m.GaugeFunc("pdagent_inflight",
 		"Agents dispatched but not yet completed (registry in-flight count).",
 		func() float64 { return float64(g.reg.InFlight()) })

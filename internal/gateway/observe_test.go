@@ -1,10 +1,14 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
+	"pdagent/internal/device"
+	"pdagent/internal/mavm"
 	"pdagent/internal/pisec"
 	"pdagent/internal/transport"
 	"pdagent/internal/wire"
@@ -137,5 +141,111 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !ops[op] {
 			t.Errorf("local journey trace missing op %q (have %v)", op, ops)
 		}
+	}
+}
+
+// wantUnsealRows scrapes /metrics and checks the unseal stage's rows.
+func (f *fixture) wantUnsealRows(t *testing.T, full, resumed uint64, sessions int) {
+	t.Helper()
+	resp := f.gw.Handler().Serve(context.Background(), &transport.Request{Path: "/metrics"})
+	if !resp.IsOK() {
+		t.Fatalf("/metrics: %d %s", resp.Status, resp.Text())
+	}
+	for _, row := range []string{
+		"# TYPE pdagent_unseal_total counter\n",
+		fmt.Sprintf("pdagent_unseal_total{path=\"full\"} %d\n", full),
+		fmt.Sprintf("pdagent_unseal_total{path=\"resumed\"} %d\n", resumed),
+		fmt.Sprintf("pdagent_unseal_sessions %d\n", sessions),
+	} {
+		if !strings.Contains(resp.Text(), row) {
+			t.Fatalf("scrape lacks %q", row)
+		}
+	}
+}
+
+// bodyTap records (copies of) the dispatch bodies a device uploads.
+type bodyTap struct {
+	transport.RoundTripper
+	bodies [][]byte
+}
+
+func (b *bodyTap) RoundTrip(ctx context.Context, addr string, req *transport.Request) (*transport.Response, error) {
+	if req.Path == "/pdagent/dispatch" {
+		b.bodies = append(b.bodies, append([]byte(nil), req.Body...))
+	}
+	return b.RoundTripper.RoundTrip(ctx, addr, req)
+}
+
+// TestUnsealResumption: one device's second sealed dispatch reuses its
+// session — same wrapped key on the wire, counted as resumed — and the
+// replay window still stands in front of a resumed envelope.
+func TestUnsealResumption(t *testing.T) {
+	f := newFixture(t)
+	f.addEcho(t)
+	// Both rows exist before any sealed traffic (the key pair is shared
+	// by the package's fixtures, so counts are deltas from here).
+	full0, resumed0, sessions0 := f.kp.UnsealStats()
+	f.wantUnsealRows(t, full0, resumed0, sessions0)
+
+	tap := &bodyTap{RoundTripper: f.tr}
+	dev, err := device.NewPlatform(device.Config{Owner: "dev-r", Transport: tap, Secure: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := dev.Subscribe(ctx, "gw-t", "echo"); err != nil {
+		t.Fatal(err)
+	}
+	var ids [2]string
+	for i := range ids {
+		if ids[i], err = dev.Dispatch(ctx, "echo", map[string]mavm.Value{"i": mavm.Int(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.wantUnsealRows(t, full0+1, resumed0+1, sessions0+1)
+	const wrappedAt, wrappedLen = 8, 128 // "PISEC1" + u16, RSA-1024 fixture key
+	if len(tap.bodies) != 2 || !bytes.Equal(tap.bodies[0][wrappedAt:wrappedAt+wrappedLen], tap.bodies[1][wrappedAt:wrappedAt+wrappedLen]) {
+		t.Fatal("the second upload did not carry the first one's wrapped key")
+	}
+
+	// The resumed body replayed verbatim: unsealed (resumed again), then
+	// stopped by the nonce window — the original agent id, no new agent,
+	// no mailbox token for whoever captured it.
+	agents := f.gw.Registry().NumAgents()
+	replay := f.dispatchBody(t, tap.bodies[1])
+	if !replay.IsOK() || replay.Text() != ids[1] || replay.GetHeader("mailbox-token") != "" {
+		t.Fatalf("replayed resumed body: %d %q token %q, want idempotent %q without a token",
+			replay.Status, replay.Text(), replay.GetHeader("mailbox-token"), ids[1])
+	}
+	if n := f.gw.Registry().NumAgents(); n != agents {
+		t.Fatalf("replay created an agent: %d -> %d", agents, n)
+	}
+	f.wantUnsealRows(t, full0+1, resumed0+2, sessions0+1)
+}
+
+// TestDispatchBodyBound sits on the upload limit: a body of exactly
+// maxDispatchBody reaches the unseal stage, one byte more is refused
+// before any hashing.
+func TestDispatchBodyBound(t *testing.T) {
+	f := newFixture(t)
+	const overhead = 6 + 2 + 128 + 16 + 16 // magic, length, RSA-1024 wrap, IV, digest
+	atLimit, err := pisec.AppendSeal(nil, f.kp.Public(), make([]byte, maxDispatchBody-overhead))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(atLimit) != maxDispatchBody {
+		t.Fatalf("test envelope is %d bytes, want %d", len(atLimit), maxDispatchBody)
+	}
+	full0, _, _ := f.kp.UnsealStats()
+	resp := f.dispatchBody(t, atLimit)
+	if resp.Status != transport.StatusBadRequest || !strings.Contains(resp.Text(), "decompressing") {
+		t.Fatalf("body at the limit: %d %s; want it unsealed and refused by the decompressor", resp.Status, resp.Text())
+	}
+	if full, _, _ := f.kp.UnsealStats(); full != full0+1 {
+		t.Fatalf("body at the limit did not reach the unseal stage")
+	}
+	resp = f.dispatchBody(t, append(atLimit, 0))
+	if resp.Status != transport.StatusBadRequest || !strings.Contains(resp.Text(), "limit") {
+		t.Fatalf("body over the limit: %d %s", resp.Status, resp.Text())
 	}
 }

@@ -101,11 +101,12 @@ const (
 	kindHistogram
 	kindCounterVec
 	kindGaugeVecFunc
+	kindCounterVecFunc
 )
 
 func (k metricKind) String() string {
 	switch k {
-	case kindCounter, kindCounterVec:
+	case kindCounter, kindCounterVec, kindCounterVecFunc:
 		return "counter"
 	case kindGauge, kindGaugeFunc, kindGaugeVecFunc:
 		return "gauge"
@@ -206,8 +207,20 @@ func (r *Registry) CounterVec(name, help, label string) *CounterVec {
 // scrape time: fn returns label value -> gauge value. Like GaugeFunc,
 // re-registering replaces the callback.
 func (r *Registry) GaugeVecFunc(name, help, label string, fn func() map[string]float64) {
-	m := r.lookup(name, kindGaugeVecFunc, func() *metric {
-		return &metric{name: name, help: help, kind: kindGaugeVecFunc, label: label}
+	r.vecFunc(kindGaugeVecFunc, name, help, label, fn)
+}
+
+// CounterVecFunc is GaugeVecFunc for a family typed counter: fn reads
+// monotonic counts another package keeps (the instrumented code pays
+// nothing here), and every label value it returns is a row from the
+// first scrape on.
+func (r *Registry) CounterVecFunc(name, help, label string, fn func() map[string]float64) {
+	r.vecFunc(kindCounterVecFunc, name, help, label, fn)
+}
+
+func (r *Registry) vecFunc(kind metricKind, name, help, label string, fn func() map[string]float64) {
+	m := r.lookup(name, kind, func() *metric {
+		return &metric{name: name, help: help, kind: kind, label: label}
 	})
 	if m.label != label {
 		panic("metrics: " + name + " registered with labels " + m.label + " and " + label)
@@ -295,7 +308,7 @@ func (r *Registry) AppendPrometheus(dst []byte) []byte {
 				dst = strconv.AppendUint(dst, vals[k].Value(), 10)
 				dst = append(dst, '\n')
 			}
-		case kindGaugeVecFunc:
+		case kindGaugeVecFunc, kindCounterVecFunc:
 			r.mu.Lock()
 			fn := m.vecFn
 			r.mu.Unlock()

@@ -156,9 +156,15 @@ func TestLabeledFamilies(t *testing.T) {
 	r.GaugeVecFunc("pdagent_tenant_inflight", "per-tenant in-flight", "tenant", func() map[string]float64 {
 		return map[string]float64{"acme": 2, "esc\"ape\\me": math.NaN()}
 	})
+	r.CounterVecFunc("pdagent_unseal_total", "unseals by path", "path", func() map[string]float64 {
+		return map[string]float64{"full": 3, "resumed": 0}
+	})
 	out := string(r.AppendPrometheus(nil))
 
 	for _, want := range []string{
+		"# TYPE pdagent_unseal_total counter\n",
+		"pdagent_unseal_total{path=\"full\"} 3\n",
+		"pdagent_unseal_total{path=\"resumed\"} 0\n",
 		"# TYPE pdagent_tenant_dispatch_total counter\n",
 		"pdagent_tenant_dispatch_total{tenant=\"acme\"} 1\n",
 		"pdagent_tenant_dispatch_total{tenant=\"default\"} 5\n",

@@ -43,42 +43,6 @@ func TestAppendSealOpenRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAppendSealInteropsWithOpen checks both generations cross-decrypt:
-// AppendSeal output opens via UnmarshalEnvelope+Open, and Seal+Marshal
-// output opens via AppendOpen.
-func TestAppendSealInteropsWithOpen(t *testing.T) {
-	kp := appendKeyPair(t)
-	plaintext := []byte("cross-generation envelope")
-
-	sealed, err := AppendSeal(nil, kp.Public(), plaintext)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := UnmarshalEnvelope(sealed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Open(kp, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, plaintext) {
-		t.Fatal("struct-path Open cannot read AppendSeal output")
-	}
-
-	env2, err := Seal(kp.Public(), plaintext)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = AppendOpen(nil, kp, env2.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, plaintext) {
-		t.Fatal("AppendOpen cannot read Seal+Marshal output")
-	}
-}
-
 // TestAppendOpenRejectsTampering flips one byte anywhere material and
 // expects the digest check to refuse it.
 func TestAppendOpenRejectsTampering(t *testing.T) {

@@ -5,12 +5,19 @@
 // its private key.
 //
 // Like the paper, the asymmetric step is RSA; because RSA alone cannot
-// encrypt multi-kilobyte PIs, Seal uses the standard hybrid scheme: a
-// fresh AES-CTR session key is RSA-OAEP-wrapped and carried alongside
-// the ciphertext. The MD5 digest covers the whole envelope body, which
-// reproduces the paper's "verify whether the Packed Information is
-// valid" check. (MD5 is retained for fidelity to the 2004 design; it is
-// an integrity tag here, not a collision-resistant MAC.)
+// encrypt multi-kilobyte PIs, AppendSeal uses the standard hybrid
+// scheme: an AES-CTR session key is RSA-OAEP-wrapped and carried
+// alongside the ciphertext. The MD5 digest covers the whole envelope
+// body, which reproduces the paper's "verify whether the Packed
+// Information is valid" check. (MD5 is retained for fidelity to the 2004
+// design; it is an integrity tag here, not a collision-resistant MAC.)
+//
+// The session key lasts a device session, not one message: a PublicKey
+// reuses its key and wrap (fresh IV per envelope) until a use or age
+// limit rotates them, and a KeyPair remembers wrapped-key bytes →
+// session key, a pure function of its own private key, in a bounded
+// table. Only a session's first envelope pays the RSA private-key
+// operation; nothing is negotiated, so a table miss is a full unseal.
 //
 // The package also derives the per-dispatch unique key of §3.2: "The
 // Agent Dispatcher will ... generate a unique key from the assigned
@@ -31,6 +38,9 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
 )
 
 // DefaultKeyBits is the RSA modulus size used by gateways. 2048 is the
@@ -46,10 +56,31 @@ var (
 	ErrMalformed = errors.New("pisec: malformed envelope")
 )
 
-// KeyPair is a gateway identity: an RSA private key plus convenience
-// accessors for the public half.
+// Session limits: constants, not options — there is one sealed path.
+const (
+	// sessionKeySize is the AES-256 key every sender wraps.
+	sessionKeySize = 32
+	// sealSessionUses rotates a sender's key after this many envelopes:
+	// at 1024 the RSA work is under 0.1% of a session's cost, and below
+	// a few hundred the saving starts to erode.
+	sealSessionUses = 1024
+	// sealSessionAge rotates a key this old however little it was used,
+	// bounding how long one key protects an idle device's uploads.
+	sealSessionAge = 15 * time.Minute
+	// openSessionCap bounds the receiver's table: 4096 entries of ~350 B
+	// (RSA-2048 wrap, key, map slot) is ~1.4 MiB per KeyPair.
+	openSessionCap = 4096
+)
+
+// KeyPair is a gateway identity: an RSA private key, accessors for the
+// public half, and the table that lets a resumed envelope skip RSA.
 type KeyPair struct {
 	priv *rsa.PrivateKey
+
+	mu       sync.Mutex
+	sessions map[string][sessionKeySize]byte // wrapped-key bytes -> session key
+
+	full, resumed atomic.Uint64
 }
 
 // GenerateKeyPair creates a new RSA key pair with the given modulus
@@ -71,9 +102,16 @@ func KeyPairFromRSA(priv *rsa.PrivateKey) *KeyPair { return &KeyPair{priv: priv}
 func (kp *KeyPair) Public() *PublicKey { return &PublicKey{key: &kp.priv.PublicKey} }
 
 // PublicKey is the gateway public key a device downloads at
-// subscription time.
+// subscription time. It also carries the sender's half of the sealed
+// session (in memory only), so one session is one PublicKey value.
 type PublicKey struct {
 	key *rsa.PublicKey
+
+	mu      sync.Mutex
+	block   cipher.Block // AES-256 under the current session key; nil before the first seal
+	wrapped []byte       // that key's RSA-OAEP wrap, carried verbatim by every envelope; never mutated
+	uses    int
+	born    time.Time
 }
 
 // Marshal encodes the key as base64 PKIX DER for embedding in XML
@@ -114,52 +152,13 @@ func (pk *PublicKey) Fingerprint() string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// Envelope is a sealed Packed Information: the RSA-wrapped session key,
-// the CTR IV, the ciphertext, and the MD5 digest the gateway verifies.
-type Envelope struct {
-	WrappedKey []byte
-	IV         []byte
-	Ciphertext []byte
-	Digest     [md5.Size]byte
-}
-
 const envelopeMagic = "PISEC1"
 
 // envelopeMagicBytes avoids a string→[]byte conversion per digest.
 var envelopeMagicBytes = []byte(envelopeMagic)
 
-// Seal encrypts plaintext to the gateway's public key per Figure 7.
-func Seal(pk *PublicKey, plaintext []byte) (*Envelope, error) {
-	sessionKey := make([]byte, 32)
-	if _, err := rand.Read(sessionKey); err != nil {
-		return nil, fmt.Errorf("pisec: session key: %w", err)
-	}
-	iv := make([]byte, aes.BlockSize)
-	if _, err := rand.Read(iv); err != nil {
-		return nil, fmt.Errorf("pisec: iv: %w", err)
-	}
-	wrapped, err := rsa.EncryptOAEP(sha256.New(), rand.Reader, pk.key, sessionKey, envelopeMagicBytes)
-	if err != nil {
-		return nil, fmt.Errorf("pisec: wrapping session key: %w", err)
-	}
-	block, err := aes.NewCipher(sessionKey)
-	if err != nil {
-		return nil, fmt.Errorf("pisec: cipher init: %w", err)
-	}
-	ct := make([]byte, len(plaintext))
-	cipher.NewCTR(block, iv).XORKeyStream(ct, plaintext)
-	env := &Envelope{WrappedKey: wrapped, IV: iv, Ciphertext: ct}
-	env.Digest = env.computeDigest()
-	return env, nil
-}
-
-// computeDigest hashes everything except the digest itself.
-func (e *Envelope) computeDigest() [md5.Size]byte {
-	return digestParts(e.WrappedKey, e.IV, e.Ciphertext)
-}
-
-// digestParts is the envelope digest over its raw fields, shared by the
-// struct form and the parse-in-place fast path.
+// digestParts is the envelope digest over everything except the digest
+// itself.
 func digestParts(wrapped, iv, ciphertext []byte) [md5.Size]byte {
 	h := md5.New()
 	h.Write(envelopeMagicBytes)
@@ -174,51 +173,10 @@ func digestParts(wrapped, iv, ciphertext []byte) [md5.Size]byte {
 	return out
 }
 
-// Verify runs the gateway's MD5 check without decrypting.
-func (e *Envelope) Verify() error {
-	if e.computeDigest() != e.Digest {
-		return ErrDigestMismatch
-	}
-	return nil
-}
-
-// Open verifies the digest and decrypts with the gateway's private key.
-func Open(kp *KeyPair, e *Envelope) ([]byte, error) {
-	if err := e.Verify(); err != nil {
-		return nil, err
-	}
-	sessionKey, err := rsa.DecryptOAEP(sha256.New(), rand.Reader, kp.priv, e.WrappedKey, envelopeMagicBytes)
-	if err != nil {
-		return nil, fmt.Errorf("pisec: unwrapping session key: %w", err)
-	}
-	block, err := aes.NewCipher(sessionKey)
-	if err != nil {
-		return nil, fmt.Errorf("pisec: cipher init: %w", err)
-	}
-	pt := make([]byte, len(e.Ciphertext))
-	cipher.NewCTR(block, e.IV).XORKeyStream(pt, e.Ciphertext)
-	return pt, nil
-}
-
-// Marshal encodes the envelope in a compact binary form:
-// magic, u16 wrapped-key length, wrapped key, 16-byte IV, 16-byte
-// digest, ciphertext to end.
-func (e *Envelope) Marshal() []byte {
-	out := make([]byte, 0, len(envelopeMagic)+2+len(e.WrappedKey)+len(e.IV)+md5.Size+len(e.Ciphertext))
-	out = append(out, envelopeMagic...)
-	var l [2]byte
-	binary.BigEndian.PutUint16(l[:], uint16(len(e.WrappedKey)))
-	out = append(out, l[:]...)
-	out = append(out, e.WrappedKey...)
-	out = append(out, e.IV...)
-	out = append(out, e.Digest[:]...)
-	out = append(out, e.Ciphertext...)
-	return out
-}
-
-// envelopeRef parses the binary envelope form without copying: the
-// returned slices alias b. The gateway's Unpack fast path uses it so a
-// dispatch decode never duplicates the wrapped key or ciphertext.
+// envelopeRef parses the binary envelope form — magic, u16 wrapped-key
+// length, wrapped key, 16-byte IV, 16-byte digest, ciphertext to end —
+// without copying: the returned slices alias b, so a dispatch decode
+// never duplicates the wrapped key or ciphertext.
 func envelopeRef(b []byte) (wrapped, iv, digest, ciphertext []byte, err error) {
 	min := len(envelopeMagic) + 2 + aes.BlockSize + md5.Size
 	if len(b) < min || string(b[:len(envelopeMagic)]) != envelopeMagic {
@@ -239,45 +197,49 @@ func envelopeRef(b []byte) (wrapped, iv, digest, ciphertext []byte, err error) {
 	return wrapped, iv, digest, b[p:], nil
 }
 
-// UnmarshalEnvelope parses the binary form produced by Marshal.
-func UnmarshalEnvelope(b []byte) (*Envelope, error) {
-	wrapped, iv, digest, ct, err := envelopeRef(b)
-	if err != nil {
-		return nil, err
+// session returns the cipher and wrapped key the next envelope uses,
+// starting a new session on first use and at the use or age limit.
+func (pk *PublicKey) session(now time.Time) (cipher.Block, []byte, error) {
+	pk.mu.Lock()
+	defer pk.mu.Unlock()
+	if pk.block == nil || pk.uses >= sealSessionUses || now.Sub(pk.born) >= sealSessionAge {
+		var key [sessionKeySize]byte
+		if _, err := rand.Read(key[:]); err != nil {
+			return nil, nil, fmt.Errorf("pisec: session key: %w", err)
+		}
+		wrapped, err := rsa.EncryptOAEP(sha256.New(), rand.Reader, pk.key, key[:], envelopeMagicBytes)
+		if err != nil {
+			return nil, nil, fmt.Errorf("pisec: wrapping session key: %w", err)
+		}
+		block, err := aes.NewCipher(key[:])
+		if err != nil {
+			return nil, nil, fmt.Errorf("pisec: cipher init: %w", err)
+		}
+		pk.block, pk.wrapped, pk.uses, pk.born = block, wrapped, 0, now
 	}
-	e := &Envelope{}
-	e.WrappedKey = append([]byte(nil), wrapped...)
-	e.IV = append([]byte(nil), iv...)
-	copy(e.Digest[:], digest)
-	e.Ciphertext = append([]byte(nil), ct...)
-	return e, nil
+	pk.uses++
+	return pk.block, pk.wrapped, nil
 }
 
 // AppendSeal seals plaintext to pk per Figure 7 and appends the
-// marshalled envelope to dst, skipping the intermediate Envelope struct
-// and its Marshal copy. Old callers keep Seal+Marshal; the wire fast
-// path threads pooled buffers through here.
+// marshalled envelope to dst. Envelopes sealed through one PublicKey
+// share a session key until it rotates; each gets a fresh random IV.
 func AppendSeal(dst []byte, pk *PublicKey, plaintext []byte) ([]byte, error) {
-	var sessionKey [32]byte
-	if _, err := rand.Read(sessionKey[:]); err != nil {
-		return dst, fmt.Errorf("pisec: session key: %w", err)
+	return pk.appendSeal(dst, plaintext, time.Now())
+}
+
+// appendSeal is AppendSeal at a given instant (tests inject the clock).
+func (pk *PublicKey) appendSeal(dst, plaintext []byte, now time.Time) ([]byte, error) {
+	block, wrapped, err := pk.session(now)
+	if err != nil {
+		return dst, err
 	}
 	var iv [aes.BlockSize]byte
 	if _, err := rand.Read(iv[:]); err != nil {
 		return dst, fmt.Errorf("pisec: iv: %w", err)
 	}
-	wrapped, err := rsa.EncryptOAEP(sha256.New(), rand.Reader, pk.key, sessionKey[:], envelopeMagicBytes)
-	if err != nil {
-		return dst, fmt.Errorf("pisec: wrapping session key: %w", err)
-	}
-	block, err := aes.NewCipher(sessionKey[:])
-	if err != nil {
-		return dst, fmt.Errorf("pisec: cipher init: %w", err)
-	}
 	dst = append(dst, envelopeMagic...)
-	var l [2]byte
-	binary.BigEndian.PutUint16(l[:], uint16(len(wrapped)))
-	dst = append(dst, l[:]...)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(wrapped)))
 	dst = append(dst, wrapped...)
 	dst = append(dst, iv[:]...)
 	digestAt := len(dst)
@@ -291,23 +253,75 @@ func AppendSeal(dst []byte, pk *PublicKey, plaintext []byte) ([]byte, error) {
 	return dst, nil
 }
 
+// sessionKey recovers the key behind wrapped: from the table if these
+// bytes were unwrapped before, else by the RSA private-key operation,
+// whose result — only a successful one — is remembered, evicting an
+// arbitrary entry at capacity. Callers verify the envelope digest first.
+func (kp *KeyPair) sessionKey(wrapped []byte) (key [sessionKeySize]byte, err error) {
+	kp.mu.Lock()
+	key, ok := kp.sessions[string(wrapped)]
+	kp.mu.Unlock()
+	if ok {
+		kp.resumed.Add(1)
+		return key, nil
+	}
+	kp.full.Add(1)
+	raw, err := rsa.DecryptOAEP(sha256.New(), rand.Reader, kp.priv, wrapped, envelopeMagicBytes)
+	if err != nil {
+		return key, fmt.Errorf("pisec: unwrapping session key: %w", err)
+	}
+	if len(raw) != sessionKeySize {
+		return key, fmt.Errorf("%w: %d-byte session key", ErrMalformed, len(raw))
+	}
+	copy(key[:], raw)
+
+	kp.mu.Lock()
+	defer kp.mu.Unlock()
+	if kp.sessions == nil {
+		kp.sessions = make(map[string][sessionKeySize]byte)
+	}
+	// A concurrent open of the same session may have inserted it already.
+	if _, ok := kp.sessions[string(wrapped)]; !ok && len(kp.sessions) >= openSessionCap {
+		for victim := range kp.sessions {
+			delete(kp.sessions, victim)
+			break
+		}
+	}
+	kp.sessions[string(wrapped)] = key
+	return key, nil
+}
+
+// UnsealStats reports how many opens ran the RSA private-key operation
+// (full) or found their key in the table (resumed), and its occupancy.
+func (kp *KeyPair) UnsealStats() (full, resumed uint64, sessions int) {
+	kp.mu.Lock()
+	sessions = len(kp.sessions)
+	kp.mu.Unlock()
+	return kp.full.Load(), kp.resumed.Load(), sessions
+}
+
 // AppendOpen verifies and decrypts a marshalled envelope, appending the
-// plaintext to dst. The envelope is parsed in place — nothing from body
-// is copied except the recovered plaintext itself.
+// plaintext to dst (returned unextended on error); nothing else of body
+// is copied. A wrapped key not exactly one modulus long is refused
+// before any hashing, and the MD5 check of Figure 7 runs before the
+// session table is consulted.
 func AppendOpen(dst []byte, kp *KeyPair, body []byte) ([]byte, error) {
 	wrapped, iv, digest, ct, err := envelopeRef(body)
 	if err != nil {
 		return dst, err
 	}
+	if len(wrapped) != kp.priv.Size() {
+		return dst, ErrMalformed
+	}
 	sum := digestParts(wrapped, iv, ct)
 	if string(sum[:]) != string(digest) {
 		return dst, ErrDigestMismatch
 	}
-	sessionKey, err := rsa.DecryptOAEP(sha256.New(), rand.Reader, kp.priv, wrapped, envelopeMagicBytes)
+	key, err := kp.sessionKey(wrapped)
 	if err != nil {
-		return dst, fmt.Errorf("pisec: unwrapping session key: %w", err)
+		return dst, err
 	}
-	block, err := aes.NewCipher(sessionKey)
+	block, err := aes.NewCipher(key[:])
 	if err != nil {
 		return dst, fmt.Errorf("pisec: cipher init: %w", err)
 	}
@@ -315,21 +329,6 @@ func AppendOpen(dst []byte, kp *KeyPair, body []byte) ([]byte, error) {
 	dst = append(dst, ct...)
 	cipher.NewCTR(block, iv).XORKeyStream(dst[base:], dst[base:])
 	return dst, nil
-}
-
-// MarshalBase64 returns the envelope as base64 text for embedding in an
-// XML Packed Information document.
-func (e *Envelope) MarshalBase64() string {
-	return base64.StdEncoding.EncodeToString(e.Marshal())
-}
-
-// UnmarshalEnvelopeBase64 parses the form produced by MarshalBase64.
-func UnmarshalEnvelopeBase64(s string) (*Envelope, error) {
-	b, err := base64.StdEncoding.DecodeString(s)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-	}
-	return UnmarshalEnvelope(b)
 }
 
 // DispatchKey derives the §3.2 "unique key from the assigned code id".

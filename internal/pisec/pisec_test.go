@@ -2,6 +2,10 @@ package pisec
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/md5"
+	"crypto/rsa"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"sync"
@@ -26,6 +30,16 @@ func keyPair(t testing.TB) *KeyPair {
 	return testKey
 }
 
+// mustSeal seals pt through pk or fails the test.
+func mustSeal(t testing.TB, pk *PublicKey, pt []byte) []byte {
+	t.Helper()
+	body, err := AppendSeal(nil, pk, pt)
+	if err != nil {
+		t.Fatalf("AppendSeal: %v", err)
+	}
+	return body
+}
+
 func TestSealOpenRoundTrip(t *testing.T) {
 	kp := keyPair(t)
 	for _, msg := range [][]byte{
@@ -33,13 +47,9 @@ func TestSealOpenRoundTrip(t *testing.T) {
 		[]byte("x"),
 		[]byte(strings.Repeat("<pi>packed information</pi>", 100)),
 	} {
-		env, err := Seal(kp.Public(), msg)
+		got, err := AppendOpen(nil, kp, mustSeal(t, kp.Public(), msg))
 		if err != nil {
-			t.Fatalf("Seal: %v", err)
-		}
-		got, err := Open(kp, env)
-		if err != nil {
-			t.Fatalf("Open: %v", err)
+			t.Fatalf("AppendOpen: %v", err)
 		}
 		if !bytes.Equal(got, msg) {
 			t.Fatalf("round-trip mismatch: %d in, %d out", len(msg), len(got))
@@ -49,68 +59,46 @@ func TestSealOpenRoundTrip(t *testing.T) {
 
 func TestTamperDetection(t *testing.T) {
 	kp := keyPair(t)
-	env, err := Seal(kp.Public(), []byte("transfer 100 from a to b"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := mustSeal(t, kp.Public(), []byte("transfer 100 from a to b"))
 	// Flip one ciphertext bit: the MD5 check of Figure 7 must fail.
-	env.Ciphertext[0] ^= 1
-	if err := env.Verify(); !errors.Is(err, ErrDigestMismatch) {
-		t.Fatalf("Verify after tamper = %v, want ErrDigestMismatch", err)
+	body[len(body)-1] ^= 1
+	if _, err := AppendOpen(nil, kp, body); !errors.Is(err, ErrDigestMismatch) {
+		t.Fatalf("AppendOpen after tamper = %v, want ErrDigestMismatch", err)
 	}
-	if _, err := Open(kp, env); !errors.Is(err, ErrDigestMismatch) {
-		t.Fatalf("Open after tamper = %v, want ErrDigestMismatch", err)
-	}
-	env.Ciphertext[0] ^= 1
-	if err := env.Verify(); err != nil {
-		t.Fatalf("Verify after restore: %v", err)
+	body[len(body)-1] ^= 1
+	if _, err := AppendOpen(nil, kp, body); err != nil {
+		t.Fatalf("AppendOpen after restore: %v", err)
 	}
 	// Tampering with the wrapped key is also caught by the digest.
-	env.WrappedKey[3] ^= 0x40
-	if _, err := Open(kp, env); !errors.Is(err, ErrDigestMismatch) {
-		t.Fatalf("Open after key tamper = %v", err)
-	}
-}
-
-func TestEnvelopeMarshalRoundTrip(t *testing.T) {
-	kp := keyPair(t)
-	env, err := Seal(kp.Public(), []byte("payload"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := UnmarshalEnvelope(env.Marshal())
-	if err != nil {
-		t.Fatalf("UnmarshalEnvelope: %v", err)
-	}
-	got, err := Open(kp, back)
-	if err != nil || string(got) != "payload" {
-		t.Fatalf("Open(unmarshalled) = %q, %v", got, err)
-	}
-
-	b64, err := UnmarshalEnvelopeBase64(env.MarshalBase64())
-	if err != nil {
-		t.Fatalf("UnmarshalEnvelopeBase64: %v", err)
-	}
-	got, err = Open(kp, b64)
-	if err != nil || string(got) != "payload" {
-		t.Fatalf("Open(base64) = %q, %v", got, err)
+	body[len(envelopeMagic)+2+3] ^= 0x40
+	if _, err := AppendOpen(nil, kp, body); !errors.Is(err, ErrDigestMismatch) {
+		t.Fatalf("AppendOpen after key tamper = %v", err)
 	}
 }
 
 func TestUnmarshalMalformed(t *testing.T) {
+	kp := keyPair(t)
+	sealed := mustSeal(t, kp.Public(), []byte("payload"))
+	// A wrapped key one byte short of the modulus, declared honestly.
+	short := append([]byte(nil), sealed[:len(envelopeMagic)]...)
+	short = binary.BigEndian.AppendUint16(short, uint16(kp.priv.Size()-1))
+	short = append(short, sealed[len(envelopeMagic)+3:]...)
 	cases := map[string][]byte{
-		"empty":     {},
-		"bad magic": []byte("NOTPIS0000000000000000000000000000000000"),
-		"truncated": []byte("PISEC1\x01"),
-		"short key": append([]byte("PISEC1\xFF\xFF"), make([]byte, 10)...),
+		"empty":             {},
+		"bad magic":         []byte("NOTPIS0000000000000000000000000000000000"),
+		"truncated":         []byte("PISEC1\x01"),
+		"short key":         append([]byte("PISEC1\xFF\xFF"), make([]byte, 10)...),
+		"key below modulus": short,
+		"no ciphertext yet": sealed[:len(envelopeMagic)+2+kp.priv.Size()+aes.BlockSize+md5.Size-1],
 	}
 	for name, b := range cases {
-		if _, err := UnmarshalEnvelope(b); !errors.Is(err, ErrMalformed) {
+		out, err := AppendOpen([]byte("dst"), kp, b)
+		if !errors.Is(err, ErrMalformed) {
 			t.Errorf("%s: err = %v, want ErrMalformed", name, err)
 		}
-	}
-	if _, err := UnmarshalEnvelopeBase64("!!!not base64!!!"); !errors.Is(err, ErrMalformed) {
-		t.Errorf("bad base64: err = %v", err)
+		if string(out) != "dst" {
+			t.Errorf("%s: dst extended to %q on error", name, out)
+		}
 	}
 }
 
@@ -128,13 +116,9 @@ func TestPublicKeyMarshalRoundTrip(t *testing.T) {
 		t.Fatal("fingerprint changed across marshal round-trip")
 	}
 	// The parsed key must actually work for sealing.
-	env, err := Seal(pk, []byte("hello"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Open(kp, env)
+	got, err := AppendOpen(nil, kp, mustSeal(t, pk, []byte("hello")))
 	if err != nil || string(got) != "hello" {
-		t.Fatalf("Open with reparsed key = %q, %v", got, err)
+		t.Fatalf("AppendOpen with reparsed key = %q, %v", got, err)
 	}
 }
 
@@ -149,16 +133,25 @@ func TestParsePublicKeyErrors(t *testing.T) {
 
 func TestOpenWithWrongKey(t *testing.T) {
 	kp := keyPair(t)
+	body := mustSeal(t, kp.Public(), []byte("secret"))
+	// Same modulus size: the RSA unwrap itself refuses.
+	same, err := GenerateKeyPair(DefaultKeyBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AppendOpen(nil, same, body); !errors.Is(err, rsa.ErrDecryption) {
+		t.Fatalf("AppendOpen with wrong private key = %v, want rsa.ErrDecryption", err)
+	}
+	// Another modulus size is refused before any crypto runs.
 	other, err := GenerateKeyPair(1024) // smaller for test speed
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := Seal(kp.Public(), []byte("secret"))
-	if err != nil {
-		t.Fatal(err)
+	if _, err := AppendOpen(nil, other, body); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("AppendOpen with a 1024-bit key = %v, want ErrMalformed", err)
 	}
-	if _, err := Open(other, env); err == nil {
-		t.Fatal("Open with wrong private key succeeded")
+	if full, resumed, n := other.UnsealStats(); full+resumed != 0 || n != 0 {
+		t.Fatalf("size-mismatched envelope reached the unseal stage: full=%d resumed=%d sessions=%d", full, resumed, n)
 	}
 }
 
@@ -195,16 +188,13 @@ func TestDispatchKey(t *testing.T) {
 
 func TestQuickSealOpen(t *testing.T) {
 	kp := keyPair(t)
+	pk := kp.Public()
 	f := func(msg []byte) bool {
-		env, err := Seal(kp.Public(), msg)
+		body, err := AppendSeal(nil, pk, msg)
 		if err != nil {
 			return false
 		}
-		round, err := UnmarshalEnvelope(env.Marshal())
-		if err != nil {
-			return false
-		}
-		got, err := Open(kp, round)
+		got, err := AppendOpen(nil, kp, body)
 		return err == nil && bytes.Equal(got, msg)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -212,24 +202,54 @@ func TestQuickSealOpen(t *testing.T) {
 	}
 }
 
+// BenchmarkSeal and BenchmarkOpen time the resumed path (one key, one
+// session); the /full variants force a new session per envelope.
 func BenchmarkSeal(b *testing.B) {
 	kp := keyPair(b)
 	msg := []byte(strings.Repeat("x", 4096))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Seal(kp.Public(), msg); err != nil {
-			b.Fatal(err)
+	for _, full := range []bool{false, true} {
+		name := "resumed"
+		if full {
+			name = "full"
 		}
+		b.Run(name, func(b *testing.B) {
+			pk := kp.Public()
+			var buf []byte
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if full {
+					pk = kp.Public()
+				}
+				var err error
+				if buf, err = AppendSeal(buf[:0], pk, msg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 func BenchmarkOpen(b *testing.B) {
 	kp := keyPair(b)
-	env, _ := Seal(kp.Public(), []byte(strings.Repeat("x", 4096)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Open(kp, env); err != nil {
-			b.Fatal(err)
+	body := mustSeal(b, kp.Public(), []byte(strings.Repeat("x", 4096)))
+	for _, full := range []bool{false, true} {
+		name := "resumed"
+		if full {
+			name = "full"
 		}
+		b.Run(name, func(b *testing.B) {
+			open := kp
+			var buf []byte
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if full {
+					open = KeyPairFromRSA(kp.priv) // cold table
+				}
+				var err error
+				if buf, err = AppendOpen(buf[:0], open, body); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
