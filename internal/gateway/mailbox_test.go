@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"context"
+	"path/filepath"
 	"strconv"
 	"testing"
 	"time"
@@ -346,5 +347,50 @@ func TestFailedAdmissionReleasesNonce(t *testing.T) {
 	pi.Source = sub.Package.Source
 	if resp := f.dispatchPI(t, pi, true); !resp.IsOK() {
 		t.Fatalf("retry after failed admission: %d %s, want 200", resp.Status, resp.Text())
+	}
+}
+
+// TestEchoJourneyFsyncBudget pins what one steady-state echo journey —
+// dispatch, result home, poll, ack — costs a gateway over two real
+// group-commit WALs: the journal's admit and retire, and one ordered
+// commit each for the mailbox's enqueue (entry + meta) and ack (cursor +
+// delete). It is the count the journey benchmark reports as
+// rms.fsyncs_per_journey.
+func TestEchoJourneyFsyncBudget(t *testing.T) {
+	open := func(name string) *rms.WALStore {
+		s, err := rms.OpenWALStore(filepath.Join(t.TempDir(), name), rms.WALOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	journal, mailbox := open("journal.wal"), open("mailbox.wal")
+	f := newFixtureCfg(t, func(c *Config) {
+		c.Journal = journal
+		c.Mailbox = &MailboxConfig{Store: mailbox}
+	})
+	f.addEcho(t)
+	var cursor uint64
+	journey := func() {
+		agentID := dispatchEcho(t, f, "dev-1")
+		f.queue.Drain()
+		entries, watermark, _ := pollMailbox(t, f, "dev-1", cursor)
+		if len(entries) != 1 || entries[0].AgentID != agentID {
+			t.Fatalf("poll after %s: %d entries", agentID, len(entries))
+		}
+		if entries, _, _ := pollMailbox(t, f, "dev-1", watermark); len(entries) != 0 {
+			t.Fatalf("mail redelivered after ack: %d entries", len(entries))
+		}
+		cursor = watermark
+	}
+	journey() // the device's first journey also mints its mailbox token
+	j, m := journal.Fsyncs(), mailbox.Fsyncs()
+	journey()
+	if gotJ, gotM := journal.Fsyncs()-j, mailbox.Fsyncs()-m; gotJ != 2 || gotM != 2 {
+		t.Fatalf("echo journey cost %d journal + %d mailbox fsyncs, want 2 + 2", gotJ, gotM)
+	}
+	if n, _ := mailbox.NumRecords(); n != 1 {
+		t.Fatalf("mailbox store holds %d records after the ack, want the meta record alone", n)
 	}
 }

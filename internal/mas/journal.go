@@ -306,18 +306,19 @@ func (j *journal) put(e *journalEntry) (evicted string, err error) {
 	// held above is what keeps two puts for *this* agent ordered.
 	switch {
 	case e.tombstone():
-		// Crash-safe replace, WAL-ordered: persist the tombstone FIRST,
-		// then delete the superseded live entry. If we crash between
-		// the two writes both records survive, and openJournal keeps
+		// Crash-safe replace in one ordered commit: the tombstone FIRST,
+		// then the delete of the superseded live entry. If a crash keeps
+		// only the first both records survive, and openJournal keeps
 		// the higher (newer) record id — the watermark is never lost.
-		newID, err := j.store.Add(data)
+		ops := append(make([]rms.Op, 0, 2), rms.Op{Op: rms.OpAdd, Data: data})
+		if existed {
+			ops = append(ops, rms.Op{Op: rms.OpDelete, ID: recID})
+		}
+		ids, err := j.store.Apply(ops)
 		if err != nil {
 			return "", err
 		}
-		if existed {
-			_ = j.store.Delete(recID)
-		}
-		recID = newID
+		recID = ids[0]
 	case existed:
 		if err := j.store.Set(recID, data); err != nil {
 			return "", err

@@ -2,6 +2,7 @@ package mas
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -641,5 +642,53 @@ func TestResumeFromTornJournal(t *testing.T) {
 		}
 		tq.Drain() // resumed ship attempts must not panic either
 		tornStore.Close()
+	}
+}
+
+// TestTombstoneReplaceIsOneCommit: retiring a journaled agent writes the
+// tombstone and deletes the superseded live record behind ONE fsync, the
+// pair still replays to the tombstone alone, and a store failure comes
+// back to the caller instead of being dropped with the delete.
+func TestTombstoneReplaceIsOneCommit(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "journal.wal")
+	wal, err := rms.OpenWALStore(dir, rms.WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	jr, err := openJournal(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := &journalEntry{
+		ID: "ag-1", Home: "gw-0", State: StateRunning, Watermark: 3,
+		Program: []byte("prog"), VMState: []byte("state"),
+	}
+	tomb := &journalEntry{ID: "ag-1", Home: "gw-0", State: StateDeparted, Watermark: 3}
+	if _, err := jr.put(live); err != nil {
+		t.Fatal(err)
+	}
+	before := wal.Fsyncs()
+	if _, err := jr.put(tomb); err != nil {
+		t.Fatal(err)
+	}
+	if got := wal.Fsyncs() - before; got != 1 {
+		t.Fatalf("tombstone replace cost %d fsyncs, want 1", got)
+	}
+	if ids, _ := wal.IDs(); len(ids) != 1 || ids[0] != 2 {
+		t.Fatalf("store holds records %v, want the tombstone (2) alone", ids)
+	}
+	jr2, err := openJournal(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if entries, _ := jr2.loadAll(); len(entries) != 1 || !entries[0].tombstone() || entries[0].Watermark != 3 {
+		t.Fatalf("reloaded journal = %+v, want one tombstone at watermark 3", entries)
+	}
+
+	wal.Close()
+	other := &journalEntry{ID: "ag-2", Home: "gw-0", State: StateDelivered, Watermark: 1}
+	if _, err := jr.put(other); !errors.Is(err, rms.ErrClosed) {
+		t.Fatalf("tombstone over a closed store: err = %v, want ErrClosed", err)
 	}
 }

@@ -486,9 +486,10 @@ func (h *Hub) updateDirtyLocked(mb *mailbox) {
 // Enqueue appends an entry to a device's mailbox and wakes any parked
 // waiters. A non-empty eventID dedups: if the same event was already
 // enqueued (pending or within the remembered window), the original seq
-// is returned with dup=true and nothing is written. The write order is
-// entry record first, meta second — a crash between the two is repaired
-// at replay (the pending entry re-seeds the dedup window).
+// is returned with dup=true and nothing is written. The entry record and
+// the meta record go to the store as one ordered commit, entry first —
+// a crash that keeps the entry but not the meta is repaired at replay
+// (the pending entry re-seeds the dedup window and the seq watermark).
 func (h *Hub) Enqueue(device, kind, agentID, eventID string, body []byte) (seq uint64, dup bool, err error) {
 	return h.enqueueAt(device, kind, agentID, eventID, body, h.cfg.Clock())
 }
@@ -522,17 +523,21 @@ func (h *Hub) enqueueAt(device, kind, agentID, eventID string, body []byte, at t
 		Body:     body,
 		Enqueued: at,
 	}
-	recID, err := h.cfg.Store.Add(encodeEntryRecord(device, e))
+	bp := opsPool.Get().(*[]rms.Op)
+	*bp = append(*bp, rms.Op{Op: rms.OpAdd, Data: encodeEntryRecord(device, e)},
+		metaOp(mb, e.Seq+1, dedupEvent{id: eventID, seq: e.Seq, at: now.UnixNano()}))
+	ids, err := h.apply(bp)
 	if err != nil {
+		// Nothing in memory has moved yet, so a retry of the same event
+		// is judged afresh, not refused as a duplicate.
 		return 0, false, fmt.Errorf("push: storing entry for %s: %w", device, err)
 	}
-	e.recID = recID
+	e.recID, mb.metaRec = ids[0], ids[1]
 	mb.nextSeq++
 	mb.entries = append(mb.entries, e)
 	mb.bytes += int64(len(e.Body))
 	h.chargeTenant(mb.tenant, int64(len(e.Body)))
 	h.rememberLocked(mb, eventID, e.Seq, now)
-	h.writeMetaLocked(mb)
 	h.enqueued.Add(1)
 	h.pending.Add(1)
 	h.updateDirtyLocked(mb)
@@ -596,11 +601,36 @@ func (h *Hub) expireLocked(mb *mailbox, now time.Time) {
 	}
 }
 
+// opsPool recycles the op slices handed to Store.Apply: an argument of
+// an interface call escapes, and enqueue and ack are the hot path.
+var opsPool = sync.Pool{New: func() any { return new([]rms.Op) }}
+
+// apply commits a pooled batch and returns the slice to the pool,
+// dropping its payload references first.
+func (h *Hub) apply(bp *[]rms.Op) ([]int, error) {
+	ids, err := h.cfg.Store.Apply(*bp)
+	clear(*bp)
+	*bp = (*bp)[:0]
+	opsPool.Put(bp)
+	return ids, err
+}
+
+// metaOp is the store op that persists the device's meta record as it
+// will stand once next and ev (see encodeMetaRecord) are in effect: a
+// Set of the existing record, or the first Add. Caller holds mb.mu.
+func metaOp(mb *mailbox, next uint64, ev dedupEvent) rms.Op {
+	doc := encodeMetaRecord(mb, next, ev)
+	if mb.metaRec != 0 {
+		return rms.Op{Op: rms.OpSet, ID: mb.metaRec, Data: doc}
+	}
+	return rms.Op{Op: rms.OpAdd, Data: doc}
+}
+
 // writeMetaLocked persists the device's watermark/cursor/dedup state.
 // Best-effort beyond the entry records themselves: a torn meta is
 // rebuilt from the pending entries at replay.
 func (h *Hub) writeMetaLocked(mb *mailbox) {
-	doc := encodeMetaRecord(mb)
+	doc := encodeMetaRecord(mb, mb.nextSeq, dedupEvent{})
 	if mb.metaRec != 0 {
 		if err := h.cfg.Store.Set(mb.metaRec, doc); err == nil {
 			return
@@ -642,14 +672,16 @@ func (h *Hub) ackLocked(mb *mailbox, upTo uint64) int {
 		return 0
 	}
 	mb.cursor = upTo
-	// Cursor first, deletes second: if we crash in between, replay
-	// drops the already-acked entries instead of resurrecting them.
-	h.writeMetaLocked(mb)
+	// One ordered commit, cursor first, deletes second: if a crash keeps
+	// only a prefix, replay drops the already-acked entries instead of
+	// resurrecting them.
+	bp := opsPool.Get().(*[]rms.Op)
+	*bp = append(*bp, metaOp(mb, mb.nextSeq, dedupEvent{}))
 	n := 0
 	kept := mb.entries[:0]
 	for _, e := range mb.entries {
 		if e.Seq <= upTo {
-			_ = h.cfg.Store.Delete(e.recID)
+			*bp = append(*bp, rms.Op{Op: rms.OpDelete, ID: e.recID})
 			mb.bytes -= int64(len(e.Body))
 			h.chargeTenant(mb.tenant, -int64(len(e.Body)))
 			n++
@@ -658,6 +690,14 @@ func (h *Hub) ackLocked(mb *mailbox, upTo uint64) int {
 		kept = append(kept, e)
 	}
 	mb.entries = kept
+	// The device has its mail whatever the store says, so the ack stands
+	// in memory even if persisting it fails; after a crash the device's
+	// next poll acks the re-offered entries again.
+	if ids, err := h.apply(bp); err != nil {
+		h.logf("push: persisting ack for %s: %v", mb.device, err)
+	} else {
+		mb.metaRec = ids[0]
+	}
 	h.delivered.Add(uint64(n))
 	h.pending.Add(int64(-n))
 	h.updateDirtyLocked(mb)

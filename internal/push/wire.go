@@ -101,19 +101,26 @@ type dedupEvent struct {
 // meta rewrite — which happens on every enqueue and ack — cheap.
 const metaDedupPersist = 64
 
-// encodeMetaRecord renders a device's watermark/cursor/dedup state.
-// It sits on the enqueue/ack path, so the document is built with
-// direct byte appends instead of a node tree. Caller holds mb.mu.
-func encodeMetaRecord(mb *mailbox) []byte {
+// encodeMetaRecord renders a device's watermark/cursor/dedup state
+// with next as the seq watermark and, when ev has an id, ev as the
+// newest dedup event — the enqueue path renders the record it is about
+// to commit before it touches the mailbox. It sits on the enqueue/ack
+// path, so the document is built with direct byte appends instead of a
+// node tree. Caller holds mb.mu.
+func encodeMetaRecord(mb *mailbox, next uint64, ev dedupEvent) []byte {
 	order := mb.dedupOrder
-	if len(order) > metaDedupPersist {
-		order = order[len(order)-metaDedupPersist:]
+	keep := metaDedupPersist
+	if ev.id != "" {
+		keep--
+	}
+	if len(order) > keep {
+		order = order[len(order)-keep:]
 	}
 	// Size the buffer to this mailbox, not the worst case: the record is
 	// rewritten on every enqueue and ack, and the old fixed 2.2KB
 	// allocation dominated the per-delivery garbage for the common
 	// near-empty window.
-	size := 96 + len(mb.device) + len(mb.token) + len(mb.tenant)
+	size := 96 + len(mb.device) + len(mb.token) + len(mb.tenant) + len(ev.id) + 56
 	for _, rec := range order {
 		size += len(rec.id) + 56 // <e seq="..." at="...">id</e>
 	}
@@ -121,7 +128,7 @@ func encodeMetaRecord(mb *mailbox) []byte {
 	b = append(b, `<mb-meta device="`...)
 	b = kxml.AppendEscapedAttr(b, mb.device)
 	b = append(b, `" next="`...)
-	b = strconv.AppendUint(b, mb.nextSeq, 10)
+	b = strconv.AppendUint(b, next, 10)
 	b = append(b, `" cursor="`...)
 	b = strconv.AppendUint(b, mb.cursor, 10)
 	b = append(b, `" evicted="`...)
@@ -136,16 +143,23 @@ func encodeMetaRecord(mb *mailbox) []byte {
 	}
 	b = append(b, `">`...)
 	for _, rec := range order {
-		b = append(b, `<e seq="`...)
-		b = strconv.AppendUint(b, mb.dedup[rec.id], 10)
-		b = append(b, `" at="`...)
-		b = strconv.AppendInt(b, rec.at.UnixNano(), 10)
-		b = append(b, `">`...)
-		b = kxml.AppendEscapedText(b, rec.id)
-		b = append(b, `</e>`...)
+		b = appendDedupEvent(b, dedupEvent{id: rec.id, seq: mb.dedup[rec.id], at: rec.at.UnixNano()})
+	}
+	if ev.id != "" {
+		b = appendDedupEvent(b, ev)
 	}
 	b = append(b, `</mb-meta>`...)
 	return b
+}
+
+func appendDedupEvent(b []byte, ev dedupEvent) []byte {
+	b = append(b, `<e seq="`...)
+	b = strconv.AppendUint(b, ev.seq, 10)
+	b = append(b, `" at="`...)
+	b = strconv.AppendInt(b, ev.at, 10)
+	b = append(b, `">`...)
+	b = kxml.AppendEscapedText(b, ev.id)
+	return append(b, `</e>`...)
 }
 
 // parseRecord decodes one backing-store record into either an entry or

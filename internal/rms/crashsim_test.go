@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -16,9 +17,10 @@ import (
 // several power-loss variants (nothing unsynced survived, everything
 // survived, torn tails) and recovered with the real OpenWALStore. The
 // invariant: under the default group-commit policy the recovered state
-// is exactly the acked prefix of the workload, or that prefix plus the
-// single in-flight op — an acked write may NEVER be missing, at any
-// crash point, in any variant.
+// is exactly the acked prefix of the workload, or that prefix plus a
+// prefix of the call in flight (its single op, or the first j ops of an
+// Apply batch, in order — never a gap) — an acked write may NEVER be
+// missing, at any crash point, in any variant.
 
 // simInode is one file's content: data is what the process sees,
 // synced is the prefix made durable by fsync.
@@ -35,7 +37,8 @@ type simFS struct {
 	live    map[string]*simInode
 	durable map[string]*simInode
 	images  []crashImage
-	acked   int // ops acked so far; bumped by the test between ops
+	acked   int // ops acked so far; bumped by the test between calls
+	pending int // ops of the call in flight (1, or an Apply batch's length)
 }
 
 type crashFile struct {
@@ -46,6 +49,7 @@ type crashFile struct {
 // crashImage is the disk as a crash at this boundary could leave it.
 type crashImage struct {
 	acked   int
+	pending int
 	live    map[string]crashFile
 	durable map[string][]byte // durable dirent -> fsynced content
 }
@@ -54,6 +58,7 @@ func newSimFS() *simFS {
 	return &simFS{
 		live:    make(map[string]*simInode),
 		durable: make(map[string]*simInode),
+		pending: 1,
 	}
 }
 
@@ -61,6 +66,7 @@ func newSimFS() *simFS {
 func (fs *simFS) snap() {
 	img := crashImage{
 		acked:   fs.acked,
+		pending: fs.pending,
 		live:    make(map[string]crashFile, len(fs.live)),
 		durable: make(map[string][]byte, len(fs.durable)),
 	}
@@ -267,6 +273,28 @@ func TestWALStoreCrashAtEverySyscall(t *testing.T) {
 		fs.acked++
 	}
 
+	// doApply commits one batch; the model gains one state per op, so a
+	// crash mid-batch must land on one of them.
+	doApply := func(ops ...Op) {
+		fs.pending = len(ops)
+		ids, err := s.Apply(ops)
+		if err != nil {
+			t.Fatalf("op %d Apply: %v", fs.acked+1, err)
+		}
+		for i, op := range ops {
+			id, op := ids[i], op
+			pushState(func(m map[int][]byte) {
+				if op.Op == OpDelete {
+					delete(m, id)
+				} else {
+					m[id] = op.Data
+				}
+			})
+		}
+		fs.acked += len(ops)
+		fs.pending = 1
+	}
+
 	// Phase 1: fill across several rotations.
 	for i := 0; i < 8; i++ {
 		doAdd([]byte(fmt.Sprintf("crash-add-%02d-%s", i, bytes.Repeat([]byte{'a' + byte(i)}, 30))))
@@ -278,6 +306,12 @@ func TestWALStoreCrashAtEverySyscall(t *testing.T) {
 	}
 	doDelete(5)
 	doDelete(6)
+	// The three caller shapes, crossing a rotation: entry + meta, cursor
+	// + deletes, tombstone + delete of the superseded record.
+	doApply(Op{Op: OpAdd, Data: []byte("crash-entry-" + strings.Repeat("e", 40))},
+		Op{Op: OpSet, ID: 1, Data: []byte("crash-meta-" + strings.Repeat("m", 40))})
+	doApply(Op{Op: OpSet, ID: 1, Data: []byte("crash-cursor")}, Op{Op: OpDelete, ID: 7}, Op{Op: OpDelete, ID: 8}, Op{Op: OpDelete, ID: 9})
+	doApply(Op{Op: OpAdd, Data: []byte("crash-tombstone")}, Op{Op: OpDelete, ID: 2})
 	// Phase 3: a mid-life crash-free restart — recovery's own syscalls
 	// (truncates, removes, the end-of-open SyncDir) also yield images.
 	if err := s.Close(); err != nil {
@@ -322,16 +356,13 @@ func TestWALStoreCrashAtEverySyscall(t *testing.T) {
 			if err != nil {
 				t.Fatalf("image %d variant %d (acked=%d): recovery failed: %v", idx, v, img.acked, err)
 			}
-			// Allowed: the acked prefix, or the acked prefix plus the one
-			// op that was in flight when the crash hit.
-			allowed := []map[int][]byte{states[img.acked]}
-			if img.acked+1 < len(states) {
-				allowed = append(allowed, states[img.acked+1])
-			}
+			// Allowed: the acked prefix, plus any prefix of the call that
+			// was in flight when the crash hit.
+			allowed := states[img.acked:min(img.acked+img.pending+1, len(states))]
 			if !matchesAny(re, allowed) {
 				ids, _ := re.IDs()
-				t.Fatalf("image %d variant %d: recovered ids %v match neither state %d nor %d — acked write lost or phantom write surfaced",
-					idx, v, ids, img.acked, img.acked+1)
+				t.Fatalf("image %d variant %d: recovered ids %v match none of states %d..%d — acked write lost, phantom write surfaced or a batch replayed with a gap",
+					idx, v, ids, img.acked, img.acked+img.pending)
 			}
 			// Recovered stores must also accept new writes.
 			if _, err := re.Add([]byte("post-crash")); err != nil {

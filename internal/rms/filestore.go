@@ -148,7 +148,8 @@ func (s *FileStore) load() error {
 	return nil
 }
 
-// applyEntry folds one replayed log entry into the in-memory state.
+// applyEntry folds one log entry — replayed at load, or just
+// appended — into the in-memory state.
 func (s *FileStore) applyEntry(op byte, id int, payload []byte) {
 	switch op {
 	case opAdd, opSet:
@@ -212,25 +213,6 @@ func (s *FileStore) flushLocked() error {
 // Name implements Store.
 func (s *FileStore) Name() string { return s.name }
 
-// Add implements Store.
-func (s *FileStore) Add(data []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return 0, ErrClosed
-	}
-	if len(data) > MaxRecordSize {
-		return 0, fmt.Errorf("rms: record of %d bytes exceeds max %d", len(data), MaxRecordSize)
-	}
-	id := s.nextID
-	if err := s.appendEntry(opAdd, id, data); err != nil {
-		return 0, err
-	}
-	s.nextID++
-	s.records[id] = clone(data)
-	return id, nil
-}
-
 // Get implements Store.
 func (s *FileStore) Get(id int) ([]byte, error) {
 	s.mu.Lock()
@@ -245,45 +227,55 @@ func (s *FileStore) Get(id int) ([]byte, error) {
 	return clone(data), nil
 }
 
-// Set implements Store.
-func (s *FileStore) Set(id int, data []byte) error {
+// apply is the one write path: validate the batch, then append and
+// fold each op in order. FileStore never fsyncs on the write path, so
+// there is no commit to wait for.
+func (s *FileStore) apply(ops []Op, ids []int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	old, ok := s.records[id]
-	if !ok {
-		return fmt.Errorf("%w: id %d in %q", ErrNotFound, id, s.name)
-	}
-	if len(data) > MaxRecordSize {
-		return fmt.Errorf("rms: record of %d bytes exceeds max %d", len(data), MaxRecordSize)
-	}
-	if err := s.appendEntry(opSet, id, data); err != nil {
+	if err := checkOps(s.name, ops, ids, s.records, s.nextID); err != nil {
 		return err
 	}
-	s.garbage += entryHeaderSize + len(old)
-	s.records[id] = clone(data)
+	for i, op := range ops {
+		if err := s.appendEntry(op.Op, ids[i], op.payload()); err != nil {
+			return err
+		}
+		s.applyEntry(op.Op, ids[i], clone(op.payload()))
+	}
 	return nil
+}
+
+// Apply implements Store.
+func (s *FileStore) Apply(ops []Op) ([]int, error) {
+	ids := make([]int, len(ops))
+	if err := s.apply(ops, ids); err != nil {
+		return nil, err
+	}
+	return ids, nil
+}
+
+// Add implements Store.
+func (s *FileStore) Add(data []byte) (int, error) {
+	var ids [1]int
+	if err := s.apply([]Op{{Op: OpAdd, Data: data}}, ids[:]); err != nil {
+		return 0, err
+	}
+	return ids[0], nil
+}
+
+// Set implements Store.
+func (s *FileStore) Set(id int, data []byte) error {
+	var ids [1]int
+	return s.apply([]Op{{Op: OpSet, ID: id, Data: data}}, ids[:])
 }
 
 // Delete implements Store.
 func (s *FileStore) Delete(id int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	old, ok := s.records[id]
-	if !ok {
-		return fmt.Errorf("%w: id %d in %q", ErrNotFound, id, s.name)
-	}
-	if err := s.appendEntry(opDelete, id, nil); err != nil {
-		return err
-	}
-	s.garbage += 2*entryHeaderSize + len(old)
-	delete(s.records, id)
-	return nil
+	var ids [1]int
+	return s.apply([]Op{{Op: OpDelete, ID: id}}, ids[:])
 }
 
 // NumRecords implements Store.

@@ -42,6 +42,16 @@ type Store interface {
 	Set(id int, data []byte) error
 	// Delete removes the record with the given id. The id is not reused.
 	Delete(id int) error
+	// Apply commits ops in order behind a single durability wait and
+	// returns each op's record id (the allocated one for OpAdd). The
+	// whole batch is validated first — an unknown opcode, an oversize
+	// record, a Set or Delete of an id that is not live at that point of
+	// the batch — and a rejected batch changes nothing. The commit is
+	// ordered, not atomic: a crash or I/O failure part-way leaves a
+	// prefix of the batch, never a gap, so callers order their ops such
+	// that every prefix is a state they recover from. ops and their Data
+	// are not retained.
+	Apply(ops []Op) (ids []int, err error)
 	// NumRecords returns the number of live records.
 	NumRecords() (int, error)
 	// NextID returns the id the next Add will use.
@@ -52,6 +62,57 @@ type Store interface {
 	Size() (int, error)
 	// Close releases the store; further operations return ErrClosed.
 	Close() error
+}
+
+// Op is one mutation of an Apply batch and, with ID filled in, one
+// durable mutation observed by a commit tap (CommitOp).
+type Op struct {
+	Op   byte   // OpAdd, OpSet or OpDelete
+	ID   int    // record id; ignored by Apply for OpAdd, which allocates it
+	Data []byte // payload; ignored for OpDelete
+}
+
+// payload is the bytes the op stores: none for a delete.
+func (op Op) payload() []byte {
+	if op.Op == OpDelete {
+		return nil
+	}
+	return op.Data
+}
+
+// checkOps validates an Apply batch against a store's live set before
+// anything is written, filling ids with each op's record id. A Set or
+// Delete must name an id live at that point of the batch: in records or
+// added earlier in the batch, and not deleted earlier in it.
+func checkOps(name string, ops []Op, ids []int, records map[int][]byte, nextID int) error {
+	first := nextID
+	var deleted map[int]struct{} // ids the batch deleted that a later op could still name
+	for i, op := range ops {
+		switch op.Op {
+		case OpAdd:
+			ids[i] = nextID
+			nextID++
+		case OpSet, OpDelete:
+			_, live := records[op.ID]
+			_, gone := deleted[op.ID]
+			if gone || !(live || (op.ID >= first && op.ID < nextID)) {
+				return fmt.Errorf("%w: id %d in %q", ErrNotFound, op.ID, name)
+			}
+			ids[i] = op.ID
+			if op.Op == OpDelete && i < len(ops)-1 {
+				if deleted == nil {
+					deleted = make(map[int]struct{})
+				}
+				deleted[op.ID] = struct{}{}
+			}
+		default:
+			return fmt.Errorf("rms: unknown op %d in batch for %q", op.Op, name)
+		}
+		if n := len(op.payload()); n > MaxRecordSize {
+			return fmt.Errorf("rms: record of %d bytes exceeds max %d", n, MaxRecordSize)
+		}
+	}
+	return nil
 }
 
 // MemStore is a volatile in-memory record store.
@@ -73,22 +134,6 @@ func NewMemStore(name string, capacity int) *MemStore {
 // Name implements Store.
 func (s *MemStore) Name() string { return s.name }
 
-// Add implements Store.
-func (s *MemStore) Add(data []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return 0, ErrClosed
-	}
-	if s.capacity > 0 && s.liveSizeLocked()+len(data) > s.capacity {
-		return 0, ErrStoreFull
-	}
-	id := s.nextID
-	s.nextID++
-	s.records[id] = clone(data)
-	return id, nil
-}
-
 // Get implements Store.
 func (s *MemStore) Get(id int) ([]byte, error) {
 	s.mu.RLock()
@@ -103,36 +148,74 @@ func (s *MemStore) Get(id int) ([]byte, error) {
 	return clone(data), nil
 }
 
-// Set implements Store.
-func (s *MemStore) Set(id int, data []byte) error {
+// apply is the one write path: validate the batch (checkOps, then the
+// capacity at every op of it), and only then touch the records.
+func (s *MemStore) apply(ops []Op, ids []int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	old, ok := s.records[id]
-	if !ok {
-		return fmt.Errorf("%w: id %d in %q", ErrNotFound, id, s.name)
+	if err := checkOps(s.name, ops, ids, s.records, s.nextID); err != nil {
+		return err
 	}
-	if s.capacity > 0 && s.liveSizeLocked()-len(old)+len(data) > s.capacity {
-		return ErrStoreFull
+	if s.capacity > 0 {
+		size := s.liveSizeLocked()
+		sizes := make(map[int]int, len(ops)) // payload size of each id the batch touched so far
+		for i, op := range ops {
+			old, ok := sizes[ids[i]]
+			if !ok {
+				old = len(s.records[ids[i]])
+			}
+			n := len(op.payload())
+			sizes[ids[i]] = n
+			if size += n - old; size > s.capacity {
+				return ErrStoreFull
+			}
+		}
 	}
-	s.records[id] = clone(data)
+	for i, op := range ops {
+		if op.Op == OpDelete {
+			delete(s.records, ids[i])
+			continue
+		}
+		s.records[ids[i]] = clone(op.Data)
+		if ids[i] >= s.nextID {
+			s.nextID = ids[i] + 1
+		}
+	}
 	return nil
+}
+
+// Apply implements Store. A batch that would pass the capacity at any
+// op is refused whole, like any other invalid batch.
+func (s *MemStore) Apply(ops []Op) ([]int, error) {
+	ids := make([]int, len(ops))
+	if err := s.apply(ops, ids); err != nil {
+		return nil, err
+	}
+	return ids, nil
+}
+
+// Add implements Store.
+func (s *MemStore) Add(data []byte) (int, error) {
+	var ids [1]int
+	if err := s.apply([]Op{{Op: OpAdd, Data: data}}, ids[:]); err != nil {
+		return 0, err
+	}
+	return ids[0], nil
+}
+
+// Set implements Store.
+func (s *MemStore) Set(id int, data []byte) error {
+	var ids [1]int
+	return s.apply([]Op{{Op: OpSet, ID: id, Data: data}}, ids[:])
 }
 
 // Delete implements Store.
 func (s *MemStore) Delete(id int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if _, ok := s.records[id]; !ok {
-		return fmt.Errorf("%w: id %d in %q", ErrNotFound, id, s.name)
-	}
-	delete(s.records, id)
-	return nil
+	var ids [1]int
+	return s.apply([]Op{{Op: OpDelete, ID: id}}, ids[:])
 }
 
 // NumRecords implements Store.

@@ -19,12 +19,9 @@ const (
 	OpDelete byte = opDelete
 )
 
-// CommitOp is one durable mutation observed by a commit tap.
-type CommitOp struct {
-	Op   byte // OpAdd, OpSet or OpDelete
-	ID   int  // record id
-	Data []byte
-}
+// CommitOp is one durable mutation observed by a commit tap: an Op
+// whose ID is always the record id it landed on.
+type CommitOp = Op
 
 // CommitSink receives batches of durable mutations in commit order.
 // Batches never overlap: the tap serializes invocations, so a sink
@@ -70,36 +67,40 @@ func (s *TappedStore) Unwrap() Store { return s.inner }
 // Name implements Store.
 func (s *TappedStore) Name() string { return s.inner.Name() }
 
-// Add implements Store.
-func (s *TappedStore) Add(data []byte) (int, error) {
+// Apply implements Store: the sink sees the batch once, in order, with
+// the allocated ids.
+func (s *TappedStore) Apply(ops []Op) ([]int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	id, err := s.inner.Add(data)
+	ids, err := s.inner.Apply(ops)
 	if err == nil && s.sink != nil {
-		s.sink([]CommitOp{{Op: OpAdd, ID: id, Data: clone(data)}})
+		batch := make([]CommitOp, len(ops))
+		for i, op := range ops {
+			batch[i] = CommitOp{Op: op.Op, ID: ids[i], Data: clone(op.payload())}
+		}
+		s.sink(batch)
 	}
-	return id, err
+	return ids, err
+}
+
+// Add implements Store.
+func (s *TappedStore) Add(data []byte) (int, error) {
+	ids, err := s.Apply([]Op{{Op: OpAdd, Data: data}})
+	if err != nil {
+		return 0, err
+	}
+	return ids[0], nil
 }
 
 // Set implements Store.
 func (s *TappedStore) Set(id int, data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	err := s.inner.Set(id, data)
-	if err == nil && s.sink != nil {
-		s.sink([]CommitOp{{Op: OpSet, ID: id, Data: clone(data)}})
-	}
+	_, err := s.Apply([]Op{{Op: OpSet, ID: id, Data: data}})
 	return err
 }
 
 // Delete implements Store.
 func (s *TappedStore) Delete(id int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	err := s.inner.Delete(id)
-	if err == nil && s.sink != nil {
-		s.sink([]CommitOp{{Op: OpDelete, ID: id}})
-	}
+	_, err := s.Apply([]Op{{Op: OpDelete, ID: id}})
 	return err
 }
 

@@ -29,8 +29,11 @@ import (
 // batch (the etcd/pebble group-commit pipeline): while one caller
 // holds the sync, later arrivals keep appending to the buffered
 // segment, and the next fsync covers all of them at once. SyncAlways
-// pays one fsync per operation (the naive baseline); SyncNever never
-// fsyncs on the write path (simulations and benchmarks).
+// pays one fsync per call (the naive baseline); SyncNever never
+// fsyncs on the write path (simulations and benchmarks). One caller
+// with several ops in hand gives them to Apply, which appends them all
+// and waits once — group commit cannot batch writes that arrive one
+// after another from the same goroutine.
 //
 // Layout. A WALStore lives in a directory:
 //
@@ -118,8 +121,8 @@ const (
 	// SyncGroup is the default: writers park on a commit ticket and one
 	// fsync acks the whole concurrent batch.
 	SyncGroup SyncPolicy = iota
-	// SyncAlways fsyncs once per operation — per-op durability at
-	// per-op cost, the baseline group commit is measured against.
+	// SyncAlways fsyncs once per call (Add, Set, Delete or Apply) — the
+	// baseline group commit is measured against.
 	SyncAlways
 	// SyncNever performs no write-path fsyncs (rotation, snapshot and
 	// Close still sync). For simulations and benchmarks.
@@ -406,15 +409,15 @@ func (s *WALStore) replaySegment(seq uint64) (valid int64, torn bool, err error)
 		if !ok {
 			break
 		}
-		s.applyReplay(op, id, payload)
+		s.applyEntry(op, id, payload)
 		valid += int64(n)
 	}
 	return valid, valid < int64(len(data)), nil
 }
 
-// applyReplay folds one replayed entry into memory (same semantics as
-// FileStore replay).
-func (s *WALStore) applyReplay(op byte, id int, payload []byte) {
+// applyEntry folds one entry — replayed from a segment, or just
+// appended — into memory (same semantics as FileStore.applyEntry).
+func (s *WALStore) applyEntry(op byte, id int, payload []byte) {
 	switch op {
 	case opAdd, opSet:
 		if old, ok := s.records[id]; ok {
@@ -645,16 +648,16 @@ func (s *WALStore) snapshotLocked() error {
 	return nil
 }
 
-// commitWait blocks until the caller's entry is durable under the
-// configured policy, grouping with concurrent committers.
+// commitWait blocks until the caller's entries up to lsn are durable
+// under the configured policy, grouping with concurrent committers.
 func (s *WALStore) commitWait(lsn uint64) error {
 	switch s.opts.Sync {
 	case SyncNever:
 		return nil
 	case SyncAlways:
-		// Per-op fsync: every committer issues its own sync (the honest
-		// baseline — no batching), serialized on the same ticket rotation
-		// waits on so the handle can't be closed mid-Sync.
+		// Per-call fsync: every committer issues its own sync (the honest
+		// baseline — no batching across callers), serialized on the same
+		// ticket rotation waits on so the handle can't be closed mid-Sync.
 		s.mu.Lock()
 		for s.syncing {
 			s.commit.Wait()
@@ -782,110 +785,88 @@ func (s *WALStore) commitWait(lsn uint64) error {
 // Name implements Store.
 func (s *WALStore) Name() string { return s.name }
 
-// Add implements Store.
-func (s *WALStore) Add(data []byte) (int, error) {
+// appendWait is the one write path. The whole batch is validated, then
+// every op is appended as its own ordinary frame, back to back under
+// one hold of mu, and the caller waits for one commit covering the last
+// lsn — so a crash leaves a prefix of the batch in order, never a gap,
+// and recovery needs no batch frame. ids receives each op's record id.
+func (s *WALStore) appendWait(ops []Op, ids []int) error {
+	if len(ops) == 0 {
+		return nil
+	}
+	var frames int64
+	for _, op := range ops {
+		frames += entryHeaderSize + int64(len(op.payload()))
+	}
 	s.mu.Lock()
+	// Rotation must let an in-flight fsync land before it closes the
+	// segment handle, and that wait releases mu. A batch that may cross
+	// the segment boundary waits here instead, before it is validated:
+	// from this point mu is held until the last frame is appended.
+	for s.syncing && s.segOff+frames > int64(s.opts.SegmentBytes) {
+		s.commit.Wait()
+	}
 	if s.closed {
 		s.mu.Unlock()
-		return 0, ErrClosed
+		return ErrClosed
 	}
 	if s.fail != nil {
 		err := s.fail
 		s.mu.Unlock()
-		return 0, err
+		return err
 	}
-	if len(data) > MaxRecordSize {
+	if err := checkOps(s.name, ops, ids, s.records, s.nextID); err != nil {
 		s.mu.Unlock()
-		return 0, fmt.Errorf("rms: record of %d bytes exceeds max %d", len(data), MaxRecordSize)
+		return err
 	}
-	id := s.nextID
-	lsn, err := s.appendLocked(opAdd, id, data)
-	if err != nil {
-		s.mu.Unlock()
-		return 0, err
+	var lsn uint64
+	for i, op := range ops {
+		var err error
+		if lsn, err = s.appendLocked(op.Op, ids[i], op.payload()); err != nil {
+			s.mu.Unlock()
+			return err
+		}
+		s.applyEntry(op.Op, ids[i], clone(op.payload()))
 	}
-	s.nextID++
-	s.records[id] = clone(data)
 	s.mu.Unlock()
 	if err := s.commitWait(lsn); err != nil {
-		return 0, err
+		return err
 	}
 	if s.tapped.Load() {
 		s.sinkWait(lsn)
 	}
-	return id, nil
+	return nil
+}
+
+// Apply implements Store: one fsync for the whole batch under SyncGroup
+// and SyncAlways, none under SyncNever.
+func (s *WALStore) Apply(ops []Op) ([]int, error) {
+	ids := make([]int, len(ops))
+	if err := s.appendWait(ops, ids); err != nil {
+		return nil, err
+	}
+	return ids, nil
+}
+
+// Add implements Store.
+func (s *WALStore) Add(data []byte) (int, error) {
+	var ids [1]int
+	if err := s.appendWait([]Op{{Op: OpAdd, Data: data}}, ids[:]); err != nil {
+		return 0, err
+	}
+	return ids[0], nil
 }
 
 // Set implements Store.
 func (s *WALStore) Set(id int, data []byte) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	if s.fail != nil {
-		err := s.fail
-		s.mu.Unlock()
-		return err
-	}
-	old, ok := s.records[id]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: id %d in %q", ErrNotFound, id, s.name)
-	}
-	if len(data) > MaxRecordSize {
-		s.mu.Unlock()
-		return fmt.Errorf("rms: record of %d bytes exceeds max %d", len(data), MaxRecordSize)
-	}
-	lsn, err := s.appendLocked(opSet, id, data)
-	if err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	s.garbage += entryHeaderSize + len(old)
-	s.records[id] = clone(data)
-	s.mu.Unlock()
-	if err := s.commitWait(lsn); err != nil {
-		return err
-	}
-	if s.tapped.Load() {
-		s.sinkWait(lsn)
-	}
-	return nil
+	var ids [1]int
+	return s.appendWait([]Op{{Op: OpSet, ID: id, Data: data}}, ids[:])
 }
 
 // Delete implements Store.
 func (s *WALStore) Delete(id int) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	if s.fail != nil {
-		err := s.fail
-		s.mu.Unlock()
-		return err
-	}
-	old, ok := s.records[id]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: id %d in %q", ErrNotFound, id, s.name)
-	}
-	lsn, err := s.appendLocked(opDelete, id, nil)
-	if err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	s.garbage += 2*entryHeaderSize + len(old)
-	delete(s.records, id)
-	s.mu.Unlock()
-	if err := s.commitWait(lsn); err != nil {
-		return err
-	}
-	if s.tapped.Load() {
-		s.sinkWait(lsn)
-	}
-	return nil
+	var ids [1]int
+	return s.appendWait([]Op{{Op: OpDelete, ID: id}}, ids[:])
 }
 
 // Get implements Store.
@@ -987,8 +968,9 @@ func (s *WALStore) Fsyncs() uint64 { return s.fsyncs.Load() }
 type WALStats struct {
 	// Fsyncs counts completed write-path fsyncs.
 	Fsyncs uint64
-	// GroupedOps counts entries acked by group-commit fsyncs; divided
-	// by Fsyncs it is the mean batch size.
+	// GroupedOps counts every entry a group-commit fsync acked — the
+	// op that led the fsync included, not only the ones that rode along;
+	// divided by Fsyncs it is the mean batch size (1.0 = no batching).
 	GroupedOps uint64
 	// Segments is the active segment's sequence number (segments
 	// rotated + 1).
@@ -1029,7 +1011,7 @@ func (s *WALStore) RegisterMetrics(m *metrics.Registry, prefix, what string) {
 		"Fsync calls issued by the "+what+" WAL.",
 		func() float64 { return float64(s.Stats().Fsyncs) })
 	m.GaugeFunc(prefix+"_grouped_ops",
-		"Ops that rode another op's fsync in the "+what+" WAL (group commit).",
+		"Ops acked by the "+what+" WAL's group-commit fsyncs, each fsync's leader included (over _fsyncs: mean batch size).",
 		func() float64 { return float64(s.Stats().GroupedOps) })
 	m.GaugeFunc(prefix+"_segments",
 		"Active segment sequence number of the "+what+" WAL.",

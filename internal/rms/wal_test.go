@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -358,7 +359,19 @@ func TestQuickMemWALEquivalence(t *testing.T) {
 		defer wal.Close()
 		for _, o := range ops {
 			id := int(o.ID%16) + 1
-			switch o.Kind % 4 {
+			switch o.Kind % 5 {
+			case 4:
+				// A batch of up to four ops drawn from the payload bytes:
+				// accepted or rejected alike, with the same ids.
+				var batch []Op
+				for _, b := range o.Data[:min(len(o.Data), 4)] {
+					batch = append(batch, Op{Op: OpAdd + b%3, ID: int(b>>2)%16 + 1, Data: o.Data})
+				}
+				m, e1 := mem.Apply(batch)
+				w, e2 := wal.Apply(batch)
+				if (e1 == nil) != (e2 == nil) || !reflect.DeepEqual(m, w) {
+					return false
+				}
 			case 0:
 				m, e1 := mem.Add(o.Data)
 				w, e2 := wal.Add(o.Data)
