@@ -403,9 +403,11 @@ func main() {
 		}
 		shutCancel()
 		close(sweepDone)
+		// Close before the stores: the mailbox hub commits the acks it
+		// still holds staged (DESIGN.md §7) and needs its store open.
 		gw.Close()
-		// Closing the stores ends with an fsync: everything enqueued or
-		// journaled is on disk before the process exits.
+		// Closing the stores ends with an fsync: everything enqueued,
+		// acknowledged or journaled is on disk before the process exits.
 		if mailbox != nil {
 			if err := mailbox.Store.Close(); err != nil {
 				log.Printf("gateway %s: closing mailbox store: %v", public, err)

@@ -35,6 +35,7 @@ import (
 	"pdagent/internal/atp"
 	"pdagent/internal/cluster"
 	"pdagent/internal/mas"
+	"pdagent/internal/metrics"
 	"pdagent/internal/repl"
 	"pdagent/internal/rms"
 	"pdagent/internal/services"
@@ -174,13 +175,17 @@ func main() {
 		Transport: rt,
 		Services:  reg,
 		Journal:   journal,
+		Metrics:   metrics.NewRegistry(),
 		Logf:      log.Printf,
 	}
+	var relay *locRelay
 	if *announceLocs {
 		// Best-effort: clustered home gateways fold the event into the
 		// replicated location directory; standalone gateways 404 it and
 		// clustered ones refuse it without the matching -cluster-secret.
-		masCfg.OnAgentMove = cluster.LocationRelay(rt, public, *clusterSecret)
+		// Sent from the background, so no transfer waits for a relay.
+		relay = newLocRelay(cluster.LocationRelay(rt, public, *clusterSecret), masCfg.Metrics)
+		masCfg.OnAgentMove = relay.post
 	}
 	srv, err := mas.NewServer(masCfg)
 	if err != nil {
@@ -240,6 +245,9 @@ func main() {
 	// races a half-finished retry round.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	if relay != nil {
+		go relay.run(ctx)
+	}
 	if journal != nil {
 		n, err := srv.Resume(ctx)
 		if err != nil {
@@ -318,6 +326,9 @@ func main() {
 		// recovers anything left on the next start).
 		log.Printf("masd %s: %v received, shutting down", public, s)
 		cancel()
+		if relay != nil {
+			<-relay.done
+		}
 		if *replicateTo != "" {
 			// One last flush so the standby's replica is current before
 			// this host goes away.

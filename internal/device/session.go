@@ -382,10 +382,14 @@ func (p *Platform) forgetPending(agentID string) {
 	delete(p.pending, agentID)
 }
 
-// PollMailbox performs fetch+ack rounds against gw until the mailbox is
-// drained (or, with wait > 0 and an empty mailbox, long-polls once).
-// The device-side cursor is persisted after each processed batch, so a
-// crash between rounds resumes without loss or duplication.
+// PollMailbox collects mail from gw. With wait == 0 it performs
+// fetch+ack rounds until the mailbox is drained, so it ends fully
+// acknowledged at the gateway. With wait > 0 it is one long-poll: it
+// returns as soon as a batch is processed, and that batch's ack rides
+// the device's next request (its next poll here, or the first fetch of
+// its next session) instead of costing a round trip of its own. The
+// device-side cursor is persisted after each processed batch, so a crash
+// at any point resumes without loss or duplication.
 func (p *Platform) PollMailbox(ctx context.Context, gw string, wait time.Duration) ([]Delivery, uint64, error) {
 	p.mu.Lock()
 	prevEdge := p.sessionGW
@@ -395,15 +399,11 @@ func (p *Platform) PollMailbox(ctx context.Context, gw string, wait time.Duratio
 	var all []Delivery
 	var evicted uint64
 	for round := 0; ; round++ {
-		w := time.Duration(0)
-		if wait > 0 && round == 0 {
-			w = wait
-		}
 		pe := ""
 		if round == 0 {
 			pe = prevEdge
 		}
-		entries, watermark, ev, err := p.fetchMailbox(ctx, gw, pe, cursor, w)
+		entries, watermark, ev, err := p.fetchMailbox(ctx, gw, pe, cursor, wait)
 		if errors.Is(err, errNoMailboxAccess) {
 			p.logf("device %s: no mailbox access at %s yet; relying on direct collection", p.cfg.Owner, gw)
 			return all, evicted, nil
@@ -431,7 +431,7 @@ func (p *Platform) PollMailbox(ctx context.Context, gw string, wait time.Duratio
 			p.logf("device %s: persisting mailbox cursor: %v", p.cfg.Owner, err)
 		}
 		p.mu.Unlock()
-		if len(entries) == 0 {
+		if len(entries) == 0 || wait > 0 {
 			break
 		}
 		// The next round's fetch carries ack=cursor, retiring this

@@ -35,24 +35,7 @@ func newSessionFixture(t *testing.T, cfgMut func(*Config)) *fixture {
 		}
 		kp = k
 	})
-	gw, err := gateway.New(gateway.Config{
-		Addr:      "gw-d",
-		KeyPair:   kp,
-		Transport: f.net.Transport(netsim.ZoneWired),
-		Spawn:     f.queue.Go,
-		Mailbox:   &gateway.MailboxConfig{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gw.AddCodePackage(&wire.CodePackage{
-		CodeID: "echo", Name: "Echo", Version: "1",
-		Source: `deliver("echo", params()); deliver("id", agentid());`,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	f.gw = gw
-	f.net.AddHost("gw-d", netsim.ZoneWired, gw.Handler())
+	f.startGateway(t, nil)
 
 	cfg := Config{
 		Owner:     "test-dev",
@@ -73,6 +56,49 @@ func newSessionFixture(t *testing.T, cfgMut func(*Config)) *fixture {
 	}
 	f.plat = plat
 	return f
+}
+
+// startGateway puts a fresh gateway behind "gw-d", its mailboxes in
+// mailbox (nil = a store of its own). Called again over the same store
+// it is a crash-restart: whatever the previous gateway held only in
+// memory is gone.
+func (f *fixture) startGateway(t *testing.T, mailbox rms.Store) {
+	t.Helper()
+	gw, err := gateway.New(gateway.Config{
+		Addr:      "gw-d",
+		KeyPair:   kp,
+		Transport: f.net.Transport(netsim.ZoneWired),
+		Spawn:     f.queue.Go,
+		Mailbox:   &gateway.MailboxConfig{Store: mailbox},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gw.AddCodePackage(&wire.CodePackage{
+		CodeID: "echo", Name: "Echo", Version: "1",
+		Source: `deliver("echo", params()); deliver("id", agentid());`,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	f.gw = gw
+	f.net.AddHost("gw-d", netsim.ZoneWired, gw.Handler())
+}
+
+// restartPlatform "restarts" the device: a new platform over the same
+// database.
+func (f *fixture) restartPlatform(t *testing.T) *Platform {
+	t.Helper()
+	plat, err := NewPlatform(Config{
+		Owner:     "test-dev",
+		Transport: f.net.Transport(netsim.ZoneWireless),
+		Store:     f.store,
+		Codec:     compress.LZSS,
+		Secure:    true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plat
 }
 
 // TestSessionDeliversResultViaMailbox: the device never calls Collect —
@@ -196,17 +222,7 @@ func TestSessionStateSurvivesPlatformRestart(t *testing.T) {
 		t.Fatal("cursor not advanced")
 	}
 
-	// "Restart" the device: new platform, same database.
-	plat2, err := NewPlatform(Config{
-		Owner:     "test-dev",
-		Transport: f.net.Transport(netsim.ZoneWireless),
-		Store:     f.store,
-		Codec:     compress.LZSS,
-		Secure:    true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plat2 := f.restartPlatform(t)
 	if plat2.SessionGateway() != "gw-d" || plat2.Cursor("gw-d") != cursor {
 		t.Fatalf("restart lost session state: gw %q cursor %d", plat2.SessionGateway(), plat2.Cursor("gw-d"))
 	}
@@ -483,4 +499,88 @@ func TestRateLimited429KeepsQueue(t *testing.T) {
 		t.Fatalf("post-backoff drain = %+v", s)
 	}
 	f.queue.Drain()
+}
+
+// TestLongPollAckRidesNextRequest: a long-polling device spends no
+// round trip on acknowledging — PollMailbox returns with the batch and
+// the ack travels on the next request, where the gateway stages it. So
+// there is a window in which the device has its mail, the gateway has
+// been told, and the store has not. A gateway crash in that window, a
+// device restart in it, or both, cost a re-offer that the cursor
+// absorbs: the application receives nothing twice and the mailbox ends
+// empty on disk.
+func TestLongPollAckRidesNextRequest(t *testing.T) {
+	for _, tc := range []struct {
+		name                  string
+		gwRestart, devRestart bool
+	}{
+		{name: "no fault"},
+		{name: "gateway crash-restart", gwRestart: true},
+		{name: "device restart", devRestart: true},
+		{name: "both", gwRestart: true, devRestart: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mbx := rms.NewMemStore("gw-mailbox", 0)
+			f := newSessionFixture(t, nil)
+			f.startGateway(t, mbx)
+			ctx := context.Background()
+			if err := f.plat.Subscribe(ctx, "gw-d", "echo"); err != nil {
+				t.Fatal(err)
+			}
+			requests := func() int { return f.net.Stats().Messages }
+			var got []string
+			for j := 0; j < 2; j++ {
+				id, err := f.plat.Dispatch(ctx, "echo", nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.queue.Drain()
+				before := requests()
+				ds, _, err := f.plat.PollMailbox(ctx, "gw-d", time.Second)
+				if err != nil || len(ds) != 1 || ds[0].AgentID != id {
+					t.Fatalf("journey %d: long-poll delivered %+v, %v", j, ds, err)
+				}
+				if n := requests() - before; n != 1 {
+					t.Fatalf("journey %d: delivery took %d requests, want 1", j, n)
+				}
+				got = append(got, id)
+			}
+			// The second long-poll carried ack=1; the device holds entry 2.
+			hub := f.gw.Mailbox()
+			if st := hub.Stats(); st.StagedAcks != 1 || st.Pending != 1 || f.plat.Cursor("gw-d") != 2 {
+				t.Fatalf("before the fault: %+v, device cursor %d", st, f.plat.Cursor("gw-d"))
+			}
+			if n, _ := mbx.NumRecords(); n != 3 {
+				t.Fatalf("mailbox store holds %d records, want both entries and the meta (nothing committed yet)", n)
+			}
+
+			if tc.gwRestart {
+				f.startGateway(t, mbx) // no Close: the staged ack dies with the process
+				hub = f.gw.Mailbox()
+				if n := hub.Pending("test-dev"); n != 2 {
+					t.Fatalf("restarted gateway re-offers %d entries, want both", n)
+				}
+			}
+			plat := f.plat
+			if tc.devRestart {
+				plat = f.restartPlatform(t)
+			}
+			// Next contact, both ways a device makes it: a long-poll that
+			// finds nothing new, then a session.
+			ds, _, err := plat.PollMailbox(ctx, "gw-d", 5*time.Millisecond)
+			if err != nil || len(ds) != 0 {
+				t.Fatalf("long-poll after the fault delivered %+v, %v; the application already has %v", ds, err, got)
+			}
+			s, err := plat.OpenSession(ctx)
+			if err != nil || len(s.Deliveries) != 0 {
+				t.Fatalf("session after the fault delivered %+v, %v; the application already has %v", s, err, got)
+			}
+			if st := hub.Stats(); st.Pending != 0 || st.StagedAcks != 0 {
+				t.Fatalf("mailbox not empty at the end: %+v", st)
+			}
+			if n, _ := mbx.NumRecords(); n != 1 {
+				t.Fatalf("mailbox store holds %d records at the end, want the meta record alone", n)
+			}
+		})
+	}
 }

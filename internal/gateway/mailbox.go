@@ -17,8 +17,9 @@ import (
 // agent comes home, status changes, management notifications — and
 // serves the delivery endpoints the device platform polls:
 //
-//	/pdagent/mailbox        fetch + ack (one round trip)
-//	/pdagent/mailbox/poll   long-poll variant (parks until mail or wait)
+//	/pdagent/mailbox        fetch + ack (one round trip, ack committed)
+//	/pdagent/mailbox/poll   long-poll variant (parks until mail or wait;
+//	                        the ack is staged, not waited for)
 //	/cluster/mailbox/export peer pulls a device's mailbox (migration)
 //	/cluster/mailbox/ack    peer confirms the pulled entries landed
 //
@@ -210,7 +211,13 @@ func (g *Gateway) serveMailbox(ctx context.Context, req *transport.Request, long
 	disconnect := g.hub.Connect(device)
 	defer disconnect()
 
-	entries, watermark, evicted, err := g.hub.Poll(device, after, max)
+	// A long-poll never waits for its ack's commit: the ack is staged
+	// and rides the fsync of the device's next enqueue (DESIGN.md §7).
+	poll := g.hub.Poll
+	if longPoll {
+		poll = g.hub.PollStaged
+	}
+	entries, watermark, evicted, err := poll(device, after, max)
 	if err != nil {
 		return transport.Errorf(transport.StatusServerError, "mailbox poll: %v", err)
 	}
@@ -226,10 +233,17 @@ func (g *Gateway) serveMailbox(ctx context.Context, req *transport.Request, long
 			case <-timer.C:
 			}
 			timer.Stop()
-			entries, watermark, evicted, err = g.hub.Poll(device, after, max)
+			entries, watermark, evicted, err = poll(device, after, max)
 			if err != nil {
 				return transport.Errorf(transport.StatusServerError, "mailbox poll: %v", err)
 			}
+		}
+		if len(entries) == 0 {
+			// Ending empty, nobody is kept waiting for mail: commit what
+			// is staged, so an idle device's acks do not sit in memory
+			// until its next enqueue. (The ack stands even if persisting
+			// it fails; the hub logs that.)
+			_, _ = g.hub.Ack(device, after)
 		}
 	}
 	return transport.OK(push.EncodeEntries(device, entries, watermark, evicted))

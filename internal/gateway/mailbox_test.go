@@ -2,8 +2,10 @@ package gateway
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -25,7 +27,28 @@ func newMailboxFixture(t *testing.T, mc *MailboxConfig) *fixture {
 // pollMailbox runs one fetch+ack round trip for a device.
 func pollMailbox(t *testing.T, f *fixture, device string, ack uint64) (entries []*push.Entry, watermark, evicted uint64) {
 	t.Helper()
+	return fetchMailbox(t, f, device, ack, 0)
+}
+
+// fetchMailbox is pollMailbox that long-polls when wait > 0, the way
+// device.PollMailbox picks its endpoint.
+func fetchMailbox(t *testing.T, f *fixture, device string, ack uint64, wait time.Duration) (entries []*push.Entry, watermark, evicted uint64) {
+	t.Helper()
+	entries, watermark, evicted, err := tryFetchMailbox(f, device, ack, wait)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return entries, watermark, evicted
+}
+
+// tryFetchMailbox is fetchMailbox for goroutines that may not call
+// t.Fatal.
+func tryFetchMailbox(f *fixture, device string, ack uint64, wait time.Duration) (entries []*push.Entry, watermark, evicted uint64, err error) {
 	req := &transport.Request{Path: "/pdagent/mailbox"}
+	if wait > 0 {
+		req.Path = "/pdagent/mailbox/poll"
+		req.SetHeader("wait", wait.String())
+	}
 	req.SetHeader("device", device)
 	req.SetHeader("ack", strconv.FormatUint(ack, 10))
 	// Touch mints (or returns) the token the device would have received
@@ -33,16 +56,13 @@ func pollMailbox(t *testing.T, f *fixture, device string, ack uint64) (entries [
 	req.SetHeader("mailbox-token", f.gw.Mailbox().Touch(device))
 	resp, err := f.tr.RoundTrip(context.Background(), "gw-t", req)
 	if err != nil {
-		t.Fatal(err)
+		return nil, 0, 0, err
 	}
 	if !resp.IsOK() {
-		t.Fatalf("mailbox poll: %d %s", resp.Status, resp.Text())
+		return nil, 0, 0, fmt.Errorf("mailbox poll: %d %s", resp.Status, resp.Text())
 	}
 	_, entries, watermark, evicted, _, _, err = push.ParseEntries(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return entries, watermark, evicted
+	return entries, watermark, evicted, err
 }
 
 // dispatchEcho subscribes and dispatches one echo journey, returning
@@ -350,47 +370,270 @@ func TestFailedAdmissionReleasesNonce(t *testing.T) {
 	}
 }
 
-// TestEchoJourneyFsyncBudget pins what one steady-state echo journey —
-// dispatch, result home, poll, ack — costs a gateway over two real
-// group-commit WALs: the journal's admit and retire, and one ordered
-// commit each for the mailbox's enqueue (entry + meta) and ack (cursor +
-// delete). It is the count the journey benchmark reports as
-// rms.fsyncs_per_journey.
+// TestEchoJourneyFsyncBudget pins what one steady-state echo journey
+// costs a gateway over two real group-commit WALs; it is the count the
+// journey benchmark reports as rms.fsyncs_per_journey. The journal pays
+// its admit and retire either way. A session device (fetch, then a
+// confirming fetch that carries the ack) makes three requests and the
+// mailbox pays one ordered commit each for the enqueue (entry + meta)
+// and the ack (cursor + delete). A long-polling device makes two: its
+// ack rides the next long-poll, is staged there, and shares the next
+// enqueue's commit (cursor + delete + entry + meta).
 func TestEchoJourneyFsyncBudget(t *testing.T) {
-	open := func(name string) *rms.WALStore {
-		s, err := rms.OpenWALStore(filepath.Join(t.TempDir(), name), rms.WALOptions{})
-		if err != nil {
+	for _, tc := range []struct {
+		name        string
+		wait        time.Duration
+		wantMailbox uint64
+	}{
+		{name: "session", wantMailbox: 2},
+		{name: "long-poll", wait: 30 * time.Second, wantMailbox: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			open := func(name string) *rms.WALStore {
+				s, err := rms.OpenWALStore(filepath.Join(t.TempDir(), name), rms.WALOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { s.Close() })
+				return s
+			}
+			journal, mailbox := open("journal.wal"), open("mailbox.wal")
+			f := newFixtureCfg(t, func(c *Config) {
+				c.Journal = journal
+				c.Mailbox = &MailboxConfig{Store: mailbox}
+			})
+			f.addEcho(t)
+			hub := f.gw.Mailbox()
+			var cursor uint64
+			journey := func() {
+				agentID := dispatchEcho(t, f, "dev-1")
+				var entries []*push.Entry
+				var watermark uint64
+				if tc.wait == 0 {
+					f.queue.Drain()
+					entries, watermark, _ = pollMailbox(t, f, "dev-1", cursor)
+					if again, _, _ := pollMailbox(t, f, "dev-1", watermark); len(again) != 0 {
+						t.Fatalf("mail redelivered after ack: %d entries", len(again))
+					}
+				} else {
+					// The device is parked on its long-poll, the previous
+					// journey's ack staged, when the result comes home.
+					done := make(chan struct{})
+					go func() {
+						defer close(done)
+						var err error
+						if entries, watermark, _, err = tryFetchMailbox(f, "dev-1", cursor, tc.wait); err != nil {
+							t.Error(err)
+						}
+					}()
+					wantStaged := 0
+					if cursor > 0 {
+						wantStaged = 1 // the first journey has nothing to acknowledge
+					}
+					for deadline := time.Now().Add(5 * time.Second); !hub.Connected("dev-1") || hub.Stats().StagedAcks != wantStaged; {
+						if time.Now().After(deadline) {
+							t.Fatal("long-poll never parked")
+						}
+						time.Sleep(time.Millisecond)
+					}
+					f.queue.Drain()
+					<-done
+				}
+				if len(entries) != 1 || entries[0].AgentID != agentID {
+					t.Fatalf("poll after %s: %d entries", agentID, len(entries))
+				}
+				cursor = watermark
+			}
+			journey() // the device's first journey also mints its mailbox token
+			journey() // and a long-polling device's second is the first with an ack to fold
+			j, m, st := journal.Fsyncs(), mailbox.Fsyncs(), hub.Stats()
+			journey()
+			if gotJ, gotM := journal.Fsyncs()-j, mailbox.Fsyncs()-m; gotJ != 2 || gotM != tc.wantMailbox {
+				t.Fatalf("echo journey cost %d journal + %d mailbox fsyncs, want 2 + %d", gotJ, gotM, tc.wantMailbox)
+			}
+			after := hub.Stats()
+			folded, flushed := after.AcksFolded-st.AcksFolded, after.AcksFlushed-st.AcksFlushed
+			if tc.wait == 0 && (folded != 0 || flushed != 1 || after.StagedAcks != 0) {
+				t.Fatalf("session journey: %d folded, %d flushed, %d staged; want its one ack committed on its own", folded, flushed, after.StagedAcks)
+			}
+			if tc.wait > 0 && (folded != 1 || flushed != 0 || after.StagedAcks != 0) {
+				t.Fatalf("long-poll journey: %d folded, %d flushed, %d staged; want the previous ack folded into the enqueue", folded, flushed, after.StagedAcks)
+			}
+			// The session ended fully acknowledged; the long-polling device
+			// still owes the ack of what it just received — until its next
+			// request or, here, the first fetch of a session.
+			if tc.wait > 0 {
+				if n, _ := mailbox.NumRecords(); n != 2 {
+					t.Fatalf("mailbox store holds %d records before the ack arrives, want the entry and the meta", n)
+				}
+				pollMailbox(t, f, "dev-1", cursor)
+			}
+			if n, _ := mailbox.NumRecords(); n != 1 {
+				t.Fatalf("mailbox store holds %d records after the ack, want the meta record alone", n)
+			}
+		})
+	}
+}
+
+// TestLongPollEndingEmptyCommitsAck: a long-poll that has no mail to
+// hand over keeps nobody waiting, so it commits the ack it carried
+// before answering — an idle device's acks do not sit in memory until
+// its next enqueue.
+func TestLongPollEndingEmptyCommitsAck(t *testing.T) {
+	store := rms.NewMemStore("mbx", 0)
+	f := newMailboxFixture(t, &MailboxConfig{Store: store})
+	hub := f.gw.Mailbox()
+	if _, _, err := hub.Enqueue("dev-1", push.KindResult, "ag-1", "result:ag-1", []byte("<r/>")); err != nil {
+		t.Fatal(err)
+	}
+	entries, watermark, _ := fetchMailbox(t, f, "dev-1", 0, time.Millisecond)
+	if len(entries) != 1 || watermark != 1 {
+		t.Fatalf("long-poll = %d entries, watermark %d", len(entries), watermark)
+	}
+	if entries, _, _ := fetchMailbox(t, f, "dev-1", watermark, time.Millisecond); len(entries) != 0 {
+		t.Fatalf("mail redelivered after ack: %d entries", len(entries))
+	}
+	if st := hub.Stats(); st.StagedAcks != 0 || st.AcksFlushed != 1 {
+		t.Fatalf("after the empty long-poll: %d staged, %d flushed; want the ack committed", st.StagedAcks, st.AcksFlushed)
+	}
+	if n, _ := store.NumRecords(); n != 1 {
+		t.Fatalf("store holds %d records, want the meta record alone", n)
+	}
+}
+
+// TestOldDeviceConfirmRoundStillCommits: a device built before the ack
+// moved off the critical path follows every long-poll delivery with a
+// confirming /pdagent/mailbox fetch. Against this gateway that round
+// still works, and commits the ack before it answers.
+func TestOldDeviceConfirmRoundStillCommits(t *testing.T) {
+	store := rms.NewMemStore("mbx", 0)
+	f := newMailboxFixture(t, &MailboxConfig{Store: store})
+	hub := f.gw.Mailbox()
+	var cursor uint64
+	for i := 1; i <= 3; i++ {
+		agent := "ag-" + strconv.Itoa(i)
+		if _, _, err := hub.Enqueue("dev-1", push.KindResult, agent, "result:"+agent, []byte("<r/>")); err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { s.Close() })
-		return s
-	}
-	journal, mailbox := open("journal.wal"), open("mailbox.wal")
-	f := newFixtureCfg(t, func(c *Config) {
-		c.Journal = journal
-		c.Mailbox = &MailboxConfig{Store: mailbox}
-	})
-	f.addEcho(t)
-	var cursor uint64
-	journey := func() {
-		agentID := dispatchEcho(t, f, "dev-1")
-		f.queue.Drain()
-		entries, watermark, _ := pollMailbox(t, f, "dev-1", cursor)
-		if len(entries) != 1 || entries[0].AgentID != agentID {
-			t.Fatalf("poll after %s: %d entries", agentID, len(entries))
-		}
-		if entries, _, _ := pollMailbox(t, f, "dev-1", watermark); len(entries) != 0 {
-			t.Fatalf("mail redelivered after ack: %d entries", len(entries))
+		entries, watermark, _ := fetchMailbox(t, f, "dev-1", cursor, 30*time.Second)
+		if len(entries) != 1 || entries[0].AgentID != agent {
+			t.Fatalf("journey %d: long-poll delivered %+v", i, entries)
 		}
 		cursor = watermark
+		if entries, watermark, _ := pollMailbox(t, f, "dev-1", cursor); len(entries) != 0 || watermark != cursor {
+			t.Fatalf("journey %d: confirm round = %d entries, watermark %d", i, len(entries), watermark)
+		}
+		if n, _ := store.NumRecords(); n != 1 || hub.Stats().StagedAcks != 0 {
+			t.Fatalf("journey %d: %d record(s), %d staged ack(s) after the confirm round, want the meta record alone", i, n, hub.Stats().StagedAcks)
+		}
 	}
-	journey() // the device's first journey also mints its mailbox token
-	j, m := journal.Fsyncs(), mailbox.Fsyncs()
-	journey()
-	if gotJ, gotM := journal.Fsyncs()-j, mailbox.Fsyncs()-m; gotJ != 2 || gotM != 2 {
-		t.Fatalf("echo journey cost %d journal + %d mailbox fsyncs, want 2 + 2", gotJ, gotM)
+	if st := hub.Stats(); st.AcksFlushed != 3 || st.AcksFolded != 0 {
+		t.Fatalf("%d flushed, %d folded; want every ack committed by its confirm round", st.AcksFlushed, st.AcksFolded)
 	}
-	if n, _ := mailbox.NumRecords(); n != 1 {
-		t.Fatalf("mailbox store holds %d records after the ack, want the meta record alone", n)
+}
+
+// TestMailboxAckRaces runs everything that can commit a device's acks
+// at once — its long-poll, its session fetches, enqueues, the sweeper
+// and, half-way, the hub's Close — and then reads the store the way a
+// restart would: every entry was enqueued once and delivered, and
+// nothing acknowledged is still on disk. Under -race it is the proof
+// that a staged ack is never committed twice or dropped between two
+// committers.
+func TestMailboxAckRaces(t *testing.T) {
+	store := rms.NewMemStore("mbx", 0)
+	f := newMailboxFixture(t, &MailboxConfig{Store: store, DedupTTL: -1})
+	hub := f.gw.Mailbox()
+	const total = 200
+
+	// One device, one durable cursor, two code paths reading through it.
+	var mu sync.Mutex
+	var cursor uint64
+	seen := map[uint64]bool{}
+	consume := func(wait time.Duration) {
+		mu.Lock()
+		ack := cursor
+		mu.Unlock()
+		entries, watermark, _, err := tryFetchMailbox(f, "dev-1", ack, wait)
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil {
+			t.Error(err)
+		}
+		for _, e := range entries {
+			if e.Seq <= ack {
+				t.Errorf("seq %d delivered to a poll that acked %d", e.Seq, ack)
+			}
+			seen[e.Seq] = true
+		}
+		cursor = max(cursor, watermark)
+	}
+	seenAtLeast := func(n int) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(seen) >= n
+	}
+
+	var wg sync.WaitGroup
+	run := func(fn func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn()
+		}()
+	}
+	hub.Touch("dev-1")
+	run(func() {
+		for i := 1; i <= total; i++ {
+			agent := "ag-" + strconv.Itoa(i)
+			if _, _, err := hub.Enqueue("dev-1", push.KindResult, agent, "result:"+agent, []byte("<r/>")); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+	for _, wait := range []time.Duration{time.Millisecond, 0} {
+		run(func() {
+			for !seenAtLeast(total) && !t.Failed() {
+				consume(wait)
+			}
+		})
+	}
+	run(func() {
+		for !seenAtLeast(total/2) && !t.Failed() {
+			time.Sleep(100 * time.Microsecond)
+		}
+		hub.Close() // polls no longer park, and acks commit as they arrive
+	})
+	stop := make(chan struct{})
+	swept := make(chan struct{})
+	go func() {
+		defer close(swept)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				f.gw.Sweep()
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-swept
+	consume(time.Millisecond) // the last batch's ack, on a closed hub
+
+	st := hub.Stats()
+	if st.Enqueued != total || st.Delivered != total || st.Pending != 0 || st.StagedAcks != 0 {
+		t.Fatalf("ledger after the race: %+v", st)
+	}
+	if n, _ := store.NumRecords(); n != 1 {
+		t.Fatalf("store holds %d records after Close, want the meta record alone", n)
+	}
+	reopened, err := push.NewHub(push.Config{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if left := reopened.Export("dev-1"); len(left) != 0 {
+		t.Fatalf("a restart would re-offer %d acknowledged entries", len(left))
 	}
 }

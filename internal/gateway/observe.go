@@ -195,7 +195,7 @@ func (g *Gateway) initObserve() {
 			"Undelivered mailbox entries across all devices.",
 			func() float64 { return float64(c.stats().Pending) })
 		m.GaugeFunc("pdagent_mailbox_dirty_devices",
-			"Mailboxes holding pending entries or dedup memory (sweep working set).",
+			"Mailboxes holding pending entries, dedup memory or staged acks (sweep working set).",
 			func() float64 { return float64(c.stats().DirtyDevices) })
 		m.GaugeFunc("pdagent_mailbox_enqueued",
 			"Mailbox entries accepted since start (duplicates excluded).",
@@ -212,6 +212,15 @@ func (g *Gateway) initObserve() {
 		m.GaugeFunc("pdagent_mailbox_evicted_ttl",
 			"Mailbox entries expired by TTL before delivery.",
 			func() float64 { return float64(c.stats().EvictedTTL) })
+		m.CounterVecFunc("pdagent_mailbox_acks_total",
+			"Mailbox acknowledgements committed, by how: folded rode the device's next enqueue (one fsync for both), flushed paid a commit of its own (a synchronous ack, or a staged one met by an empty long-poll, the sweeper or shutdown).",
+			"commit", func() map[string]float64 {
+				st := c.stats()
+				return map[string]float64{"folded": float64(st.AcksFolded), "flushed": float64(st.AcksFlushed)}
+			})
+		m.GaugeFunc("pdagent_mailbox_staged_acks",
+			"Long-poll acknowledgements in force in memory and waiting for their mailbox's next commit.",
+			func() float64 { return float64(c.stats().StagedAcks) })
 		m.GaugeFunc("pdagent_mailbox_dedup_ids",
 			"Event ids currently held in mailbox dedup windows.",
 			func() float64 { return float64(c.stats().DedupIDs) })

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"pdagent/internal/device"
 	"pdagent/internal/mavm"
 	"pdagent/internal/pisec"
+	"pdagent/internal/push"
 	"pdagent/internal/transport"
 	"pdagent/internal/wire"
 )
@@ -248,4 +250,46 @@ func TestDispatchBodyBound(t *testing.T) {
 	if resp.Status != transport.StatusBadRequest || !strings.Contains(resp.Text(), "limit") {
 		t.Fatalf("body over the limit: %d %s", resp.Status, resp.Text())
 	}
+}
+
+// TestMailboxAckMetrics: "did the ack share the enqueue's fsync" is
+// answerable from a scrape — both commit rows exist from the first one,
+// and they and the staged gauge follow the hub.
+func TestMailboxAckMetrics(t *testing.T) {
+	scrape := func(f *fixture, folded, flushed, staged int) {
+		t.Helper()
+		resp := f.gw.Handler().Serve(context.Background(), &transport.Request{Path: "/metrics"})
+		if !resp.IsOK() {
+			t.Fatalf("/metrics: %d %s", resp.Status, resp.Text())
+		}
+		for _, row := range []string{
+			"# TYPE pdagent_mailbox_acks_total counter\n",
+			fmt.Sprintf("pdagent_mailbox_acks_total{commit=\"folded\"} %d\n", folded),
+			fmt.Sprintf("pdagent_mailbox_acks_total{commit=\"flushed\"} %d\n", flushed),
+			fmt.Sprintf("pdagent_mailbox_staged_acks %d\n", staged),
+		} {
+			if !strings.Contains(resp.Text(), row) {
+				t.Fatalf("scrape lacks %q", row)
+			}
+		}
+	}
+	scrape(newMailboxFixture(t, nil), 0, 0, 0)
+
+	f := newMailboxFixture(t, nil)
+	enqueue := func(i int) {
+		t.Helper()
+		agent := fmt.Sprint("ag-", i)
+		if _, _, err := f.gw.Mailbox().Enqueue("dev-1", push.KindResult, agent, "result:"+agent, []byte("<r/>")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	enqueue(1)
+	fetchMailbox(t, f, "dev-1", 0, time.Second)
+	enqueue(2)
+	fetchMailbox(t, f, "dev-1", 1, time.Second) // ack 1 staged
+	enqueue(3)                                  // and folded
+	pollMailbox(t, f, "dev-1", 2)               // ack 2 committed on its own
+	enqueue(4)
+	fetchMailbox(t, f, "dev-1", 3, time.Second) // ack 3 staged
+	scrape(f, 1, 1, 1)
 }

@@ -215,7 +215,9 @@ func reopenCut(t *testing.T, seg []byte, cut int) *rms.WALStore {
 // reopens a hub over each: nothing at or below the durable cursor
 // resurfaces, nothing above it is lost, no seq is handed out twice, and
 // every event whose entry frame survived is still refused as a
-// duplicate.
+// duplicate. The history ends with a long-poll's staged ack folded into
+// the next enqueue's commit; a crash anywhere in that batch leaves a
+// mailbox that the device's re-sent ack empties.
 func TestHubRecoversEveryFramePrefix(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "mbx.wal")
 	h := newTestHub(t, openWAL(t, dir, rms.WALOptions{}), nil)
@@ -234,10 +236,19 @@ func TestHubRecoversEveryFramePrefix(t *testing.T) {
 	enqueue(4)
 	ack(4)
 	enqueue(5)
+	const folded = 17 // frames[folded:] are the folded commit
+	if _, _, _, err := h.PollStaged("alice", 5, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, frames := readFrames(t, dir); len(frames) != folded {
+		t.Fatalf("the staged ack wrote %d frame(s) of its own", len(frames)-folded)
+	}
+	enqueue(6)
 	seg, frames := readFrames(t, dir)
 	// token + 5×(entry, meta) + (meta, 2 deletes) + (meta, 2 deletes)
-	if len(frames) != 17 {
-		t.Fatalf("history wrote %d frames, want 17", len(frames))
+	// + (meta, delete, entry, meta)
+	if len(frames) != folded+4 {
+		t.Fatalf("history wrote %d frames, want %d", len(frames), folded+4)
 	}
 
 	for k := 0; k <= len(frames); k++ {
@@ -273,7 +284,8 @@ func TestHubRecoversEveryFramePrefix(t *testing.T) {
 			}
 		}
 
-		h2 := newTestHub(t, reopenCut(t, seg, cut), nil)
+		store := reopenCut(t, seg, cut)
+		h2 := newTestHub(t, store, nil)
 		entries, _, _, _ := h2.Poll("alice", 0, 0)
 		var got []uint64
 		for _, e := range entries {
@@ -281,6 +293,26 @@ func TestHubRecoversEveryFramePrefix(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("cut after frame %d (durable cursor %d): hub offers seqs %v, want %v", k, cursor, got, want)
+		}
+		if k >= folded {
+			// The crash hit the folded commit; the device had acked 5 and
+			// says so again. Entry 6 is offered iff its frame survived, and
+			// once that is acked too nothing but the meta record is left.
+			wantRest := 0
+			if k >= folded+3 { // meta, delete, then the entry
+				wantRest = 1
+			}
+			rest, watermark, _, _ := h2.Poll("alice", 5, 0)
+			if len(rest) != wantRest || (wantRest == 1 && rest[0].Seq != 6) {
+				t.Fatalf("cut after frame %d: re-sent ack=5 is answered with %d entries, want %d", k, len(rest), wantRest)
+			}
+			h2.Poll("alice", watermark, 0)
+			if n, _ := store.NumRecords(); n != 1 || h2.Pending("alice") != 0 {
+				t.Fatalf("cut after frame %d: %d record(s), %d pending after the re-sent acks, want the meta record alone", k, n, h2.Pending("alice"))
+			}
+			// Put the acked state aside: the checks below are about the
+			// hub as the crash left it.
+			h2 = newTestHub(t, reopenCut(t, seg, cut), nil)
 		}
 		for ev := range survived {
 			if _, dup, err := h2.Enqueue("alice", KindResult, "ag-x", ev, []byte("again")); err != nil || !dup {
@@ -290,5 +322,94 @@ func TestHubRecoversEveryFramePrefix(t *testing.T) {
 		if seq := mustEnqueue(t, h2, "alice", KindResult, "ag-new", "result:ag-new", "new"); seq <= maxSeq || seq <= cursor {
 			t.Fatalf("cut after frame %d: fresh enqueue got seq %d; seqs up to %d were already handed out (cursor %d)", k, seq, maxSeq, cursor)
 		}
+	}
+}
+
+// TestStagedAck pins what PollStaged defers and what it does not: the
+// ack is in force in memory at once, writes nothing, and is committed
+// by whichever comes first of the next enqueue (folded: one fsync for
+// both), a synchronous Poll or Ack, a sweep, and Close.
+func TestStagedAck(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		commit func(t *testing.T, h *Hub)
+		folded bool
+	}{
+		{"enqueue", func(t *testing.T, h *Hub) { mustEnqueue(t, h, "alice", KindResult, "ag-3", "result:ag-3", "<r/>") }, true},
+		{"poll", func(t *testing.T, h *Hub) { h.Poll("alice", 2, 0) }, false},
+		{"ack", func(t *testing.T, h *Hub) { h.Ack("alice", 1) }, false},
+		{"export", func(t *testing.T, h *Hub) { h.Export("alice") }, false},
+		{"sweep", func(t *testing.T, h *Hub) { h.SweepExpired() }, false},
+		{"close", func(t *testing.T, h *Hub) { h.Close() }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "mbx.wal")
+			wal := openWAL(t, dir, rms.WALOptions{})
+			// No TTLs: the sweep has nothing to do but commit.
+			h := newTestHub(t, wal, func(c *Config) { c.DedupTTL = -1 })
+			h.SetTenant("alice", "acme")
+			mustEnqueue(t, h, "alice", KindResult, "ag-1", "result:ag-1", "12345")
+			mustEnqueue(t, h, "alice", KindResult, "ag-2", "result:ag-2", "12345")
+
+			before := wal.Fsyncs()
+			entries, watermark, _, err := h.PollStaged("alice", 2, 0)
+			if err != nil || len(entries) != 0 || watermark != 2 {
+				t.Fatalf("PollStaged = %d entries, watermark %d, %v; want none, 2", len(entries), watermark, err)
+			}
+			if got := wal.Fsyncs() - before; got != 0 {
+				t.Fatalf("staging the ack cost %d fsync(s)", got)
+			}
+			st := h.Stats()
+			if st.Pending != 0 || st.Delivered != 2 || st.StagedAcks != 1 || st.AcksFolded+st.AcksFlushed != 0 ||
+				h.Pending("alice") != 0 || len(h.BytesByTenant()) != 0 {
+				t.Fatalf("staged ack not in force in memory: %+v, bytes %v", st, h.BytesByTenant())
+			}
+			if n, _ := wal.NumRecords(); n != 3 {
+				t.Fatalf("store holds %d records with the ack staged, want both entries and the meta", n)
+			}
+
+			tc.commit(t, h)
+			if got := wal.Fsyncs() - before; got != 1 {
+				t.Fatalf("committing the staged ack by %s cost %d fsyncs, want 1", tc.name, got)
+			}
+			st = h.Stats()
+			wantFolded, wantFlushed := uint64(0), uint64(1)
+			if tc.folded {
+				wantFolded, wantFlushed = 1, 0
+			}
+			if st.StagedAcks != 0 || st.AcksFolded != wantFolded || st.AcksFlushed != wantFlushed {
+				t.Fatalf("after %s: %d staged, %d folded, %d flushed", tc.name, st.StagedAcks, st.AcksFolded, st.AcksFlushed)
+			}
+			// What is on disk without any help from the store's Close.
+			seg, _ := readFrames(t, dir)
+			h2 := newTestHub(t, reopenCut(t, seg, len(seg)), nil)
+			for _, e := range h2.Export("alice") {
+				if e.Seq <= 2 {
+					t.Fatalf("acked entry %d is back after a reopen", e.Seq)
+				}
+			}
+			if n, _ := h2.cfg.Store.NumRecords(); n != 1+h2.Pending("alice") {
+				t.Fatalf("reopened store holds %d records for %d pending entries", n, h2.Pending("alice"))
+			}
+		})
+	}
+}
+
+// TestStagedAckAfterCloseCommits: a long-poll that outlives Close (it
+// was parked when the gateway began shutting down) must not leave its
+// ack behind for a store that is about to be closed.
+func TestStagedAckAfterCloseCommits(t *testing.T) {
+	store := rms.NewMemStore("mb", 0)
+	h := newTestHub(t, store, nil)
+	mustEnqueue(t, h, "alice", KindResult, "ag-1", "result:ag-1", "<r/>")
+	h.Close()
+	if _, _, _, err := h.PollStaged("alice", 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if st := h.Stats(); st.StagedAcks != 0 || st.AcksFlushed != 1 {
+		t.Fatalf("ack after Close: %d staged, %d flushed; want it committed", st.StagedAcks, st.AcksFlushed)
+	}
+	if n, _ := store.NumRecords(); n != 1 {
+		t.Fatalf("store holds %d records, want the meta record alone", n)
 	}
 }

@@ -150,6 +150,14 @@ type Stats struct {
 	// report the hub's dedup memory (§8's per-device budget).
 	DedupWindow int
 	DedupIDs    int
+	// AcksFolded / AcksFlushed count acknowledgements by how their store
+	// ops were committed: folded into the device's next enqueue (one
+	// fsync for both), or flushed by a commit of their own — a
+	// synchronous Ack or Poll, or a staged ack met by a flush point.
+	// StagedAcks is how many are applied in memory and not yet committed.
+	AcksFolded  uint64
+	AcksFlushed uint64
+	StagedAcks  int
 }
 
 // Hub manages every device mailbox over one backing store.
@@ -183,6 +191,10 @@ type Hub struct {
 	// pending gauges total undelivered entries, so Stats never walks
 	// the fleet.
 	pending atomic.Int64
+	// Acknowledgements by how they were committed, and how many wait.
+	acksFolded  atomic.Uint64
+	acksFlushed atomic.Uint64
+	stagedAcks  atomic.Int64
 }
 
 // mailbox is one device's state. Guarded by its own mutex so traffic
@@ -216,7 +228,14 @@ type mailbox struct {
 	// so an idle device must not keep an emptied one around).
 	dedup      map[string]uint64
 	dedupOrder []dedupRec // FIFO for the bounded, aging window
-	dirty      bool       // tracked in Hub.dirty (entries or dedup live)
+	dirty      bool       // tracked in Hub.dirty (entries, dedup or staged acks live)
+
+	// stagedAcks counts acknowledgements applied in memory whose store
+	// ops — the cursor write, then the deletes of the records in staged —
+	// are not committed yet (PollStaged). They go at the head of this
+	// mailbox's next ordered commit.
+	stagedAcks int32
+	staged     []int
 
 	signal chan struct{} // shared waiter channel, lazily created
 	conns  int           // active sessions (presence)
@@ -469,7 +488,7 @@ func (h *Hub) BytesByTenant() map[string]int64 {
 // working set when its state transitions. Caller holds mb.mu; takes
 // h.mu (that order is safe — nothing takes mb.mu under h.mu).
 func (h *Hub) updateDirtyLocked(mb *mailbox) {
-	want := len(mb.entries) > 0 || len(mb.dedupOrder) > 0
+	want := len(mb.entries) > 0 || len(mb.dedupOrder) > 0 || mb.stagedAcks > 0
 	if want == mb.dirty {
 		return
 	}
@@ -490,6 +509,8 @@ func (h *Hub) updateDirtyLocked(mb *mailbox) {
 // the meta record go to the store as one ordered commit, entry first —
 // a crash that keeps the entry but not the meta is repaired at replay
 // (the pending entry re-seeds the dedup window and the seq watermark).
+// Acks staged on the mailbox (PollStaged) ride at the head of the same
+// commit: the old ack and the new entry share one fsync.
 func (h *Hub) Enqueue(device, kind, agentID, eventID string, body []byte) (seq uint64, dup bool, err error) {
 	return h.enqueueAt(device, kind, agentID, eventID, body, h.cfg.Clock())
 }
@@ -524,15 +545,18 @@ func (h *Hub) enqueueAt(device, kind, agentID, eventID string, body []byte, at t
 		Enqueued: at,
 	}
 	bp := opsPool.Get().(*[]rms.Op)
+	*bp = appendStagedOps(*bp, mb)
+	k := len(*bp)
 	*bp = append(*bp, rms.Op{Op: rms.OpAdd, Data: encodeEntryRecord(device, e)},
 		metaOp(mb, e.Seq+1, dedupEvent{id: eventID, seq: e.Seq, at: now.UnixNano()}))
 	ids, err := h.apply(bp)
 	if err != nil {
 		// Nothing in memory has moved yet, so a retry of the same event
-		// is judged afresh, not refused as a duplicate.
+		// is judged afresh, not refused as a duplicate; staged acks stay
+		// staged for the next commit.
 		return 0, false, fmt.Errorf("push: storing entry for %s: %w", device, err)
 	}
-	e.recID, mb.metaRec = ids[0], ids[1]
+	e.recID, mb.metaRec = ids[k], ids[k+1]
 	mb.nextSeq++
 	mb.entries = append(mb.entries, e)
 	mb.bytes += int64(len(e.Body))
@@ -540,6 +564,7 @@ func (h *Hub) enqueueAt(device, kind, agentID, eventID string, body []byte, at t
 	h.rememberLocked(mb, eventID, e.Seq, now)
 	h.enqueued.Add(1)
 	h.pending.Add(1)
+	h.settleAcksLocked(mb, &h.acksFolded)
 	h.updateDirtyLocked(mb)
 
 	// Wait-free fan-out: closing the shared signal channel wakes every
@@ -646,9 +671,9 @@ func (h *Hub) writeMetaLocked(mb *mailbox) {
 }
 
 // Ack acknowledges every entry with seq <= upTo: the cursor advances
-// (persisted first) and the entries are deleted. Returns how many
-// entries were retired. Acking an unknown device or an old watermark is
-// a no-op.
+// (persisted first) and the entries are deleted, together with any ack
+// staged earlier, before Ack returns. Returns how many entries were
+// retired. Acking an unknown device or an old watermark retires nothing.
 func (h *Hub) Ack(device string, upTo uint64) (int, error) {
 	mb, ok := h.lookup(device)
 	if !ok {
@@ -656,10 +681,17 @@ func (h *Hub) Ack(device string, upTo uint64) (int, error) {
 	}
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	return h.ackLocked(mb, upTo), nil
+	n := h.retireLocked(mb, upTo)
+	h.commitAcksLocked(mb)
+	return n, nil
 }
 
-func (h *Hub) ackLocked(mb *mailbox, upTo uint64) int {
+// retireLocked is the in-memory half of an ack: the cursor, the pending
+// entries, the byte ledgers and the gauges move at once, and the store
+// ops that make it durable are staged on the mailbox. The caller
+// commits them (commitAcksLocked) or leaves them for the mailbox's next
+// commit. Caller holds mb.mu.
+func (h *Hub) retireLocked(mb *mailbox, upTo uint64) int {
 	if upTo <= mb.cursor {
 		return 0
 	}
@@ -672,16 +704,11 @@ func (h *Hub) ackLocked(mb *mailbox, upTo uint64) int {
 		return 0
 	}
 	mb.cursor = upTo
-	// One ordered commit, cursor first, deletes second: if a crash keeps
-	// only a prefix, replay drops the already-acked entries instead of
-	// resurrecting them.
-	bp := opsPool.Get().(*[]rms.Op)
-	*bp = append(*bp, metaOp(mb, mb.nextSeq, dedupEvent{}))
 	n := 0
 	kept := mb.entries[:0]
 	for _, e := range mb.entries {
 		if e.Seq <= upTo {
-			*bp = append(*bp, rms.Op{Op: rms.OpDelete, ID: e.recID})
+			mb.staged = append(mb.staged, e.recID)
 			mb.bytes -= int64(len(e.Body))
 			h.chargeTenant(mb.tenant, -int64(len(e.Body)))
 			n++
@@ -690,30 +717,90 @@ func (h *Hub) ackLocked(mb *mailbox, upTo uint64) int {
 		kept = append(kept, e)
 	}
 	mb.entries = kept
-	// The device has its mail whatever the store says, so the ack stands
-	// in memory even if persisting it fails; after a crash the device's
-	// next poll acks the re-offered entries again.
-	if ids, err := h.apply(bp); err != nil {
-		h.logf("push: persisting ack for %s: %v", mb.device, err)
-	} else {
-		mb.metaRec = ids[0]
-	}
+	mb.stagedAcks++
+	h.stagedAcks.Add(1)
 	h.delivered.Add(uint64(n))
 	h.pending.Add(int64(-n))
 	h.updateDirtyLocked(mb)
 	return n
 }
 
+// appendStagedOps appends the store half of the mailbox's staged acks.
+// One ordered run, cursor first, deletes second: if a crash keeps only a
+// prefix, replay drops the already-acked entries instead of
+// resurrecting them. Caller holds mb.mu.
+func appendStagedOps(ops []rms.Op, mb *mailbox) []rms.Op {
+	if mb.stagedAcks == 0 {
+		return ops
+	}
+	ops = append(ops, metaOp(mb, mb.nextSeq, dedupEvent{}))
+	for _, id := range mb.staged {
+		ops = append(ops, rms.Op{Op: rms.OpDelete, ID: id})
+	}
+	return ops
+}
+
+// commitAcksLocked commits the mailbox's staged acks on their own.
+// The device has its mail whatever the store says, so the acks stand in
+// memory even if persisting them fails; after a crash the device's next
+// poll acks the re-offered entries again. Caller holds mb.mu.
+func (h *Hub) commitAcksLocked(mb *mailbox) {
+	if mb.stagedAcks == 0 {
+		return
+	}
+	bp := opsPool.Get().(*[]rms.Op)
+	*bp = appendStagedOps(*bp, mb)
+	if ids, err := h.apply(bp); err != nil {
+		h.logf("push: persisting ack for %s: %v", mb.device, err)
+	} else {
+		mb.metaRec = ids[0]
+	}
+	h.settleAcksLocked(mb, &h.acksFlushed)
+}
+
+// settleAcksLocked books the mailbox's staged acks under how they were
+// committed and clears them. Caller holds mb.mu.
+func (h *Hub) settleAcksLocked(mb *mailbox, how *atomic.Uint64) {
+	if mb.stagedAcks == 0 {
+		return
+	}
+	how.Add(uint64(mb.stagedAcks))
+	h.stagedAcks.Add(-int64(mb.stagedAcks))
+	mb.stagedAcks, mb.staged = 0, nil
+	h.updateDirtyLocked(mb)
+}
+
 // Poll acknowledges `after` as the device's new cursor, then returns up
 // to max pending entries beyond it (copies — callers own them), the
 // watermark the device should persist once it processed them, and the
 // device's lifetime eviction count (so lost entries are visible, never
-// silent). max <= 0 means no bound.
+// silent). max <= 0 means no bound. The ack is committed before Poll
+// returns.
 func (h *Hub) Poll(device string, after uint64, max int) (entries []*Entry, watermark, evicted uint64, err error) {
+	return h.poll(device, after, max, false)
+}
+
+// PollStaged is Poll without the wait for the ack's commit — for the
+// long-poll endpoint, where a device would otherwise spend a round trip
+// on an fsync it gains nothing from. The ack takes effect in memory at
+// once; its store ops are staged and ride the mailbox's next commit —
+// the next Enqueue folds them into its own — or are committed by the
+// next Poll, Ack or Export, by SweepExpired and by Close. A staged ack
+// lost in a crash costs a re-offer: replay brings the entries back and
+// the device's next ack retires them, its cursor having filtered them
+// from the application. On a closed hub the ack commits at once.
+func (h *Hub) PollStaged(device string, after uint64, max int) (entries []*Entry, watermark, evicted uint64, err error) {
+	return h.poll(device, after, max, true)
+}
+
+func (h *Hub) poll(device string, after uint64, max int, stage bool) (entries []*Entry, watermark, evicted uint64, err error) {
 	mb := h.box(device)
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	h.ackLocked(mb, after)
+	h.retireLocked(mb, after)
+	if !stage || (mb.stagedAcks > 0 && h.closedNow()) {
+		h.commitAcksLocked(mb)
+	}
 	h.expireLocked(mb, h.cfg.Clock())
 	watermark = mb.cursor
 	for _, e := range mb.entries {
@@ -918,16 +1005,18 @@ func (h *Hub) Pending(device string) int {
 }
 
 // SweepExpired drops every entry past the TTL and every dedup id past
-// DedupTTL, visiting only mailboxes that hold memory (the dirty set —
-// O(active), not O(devices)). Returns how many entries were dropped.
+// DedupTTL, and commits every staged ack, visiting only mailboxes that
+// hold memory (the dirty set — O(active), not O(devices)). Returns how
+// many entries were dropped.
 func (h *Hub) SweepExpired() int {
-	if h.cfg.TTL <= 0 && h.dedupTTL <= 0 {
+	if h.cfg.TTL <= 0 && h.dedupTTL <= 0 && h.stagedAcks.Load() == 0 {
 		return 0
 	}
 	before := h.evTTL.Load()
 	now := h.cfg.Clock()
 	for _, mb := range h.dirtySnapshot() {
 		mb.mu.Lock()
+		h.commitAcksLocked(mb)
 		h.expireLocked(mb, now)
 		if h.pruneDedupLocked(mb, now) {
 			// Shrink the persisted meta too: the stored record otherwise
@@ -961,6 +1050,9 @@ func (h *Hub) Stats() Stats {
 		EvictedTTL:   h.evTTL.Load(),
 		Connected:    int(h.connected.Load()),
 		Pending:      int(h.pending.Load()),
+		AcksFolded:   h.acksFolded.Load(),
+		AcksFlushed:  h.acksFlushed.Load(),
+		StagedAcks:   int(h.stagedAcks.Load()),
 	}
 	s.DedupWindow = h.dedupLimit
 	h.mu.Lock()
@@ -982,8 +1074,9 @@ func (h *Hub) Stats() Stats {
 }
 
 // Close wakes every parked waiter (their channels close) so long-polls
-// racing a shutdown return instead of hanging. The store is left to its
-// owner.
+// racing a shutdown return instead of hanging, and commits every staged
+// ack; acks arriving later commit before their poll returns. The store
+// is left to its owner, who closes it after the hub.
 func (h *Hub) Close() {
 	h.mu.Lock()
 	h.closed = true
@@ -998,6 +1091,7 @@ func (h *Hub) Close() {
 			close(mb.signal)
 			mb.signal = nil
 		}
+		h.commitAcksLocked(mb)
 		mb.mu.Unlock()
 	}
 }
