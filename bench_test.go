@@ -402,8 +402,8 @@ func BenchmarkGatewayRegistryMixedParallel(b *testing.B) {
 // uploads through the dispatch handler in parallel: pack on the device
 // side; unpack, key check, replay window, compile (a program-cache hit
 // in steady state), document store and agent admission on the gateway
-// side. Spawn is a no-op so the measurement isolates the gateway hot
-// path from agent execution.
+// side — which runs the echo agent's first slice, so each iteration is
+// a whole zero-hop journey up to its stored result document.
 func BenchmarkGatewayDispatchE2E(b *testing.B) {
 	benchkit.DispatchE2E(b, true)
 }

@@ -26,8 +26,21 @@ import (
 	"pdagent/internal/wire"
 )
 
-// EchoSource is the benchmark agent: one deliver, no travel.
+// EchoSource is the benchmark agent: one deliver, no travel. It
+// finishes inside its admission (the first fuel slice runs there), so
+// a dispatch of it is a whole zero-hop journey and nothing reaches
+// Spawn.
 const EchoSource = `deliver("echo", params());`
+
+// SuspendingSource is an echo that needs more than suspendingFuel ops:
+// at a gateway with that FuelSlice its admission suspends it (and
+// journals it, once), and the function Spawn receives is the rest of
+// its journey — what the virtual-time drivers run as "service", and
+// what keeps the journal commit in the journaled dispatch measurement.
+const (
+	SuspendingSource = `let i = 0; while i < 64 { i = i + 1; } deliver("echo", params());`
+	suspendingFuel   = 64
+)
 
 var (
 	kpOnce sync.Once
@@ -64,17 +77,19 @@ func benchPI(key string) *wire.PackedInformation {
 // parallel: pack (XML encode + LZSS + frame) on the client side, then
 // unpack, key check, replay window, compile (cache hit or full compile
 // depending on useCache), document store and agent admission on the
-// gateway side. Spawn is a no-op so agent execution stays out of the
-// measurement.
+// gateway side — and, since admission runs the agent's first slice,
+// the echo agent's whole zero-hop journey: VM run, image and result
+// encode, result document store, registry completion.
 func DispatchE2E(b *testing.B, useCache bool) {
 	dispatchE2E(b, useCache, nil)
 }
 
 // JournaledDispatchE2E is DispatchE2E with a durable agent journal
-// attached (G6): every admission writes and commits a journal entry,
-// so the measurement is dominated by the store's commit path — the
-// fsync policy comparison the group-commit WAL exists for. The caller
-// owns store and closes it after the run.
+// attached (G6) and an agent that suspends in its admission: every
+// admission writes and commits one journal entry (the agent never
+// resumes — Spawn is a no-op), so the measurement is dominated by the
+// store's commit path — the fsync policy comparison the group-commit
+// WAL exists for. The caller owns store and closes it after the run.
 //
 // Parallelism is forced well past GOMAXPROCS: group commit batches
 // concurrent committers, and a gateway under load has hundreds of
@@ -93,11 +108,16 @@ func dispatchE2E(b *testing.B, useCache bool, journal rms.Store) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	source, fuel := EchoSource, uint64(0)
+	if journal != nil {
+		source, fuel = SuspendingSource, suspendingFuel
+	}
 	gw, err := gateway.New(gateway.Config{
 		Addr:           "gw-bench",
 		KeyPair:        kp,
 		Transport:      netsim.New(1).Transport(netsim.ZoneWired),
 		Spawn:          func(func()) {},
+		FuelSlice:      fuel,
 		NoProgramCache: !useCache,
 		Journal:        journal,
 	})
@@ -106,7 +126,7 @@ func dispatchE2E(b *testing.B, useCache bool, journal rms.Store) {
 	}
 	defer gw.Close()
 	if err := gw.AddCodePackage(&wire.CodePackage{
-		CodeID: "echo", Name: "Echo", Version: "1", Source: EchoSource,
+		CodeID: "echo", Name: "Echo", Version: "1", Source: source,
 	}); err != nil {
 		b.Fatal(err)
 	}
@@ -127,7 +147,7 @@ func dispatchE2E(b *testing.B, useCache bool, journal rms.Store) {
 				DispatchKey: key,
 				Owner:       "dev-bench",
 				Nonce:       string(nonce),
-				Source:      EchoSource,
+				Source:      source,
 			}
 			var err error
 			body, err = wire.AppendPack(body[:0], pi, compress.LZSS, nil)

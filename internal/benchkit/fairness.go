@@ -115,6 +115,7 @@ func Fairness(cfg FairnessConfig) (FairnessPoint, error) {
 		KeyPair:   kp,
 		Transport: netsim.New(1).Transport(netsim.ZoneWired),
 		Spawn:     func(fn func()) { spawned = append(spawned, fn) },
+		FuelSlice: suspendingFuel,
 		Shed:      &gateway.ShedConfig{MaxInFlight: cfg.MaxInFlight},
 		Tenants:   treg,
 	})
@@ -123,7 +124,7 @@ func Fairness(cfg FairnessConfig) (FairnessPoint, error) {
 	}
 	defer gw.Close()
 	if err := gw.AddCodePackage(&wire.CodePackage{
-		CodeID: "echo", Name: "Echo", Version: "1", Source: EchoSource,
+		CodeID: "echo", Name: "Echo", Version: "1", Source: SuspendingSource,
 	}); err != nil {
 		return pt, err
 	}
@@ -232,7 +233,7 @@ func Fairness(cfg FairnessConfig) (FairnessPoint, error) {
 			DispatchKey: a.key,
 			Owner:       a.owner,
 			Nonce:       string(nonce),
-			Source:      EchoSource,
+			Source:      SuspendingSource,
 		}
 		body, err = wire.AppendPack(body[:0], pi, compress.LZSS, nil)
 		if err != nil {

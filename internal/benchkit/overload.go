@@ -70,8 +70,9 @@ type OverloadPoint struct {
 
 // Overload runs one offered-load storm. The gateway is real — real
 // pack/unpack, key check, nonce window, admission, real ShedConfig —
-// only time is simulated: agent loops collected by Spawn are run at
-// their virtual completion instants, so the registry's in-flight
+// only time is simulated: the agents suspend in their admission
+// (SuspendingSource) and the continuations collected by Spawn are run
+// at their virtual completion instants, so the registry's in-flight
 // gauge (the shed signal) tracks the virtual backlog exactly.
 func Overload(cfg OverloadConfig) (OverloadPoint, error) {
 	var pt OverloadPoint
@@ -86,14 +87,16 @@ func Overload(cfg OverloadConfig) (OverloadPoint, error) {
 	if cfg.MaxInFlight > 0 {
 		shed = &gateway.ShedConfig{MaxInFlight: cfg.MaxInFlight}
 	}
-	// Spawn queues agent loops instead of running them: the driver
-	// executes each at its virtual completion time.
+	// Spawn queues agent loops instead of running them: admission
+	// suspends each agent after one short slice, and the driver runs
+	// the rest of its journey at its virtual completion time.
 	var spawned []func()
 	gw, err := gateway.New(gateway.Config{
 		Addr:      "gw-overload",
 		KeyPair:   kp,
 		Transport: netsim.New(1).Transport(netsim.ZoneWired),
 		Spawn:     func(fn func()) { spawned = append(spawned, fn) },
+		FuelSlice: suspendingFuel,
 		Shed:      shed,
 	})
 	if err != nil {
@@ -101,7 +104,7 @@ func Overload(cfg OverloadConfig) (OverloadPoint, error) {
 	}
 	defer gw.Close()
 	if err := gw.AddCodePackage(&wire.CodePackage{
-		CodeID: "echo", Name: "Echo", Version: "1", Source: EchoSource,
+		CodeID: "echo", Name: "Echo", Version: "1", Source: SuspendingSource,
 	}); err != nil {
 		return pt, err
 	}
@@ -143,7 +146,7 @@ func Overload(cfg OverloadConfig) (OverloadPoint, error) {
 			DispatchKey: key,
 			Owner:       "dev-ovl",
 			Nonce:       string(nonce),
-			Source:      EchoSource,
+			Source:      SuspendingSource,
 		}
 		body, err = wire.AppendPack(body[:0], pi, compress.LZSS, nil)
 		if err != nil {

@@ -297,6 +297,33 @@ func TestManagementDisposeViaGateway(t *testing.T) {
 	}
 }
 
+// TestManagementRetractViaGateway is the retract twin: the agent's
+// admission already suspended it at its first migrate, and a retract
+// landing before that departure leaves must win over it — the agent
+// comes back "retracted" without ever reaching the bank.
+func TestManagementRetractViaGateway(t *testing.T) {
+	w := testWorld(t, SimConfig{Seed: 9})
+	dev, _ := w.NewDevice("alice")
+	ctx, _ := w.NewJourney()
+	dev.Subscribe(ctx, "gw-0", AppEBanking) //nolint:errcheck
+	agentID, _ := dev.Dispatch(ctx, AppEBanking, ebankingParams([]string{"bank-a"}, 1))
+
+	if err := dev.Retract(ctx, agentID); err != nil {
+		t.Fatalf("Retract: %v", err)
+	}
+	w.Run()
+	rd, err := dev.Collect(ctx, agentID)
+	if err != nil {
+		t.Fatalf("Collect: %v", err)
+	}
+	if rd.Status != "retracted" || rd.Hops != 0 {
+		t.Fatalf("result = %+v, want retracted at hop 0", rd)
+	}
+	if bal, _ := w.Banks["bank-a"].Balance("alice"); bal != 10_000 {
+		t.Fatalf("alice balance = %d, the retracted agent reached the bank", bal)
+	}
+}
+
 func TestDevicePersistenceAcrossRestart(t *testing.T) {
 	w := testWorld(t, SimConfig{Seed: 10})
 	store := rms.NewMemStore("device-db", 0)

@@ -33,6 +33,27 @@ var (
 	kp     *pisec.KeyPair
 )
 
+// fixtureFuel is the fixture gateways' FuelSlice. An agent's first slice
+// runs inside its dispatch: "echo" finishes within it — a zero-hop
+// journey, its result stored before the dispatch answers — while "slow"
+// needs a second slice, so it is still travelling when the dispatch
+// answers and finishes when the test drains the fixture's queue.
+const fixtureFuel = 4096
+
+const echoSrc = `deliver("echo", params()); deliver("id", agentid());`
+
+func addEchoPackages(t *testing.T, gw *gateway.Gateway) {
+	t.Helper()
+	for id, src := range map[string]string{
+		"echo": echoSrc,
+		"slow": `let i = 0; while i < 4096 { i = i + 1; } ` + echoSrc,
+	} {
+		if err := gw.AddCodePackage(&wire.CodePackage{CodeID: id, Name: id, Version: "1", Source: src}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func newFixture(t *testing.T, cfgMut func(*Config)) *fixture {
 	t.Helper()
 	kpOnce.Do(func() {
@@ -54,16 +75,12 @@ func newFixture(t *testing.T, cfgMut func(*Config)) *fixture {
 		KeyPair:   kp,
 		Transport: f.net.Transport(netsim.ZoneWired),
 		Spawn:     f.queue.Go,
+		FuelSlice: fixtureFuel,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := gw.AddCodePackage(&wire.CodePackage{
-		CodeID: "echo", Name: "Echo", Version: "1",
-		Source: `deliver("echo", params()); deliver("id", agentid());`,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	addEchoPackages(t, gw)
 	f.gw = gw
 	f.net.AddHost("gw-d", netsim.ZoneWired, gw.Handler())
 
@@ -92,10 +109,10 @@ func TestSubscribeDispatchCollect(t *testing.T) {
 	f := newFixture(t, nil)
 	ctx := context.Background()
 
-	if err := f.plat.Subscribe(ctx, "gw-d", "echo"); err != nil {
+	if err := f.plat.Subscribe(ctx, "gw-d", "slow"); err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
-	id, err := f.plat.Dispatch(ctx, "echo", map[string]mavm.Value{"k": mavm.Int(7)})
+	id, err := f.plat.Dispatch(ctx, "slow", map[string]mavm.Value{"k": mavm.Int(7)})
 	if err != nil {
 		t.Fatalf("Dispatch: %v", err)
 	}

@@ -69,17 +69,13 @@ func (f *fixture) startGateway(t *testing.T, mailbox rms.Store) {
 		KeyPair:   kp,
 		Transport: f.net.Transport(netsim.ZoneWired),
 		Spawn:     f.queue.Go,
+		FuelSlice: fixtureFuel,
 		Mailbox:   &gateway.MailboxConfig{Store: mailbox},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := gw.AddCodePackage(&wire.CodePackage{
-		CodeID: "echo", Name: "Echo", Version: "1",
-		Source: `deliver("echo", params()); deliver("id", agentid());`,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	addEchoPackages(t, gw)
 	f.gw = gw
 	f.net.AddHost("gw-d", netsim.ZoneWired, gw.Handler())
 }
@@ -150,7 +146,7 @@ func TestSessionDeliversResultViaMailbox(t *testing.T) {
 func TestQueueDispatchDrainsOnReconnect(t *testing.T) {
 	f := newSessionFixture(t, nil)
 	ctx := context.Background()
-	if err := f.plat.Subscribe(ctx, "gw-d", "echo"); err != nil {
+	if err := f.plat.Subscribe(ctx, "gw-d", "slow"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -158,10 +154,10 @@ func TestQueueDispatchDrainsOnReconnect(t *testing.T) {
 	if err := f.net.SetDown("gw-d", true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.plat.Dispatch(ctx, "echo", nil); err == nil {
+	if _, err := f.plat.Dispatch(ctx, "slow", nil); err == nil {
 		t.Fatal("dispatch succeeded with the gateway down")
 	}
-	qid, err := f.plat.QueueDispatch("echo", map[string]mavm.Value{"k": mavm.Int(1)})
+	qid, err := f.plat.QueueDispatch("slow", map[string]mavm.Value{"k": mavm.Int(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,6 +183,9 @@ func TestQueueDispatchDrainsOnReconnect(t *testing.T) {
 	if len(s.Dispatched) != 1 || s.QueuedLeft != 0 || len(f.plat.QueuedDispatches()) != 0 {
 		t.Fatalf("drain = %+v", s)
 	}
+	if len(s.Deliveries) != 0 {
+		t.Fatalf("a journey still travelling was delivered: %+v", s.Deliveries)
+	}
 	// ...and the next session delivers the result.
 	f.queue.Drain()
 	s2, err := f.plat.OpenSession(ctx)
@@ -194,7 +193,31 @@ func TestQueueDispatchDrainsOnReconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(s2.Deliveries) != 1 || s2.Deliveries[0].AgentID != s.Dispatched[0] {
-		t.Fatalf("deliveries = %+v", s2.Deliveries)
+		t.Fatalf("deliveries = %+v; first %+v", s2.Deliveries, s)
+	}
+}
+
+// TestZeroHopJourneyTakesOneSession: a queued dispatch of an agent that
+// finishes inside its admission is uploaded, run and delivered through
+// the mailbox by ONE session — the device connects once per journey.
+func TestZeroHopJourneyTakesOneSession(t *testing.T) {
+	f := newSessionFixture(t, nil)
+	ctx := context.Background()
+	if err := f.plat.Subscribe(ctx, "gw-d", "echo"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.plat.QueueDispatch("echo", map[string]mavm.Value{"k": mavm.Int(3)}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := f.plat.OpenSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Dispatched) != 1 || len(s.Deliveries) != 1 || s.Deliveries[0].AgentID != s.Dispatched[0] || s.Deliveries[0].Seq == 0 {
+		t.Fatalf("session = %+v, want the journey uploaded and its result delivered from the mailbox", s)
+	}
+	if s2, err := f.plat.OpenSession(ctx); err != nil || len(s2.Deliveries) != 0 {
+		t.Fatalf("second session = %+v, %v; want nothing left to deliver", s2, err)
 	}
 }
 
@@ -204,8 +227,10 @@ func TestQueueDispatchDrainsOnReconnect(t *testing.T) {
 func TestSessionStateSurvivesPlatformRestart(t *testing.T) {
 	f := newSessionFixture(t, nil)
 	ctx := context.Background()
-	if err := f.plat.Subscribe(ctx, "gw-d", "echo"); err != nil {
-		t.Fatal(err)
+	for _, code := range []string{"echo", "slow"} {
+		if err := f.plat.Subscribe(ctx, "gw-d", code); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := f.plat.Dispatch(ctx, "echo", nil); err != nil {
 		t.Fatal(err)
@@ -214,7 +239,7 @@ func TestSessionStateSurvivesPlatformRestart(t *testing.T) {
 	if s, err := f.plat.OpenSession(ctx); err != nil || len(s.Deliveries) != 1 {
 		t.Fatalf("first session: %+v, %v", s, err)
 	}
-	if _, err := f.plat.QueueDispatch("echo", nil); err != nil {
+	if _, err := f.plat.QueueDispatch("slow", nil); err != nil {
 		t.Fatal(err)
 	}
 	cursor := f.plat.Cursor("gw-d")
@@ -233,8 +258,8 @@ func TestSessionStateSurvivesPlatformRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The queued dispatch went out; no duplicate delivery of the old
-	// result (the cursor survived).
+	// The queued dispatch went out (and is still travelling); no
+	// duplicate delivery of the old result (the cursor survived).
 	if len(s.Dispatched) != 1 || len(s.Deliveries) != 0 {
 		t.Fatalf("restarted session = %+v", s)
 	}
@@ -337,14 +362,22 @@ func TestQueueDrainSurvivesLostDispatchResponse(t *testing.T) {
 	if n := f.gw.Registry().NumAgents(); n != 1 {
 		t.Fatalf("gateway has %d agents, want exactly 1 (retry must not double-admit)", n)
 	}
-	// The journey completes and delivers once.
-	f.queue.Drain()
+	// A zero-hop journey is over when its dispatch answers, so the
+	// session that uploaded it also brings its result home — one
+	// connection for the whole journey, the paper's "minimum
+	// connectivity" — and no later session delivers it again.
+	if len(s.Deliveries) != 1 || s.Deliveries[0].AgentID != s.Dispatched[0] || !s.Deliveries[0].Result.OK() {
+		t.Fatalf("uploading session's deliveries = %+v, want the result of %s", s.Deliveries, s.Dispatched[0])
+	}
+	if f.queue.Len() != 0 {
+		t.Fatalf("%d task(s) left for a zero-hop journey", f.queue.Len())
+	}
 	s2, err := f.plat.OpenSession(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s2.Deliveries) != 1 || s2.Deliveries[0].AgentID != s.Dispatched[0] {
-		t.Fatalf("deliveries = %+v", s2.Deliveries)
+	if len(s2.Deliveries) != 0 {
+		t.Fatalf("result delivered twice: %+v", s2.Deliveries)
 	}
 }
 

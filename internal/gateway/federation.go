@@ -192,9 +192,9 @@ const resultRelayTimeout = 5 * time.Second
 
 // relayResult pushes a completed result document to the edge member
 // whose device owns the dispatch. Best-effort: on failure the edge
-// still fetches on demand via fetchRemoteResult. It runs on the agent
-// arrival path, so — like the location pushes — it gets its own wall
-// deadline: a hung origin member must not pin arrival goroutines.
+// still fetches on demand via fetchRemoteResult. onAgentHome hands it
+// to Spawn, and — like the location pushes — it gets its own wall
+// deadline: a hung origin member must not pin goroutines.
 func (g *Gateway) relayResult(ctx context.Context, origin string, rd *wire.ResultDocument, doc []byte) {
 	ctx, cancel := context.WithTimeout(ctx, resultRelayTimeout)
 	defer cancel()
@@ -238,18 +238,12 @@ func (g *Gateway) adoptResult(rd *wire.ResultDocument, doc []byte) error {
 	if st, ok := g.reg.Agent(rd.AgentID); ok && st.Done {
 		return nil
 	}
-	docID, err := g.cfg.Documents.Add(doc)
-	if err != nil {
-		return err
-	}
-	for _, ch := range g.reg.CompleteAgent(rd.AgentID, rd.CodeID, rd.Owner, docID, rd.Error) {
-		close(ch)
-	}
 	// This member is the edge the device talks to: the result lands in
 	// its mailbox here, ready for the next (re)connection.
-	g.enqueueResult(rd, doc)
+	if err := g.fileResult(rd, doc, "adopt-result", true); err != nil {
+		return err
+	}
 	g.mAdopted.Inc()
-	g.trace.Record(rd.AgentID, "adopt-result", rd.Status)
 	g.logf("gateway %s: adopted result for agent %s", g.cfg.Addr, rd.AgentID)
 	return nil
 }
@@ -292,16 +286,17 @@ func (g *Gateway) Draining() bool { return g.draining.Load() }
 // Drain performs the graceful-shutdown sequence: stop accepting
 // dispatches, deregister from the cluster (peers drop this member
 // immediately instead of suspecting it), then wait — bounded by ctx —
-// for the embedded MAS to finish or ship out its resident agents. It
-// returns the number of agents still resident when it gave up (0 on a
-// clean drain). The caller still owns Close.
+// for the embedded MAS to finish or ship out its resident agents and
+// for the result relays they left behind. It returns the number of
+// agents still resident (plus relays unfinished) when it gave up (0 on
+// a clean drain). The caller still owns Close.
 func (g *Gateway) Drain(ctx context.Context) int {
 	g.BeginDrain()
 	if g.cfg.Cluster != nil {
 		g.cfg.Cluster.Leave(ctx)
 	}
 	for {
-		n := g.mas.ResidentCount()
+		n := g.mas.ResidentCount() + int(g.relays.Load())
 		if n == 0 {
 			return 0
 		}

@@ -184,6 +184,9 @@ type Gateway struct {
 	mailboxStore rms.Store
 	// draining refuses new dispatches during graceful shutdown.
 	draining atomic.Bool
+	// relays counts result relays handed to Spawn and not finished yet;
+	// Drain waits for them as it does for resident agents.
+	relays atomic.Int64
 	// resultsSwept counts result documents reclaimed by the TTL sweep.
 	resultsSwept atomic.Uint64
 	// Migration-pull herd protection (see pullMailboxFrom): per-device
@@ -247,6 +250,9 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	if cfg.OutboundWorkers == 0 {
 		cfg.OutboundWorkers = defaultOutboundWorkers
+	}
+	if cfg.Spawn == nil {
+		cfg.Spawn = func(fn func()) { go fn() }
 	}
 	if cfg.NoProgramCache {
 		cfg.Programs = nil
@@ -506,7 +512,15 @@ func (g *Gateway) unhealthy() string {
 
 // --- result intake (the agent coming home, §3.3) -----------------------
 
-func (g *Gateway) onAgentHome(ctx context.Context, a *mas.Arrival) {
+// onAgentHome takes an agent's results: the result document goes into
+// the File Directory and — for a device this member talks to — into
+// the owner's mailbox, and only then is the agent marked complete. A
+// nil return is what lets the MAS retire the agent (tombstone its
+// journal entry, ack its sender, answer the admission that ran it), so
+// a document that could not be stored or enqueued is an error: the
+// sender keeps its copy and redelivers, or the dispatch fails and the
+// device retries its PI.
+func (g *Gateway) onAgentHome(ctx context.Context, a *mas.Arrival) error {
 	status := "done"
 	switch a.Kind {
 	case mas.KindFailed:
@@ -526,14 +540,54 @@ func (g *Gateway) onAgentHome(ctx context.Context, a *mas.Arrival) {
 	}
 	doc, err := rd.EncodeXML()
 	if err != nil {
-		g.logf("gateway %s: encoding result for %s: %v", g.cfg.Addr, rd.AgentID, err)
-		return
+		return fmt.Errorf("encoding result for %s: %w", rd.AgentID, err)
 	}
-	// The File Directory allocates a space for the result document.
+	// Federation: a forwarded dispatch's device talks to the edge
+	// member it uploaded through — relay the result document there so
+	// collection needs no extra cross-member hop (best-effort: the edge
+	// fetches on demand otherwise). The device's mailbox lives at the
+	// edge too, so the enqueue happens there (in adoptResult); for
+	// direct dispatches it happens here. The relay is a round trip to
+	// another member and this may be the admission that ran the agent
+	// (a zero-hop journey inside the edge's forward), so it leaves under
+	// Spawn: a best-effort push must not hold a dispatch's answer, and
+	// an edge that hears the result before the forward's answer adopts
+	// it early (CompleteAgent, then CreateOwnedAgent merges).
+	origin, _ := g.reg.Origin(rd.AgentID)
+	relay := g.cfg.Cluster != nil && origin != "" && origin != g.cfg.Addr
+	if err := g.fileResult(rd, doc, "result", !relay); err != nil {
+		return err
+	}
+	g.mResults.Inc()
+	if relay {
+		rctx := context.WithoutCancel(ctx)
+		g.relays.Add(1)
+		g.cfg.Spawn(func() {
+			defer g.relays.Add(-1)
+			g.relayResult(rctx, origin, rd, doc)
+		})
+	}
+	g.logf("gateway %s: result ready for agent %s (%s)", g.cfg.Addr, rd.AgentID, status)
+	return nil
+}
+
+// fileResult stores a result document in the File Directory, files it
+// in the owner's mailbox when this member is the one the device talks
+// to, and only then publishes the completion — so a refused store or
+// enqueue leaves nothing behind and the caller's retry starts clean.
+// span is the trace op recorded once the document is stored, ahead of
+// the enqueue's "mailbox" span.
+func (g *Gateway) fileResult(rd *wire.ResultDocument, doc []byte, span string, enqueue bool) error {
 	docID, err := g.cfg.Documents.Add(doc)
 	if err != nil {
-		g.logf("gateway %s: storing result for %s: %v", g.cfg.Addr, rd.AgentID, err)
-		return
+		return fmt.Errorf("storing result for %s: %w", rd.AgentID, err)
+	}
+	g.trace.Record(rd.AgentID, span, rd.Status)
+	if enqueue {
+		if err := g.enqueueResult(rd, doc); err != nil {
+			_ = g.cfg.Documents.Delete(docID)
+			return err
+		}
 	}
 	// Fan the completion signal out to result watchers. Closing a
 	// channel is wait-free, so this cannot delay the MAS arrival path
@@ -542,20 +596,13 @@ func (g *Gateway) onAgentHome(ctx context.Context, a *mas.Arrival) {
 	for _, ch := range g.reg.CompleteAgent(rd.AgentID, rd.CodeID, rd.Owner, docID, rd.Error) {
 		close(ch)
 	}
-	g.mResults.Inc()
-	g.trace.Record(rd.AgentID, "result", status)
-	// Federation: a forwarded dispatch's device talks to the edge
-	// member it uploaded through — relay the result document there so
-	// collection needs no extra cross-member hop. The device's mailbox
-	// lives at the edge too, so the enqueue happens there (in
-	// adoptResult); for direct dispatches it happens here.
-	origin, _ := g.reg.Origin(rd.AgentID)
-	if g.cfg.Cluster != nil && origin != "" && origin != g.cfg.Addr {
-		g.relayResult(ctx, origin, rd, doc)
-	} else {
-		g.enqueueResult(rd, doc)
+	// A result filed twice — the relay racing the edge's on-demand
+	// fetch of the same document — keeps its first copy; the mailbox
+	// dedups on the agent id, the File Directory here.
+	if st, _ := g.reg.Agent(rd.AgentID); st.DocID != docID {
+		_ = g.cfg.Documents.Delete(docID)
 	}
-	g.logf("gateway %s: result ready for agent %s (%s)", g.cfg.Addr, rd.AgentID, status)
+	return nil
 }
 
 // --- handheld-facing handlers -------------------------------------------
@@ -823,6 +870,10 @@ func (g *Gateway) admitDispatch(ctx context.Context, pi *wire.PackedInformation,
 	}
 	g.reg.CreateOwnedAgent(agentID, pi.CodeID, pi.Owner, tenantID, origin, "")
 	g.reg.SetRequestDoc(agentID, reqDocID)
+	// The admit span goes first: the agent's first slice runs inside
+	// the admission, and a zero-hop journey's result, mailbox and
+	// deliver spans must follow it in the trace.
+	g.trace.Record(agentID, "admit", pi.CodeID)
 	if err := g.mas.AdmitAgentOwned(ctx, vm, pi.CodeID, pi.Owner, tenantID, g.cfg.Addr); err != nil {
 		// Retire the tracking entry so a failed admission does not
 		// inflate the in-flight load gauge forever (which would make
@@ -831,13 +882,13 @@ func (g *Gateway) admitDispatch(ctx context.Context, pi *wire.PackedInformation,
 		for _, ch := range watchers {
 			close(ch)
 		}
+		g.trace.Record(agentID, "admit-failed", err.Error())
 		return fail(transport.Errorf(transport.StatusServerError, "admitting agent: %v", err))
 	}
 	// Bind the nonce to the admitted agent so a device retrying this
 	// upload (lost response, crash before recording) gets the same
 	// agent id back instead of a replay refusal.
 	g.reg.BindNonce(pi.CodeID, pi.Owner, pi.Nonce, agentID)
-	g.trace.Record(agentID, "admit", pi.CodeID)
 	g.logf("gateway %s: dispatched agent %s (code %s, owner %s)", g.cfg.Addr, agentID, pi.CodeID, pi.Owner)
 
 	resp := transport.OKText(agentID)

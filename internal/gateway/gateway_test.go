@@ -8,8 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"pdagent/internal/atp"
 	"pdagent/internal/compress"
 	"pdagent/internal/kxml"
+	"pdagent/internal/mas"
 	"pdagent/internal/mavm"
 	"pdagent/internal/netsim"
 	"pdagent/internal/pisec"
@@ -59,6 +61,7 @@ func newFixtureCfg(t *testing.T, mut func(*Config)) *fixture {
 		KeyPair:   f.kp,
 		Transport: f.net.Transport(netsim.ZoneWired),
 		Spawn:     f.queue.Go,
+		FuelSlice: fixtureFuel,
 		Peers:     []string{"gw-peer"},
 		Documents: f.docs,
 	}
@@ -75,16 +78,46 @@ func newFixtureCfg(t *testing.T, mut func(*Config)) *fixture {
 	return f
 }
 
-const echoSrc = `deliver("echo", params());`
+// fixtureFuel is the fixture gateway's FuelSlice. An admitted agent's
+// first slice runs inside the dispatch: echoSrc finishes within it, so
+// its result is stored before the dispatch answers; slowEchoSrc does
+// not, so it is still travelling when the dispatch answers and the
+// rest of its journey waits on the fixture's queue.
+const fixtureFuel = 4096
 
-func (f *fixture) addEcho(t *testing.T) {
+const (
+	echoSrc     = `deliver("echo", params());`
+	slowEchoSrc = `let i = 0; while i < 4096 { i = i + 1; } deliver("echo", params());`
+)
+
+func (f *fixture) addEcho(t *testing.T) { f.addPackage(t, "echo", echoSrc) }
+
+// addSlowEcho registers code "slow": an echo that suspends once (out of
+// fuel) before it delivers.
+func (f *fixture) addSlowEcho(t *testing.T) { f.addPackage(t, "slow", slowEchoSrc) }
+
+func (f *fixture) addPackage(t *testing.T, codeID, src string) {
 	t.Helper()
 	err := f.gw.AddCodePackage(&wire.CodePackage{
-		CodeID: "echo", Name: "Echo", Version: "1", Source: echoSrc,
+		CodeID: codeID, Name: codeID, Version: "1", Source: src,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// addSite mounts a journal-less MAS host agents of this fixture can
+// migrate to; its agent loops share the fixture's queue.
+func (f *fixture) addSite(t *testing.T, addr string) *mas.Server {
+	t.Helper()
+	site, err := mas.NewServer(mas.Config{
+		Addr: addr, Codec: atp.AgletsCodec{}, Transport: f.net.Transport(netsim.ZoneWired), Spawn: f.queue.Go,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.net.AddHost(addr, netsim.ZoneWired, site.Handler())
+	return site
 }
 
 // subscribe performs the subscription handshake and returns the parsed
@@ -177,12 +210,12 @@ func TestCatalogAndSubscribe(t *testing.T) {
 
 func TestDispatchFlow(t *testing.T) {
 	f := newFixture(t)
-	f.addEcho(t)
-	sub := f.subscribe(t, "echo", "dev-1")
+	f.addSlowEcho(t)
+	sub := f.subscribe(t, "slow", "dev-1")
 
 	pi := &wire.PackedInformation{
-		CodeID:      "echo",
-		DispatchKey: pisec.DispatchKey("echo", sub.Secret),
+		CodeID:      "slow",
+		DispatchKey: pisec.DispatchKey("slow", sub.Secret),
 		Owner:       "dev-1",
 		Source:      sub.Package.Source,
 		Params:      map[string]mavm.Value{"greeting": mavm.Str("hello")},
@@ -490,11 +523,11 @@ func TestFailedJourneyStoredAsFailed(t *testing.T) {
 
 func TestStatusXMLWellFormed(t *testing.T) {
 	f := newFixture(t)
-	f.addEcho(t)
-	sub := f.subscribe(t, "echo", "dev-1")
+	f.addSlowEcho(t)
+	sub := f.subscribe(t, "slow", "dev-1")
 	pi := &wire.PackedInformation{
-		CodeID:      "echo",
-		DispatchKey: pisec.DispatchKey("echo", sub.Secret),
+		CodeID:      "slow",
+		DispatchKey: pisec.DispatchKey("slow", sub.Secret),
 		Owner:       "dev-1",
 		Source:      sub.Package.Source,
 	}

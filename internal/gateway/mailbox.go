@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"context"
+	"fmt"
 	"strconv"
 	"time"
 
@@ -96,18 +97,22 @@ func (g *Gateway) Sweep() (results, mailbox int) {
 
 // enqueueResult files a completed journey's result document into the
 // owner's mailbox. Dedup key is the agent id: a crash-replayed arrival
-// or a retried cluster relay cannot produce a second copy.
-func (g *Gateway) enqueueResult(rd *wire.ResultDocument, doc []byte) {
+// or a retried cluster relay cannot produce a second copy. The error
+// is the mailbox store refusing the commit.
+func (g *Gateway) enqueueResult(rd *wire.ResultDocument, doc []byte) error {
 	if g.hub == nil {
-		return
+		return nil
 	}
-	if _, dup, err := g.hub.Enqueue(rd.Owner, push.KindResult, rd.AgentID, "result:"+rd.AgentID, doc); err != nil {
-		g.logf("gateway %s: mailbox enqueue for %s: %v", g.cfg.Addr, rd.AgentID, err)
-	} else if dup {
+	_, dup, err := g.hub.Enqueue(rd.Owner, push.KindResult, rd.AgentID, "result:"+rd.AgentID, doc)
+	if err != nil {
+		return fmt.Errorf("mailbox enqueue for %s: %w", rd.AgentID, err)
+	}
+	if dup {
 		g.logf("gateway %s: mailbox already holds result of %s", g.cfg.Addr, rd.AgentID)
 	} else {
 		g.trace.Record(rd.AgentID, "mailbox", rd.Owner)
 	}
+	return nil
 }
 
 // enqueueNote files a short status/management notification. owner may

@@ -66,13 +66,20 @@ func tryFetchMailbox(f *fixture, device string, ack uint64, wait time.Duration) 
 }
 
 // dispatchEcho subscribes and dispatches one echo journey, returning
-// the agent id (journey not yet run).
+// the agent id (journey already over: its result is in the mailbox).
 func dispatchEcho(t *testing.T, f *fixture, owner string) string {
 	t.Helper()
-	sub := f.subscribe(t, "echo", owner)
+	return dispatchCode(t, f, "echo", owner)
+}
+
+// dispatchCode subscribes owner to a registered package and dispatches
+// one journey of it, returning the agent id.
+func dispatchCode(t *testing.T, f *fixture, codeID, owner string) string {
+	t.Helper()
+	sub := f.subscribe(t, codeID, owner)
 	pi := &wire.PackedInformation{
-		CodeID:      "echo",
-		DispatchKey: pisec.DispatchKey("echo", sub.Secret),
+		CodeID:      codeID,
+		DispatchKey: pisec.DispatchKey(codeID, sub.Secret),
 		Owner:       owner,
 		Source:      sub.Package.Source,
 	}
@@ -88,10 +95,10 @@ func dispatchEcho(t *testing.T, f *fixture, owner string) string {
 // cursor, and retired exactly once by the ack.
 func TestMailboxReceivesResult(t *testing.T) {
 	f := newMailboxFixture(t, nil)
-	f.addEcho(t)
-	agentID := dispatchEcho(t, f, "dev-1")
+	f.addSlowEcho(t)
+	agentID := dispatchCode(t, f, "slow", "dev-1")
 
-	// Nothing yet: the journey has not run.
+	// Nothing yet: the journey has not finished.
 	if entries, _, _ := pollMailbox(t, f, "dev-1", 0); len(entries) != 0 {
 		t.Fatalf("mail before completion: %d entries", len(entries))
 	}
@@ -372,52 +379,55 @@ func TestFailedAdmissionReleasesNonce(t *testing.T) {
 
 // TestEchoJourneyFsyncBudget pins what one steady-state echo journey
 // costs a gateway over two real group-commit WALs; it is the count the
-// journey benchmark reports as rms.fsyncs_per_journey. The journal pays
-// its admit and retire either way. A session device (fetch, then a
-// confirming fetch that carries the ack) makes three requests and the
-// mailbox pays one ordered commit each for the enqueue (entry + meta)
-// and the ack (cursor + delete). A long-polling device makes two: its
+// journey benchmark reports as rms.fsyncs_per_journey. The agent finishes
+// inside its admission, so the journal is never written: the result's
+// mailbox commit is the durable hand-over. A session device makes the
+// mailbox pay one ordered commit each for the enqueue (entry + meta)
+// and the ack (cursor + delete). A long-polling device pays one: its
 // ack rides the next long-poll, is staged there, and shares the next
-// enqueue's commit (cursor + delete + entry + meta).
+// journey's enqueue commit (cursor + delete + entry + meta). The enqueue
+// precedes the poll, so the ack it folds is the one before last: a
+// mailbox at rest holds the entry before the current one too, its ack
+// staged. The parked row is an agent that suspends: the poll parks
+// ahead of the result with the ack staged, the enqueue that wakes it
+// commits that ack, and the journal pays its record and its tombstone.
 func TestEchoJourneyFsyncBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
+		code        string
 		wait        time.Duration
+		wantJournal uint64
 		wantMailbox uint64
+		wantStaged  int // acks staged, uncommitted, when the journey is over
+		wantResting int // mailbox records then
 	}{
-		{name: "session", wantMailbox: 2},
-		{name: "long-poll", wait: 30 * time.Second, wantMailbox: 1},
+		{name: "session", code: "echo", wantMailbox: 2, wantResting: 1},
+		{name: "long-poll", code: "echo", wait: 30 * time.Second, wantMailbox: 1, wantStaged: 1, wantResting: 3},
+		{name: "long-poll parked", code: "slow", wait: 30 * time.Second, wantJournal: 2, wantMailbox: 1, wantResting: 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			open := func(name string) *rms.WALStore {
-				s, err := rms.OpenWALStore(filepath.Join(t.TempDir(), name), rms.WALOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { s.Close() })
-				return s
-			}
-			journal, mailbox := open("journal.wal"), open("mailbox.wal")
+			journal, mailbox := openTestWAL(t, "journal.wal"), openTestWAL(t, "mailbox.wal")
 			f := newFixtureCfg(t, func(c *Config) {
 				c.Journal = journal
 				c.Mailbox = &MailboxConfig{Store: mailbox}
 			})
 			f.addEcho(t)
+			f.addSlowEcho(t)
 			hub := f.gw.Mailbox()
 			var cursor uint64
 			journey := func() {
-				agentID := dispatchEcho(t, f, "dev-1")
+				agentID := dispatchCode(t, f, tc.code, "dev-1")
 				var entries []*push.Entry
 				var watermark uint64
-				if tc.wait == 0 {
-					f.queue.Drain()
-					entries, watermark, _ = pollMailbox(t, f, "dev-1", cursor)
-					if again, _, _ := pollMailbox(t, f, "dev-1", watermark); len(again) != 0 {
-						t.Fatalf("mail redelivered after ack: %d entries", len(again))
-					}
+				if f.queue.Len() == 0 {
+					// The result is in the mailbox when the dispatch answers:
+					// a long-poll carrying the previous journey's ack stages
+					// it and returns at once, without parking.
+					entries, watermark, _ = fetchMailbox(t, f, "dev-1", cursor, tc.wait)
 				} else {
-					// The device is parked on its long-poll, the previous
-					// journey's ack staged, when the result comes home.
+					// The agent suspended: the device is parked on its
+					// long-poll, the previous journey's ack staged, when
+					// the result comes home.
 					done := make(chan struct{})
 					go func() {
 						defer close(done)
@@ -442,30 +452,46 @@ func TestEchoJourneyFsyncBudget(t *testing.T) {
 				if len(entries) != 1 || entries[0].AgentID != agentID {
 					t.Fatalf("poll after %s: %d entries", agentID, len(entries))
 				}
+				if tc.wait == 0 {
+					if again, _, _ := pollMailbox(t, f, "dev-1", watermark); len(again) != 0 {
+						t.Fatalf("mail redelivered after ack: %d entries", len(again))
+					}
+				}
 				cursor = watermark
 			}
 			journey() // the device's first journey also mints its mailbox token
 			journey() // and a long-polling device's second is the first with an ack to fold
 			j, m, st := journal.Fsyncs(), mailbox.Fsyncs(), hub.Stats()
 			journey()
-			if gotJ, gotM := journal.Fsyncs()-j, mailbox.Fsyncs()-m; gotJ != 2 || gotM != tc.wantMailbox {
-				t.Fatalf("echo journey cost %d journal + %d mailbox fsyncs, want 2 + %d", gotJ, gotM, tc.wantMailbox)
+			if gotJ, gotM := journal.Fsyncs()-j, mailbox.Fsyncs()-m; gotJ != tc.wantJournal || gotM != tc.wantMailbox {
+				t.Fatalf("%s journey cost %d journal + %d mailbox fsyncs, want %d + %d", tc.code, gotJ, gotM, tc.wantJournal, tc.wantMailbox)
+			}
+			if n, _ := journal.NumRecords(); n != 0 {
+				t.Fatalf("journal holds %d records after finished journeys, want none", n)
+			}
+			if tc.code == "echo" && journal.Fsyncs() != 0 {
+				t.Fatalf("journal committed %d times for zero-hop journeys, want never written", journal.Fsyncs())
+			}
+			if f.queue.Len() != 0 {
+				t.Fatalf("%d task(s) left spawned after finished journeys", f.queue.Len())
 			}
 			after := hub.Stats()
 			folded, flushed := after.AcksFolded-st.AcksFolded, after.AcksFlushed-st.AcksFlushed
 			if tc.wait == 0 && (folded != 0 || flushed != 1 || after.StagedAcks != 0) {
 				t.Fatalf("session journey: %d folded, %d flushed, %d staged; want its one ack committed on its own", folded, flushed, after.StagedAcks)
 			}
-			if tc.wait > 0 && (folded != 1 || flushed != 0 || after.StagedAcks != 0) {
-				t.Fatalf("long-poll journey: %d folded, %d flushed, %d staged; want the previous ack folded into the enqueue", folded, flushed, after.StagedAcks)
+			if tc.wait > 0 && (folded != 1 || flushed != 0 || after.StagedAcks != tc.wantStaged) {
+				t.Fatalf("long-poll journey: %d folded, %d flushed, %d staged; want the previous ack folded into the enqueue and %d staged", folded, flushed, after.StagedAcks, tc.wantStaged)
 			}
-			// The session ended fully acknowledged; the long-polling device
-			// still owes the ack of what it just received — until its next
-			// request or, here, the first fetch of a session.
+			// The session ended fully acknowledged. The long-polling device
+			// still owes the ack of what it just received, and where the
+			// poll followed the enqueue the ack before that one is staged,
+			// not yet committed — until the device's next enqueue or, here,
+			// the first fetch of a session.
+			if n, _ := mailbox.NumRecords(); n != tc.wantResting {
+				t.Fatalf("mailbox store holds %d records at rest, want %d (meta, the entry just delivered, the one whose ack is staged)", n, tc.wantResting)
+			}
 			if tc.wait > 0 {
-				if n, _ := mailbox.NumRecords(); n != 2 {
-					t.Fatalf("mailbox store holds %d records before the ack arrives, want the entry and the meta", n)
-				}
 				pollMailbox(t, f, "dev-1", cursor)
 			}
 			if n, _ := mailbox.NumRecords(); n != 1 {
@@ -473,6 +499,42 @@ func TestEchoJourneyFsyncBudget(t *testing.T) {
 			}
 		})
 	}
+
+	// The e-banking shape: an agent that suspends at migrate is journaled
+	// once in its admission — the admit record and the departure record
+	// are the same snapshot — before the transfer leaves.
+	t.Run("migrating", func(t *testing.T) {
+		journal := openTestWAL(t, "journal.wal")
+		f := newFixtureCfg(t, func(c *Config) { c.Journal = journal })
+		f.addSite(t, "site-1")
+		f.addPackage(t, "tour", `migrate("site-1"); deliver("host", here());`)
+		agentID := dispatchCode(t, f, "tour", "dev-1")
+		if got := journal.Fsyncs(); got != 1 {
+			t.Fatalf("admitting a migrating agent cost %d journal fsyncs, want exactly 1", got)
+		}
+		if n, _ := journal.NumRecords(); n != 1 || f.queue.Len() != 1 {
+			t.Fatalf("after admission: %d journal record(s), %d queued task(s); want the departure record and the transfer not yet sent", n, f.queue.Len())
+		}
+		f.queue.Drain()
+		if st, ok := f.gw.Registry().Agent(agentID); !ok || !st.Done {
+			t.Fatalf("journey did not complete: %+v", st)
+		}
+		// The rest of the journey at the gateway: the departure record
+		// dropped on the site's ack, the homecoming's dedup tombstone.
+		if got := journal.Fsyncs(); got != 3 {
+			t.Fatalf("one-hop journey cost the gateway %d journal fsyncs, want 3", got)
+		}
+	})
+}
+
+func openTestWAL(t *testing.T, name string) *rms.WALStore {
+	t.Helper()
+	s, err := rms.OpenWALStore(filepath.Join(t.TempDir(), name), rms.WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
 }
 
 // TestLongPollEndingEmptyCommitsAck: a long-poll that has no mail to

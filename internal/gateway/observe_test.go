@@ -25,20 +25,21 @@ func TestShedInFlightWatermark(t *testing.T) {
 	f := newFixtureCfg(t, func(cfg *Config) {
 		cfg.Shed = &ShedConfig{MaxInFlight: 1}
 	})
-	f.addEcho(t)
-	sub := f.subscribe(t, "echo", "dev-1")
+	f.addSlowEcho(t)
+	sub := f.subscribe(t, "slow", "dev-1")
 	pi := func(nonce string) *wire.PackedInformation {
 		return &wire.PackedInformation{
-			CodeID:      "echo",
-			DispatchKey: pisec.DispatchKey("echo", sub.Secret),
+			CodeID:      "slow",
+			DispatchKey: pisec.DispatchKey("slow", sub.Secret),
 			Owner:       "dev-1",
 			Nonce:       nonce,
-			Source:      echoSrc,
+			Source:      slowEchoSrc,
 		}
 	}
 
-	// First dispatch admits; its agent loop sits in the serial queue,
-	// so the in-flight gauge stays at the watermark.
+	// First dispatch admits; the agent runs out of its first slice and
+	// the rest of its loop sits in the serial queue, so the in-flight
+	// gauge stays at the watermark.
 	if resp := f.dispatchPI(t, pi("n-1"), false); !resp.IsOK() {
 		t.Fatalf("first dispatch: %d %s", resp.Status, resp.Text())
 	}
@@ -118,10 +119,21 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, name := range []string{
 		"pdagent_dispatch_us", "pdagent_dispatch_total", "pdagent_dispatch_shed_total",
 		"pdagent_inflight", "pdagent_outbound_queue_depth", "pdagent_residents",
-		"pdagent_deliver_total", "pdagent_trace_spans",
+		"pdagent_deliver_total", "pdagent_trace_spans", "pdagent_admit_total",
 	} {
 		if !typed[name] {
 			t.Errorf("scrape missing %s", name)
+		}
+	}
+	// What admission made of each agent's first slice: all three rows
+	// from the first scrape, the echo counted as delivered.
+	for _, row := range []string{
+		"pdagent_admit_total{outcome=\"delivered\"} 1\n",
+		"pdagent_admit_total{outcome=\"shipped\"} 0\n",
+		"pdagent_admit_total{outcome=\"suspended\"} 0\n",
+	} {
+		if !strings.Contains(body, row) {
+			t.Errorf("scrape lacks %q", row)
 		}
 	}
 
@@ -143,6 +155,22 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !ops[op] {
 			t.Errorf("local journey trace missing op %q (have %v)", op, ops)
 		}
+	}
+}
+
+// TestZeroHopTraceReadsInTimeOrder: the agent's first slice runs inside
+// the admission, so the admit span is recorded before it — a zero-hop
+// journey's trace still reads admit, result, mailbox, deliver, dispatch.
+func TestZeroHopTraceReadsInTimeOrder(t *testing.T) {
+	f := newMailboxFixture(t, nil)
+	f.addEcho(t)
+	agentID := dispatchEcho(t, f, "dev-1")
+	var ops []string
+	for _, sp := range f.gw.TraceRing().Spans(agentID) {
+		ops = append(ops, sp.Op)
+	}
+	if got, want := strings.Join(ops, " "), "admit result mailbox deliver dispatch"; got != want {
+		t.Fatalf("zero-hop trace reads %q, want %q", got, want)
 	}
 }
 

@@ -408,7 +408,9 @@ func (r *Registry) InFlight() int {
 // CompleteAgent marks an agent's result as ready, adopting agents this
 // gateway never dispatched (e.g. clones created remotely) so their
 // owners can still collect. It returns the result watchers registered
-// for the agent; the caller fans the completion signal out to them.
+// for the agent; the caller fans the completion signal out to them. An
+// agent completed twice keeps its first document: the caller whose
+// docID Agent does not report afterwards withdraws its copy.
 func (r *Registry) CompleteAgent(id, codeID, owner string, docID int, why string) []chan struct{} {
 	s := r.shardFor(id)
 	s.mu.Lock()
@@ -421,14 +423,13 @@ func (r *Registry) CompleteAgent(id, codeID, owner string, docID int, why string
 	tenantID := meta.tenant
 	if !meta.done {
 		// First completion (or resurrection after expiry): queue for the
-		// retention sweep. Re-completions of an already-done agent keep
-		// their original queue position.
+		// retention sweep.
 		s.doneQ = append(s.doneQ, id)
+		meta.done = true
+		meta.docID = docID
+		meta.lastWhy = why
+		meta.doneAt = time.Now()
 	}
-	meta.done = true
-	meta.docID = docID
-	meta.lastWhy = why
-	meta.doneAt = time.Now()
 	watchers := s.watchers[id]
 	delete(s.watchers, id)
 	s.mu.Unlock()

@@ -456,14 +456,15 @@ func TestGatewayDisposeReleasesResult(t *testing.T) {
 		Addr:      "gw-dispose",
 		KeyPair:   testKP,
 		Transport: f.net.Transport(netsim.ZoneWired),
-		Spawn:     func(func()) {}, // agent admitted but never runs
+		Spawn:     func(func()) {}, // the agent suspends in admission and never resumes
+		FuelSlice: fixtureFuel,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer gw.Close()
 	if err := gw.AddCodePackage(&wire.CodePackage{
-		CodeID: "echo", Name: "Echo", Version: "1", Source: echoSrc,
+		CodeID: "echo", Name: "Echo", Version: "1", Source: slowEchoSrc,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -539,20 +540,22 @@ func TestGatewayDisposeReleasesResult(t *testing.T) {
 // Close() fails further outbound work instead of hanging.
 func TestGatewayConcurrentStatusChase(t *testing.T) {
 	f := newConcurrentFixture(t)
-	// A no-op Spawn admits the agent but never runs its loop, so it
-	// stays "running" at home and every chaser observes a live chase.
+	// A no-op Spawn never runs the agent past the slice admission gave
+	// it (slowEchoSrc needs a second one), so it stays "running" at home
+	// and every chaser observes a live chase.
 	gwIdle, err := New(Config{
 		Addr:            "gw-idle",
 		KeyPair:         testKP,
 		Transport:       f.net.Transport(netsim.ZoneWired),
 		Spawn:           func(func()) {}, // agent loops never run
+		FuelSlice:       fixtureFuel,
 		OutboundWorkers: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := gwIdle.AddCodePackage(&wire.CodePackage{
-		CodeID: "echo", Name: "Echo", Version: "1", Source: echoSrc,
+		CodeID: "echo", Name: "Echo", Version: "1", Source: slowEchoSrc,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -53,10 +53,12 @@ func (f *fixture) subscribeTenant(t *testing.T, codeID, owner, tenantID, secret 
 	return sub, resp
 }
 
+// echoPI builds a dispatch of the package sub subscribed to (echo or
+// slow echo).
 func (f *fixture) echoPI(sub *wire.Subscription, owner string) *wire.PackedInformation {
 	return &wire.PackedInformation{
-		CodeID:      "echo",
-		DispatchKey: pisec.DispatchKey("echo", sub.Secret),
+		CodeID:      sub.Package.CodeID,
+		DispatchKey: pisec.DispatchKey(sub.Package.CodeID, sub.Secret),
 		Owner:       owner,
 		Source:      sub.Package.Source,
 		Params:      map[string]mavm.Value{"greeting": mavm.Str("hi")},
@@ -65,18 +67,18 @@ func (f *fixture) echoPI(sub *wire.Subscription, owner string) *wire.PackedInfor
 
 func TestTenantSubscribeBinding(t *testing.T) {
 	f := newTenantFixture(t, nil, &tenant.Tenant{ID: "acme", Secret: "s3"})
-	f.addEcho(t)
+	f.addSlowEcho(t)
 
 	// A bad tenant secret must not bind — otherwise anyone could park
 	// their devices on someone else's account.
-	if _, resp := f.subscribeTenant(t, "echo", "dev-1", "acme", "wrong"); resp.Status != transport.StatusUnauthorized {
+	if _, resp := f.subscribeTenant(t, "slow", "dev-1", "acme", "wrong"); resp.Status != transport.StatusUnauthorized {
 		t.Fatalf("bad tenant secret: %d, want 401", resp.Status)
 	}
-	if _, resp := f.subscribeTenant(t, "echo", "dev-1", "nobody", "s3"); resp.Status != transport.StatusUnauthorized {
+	if _, resp := f.subscribeTenant(t, "slow", "dev-1", "nobody", "s3"); resp.Status != transport.StatusUnauthorized {
 		t.Fatalf("unknown tenant: %d, want 401", resp.Status)
 	}
 
-	sub, _ := f.subscribeTenant(t, "echo", "dev-1", "acme", "s3")
+	sub, _ := f.subscribeTenant(t, "slow", "dev-1", "acme", "s3")
 	if sub == nil {
 		t.Fatal("subscribe failed")
 	}
@@ -96,7 +98,7 @@ func TestTenantSubscribeBinding(t *testing.T) {
 
 	// Subscriptions without tenant headers still work: they bill to
 	// the default account.
-	sub2 := f.subscribe(t, "echo", "dev-2")
+	sub2 := f.subscribe(t, "slow", "dev-2")
 	if resp := f.dispatchPI(t, f.echoPI(sub2, "dev-2"), true); !resp.IsOK() {
 		t.Fatalf("default-account dispatch: %d %s", resp.Status, resp.Text())
 	}
@@ -124,14 +126,15 @@ func TestTenantRateLimit429(t *testing.T) {
 func TestTenantMaxInFlight429(t *testing.T) {
 	f := newTenantFixture(t, nil,
 		&tenant.Tenant{ID: "acme", Secret: "s3", Limits: tenant.Limits{MaxInFlight: 1}})
-	f.addEcho(t)
-	sub, _ := f.subscribeTenant(t, "echo", "dev-1", "acme", "s3")
+	f.addSlowEcho(t)
+	sub, _ := f.subscribeTenant(t, "slow", "dev-1", "acme", "s3")
 
 	if resp := f.dispatchPI(t, f.echoPI(sub, "dev-1"), true); !resp.IsOK() {
 		t.Fatalf("first dispatch: %d %s", resp.Status, resp.Text())
 	}
-	// The first journey has not completed (serial queue undrained), so
-	// the account is at its in-flight cap: quota refusal, not a shed.
+	// The first journey has not completed (it suspended; the serial
+	// queue holding the rest of it is undrained), so the account is at
+	// its in-flight cap: quota refusal, not a shed.
 	resp := f.dispatchPI(t, f.echoPI(sub, "dev-1"), true)
 	if resp.Status != transport.StatusTooManyRequests {
 		t.Fatalf("over-quota dispatch: %d, want 429", resp.Status)
@@ -149,9 +152,9 @@ func TestWeightedFairShed503(t *testing.T) {
 	},
 		&tenant.Tenant{ID: "hog", Secret: "sh"},
 		&tenant.Tenant{ID: "meek", Secret: "sm"})
-	f.addEcho(t)
-	hogSub, _ := f.subscribeTenant(t, "echo", "dev-h", "hog", "sh")
-	meekSub, _ := f.subscribeTenant(t, "echo", "dev-m", "meek", "sm")
+	f.addSlowEcho(t)
+	hogSub, _ := f.subscribeTenant(t, "slow", "dev-h", "hog", "sh")
+	meekSub, _ := f.subscribeTenant(t, "slow", "dev-m", "meek", "sm")
 
 	if resp := f.dispatchPI(t, f.echoPI(hogSub, "dev-h"), true); !resp.IsOK() {
 		t.Fatalf("first dispatch: %d %s", resp.Status, resp.Text())

@@ -10,8 +10,9 @@ import (
 )
 
 // The agent journal is the MAS's write-ahead log: every resident agent
-// image is journaled on arrival and again whenever it suspends for a
-// transfer, so a Server that dies mid-itinerary can be replaced by a
+// image is journaled on arrival (a locally admitted one at its first
+// suspension point instead — see AdmitAgentOwned) and again whenever it
+// suspends for a transfer, so a Server that dies mid-itinerary can be replaced by a
 // fresh Server over the same rms.Store and Resume the journeys.
 //
 // Entry encoding (one rms record per agent):

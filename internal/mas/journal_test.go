@@ -31,6 +31,7 @@ type jWorld struct {
 	flavours map[string]string
 	zones    map[string]string
 	banks    map[string]*services.Bank
+	fuel     uint64 // gw-0's FuelSlice (0 = the default)
 
 	mu       sync.Mutex
 	arrivals []*Arrival
@@ -89,10 +90,12 @@ func (w *jWorld) startServer(addr string) *Server {
 		Journal:   w.journals[addr],
 	}
 	if addr == "gw-0" {
-		cfg.OnAgentHome = func(_ context.Context, a *Arrival) {
+		cfg.FuelSlice = w.fuel
+		cfg.OnAgentHome = func(_ context.Context, a *Arrival) error {
 			w.mu.Lock()
 			w.arrivals = append(w.arrivals, a)
 			w.mu.Unlock()
+			return nil
 		}
 	}
 	srv, err := NewServer(cfg)
@@ -142,6 +145,11 @@ func (w *jWorld) admit(ctx context.Context, src, id string, params map[string]ma
 		w.t.Fatal(err)
 	}
 }
+
+// suspendingSrc is an agent still on its journey when its admission
+// returns: its first slice suspends at migrate — to a host no fixture
+// has, so the departure parks until the test brings one up.
+const suspendingSrc = `migrate("elsewhere"); deliver("x", 1);`
 
 func (w *jWorld) arrivalCount() int {
 	w.mu.Lock()
@@ -356,10 +364,11 @@ func TestContestedHandoffDeliversOneCopy(t *testing.T) {
 	home, err := NewServer(Config{
 		Addr: "gw-0", Codec: atp.AgletsCodec{},
 		Transport: net.Transport(netsim.ZoneWired),
-		OnAgentHome: func(_ context.Context, a *Arrival) {
+		OnAgentHome: func(_ context.Context, a *Arrival) error {
 			mu.Lock()
 			arrivals = append(arrivals, a)
 			mu.Unlock()
+			return nil
 		},
 	})
 	if err != nil {
@@ -566,8 +575,8 @@ func TestResumeFromTornJournal(t *testing.T) {
 	}
 
 	// Populate the journal through a real server: an agent bound for an
-	// unreachable host journals on admit and again on suspend, then
-	// parks.
+	// unreachable host journals once, suspended at its migrate with the
+	// destination, then parks.
 	net := netsim.New(31)
 	net.SetLinkBoth(netsim.ZoneWired, netsim.ZoneWired, netsim.Link{})
 	queue := &netsim.Queue{}

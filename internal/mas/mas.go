@@ -13,7 +13,7 @@
 // gateway so results are never stranded.
 //
 // With Config.Journal set, the server write-ahead-logs every resident
-// agent (on admit, arrival and suspend) into an rms.Store, transfers
+// agent (on arrival, and at each suspension point) into an rms.Store, transfers
 // become two-phase handoffs deduplicated on (agent id, hop counter),
 // and a replacement Server over the same store continues interrupted
 // journeys via Resume — exactly one copy of each agent is delivered
@@ -123,10 +123,17 @@ type Config struct {
 	// runaway itineraries from bouncing between hosts forever
 	// (default 64).
 	MaxHops int
-	// Journal, when set, is the write-ahead agent journal: every
-	// resident agent image is journaled on arrival and on each suspend,
-	// and a replacement Server over the same store re-hydrates them via
-	// Resume. With a journal, persistently failed transfers park the
+	// Journal, when set, is the write-ahead agent journal: an arriving
+	// agent is journaled before its handoff is acked, a locally admitted
+	// one at its first suspension point (AdmitAgentOwned) and again at
+	// each departure, and a replacement Server over the same store
+	// re-hydrates them via Resume. An agent that finishes at home inside
+	// its admission slice is never journaled: OnAgentHome taking the
+	// result is the durable hand-over, exactly as for a KindDone
+	// homecoming — so with a Journal but no durable home-side store
+	// (a gateway without a mailbox keeps results in Documents only) a
+	// zero-hop result is as durable as Documents is.
+	// With a journal, persistently failed transfers park the
 	// agent for RetryParked instead of failing it home, and /atp/transfer
 	// becomes a two-phase handoff (the journal write is the commit, the
 	// OK response the ack; duplicates dedup on agent id + hop counter).
@@ -143,12 +150,18 @@ type Config struct {
 	// baseline.
 	NoProgramCache bool
 	// OnAgentHome is invoked when an agent arrives at its home server
-	// (the gateway sets this to collect results).
-	OnAgentHome func(ctx context.Context, a *Arrival)
+	// (the gateway sets this to collect results). Returning nil takes
+	// the results: the agent's journal entry is retired and its sender
+	// (or the admission that ran it to completion) is answered OK. An
+	// error means they were not durably taken — a homecoming is refused
+	// retryably so the sender keeps its copy, an admission fails.
+	OnAgentHome func(ctx context.Context, a *Arrival) error
 	// OnAgentMove, when set, is invoked after every location change of
 	// an agent this server admits, receives or ships: admission and
-	// arrival (the agent is here), departure (a forwarding pointer to
-	// the destination) and terminal delivery. Clustered gateways feed
+	// arrival (the agent is here; skipped for an agent that finishes
+	// inside its admission — its terminal delivery supersedes it),
+	// departure (a forwarding pointer to the destination) and terminal
+	// delivery. Clustered gateways feed
 	// these events into the federation's location directory; network
 	// hosts can relay them to the agent's home gateway. The callback
 	// runs synchronously on the agent path and is panic-isolated.
@@ -210,6 +223,7 @@ type Server struct {
 	mTransferFail *metrics.Counter
 	mParked       *metrics.Counter
 	mDeliver      *metrics.Counter
+	admits        [len(admitOutcomes)]atomic.Uint64 // by admitOutcomes index
 
 	mu       sync.Mutex
 	agents   map[string]*record
@@ -219,6 +233,16 @@ type Server struct {
 	cloneSeq int
 	logs     []string // ring of recent agent log lines
 }
+
+// admitOutcomes labels pdagent_admit_total: what an admitted agent's
+// first slice came to (see AdmitAgentOwned).
+var admitOutcomes = [...]string{admitDelivered: "delivered", admitShipped: "shipped", admitSuspended: "suspended"}
+
+const (
+	admitDelivered = iota
+	admitShipped
+	admitSuspended
+)
 
 // pendingAccept marks a handoff between reservation and commit,
 // remembering the watermark to restore if the commit fails.
@@ -288,6 +312,15 @@ func NewServer(cfg Config) (*Server, error) {
 	s.mTransferFail = cfg.Metrics.Counter("pdagent_transfer_failed_total", "Outbound transfers that exhausted their retries.")
 	s.mParked = cfg.Metrics.Counter("pdagent_transfer_parked_total", "Agents parked for retry after a failed departure.")
 	s.mDeliver = cfg.Metrics.Counter("pdagent_deliver_total", "Terminal deliveries at the agent's home.")
+	cfg.Metrics.CounterVecFunc("pdagent_admit_total",
+		"Agents admitted here, by what their first slice (run inside admission) came to: delivered finished at home and left no journal record, shipped suspended at migrate (one record, with its destination), suspended ran out of fuel or finished away from home (one record).",
+		"outcome", func() map[string]float64 {
+			out := make(map[string]float64, len(admitOutcomes))
+			for i, name := range admitOutcomes {
+				out[name] = float64(s.admits[i].Load())
+			}
+			return out
+		})
 	cfg.Metrics.GaugeFunc("pdagent_residents", "Agents currently resident on this server (scrape-time walk).",
 		func() float64 { return float64(s.ResidentCount()) })
 	m := transport.NewMux()
@@ -420,6 +453,25 @@ func (s *Server) AdmitAgent(ctx context.Context, vm *mavm.VM, codeID, owner, hom
 // AdmitAgentOwned is AdmitAgent with an explicit tenant account: the
 // agent's journal footprint and residency bill to tenantID, and every
 // onward transfer carries the account so remote hosts bill it too.
+//
+// Run before you journal: the agent's first fuel slice runs here, on
+// the caller's goroutine, and the journal records the agent as it
+// stands at its first suspension point (DESIGN.md §3):
+//
+//   - finished or failed with this server as its home: the result is
+//     handed to OnAgentHome before admission returns and no journal
+//     record is ever written — the home side's durable store is the
+//     hand-over, as for a KindDone homecoming over /atp/transfer. An
+//     OnAgentHome error fails the admission and leaves nothing behind;
+//   - suspended at migrate: one record carrying the destination — the
+//     admit record and the departure record are the same snapshot —
+//     and the transfer leaves on the spawned continuation;
+//   - anything else (out of fuel, or finished away from home): one
+//     record with no destination, and the agent carries on under Spawn.
+//
+// So a caller waits for at most one FuelSlice of agent CPU. Service
+// calls of a slice interrupted by a crash re-execute (at-least-once),
+// as after any Resume.
 func (s *Server) AdmitAgentOwned(ctx context.Context, vm *mavm.VM, codeID, owner, tenantID, home string) error {
 	rec := &record{
 		id:     vm.AgentID,
@@ -437,29 +489,75 @@ func (s *Server) AdmitAgentOwned(ctx context.Context, vm *mavm.VM, codeID, owner
 	}
 	s.agents[rec.id] = rec
 	s.mu.Unlock()
-	if err := s.journalPut(rec, "", ""); err != nil {
+	forget := func() {
 		s.mu.Lock()
 		delete(s.agents, rec.id)
 		s.mu.Unlock()
+	}
+
+	sl := s.runSlice(rec)
+	if (sl.st == mavm.StatusDone || sl.st == mavm.StatusFailed) && rec.home == s.cfg.Addr {
+		if _, err := s.afterSlice(ctx, rec, sl); err != nil {
+			forget()
+			return fmt.Errorf("mas: delivering agent %s: %w", rec.id, err)
+		}
+		s.admits[admitDelivered].Add(1)
+		return nil
+	}
+	target, kind := "", ""
+	if sl.st == mavm.StatusMigrating {
+		target, kind = vm.MigrateTarget(), KindMigrate
+	}
+	if err := s.journalPut(rec, target, kind); err != nil {
+		forget()
 		return fmt.Errorf("mas: journaling agent %s: %w", rec.id, err)
+	}
+	sl.journaled = kind != ""
+	if sl.journaled {
+		s.admits[admitShipped].Add(1)
+	} else {
+		s.admits[admitSuspended].Add(1)
 	}
 	s.notifyMove(ctx, AgentMove{
 		AgentID: rec.id, Addr: s.cfg.Addr, Home: rec.home, Seq: 2 * vm.Hops,
 	})
-	s.startLoop(ctx, rec)
+	s.startLoop(ctx, rec, &sl)
 	return nil
 }
 
-func (s *Server) startLoop(ctx context.Context, rec *record) {
+// startLoop spawns the agent loop; ran, when set, is a slice the caller
+// already executed (see agentLoop).
+func (s *Server) startLoop(ctx context.Context, rec *record, ran *slice) {
 	// Detach cancellation: the agent outlives the request that
 	// delivered it, but the journey clock must travel along.
 	loopCtx := context.WithoutCancel(ctx)
-	s.spawn(func() { s.agentLoop(loopCtx, rec) })
+	s.spawn(func() { s.agentLoop(loopCtx, rec, ran) })
+}
+
+// slice is what one fuel slice left an agent in.
+type slice struct {
+	st  mavm.Status
+	err error
+	// journaled: the journal already holds the agent as this slice left
+	// it, its migrate destination included, so the departure need not
+	// write it again.
+	journaled bool
+}
+
+func (s *Server) runSlice(rec *record) slice {
+	rec.execMu.Lock()
+	defer rec.execMu.Unlock()
+	st, err := rec.vm.Run(hostAPI{s, rec}, s.cfg.FuelSlice)
+	return slice{st: st, err: err}
 }
 
 // agentLoop drives one agent until it leaves this server (migrates,
-// returns home, is disposed or retracted) or strands.
-func (s *Server) agentLoop(ctx context.Context, rec *record) {
+// returns home, is disposed or retracted) or strands. ran, when set, is
+// a slice admission already executed: the loop is entered at "just ran,
+// status in hand". The control flags are checked either way, so a
+// dispose or retract that landed since admission still wins over the
+// departure.
+func (s *Server) agentLoop(ctx context.Context, rec *record, ran *slice) {
 	for {
 		if s.dead.Load() {
 			return
@@ -479,58 +577,73 @@ func (s *Server) agentLoop(ctx context.Context, rec *record) {
 			return
 		}
 
-		rec.execMu.Lock()
-		st, err := rec.vm.Run(hostAPI{s, rec}, s.cfg.FuelSlice)
-		rec.execMu.Unlock()
-
-		switch {
-		case errors.Is(err, mavm.ErrOutOfFuel):
-			continue
-		case st == mavm.StatusMigrating:
-			s.shipAgent(ctx, rec, rec.vm.MigrateTarget(), KindMigrate)
-			return
-		case st == mavm.StatusDone:
-			s.finishAgent(ctx, rec, KindDone)
-			return
-		case st == mavm.StatusFailed:
-			s.logf("mas %s: agent %s failed: %v", s.cfg.Addr, rec.id, err)
-			s.setErr(rec, rec.vm.FailMsg())
-			s.finishAgent(ctx, rec, KindFailed)
-			return
-		default:
-			// Run refused (e.g. already done): treat as internal error.
-			s.setErr(rec, fmt.Sprintf("unexpected run state %v: %v", st, err))
-			s.setState(rec, StateStranded, "")
+		var sl slice
+		if ran != nil {
+			sl, ran = *ran, nil
+		} else {
+			sl = s.runSlice(rec)
+		}
+		if more, _ := s.afterSlice(ctx, rec, sl); !more {
 			return
 		}
 	}
 }
 
-// finishAgent routes a completed/failed agent's results: locally if
-// this server is its home, otherwise shipped home.
-func (s *Server) finishAgent(ctx context.Context, rec *record, kind string) {
-	if rec.home == s.cfg.Addr {
-		s.deliverLocal(ctx, rec, kind)
-		return
+// afterSlice routes an agent by what its last slice left it in; more
+// means it only ran out of fuel and wants another slice. The error is
+// a home delivery this server could not complete (the agent strands).
+func (s *Server) afterSlice(ctx context.Context, rec *record, sl slice) (more bool, err error) {
+	switch {
+	case errors.Is(sl.err, mavm.ErrOutOfFuel):
+		return true, nil
+	case sl.st == mavm.StatusMigrating:
+		if sl.journaled {
+			s.sendAgent(ctx, rec, rec.vm.MigrateTarget(), KindMigrate)
+		} else {
+			s.shipAgent(ctx, rec, rec.vm.MigrateTarget(), KindMigrate)
+		}
+	case sl.st == mavm.StatusDone:
+		err = s.finishAgent(ctx, rec, KindDone)
+	case sl.st == mavm.StatusFailed:
+		s.logf("mas %s: agent %s failed: %v", s.cfg.Addr, rec.id, sl.err)
+		s.setErr(rec, rec.vm.FailMsg())
+		err = s.finishAgent(ctx, rec, KindFailed)
+	default:
+		// Run refused (e.g. already done): treat as internal error.
+		s.setErr(rec, fmt.Sprintf("unexpected run state %v: %v", sl.st, sl.err))
+		s.setState(rec, StateStranded, "")
 	}
-	s.shipAgent(ctx, rec, rec.home, kind)
+	return false, err
 }
 
-func (s *Server) deliverLocal(ctx context.Context, rec *record, kind string) {
+// finishAgent routes a completed/failed agent's results: locally if
+// this server is its home, otherwise shipped home.
+func (s *Server) finishAgent(ctx context.Context, rec *record, kind string) error {
+	if rec.home == s.cfg.Addr {
+		return s.deliverLocal(ctx, rec, kind)
+	}
+	s.shipAgent(ctx, rec, rec.home, kind)
+	return nil
+}
+
+// deliverLocal hands a finished agent to the home side. If the home
+// side did not take the results the agent strands (its journal entry,
+// if it has one, stays for Resume) and the error says why: marking it
+// delivered would hide the failure behind an eternal "still
+// travelling".
+func (s *Server) deliverLocal(ctx context.Context, rec *record, kind string) error {
 	if s.cfg.OnAgentHome != nil {
 		im, err := s.encodeImage(rec)
 		if err != nil {
 			s.setErr(rec, "encoding for local delivery: "+err.Error())
 			s.setState(rec, StateStranded, "")
-			return
+			return err
 		}
-		if !s.notifyHome(ctx, &Arrival{Kind: kind, Image: im, VM: rec.vm}) {
-			// The home side never took the results; marking the agent
-			// delivered would hide the failure behind an eternal
-			// "still travelling". Strand it so status shows the truth.
-			s.setErr(rec, "home delivery callback panicked")
+		if err := s.notifyHome(ctx, &Arrival{Kind: kind, Image: im, VM: rec.vm}); err != nil {
+			s.logf("mas %s: home delivery of %s: %v", s.cfg.Addr, rec.id, err)
+			s.setErr(rec, "home delivery: "+err.Error())
 			s.setState(rec, StateStranded, "")
-			return
+			return err
 		}
 	}
 	s.setState(rec, StateDelivered, "")
@@ -541,6 +654,7 @@ func (s *Server) deliverLocal(ctx context.Context, rec *record, kind string) {
 		AgentID: rec.id, Addr: s.cfg.Addr, Home: rec.home,
 		Seq: 2*rec.vm.Hops + 3, Terminal: true,
 	})
+	return nil
 }
 
 // notifyMove invokes the OnAgentMove callback, isolated from panics
@@ -561,15 +675,15 @@ func (s *Server) notifyMove(ctx context.Context, mv AgentMove) {
 // loop and the transfer handler from panics in the home-side result
 // handling (the gateway's callback stores documents and fans work out
 // to other subsystems; a bug there must not kill the server). It
-// reports whether the callback completed.
-func (s *Server) notifyHome(ctx context.Context, a *Arrival) (completed bool) {
+// returns the callback's error, or one describing the panic.
+func (s *Server) notifyHome(ctx context.Context, a *Arrival) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.logf("mas %s: OnAgentHome panic for agent %s: %v", s.cfg.Addr, a.Image.AgentID, r)
+			err = fmt.Errorf("home delivery callback panicked: %v", r)
 		}
 	}()
-	s.cfg.OnAgentHome(ctx, a)
-	return true
+	return s.cfg.OnAgentHome(ctx, a)
 }
 
 // programBytes returns the agent's marshaled program, encoding it on
@@ -610,23 +724,13 @@ func (s *Server) encodeImage(rec *record) (*atp.Image, error) {
 	}, nil
 }
 
-// shipAgent encodes the agent for the destination's flavour and
-// transfers it, with retries. With a journal this is the two-phase
-// handoff's sending side: the suspended image (and its destination) is
-// made durable before the wire leaves, the receiver's OK is the
-// commit-ack that releases the entry, and a persistent failure parks
-// the agent for RetryParked / Resume instead of losing it. Without a
-// journal the legacy best-effort path applies: a failed migration is
-// failed home, and if even home is unreachable the record strands.
+// shipAgent is the two-phase handoff's sending side: the suspended
+// image (and its destination) is made durable, then sendAgent puts it
+// on the wire. An agent whose journal entry already says exactly that
+// (admission journals a migrating agent once, with its destination)
+// goes to sendAgent directly.
 func (s *Server) shipAgent(ctx context.Context, rec *record, target, kind string) {
-	sentHops := rec.vm.Hops // as serialised into the departing image
-	im, err := s.encodeImage(rec)
-	if err != nil {
-		s.setErr(rec, "encoding agent: "+err.Error())
-		s.setState(rec, StateStranded, "")
-		return
-	}
-	if err := s.journalPut(rec, target, kind); err != nil && s.jr != nil {
+	if err := s.journalPut(rec, target, kind); err != nil {
 		// The WAL write must precede the wire: sending an unjournaled
 		// image risks losing the only copy if the ack is missed and we
 		// crash. Park instead; RetryParked re-attempts the journal too.
@@ -637,6 +741,23 @@ func (s *Server) shipAgent(ctx context.Context, rec *record, target, kind string
 		rec.parkTarget, rec.parkKind = target, kind
 		s.mu.Unlock()
 		s.mParked.Inc()
+		return
+	}
+	s.sendAgent(ctx, rec, target, kind)
+}
+
+// sendAgent encodes the agent for the destination's flavour and
+// transfers it, with retries. With a journal the receiver's OK is the
+// commit-ack that releases the entry, and a persistent failure parks
+// the agent for RetryParked / Resume instead of losing it. Without a
+// journal the legacy best-effort path applies: a failed migration is
+// failed home, and if even home is unreachable the record strands.
+func (s *Server) sendAgent(ctx context.Context, rec *record, target, kind string) {
+	sentHops := rec.vm.Hops // as serialised into the departing image
+	im, err := s.encodeImage(rec)
+	if err != nil {
+		s.setErr(rec, "encoding agent: "+err.Error())
+		s.setState(rec, StateStranded, "")
 		return
 	}
 	// Mark the departure BEFORE the image leaves. Once the receiver
@@ -674,7 +795,7 @@ func (s *Server) shipAgent(ctx context.Context, rec *record, target, kind string
 		}
 		if (kind == KindFailed || kind == KindDone || kind == KindMigrate) && rec.home == s.cfg.Addr {
 			// Home is here: deliver what we have instead of stranding.
-			s.deliverLocal(ctx, rec, KindFailed)
+			_ = s.deliverLocal(ctx, rec, KindFailed)
 			return
 		}
 		s.setState(rec, StateStranded, "")
@@ -905,11 +1026,7 @@ func (s *Server) handleTransfer(ctx context.Context, req *transport.Request) *tr
 			s.commitHandoff(rec.id)
 			s.spawn(func() {
 				ctx := context.WithoutCancel(ctx)
-				if rec.home == s.cfg.Addr {
-					s.deliverLocal(ctx, rec, KindFailed)
-					return
-				}
-				s.shipAgent(ctx, rec, rec.home, KindFailed)
+				_ = s.finishAgent(ctx, rec, KindFailed)
 			})
 			return transport.OKText("hop limit exceeded; journey terminated")
 		}
@@ -936,7 +1053,7 @@ func (s *Server) handleTransfer(ctx context.Context, req *transport.Request) *tr
 		s.notifyMove(ctx, AgentMove{
 			AgentID: rec.id, Addr: s.cfg.Addr, Home: rec.home, Seq: 2 * vm.Hops,
 		})
-		s.startLoop(ctx, rec)
+		s.startLoop(ctx, rec, nil)
 		return transport.OKText("accepted " + rec.id)
 
 	case KindDone, KindFailed, KindRetracted:
@@ -952,16 +1069,18 @@ func (s *Server) handleTransfer(ctx context.Context, req *transport.Request) *tr
 			return resp
 		}
 		if s.cfg.OnAgentHome != nil {
-			if !s.notifyHome(ctx, &Arrival{Kind: kind, Image: im, VM: vm}) {
-				s.setErr(rec, "home delivery callback panicked")
+			if err := s.notifyHome(ctx, &Arrival{Kind: kind, Image: im, VM: vm}); err != nil {
+				s.setErr(rec, "home delivery: "+err.Error())
 				s.setState(rec, StateStranded, "")
 				// Release the reservation without committing a watermark:
 				// the results were never taken, so a retried delivery
-				// must not be treated as duplicate. The stranded record
-				// stays visible for operators.
+				// must not be treated as duplicate — and answer retryably,
+				// so a journaled sender keeps its copy parked instead of
+				// tombstoning the only one. The stranded record stays
+				// visible for operators until the retry replaces it.
 				s.abortHandoff(rec, false)
-				return transport.Errorf(transport.StatusServerError,
-					"home delivery of %s failed", rec.id)
+				return transport.Errorf(transport.StatusUnavailable,
+					"home delivery of %s failed: %v", rec.id, err)
 			}
 		}
 		s.commitHandoff(rec.id)
@@ -1140,7 +1259,7 @@ func (s *Server) handleClone(ctx context.Context, req *transport.Request) *trans
 	if cloneVM.Status() == mavm.StatusMigrating {
 		s.spawn(func() { s.shipAgent(context.WithoutCancel(ctx), cloneRec, cloneVM.MigrateTarget(), KindMigrate) })
 	} else {
-		s.startLoop(ctx, cloneRec)
+		s.startLoop(ctx, cloneRec, nil)
 	}
 	resp := transport.OKText(newID)
 	resp.SetHeader("agent", newID)
@@ -1246,8 +1365,8 @@ func containsAgent(line, id string) bool {
 
 // journalPut snapshots rec into the journal (no-op without one).
 // target/kind record a pending transfer destination. Callers must not
-// be racing the VM (journal only at slice boundaries: arrival, admit,
-// suspend).
+// be racing the VM (journal only at slice boundaries: arrival, first
+// suspension after admit, departure).
 func (s *Server) journalPut(rec *record, target, kind string) error {
 	if s.jr == nil {
 		return nil
@@ -1456,13 +1575,13 @@ func (s *Server) resumeEntry(ctx context.Context, e *journalEntry) bool {
 		s.spawn(func() { s.shipAgent(ctx, rec, vm.MigrateTarget(), KindMigrate) })
 	case vm.Status() == mavm.StatusDone:
 		rec.state = StateRunning
-		s.spawn(func() { s.finishAgent(ctx, rec, KindDone) })
+		s.spawn(func() { _ = s.finishAgent(ctx, rec, KindDone) })
 	case vm.Status() == mavm.StatusFailed:
 		rec.state = StateRunning
-		s.spawn(func() { s.finishAgent(ctx, rec, KindFailed) })
+		s.spawn(func() { _ = s.finishAgent(ctx, rec, KindFailed) })
 	default: // mavm.StatusReady: mid-itinerary, re-enter the loop
 		rec.state = StateRunning
-		s.startLoop(ctx, rec)
+		s.startLoop(ctx, rec, nil)
 	}
 	return true
 }

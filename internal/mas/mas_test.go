@@ -55,10 +55,11 @@ func newSimWorld(t *testing.T, hosts map[string]string) *simWorld {
 			Spawn:     w.queue.Go,
 		}
 		if home {
-			cfg.OnAgentHome = func(_ context.Context, a *Arrival) {
+			cfg.OnAgentHome = func(_ context.Context, a *Arrival) error {
 				w.mu.Lock()
 				w.arrivals = append(w.arrivals, a)
 				w.mu.Unlock()
+				return nil
 			}
 		}
 		srv, err := NewServer(cfg)
@@ -392,10 +393,11 @@ func newLiveWorld(t *testing.T) *simWorld {
 			FuelSlice: 200, // small slices so control ops interleave
 		}
 		if home {
-			cfg.OnAgentHome = func(_ context.Context, a *Arrival) {
+			cfg.OnAgentHome = func(_ context.Context, a *Arrival) error {
 				w.mu.Lock()
 				w.arrivals = append(w.arrivals, a)
 				w.mu.Unlock()
+				return nil
 			}
 		}
 		srv, err := NewServer(cfg)

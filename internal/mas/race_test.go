@@ -45,7 +45,7 @@ func TestFastHopReturnsBeforeSenderBookkeeping(t *testing.T) {
 	var arrivals []*Arrival
 	home, err := NewServer(Config{
 		Addr: "gw-0", Codec: codec, Transport: tr, Spawn: inline,
-		OnAgentHome: func(_ context.Context, a *Arrival) { arrivals = append(arrivals, a) },
+		OnAgentHome: func(_ context.Context, a *Arrival) error { arrivals = append(arrivals, a); return nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestRevisitedHostJournalStaysCoherent(t *testing.T) {
 	var arrivals []*Arrival
 	home, err := NewServer(Config{
 		Addr: "gw-0", Codec: codec, Transport: tr, Spawn: inline,
-		OnAgentHome: func(_ context.Context, a *Arrival) { arrivals = append(arrivals, a) },
+		OnAgentHome: func(_ context.Context, a *Arrival) error { arrivals = append(arrivals, a); return nil },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -218,7 +218,7 @@ func TestTenantSurvivesCrashRestart(t *testing.T) {
 	w := newJWorld(t, nil, netsim.ZoneWired)
 	ctx := netsim.WithClock(context.Background(), netsim.NewClock())
 
-	prog := compileSrc(t, `deliver("x", 1);`)
+	prog := compileSrc(t, suspendingSrc)
 	vm, err := mavm.New(prog, "ag-crash", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +226,7 @@ func TestTenantSurvivesCrashRestart(t *testing.T) {
 	if err := w.servers["gw-0"].AdmitAgentOwned(ctx, vm, "code-1", "dev-1", "acme", "gw-0"); err != nil {
 		t.Fatal(err)
 	}
-	// Crash before the queued agent loop ever ran: only the journal
+	// Crash before the queued departure ever ran: only the journal
 	// survives.
 	w.crash("gw-0")
 	w.queue.Drain()

@@ -17,9 +17,9 @@ type Span struct {
 	// Member is the member that recorded the span (gateway or MAS
 	// host address).
 	Member string
-	// Op names the hop: dispatch, forward, admit, transfer-out,
-	// transfer-in, deliver, result, relay-result, adopt-result,
-	// mailbox, shed.
+	// Op names the hop: dispatch, forward, admit, admit-failed,
+	// transfer-out, transfer-in, deliver, result, relay-result,
+	// adopt-result, mailbox, shed.
 	Op string
 	// Detail carries the op's object: a code id, a target address,
 	// an origin member, an owner, a shed reason.

@@ -13,9 +13,9 @@ import (
 type TraceSpan struct {
 	// Member is the gateway or MAS host that recorded the span.
 	Member string
-	// Op names the hop (dispatch, forward, admit, transfer-out,
-	// transfer-in, deliver, result, relay-result, adopt-result,
-	// mailbox, shed).
+	// Op names the hop (dispatch, forward, admit, admit-failed,
+	// transfer-out, transfer-in, deliver, result, relay-result,
+	// adopt-result, mailbox, shed).
 	Op string
 	// Detail carries the op's object: code id, target address,
 	// origin member, owner, shed reason.
