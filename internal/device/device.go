@@ -113,6 +113,11 @@ type Platform struct {
 	mboxRec   int               // record id of the mailbox-state record
 	queued    map[string]*queuedDispatch
 	queueIDs  []string // queue order (dispatch ids, FIFO)
+	// unread holds, per gateway, the mailbox batch a dispatch answer
+	// carried and PollMailbox has not processed yet. Memory only and at
+	// most one per gateway: the cursor moves when PollMailbox processes
+	// the batch, so one lost with the process is offered again.
+	unread map[string]*mailBatch
 	// collected remembers journeys whose results were obtained OUTSIDE
 	// mailbox delivery (direct or repair Collect), so a mailbox copy of
 	// the same result arriving later is recognisable as a duplicate —
@@ -174,6 +179,7 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		pendIDs:   map[string]int{},
 		cursors:   map[string]uint64{},
 		tokens:    map[string]string{},
+		unread:    map[string]*mailBatch{},
 		queued:    map[string]*queuedDispatch{},
 		collected: map[string]bool{},
 		rng:       rand.New(rand.NewSource(int64(hashOwner(cfg.Owner)))),

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"pdagent/internal/kxml"
 	"pdagent/internal/mavm"
 	"pdagent/internal/pisec"
+	"pdagent/internal/push"
 	"pdagent/internal/rms"
 	"pdagent/internal/transport"
 	"pdagent/internal/wire"
@@ -55,7 +57,8 @@ func (p *Platform) buildPI(codeID string, params map[string]mavm.Value) (*wire.P
 // uploadPI performs the online part of a dispatch: pack (compress +
 // seal), upload, record the pending journey and remember the gateway as
 // this device's session home (its mailbox collects our notifications).
-// The PI's nonce makes a retried upload idempotent at the gateway.
+// The PI's nonce makes a retried upload idempotent at the gateway. Mail
+// the answer carries is kept unprocessed for PollMailbox.
 func (p *Platform) uploadPI(ctx context.Context, pi *wire.PackedInformation) (string, error) {
 	p.mu.Lock()
 	entry, ok := p.subs[pi.CodeID]
@@ -79,20 +82,50 @@ func (p *Platform) uploadPI(ctx context.Context, pi *wire.PackedInformation) (st
 	}
 	p.packCap.Store(int64(len(body)))
 	gw := entry.sub.Gateway
-	resp, err := p.roundTrip(ctx, gw, &transport.Request{Path: "/pdagent/dispatch", Body: body})
+	req := &transport.Request{Path: "/pdagent/dispatch", Body: body}
+	// Ask for the waiting mail in the answer (DESIGN.md §7): the token and
+	// the cursor mean on an upload what they mean on a poll. Not while a
+	// batch is unread — the cursor has not moved past it, so the answer
+	// would carry the same entries again.
+	p.mu.Lock()
+	asked := p.tokens[gw] != "" && p.unread[gw] == nil
+	if asked {
+		req.SetHeader("mailbox-token", p.tokens[gw])
+		req.SetHeader("ack", strconv.FormatUint(p.cursors[gw], 10))
+	}
+	p.mu.Unlock()
+	resp, err := p.roundTrip(ctx, gw, req)
 	if err != nil {
 		return "", err
 	}
 	if !resp.IsOK() {
 		return "", fmt.Errorf("device: dispatching %q: %w", pi.CodeID, resp.Err())
 	}
-	agentID := resp.Text()
+	// A gateway that attached mail names the agent in the header and
+	// fills the body with the mailbox document; any other answer has the
+	// id in both places.
+	agentID := resp.GetHeader("agent")
+	var mail *mailBatch
+	if agentID == "" {
+		agentID = resp.Text()
+	} else if asked && string(resp.Body) != agentID {
+		_, entries, watermark, evicted, _, _, err := push.ParseEntries(resp.Body)
+		if err != nil {
+			// The dispatch stands; the mail is still in the mailbox.
+			p.logf("device %s: mail attached to the dispatch answer: %v", p.cfg.Owner, err)
+		} else {
+			mail = &mailBatch{entries: entries, watermark: watermark, evicted: evicted}
+		}
+	}
 	if agentID == "" {
 		return "", fmt.Errorf("device: gateway returned empty agent id")
 	}
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if mail != nil {
+		p.unread[gw] = mail
+	}
 	if _, exists := p.pending[agentID]; !exists {
 		// A retried upload (lost response, crash before this record)
 		// answers idempotently with the same agent id — don't write a

@@ -382,22 +382,46 @@ func (p *Platform) forgetPending(agentID string) {
 	delete(p.pending, agentID)
 }
 
-// PollMailbox collects mail from gw. With wait == 0 it performs
-// fetch+ack rounds until the mailbox is drained, so it ends fully
-// acknowledged at the gateway. With wait > 0 it is one long-poll: it
-// returns as soon as a batch is processed, and that batch's ack rides
-// the device's next request (its next poll here, or the first fetch of
-// its next session) instead of costing a round trip of its own. The
-// device-side cursor is persisted after each processed batch, so a crash
-// at any point resumes without loss or duplication.
+// mailBatch is one mailbox answer as received: the entries, the
+// watermark to persist once they are processed, and the gateway's
+// eviction count.
+type mailBatch struct {
+	entries            []*push.Entry
+	watermark, evicted uint64
+}
+
+// PollMailbox collects mail from gw. A batch the last dispatch's answer
+// carried is handed out first. With wait == 0 it then performs fetch+ack
+// rounds until the mailbox is drained, so it ends fully acknowledged at
+// the gateway. With wait > 0 it returns as soon as a batch is processed
+// — the carried one without any request, else one long-poll — and that
+// batch's ack rides the device's next request (its next upload or poll,
+// or the first fetch of its next session) instead of costing a round
+// trip of its own. The device-side cursor is persisted after each
+// processed batch, so a crash at any point resumes without loss or
+// duplication.
 func (p *Platform) PollMailbox(ctx context.Context, gw string, wait time.Duration) ([]Delivery, uint64, error) {
 	p.mu.Lock()
 	prevEdge := p.sessionGW
 	cursor := p.cursors[gw]
+	held := p.unread[gw]
+	delete(p.unread, gw)
 	p.mu.Unlock()
 
 	var all []Delivery
 	var evicted uint64
+	if held != nil && held.watermark > cursor {
+		// Entries a poll running beside the dispatch already processed
+		// are behind the cursor.
+		for len(held.entries) > 0 && held.entries[0].Seq <= cursor {
+			held.entries = held.entries[1:]
+		}
+		all = p.deliverBatch(gw, prevEdge, held.entries, held.watermark)
+		cursor, evicted = held.watermark, held.evicted
+		if wait > 0 {
+			return all, evicted, nil
+		}
+	}
 	for round := 0; ; round++ {
 		pe := ""
 		if round == 0 {
@@ -415,22 +439,8 @@ func (p *Platform) PollMailbox(ctx context.Context, gw string, wait time.Duratio
 		if len(entries) == 0 && watermark <= cursor {
 			break
 		}
-		all = append(all, p.processEntries(entries)...)
+		all = append(all, p.deliverBatch(gw, prevEdge, entries, watermark)...)
 		cursor = watermark
-
-		p.mu.Lock()
-		p.cursors[gw] = cursor
-		p.sessionGW = gw
-		if p.tokens[gw] == "" && prevEdge != "" && p.tokens[prevEdge] != "" {
-			// The poll succeeded with the previous edge's token: this
-			// gateway adopted it during the migration, so it is now
-			// valid here too.
-			p.tokens[gw] = p.tokens[prevEdge]
-		}
-		if err := p.storeMailboxStateLocked(); err != nil {
-			p.logf("device %s: persisting mailbox cursor: %v", p.cfg.Owner, err)
-		}
-		p.mu.Unlock()
 		if len(entries) == 0 || wait > 0 {
 			break
 		}
@@ -440,6 +450,26 @@ func (p *Platform) PollMailbox(ctx context.Context, gw string, wait time.Duratio
 		// costs a redelivery that the cursor filters out.
 	}
 	return all, evicted, nil
+}
+
+// deliverBatch processes one mailbox batch from gw and persists the
+// cursor it advances to.
+func (p *Platform) deliverBatch(gw, prevEdge string, entries []*push.Entry, watermark uint64) []Delivery {
+	out := p.processEntries(entries)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.cursors[gw] = watermark
+	p.sessionGW = gw
+	if p.tokens[gw] == "" && prevEdge != "" && p.tokens[prevEdge] != "" {
+		// The poll succeeded with the previous edge's token: this
+		// gateway adopted it during the migration, so it is now
+		// valid here too.
+		p.tokens[gw] = p.tokens[prevEdge]
+	}
+	if err := p.storeMailboxStateLocked(); err != nil {
+		p.logf("device %s: persisting mailbox cursor: %v", p.cfg.Owner, err)
+	}
+	return out
 }
 
 // OpenSession is the reconnection ritual of a disconnection-tolerant

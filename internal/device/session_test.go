@@ -534,14 +534,15 @@ func TestRateLimited429KeepsQueue(t *testing.T) {
 	f.queue.Drain()
 }
 
-// TestLongPollAckRidesNextRequest: a long-polling device spends no
-// round trip on acknowledging — PollMailbox returns with the batch and
-// the ack travels on the next request, where the gateway stages it. So
-// there is a window in which the device has its mail, the gateway has
-// been told, and the store has not. A gateway crash in that window, a
-// device restart in it, or both, cost a re-offer that the cursor
-// absorbs: the application receives nothing twice and the mailbox ends
-// empty on disk.
+// TestLongPollAckRidesNextRequest: a device whose agent is still
+// travelling when its upload is answered long-polls for the result, and
+// spends no round trip on acknowledging it — PollMailbox returns with the
+// batch and the ack travels on the next request (here the next upload,
+// whose result's enqueue commits it). So there is a window in which the
+// device has its mail and the gateway has not been told. A gateway crash
+// in that window, a device restart in it, or both, cost a re-offer that
+// the cursor absorbs: the application receives nothing twice and the
+// mailbox ends empty on disk.
 func TestLongPollAckRidesNextRequest(t *testing.T) {
 	for _, tc := range []struct {
 		name                  string
@@ -557,13 +558,13 @@ func TestLongPollAckRidesNextRequest(t *testing.T) {
 			f := newSessionFixture(t, nil)
 			f.startGateway(t, mbx)
 			ctx := context.Background()
-			if err := f.plat.Subscribe(ctx, "gw-d", "echo"); err != nil {
+			if err := f.plat.Subscribe(ctx, "gw-d", "slow"); err != nil {
 				t.Fatal(err)
 			}
 			requests := func() int { return f.net.Stats().Messages }
 			var got []string
 			for j := 0; j < 2; j++ {
-				id, err := f.plat.Dispatch(ctx, "echo", nil)
+				id, err := f.plat.Dispatch(ctx, "slow", nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -578,20 +579,21 @@ func TestLongPollAckRidesNextRequest(t *testing.T) {
 				}
 				got = append(got, id)
 			}
-			// The second long-poll carried ack=1; the device holds entry 2.
+			// The second upload carried ack=1 and its result's enqueue
+			// committed it; the device holds entry 2 and has told nobody.
 			hub := f.gw.Mailbox()
-			if st := hub.Stats(); st.StagedAcks != 1 || st.Pending != 1 || f.plat.Cursor("gw-d") != 2 {
+			if st := hub.Stats(); st.AcksFolded != 1 || st.StagedAcks != 0 || st.Pending != 1 || f.plat.Cursor("gw-d") != 2 {
 				t.Fatalf("before the fault: %+v, device cursor %d", st, f.plat.Cursor("gw-d"))
 			}
-			if n, _ := mbx.NumRecords(); n != 3 {
-				t.Fatalf("mailbox store holds %d records, want both entries and the meta (nothing committed yet)", n)
+			if n, _ := mbx.NumRecords(); n != 2 {
+				t.Fatalf("mailbox store holds %d records, want entry 2 and the meta", n)
 			}
 
 			if tc.gwRestart {
-				f.startGateway(t, mbx) // no Close: the staged ack dies with the process
+				f.startGateway(t, mbx)
 				hub = f.gw.Mailbox()
-				if n := hub.Pending("test-dev"); n != 2 {
-					t.Fatalf("restarted gateway re-offers %d entries, want both", n)
+				if n := hub.Pending("test-dev"); n != 1 {
+					t.Fatalf("restarted gateway re-offers %d entries, want entry 2", n)
 				}
 			}
 			plat := f.plat
@@ -615,5 +617,311 @@ func TestLongPollAckRidesNextRequest(t *testing.T) {
 				t.Fatalf("mailbox store holds %d records at the end, want the meta record alone", n)
 			}
 		})
+	}
+}
+
+// downlinkTap wraps a device's transport: it counts the requests the
+// device makes and notes every mailbox entry that reaches it (on a
+// mailbox answer or attached to a dispatch answer). Beneath it sits a
+// lossyDispatch, disarmed until a test clears its tripped flag.
+type downlinkTap struct {
+	lossy    lossyDispatch
+	requests int
+	attached int      // dispatch answers that carried mail
+	seqs     []uint64 // mailbox entries received, in arrival order
+}
+
+func (d *downlinkTap) RoundTrip(ctx context.Context, addr string, req *transport.Request) (*transport.Response, error) {
+	d.requests++
+	resp, err := d.lossy.RoundTrip(ctx, addr, req)
+	if err != nil || !resp.IsOK() {
+		return resp, err
+	}
+	if _, entries, _, _, _, _, perr := push.ParseEntries(resp.Body); perr == nil {
+		if req.Path == "/pdagent/dispatch" {
+			d.attached++
+		}
+		for _, e := range entries {
+			d.seqs = append(d.seqs, e.Seq)
+		}
+	}
+	return resp, nil
+}
+
+// newTappedFixture is a session fixture whose gateway keeps its
+// mailboxes in the returned store and whose device talks through the
+// returned tap, one echo journey (dispatch + long-poll: the device now
+// holds its mailbox token and cursor 1) already behind it.
+func newTappedFixture(t *testing.T) (*fixture, *downlinkTap, *rms.MemStore) {
+	t.Helper()
+	tap := &downlinkTap{}
+	f := newSessionFixture(t, func(c *Config) {
+		tap.lossy = lossyDispatch{inner: c.Transport, tripped: true}
+		c.Transport = tap
+	})
+	mbx := rms.NewMemStore("gw-mailbox", 0)
+	f.startGateway(t, mbx)
+	ctx := context.Background()
+	for _, code := range []string{"echo", "slow"} {
+		if err := f.plat.Subscribe(ctx, "gw-d", code); err != nil {
+			t.Fatal(err)
+		}
+	}
+	id, err := f.plat.Dispatch(ctx, "echo", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds, _, err := f.plat.PollMailbox(ctx, "gw-d", time.Second); err != nil || len(ds) != 1 || ds[0].AgentID != id {
+		t.Fatalf("first journey: long-poll delivered %+v, %v", ds, err)
+	}
+	if tap.attached != 0 || f.plat.Cursor("gw-d") != 1 {
+		t.Fatalf("first journey: %d dispatch answer(s) carried mail, cursor %d; a token-less upload asks for none", tap.attached, f.plat.Cursor("gw-d"))
+	}
+	return f, tap, mbx
+}
+
+// TestZeroHopJourneyTakesOneRequest is TestZeroHopJourneyTakesOneSession
+// for a device that is online: once it holds its mailbox token, the
+// upload's answer is the delivery — PollMailbox hands the result out
+// without a request of its own, and the previous journey's ack shared the
+// result's commit.
+func TestZeroHopJourneyTakesOneRequest(t *testing.T) {
+	f, tap, mbx := newTappedFixture(t)
+	ctx := context.Background()
+	before := tap.requests
+	id, err := f.plat.Dispatch(ctx, "echo", mavmParams(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, _, err := f.plat.PollMailbox(ctx, "gw-d", time.Second)
+	if err != nil || len(ds) != 1 || ds[0].AgentID != id || ds[0].Seq != 2 || !ds[0].Result.OK() {
+		t.Fatalf("delivered %+v, %v; want the result of %s as entry 2", ds, err, id)
+	}
+	if n := tap.requests - before; n != 1 || tap.attached != 1 {
+		t.Fatalf("the journey took %d request(s), %d answer(s) carried mail; want 1 and 1", n, tap.attached)
+	}
+	if st := f.gw.Mailbox().Stats(); st.AcksFolded != 1 || st.AcksFlushed != 0 || st.StagedAcks != 0 {
+		t.Fatalf("ack of entry 1: %+v; want it folded into entry 2's commit", st)
+	}
+	if n, _ := mbx.NumRecords(); n != 2 || f.plat.Cursor("gw-d") != 2 || len(f.plat.Pending()) != 0 {
+		t.Fatalf("%d mailbox record(s), cursor %d, pending %v; want entry 2 and the meta, 2, none", n, f.plat.Cursor("gw-d"), f.plat.Pending())
+	}
+}
+
+// TestDispatchAnswerCarriesMail is the crash/loss matrix of the
+// answered-in-the-dispatch delivery. The batch an answer carries stays
+// unprocessed until PollMailbox, so every fault lands where a long-poll's
+// would: the cursor has not moved, the entry is offered again, and the
+// application receives each result once.
+func TestDispatchAnswerCarriesMail(t *testing.T) {
+	for _, fault := range []string{"none", "answer lost", "device restart", "gateway restart, staged ack lost"} {
+		t.Run(fault, func(t *testing.T) {
+			f, tap, mbx := newTappedFixture(t)
+			ctx := context.Background()
+			plat, hub := f.plat, f.gw.Mailbox()
+			if fault == "answer lost" {
+				tap.lossy.tripped = false // the next dispatch answer is swallowed
+			}
+			id, err := plat.Dispatch(ctx, "echo", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fault == "device restart" {
+				// The unread batch dies with the process; the cursor it
+				// would have moved is still 1.
+				plat = f.restartPlatform(t)
+			}
+			before := tap.requests
+			ds, _, err := plat.PollMailbox(ctx, "gw-d", time.Second)
+			if err != nil || len(ds) != 1 || ds[0].AgentID != id {
+				t.Fatalf("delivered %+v, %v; want the result of %s once", ds, err, id)
+			}
+			switch fault {
+			case "answer lost":
+				// The retry answered idempotently, mail-less; the long-poll
+				// fetched what the lost answer had carried.
+				if tap.attached != 0 || tap.requests-before != 1 {
+					t.Fatalf("%d answer(s) carried mail, the poll took %d request(s); want 0 and 1", tap.attached, tap.requests-before)
+				}
+			case "device restart":
+				if n := hub.Stats().Delivered; n != 1 {
+					t.Fatalf("%d entries retired, want entry 2 still owed its ack", n)
+				}
+			default:
+				if tap.attached != 1 || tap.requests != before {
+					t.Fatalf("%d answer(s) carried mail, the poll took %d request(s); want 1 and 0", tap.attached, tap.requests-before)
+				}
+			}
+			if fault == "gateway restart, staged ack lost" {
+				// An upload whose agent travels carries ack=2 and commits
+				// nothing; the gateway dies (the journal-less fixture's
+				// travelling agent with it) before anything else does.
+				if _, err := plat.Dispatch(ctx, "slow", nil); err != nil {
+					t.Fatal(err)
+				}
+				if st := hub.Stats(); st.StagedAcks != 1 || st.Pending != 0 {
+					t.Fatalf("before the crash: %+v, want ack 2 staged", st)
+				}
+				f.startGateway(t, mbx)
+				hub = f.gw.Mailbox()
+				if n := hub.Pending("test-dev"); n != 1 {
+					t.Fatalf("restarted gateway re-offers %d entries, want entry 2", n)
+				}
+			}
+			// Whatever happened, the next contacts deliver nothing again and
+			// leave the mailbox empty on disk.
+			if ds, _, err := plat.PollMailbox(ctx, "gw-d", 5*time.Millisecond); err != nil || len(ds) != 0 {
+				t.Fatalf("long-poll afterwards delivered %+v, %v", ds, err)
+			}
+			if s, err := plat.OpenSession(ctx); err != nil || len(s.Deliveries) != 0 {
+				t.Fatalf("session afterwards delivered %+v, %v", s, err)
+			}
+			if st := hub.Stats(); st.Pending != 0 || st.StagedAcks != 0 {
+				t.Fatalf("mailbox not empty at the end: %+v", st)
+			}
+			if n, _ := mbx.NumRecords(); n != 1 {
+				t.Fatalf("mailbox store holds %d records at the end, want the meta record alone", n)
+			}
+		})
+	}
+}
+
+// TestBackToBackDispatchesAttachOneBatch: a device that uploads four
+// executions in a row and then opens a session asks for its mail once —
+// while the first answer's batch is unread the later uploads present
+// neither token nor cursor, so no entry crosses the downlink twice — and
+// the session costs the requests it always did.
+func TestBackToBackDispatchesAttachOneBatch(t *testing.T) {
+	f, tap, _ := newTappedFixture(t)
+	ctx := context.Background()
+	before, seen := tap.requests, len(tap.seqs)
+	want := map[string]bool{}
+	for i := 0; i < 4; i++ {
+		id, err := f.plat.Dispatch(ctx, "echo", mavmParams(int64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[id] = true
+	}
+	s, err := f.plat.OpenSession(ctx)
+	if err != nil || len(s.Deliveries) != 4 {
+		t.Fatalf("session = %+v, %v; want the four results", s, err)
+	}
+	for _, d := range s.Deliveries {
+		if !want[d.AgentID] || d.Result == nil {
+			t.Fatalf("unexpected or repeated delivery %+v", d)
+		}
+		delete(want, d.AgentID)
+	}
+	if tap.attached != 1 {
+		t.Fatalf("%d dispatch answers carried mail, want only the first", tap.attached)
+	}
+	for i, seq := range tap.seqs[seen:] {
+		if seq != uint64(2+i) {
+			t.Fatalf("downlink carried entries %v after the first journey, want 2..5 once each", tap.seqs[seen:])
+		}
+	}
+	// Four uploads, a fetch for what the first answer did not carry, and
+	// the empty fetch that commits the last ack: what a device that never
+	// asks on an upload spends.
+	if n := tap.requests - before; n != 6 {
+		t.Fatalf("the cycle took %d requests, want 6", n)
+	}
+	if st := f.gw.Mailbox().Stats(); st.Pending != 0 || st.StagedAcks != 0 {
+		t.Fatalf("mailbox not empty after the session: %+v", st)
+	}
+}
+
+// TestStaleTokenGetsFreshOneAndNoMail: a gateway that lost a volatile
+// mailbox store no longer knows the token the device presents. It answers
+// as it answers a device that presents none — the current token stamped,
+// no ack applied, no mail — and the device's next session runs on the
+// new token.
+func TestStaleTokenGetsFreshOneAndNoMail(t *testing.T) {
+	f, tap, _ := newTappedFixture(t)
+	ctx := context.Background()
+	f.startGateway(t, nil) // registry and mailboxes gone
+	if err := f.plat.Subscribe(ctx, "gw-d", "echo"); err != nil {
+		t.Fatal(err)
+	}
+	id, err := f.plat.Dispatch(ctx, "echo", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := f.gw.Mailbox()
+	if st := hub.Stats(); tap.attached != 0 || st.Delivered != 0 || st.StagedAcks != 0 || st.Pending != 1 {
+		t.Fatalf("%d answer(s) carried mail, hub %+v; want the stale token to read and retire nothing", tap.attached, st)
+	}
+	f.plat.mu.Lock()
+	tok := f.plat.tokens["gw-d"]
+	f.plat.mu.Unlock()
+	if tok == "" || tok != hub.TokenOf("test-dev") {
+		t.Fatalf("device holds token %q, gateway minted %q", tok, hub.TokenOf("test-dev"))
+	}
+	s, err := f.plat.OpenSession(ctx)
+	if err != nil || len(s.Deliveries) != 1 || s.Deliveries[0].AgentID != id {
+		t.Fatalf("session = %+v, %v; want the result of %s", s, err, id)
+	}
+}
+
+// TestDispatchAgainstMailboxlessGateway: a device that asks for its mail
+// on an upload to a gateway that runs no mailbox subsystem gets the plain
+// answer — the agent id — and collects directly, as it always did.
+func TestDispatchAgainstMailboxlessGateway(t *testing.T) {
+	f, tap, _ := newTappedFixture(t)
+	ctx := context.Background()
+	gw, err := gateway.New(gateway.Config{
+		Addr: "gw-d", KeyPair: kp, Transport: f.net.Transport(netsim.ZoneWired),
+		Spawn: f.queue.Go, FuelSlice: fixtureFuel,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addEchoPackages(t, gw)
+	f.net.AddHost("gw-d", netsim.ZoneWired, gw.Handler())
+	if err := f.plat.Subscribe(ctx, "gw-d", "echo"); err != nil {
+		t.Fatal(err)
+	}
+	id, err := f.plat.Dispatch(ctx, "echo", mavmParams(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, ok := gw.Registry().Agent(id); !ok || !st.Done || tap.attached != 0 {
+		t.Fatalf("dispatch returned %q: registry %+v, %d answer(s) carried mail", id, st, tap.attached)
+	}
+	if rd, err := f.plat.Collect(ctx, id); err != nil || !rd.OK() {
+		t.Fatalf("collect = %+v, %v", rd, err)
+	}
+}
+
+// TestUnreadBatchBehindCursorIsSkipped: a long-poll running beside the
+// upload can be handed, and process, entries the upload's answer carried
+// too. What the cursor has passed by the time PollMailbox takes the
+// unread batch is not delivered again.
+func TestUnreadBatchBehindCursorIsSkipped(t *testing.T) {
+	f, tap, _ := newTappedFixture(t)
+	ctx := context.Background()
+	note := func(seq uint64) *push.Entry {
+		return &push.Entry{Seq: seq, Kind: push.KindManage, AgentID: "ag-x", Body: []byte("note")}
+	}
+	for seq := uint64(2); seq <= 4; seq++ {
+		if got, _, err := f.gw.Mailbox().Enqueue("test-dev", push.KindManage, "ag-x", "", []byte("note")); err != nil || got != seq {
+			t.Fatalf("enqueue = seq %d, %v; want %d", got, err, seq)
+		}
+	}
+	f.plat.mu.Lock()
+	f.plat.cursors["gw-d"] = 3
+	f.plat.unread["gw-d"] = &mailBatch{entries: []*push.Entry{note(2), note(3), note(4)}, watermark: 4}
+	f.plat.mu.Unlock()
+	before := tap.requests
+	ds, _, err := f.plat.PollMailbox(ctx, "gw-d", time.Second)
+	if err != nil || len(ds) != 1 || ds[0].Seq != 4 || tap.requests != before || f.plat.Cursor("gw-d") != 4 {
+		t.Fatalf("delivered %+v, %v, cursor %d after %d request(s); want entry 4 alone, no request", ds, err, f.plat.Cursor("gw-d"), tap.requests-before)
+	}
+	f.plat.mu.Lock()
+	f.plat.unread["gw-d"] = &mailBatch{entries: []*push.Entry{note(4)}, watermark: 4}
+	f.plat.mu.Unlock()
+	if ds, _, err := f.plat.PollMailbox(ctx, "gw-d", time.Millisecond); err != nil || len(ds) != 0 || tap.requests != before+1 {
+		t.Fatalf("a batch wholly behind the cursor delivered %+v, %v after %d request(s); want it dropped and one long-poll", ds, err, tap.requests-before)
 	}
 }

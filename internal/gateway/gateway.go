@@ -32,6 +32,7 @@ package gateway
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -189,6 +190,9 @@ type Gateway struct {
 	relays atomic.Int64
 	// resultsSwept counts result documents reclaimed by the TTL sweep.
 	resultsSwept atomic.Uint64
+	// Mailbox entries handed to devices, by the answer that carried them:
+	// a dispatch's, a long-poll's, a session fetch's.
+	mailDispatch, mailPoll, mailFetch atomic.Uint64
 	// Migration-pull herd protection (see pullMailboxFrom): per-device
 	// singleflight plus a global concurrency bound.
 	mbPullMu       sync.Mutex
@@ -770,12 +774,6 @@ func (g *Gateway) dispatchDevice(ctx context.Context, req *transport.Request) *t
 			g.hub.SetTenant(pi.Owner, tenantID)
 		}
 	}
-	stamped := func(resp *transport.Response) *transport.Response {
-		if mailboxToken != "" && resp.IsOK() {
-			resp.SetHeader("mailbox-token", mailboxToken)
-		}
-		return resp
-	}
 
 	// Replay protection (extension beyond the paper's Figure 7): every
 	// PI must carry a fresh nonce; a captured upload replayed verbatim
@@ -789,13 +787,14 @@ func (g *Gateway) dispatchDevice(ctx context.Context, req *transport.Request) *t
 		// dispatch whose response was lost: answer idempotently with the
 		// original agent id. Anything else is a replay (or a still
 		// in-flight admission) and is refused. Deliberately NOT stamped
-		// with the mailbox token: a wire-captured PI replayed by an
-		// attacker takes this exact path, and the token gates mailbox
-		// reads and destructive acks — only first admissions (fresh
-		// nonces the attacker cannot mint without the subscription
-		// secret) hand it out. The legitimate device that lost the
-		// original response falls back to the pull-repair collect until
-		// its next fresh dispatch re-delivers the token.
+		// with the mailbox token, and deaf to an ack: a wire-captured PI
+		// replayed by an attacker takes this exact path, and the token
+		// gates mailbox reads and destructive acks — only first admissions
+		// (fresh nonces the attacker cannot mint without the subscription
+		// secret) hand it out, retire mail or carry it. The legitimate
+		// device that lost the original response falls back to the
+		// pull-repair collect until its next fresh dispatch re-delivers
+		// the token.
 		if agentID := g.reg.NonceAgent(pi.CodeID, pi.Owner, pi.Nonce); agentID != "" {
 			resp := transport.OKText(agentID)
 			resp.SetHeader("agent", agentID)
@@ -805,15 +804,43 @@ func (g *Gateway) dispatchDevice(ctx context.Context, req *transport.Request) *t
 			"replayed packed information (nonce already used)")
 	}
 
+	// Answered in the dispatch (DESIGN.md §7): a device that presents its
+	// mailbox token and cursor on the upload is asking for what a poll
+	// would ask. The ack is staged now, ahead of the admission, so the
+	// enqueue of a journey that ends inside it commits both at once; the
+	// mail goes out with the answer. Any other request — no token, a stale
+	// one, no cursor — is answered as it always was, current token stamped.
+	mailAsked := false
+	if g.hub != nil && g.hub.CheckToken(pi.Owner, req.GetHeader("mailbox-token")) {
+		if ack, err := strconv.ParseUint(req.GetHeader("ack"), 10, 64); err == nil {
+			mailAsked = true
+			// Only the ack is wanted here; the mail is read once the
+			// admission has added to it.
+			_, _, _, _ = g.hub.PollStaged(pi.Owner, ack, 1)
+		}
+	}
+	answer := func(resp *transport.Response) *transport.Response {
+		if !resp.IsOK() {
+			return resp
+		}
+		if mailAsked {
+			return g.attachMail(pi.Owner, resp)
+		}
+		if mailboxToken != "" {
+			resp.SetHeader("mailbox-token", mailboxToken)
+		}
+		return resp
+	}
+
 	// Federation: the security check happened here at the edge; if the
 	// consistent-hash ring homes this subscription on another member,
 	// hand the authenticated PI over and track the agent remotely.
 	if g.cfg.Cluster != nil {
 		if resp, routed := g.routeDispatch(ctx, pi, tenantID); routed {
-			return stamped(resp)
+			return answer(resp)
 		}
 	}
-	return stamped(g.admitDispatch(ctx, pi, "", tenantID))
+	return answer(g.admitDispatch(ctx, pi, "", tenantID))
 }
 
 // admitDispatch is steps 4–6 of the Agent Dispatch Handler: compile,

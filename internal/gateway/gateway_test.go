@@ -143,6 +143,13 @@ func (f *fixture) subscribe(t *testing.T, codeID, owner string) *wire.Subscripti
 
 func (f *fixture) dispatchPI(t *testing.T, pi *wire.PackedInformation, sealed bool) *transport.Response {
 	t.Helper()
+	return f.dispatchBody(t, f.packPI(t, pi, sealed))
+}
+
+// packPI packs pi the way a device does, minting its nonce if it has
+// none.
+func (f *fixture) packPI(t *testing.T, pi *wire.PackedInformation, sealed bool) []byte {
+	t.Helper()
 	if pi.Nonce == "" {
 		n, err := wire.NewNonce()
 		if err != nil {
@@ -158,18 +165,12 @@ func (f *fixture) dispatchPI(t *testing.T, pi *wire.PackedInformation, sealed bo
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f.dispatchBody(t, body)
+	return body
 }
 
 func (f *fixture) dispatchBody(t *testing.T, body []byte) *transport.Response {
 	t.Helper()
-	resp, err := f.tr.RoundTrip(context.Background(), "gw-t", &transport.Request{
-		Path: "/pdagent/dispatch", Body: body,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp
+	return upload(t, f, body, nil)
 }
 
 func TestCatalogAndSubscribe(t *testing.T) {

@@ -133,6 +133,24 @@ func (g *Gateway) enqueueNote(agentID, owner, kind, eventID, note string) {
 	}
 }
 
+// attachMail turns an OK dispatch answer into a mailbox delivery for a
+// device that asked for one: whatever is pending beyond its cursor, the
+// journey just admitted included if it is already over, rides the
+// answer as the mailbox document a poll would have fetched, the agent id
+// in the header alone. With nothing pending (the agent travels, a
+// forwarded journey's result is not relayed yet) the answer goes out as
+// it is and the device long-polls.
+func (g *Gateway) attachMail(device string, resp *transport.Response) *transport.Response {
+	entries, watermark, evicted, err := g.hub.PollStaged(device, 0, defaultPollBatch)
+	if err != nil || len(entries) == 0 {
+		return resp
+	}
+	g.mailDispatch.Add(uint64(len(entries)))
+	out := transport.OK(push.EncodeEntries(device, entries, watermark, evicted))
+	out.SetHeader("agent", resp.GetHeader("agent"))
+	return out
+}
+
 // --- device-facing delivery endpoints -----------------------------------
 
 // defaultPollBatch bounds one poll response when the device does not
@@ -250,6 +268,11 @@ func (g *Gateway) serveMailbox(ctx context.Context, req *transport.Request, long
 			// it fails; the hub logs that.)
 			_, _ = g.hub.Ack(device, after)
 		}
+	}
+	if longPoll {
+		g.mailPoll.Add(uint64(len(entries)))
+	} else {
+		g.mailFetch.Add(uint64(len(entries)))
 	}
 	return transport.OK(push.EncodeEntries(device, entries, watermark, evicted))
 }

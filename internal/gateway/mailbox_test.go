@@ -391,11 +391,16 @@ func TestFailedAdmissionReleasesNonce(t *testing.T) {
 // staged. The parked row is an agent that suspends: the poll parks
 // ahead of the result with the ack staged, the enqueue that wakes it
 // commits that ack, and the journal pays its record and its tombstone.
+// A device answered in its dispatch (token and cursor on the upload, from
+// its second journey on) makes one request: the ack is staged ahead of
+// the admission, so the enqueue folds the ack of the entry just before
+// its own and the mailbox at rest holds the entry just delivered alone.
 func TestEchoJourneyFsyncBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
 		code        string
 		wait        time.Duration
+		inDispatch  bool // ask for the mail on the upload once the token is held
 		wantJournal uint64
 		wantMailbox uint64
 		wantStaged  int // acks staged, uncommitted, when the journey is over
@@ -404,6 +409,7 @@ func TestEchoJourneyFsyncBudget(t *testing.T) {
 		{name: "session", code: "echo", wantMailbox: 2, wantResting: 1},
 		{name: "long-poll", code: "echo", wait: 30 * time.Second, wantMailbox: 1, wantStaged: 1, wantResting: 3},
 		{name: "long-poll parked", code: "slow", wait: 30 * time.Second, wantJournal: 2, wantMailbox: 1, wantResting: 2},
+		{name: "answered in dispatch", code: "echo", wait: 30 * time.Second, inDispatch: true, wantMailbox: 1, wantResting: 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			journal, mailbox := openTestWAL(t, "journal.wal"), openTestWAL(t, "mailbox.wal")
@@ -416,10 +422,20 @@ func TestEchoJourneyFsyncBudget(t *testing.T) {
 			hub := f.gw.Mailbox()
 			var cursor uint64
 			journey := func() {
-				agentID := dispatchCode(t, f, tc.code, "dev-1")
+				var agentID string
 				var entries []*push.Entry
 				var watermark uint64
-				if f.queue.Len() == 0 {
+				if tc.inDispatch && cursor > 0 {
+					// One request: the upload carries the previous journey's
+					// ack, the answer carries this journey's result.
+					sub := f.subscribe(t, tc.code, "dev-1")
+					before := f.net.Stats().Messages
+					resp := upload(t, f, f.packPI(t, f.echoPI(sub, "dev-1"), false), asking(hub.TokenOf("dev-1"), cursor))
+					if n := f.net.Stats().Messages - before; n != 1 {
+						t.Fatalf("the journey took %d requests, want 1", n)
+					}
+					agentID, entries, watermark = wantMail(t, resp)
+				} else if agentID = dispatchCode(t, f, tc.code, "dev-1"); f.queue.Len() == 0 {
 					// The result is in the mailbox when the dispatch answers:
 					// a long-poll carrying the previous journey's ack stages
 					// it and returns at once, without parking.
@@ -595,8 +611,9 @@ func TestOldDeviceConfirmRoundStillCommits(t *testing.T) {
 }
 
 // TestMailboxAckRaces runs everything that can commit a device's acks
-// at once — its long-poll, its session fetches, enqueues, the sweeper
-// and, half-way, the hub's Close — and then reads the store the way a
+// at once — its long-poll, its session fetches, its uploads (each
+// carrying an ack and bringing mail back), enqueues, the sweeper and,
+// half-way, the hub's Close — and then reads the store the way a
 // restart would: every entry was enqueued once and delivered, and
 // nothing acknowledged is still on disk. Under -race it is the proof
 // that a staged ack is never committed twice or dropped between two
@@ -604,18 +621,21 @@ func TestOldDeviceConfirmRoundStillCommits(t *testing.T) {
 func TestMailboxAckRaces(t *testing.T) {
 	store := rms.NewMemStore("mbx", 0)
 	f := newMailboxFixture(t, &MailboxConfig{Store: store, DedupTTL: -1})
+	f.addEcho(t)
+	sub := f.subscribe(t, "echo", "dev-1")
 	hub := f.gw.Mailbox()
-	const total = 200
+	const enqueues, uploads = 200, 50
+	const total = enqueues + uploads // every upload's journey enqueues its result
 
-	// One device, one durable cursor, two code paths reading through it.
+	// One device, one durable cursor, three code paths reading through it.
 	var mu sync.Mutex
 	var cursor uint64
 	seen := map[uint64]bool{}
-	consume := func(wait time.Duration) {
+	consume := func(fetch func(ack uint64) (entries []*push.Entry, watermark uint64, err error)) {
 		mu.Lock()
 		ack := cursor
 		mu.Unlock()
-		entries, watermark, _, err := tryFetchMailbox(f, "dev-1", ack, wait)
+		entries, watermark, err := fetch(ack)
 		mu.Lock()
 		defer mu.Unlock()
 		if err != nil {
@@ -643,9 +663,9 @@ func TestMailboxAckRaces(t *testing.T) {
 			fn()
 		}()
 	}
-	hub.Touch("dev-1")
+	tok := hub.Touch("dev-1")
 	run(func() {
-		for i := 1; i <= total; i++ {
+		for i := 1; i <= enqueues; i++ {
 			agent := "ag-" + strconv.Itoa(i)
 			if _, _, err := hub.Enqueue("dev-1", push.KindResult, agent, "result:"+agent, []byte("<r/>")); err != nil {
 				t.Error(err)
@@ -653,13 +673,40 @@ func TestMailboxAckRaces(t *testing.T) {
 			}
 		}
 	})
+	mailbox := func(wait time.Duration) func(uint64) ([]*push.Entry, uint64, error) {
+		return func(ack uint64) ([]*push.Entry, uint64, error) {
+			entries, watermark, _, err := tryFetchMailbox(f, "dev-1", ack, wait)
+			return entries, watermark, err
+		}
+	}
 	for _, wait := range []time.Duration{time.Millisecond, 0} {
 		run(func() {
 			for !seenAtLeast(total) && !t.Failed() {
-				consume(wait)
+				consume(mailbox(wait))
 			}
 		})
 	}
+	bodies := make([][]byte, uploads)
+	for i := range bodies {
+		bodies[i] = f.packPI(t, f.echoPI(sub, "dev-1"), false)
+	}
+	run(func() {
+		for _, body := range bodies {
+			consume(func(ack uint64) ([]*push.Entry, uint64, error) {
+				resp, err := tryUpload(f, body, asking(tok, ack))
+				if err != nil || !resp.IsOK() {
+					return nil, 0, fmt.Errorf("upload: %v %v", resp, err)
+				}
+				// A concurrent reader may have taken everything, this
+				// journey's result included: then the answer is the plain one.
+				_, entries, watermark, _, _, _, err := push.ParseEntries(resp.Body)
+				if err != nil {
+					return nil, ack, nil
+				}
+				return entries, watermark, nil
+			})
+		}
+	})
 	run(func() {
 		for !seenAtLeast(total/2) && !t.Failed() {
 			time.Sleep(100 * time.Microsecond)
@@ -682,7 +729,7 @@ func TestMailboxAckRaces(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	<-swept
-	consume(time.Millisecond) // the last batch's ack, on a closed hub
+	consume(mailbox(time.Millisecond)) // the last batch's ack, on a closed hub
 
 	st := hub.Stats()
 	if st.Enqueued != total || st.Delivered != total || st.Pending != 0 || st.StagedAcks != 0 {

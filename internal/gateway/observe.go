@@ -218,8 +218,17 @@ func (g *Gateway) initObserve() {
 				st := c.stats()
 				return map[string]float64{"folded": float64(st.AcksFolded), "flushed": float64(st.AcksFlushed)}
 			})
+		m.CounterVecFunc("pdagent_mailbox_delivered_total",
+			"Mailbox entries handed to devices, by the answer that carried them: dispatch cost the device no request of its own, poll is a long-poll, fetch a session's fetch+ack round.",
+			"via", func() map[string]float64 {
+				return map[string]float64{
+					"dispatch": float64(g.mailDispatch.Load()),
+					"poll":     float64(g.mailPoll.Load()),
+					"fetch":    float64(g.mailFetch.Load()),
+				}
+			})
 		m.GaugeFunc("pdagent_mailbox_staged_acks",
-			"Long-poll acknowledgements in force in memory and waiting for their mailbox's next commit.",
+			"Acknowledgements (a long-poll's, an upload's) in force in memory and waiting for their mailbox's next commit.",
 			func() float64 { return float64(c.stats().StagedAcks) })
 		m.GaugeFunc("pdagent_mailbox_dedup_ids",
 			"Event ids currently held in mailbox dedup windows.",
