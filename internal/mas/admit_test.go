@@ -41,14 +41,19 @@ func (s *countStore) Apply(ops []rms.Op) ([]int, error) {
 	return s.Store.Apply(ops)
 }
 
-// countedHome swaps gw-0's journal for a counting one (and, with fuel
-// > 0, its FuelSlice) and restarts the server over it.
-func (w *jWorld) countedHome(fuel uint64) *countStore {
-	cs := &countStore{Store: rms.NewMemStore("journal-gw-0", 0)}
-	w.journals["gw-0"] = cs
-	w.fuel = fuel
-	w.startServer("gw-0")
+// counted swaps the journal at addr for a counting one and restarts the
+// server over it.
+func (w *jWorld) counted(addr string) *countStore {
+	cs := &countStore{Store: rms.NewMemStore("journal-"+addr, 0)}
+	w.journals[addr] = cs
+	w.startServer(addr)
 	return cs
+}
+
+// countedHome is counted("gw-0") with, for fuel > 0, that FuelSlice.
+func (w *jWorld) countedHome(fuel uint64) *countStore {
+	w.fuel = fuel
+	return w.counted("gw-0")
 }
 
 // soleEntry decodes the one record a journal store is expected to hold.

@@ -10,10 +10,11 @@ import (
 )
 
 // The agent journal is the MAS's write-ahead log: every resident agent
-// image is journaled on arrival (a locally admitted one at its first
-// suspension point instead — see AdmitAgentOwned) and again whenever it
-// suspends for a transfer, so a Server that dies mid-itinerary can be replaced by a
-// fresh Server over the same rms.Store and Resume the journeys.
+// image is journaled at its first suspension point after it entered the
+// server (Server.enter — never before it has run) and again whenever it
+// suspends for a transfer the entry does not already name, so a Server
+// that dies mid-itinerary can be replaced by a fresh Server over the
+// same rms.Store and Resume the journeys.
 //
 // Entry encoding (one rms record per agent):
 //

@@ -32,9 +32,13 @@ type jWorld struct {
 	zones    map[string]string
 	banks    map[string]*services.Bank
 	fuel     uint64 // gw-0's FuelSlice (0 = the default)
+	// extra services per host, registered beside its bank's at the next
+	// startServer.
+	extra map[string][]services.Service
 
-	mu       sync.Mutex
-	arrivals []*Arrival
+	mu         sync.Mutex
+	arrivals   []*Arrival
+	refuseHome error // when set, gw-0's OnAgentHome answers it
 }
 
 // newJWorld builds "gw-0" (home, wired zone) plus journaled bank hosts
@@ -81,6 +85,7 @@ func (w *jWorld) startServer(addr string) *Server {
 	if bank := w.banks[addr]; bank != nil {
 		reg.Register(bank.Services()...)
 	}
+	reg.Register(w.extra[addr]...)
 	cfg := Config{
 		Addr:      addr,
 		Codec:     codec,
@@ -93,8 +98,11 @@ func (w *jWorld) startServer(addr string) *Server {
 		cfg.FuelSlice = w.fuel
 		cfg.OnAgentHome = func(_ context.Context, a *Arrival) error {
 			w.mu.Lock()
+			defer w.mu.Unlock()
+			if w.refuseHome != nil {
+				return w.refuseHome
+			}
 			w.arrivals = append(w.arrivals, a)
-			w.mu.Unlock()
 			return nil
 		}
 	}
@@ -173,7 +181,8 @@ func TestAgentSurvivesCrashMidItinerary(t *testing.T) {
 	})
 
 	// Step the deterministic schedule until the agent is resident at
-	// bank-a (its arrival is journaled; its first slice has not run).
+	// bank-a (its first slice ran inside the handoff: it is journaled
+	// with its transfer done, bound for bank-b).
 	arrived := func() bool {
 		return w.servers["bank-a"].AgentStates()["ag-crash"] == StateRunning
 	}
@@ -224,35 +233,7 @@ func TestAgentSurvivesCrashMidItinerary(t *testing.T) {
 // migrate(target), for driving /atp/transfer directly.
 func migratingImage(t *testing.T, id, target string) []byte {
 	t.Helper()
-	prog, err := mascript.Compile(fmt.Sprintf(`migrate(%q); deliver("x", 1);`, target))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm, err := mavm.New(prog, id, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := vm.Run(dummyHost{}, mavm.DefaultFuel); err != nil {
-		t.Fatal(err)
-	}
-	if vm.Status() != mavm.StatusMigrating {
-		t.Fatalf("status = %v, want migrating", vm.Status())
-	}
-	pb, err := mavm.MarshalProgram(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := mavm.MarshalState(vm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := atp.AgletsCodec{}.Encode(&atp.Image{
-		AgentID: id, Home: "gw-0", CodeID: "code-1", Owner: "dev-1",
-		Program: pb, State: sb,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	body, _, _ := imageAtMigrate(t, id, fmt.Sprintf(`migrate(%q); deliver("x", 1);`, target), -1)
 	return body
 }
 

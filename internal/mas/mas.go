@@ -13,8 +13,9 @@
 // gateway so results are never stranded.
 //
 // With Config.Journal set, the server write-ahead-logs every resident
-// agent (on arrival, and at each suspension point) into an rms.Store, transfers
-// become two-phase handoffs deduplicated on (agent id, hop counter),
+// agent (at its first suspension point here, and at each departure)
+// into an rms.Store, transfers become two-phase handoffs deduplicated
+// on (agent id, hop counter),
 // and a replacement Server over the same store continues interrupted
 // journeys via Resume — exactly one copy of each agent is delivered
 // even across crashes and partitions. See DESIGN.md §3 (mas).
@@ -123,16 +124,17 @@ type Config struct {
 	// runaway itineraries from bouncing between hosts forever
 	// (default 64).
 	MaxHops int
-	// Journal, when set, is the write-ahead agent journal: an arriving
-	// agent is journaled before its handoff is acked, a locally admitted
-	// one at its first suspension point (AdmitAgentOwned) and again at
-	// each departure, and a replacement Server over the same store
-	// re-hydrates them via Resume. An agent that finishes at home inside
-	// its admission slice is never journaled: OnAgentHome taking the
-	// result is the durable hand-over, exactly as for a KindDone
-	// homecoming — so with a Journal but no durable home-side store
-	// (a gateway without a mailbox keeps results in Documents only) a
-	// zero-hop result is as durable as Documents is.
+	// Journal, when set, is the write-ahead agent journal: an agent that
+	// enters this server — admitted locally or arriving by /atp/transfer,
+	// whose handoff is acked only after that write — is journaled at its
+	// first suspension point (enter) and again at each later departure,
+	// and a replacement Server over the same store re-hydrates them via
+	// Resume. An agent that finishes at home inside its first slice is
+	// never journaled: OnAgentHome taking the result is the durable
+	// hand-over, exactly as for a KindDone homecoming — so with a Journal
+	// but no durable home-side store (a gateway without a mailbox keeps
+	// results in Documents only) such a result is as durable as
+	// Documents is.
 	// With a journal, persistently failed transfers park the
 	// agent for RetryParked instead of failing it home, and /atp/transfer
 	// becomes a two-phase handoff (the journal write is the commit, the
@@ -159,7 +161,7 @@ type Config struct {
 	// OnAgentMove, when set, is invoked after every location change of
 	// an agent this server admits, receives or ships: admission and
 	// arrival (the agent is here; skipped for an agent that finishes
-	// inside its admission — its terminal delivery supersedes it),
+	// inside its first slice — its terminal delivery supersedes it),
 	// departure (a forwarding pointer to the destination) and terminal
 	// delivery. Clustered gateways feed
 	// these events into the federation's location directory; network
@@ -200,6 +202,14 @@ type record struct {
 	parkTarget string
 	parkKind   string
 
+	// journaledTo/journaledKind: the pending transfer the agent's journal
+	// entry names ("" = none, or no entry). An agent runs no further here
+	// once its entry names a destination, so a departure to exactly that
+	// destination need not write the same snapshot again (shipAgent).
+	// Owned, like vm, by whichever goroutine is driving the agent.
+	journaledTo   string
+	journaledKind string
+
 	// progBytes caches the marshaled (immutable) program, shared by
 	// every journal write and outbound transfer of this agent.
 	progBytes []byte
@@ -223,7 +233,8 @@ type Server struct {
 	mTransferFail *metrics.Counter
 	mParked       *metrics.Counter
 	mDeliver      *metrics.Counter
-	admits        [len(admitOutcomes)]atomic.Uint64 // by admitOutcomes index
+	admits        [len(entryOutcomes)]atomic.Uint64 // AdmitAgentOwned, by entryOutcomes index
+	arrives       [len(entryOutcomes)]atomic.Uint64 // migrate arrivals, likewise
 
 	mu       sync.Mutex
 	agents   map[string]*record
@@ -234,22 +245,26 @@ type Server struct {
 	logs     []string // ring of recent agent log lines
 }
 
-// admitOutcomes labels pdagent_admit_total: what an admitted agent's
-// first slice came to (see AdmitAgentOwned).
-var admitOutcomes = [...]string{admitDelivered: "delivered", admitShipped: "shipped", admitSuspended: "suspended"}
+// entryOutcomes labels pdagent_admit_total and pdagent_arrive_total:
+// what the first slice of an agent entering this server came to (see
+// enter).
+var entryOutcomes = [...]string{entryDelivered: "delivered", entryShipped: "shipped", entrySuspended: "suspended"}
 
 const (
-	admitDelivered = iota
-	admitShipped
-	admitSuspended
+	entryDelivered = iota
+	entryShipped
+	entrySuspended
 )
 
-// pendingAccept marks a handoff between reservation and commit,
-// remembering the watermark to restore if the commit fails.
+// pendingAccept reserves an agent id while a journal write about it is
+// in flight. A handoff between reservation and commit (done == nil)
+// remembers the watermark to restore if the commit fails; a sender
+// writing its own departure tombstone (sendAgent) carries done, closed
+// when that write has landed.
 type pendingAccept struct {
-	sentHop int
 	prevWM  int
 	hadPrev bool
+	done    chan struct{}
 }
 
 // maxLogLines bounds the per-server agent log ring.
@@ -312,15 +327,21 @@ func NewServer(cfg Config) (*Server, error) {
 	s.mTransferFail = cfg.Metrics.Counter("pdagent_transfer_failed_total", "Outbound transfers that exhausted their retries.")
 	s.mParked = cfg.Metrics.Counter("pdagent_transfer_parked_total", "Agents parked for retry after a failed departure.")
 	s.mDeliver = cfg.Metrics.Counter("pdagent_deliver_total", "Terminal deliveries at the agent's home.")
-	cfg.Metrics.CounterVecFunc("pdagent_admit_total",
-		"Agents admitted here, by what their first slice (run inside admission) came to: delivered finished at home and left no journal record, shipped suspended at migrate (one record, with its destination), suspended ran out of fuel or finished away from home (one record).",
-		"outcome", func() map[string]float64 {
-			out := make(map[string]float64, len(admitOutcomes))
-			for i, name := range admitOutcomes {
-				out[name] = float64(s.admits[i].Load())
+	byOutcome := func(counts *[len(entryOutcomes)]atomic.Uint64) func() map[string]float64 {
+		return func() map[string]float64 {
+			out := make(map[string]float64, len(entryOutcomes))
+			for i, name := range entryOutcomes {
+				out[name] = float64(counts[i].Load())
 			}
 			return out
-		})
+		}
+	}
+	cfg.Metrics.CounterVecFunc("pdagent_admit_total",
+		"Agents admitted here, by what their first slice (run inside admission) came to: delivered finished at home and left no journal record, shipped suspended at migrate (one record, with its destination), suspended ran out of fuel or finished away from home (one record).",
+		"outcome", byOutcome(&s.admits))
+	cfg.Metrics.CounterVecFunc("pdagent_arrive_total",
+		"Agents accepted over /atp/transfer as migrate arrivals, by what their first slice (run inside the handoff) came to: delivered finished here, their home (no record, one dedup tombstone), shipped suspended at migrate (one record, with its destination), suspended ran out of fuel, finished away from home or hit the hop limit (one record).",
+		"outcome", byOutcome(&s.arrives))
 	cfg.Metrics.GaugeFunc("pdagent_residents", "Agents currently resident on this server (scrape-time walk).",
 		func() float64 { return float64(s.ResidentCount()) })
 	m := transport.NewMux()
@@ -454,24 +475,11 @@ func (s *Server) AdmitAgent(ctx context.Context, vm *mavm.VM, codeID, owner, hom
 // agent's journal footprint and residency bill to tenantID, and every
 // onward transfer carries the account so remote hosts bill it too.
 //
-// Run before you journal: the agent's first fuel slice runs here, on
-// the caller's goroutine, and the journal records the agent as it
-// stands at its first suspension point (DESIGN.md §3):
-//
-//   - finished or failed with this server as its home: the result is
-//     handed to OnAgentHome before admission returns and no journal
-//     record is ever written — the home side's durable store is the
-//     hand-over, as for a KindDone homecoming over /atp/transfer. An
-//     OnAgentHome error fails the admission and leaves nothing behind;
-//   - suspended at migrate: one record carrying the destination — the
-//     admit record and the departure record are the same snapshot —
-//     and the transfer leaves on the spawned continuation;
-//   - anything else (out of fuel, or finished away from home): one
-//     record with no destination, and the agent carries on under Spawn.
-//
-// So a caller waits for at most one FuelSlice of agent CPU. Service
-// calls of a slice interrupted by a crash re-execute (at-least-once),
-// as after any Resume.
+// The agent's first fuel slice runs here, on the caller's goroutine, and
+// the journal records it at its first suspension point (enter): a
+// caller waits for at most one FuelSlice of agent CPU. A result the
+// home side refuses, or a failed journal write, fails the admission and
+// leaves nothing behind.
 func (s *Server) AdmitAgentOwned(ctx context.Context, vm *mavm.VM, codeID, owner, tenantID, home string) error {
 	rec := &record{
 		id:     vm.AgentID,
@@ -489,40 +497,77 @@ func (s *Server) AdmitAgentOwned(ctx context.Context, vm *mavm.VM, codeID, owner
 	}
 	s.agents[rec.id] = rec
 	s.mu.Unlock()
-	forget := func() {
+
+	sl, outcome, err := s.enter(ctx, rec)
+	if err != nil {
 		s.mu.Lock()
 		delete(s.agents, rec.id)
 		s.mu.Unlock()
+		return fmt.Errorf("mas: %w", err)
 	}
+	s.admits[outcome].Add(1)
+	s.carryOn(ctx, rec, sl, outcome)
+	return nil
+}
 
-	sl := s.runSlice(rec)
-	if (sl.st == mavm.StatusDone || sl.st == mavm.StatusFailed) && rec.home == s.cfg.Addr {
-		if _, err := s.afterSlice(ctx, rec, sl); err != nil {
-			forget()
-			return fmt.Errorf("mas: delivering agent %s: %w", rec.id, err)
-		}
-		s.admits[admitDelivered].Add(1)
-		return nil
+// enter is the one rule for every way an agent enters this server —
+// AdmitAgentOwned and a migrate arrival over /atp/transfer: run before
+// you journal. It runs the agent's first fuel slice here on the caller's
+// goroutine and makes the agent durable as that slice left it
+// (DESIGN.md §3):
+//
+//   - finished or failed with this server as its home: the result is
+//     handed to OnAgentHome and no journal record of the agent is ever
+//     written — the home side's durable store is the hand-over, as for a
+//     KindDone homecoming (an arrival leaves its dedup tombstone);
+//   - suspended at migrate, or finished away from home: one record
+//     carrying the destination — the arrival record and the departure
+//     record are the same snapshot — and the transfer leaves on the
+//     continuation without journaling again;
+//   - out of fuel: one record with no destination.
+//
+// A state between entry and the first suspension point is one no other
+// host can ask for, so nothing is lost by not recording it: until enter
+// returns nil the only copy is the one the caller's caller still holds
+// (the device's dispatch, the sender's journal entry), and a crash in
+// the slice re-runs its service calls from there (at-least-once, as
+// after any Resume). On an error nothing durable was written and the
+// caller must drop rec.
+func (s *Server) enter(ctx context.Context, rec *record) (sl slice, outcome int, err error) {
+	sl = s.runSlice(rec)
+	if s.dead.Load() {
+		// Kill landed during the slice: a crashed process journals and
+		// acks nothing.
+		return sl, 0, fmt.Errorf("mas %s: server down", s.cfg.Addr)
 	}
-	target, kind := "", ""
-	if sl.st == mavm.StatusMigrating {
-		target, kind = vm.MigrateTarget(), KindMigrate
+	target, kind := nextStop(rec, sl)
+	if (kind == KindDone || kind == KindFailed) && rec.home == s.cfg.Addr {
+		if err := s.deliverLocal(ctx, rec, kind); err != nil {
+			return sl, 0, fmt.Errorf("delivering agent %s: %w", rec.id, err)
+		}
+		return sl, entryDelivered, nil
 	}
 	if err := s.journalPut(rec, target, kind); err != nil {
-		forget()
-		return fmt.Errorf("mas: journaling agent %s: %w", rec.id, err)
+		return sl, 0, fmt.Errorf("journaling agent %s: %w", rec.id, err)
 	}
-	sl.journaled = kind != ""
-	if sl.journaled {
-		s.admits[admitShipped].Add(1)
-	} else {
-		s.admits[admitSuspended].Add(1)
+	if kind == KindMigrate {
+		return sl, entryShipped, nil
+	}
+	return sl, entrySuspended, nil
+}
+
+// carryOn sets an entered agent moving again: it publishes the arrival
+// and spawns the agent loop at "just ran sl". An agent delivered inside
+// enter has nothing to carry on, and its terminal move supersedes the
+// arrival.
+func (s *Server) carryOn(ctx context.Context, rec *record, sl slice, outcome int) {
+	if outcome == entryDelivered {
+		return
 	}
 	s.notifyMove(ctx, AgentMove{
-		AgentID: rec.id, Addr: s.cfg.Addr, Home: rec.home, Seq: 2 * vm.Hops,
+		AgentID: rec.id, Addr: s.cfg.Addr, Home: rec.home, Seq: 2 * rec.vm.Hops,
 	})
 	s.startLoop(ctx, rec, &sl)
-	return nil
 }
 
 // startLoop spawns the agent loop; ran, when set, is a slice the caller
@@ -538,24 +583,40 @@ func (s *Server) startLoop(ctx context.Context, rec *record, ran *slice) {
 type slice struct {
 	st  mavm.Status
 	err error
-	// journaled: the journal already holds the agent as this slice left
-	// it, its migrate destination included, so the departure need not
-	// write it again.
-	journaled bool
 }
 
 func (s *Server) runSlice(rec *record) slice {
 	rec.execMu.Lock()
 	defer rec.execMu.Unlock()
 	st, err := rec.vm.Run(hostAPI{s, rec}, s.cfg.FuelSlice)
+	if st == mavm.StatusFailed {
+		s.logf("mas %s: agent %s failed: %v", s.cfg.Addr, rec.id, err)
+		s.setErr(rec, rec.vm.FailMsg()) // travels home in the journal entry
+	}
 	return slice{st: st, err: err}
+}
+
+// nextStop says where an agent must go after a slice that suspended or
+// finished it: its migrate target, or home with its results. kind is ""
+// when the agent stays (out of fuel, or a state Run should never leave).
+func nextStop(rec *record, sl slice) (target, kind string) {
+	switch {
+	case errors.Is(sl.err, mavm.ErrOutOfFuel):
+	case sl.st == mavm.StatusMigrating:
+		return rec.vm.MigrateTarget(), KindMigrate
+	case sl.st == mavm.StatusDone:
+		return rec.home, KindDone
+	case sl.st == mavm.StatusFailed:
+		return rec.home, KindFailed
+	}
+	return "", ""
 }
 
 // agentLoop drives one agent until it leaves this server (migrates,
 // returns home, is disposed or retracted) or strands. ran, when set, is
-// a slice admission already executed: the loop is entered at "just ran,
+// a slice its entry already executed: the loop is entered at "just ran,
 // status in hand". The control flags are checked either way, so a
-// dispose or retract that landed since admission still wins over the
+// dispose or retract that landed since entry still wins over the
 // departure.
 func (s *Server) agentLoop(ctx context.Context, rec *record, ran *slice) {
 	for {
@@ -593,25 +654,18 @@ func (s *Server) agentLoop(ctx context.Context, rec *record, ran *slice) {
 // means it only ran out of fuel and wants another slice. The error is
 // a home delivery this server could not complete (the agent strands).
 func (s *Server) afterSlice(ctx context.Context, rec *record, sl slice) (more bool, err error) {
-	switch {
-	case errors.Is(sl.err, mavm.ErrOutOfFuel):
+	if errors.Is(sl.err, mavm.ErrOutOfFuel) {
 		return true, nil
-	case sl.st == mavm.StatusMigrating:
-		if sl.journaled {
-			s.sendAgent(ctx, rec, rec.vm.MigrateTarget(), KindMigrate)
-		} else {
-			s.shipAgent(ctx, rec, rec.vm.MigrateTarget(), KindMigrate)
-		}
-	case sl.st == mavm.StatusDone:
-		err = s.finishAgent(ctx, rec, KindDone)
-	case sl.st == mavm.StatusFailed:
-		s.logf("mas %s: agent %s failed: %v", s.cfg.Addr, rec.id, sl.err)
-		s.setErr(rec, rec.vm.FailMsg())
-		err = s.finishAgent(ctx, rec, KindFailed)
-	default:
+	}
+	switch target, kind := nextStop(rec, sl); {
+	case kind == "":
 		// Run refused (e.g. already done): treat as internal error.
 		s.setErr(rec, fmt.Sprintf("unexpected run state %v: %v", sl.st, sl.err))
 		s.setState(rec, StateStranded, "")
+	case kind == KindMigrate:
+		s.shipAgent(ctx, rec, target, kind)
+	default:
+		err = s.finishAgent(ctx, rec, kind)
 	}
 	return false, err
 }
@@ -726,22 +780,24 @@ func (s *Server) encodeImage(rec *record) (*atp.Image, error) {
 
 // shipAgent is the two-phase handoff's sending side: the suspended
 // image (and its destination) is made durable, then sendAgent puts it
-// on the wire. An agent whose journal entry already says exactly that
-// (admission journals a migrating agent once, with its destination)
-// goes to sendAgent directly.
+// on the wire. An agent whose journal entry already says exactly that —
+// it was journaled with this destination when it entered, or it is a
+// parked transfer being retried — goes to sendAgent directly.
 func (s *Server) shipAgent(ctx context.Context, rec *record, target, kind string) {
-	if err := s.journalPut(rec, target, kind); err != nil {
-		// The WAL write must precede the wire: sending an unjournaled
-		// image risks losing the only copy if the ack is missed and we
-		// crash. Park instead; RetryParked re-attempts the journal too.
-		s.logf("mas %s: journaling departure of %s: %v", s.cfg.Addr, rec.id, err)
-		s.setErr(rec, "journaling departure: "+err.Error())
-		s.mu.Lock()
-		rec.state = StateParked
-		rec.parkTarget, rec.parkKind = target, kind
-		s.mu.Unlock()
-		s.mParked.Inc()
-		return
+	if rec.journaledTo != target || rec.journaledKind != kind {
+		if err := s.journalPut(rec, target, kind); err != nil {
+			// The WAL write must precede the wire: sending an unjournaled
+			// image risks losing the only copy if the ack is missed and we
+			// crash. Park instead; RetryParked re-attempts the journal too.
+			s.logf("mas %s: journaling departure of %s: %v", s.cfg.Addr, rec.id, err)
+			s.setErr(rec, "journaling departure: "+err.Error())
+			s.mu.Lock()
+			rec.state = StateParked
+			rec.parkTarget, rec.parkKind = target, kind
+			s.mu.Unlock()
+			s.mParked.Inc()
+			return
+		}
 	}
 	s.sendAgent(ctx, rec, target, kind)
 }
@@ -826,16 +882,20 @@ func (s *Server) sendAgent(ctx context.Context, rec *record, target, kind string
 	if s.jr == nil {
 		s.mu.Unlock()
 	} else {
-		// Reserve the id while the tombstone is written: a re-arrival
-		// racing this block gets a retryable 503 from reserveHandoff
-		// (same as a handoff mid-commit) instead of interleaving its
-		// journal write with ours.
-		s.pending[rec.id] = pendingAccept{sentHop: -1}
+		// Reserve the id while the tombstone is written, so a re-arrival
+		// racing this block cannot interleave its journal write with
+		// ours. It waits in reserveHandoff for done rather than being
+		// refused: a journey that laps its sender (a one-bank itinerary
+		// is back within a millisecond) would lose three zero-delay
+		// retries to one fsync and park for a whole retry interval.
+		done := make(chan struct{})
+		s.pending[rec.id] = pendingAccept{done: done}
 		s.mu.Unlock()
 		s.journalFinish(rec, StateDeparted)
 		s.mu.Lock()
 		delete(s.pending, rec.id)
 		s.mu.Unlock()
+		close(done)
 	}
 	s.logf("mas %s: agent %s %s -> %s", s.cfg.Addr, rec.id, kind, target)
 }
@@ -1002,58 +1062,48 @@ func (s *Server) handleTransfer(ctx context.Context, req *transport.Request) *tr
 			return transport.Errorf(transport.StatusBadRequest,
 				"agent targeted %q, arrived at %q", vm.MigrateTarget(), s.cfg.Addr)
 		}
-		if vm.Hops >= s.cfg.MaxHops {
-			// Runaway itinerary: accept the image but terminate the
-			// journey, sending the evidence home instead of admitting
-			// the agent for another lap.
-			s.logf("mas %s: agent %s exceeded %d hops, failing home", s.cfg.Addr, im.AgentID, s.cfg.MaxHops)
-			vm.ForceFail(fmt.Sprintf("mas: hop limit %d exceeded at %s", s.cfg.MaxHops, s.cfg.Addr))
-			rec := &record{
-				id: im.AgentID, home: im.Home, codeID: im.CodeID, owner: im.Owner,
-				tenant: tenantID, vm: vm, state: StateRunning,
-				lastErr: vm.FailMsg(),
-			}
-			if resp := s.reserveHandoff(rec, sentHop, false); resp != nil {
-				return resp
-			}
-			if err := s.journalPut(rec, "", ""); err != nil {
-				// Same WAL-before-ack rule as a normal arrival: without
-				// the journal write, a crash after this OK would lose the
-				// failure evidence — refuse so the sender keeps its copy.
-				s.abortHandoff(rec, true)
-				return transport.Errorf(transport.StatusUnavailable, "journaling agent %s: %v", rec.id, err)
-			}
-			s.commitHandoff(rec.id)
-			s.spawn(func() {
-				ctx := context.WithoutCancel(ctx)
-				_ = s.finishAgent(ctx, rec, KindFailed)
-			})
-			return transport.OKText("hop limit exceeded; journey terminated")
-		}
-		vm.ClearMigration()
 		rec := &record{
 			id: im.AgentID, home: im.Home, codeID: im.CodeID, owner: im.Owner,
 			tenant: tenantID, vm: vm, state: StateRunning,
 		}
-		if resp := s.reserveHandoff(rec, sentHop, true); resp != nil {
+		overLimit := vm.Hops >= s.cfg.MaxHops
+		if overLimit {
+			// Runaway itinerary: accept the image but terminate the
+			// journey, sending the evidence home instead of admitting
+			// the agent for another lap. Run refuses a failed VM, so its
+			// first slice here is the failure itself.
+			s.logf("mas %s: agent %s exceeded %d hops, failing home", s.cfg.Addr, im.AgentID, s.cfg.MaxHops)
+			vm.ForceFail(fmt.Sprintf("mas: hop limit %d exceeded at %s", s.cfg.MaxHops, s.cfg.Addr))
+		} else {
+			vm.ClearMigration()
+		}
+		if resp := s.reserveHandoff(ctx, rec, sentHop, !overLimit); resp != nil {
 			return resp
 		}
-		if err := s.journalPut(rec, "", ""); err != nil {
-			// The WAL write is the commit of the handoff; without it we
-			// must refuse the agent so the sender keeps its copy.
+		// Run before you journal: the first slice runs here (enter), under
+		// the reservation, and the OK below leaves only once the agent is
+		// durable as the slice left it — in the journal, or with the home
+		// side. Until then the sender's journal holds the only copy: any
+		// failure answers a retryable 503 with the reservation and the
+		// watermark rolled back, so the sender parks and redelivers, and a
+		// crash in here leaves nothing for Resume to find.
+		sl, outcome, err := s.enter(ctx, rec)
+		if err != nil {
 			s.abortHandoff(rec, true)
-			return transport.Errorf(transport.StatusUnavailable, "journaling agent %s: %v", rec.id, err)
+			return transport.Errorf(transport.StatusUnavailable, "%v", err)
 		}
 		s.commitHandoff(rec.id)
+		s.arrives[outcome].Add(1)
 		s.mTransferIn.Inc()
 		s.span(rec.id, "transfer-in", kind)
 		// ClearMigration counted the hop, so this arrival's seq (2h+2
 		// relative to the sender's h) supersedes the sender's departure
-		// pointer (2h+1).
-		s.notifyMove(ctx, AgentMove{
-			AgentID: rec.id, Addr: s.cfg.Addr, Home: rec.home, Seq: 2 * vm.Hops,
-		})
-		s.startLoop(ctx, rec, nil)
+		// pointer (2h+1); an over-limit arrival's hop is not counted and
+		// its stale seq moves no pointer.
+		s.carryOn(ctx, rec, sl, outcome)
+		if overLimit {
+			return transport.OKText("hop limit exceeded; journey terminated")
+		}
 		return transport.OKText("accepted " + rec.id)
 
 	case KindDone, KindFailed, KindRetracted:
@@ -1065,7 +1115,7 @@ func (s *Server) handleTransfer(ctx context.Context, req *transport.Request) *tr
 			id: im.AgentID, home: im.Home, codeID: im.CodeID, owner: im.Owner,
 			tenant: tenantID, vm: vm, state: StateDelivered, lastErr: vm.FailMsg(),
 		}
-		if resp := s.reserveHandoff(rec, sentHop, false); resp != nil {
+		if resp := s.reserveHandoff(ctx, rec, sentHop, false); resp != nil {
 			return resp
 		}
 		if s.cfg.OnAgentHome != nil {
@@ -1108,19 +1158,36 @@ func (s *Server) handleTransfer(ctx context.Context, req *transport.Request) *tr
 // arriving mid-commit gets StatusUnavailable (retryable) rather than
 // a duplicate-OK the first request might still roll back: acking a
 // handoff whose commit later fails would leave the agent existing
-// nowhere. The watermark is advanced here (not at commit) so the
-// journal write between reserve and commit records it durably. A nil
-// return means the reservation is held; otherwise the response to
-// send.
-func (s *Server) reserveHandoff(rec *record, sentHop int, refuseRunning bool) *transport.Response {
+// nowhere. A reservation that is this server's own departure
+// bookkeeping (sendAgent writing the tombstone of the hop the agent
+// has just come back from) is waited for instead: that write cannot
+// fail the arrival, only delay it. The watermark is advanced here (not
+// at commit) so the journal write between reserve and commit records
+// it durably. A nil return means the reservation is held; otherwise
+// the response to send.
+func (s *Server) reserveHandoff(ctx context.Context, rec *record, sentHop int, refuseRunning bool) *transport.Response {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	// The pending check must come first: while a commit is in flight
 	// the advanced watermark must not be visible as a duplicate-OK.
-	if _, inFlight := s.pending[rec.id]; inFlight {
-		return transport.Errorf(transport.StatusUnavailable,
-			"handoff of %s is mid-commit, retry", rec.id)
+	for {
+		p, inFlight := s.pending[rec.id]
+		if !inFlight {
+			break
+		}
+		s.mu.Unlock()
+		if p.done == nil {
+			return transport.Errorf(transport.StatusUnavailable,
+				"handoff of %s is mid-commit, retry", rec.id)
+		}
+		select {
+		case <-p.done:
+		case <-ctx.Done():
+			return transport.Errorf(transport.StatusUnavailable,
+				"handoff of %s: %v", rec.id, ctx.Err())
+		}
+		s.mu.Lock()
 	}
+	defer s.mu.Unlock()
 	// Dedup before the resident-copy check: a retried handoff whose
 	// first copy already landed (and may be running) must get the
 	// idempotent commit-ack, not a conflict the sender cannot act on.
@@ -1131,7 +1198,7 @@ func (s *Server) reserveHandoff(rec *record, sentHop int, refuseRunning bool) *t
 	if old, exists := s.agents[rec.id]; refuseRunning && exists && old.state == StateRunning {
 		return transport.Errorf(transport.StatusConflict, "agent %s already running here", rec.id)
 	}
-	s.pending[rec.id] = pendingAccept{sentHop: sentHop, prevWM: prevWM, hadPrev: hadPrev}
+	s.pending[rec.id] = pendingAccept{prevWM: prevWM, hadPrev: hadPrev}
 	s.accepted[rec.id] = sentHop
 	s.agents[rec.id] = rec
 	return nil
@@ -1365,8 +1432,8 @@ func containsAgent(line, id string) bool {
 
 // journalPut snapshots rec into the journal (no-op without one).
 // target/kind record a pending transfer destination. Callers must not
-// be racing the VM (journal only at slice boundaries: arrival, first
-// suspension after admit, departure).
+// be racing the VM (journal only at slice boundaries: the first
+// suspension point after the agent entered, departure).
 func (s *Server) journalPut(rec *record, target, kind string) error {
 	if s.jr == nil {
 		return nil
@@ -1390,8 +1457,11 @@ func (s *Server) journalPut(rec *record, target, kind string) error {
 		Tenant: rec.tenant, Watermark: wm, Program: prog, VMState: state,
 	}
 	s.mu.Unlock()
-	_, err = s.jr.put(e) // full entries never trigger tombstone eviction
-	return err
+	if _, err = s.jr.put(e); err != nil { // full entries never trigger tombstone eviction
+		return err
+	}
+	rec.journaledTo, rec.journaledKind = target, kind
+	return nil
 }
 
 // journalDrop removes an agent's journal entry (no-op without one).
@@ -1484,9 +1554,10 @@ func (s *Server) RetryParked(ctx context.Context) int {
 // and delivered entries are kept as dedup bookkeeping only. It returns
 // the number of journeys set in motion.
 //
-// Recovery restarts an interrupted hop from its arrival snapshot, so
-// service calls within that hop may re-execute (at-least-once); the
-// agent itself is delivered exactly once.
+// Recovery restarts an interrupted hop from its last journaled snapshot
+// (or, for a hop interrupted before its first suspension point here,
+// from the sender's), so service calls within that hop may re-execute
+// (at-least-once); the agent itself is delivered exactly once.
 func (s *Server) Resume(ctx context.Context) (int, error) {
 	if s.jr == nil {
 		return 0, errors.New("mas: no journal configured")
