@@ -8,7 +8,7 @@
 //
 //	figures            # all experiments, ASCII tables
 //	figures -csv       # CSV output
-//	figures -only fig12,fig13,claims,select,ablations,faults,cluster,push,overload,fairness
+//	figures -only fig12,fig13,claims,select,ablations,faults,push
 package main
 
 import (
@@ -17,32 +17,37 @@ import (
 	"log"
 	"os"
 	"strings"
-	"time"
 
 	"pdagent/internal/experiments"
 )
 
+var experimentKeys = []string{"fig12", "fig13", "claims", "select", "ablations", "faults", "push"}
+
 func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	only := flag.String("only", "", "comma-separated subset: fig12,fig13,claims,select,ablations,faults,cluster,push,overload,fairness")
+	only := flag.String("only", "", "comma-separated subset: "+strings.Join(experimentKeys, ","))
 	seed := flag.Int64("seed", 1, "base seed for the simulated network")
 	maxN := flag.Int("n", experiments.DefaultMaxN, "maximum number of transactions")
 	flag.Parse()
 
 	want := map[string]bool{}
-	if *only == "" {
-		for _, k := range []string{"fig12", "fig13", "claims", "select", "ablations", "faults", "cluster", "push", "overload", "fairness"} {
+	for _, k := range experimentKeys {
+		want[k] = *only == ""
+	}
+	if *only != "" {
+		for _, k := range strings.Split(*only, ",") {
+			k = strings.TrimSpace(k)
+			// "selection" is an accepted alias for the E6/A4
+			// gateway-selection experiment.
+			if k == "selection" {
+				k = "select"
+			}
+			if _, known := want[k]; !known {
+				fmt.Fprintf(os.Stderr, "figures: unknown experiment %q (want %s)\n", k, strings.Join(experimentKeys, ","))
+				os.Exit(2)
+			}
 			want[k] = true
 		}
-	} else {
-		for _, k := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(k)] = true
-		}
-	}
-	// "selection" is an accepted alias for the E6/A4 gateway-selection
-	// experiment.
-	if want["selection"] {
-		want["select"] = true
 	}
 
 	emit := func(t *experiments.Table) {
@@ -134,41 +139,11 @@ func main() {
 		}
 		emit(experiments.E7Table(rows))
 	}
-	if want["cluster"] {
-		rows, err := experiments.ClusterScaling(*seed, []int{1, 2, 3}, 6)
-		if err != nil {
-			log.Fatalf("figures: G3 scaling: %v", err)
-		}
-		emit(experiments.G3Table(rows))
-		fo, err := experiments.ClusterFailover(*seed, 2*time.Second)
-		if err != nil {
-			log.Fatalf("figures: G3 failover: %v", err)
-		}
-		emit(experiments.FailoverTable(fo))
-	}
 	if want["push"] {
 		rows, err := experiments.E8(*seed, experiments.DefaultE8Outages)
 		if err != nil {
 			log.Fatalf("figures: E8: %v", err)
 		}
 		emit(experiments.E8Table(rows))
-	}
-	if want["overload"] {
-		rows, err := experiments.OverloadCurve()
-		if err != nil {
-			log.Fatalf("figures: G8: %v", err)
-		}
-		emit(experiments.G8Table(rows))
-	}
-	if want["fairness"] {
-		rows, err := experiments.FairnessCurve()
-		if err != nil {
-			log.Fatalf("figures: E9: %v", err)
-		}
-		emit(experiments.E9Table(rows))
-	}
-	if len(want) == 0 {
-		fmt.Fprintln(os.Stderr, "figures: nothing selected")
-		os.Exit(2)
 	}
 }

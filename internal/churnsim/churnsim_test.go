@@ -266,6 +266,14 @@ func TestReconnectStorm100k(t *testing.T) {
 	if p50 == 0 || p99 < p50 || p999 < p99 {
 		t.Fatalf("implausible percentiles: p50=%v p99=%v p999=%v", p50, p99, p999)
 	}
+	// Virtual-time quantities from a pinned seed: the same on every
+	// machine, so a different reading means the delivery path changed —
+	// round trips or bytes per drain over the wireless link — not that
+	// the runner was slow. Readings are histogram bucket midpoints, 65 ms
+	// apart at this range.
+	if p50 != 1146880*time.Microsecond || p99 != 1409024*time.Microsecond {
+		t.Fatalf("drain p50=%v p99=%v, pinned at 1.14688s / 1.409024s", p50, p99)
+	}
 	// 200k requests against a single 100µs server inside 30s runs the
 	// middle tier at ~67% utilisation: the tail must show real queueing
 	// beyond the bare link RTT.

@@ -9,8 +9,7 @@ import (
 
 // The failover chaos drills: kill the member holding every mailbox
 // mid-reconnect-storm, with its store destroyed, and prove the ledger
-// invariants across the promotion. Sized to stay fast under -race; the
-// CI chaos stage runs the same drills via cmd/bench.
+// invariants across the promotion. Sized to stay fast under -race.
 
 func crashStormSize(t *testing.T) int {
 	if testing.Short() {

@@ -54,25 +54,6 @@ func IdleDeviceBytes(n int) (float64, error) {
 	return float64(after-before) / float64(n), nil
 }
 
-// IdleSweepDuration times one SweepExpired pass over a hub of n idle
-// devices that have nothing to reclaim. Before PR 6 the sweep visited
-// every mailbox the hub had ever opened (O(devices), ~2ms per 20k
-// idle devices); with the dirty set it visits only mailboxes holding
-// pending mail or dedup memory — zero here, whatever n is.
-func IdleSweepDuration(n int) (time.Duration, error) {
-	hub, err := push.NewHub(push.Config{Store: rms.NewMemStore("sweep", 0), TTL: time.Minute})
-	if err != nil {
-		return 0, err
-	}
-	defer hub.Close()
-	for d := 0; d < n; d++ {
-		hub.Touch("dev-" + strconv.Itoa(d))
-	}
-	start := time.Now()
-	hub.SweepExpired()
-	return time.Since(start), nil
-}
-
 // DrainedDeviceBytes runs n devices through history enqueue/ack cycles
 // each, leaves them idle, and returns the marginal live-heap bytes per
 // device. The gap between this and IdleDeviceBytes is delivery

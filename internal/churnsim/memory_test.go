@@ -2,20 +2,21 @@ package churnsim
 
 import "testing"
 
-// Per-device memory budgets, gated in CI. These are ~1.5x the values
-// measured on the CI container (go1.24, 64-bit) after the PR-6 hub
-// fixes, leaving room for runtime jitter but catching a regression
-// class, not a few stray bytes:
+// Per-device memory budgets, gated in CI (go1.24, 64-bit): room for
+// runtime jitter, but a regression class is caught, not a few stray
+// bytes.
 //
-//   - idle: ~520 B/device = mailbox struct + boxes map slot + token
-//     string + wait channel (lazy dedup map: a device that never got
-//     mail allocates none).
-//   - drained: ~730 B/device after dedup aging — before PR 6 a drained
-//     64-entry history cost ~8.9 KB/device forever (dedup ids plus the
-//     map buckets holding them); the TTL sweep must reclaim it or a
-//     fleet that got mail yesterday stays 12x as expensive for good.
+//   - idle: 567 B/device at 100k devices, 589 at -short's 20k = mailbox
+//     struct + boxes map slot + token string + wait channel (lazy dedup
+//     map: a device that never got mail allocates none). The budget is
+//     the 535 B read when the hub's idle cost was last cut, + 20 %.
+//   - drained: ~730 B/device after dedup aging, budget ~1.5x that —
+//     before PR 6 a drained 64-entry history cost ~8.9 KB/device forever
+//     (dedup ids plus the map buckets holding them); the TTL sweep must
+//     reclaim it or a fleet that got mail yesterday stays 12x as
+//     expensive for good.
 const (
-	idleDeviceBudgetBytes    = 820
+	idleDeviceBudgetBytes    = 642
 	drainedDeviceBudgetBytes = 1700
 )
 

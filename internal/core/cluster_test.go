@@ -7,6 +7,7 @@ import (
 
 	"pdagent/internal/cluster"
 	"pdagent/internal/device"
+	"pdagent/internal/gateway"
 	"pdagent/internal/mas"
 	"pdagent/internal/transport"
 )
@@ -66,8 +67,11 @@ func TestClusterDispatchAnyMemberCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The edge tracked the remote placement.
+	// The edge forwarded it and tracked the remote placement.
 	edgeGW := w.Gateways[w.gatewayIndex(edge)]
+	if n := forwardedDispatches(edgeGW); n != 1 {
+		t.Fatalf("edge forwarded %d dispatches, want 1", n)
+	}
 	if st, ok := edgeGW.Registry().Agent(agentID); !ok || st.HomeGW != home {
 		t.Fatalf("edge tracking = %+v, %v; want home %s", st, ok, home)
 	}
@@ -97,6 +101,33 @@ func TestClusterDispatchAnyMemberCompletes(t *testing.T) {
 		if bal != 10_000-10 {
 			t.Errorf("%s alice = %d, want %d", b, bal, 10_000-10)
 		}
+	}
+}
+
+func forwardedDispatches(gw *gateway.Gateway) uint64 {
+	return gw.Metrics().Counter("pdagent_dispatch_forwarded_total", "").Value()
+}
+
+// TestClusterSingleMemberForwardsNothing: a one-member tier is every
+// key's home, so a journey through it completes without a forward.
+func TestClusterSingleMemberForwardsNothing(t *testing.T) {
+	w := clusterWorld(t, SimConfig{Seed: 7, GatewayAddrs: []string{"gw-0"}})
+	defer w.Close()
+	ctx, _ := w.NewJourney()
+	dev := deviceAt(t, w, "alice")
+	if err := dev.Subscribe(ctx, "gw-0", AppEBanking); err != nil {
+		t.Fatal(err)
+	}
+	agentID, err := dev.Dispatch(ctx, AppEBanking, ebankingParams([]string{"bank-a", "bank-b"}, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Run()
+	if rd, err := dev.Collect(ctx, agentID); err != nil || !rd.OK() {
+		t.Fatalf("journey through a single-member tier: %+v, %v", rd, err)
+	}
+	if n := forwardedDispatches(w.Gateways[0]); n != 0 {
+		t.Fatalf("single-member tier forwarded %d dispatches", n)
 	}
 }
 

@@ -169,41 +169,6 @@ func TestGatewaySelectionExperiment(t *testing.T) {
 	}
 }
 
-// TestClusterExperiments smoke-checks the G3 series: every journey
-// completes, forwarding appears once the tier has >1 member, and the
-// failover run is exactly-once with the result collected at the edge.
-func TestClusterExperiments(t *testing.T) {
-	rows, err := ClusterScaling(3, []int{1, 2}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	if rows[0].Forwarded != 0 {
-		t.Errorf("single-member tier forwarded %d dispatches", rows[0].Forwarded)
-	}
-	for _, r := range rows {
-		if r.MeanCompletion <= 0 {
-			t.Errorf("members=%d: non-positive completion", r.Members)
-		}
-	}
-
-	fo, err := ClusterFailover(3, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fo.ExactlyOnce {
-		t.Error("failover run was not exactly-once")
-	}
-	if !fo.EdgeCollected {
-		t.Error("result not collected through the edge member")
-	}
-	if fo.WithKill <= fo.Baseline {
-		t.Errorf("kill run (%v) not slower than baseline (%v)", fo.WithKill, fo.Baseline)
-	}
-}
-
 func TestAblations(t *testing.T) {
 	comp, err := AblationCompression(1024)
 	if err != nil {

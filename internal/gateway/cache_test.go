@@ -8,7 +8,6 @@ import (
 
 	"pdagent/internal/mascript"
 	"pdagent/internal/mavm"
-	"pdagent/internal/netsim"
 	"pdagent/internal/pisec"
 	"pdagent/internal/transport"
 	"pdagent/internal/wire"
@@ -196,51 +195,5 @@ func TestConcurrentCachedDispatch(t *testing.T) {
 	st := f.gw.Programs().Stats()
 	if st.Hits == 0 {
 		t.Fatalf("no cache hits under concurrent dispatch: %+v", st)
-	}
-}
-
-// TestNoProgramCacheStillDispatches covers the benchmark baseline knob.
-func TestNoProgramCacheStillDispatches(t *testing.T) {
-	f := newFixture(t)
-	gw, err := New(Config{
-		Addr:           "gw-nc",
-		KeyPair:        f.kp,
-		Transport:      f.net.Transport(netsim.ZoneWired),
-		Spawn:          f.queue.Go,
-		NoProgramCache: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gw.Close()
-	if gw.Programs() != nil {
-		t.Fatal("NoProgramCache gateway still exposes a cache")
-	}
-	if err := gw.AddCodePackage(&wire.CodePackage{
-		CodeID: "echo", Name: "Echo", Version: "1", Source: echoSrc,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	secret := []byte("s")
-	gw.Registry().SetSecret("echo", "dev-1", secret)
-	nonce, err := wire.NewNonce()
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := wire.Pack(&wire.PackedInformation{
-		CodeID:      "echo",
-		DispatchKey: pisec.DispatchKey("echo", secret),
-		Owner:       "dev-1",
-		Nonce:       nonce,
-		Source:      echoSrc,
-	}, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp := gw.Handler().Serve(context.Background(), &transport.Request{
-		Path: "/pdagent/dispatch", Body: body,
-	})
-	if !resp.IsOK() {
-		t.Fatalf("uncached dispatch: %d %s", resp.Status, resp.Text())
 	}
 }

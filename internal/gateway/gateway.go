@@ -41,7 +41,6 @@ import (
 	"pdagent/internal/cluster"
 	"pdagent/internal/kxml"
 	"pdagent/internal/mas"
-	"pdagent/internal/mascript"
 	"pdagent/internal/mavm"
 	"pdagent/internal/metrics"
 	"pdagent/internal/pisec"
@@ -97,10 +96,6 @@ type Config struct {
 	// LRU. Pass a shared cache when several gateways should share
 	// compilations (simulation, tests).
 	Programs *progcache.Cache
-	// NoProgramCache disables program caching entirely: every dispatch
-	// recompiles the shipped source and every arriving agent image is
-	// re-unmarshalled. Benchmarks use it as the pre-cache baseline.
-	NoProgramCache bool
 	// Shards is the lock-stripe count of the state registry, rounded up
 	// to the next power of two (default DefaultRegistryShards; 1
 	// degenerates to a single lock).
@@ -179,8 +174,8 @@ type Gateway struct {
 	mux   *transport.Mux
 	reg   *Registry
 	pool  *workerPool
-	progs *progcache.Cache // nil when Config.NoProgramCache
-	hub   *push.Hub        // nil when Config.Mailbox is unset
+	progs *progcache.Cache
+	hub   *push.Hub // nil when Config.Mailbox is unset
 	// mailboxStore backs the hub; kept for the health probe.
 	mailboxStore rms.Store
 	// draining refuses new dispatches during graceful shutdown.
@@ -258,9 +253,7 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.Spawn == nil {
 		cfg.Spawn = func(fn func()) { go fn() }
 	}
-	if cfg.NoProgramCache {
-		cfg.Programs = nil
-	} else if cfg.Programs == nil {
+	if cfg.Programs == nil {
 		cfg.Programs = progcache.New(0)
 	}
 	codec, err := atp.ByName(cfg.Flavour)
@@ -308,17 +301,16 @@ func New(cfg Config) (*Gateway, error) {
 	g.trace = cfg.Trace
 	g.initObserve()
 	masCfg := mas.Config{
-		Addr:           cfg.Addr,
-		Codec:          codec,
-		Transport:      cfg.Transport,
-		Services:       cfg.Services,
-		Spawn:          cfg.Spawn,
-		FuelSlice:      cfg.FuelSlice,
-		Journal:        cfg.Journal,
-		Programs:       cfg.Programs,
-		NoProgramCache: cfg.NoProgramCache,
-		OnAgentHome:    g.onAgentHome,
-		Logf:           cfg.Logf,
+		Addr:        cfg.Addr,
+		Codec:       codec,
+		Transport:   cfg.Transport,
+		Services:    cfg.Services,
+		Spawn:       cfg.Spawn,
+		FuelSlice:   cfg.FuelSlice,
+		Journal:     cfg.Journal,
+		Programs:    cfg.Programs,
+		OnAgentHome: g.onAgentHome,
+		Logf:        cfg.Logf,
 		// The embedded MAS shares the gateway's registry and span
 		// ring: one scrape, one itinerary.
 		Metrics: g.metrics,
@@ -461,21 +453,17 @@ func (g *Gateway) AddCodePackage(cp *wire.CodePackage) error {
 	}
 	// Reject packages that do not compile: a broken catalogue entry
 	// would otherwise surface only at dispatch time.
-	if g.progs != nil {
-		prog, _, err := g.progs.CompileString(cp.Source)
-		if err != nil {
-			return fmt.Errorf("gateway: package %q does not compile: %w", cp.CodeID, err)
-		}
-		g.progs.Pin(cp.CodeID, cp.Source, prog)
-	} else if _, err := mascript.Compile(cp.Source); err != nil {
+	prog, _, err := g.progs.CompileString(cp.Source)
+	if err != nil {
 		return fmt.Errorf("gateway: package %q does not compile: %w", cp.CodeID, err)
 	}
+	g.progs.Pin(cp.CodeID, cp.Source, prog)
 	g.reg.PutPackage(cp)
 	return nil
 }
 
 // Programs exposes the gateway's compiled-program cache (tests,
-// benchmarks); nil when caching is disabled.
+// benchmarks).
 func (g *Gateway) Programs() *progcache.Cache { return g.progs }
 
 func (g *Gateway) logf(format string, args ...any) {
@@ -862,13 +850,7 @@ func (g *Gateway) admitDispatch(ctx context.Context, pi *wire.PackedInformation,
 	// compile the shipped source. Registered packages were compiled and
 	// pinned at AddCodePackage time, so the common case is a cache hit
 	// that performs no lexer or parser work at all.
-	var prog *mavm.Program
-	var err error
-	if g.progs != nil {
-		prog, _, err = g.progs.CompileString(pi.Source)
-	} else {
-		prog, err = mascript.Compile(pi.Source)
-	}
+	prog, _, err := g.progs.CompileString(pi.Source)
 	if err != nil {
 		return fail(transport.Errorf(transport.StatusBadRequest, "agent code: %v", err))
 	}

@@ -336,7 +336,11 @@ func TestDedupSurvivesRestartAfterDeparture(t *testing.T) {
 // TestContestedHandoffDeliversOneCopy races N identical transfers of
 // one agent against a live (goroutine-spawning) journaled server:
 // exactly one must be accepted, the rest deduplicated, and exactly one
-// copy must come home. Run under -race.
+// copy must come home. A contender that meets the winner's handoff
+// reservation is told to retry (the 503 reserveHandoff documents) and
+// does, as a real sender does — transferImage at once, then RetryParked
+// on its ticker — until the commit has made the answer final. Run under
+// -race.
 func TestContestedHandoffDeliversOneCopy(t *testing.T) {
 	net := netsim.New(23)
 	net.SetLinkBoth(netsim.ZoneWired, netsim.ZoneWired, netsim.Link{})
@@ -376,6 +380,11 @@ func TestContestedHandoffDeliversOneCopy(t *testing.T) {
 			req.SetHeader("kind", KindMigrate)
 			req.SetHeader("agent", "ag-race")
 			resp, err := tr.RoundTrip(context.Background(), "site-1", req)
+			deadline := time.Now().Add(5 * time.Second)
+			for err == nil && resp.Status == transport.StatusUnavailable && time.Now().Before(deadline) {
+				time.Sleep(100 * time.Microsecond)
+				resp, err = tr.RoundTrip(context.Background(), "site-1", req)
+			}
 			switch {
 			case err != nil:
 				results <- "err:" + err.Error()

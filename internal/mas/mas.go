@@ -146,11 +146,6 @@ type Config struct {
 	// A gateway shares its own cache with the embedded MAS; standalone
 	// servers default to a private one.
 	Programs *progcache.Cache
-	// NoProgramCache disables the program cache: every arriving image
-	// (and every journal entry on Resume) is unmarshalled and
-	// re-validated from scratch. Benchmarks use it as the pre-cache
-	// baseline.
-	NoProgramCache bool
 	// OnAgentHome is invoked when an agent arrives at its home server
 	// (the gateway sets this to collect results). Returning nil takes
 	// the results: the agent's journal entry is retired and its sender
@@ -296,9 +291,7 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.MaxHops == 0 {
 		cfg.MaxHops = 64
 	}
-	if cfg.NoProgramCache {
-		cfg.Programs = nil
-	} else if cfg.Programs == nil {
+	if cfg.Programs == nil {
 		cfg.Programs = progcache.New(0)
 	}
 	if cfg.Metrics == nil {
@@ -406,11 +399,8 @@ func (s *Server) Handler() transport.Handler {
 }
 
 // unmarshalProgram deserialises agent bytecode through the program
-// cache, or directly when caching is disabled.
+// cache.
 func (s *Server) unmarshalProgram(b []byte) (*mavm.Program, error) {
-	if s.cfg.Programs == nil {
-		return mavm.UnmarshalProgram(b)
-	}
 	prog, _, err := s.cfg.Programs.UnmarshalBytes(b)
 	return prog, err
 }

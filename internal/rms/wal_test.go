@@ -203,6 +203,46 @@ func TestWALStoreSnapshotBoundsReplay(t *testing.T) {
 	}
 }
 
+// TestWALStoreReplayLiveSet pins what a reopen recovers from a journal
+// with the shape churn leaves behind — every record written once and
+// overwritten once, so replay processes two ops per live record: the
+// live set is exactly the records, each at its overwritten value. The
+// write side runs unsynced; recovery does not depend on how the log was
+// synced.
+func TestWALStoreReplayLiveSet(t *testing.T) {
+	sizes := []int{10_000, 50_000}
+	if testing.Short() {
+		sizes = sizes[:1]
+	}
+	first, second := bytes.Repeat([]byte{'a'}, 256), bytes.Repeat([]byte{'b'}, 256)
+	for _, n := range sizes {
+		dir := filepath.Join(t.TempDir(), fmt.Sprintf("replay-%d.wal", n))
+		s := openTestWAL(t, dir, WALOptions{Sync: SyncNever})
+		want := make(map[int][]byte, n)
+		for i := 0; i < n; i++ {
+			id, err := s.Add(first)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[id] = second
+		}
+		for id := range want {
+			if err := s.Set(id, second); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		re := openTestWAL(t, dir, WALOptions{})
+		checkWALContents(t, re, want)
+		if size, err := re.Size(); err != nil || size != n*256 {
+			t.Fatalf("records=%d: reopen recovered %d bytes (%v), want %d", n, size, err, n*256)
+		}
+		re.Close()
+	}
+}
+
 // TestWALStoreCompactForced: explicit Compact prunes immediately even
 // below the auto threshold.
 func TestWALStoreCompactForced(t *testing.T) {

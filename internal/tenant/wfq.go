@@ -15,9 +15,10 @@ import (
 // are backlogged, yet an idle tenant's unused share is redistributed
 // instead of wasted.
 //
-// The experiments use it to contrast weighted-fair admission with
-// FIFO under a noisy neighbour; the admission layer uses the same
-// virtual-time bookkeeping for its fair-share shed decisions.
+// The gateway's virtual-time admission test uses it to contrast
+// weighted-fair service with FIFO under a noisy neighbour; the
+// admission layer uses the same virtual-time bookkeeping for its
+// fair-share shed decisions.
 type WFQ struct {
 	mu     sync.Mutex
 	items  wfqHeap
