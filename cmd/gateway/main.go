@@ -21,10 +21,8 @@
 // connected devices are first-class. -mailbox-ttl, -mailbox-quota and
 // -result-ttl bound retention; a background sweeper (-sweep-every)
 // enforces them. With -journal PATH the embedded MAS keeps a durable
-// agent journal (resident agents survive a crash). -store picks the
-// backend for both — wal (default: group-commit segmented log,
-// power-loss durable, DESIGN.md §9) or file (legacy single-file log)
-// — and -fsync the WAL's sync policy (group|always|never).
+// agent journal (resident agents survive a crash). Both are
+// group-commit WAL directories, power-loss durable (DESIGN.md §9).
 //
 // With -replicate (clustered members only) the journal and mailbox
 // stores stream their commits to the ring-successor standby
@@ -80,21 +78,18 @@ func main() {
 	startEpoch := flag.Uint64("epoch", 0, "fencing epoch this instance starts at; after a fenced member recovers, restart it at or above the fence the standby raised")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "SIGTERM: max wait for resident agents to drain")
 	mailboxDir := flag.String("mailbox-dir", "", "directory for the durable per-device mailbox store; empty disables the device-session mailbox subsystem")
-	journalPath := flag.String("journal", "", "agent journal path for the embedded MAS (agents resume on restart); a directory with -store=wal, a file with -store=file")
-	storeKind := flag.String("store", "wal", "durable store backend for the mailbox and journal: wal (group-commit segmented log) or file (legacy single-file log)")
-	fsyncPolicy := flag.String("fsync", "group", "wal fsync policy: group (one fsync acks a batch), always (per-op), never (no write-path fsync)")
+	journalPath := flag.String("journal", "", "agent journal directory for the embedded MAS (agents resume on restart)")
 	mailboxTTL := flag.Duration("mailbox-ttl", 72*time.Hour, "expire undelivered mailbox entries after this long (0 keeps them until quota eviction)")
 	mailboxQuota := flag.Int("mailbox-quota", push.DefaultQuota, "max pending mailbox entries per device (oldest expendable evicted first)")
 	resultTTL := flag.Duration("result-ttl", 0, "expire stored result documents this long after completion (0 keeps them forever; requires -mailbox-dir)")
 	sweepEvery := flag.Duration("sweep-every", time.Minute, "how often the mailbox/result TTL sweeper runs")
 	keyBits := flag.Int("key-bits", pisec.DefaultKeyBits, "RSA key size")
-	shards := flag.Int("shards", gateway.DefaultRegistryShards, "registry lock-stripe count (rounded up to a power of two)")
 	workers := flag.Int("outbound-workers", 32, "bounded worker pool size for outbound calls (status chasing, management)")
 	maxConns := flag.Int("max-conns-per-host", transport.DefaultMaxPerDest, "outbound connection and in-flight limit per destination")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 	shedInFlight := flag.Int("shed-inflight", 0, "shed device dispatches (503 + Retry-After) while this many agents are in flight; 0 disables")
 	shedQueue := flag.Int("shed-queue", 0, "shed device dispatches while the outbound worker queue is this deep; 0 disables")
-	shedFsyncStall := flag.Duration("shed-fsync-stall", 0, "shed device dispatches while the journal's last fsync took at least this long (requires -journal with -store=wal); 0 disables")
+	shedFsyncStall := flag.Duration("shed-fsync-stall", 0, "shed device dispatches while the journal's last fsync took at least this long (requires -journal); 0 disables")
 	shedRetryAfter := flag.Duration("shed-retry-after", time.Second, "Retry-After hint on shed responses")
 	tenantsFile := flag.String("tenants", "", "tenant accounts config file (DESIGN.md §12): per-tenant rate limits, quotas and weighted-fair admission on device dispatch. Empty runs single-tenant (every subscription bills to the default account)")
 	flag.Parse()
@@ -117,13 +112,6 @@ func main() {
 	}
 	if public == "" {
 		public = *listen
-	}
-	if *shards < 1 {
-		log.Fatalf("gateway: -shards must be >= 1, got %d", *shards)
-	}
-	if rounded := nextPow2(*shards); rounded != *shards {
-		log.Printf("gateway: -shards %d rounded up to %d (power of two)", *shards, rounded)
-		*shards = rounded
 	}
 	var peerList []string
 	if *peers != "" {
@@ -211,29 +199,14 @@ func main() {
 		})
 	}
 
-	fsync, err := rms.ParseSyncPolicy(*fsyncPolicy)
-	if err != nil {
-		log.Fatalf("gateway: %v", err)
-	}
-	mailboxFile := "mailbox.wal"
-	if *storeKind == "file" {
-		mailboxFile = "mailbox.rms"
-	}
 	var mailbox *gateway.MailboxConfig
 	if *mailboxDir != "" {
 		if err := os.MkdirAll(*mailboxDir, 0o755); err != nil {
 			log.Fatalf("gateway: creating mailbox dir: %v", err)
 		}
-		store, err := rms.OpenDurable(*storeKind, filepath.Join(*mailboxDir, mailboxFile), fsync)
+		store, err := rms.OpenWALStore(filepath.Join(*mailboxDir, "mailbox.wal"), rms.WALOptions{})
 		if err != nil {
 			log.Fatalf("gateway: opening mailbox store: %v", err)
-		}
-		if peer != nil {
-			// The WAL backend has a native commit tap; the legacy file
-			// backend gets a wrapper so replication works either way.
-			if _, ok := store.(rms.Tapped); !ok {
-				store = rms.NewTappedStore(store, nil)
-			}
 		}
 		mailbox = &gateway.MailboxConfig{
 			Store:     store,
@@ -250,15 +223,11 @@ func main() {
 
 	var journal rms.Store
 	if *journalPath != "" {
-		journal, err = rms.OpenDurable(*storeKind, *journalPath, fsync)
+		w, err := rms.OpenWALStore(*journalPath, rms.WALOptions{})
 		if err != nil {
 			log.Fatalf("gateway: opening journal: %v", err)
 		}
-		if peer != nil {
-			if _, ok := journal.(rms.Tapped); !ok {
-				journal = rms.NewTappedStore(journal, nil)
-			}
-		}
+		journal = w
 	}
 
 	kp, err := pisec.GenerateKeyPair(*keyBits)
@@ -291,7 +260,6 @@ func main() {
 		Transport:       rt,
 		Flavour:         *flavour,
 		Peers:           peerList,
-		Shards:          *shards,
 		Cluster:         node,
 		Repl:            peer,
 		Journal:         journal,
@@ -312,7 +280,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("gateway: resuming journaled agents: %v", err)
 		}
-		log.Printf("gateway %s: journal %s (%s), resumed %d agent(s)", public, *journalPath, *storeKind, n)
+		log.Printf("gateway %s: journal %s, resumed %d agent(s)", public, *journalPath, n)
 	}
 	if node != nil {
 		node.Start(*heartbeat)
@@ -360,8 +328,8 @@ func main() {
 		log.Printf("gateway %s: mailbox at %s (ttl %v, quota %d, result ttl %v, sweep %v)",
 			public, *mailboxDir, *mailboxTTL, *mailboxQuota, *resultTTL, *sweepEvery)
 	}
-	log.Printf("gateway %s: %s flavour, key %s, %d registry shards, listening on %s",
-		public, *flavour, kp.Public().Fingerprint(), *shards, *listen)
+	log.Printf("gateway %s: %s flavour, key %s, listening on %s",
+		public, *flavour, kp.Public().Fingerprint(), *listen)
 
 	srv := &http.Server{Addr: *listen, Handler: transport.NewHTTPHandler(gw.Handler())}
 	errCh := make(chan error, 1)
@@ -419,14 +387,4 @@ func main() {
 			}
 		}
 	}
-}
-
-// nextPow2 rounds n up to the next power of two (matching the
-// registry's own rounding, surfaced here so the operator sees it).
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }

@@ -8,10 +8,8 @@
 // With -journal PATH the host keeps a write-ahead agent journal:
 // resident agents survive a daemon crash (they are resumed on the
 // next start), and failed transfers park for periodic retry instead
-// of failing the journey. -store selects the journal backend — wal
-// (default: a group-commit segmented log directory, power-loss
-// durable) or file (the legacy single-file log) — and -fsync the
-// WAL's sync policy (group|always|never).
+// of failing the journey. The journal is a group-commit WAL directory,
+// power-loss durable (DESIGN.md §9).
 //
 // With -replicate ADDR (plus -cluster-secret) the journal streams its
 // commits to a standby masd at ADDR (DESIGN.md §10); any masd started
@@ -48,9 +46,7 @@ func main() {
 	addr := flag.String("addr", "", "public address agents use to reach this host (default: listen address)")
 	flavour := flag.String("flavour", "aglets", "MAS codec flavour (aglets|voyager)")
 	svcList := flag.String("services", "bank", "comma-separated services to host: bank,food,docs")
-	journalPath := flag.String("journal", "", "agent journal path (enables crash recovery; agents resume on restart); a directory with -store=wal, a file with -store=file")
-	storeKind := flag.String("store", "wal", "journal backend: wal (group-commit segmented log) or file (legacy single-file log)")
-	fsyncPolicy := flag.String("fsync", "group", "wal fsync policy: group (one fsync acks a batch), always (per-op), never (no write-path fsync)")
+	journalPath := flag.String("journal", "", "agent journal directory (enables crash recovery; agents resume on restart)")
 	announceLocs := flag.Bool("announce-locations", true, "relay agent arrival/departure events to each agent's home gateway (/cluster/loc) for the federation's location directory")
 	clusterSecret := flag.String("cluster-secret", "", "shared cluster secret stamped on location relays (clustered home gateways refuse unauthenticated ones)")
 	retryEvery := flag.Duration("retry-interval", 30*time.Second, "how often parked transfers are retried (with -journal)")
@@ -105,25 +101,17 @@ func main() {
 		}
 	}
 
-	var journal rms.Store
-	var maint rms.Maintainer
+	var journal *rms.WALStore
 	if *journalPath != "" {
 		if *retryEvery <= 0 {
 			// time.Tick on a non-positive interval returns a nil channel
 			// and would silently never retry parked transfers.
 			log.Fatalf("masd: -retry-interval must be positive, got %v", *retryEvery)
 		}
-		pol, err := rms.ParseSyncPolicy(*fsyncPolicy)
-		if err != nil {
-			log.Fatalf("masd: %v", err)
-		}
-		journal, err = rms.OpenDurable(*storeKind, *journalPath, pol)
+		journal, err = rms.OpenWALStore(*journalPath, rms.WALOptions{})
 		if err != nil {
 			log.Fatalf("masd: opening journal: %v", err)
 		}
-		// The compaction ticker works on the raw backend; the journal
-		// handed to the MAS may get a tap wrapper below.
-		maint = journal.(rms.Maintainer)
 	}
 
 	rt := transport.NewPooledHTTPClient(0)
@@ -162,21 +150,18 @@ func main() {
 		case *replFlush <= 0:
 			log.Fatalf("masd: -repl-flush must be positive, got %v", *replFlush)
 		}
-		if _, ok := journal.(rms.Tapped); !ok {
-			// The WAL backend has a native commit tap; the legacy file
-			// backend gets a wrapper so replication works either way.
-			journal = rms.NewTappedStore(journal, nil)
-		}
-		peer.Replicate(repl.RoleJournal, journal.(rms.Tapped))
+		peer.Replicate(repl.RoleJournal, journal)
 	}
 	masCfg := mas.Config{
 		Addr:      public,
 		Codec:     codec,
 		Transport: rt,
 		Services:  reg,
-		Journal:   journal,
 		Metrics:   metrics.NewRegistry(),
 		Logf:      log.Printf,
+	}
+	if journal != nil {
+		masCfg.Journal = journal // a nil *WALStore must not become a non-nil Store
 	}
 	var relay *locRelay
 	if *announceLocs {
@@ -194,8 +179,8 @@ func main() {
 	// The MAS built its own registry (served on /metrics); fold the
 	// host-level durability and replication signals into the same
 	// scrape.
-	if w := rms.WALOf(journal); w != nil {
-		w.RegisterMetrics(srv.Metrics(), "pdagent_wal", "agent journal")
+	if journal != nil {
+		journal.RegisterMetrics(srv.Metrics(), "pdagent_wal", "agent journal")
 	}
 	if peer != nil {
 		m := srv.Metrics()
@@ -259,9 +244,8 @@ func main() {
 			// pass a threshold so long-running daemons stay bounded on
 			// disk, not just in live records. (The WAL also compacts
 			// itself at segment rotation; this ticker is the backstop for
-			// idle hosts and the only path for the legacy FileStore.)
+			// idle hosts.)
 			const compactThreshold = 1 << 20
-			m := maint
 			t := time.NewTicker(*retryEvery)
 			defer t.Stop()
 			for {
@@ -273,8 +257,8 @@ func main() {
 				if n := srv.RetryParked(ctx); n > 0 {
 					log.Printf("masd %s: retrying %d parked transfer(s)", public, n)
 				}
-				if m.Garbage() > compactThreshold {
-					if err := m.Compact(); err != nil {
+				if journal.Garbage() > compactThreshold {
+					if err := journal.Compact(); err != nil {
 						log.Printf("masd %s: compacting journal: %v", public, err)
 					}
 				}

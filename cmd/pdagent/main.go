@@ -1,8 +1,9 @@
 // Command pdagent is the handheld-side CLI: the UI layer over the
-// PDAgent Platform (internal/device). The on-device RMS database lives
-// in a file, so subscriptions and pending journeys survive between
-// invocations — subscribe once, dispatch while "connected", collect
-// later, exactly the paper's offline workflow.
+// PDAgent Platform (internal/device). The on-device RMS database is a
+// WAL directory (rms.WALStore), so subscriptions and pending journeys
+// survive between invocations and a power loss — subscribe once,
+// dispatch while "connected", collect later, exactly the paper's
+// offline workflow.
 //
 // Usage:
 //
@@ -36,7 +37,7 @@ import (
 )
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `pdagent [-db FILE] [-owner NAME] COMMAND [flags]
+	fmt.Fprintln(os.Stderr, `pdagent [-db DIR] [-owner NAME] COMMAND [flags]
 
 Commands:
   gateways   download the gateway list  (-central ADDR)
@@ -57,7 +58,7 @@ Commands:
 
 func main() {
 	root := flag.NewFlagSet("pdagent", flag.ExitOnError)
-	db := root.String("db", "pdagent.rms", "on-device database file")
+	db := root.String("db", "pdagent.rms", "on-device database directory (a group-commit WAL, created if missing)")
 	owner := root.String("owner", "pda-user", "owner identity")
 	root.Parse(os.Args[1:]) //nolint:errcheck // ExitOnError
 	args := root.Args()
@@ -65,7 +66,7 @@ func main() {
 		usage()
 	}
 
-	store, err := rms.OpenFileStore(*db)
+	store, err := rms.OpenWALStore(*db, rms.WALOptions{})
 	if err != nil {
 		fatal(err)
 	}

@@ -154,18 +154,12 @@ func CrashStorm(cfg CrashStormConfig) (*CrashStormResult, error) {
 	}
 	gws := make([]*gateway.Gateway, 2)
 	for i, addr := range addrs {
-		// Member 0's store is tapped (it is the replicated primary);
-		// member 1 receives.
-		var store rms.Store = rms.NewMemStore("mb-"+addr, 0)
-		if i == 0 {
-			store = rms.NewTappedStore(store, nil)
-		}
 		gw, err := gateway.New(gateway.Config{
 			Addr:      addr,
 			KeyPair:   kp,
 			Transport: wired,
 			Spawn:     func(func()) {},
-			Mailbox:   &gateway.MailboxConfig{Store: store, Quota: cfg.Quota},
+			Mailbox:   &gateway.MailboxConfig{Store: rms.NewMemStore("mb-"+addr, 0), Quota: cfg.Quota},
 			Cluster:   nodes[i],
 			Repl:      peers[i],
 			Logf:      cfg.Logf,

@@ -177,7 +177,7 @@ func TestLoadAwareSpill(t *testing.T) {
 		}
 	}
 	// The primary reports overload; after gossip, peers spill its keys.
-	f.nodes[pi].SetLoadFunc(func() Load { return Load{InFlight: DefaultSpillThreshold + 1} })
+	f.nodes[pi].SetLoadFunc(func() Load { return Load{InFlight: SpillThreshold + 1} })
 	f.tickAll(ctx)
 	f.tickAll(ctx)
 	for _, n := range f.nodes {

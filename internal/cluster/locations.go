@@ -7,9 +7,9 @@ import (
 	"pdagent/internal/kxml"
 )
 
-// defaultMaxLocations bounds the location table; the oldest terminal
+// maxLocations bounds the location table; the oldest terminal
 // entries are evicted first, then the oldest of all.
-const defaultMaxLocations = 8192
+const maxLocations = 8192
 
 // maxPiggyback bounds how many location updates ride one heartbeat.
 const maxPiggyback = 128
@@ -47,15 +47,11 @@ type Locations struct {
 	byAgent map[string]*Location
 	order   []string // insertion order for eviction
 	recent  []string // agent ids with updates not yet gossiped
-	max     int
 }
 
-// NewLocations builds an empty table (maxEntries 0 means the default).
-func NewLocations(maxEntries int) *Locations {
-	if maxEntries <= 0 {
-		maxEntries = defaultMaxLocations
-	}
-	return &Locations{byAgent: map[string]*Location{}, max: maxEntries}
+// NewLocations builds an empty table.
+func NewLocations() *Locations {
+	return &Locations{byAgent: map[string]*Location{}}
 }
 
 // Update folds one location event into the table; stale events (Seq
@@ -110,12 +106,12 @@ func (l *Locations) noteRecentLocked(id string) {
 // sweep amortises over max/8 inserts instead of running per insert on
 // a full table.
 func (l *Locations) evictLocked() {
-	if len(l.byAgent) <= l.max+l.max/8 {
+	if len(l.byAgent) <= maxLocations+maxLocations/8 {
 		return
 	}
 	keep := l.order[:0]
 	dropped := 0
-	need := len(l.byAgent) - l.max
+	need := len(l.byAgent) - maxLocations
 	for _, id := range l.order {
 		e, ok := l.byAgent[id]
 		if !ok {

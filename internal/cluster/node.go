@@ -14,10 +14,10 @@ import (
 	"pdagent/internal/transport"
 )
 
-// DefaultSpillThreshold is the load (queue depth + in-flight) above
+// SpillThreshold is the load (queue depth + in-flight) above
 // which placement skips a member and spills its keys to the next ring
 // position.
-const DefaultSpillThreshold = 256
+const SpillThreshold = 256
 
 // Config configures a cluster Node.
 type Config struct {
@@ -38,20 +38,12 @@ type Config struct {
 	// single-process fabrics (simulations, benchmarks) may leave it
 	// empty.
 	Secret string
-	// VirtualNodes per member on the placement ring (default
-	// DefaultVirtualNodes).
-	VirtualNodes int
 	// SuspectAfter / EvictAfter are failure-detector tick budgets (see
 	// MembershipConfig).
 	SuspectAfter, EvictAfter int
-	// SpillThreshold is the load at which placement skips a member
-	// (default DefaultSpillThreshold; negative disables spill).
-	SpillThreshold int
 	// LoadFn reports local load for heartbeats (the gateway wires its
 	// registry's in-flight count and the MAS queue depth here).
 	LoadFn func() Load
-	// MaxLocations bounds the location table (0: default).
-	MaxLocations int
 	// Epoch is this member's starting fencing epoch (DESIGN.md §10). A
 	// fresh member starts at 0; a member restarting after its standby
 	// promoted (and fenced the old instance) must start at or above the
@@ -69,10 +61,6 @@ type Config struct {
 	NoLocationPush bool
 	// Logf receives diagnostics.
 	Logf func(format string, args ...any)
-	// Log, when set, routes node diagnostics through the shared
-	// leveled logger (component-tagged, keyed once-latches) instead of
-	// ad-hoc sync.Once sites.
-	Log *metrics.Logger
 }
 
 // Node is one gateway's cluster runtime: membership + placement ring +
@@ -102,24 +90,17 @@ type Node struct {
 // NewNode builds a node. The view starts as the seed list, so
 // placement and the live directory work before the first heartbeat.
 func NewNode(cfg Config) *Node {
-	if cfg.SpillThreshold == 0 {
-		cfg.SpillThreshold = DefaultSpillThreshold
+	// The logger keeps the Oncef latch; it writes to cfg.Logf (or
+	// nowhere — quiet simulated nodes stay quiet).
+	sink := cfg.Logf
+	if sink == nil {
+		sink = func(string, ...any) {}
 	}
 	n := &Node{
 		cfg:  cfg,
-		locs: NewLocations(cfg.MaxLocations),
+		locs: NewLocations(),
 		fwd:  NewForwarder(cfg.Self, cfg.Transport, cfg.Secret),
-		log:  cfg.Log,
-	}
-	if n.log == nil {
-		// A private logger keeps the Oncef latch without requiring
-		// every caller to build one; it writes to cfg.Logf (or nowhere
-		// — quiet simulated nodes stay quiet).
-		sink := cfg.Logf
-		if sink == nil {
-			sink = func(string, ...any) {}
-		}
-		n.log = metrics.NewLogger("cluster", sink)
+		log:  metrics.NewLogger("cluster", sink),
 	}
 	n.epoch.Store(cfg.Epoch)
 	n.fwd.SetEpochFn(n.Epoch)
@@ -328,7 +309,7 @@ func (n *Node) currentRing() *Ring {
 	n.ringMu.Lock()
 	defer n.ringMu.Unlock()
 	if n.ring == nil || n.ringVer != v {
-		n.ring = NewRing(n.mem.AliveAddrs(), n.cfg.VirtualNodes)
+		n.ring = NewRing(n.mem.AliveAddrs())
 		n.ringVer = v
 	}
 	return n.ring
@@ -353,11 +334,8 @@ func (n *Node) HomeExcluding(key string, exclude map[string]bool) string {
 		if !n.mem.Alive(addr) {
 			return true
 		}
-		if n.cfg.SpillThreshold < 0 {
-			return false
-		}
 		load, ok := n.mem.LoadOf(addr)
-		return ok && load.QueueDepth+load.InFlight > n.cfg.SpillThreshold
+		return ok && load.QueueDepth+load.InFlight > SpillThreshold
 	})
 }
 

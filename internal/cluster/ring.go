@@ -27,10 +27,10 @@ import (
 	"strconv"
 )
 
-// DefaultVirtualNodes is the per-member virtual node count of the
+// VirtualNodes is the per-member virtual node count of the
 // placement ring. 64 points per member keeps the key share within a
 // few percent of 1/N for small fleets while the ring stays tiny.
-const DefaultVirtualNodes = 64
+const VirtualNodes = 64
 
 // fnv64a hashes a key for ring placement (FNV-1a, inlined like the
 // gateway registry's shard hash so placement allocates nothing).
@@ -62,19 +62,15 @@ type Ring struct {
 	members []string
 }
 
-// NewRing builds a ring with vnodes virtual nodes per member (0 means
-// DefaultVirtualNodes). Member order does not matter; the ring is a
-// pure function of the set.
-func NewRing(members []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
+// NewRing builds a ring with VirtualNodes points per member. Member
+// order does not matter; the ring is a pure function of the set.
+func NewRing(members []string) *Ring {
 	r := &Ring{members: append([]string(nil), members...)}
 	sort.Strings(r.members)
-	r.points = make([]ringPoint, 0, len(members)*vnodes)
+	r.points = make([]ringPoint, 0, len(members)*VirtualNodes)
 	var buf []byte
 	for _, m := range r.members {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < VirtualNodes; v++ {
 			buf = append(append(buf[:0], m...), '#')
 			buf = strconv.AppendInt(buf, int64(v), 10)
 			r.points = append(r.points, ringPoint{hash: fnv64a(string(buf)), addr: m})

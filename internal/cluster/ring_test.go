@@ -15,8 +15,8 @@ func keysFor(n int) []string {
 
 func TestRingDeterministicAndComplete(t *testing.T) {
 	members := []string{"gw-0", "gw-1", "gw-2"}
-	a := NewRing(members, 0)
-	b := NewRing([]string{"gw-2", "gw-0", "gw-1"}, 0) // order must not matter
+	a := NewRing(members)
+	b := NewRing([]string{"gw-2", "gw-0", "gw-1"}) // order must not matter
 	for _, k := range keysFor(500) {
 		oa, ob := a.Owner(k), b.Owner(k)
 		if oa != ob {
@@ -30,7 +30,7 @@ func TestRingDeterministicAndComplete(t *testing.T) {
 
 func TestRingBalance(t *testing.T) {
 	members := []string{"gw-0", "gw-1", "gw-2", "gw-3"}
-	r := NewRing(members, 0)
+	r := NewRing(members)
 	counts := map[string]int{}
 	keys := keysFor(4000)
 	for _, k := range keys {
@@ -49,8 +49,8 @@ func TestRingBalance(t *testing.T) {
 // reshuffle the space like modulo hashing would.
 func TestRingRebalance(t *testing.T) {
 	keys := keysFor(3000)
-	three := NewRing([]string{"gw-0", "gw-1", "gw-2"}, 0)
-	four := NewRing([]string{"gw-0", "gw-1", "gw-2", "gw-3"}, 0)
+	three := NewRing([]string{"gw-0", "gw-1", "gw-2"})
+	four := NewRing([]string{"gw-0", "gw-1", "gw-2", "gw-3"})
 
 	moved := 0
 	for _, k := range keys {
@@ -73,7 +73,7 @@ func TestRingRebalance(t *testing.T) {
 
 	// Leave: removing gw-3 must restore exactly the old assignment.
 	for _, k := range keys {
-		if three.Owner(k) != NewRing([]string{"gw-2", "gw-1", "gw-0"}, 0).Owner(k) {
+		if three.Owner(k) != NewRing([]string{"gw-2", "gw-1", "gw-0"}).Owner(k) {
 			t.Fatal("leave did not restore prior placement")
 		}
 		break // one spot check of reconstruction; full sweep below
@@ -90,7 +90,7 @@ func TestRingRebalance(t *testing.T) {
 }
 
 func TestOwnerSkipping(t *testing.T) {
-	r := NewRing([]string{"gw-0", "gw-1", "gw-2"}, 0)
+	r := NewRing([]string{"gw-0", "gw-1", "gw-2"})
 	key := SubscriptionKey("app.echo", "alice")
 	primary := r.Owner(key)
 
@@ -106,7 +106,7 @@ func TestOwnerSkipping(t *testing.T) {
 }
 
 func TestRingEmpty(t *testing.T) {
-	r := NewRing(nil, 0)
+	r := NewRing(nil)
 	if got := r.Owner("k"); got != "" {
 		t.Fatalf("empty ring owner = %q", got)
 	}

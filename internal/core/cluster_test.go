@@ -363,13 +363,3 @@ func TestClusterDispatchEndpointRequiresToken(t *testing.T) {
 		}
 	}
 }
-
-// TestClusterShardConfig: the satellite Shards knob reaches the
-// registry and rounds up to a power of two.
-func TestClusterShardConfig(t *testing.T) {
-	w := testWorld(t, SimConfig{Seed: 23})
-	defer w.Close()
-	if got := w.Gateways[0].Registry().Shards(); got != 32 {
-		t.Fatalf("default shards = %d, want 32", got)
-	}
-}

@@ -63,8 +63,6 @@ type SimConfig struct {
 	// KeyBits sizes gateway RSA keys (default pisec.DefaultKeyBits;
 	// tests use 1024 for speed).
 	KeyBits int
-	// SkipStandardApps leaves gateway catalogues empty.
-	SkipStandardApps bool
 	// Journal gives every MAS (hosts and the gateways' embedded home
 	// servers) a write-ahead agent journal, enabling CrashHost /
 	// RestartHost crash-recovery drills. The per-address stores are
@@ -78,9 +76,6 @@ type SimConfig struct {
 	// heartbeats manually with SimWorld.TickCluster (deterministic);
 	// kill and recover members with CrashGateway / RestartGateway.
 	Cluster bool
-	// ClusterSpillThreshold overrides the load-aware spill threshold
-	// (0: cluster.DefaultSpillThreshold; negative disables spill).
-	ClusterSpillThreshold int
 	// Mailbox enables the disconnection-tolerant device sessions
 	// (DESIGN.md §7) on every gateway: results, status changes and
 	// management notifications are enqueued into durable per-device
@@ -88,10 +83,6 @@ type SimConfig struct {
 	// stores are exposed through SimWorld.Mailboxes and survive
 	// CrashGateway / RestartGateway, like the journals.
 	Mailbox bool
-	// MailboxTTL / MailboxQuota tune the mailboxes (0: keep until
-	// quota / push.DefaultQuota).
-	MailboxTTL   time.Duration
-	MailboxQuota int
 	// ResultTTL expires stored result documents (0 keeps them forever);
 	// enforced by Gateway.Sweep. Requires Mailbox.
 	ResultTTL time.Duration
@@ -267,12 +258,11 @@ func (w *SimWorld) buildGateway(i int, addr string, kp *pisec.KeyPair, journal r
 	var node *cluster.Node
 	if w.cfg.Cluster {
 		nodeCfg := cluster.Config{
-			Self:           addr,
-			Seeds:          w.cfg.GatewayAddrs,
-			Transport:      w.Net.Transport(netsim.ZoneWired),
-			Secret:         w.clusterKey,
-			SpillThreshold: w.cfg.ClusterSpillThreshold,
-			Epoch:          epoch,
+			Self:      addr,
+			Seeds:     w.cfg.GatewayAddrs,
+			Transport: w.Net.Transport(netsim.ZoneWired),
+			Secret:    w.clusterKey,
+			Epoch:     epoch,
 		}
 		if w.cfg.Replicate {
 			// Evictions queue for TickCluster (which holds the journey
@@ -285,9 +275,6 @@ func (w *SimWorld) buildGateway(i int, addr string, kp *pisec.KeyPair, journal r
 	}
 	var peer *repl.Peer
 	if node != nil && w.cfg.Replicate {
-		if journal != nil {
-			journal = rms.NewTappedStore(journal, nil)
-		}
 		peer = repl.NewPeer(repl.Config{
 			Self:      addr,
 			Transport: w.Net.Transport(netsim.ZoneWired),
@@ -317,25 +304,14 @@ func (w *SimWorld) buildGateway(i int, addr string, kp *pisec.KeyPair, journal r
 			store = rms.NewMemStore("mailbox-"+addr, 0)
 			w.Mailboxes[addr] = store
 		}
-		var mbStore rms.Store = store
-		if peer != nil {
-			mbStore = rms.NewTappedStore(store, nil)
-		}
-		gwCfg.Mailbox = &gateway.MailboxConfig{
-			Store:     mbStore,
-			TTL:       w.cfg.MailboxTTL,
-			Quota:     w.cfg.MailboxQuota,
-			ResultTTL: w.cfg.ResultTTL,
-		}
+		gwCfg.Mailbox = &gateway.MailboxConfig{Store: store, ResultTTL: w.cfg.ResultTTL}
 	}
 	gw, err := gateway.New(gwCfg)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if !w.cfg.SkipStandardApps {
-		if err := RegisterStandardApps(gw); err != nil {
-			return nil, nil, nil, err
-		}
+	if err := RegisterStandardApps(gw); err != nil {
+		return nil, nil, nil, err
 	}
 	return gw, node, peer, nil
 }

@@ -96,10 +96,6 @@ type Config struct {
 	// LRU. Pass a shared cache when several gateways should share
 	// compilations (simulation, tests).
 	Programs *progcache.Cache
-	// Shards is the lock-stripe count of the state registry, rounded up
-	// to the next power of two (default DefaultRegistryShards; 1
-	// degenerates to a single lock).
-	Shards int
 	// Cluster, when set, federates this gateway into a clustered middle
 	// tier (DESIGN.md §6): the node's live membership replaces the
 	// static §3.5 list, dispatches whose consistent-hash home is
@@ -235,6 +231,19 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.Transport == nil {
 		return nil, fmt.Errorf("gateway: config missing Transport")
 	}
+	if cfg.Repl != nil {
+		// A member asked to replicate must be able to: a store without a
+		// commit tap would run with no standby copy and no error.
+		stores := []rms.Store{cfg.Journal}
+		if cfg.Mailbox != nil {
+			stores = append(stores, cfg.Mailbox.Store)
+		}
+		for _, st := range stores {
+			if _, ok := st.(rms.Tapped); st != nil && !ok {
+				return nil, fmt.Errorf("gateway: config sets Repl but store %q has no commit tap (rms.Tapped)", st.Name())
+			}
+		}
+	}
 	if cfg.Flavour == "" {
 		cfg.Flavour = "aglets"
 	}
@@ -243,9 +252,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	if cfg.Services == nil {
 		cfg.Services = services.NewRegistry()
-	}
-	if cfg.Shards == 0 {
-		cfg.Shards = DefaultRegistryShards
 	}
 	if cfg.OutboundWorkers == 0 {
 		cfg.OutboundWorkers = defaultOutboundWorkers
@@ -263,7 +269,7 @@ func New(cfg Config) (*Gateway, error) {
 
 	g := &Gateway{
 		cfg:   cfg,
-		reg:   NewRegistry(cfg.Shards),
+		reg:   NewRegistry(),
 		pool:  newWorkerPool(cfg.OutboundWorkers, cfg.Logf),
 		progs: cfg.Programs,
 	}
@@ -377,14 +383,13 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g.mux = m
 	if cfg.Repl != nil {
-		// Attach commit taps to every durable store that supports one;
-		// stores without a tap (plain MemStore, FileStore) simply are
-		// not replicated.
-		if t, ok := cfg.Journal.(rms.Tapped); ok {
-			cfg.Repl.Replicate(repl.RoleJournal, t)
+		// Attach commit taps to the configured stores (each was checked
+		// to have one on the way in).
+		if cfg.Journal != nil {
+			cfg.Repl.Replicate(repl.RoleJournal, cfg.Journal.(rms.Tapped))
 		}
-		if t, ok := g.mailboxStore.(rms.Tapped); ok {
-			cfg.Repl.Replicate(repl.RoleMailbox, t)
+		if g.mailboxStore != nil {
+			cfg.Repl.Replicate(repl.RoleMailbox, g.mailboxStore.(rms.Tapped))
 		}
 	}
 	return g, nil
@@ -716,21 +721,13 @@ func (g *Gateway) dispatchDevice(ctx context.Context, req *transport.Request) *t
 		return transport.Errorf(transport.StatusBadRequest, "unpacking packed information: %v", err)
 	}
 
-	// Step 3: the Agent Creator validates the supplied unique key. In
-	// multi-tenant mode the same shard lookup also resolves the tenant
-	// account the subscription was bound to at subscribe time — the
-	// tenant is never read from the request, so a device cannot bill
-	// its traffic to someone else's account.
-	var (
-		secret     []byte
-		tenantID   string
-		subscribed bool
-	)
-	if g.admission != nil {
-		secret, tenantID, subscribed = g.reg.SecretOwner(pi.CodeID, pi.Owner)
-	} else {
-		secret, subscribed = g.reg.Secret(pi.CodeID, pi.Owner)
-	}
+	// Step 3: the Agent Creator validates the supplied unique key. The
+	// same shard lookup also resolves the tenant account the
+	// subscription was bound to at subscribe time (the default account,
+	// "", on a single-tenant gateway) — the tenant is never read from
+	// the request, so a device cannot bill its traffic to someone
+	// else's account.
+	secret, tenantID, subscribed := g.reg.SecretOwner(pi.CodeID, pi.Owner)
 	if !subscribed {
 		return transport.Errorf(transport.StatusUnauthorized,
 			"no subscription for code %q by %q", pi.CodeID, pi.Owner)

@@ -15,6 +15,7 @@ import (
 	"pdagent/internal/mavm"
 	"pdagent/internal/netsim"
 	"pdagent/internal/pisec"
+	"pdagent/internal/repl"
 	"pdagent/internal/rms"
 	"pdagent/internal/transport"
 	"pdagent/internal/wire"
@@ -545,5 +546,30 @@ func TestStatusXMLWellFormed(t *testing.T) {
 	}
 	if _, err := kxml.ParseBytes(resp.Body); err != nil {
 		t.Fatalf("status body not XML: %v", err)
+	}
+}
+
+// untappedStore hides its store's commit tap: an rms.Store that is not
+// rms.Tapped.
+type untappedStore struct{ rms.Store }
+
+// TestNewRefusesReplOverUntappedStore: a member asked to replicate a
+// store it cannot tap fails at construction instead of running with no
+// standby copy and no error.
+func TestNewRefusesReplOverUntappedStore(t *testing.T) {
+	for name, mut := range map[string]func(*Config){
+		"journal": func(c *Config) { c.Journal = untappedStore{rms.NewMemStore("j", 0)} },
+		"mailbox": func(c *Config) { c.Mailbox = &MailboxConfig{Store: untappedStore{rms.NewMemStore("m", 0)}} },
+	} {
+		cfg := Config{
+			Addr:      "gw-t",
+			KeyPair:   testKeyPair(t),
+			Transport: netsim.New(4).Transport(netsim.ZoneWired),
+			Repl:      repl.NewPeer(repl.Config{Self: "gw-t"}),
+		}
+		mut(&cfg)
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "no commit tap") {
+			t.Errorf("%s: New with Repl over an untapped store = %v, want a no-commit-tap error", name, err)
+		}
 	}
 }

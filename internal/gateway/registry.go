@@ -11,21 +11,19 @@ import (
 	"pdagent/internal/wire"
 )
 
-// DefaultRegistryShards is the default lock-stripe count of a Registry.
-// 32 shards keep contention negligible for dozens of serving goroutines
-// while costing a few hundred bytes of fixed overhead.
-const DefaultRegistryShards = 32
+// registryShards is the lock-stripe count of a Registry (a power of
+// two). 32 shards keep contention negligible for dozens of serving
+// goroutines while costing a few hundred bytes of fixed overhead.
+const registryShards = 32
 
 // Registry is the gateway's agent/subscription state store: the
 // catalogue, per-subscription secrets, replay windows and dispatched
 // agent metadata. It is lock-striped — every key (code id, subscription
 // key or agent id) is hashed onto one of a fixed set of shards, each
 // with its own RWMutex — so requests touching unrelated agents or
-// subscriptions never contend. NewRegistry(1) degenerates to the old
-// single-lock design, which the benchmarks use as the baseline.
+// subscriptions never contend.
 type Registry struct {
 	shards   []registryShard
-	mask     uint32
 	agentSeq atomic.Uint64
 	// inFlight gauges dispatched-but-unfinished agents; heartbeats
 	// gossip it as the cluster's load-aware-spill signal.
@@ -65,15 +63,9 @@ type registryShard struct {
 	goneQ []string
 }
 
-// NewRegistry returns a registry with the given shard count, rounded up
-// to a power of two; counts below one become a single shard (the
-// single-lock baseline).
-func NewRegistry(shards int) *Registry {
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	r := &Registry{shards: make([]registryShard, n), mask: uint32(n - 1)}
+// NewRegistry returns an empty registry.
+func NewRegistry() *Registry {
+	r := &Registry{shards: make([]registryShard, registryShards)}
 	for i := range r.shards {
 		s := &r.shards[i]
 		s.catalog = map[string]*wire.CodePackage{}
@@ -84,9 +76,6 @@ func NewRegistry(shards int) *Registry {
 	}
 	return r
 }
-
-// Shards returns the number of lock stripes.
-func (r *Registry) Shards() int { return len(r.shards) }
 
 // fnv32a is the FNV-1a hash, inlined to keep the shard lookup
 // allocation-free on the dispatch hot path.
@@ -104,7 +93,7 @@ func fnv32a(s string) uint32 {
 }
 
 func (r *Registry) shardFor(key string) *registryShard {
-	return &r.shards[fnv32a(key)&r.mask]
+	return &r.shards[fnv32a(key)&(registryShards-1)]
 }
 
 // subKey joins a code id and owner into one subscription key.
@@ -164,20 +153,9 @@ func (r *Registry) SetTenantSecret(codeID, owner string, secret []byte, tenantID
 	s.mu.Unlock()
 }
 
-// Secret returns the subscription secret for (codeID, owner).
-func (r *Registry) Secret(codeID, owner string) ([]byte, bool) {
-	k := subKey(codeID, owner)
-	s := r.shardFor(k)
-	s.mu.RLock()
-	e, ok := s.secrets[k]
-	s.mu.RUnlock()
-	return e.key, ok
-}
-
 // SecretOwner returns the subscription secret for (codeID, owner)
-// together with the tenant the subscription is bound to — one shard
-// lookup, so the multi-tenant dispatch path resolves both at the cost
-// single-tenant dispatch pays for the secret alone.
+// together with the tenant the subscription is bound to, in one shard
+// lookup.
 func (r *Registry) SecretOwner(codeID, owner string) ([]byte, string, bool) {
 	k := subKey(codeID, owner)
 	s := r.shardFor(k)

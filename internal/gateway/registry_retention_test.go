@@ -11,7 +11,7 @@ import (
 // or resurrected since they were queued) must be skipped harmlessly.
 
 func TestExpireResultsPopsOnlyRipe(t *testing.T) {
-	r := NewRegistry(4)
+	r := NewRegistry()
 	r.CreateAgent("a1", "echo", "dev")
 	r.CompleteAgent("a1", "echo", "dev", 11, "done")
 	r.CreateAgent("a2", "echo", "dev")
@@ -50,7 +50,7 @@ func TestExpireResultsPopsOnlyRipe(t *testing.T) {
 }
 
 func TestPruneGoneTombstoneLifecycle(t *testing.T) {
-	r := NewRegistry(4)
+	r := NewRegistry()
 	r.CreateAgent("a1", "echo", "dev")
 	r.CompleteAgent("a1", "echo", "dev", 7, "done")
 	if got := r.ExpireResults(time.Now().Add(time.Hour)); len(got) != 1 {
@@ -80,7 +80,7 @@ func TestPruneGoneTombstoneLifecycle(t *testing.T) {
 // expired agent (its result becomes collectable again); the stale
 // tombstone queued by the earlier expiry must not delete it.
 func TestPruneGoneSkipsResurrected(t *testing.T) {
-	r := NewRegistry(4)
+	r := NewRegistry()
 	r.CreateAgent("a1", "echo", "dev")
 	r.CompleteAgent("a1", "echo", "dev", 7, "done")
 	if got := r.ExpireResults(time.Now().Add(time.Hour)); len(got) != 1 {
@@ -112,7 +112,7 @@ func TestPruneGoneSkipsResurrected(t *testing.T) {
 // TestReleaseAgentQueuesTombstone: disposal tombstones ride the same
 // retention queue as expiry tombstones.
 func TestReleaseAgentQueuesTombstone(t *testing.T) {
-	r := NewRegistry(4)
+	r := NewRegistry()
 	r.CreateAgent("a1", "echo", "dev")
 	if _, ok := r.ReleaseAgent("a1", "disposed by owner"); !ok {
 		t.Fatal("release failed")

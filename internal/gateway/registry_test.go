@@ -17,87 +17,73 @@ import (
 	"pdagent/internal/wire"
 )
 
-func TestRegistryShardRounding(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {31, 32}, {32, 32}, {33, 64},
-	} {
-		if got := NewRegistry(tc.in).Shards(); got != tc.want {
-			t.Errorf("NewRegistry(%d).Shards() = %d, want %d", tc.in, got, tc.want)
-		}
-	}
-}
-
 // TestRegistryConcurrentDispatchNoLoss hammers the dispatch-path
 // registry operations from many goroutines and asserts no agent id is
 // duplicated, no dispatch record is lost, and every completion is
 // visible afterwards. Run under -race this also proves the striping is
 // data-race free.
 func TestRegistryConcurrentDispatchNoLoss(t *testing.T) {
-	for _, shards := range []int{1, 32} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			reg := NewRegistry(shards)
-			const goroutines = 16
-			const perG = 200
-			for i := 0; i < goroutines; i++ {
-				reg.SetSecret("app.echo", fmt.Sprintf("dev-%d", i), []byte{byte(i)})
-			}
-			ids := make([][]string, goroutines)
-			var wg sync.WaitGroup
-			for i := 0; i < goroutines; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					owner := fmt.Sprintf("dev-%d", i)
-					for k := 0; k < perG; k++ {
-						if _, ok := reg.Secret("app.echo", owner); !ok {
-							t.Errorf("secret for %s lost", owner)
-							return
-						}
-						nonce := fmt.Sprintf("n-%d-%d", i, k)
-						if !reg.RememberNonce("app.echo", owner, nonce) {
-							t.Errorf("fresh nonce %s rejected", nonce)
-							return
-						}
-						if reg.RememberNonce("app.echo", owner, nonce) {
-							t.Errorf("nonce %s accepted twice", nonce)
-							return
-						}
-						id := reg.NextAgentID("gw-race")
-						reg.CreateAgent(id, "app.echo", owner)
-						reg.CompleteAgent(id, "app.echo", owner, i*perG+k, "")
-						st, ok := reg.Agent(id)
-						if !ok || !st.Done || st.Owner != owner {
-							t.Errorf("agent %s: status %+v ok=%v", id, st, ok)
-							return
-						}
-						ids[i] = append(ids[i], id)
-					}
-				}(i)
-			}
-			wg.Wait()
-			seen := map[string]bool{}
-			for _, chunk := range ids {
-				for _, id := range chunk {
-					if seen[id] {
-						t.Fatalf("duplicate agent id %s", id)
-					}
-					seen[id] = true
+	reg := NewRegistry()
+	const goroutines = 16
+	const perG = 200
+	for i := 0; i < goroutines; i++ {
+		reg.SetSecret("app.echo", fmt.Sprintf("dev-%d", i), []byte{byte(i)})
+	}
+	ids := make([][]string, goroutines)
+	var wg sync.WaitGroup
+	for i := 0; i < goroutines; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			owner := fmt.Sprintf("dev-%d", i)
+			for k := 0; k < perG; k++ {
+				if _, _, ok := reg.SecretOwner("app.echo", owner); !ok {
+					t.Errorf("secret for %s lost", owner)
+					return
 				}
+				nonce := fmt.Sprintf("n-%d-%d", i, k)
+				if !reg.RememberNonce("app.echo", owner, nonce) {
+					t.Errorf("fresh nonce %s rejected", nonce)
+					return
+				}
+				if reg.RememberNonce("app.echo", owner, nonce) {
+					t.Errorf("nonce %s accepted twice", nonce)
+					return
+				}
+				id := reg.NextAgentID("gw-race")
+				reg.CreateAgent(id, "app.echo", owner)
+				reg.CompleteAgent(id, "app.echo", owner, i*perG+k, "")
+				st, ok := reg.Agent(id)
+				if !ok || !st.Done || st.Owner != owner {
+					t.Errorf("agent %s: status %+v ok=%v", id, st, ok)
+					return
+				}
+				ids[i] = append(ids[i], id)
 			}
-			if len(seen) != goroutines*perG {
-				t.Fatalf("agents recorded = %d, want %d", len(seen), goroutines*perG)
+		}(i)
+	}
+	wg.Wait()
+	seen := map[string]bool{}
+	for _, chunk := range ids {
+		for _, id := range chunk {
+			if seen[id] {
+				t.Fatalf("duplicate agent id %s", id)
 			}
-			if n := reg.NumAgents(); n != goroutines*perG {
-				t.Fatalf("NumAgents = %d, want %d", n, goroutines*perG)
-			}
-		})
+			seen[id] = true
+		}
+	}
+	if len(seen) != goroutines*perG {
+		t.Fatalf("agents recorded = %d, want %d", len(seen), goroutines*perG)
+	}
+	if n := reg.NumAgents(); n != goroutines*perG {
+		t.Fatalf("NumAgents = %d, want %d", n, goroutines*perG)
 	}
 }
 
 // TestRegistryNonceSingleAcceptance races many goroutines on the SAME
-// nonce: exactly one must win, under any shard count.
+// nonce: exactly one must win.
 func TestRegistryNonceSingleAcceptance(t *testing.T) {
-	reg := NewRegistry(DefaultRegistryShards)
+	reg := NewRegistry()
 	reg.SetSecret("app.echo", "dev-1", []byte("s"))
 	for round := 0; round < 50; round++ {
 		nonce := fmt.Sprintf("contested-%d", round)
@@ -124,7 +110,7 @@ func TestRegistryNonceSingleAcceptance(t *testing.T) {
 }
 
 func TestRegistryWatch(t *testing.T) {
-	reg := NewRegistry(4)
+	reg := NewRegistry()
 	if _, ok := reg.Watch("ghost"); ok {
 		t.Fatal("watch on unknown agent succeeded")
 	}
@@ -163,7 +149,7 @@ func TestRegistryWatch(t *testing.T) {
 }
 
 func TestRegistryReleaseAgent(t *testing.T) {
-	reg := NewRegistry(4)
+	reg := NewRegistry()
 	if _, ok := reg.ReleaseAgent("ghost", "x"); ok {
 		t.Fatal("released unknown agent")
 	}
@@ -198,7 +184,7 @@ func TestRegistryReleaseAgent(t *testing.T) {
 }
 
 func TestRegistryAdoptClone(t *testing.T) {
-	reg := NewRegistry(4)
+	reg := NewRegistry()
 	if reg.AdoptClone("ghost", "clone-1") {
 		t.Fatal("adopted clone of unknown agent")
 	}

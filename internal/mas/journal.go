@@ -172,8 +172,8 @@ const maxJournalTombstones = 4096
 const journalStripes = 64
 
 // journal maps agent ids to rms records over any rms.Store backend
-// (MemStore in simulated worlds, a WALStore or FileStore under the
-// daemons' -journal flag).
+// (MemStore in simulated worlds, a WALStore under the daemons'
+// -journal flag).
 //
 // Locking: mu guards only the index maps and is never held across a
 // store call — on a group-commit WAL a write blocks until fsync, and

@@ -552,14 +552,13 @@ func TestPartitionParksThenRetriesAfterHeal(t *testing.T) {
 	}
 }
 
-// TestResumeFromTornJournal truncates a FileStore-backed agent journal
-// at every byte boundary: NewServer+Resume must either recover the
+// TestResumeFromTornJournal truncates the last segment of a WAL-backed
+// agent journal at every byte boundary: NewServer+Resume must either recover the
 // last good record or report a clean error — never panic, and never
 // resurrect a half-written agent.
 func TestResumeFromTornJournal(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "agents.journal")
-	store, err := rms.OpenFileStore(path)
+	store, err := rms.OpenWALStore(filepath.Join(dir, "agents.journal"), rms.WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,20 +598,29 @@ func TestResumeFromTornJournal(t *testing.T) {
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	full, err := os.ReadFile(path)
+	segs, err := filepath.Glob(filepath.Join(dir, "agents.journal", "wal-*.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("journal segments: %v, %v; want exactly one", segs, err)
+	}
+	full, err := os.ReadFile(segs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(full) < 64 {
-		t.Fatalf("journal file suspiciously small: %d bytes", len(full))
+		t.Fatalf("journal segment suspiciously small: %d bytes", len(full))
 	}
 
 	for cut := 0; cut <= len(full); cut++ {
-		tornPath := filepath.Join(dir, "torn.journal")
-		if err := os.WriteFile(tornPath, full[:cut], 0o644); err != nil {
+		// A fresh copy of the journal directory each time: recovery
+		// truncates the tear away, so a reused copy would stay short.
+		tornDir := filepath.Join(dir, fmt.Sprintf("torn-%d.journal", cut))
+		if err := os.Mkdir(tornDir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		tornStore, err := rms.OpenFileStore(tornPath)
+		if err := os.WriteFile(filepath.Join(tornDir, filepath.Base(segs[0])), full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tornStore, err := rms.OpenWALStore(tornDir, rms.WALOptions{Sync: rms.SyncNever})
 		if err != nil {
 			// A clean error is acceptable; a panic is not (and would
 			// have failed the test already).

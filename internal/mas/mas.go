@@ -116,14 +116,6 @@ type Config struct {
 	// FuelSlice is the op budget per execution slice (default
 	// mavm.DefaultFuel).
 	FuelSlice uint64
-	// TransferAttempts is how many times a transfer is retried before
-	// the agent is considered stuck (default 3).
-	TransferAttempts int
-	// MaxHops bounds an agent's lifetime migrations; an arriving agent
-	// beyond the bound is failed home instead of admitted, which stops
-	// runaway itineraries from bouncing between hosts forever
-	// (default 64).
-	MaxHops int
 	// Journal, when set, is the write-ahead agent journal: an agent that
 	// enters this server — admitted locally or arriving by /atp/transfer,
 	// whose handoff is acked only after that write — is journaled at its
@@ -219,6 +211,11 @@ type Server struct {
 	mux  *transport.Mux
 	jr   *journal    // nil when cfg.Journal is unset
 	dead atomic.Bool // set by Kill: the simulated process crash
+	// maxHops bounds an agent's lifetime migrations; an arriving agent
+	// beyond the bound is failed home instead of admitted, which stops
+	// runaway itineraries from bouncing between hosts forever. Always
+	// defaultMaxHops outside the test that tightens it.
+	maxHops int
 
 	// §11 instruments, registered once at construction so the agent
 	// paths only touch atomics.
@@ -265,6 +262,13 @@ type pendingAccept struct {
 // maxLogLines bounds the per-server agent log ring.
 const maxLogLines = 512
 
+// transferAttempts is how many times a transfer is retried before the
+// agent is considered stuck.
+const transferAttempts = 3
+
+// defaultMaxHops is the hop limit of every server (Server.maxHops).
+const defaultMaxHops = 64
+
 // NewServer creates a MAS from a config.
 func NewServer(cfg Config) (*Server, error) {
 	if cfg.Addr == "" {
@@ -285,12 +289,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.FuelSlice == 0 {
 		cfg.FuelSlice = mavm.DefaultFuel
 	}
-	if cfg.TransferAttempts == 0 {
-		cfg.TransferAttempts = 3
-	}
-	if cfg.MaxHops == 0 {
-		cfg.MaxHops = 64
-	}
 	if cfg.Programs == nil {
 		cfg.Programs = progcache.New(0)
 	}
@@ -302,6 +300,7 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:      cfg,
+		maxHops:  defaultMaxHops,
 		agents:   make(map[string]*record),
 		flavours: make(map[string]atp.Codec),
 		accepted: make(map[string]int),
@@ -913,7 +912,7 @@ func (s *Server) transferImage(ctx context.Context, im *atp.Image, target, kind,
 		req.SetHeader("tenant", tenantID)
 	}
 	var lastErr error
-	for attempt := 0; attempt < s.cfg.TransferAttempts; attempt++ {
+	for attempt := 0; attempt < transferAttempts; attempt++ {
 		resp, err := s.cfg.Transport.RoundTrip(ctx, target, req)
 		if err != nil {
 			lastErr = err
@@ -1056,14 +1055,14 @@ func (s *Server) handleTransfer(ctx context.Context, req *transport.Request) *tr
 			id: im.AgentID, home: im.Home, codeID: im.CodeID, owner: im.Owner,
 			tenant: tenantID, vm: vm, state: StateRunning,
 		}
-		overLimit := vm.Hops >= s.cfg.MaxHops
+		overLimit := vm.Hops >= s.maxHops
 		if overLimit {
 			// Runaway itinerary: accept the image but terminate the
 			// journey, sending the evidence home instead of admitting
 			// the agent for another lap. Run refuses a failed VM, so its
 			// first slice here is the failure itself.
-			s.logf("mas %s: agent %s exceeded %d hops, failing home", s.cfg.Addr, im.AgentID, s.cfg.MaxHops)
-			vm.ForceFail(fmt.Sprintf("mas: hop limit %d exceeded at %s", s.cfg.MaxHops, s.cfg.Addr))
+			s.logf("mas %s: agent %s exceeded %d hops, failing home", s.cfg.Addr, im.AgentID, s.maxHops)
+			vm.ForceFail(fmt.Sprintf("mas: hop limit %d exceeded at %s", s.maxHops, s.cfg.Addr))
 		} else {
 			vm.ClearMigration()
 		}

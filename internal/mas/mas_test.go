@@ -583,7 +583,7 @@ func TestHopLimitStopsRunawayItinerary(t *testing.T) {
 	w := newSimWorld(t, map[string]string{"bank-a": "aglets", "bank-b": "aglets"})
 	// Tighten the limit on every server so the test is quick.
 	for _, srv := range w.servers {
-		srv.cfg.MaxHops = 6
+		srv.maxHops = 6
 	}
 	// An agent that bounces between the banks forever.
 	arrival := w.dispatch(t, `

@@ -82,8 +82,8 @@ const DefaultDedupTTL = 15 * time.Minute
 
 // Config configures a Hub.
 type Config struct {
-	// Store is the backing record store. A persistent store (e.g.
-	// rms.FileStore) makes mailboxes survive gateway crashes; required.
+	// Store is the backing record store. A persistent store
+	// (rms.WALStore) makes mailboxes survive gateway crashes; required.
 	Store rms.Store
 	// TTL expires entries that sat undelivered longer than this
 	// (0 = keep until acked or evicted by quota).

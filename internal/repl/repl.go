@@ -42,7 +42,6 @@ import (
 	"sync"
 	"time"
 
-	"pdagent/internal/metrics"
 	"pdagent/internal/rms"
 	"pdagent/internal/transport"
 )
@@ -133,10 +132,6 @@ type Config struct {
 	Mode Mode
 	// Logf receives diagnostics.
 	Logf func(format string, args ...any)
-	// Log, when set, routes diagnostics through the shared leveled
-	// logger instead of Logf (degraded/recovered transitions log at
-	// warn level, tagged with the repl component).
-	Log *metrics.Logger
 }
 
 // stream is the sender-side state of one replicated store.
@@ -206,10 +201,6 @@ func NewPeer(cfg Config) *Peer {
 }
 
 func (p *Peer) logf(format string, args ...any) {
-	if p.cfg.Log != nil {
-		p.cfg.Log.Warnf(format, args...)
-		return
-	}
 	if p.cfg.Logf != nil {
 		p.cfg.Logf(format, args...)
 	}

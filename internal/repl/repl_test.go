@@ -61,7 +61,7 @@ func newHarness(t *testing.T, mode Mode) *harness {
 
 func TestSemiSyncStreamBuildsReplica(t *testing.T) {
 	h := newHarness(t, ModeSemiSync)
-	store := rms.NewTappedStore(rms.NewMemStore("journal", 0), nil)
+	store := rms.NewMemStore("journal", 0)
 	if _, err := store.Add([]byte("pre-attach")); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestSemiSyncStreamBuildsReplica(t *testing.T) {
 
 func TestAsyncBuffersUntilFlush(t *testing.T) {
 	h := newHarness(t, ModeAsync)
-	store := rms.NewTappedStore(rms.NewMemStore("journal", 0), nil)
+	store := rms.NewMemStore("journal", 0)
 	h.a.Replicate("journal", store)
 	for i := 0; i < 5; i++ {
 		if _, err := store.Add([]byte(fmt.Sprintf("r%d", i))); err != nil {
@@ -129,7 +129,7 @@ func TestAsyncBuffersUntilFlush(t *testing.T) {
 
 func TestStandbyOutageDegradesAndRecovers(t *testing.T) {
 	h := newHarness(t, ModeSemiSync)
-	store := rms.NewTappedStore(rms.NewMemStore("journal", 0), nil)
+	store := rms.NewMemStore("journal", 0)
 	h.a.Replicate("journal", store)
 	if _, err := store.Add([]byte("before")); err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestStandbyOutageDegradesAndRecovers(t *testing.T) {
 
 func TestReceiverLossTriggersResnapshot(t *testing.T) {
 	h := newHarness(t, ModeSemiSync)
-	store := rms.NewTappedStore(rms.NewMemStore("journal", 0), nil)
+	store := rms.NewMemStore("journal", 0)
 	h.a.Replicate("journal", store)
 	if _, err := store.Add([]byte("one")); err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func TestReceiverLossTriggersResnapshot(t *testing.T) {
 
 func TestTakeGuardsPromotion(t *testing.T) {
 	h := newHarness(t, ModeSemiSync)
-	store := rms.NewTappedStore(rms.NewMemStore("journal", 0), nil)
+	store := rms.NewMemStore("journal", 0)
 	h.a.Replicate("journal", store)
 	if _, err := store.Add([]byte("x")); err != nil {
 		t.Fatal(err)
@@ -199,7 +199,7 @@ func TestTakeGuardsPromotion(t *testing.T) {
 
 func TestFetchServesReplicaBack(t *testing.T) {
 	h := newHarness(t, ModeSemiSync)
-	store := rms.NewTappedStore(rms.NewMemStore("journal", 0), nil)
+	store := rms.NewMemStore("journal", 0)
 	h.a.Replicate("journal", store)
 	id, _ := store.Add([]byte("payload"))
 	r, err := h.a.Fetch(context.Background(), "b", "a", "journal")

@@ -24,13 +24,12 @@ func applyScript(next int) []Op {
 }
 
 // TestWALStoreApplyOneFsync: a k-op Apply costs exactly one fsync under
-// SyncGroup and SyncAlways and none under SyncNever, and returns each
-// op's record id.
+// SyncGroup and none under SyncNever, and returns each op's record id.
 func TestWALStoreApplyOneFsync(t *testing.T) {
-	want := map[SyncPolicy]uint64{SyncGroup: 1, SyncAlways: 1, SyncNever: 0}
+	want := map[SyncPolicy]uint64{SyncGroup: 1, SyncNever: 0}
 	for pol, fsyncs := range want {
 		pol, fsyncs := pol, fsyncs
-		t.Run(pol.String(), func(t *testing.T) {
+		t.Run(polNames[pol], func(t *testing.T) {
 			s := openTestWAL(t, filepath.Join(t.TempDir(), "one.wal"), WALOptions{Sync: pol})
 			defer s.Close()
 			for _, rec := range []string{"one", "two"} {
@@ -166,20 +165,17 @@ func TestWALStoreApplyTap(t *testing.T) {
 	}
 }
 
-// TestWALStoreApplyMatchesOtherStores drives all four Store
-// implementations with one script of single ops, batches and rejected
+// TestWALStoreApplyMatchesOtherStores drives every Store
+// implementation (and a tapped MemStore) with one script of single ops, batches and rejected
 // batches: same ids, same errors, same live set.
 func TestWALStoreApplyMatchesOtherStores(t *testing.T) {
-	file, err := OpenFileStore(filepath.Join(t.TempDir(), "eq.rms"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	tapped := &collectSink{}
+	tappedMem := NewMemStore("eq", 0)
+	tappedMem.SetCommitSink(tapped.sink)
 	stores := map[string]Store{
 		"mem":    NewMemStore("eq", 0),
-		"file":   file,
 		"wal":    openTestWAL(t, filepath.Join(t.TempDir(), "eq.wal"), WALOptions{SegmentBytes: 256}),
-		"tapped": NewTappedStore(NewMemStore("eq", 0), tapped.sink),
+		"tapped": tappedMem,
 	}
 	type outcome struct {
 		IDs  [][]int

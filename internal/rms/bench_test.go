@@ -1,9 +1,6 @@
 package rms
 
-import (
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 func BenchmarkMemStoreAddGet(b *testing.B) {
 	s := NewMemStore("bench", 0)
@@ -17,46 +14,5 @@ func BenchmarkMemStoreAddGet(b *testing.B) {
 		if _, err := s.Get(id); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkFileStoreAdd(b *testing.B) {
-	s, err := OpenFileStore(filepath.Join(b.TempDir(), "bench.rms"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	payload := make([]byte, 1024)
-	b.SetBytes(1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Add(payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFileStoreReopen(b *testing.B) {
-	path := filepath.Join(b.TempDir(), "reopen.rms")
-	s, err := OpenFileStore(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload := make([]byte, 256)
-	for i := 0; i < 500; i++ {
-		if _, err := s.Add(payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-	s.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := OpenFileStore(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.Close()
 	}
 }

@@ -7,8 +7,8 @@ import (
 	"io"
 )
 
-// The shared on-disk entry codec: FileStore logs, WAL segments and WAL
-// snapshots all carry the same checksummed entry frame,
+// The on-disk entry codec: WAL segments and WAL snapshots carry the
+// same checksummed entry frame,
 //
 //	op   uint8   (1=add, 2=set, 3=delete)
 //	id   uint32
@@ -17,6 +17,18 @@ import (
 //	payload
 //
 // so one reader and one writer cover every log in the system.
+
+const (
+	opAdd    = 1
+	opSet    = 2
+	opDelete = 3
+
+	entryHeaderSize = 1 + 4 + 4 + 4
+
+	// MaxRecordSize bounds one record payload; larger Add/Set calls are
+	// rejected so a corrupt length field cannot trigger a huge allocation.
+	MaxRecordSize = 16 << 20
+)
 
 // appendLogEntry appends the encoded entry frame to dst and returns
 // the extended slice.

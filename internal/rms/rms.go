@@ -6,8 +6,9 @@
 // opaque byte records, exactly like javax.microedition.rms.RecordStore:
 // ids start at 1, deleted ids are never reused, and enumeration visits
 // records in id order. Two backends are provided — a volatile in-memory
-// store and a file-backed store with an append-only, checksummed log
-// that survives crashes (replay stops at the first torn entry).
+// store (MemStore) and a group-commit write-ahead log in a directory
+// (WALStore) that survives power loss (replay stops at the first torn
+// entry).
 package rms
 
 import (
@@ -123,6 +124,9 @@ type MemStore struct {
 	nextID   int
 	capacity int // max total payload bytes; 0 = unlimited
 	closed   bool
+
+	tapMu sync.Mutex // serialises writers, so the sink sees application order
+	sink  CommitSink // guarded by tapMu
 }
 
 // NewMemStore returns an empty in-memory store with the given name.
@@ -148,9 +152,27 @@ func (s *MemStore) Get(id int) ([]byte, error) {
 	return clone(data), nil
 }
 
-// apply is the one write path: validate the batch (checkOps, then the
-// capacity at every op of it), and only then touch the records.
+// apply is the one write path: mutate, then hand the batch to the
+// commit tap, if one is attached, after the store's lock is released.
 func (s *MemStore) apply(ops []Op, ids []int) error {
+	s.tapMu.Lock()
+	defer s.tapMu.Unlock()
+	if err := s.mutate(ops, ids); err != nil {
+		return err
+	}
+	if s.sink != nil && len(ops) > 0 {
+		batch := make([]CommitOp, len(ops))
+		for i, op := range ops {
+			batch[i] = CommitOp{Op: op.Op, ID: ids[i], Data: clone(op.payload())}
+		}
+		s.sink(batch)
+	}
+	return nil
+}
+
+// mutate validates the batch (checkOps, then the capacity at every op
+// of it), and only then touches the records.
+func (s *MemStore) mutate(ops []Op, ids []int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {

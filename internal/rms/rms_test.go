@@ -7,19 +7,21 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
-// storeFactories lets every behavioural test run against both backends.
+// storeFactories lets every behavioural test run against both
+// backends: the one in memory and the one on file (the WAL).
 func storeFactories(t *testing.T) map[string]func() Store {
 	t.Helper()
 	return map[string]func() Store{
 		"mem": func() Store { return NewMemStore("test", 0) },
 		"file": func() Store {
-			s, err := OpenFileStore(filepath.Join(t.TempDir(), "test.rms"))
+			s, err := OpenWALStore(filepath.Join(t.TempDir(), "test.rms"), WALOptions{})
 			if err != nil {
-				t.Fatalf("OpenFileStore: %v", err)
+				t.Fatalf("OpenWALStore: %v", err)
 			}
 			return s
 		},
@@ -143,167 +145,30 @@ func TestMemStoreCapacity(t *testing.T) {
 	}
 }
 
-func TestFileStorePersistence(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "persist.rms")
-	s, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatalf("open: %v", err)
+// sameContents reports whether two stores hold the same live records
+// and will allocate the same next id.
+func sameContents(a, b Store) bool {
+	aIDs, _ := a.IDs()
+	bIDs, _ := b.IDs()
+	if len(aIDs) != len(bIDs) {
+		return false
 	}
-	id1, _ := s.Add([]byte("one"))
-	id2, _ := s.Add([]byte("two"))
-	s.Set(id1, []byte("uno"))
-	s.Delete(id2)
-	id3, _ := s.Add([]byte("three"))
-	if err := s.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-
-	s2, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer s2.Close()
-	got, err := s2.Get(id1)
-	if err != nil || string(got) != "uno" {
-		t.Fatalf("Get(%d) = %q, %v", id1, got, err)
-	}
-	if _, err := s2.Get(id2); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("deleted record resurrected: %v", err)
-	}
-	got, _ = s2.Get(id3)
-	if string(got) != "three" {
-		t.Fatalf("Get(%d) = %q", id3, got)
-	}
-	next, _ := s2.NextID()
-	if next != 4 {
-		t.Fatalf("NextID after reopen = %d, want 4", next)
-	}
-}
-
-func TestFileStoreTornWriteRecovery(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "torn.rms")
-	s, _ := OpenFileStore(path)
-	s.Add([]byte("keep-1"))
-	s.Add([]byte("keep-2"))
-	s.Close()
-
-	// Simulate a crash mid-append: add garbage that looks like a torn entry.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write([]byte{opAdd, 0, 0, 0, 3, 0, 0}) // truncated header
-	f.Close()
-
-	s2, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatalf("reopen after torn write: %v", err)
-	}
-	defer s2.Close()
-	n, _ := s2.NumRecords()
-	if n != 2 {
-		t.Fatalf("NumRecords after torn write = %d, want 2", n)
-	}
-	// The store remains appendable.
-	if _, err := s2.Add([]byte("new")); err != nil {
-		t.Fatalf("Add after torn recovery: %v", err)
-	}
-}
-
-func TestFileStoreCorruptEntrySkipped(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "corrupt.rms")
-	s, _ := OpenFileStore(path)
-	s.Add([]byte("good"))
-	s.Add([]byte("will-corrupt"))
-	s.Close()
-
-	// Flip a payload byte of the second entry.
-	data, _ := os.ReadFile(path)
-	data[len(data)-1] ^= 0xFF
-	os.WriteFile(path, data, 0o644)
-
-	s2, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer s2.Close()
-	n, _ := s2.NumRecords()
-	if n != 1 {
-		t.Fatalf("NumRecords = %d, want 1 (corrupt tail dropped)", n)
-	}
-}
-
-func TestFileStoreBadMagic(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "notrms.rms")
-	os.WriteFile(path, []byte("definitely not a record store"), 0o644)
-	if _, err := OpenFileStore(path); err == nil {
-		t.Fatal("expected bad-magic error")
-	}
-}
-
-func TestFileStoreCompact(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "compact.rms")
-	s, _ := OpenFileStore(path)
-	var keep int
-	for i := 0; i < 50; i++ {
-		id, _ := s.Add(bytes.Repeat([]byte{byte(i)}, 100))
-		if i == 25 {
-			keep = id
+	for i := range aIDs {
+		aData, _ := a.Get(aIDs[i])
+		bData, _ := b.Get(bIDs[i])
+		if aIDs[i] != bIDs[i] || !bytes.Equal(aData, bData) {
+			return false
 		}
 	}
-	ids, _ := s.IDs()
-	for _, id := range ids {
-		if id != keep {
-			s.Delete(id)
-		}
-	}
-	if s.Garbage() == 0 {
-		t.Fatal("expected garbage before compact")
-	}
-	before, _ := os.Stat(path)
-	if err := s.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	after, _ := os.Stat(path)
-	if after.Size() >= before.Size() {
-		t.Fatalf("compact did not shrink: %d -> %d", before.Size(), after.Size())
-	}
-	if s.Garbage() != 0 {
-		t.Fatalf("garbage after compact = %d", s.Garbage())
-	}
-	got, err := s.Get(keep)
-	if err != nil || len(got) != 100 {
-		t.Fatalf("survivor lost: %v", err)
-	}
-	// Watermark survives compact + reopen.
-	nextBefore, _ := s.NextID()
-	s.Close()
-	s2, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatalf("reopen after compact: %v", err)
-	}
-	defer s2.Close()
-	nextAfter, _ := s2.NextID()
-	if nextAfter != nextBefore {
-		t.Fatalf("NextID after compact+reopen = %d, want %d", nextAfter, nextBefore)
-	}
-	// Store still writable after compact.
-	if _, err := s2.Add([]byte("post")); err != nil {
-		t.Fatalf("Add after compact: %v", err)
-	}
+	aNext, _ := a.NextID()
+	bNext, _ := b.NextID()
+	return aNext == bNext
 }
 
-func TestFileStoreOversizeRecordRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "big.rms")
-	s, _ := OpenFileStore(path)
-	defer s.Close()
-	if _, err := s.Add(make([]byte, MaxRecordSize+1)); err == nil {
-		t.Fatal("expected oversize error")
-	}
-}
-
-// TestQuickMemFileEquivalence drives both backends with the same random
-// operation sequence and checks they stay observably identical.
+// TestQuickMemFileEquivalence drives MemStore (the reference) and the
+// on-file store with the same random operation sequence and checks they
+// stay observably identical — before and after the file is closed and
+// reopened.
 func TestQuickMemFileEquivalence(t *testing.T) {
 	type op struct {
 		Kind byte
@@ -312,11 +177,8 @@ func TestQuickMemFileEquivalence(t *testing.T) {
 	}
 	f := func(ops []op) bool {
 		mem := NewMemStore("m", 0)
-		file, err := OpenFileStore(filepath.Join(t.TempDir(), fmt.Sprintf("eq-%d.rms", rand.Int())))
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		defer file.Close()
+		dir := filepath.Join(t.TempDir(), fmt.Sprintf("eq-%d.rms", rand.Int()))
+		file := openTestWAL(t, dir, WALOptions{Sync: SyncNever})
 		for _, o := range ops {
 			id := int(o.ID%16) + 1
 			switch o.Kind % 4 {
@@ -346,83 +208,74 @@ func TestQuickMemFileEquivalence(t *testing.T) {
 				}
 			}
 		}
-		mIDs, _ := mem.IDs()
-		fIDs, _ := file.IDs()
-		if len(mIDs) != len(fIDs) {
+		if !sameContents(mem, file) {
 			return false
 		}
-		for i := range mIDs {
-			if mIDs[i] != fIDs[i] {
-				return false
-			}
-			mData, _ := mem.Get(mIDs[i])
-			fData, _ := file.Get(fIDs[i])
-			if !bytes.Equal(mData, fData) {
-				return false
-			}
+		if err := file.Close(); err != nil {
+			t.Fatalf("close: %v", err)
 		}
-		return true
+		re := openTestWAL(t, dir, WALOptions{Sync: SyncNever})
+		defer re.Close()
+		return sameContents(mem, re)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestFileStorePersistenceProperty: random add/set/delete against the
+// on-file store, closed and reopened every 25 ops and carried on from
+// the reopened handle — every generation must match the MemStore
+// reference, id watermark included, so appends made after a recovery
+// land on a prefix the next recovery replays.
 func TestFileStorePersistenceProperty(t *testing.T) {
-	// Random add/set/delete, close, reopen: contents must match.
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 10; trial++ {
-		path := filepath.Join(t.TempDir(), fmt.Sprintf("p%d.rms", trial))
-		s, err := OpenFileStore(path)
-		if err != nil {
-			t.Fatal(err)
+		dir := filepath.Join(t.TempDir(), fmt.Sprintf("p%d.rms", trial))
+		s := openTestWAL(t, dir, WALOptions{Sync: SyncNever})
+		ref := NewMemStore("ref", 0)
+		both := func(op Op) {
+			ids, err := s.Apply([]Op{op})
+			refIDs, refErr := ref.Apply([]Op{op})
+			if err != nil || refErr != nil || ids[0] != refIDs[0] {
+				t.Fatalf("trial %d: %+v: file %v, %v; mem %v, %v", trial, op, ids, err, refIDs, refErr)
+			}
 		}
-		shadow := map[int][]byte{}
 		for i := 0; i < 100; i++ {
-			switch r.Intn(3) {
-			case 0:
-				data := make([]byte, r.Intn(64))
-				r.Read(data)
-				id, err := s.Add(data)
-				if err != nil {
+			live, _ := ref.IDs()
+			data := make([]byte, r.Intn(64))
+			r.Read(data)
+			switch k := r.Intn(3); {
+			case k == 0 || len(live) == 0:
+				both(Op{Op: OpAdd, Data: data})
+			case k == 1:
+				both(Op{Op: OpSet, ID: live[r.Intn(len(live))], Data: data})
+			default:
+				both(Op{Op: OpDelete, ID: live[r.Intn(len(live))]})
+			}
+			if i%25 == 24 {
+				if err := s.Close(); err != nil {
 					t.Fatal(err)
 				}
-				shadow[id] = data
-			case 1:
-				for id := range shadow {
-					data := make([]byte, r.Intn(64))
-					r.Read(data)
-					if err := s.Set(id, data); err != nil {
-						t.Fatal(err)
-					}
-					shadow[id] = data
-					break
-				}
-			case 2:
-				for id := range shadow {
-					if err := s.Delete(id); err != nil {
-						t.Fatal(err)
-					}
-					delete(shadow, id)
-					break
+				s = openTestWAL(t, dir, WALOptions{Sync: SyncNever})
+				if !sameContents(ref, s) {
+					t.Fatalf("trial %d: reopened store diverges from the reference after %d ops", trial, i+1)
 				}
 			}
 		}
 		s.Close()
-		s2, err := OpenFileStore(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids, _ := s2.IDs()
-		if len(ids) != len(shadow) {
-			t.Fatalf("trial %d: %d records, want %d", trial, len(ids), len(shadow))
-		}
-		for id, want := range shadow {
-			got, err := s2.Get(id)
-			if err != nil || !bytes.Equal(got, want) {
-				t.Fatalf("trial %d: Get(%d) = %x, %v; want %x", trial, id, got, err, want)
-			}
-		}
-		s2.Close()
+	}
+}
+
+// TestWALStoreRefusesSingleFileStore: the path of a store an earlier
+// build wrote as one file is refused by name, not by a mkdir error.
+func TestWALStoreRefusesSingleFileStore(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pdagent.rms")
+	if err := os.WriteFile(path, []byte("PDRMS1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := OpenWALStore(path, WALOptions{})
+	if err == nil || !strings.Contains(err.Error(), "single-file store written by an earlier build") {
+		t.Fatalf("OpenWALStore over a single-file store = %v, want it refused by name", err)
 	}
 }

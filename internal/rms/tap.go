@@ -1,9 +1,5 @@
 package rms
 
-import (
-	"sync"
-)
-
 // The commit tap is the hook warm-standby replication hangs off
 // (DESIGN.md §10): a store with a CommitSink attached hands every
 // *durable* mutation — in commit order, exactly once per process
@@ -29,98 +25,30 @@ type CommitOp = Op
 // the store it taps.
 type CommitSink func(ops []CommitOp)
 
-// Tapped is implemented by stores that can attach a CommitSink
-// (WALStore natively; any other Store via NewTappedStore).
+// Tapped is implemented by stores that can attach a CommitSink: every
+// store in the tree (MemStore, WALStore).
 type Tapped interface {
 	Store
 	SetCommitSink(sink CommitSink)
 }
 
-// TappedStore wraps any Store and invokes a CommitSink synchronously
-// after each successful mutation. Mutations are serialized on the
-// wrapper's mutex so the sink observes them in application order —
-// the in-memory analogue of the WALStore's native tap, used by
-// simulations that replicate MemStore-backed journals.
-type TappedStore struct {
-	inner Store
-	mu    sync.Mutex
-	sink  CommitSink
-}
+var (
+	_ Tapped = (*MemStore)(nil)
+	_ Tapped = (*WALStore)(nil)
+)
 
-// NewTappedStore wraps inner with a commit tap. The sink may be nil
-// and attached later with SetCommitSink.
-func NewTappedStore(inner Store, sink CommitSink) *TappedStore {
-	return &TappedStore{inner: inner, sink: sink}
-}
-
-// SetCommitSink attaches (or replaces) the sink. Mutations already in
-// flight complete against the previous sink.
-func (s *TappedStore) SetCommitSink(sink CommitSink) {
-	s.mu.Lock()
+// SetCommitSink attaches (or replaces) the sink (implements Tapped).
+// The sink is called once per successful Apply/Add/Set/Delete, in
+// application order, with the allocated ids — the in-memory analogue of
+// the WALStore's tap, for simulations that replicate MemStore-backed
+// journals. Mutations already in flight complete against the previous
+// sink. Writers serialise on the tap's own mutex, not the store's, so
+// Get and IDs never wait behind a sink doing a semi-sync round trip.
+func (s *MemStore) SetCommitSink(sink CommitSink) {
+	s.tapMu.Lock()
 	s.sink = sink
-	s.mu.Unlock()
+	s.tapMu.Unlock()
 }
-
-// Unwrap returns the wrapped store.
-func (s *TappedStore) Unwrap() Store { return s.inner }
-
-// Name implements Store.
-func (s *TappedStore) Name() string { return s.inner.Name() }
-
-// Apply implements Store: the sink sees the batch once, in order, with
-// the allocated ids.
-func (s *TappedStore) Apply(ops []Op) ([]int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ids, err := s.inner.Apply(ops)
-	if err == nil && s.sink != nil {
-		batch := make([]CommitOp, len(ops))
-		for i, op := range ops {
-			batch[i] = CommitOp{Op: op.Op, ID: ids[i], Data: clone(op.payload())}
-		}
-		s.sink(batch)
-	}
-	return ids, err
-}
-
-// Add implements Store.
-func (s *TappedStore) Add(data []byte) (int, error) {
-	ids, err := s.Apply([]Op{{Op: OpAdd, Data: data}})
-	if err != nil {
-		return 0, err
-	}
-	return ids[0], nil
-}
-
-// Set implements Store.
-func (s *TappedStore) Set(id int, data []byte) error {
-	_, err := s.Apply([]Op{{Op: OpSet, ID: id, Data: data}})
-	return err
-}
-
-// Delete implements Store.
-func (s *TappedStore) Delete(id int) error {
-	_, err := s.Apply([]Op{{Op: OpDelete, ID: id}})
-	return err
-}
-
-// Get implements Store.
-func (s *TappedStore) Get(id int) ([]byte, error) { return s.inner.Get(id) }
-
-// NumRecords implements Store.
-func (s *TappedStore) NumRecords() (int, error) { return s.inner.NumRecords() }
-
-// NextID implements Store.
-func (s *TappedStore) NextID() (int, error) { return s.inner.NextID() }
-
-// IDs implements Store.
-func (s *TappedStore) IDs() ([]int, error) { return s.inner.IDs() }
-
-// Size implements Store.
-func (s *TappedStore) Size() (int, error) { return s.inner.Size() }
-
-// Close implements Store.
-func (s *TappedStore) Close() error { return s.inner.Close() }
 
 // NewMemStoreFrom builds an in-memory store pre-loaded with records —
 // how a promoted standby materialises its replica into a Store the
@@ -141,7 +69,7 @@ func NewMemStoreFrom(name string, nextID int, records map[int][]byte) *MemStore 
 	return s
 }
 
-// StoreErr probes a store's sticky health error, unwrapping TappedStore
+// StoreErr probes a store's sticky health error, unwrapping wrapper
 // layers to reach a backend that reports one (WALStore.Err). Healthy
 // stores — and backends without a health probe — return nil. Embedders
 // poll it instead of discovering a wedged store one failed write at a

@@ -3,6 +3,7 @@ package rms
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -130,9 +131,17 @@ func TestWALStoreTapSkipsPreAttachOps(t *testing.T) {
 	}
 }
 
-func TestTappedStoreEmitsInOrder(t *testing.T) {
+// TestMemStoreTapEmitsInOrder: a MemStore's tap sees every accepted
+// mutation made after it was attached — once, in application order,
+// with the allocated ids — and nothing from a rejected batch; and a
+// sink parked on a round trip holds up writers only, never a reader.
+func TestMemStoreTapEmitsInOrder(t *testing.T) {
+	s := NewMemStore("t", 0)
+	if _, err := s.Add([]byte("before")); err != nil {
+		t.Fatal(err)
+	}
 	c := &collectSink{}
-	s := NewTappedStore(NewMemStore("t", 0), c.sink)
+	s.SetCommitSink(c.sink)
 	id, err := s.Add([]byte("a"))
 	if err != nil {
 		t.Fatal(err)
@@ -140,19 +149,44 @@ func TestTappedStoreEmitsInOrder(t *testing.T) {
 	if err := s.Set(id, []byte("b")); err != nil {
 		t.Fatal(err)
 	}
-	id2, _ := s.Add([]byte("c"))
-	if err := s.Delete(id2); err != nil {
+	if _, err := s.Apply([]Op{{Op: OpAdd, Data: []byte("lost")}, {Op: OpSet, ID: 99}}); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("bad batch err = %v, want ErrNotFound", err)
+	}
+	ids, err := s.Apply([]Op{{Op: OpAdd, Data: []byte("c")}, {Op: OpDelete, ID: id}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	ops := c.snapshot()
-	wantOps := []byte{OpAdd, OpSet, OpAdd, OpDelete}
-	if len(ops) != len(wantOps) {
-		t.Fatalf("got %d ops, want %d", len(ops), len(wantOps))
+	want := []CommitOp{
+		{Op: OpAdd, ID: 2, Data: []byte("a")},
+		{Op: OpSet, ID: 2, Data: []byte("b")},
+		{Op: OpAdd, ID: ids[0], Data: []byte("c")},
+		{Op: OpDelete, ID: 2},
 	}
-	for i, op := range ops {
-		if op.Op != wantOps[i] {
-			t.Fatalf("op %d is %d, want %d", i, op.Op, wantOps[i])
-		}
+	if got := c.snapshot(); ids[0] != 3 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("tap saw %+v\nwant     %+v", got, want)
+	}
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	s.SetCommitSink(func([]CommitOp) {
+		close(entered)
+		<-release
+	})
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Add([]byte("parked"))
+		done <- err
+	}()
+	<-entered
+	// The write is applied and its sink is mid round trip: reads go on.
+	if got, err := s.Get(4); err != nil || string(got) != "parked" {
+		t.Fatalf("Get behind a parked sink = %q, %v", got, err)
+	}
+	if live, err := s.IDs(); err != nil || !reflect.DeepEqual(live, []int{1, 3, 4}) {
+		t.Fatalf("IDs behind a parked sink = %v, %v", live, err)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -170,7 +204,7 @@ func TestNewMemStoreFromRaisesNextID(t *testing.T) {
 
 func TestWALStoreErrSurfacesWedge(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenWALStore(dir, WALOptions{Sync: SyncAlways, fs: &errSyncFS{walFS: osFS{}, fuse: 1}})
+	s, err := OpenWALStore(dir, WALOptions{fs: &errSyncFS{walFS: osFS{}, fuse: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

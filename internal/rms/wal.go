@@ -21,16 +21,15 @@ import (
 
 // WALStore is the fsync-durable record store: a segmented write-ahead
 // log with group-commit batching behind the same Store interface as
-// MemStore and FileStore.
+// MemStore.
 //
 // Durability. Under the default SyncGroup policy every Add/Set/Delete
 // returns only after an fsync covers its entry — but concurrent
 // callers park on a commit ticket and a single fsync acks the whole
 // batch (the etcd/pebble group-commit pipeline): while one caller
 // holds the sync, later arrivals keep appending to the buffered
-// segment, and the next fsync covers all of them at once. SyncAlways
-// pays one fsync per call (the naive baseline); SyncNever never
-// fsyncs on the write path (simulations and benchmarks). One caller
+// segment, and the next fsync covers all of them at once. SyncNever
+// never fsyncs on the write path (simulations and tests). One caller
 // with several ops in hand gives them to Apply, which appends them all
 // and waits once — group commit cannot batch writes that arrive one
 // after another from the same goroutine.
@@ -51,8 +50,8 @@ import (
 // above its base in order, stops at the first torn or corrupt entry,
 // and truncates the tear away so the store resumes on a clean prefix.
 // An entry is replayed only if every byte of it reached disk; an entry
-// was acked only if fsync covered it — so under SyncGroup/SyncAlways
-// no acked write is ever lost, at any crash point.
+// was acked only if fsync covered it — so under SyncGroup no acked
+// write is ever lost, at any crash point.
 //
 // A write or fsync failure wedges the store permanently (the fsyncgate
 // discipline: after a failed fsync the page cache is unreliable, so
@@ -121,39 +120,10 @@ const (
 	// SyncGroup is the default: writers park on a commit ticket and one
 	// fsync acks the whole concurrent batch.
 	SyncGroup SyncPolicy = iota
-	// SyncAlways fsyncs once per call (Add, Set, Delete or Apply) — the
-	// baseline group commit is measured against.
-	SyncAlways
 	// SyncNever performs no write-path fsyncs (rotation, snapshot and
 	// Close still sync). For simulations and benchmarks.
 	SyncNever
 )
-
-// String implements fmt.Stringer.
-func (p SyncPolicy) String() string {
-	switch p {
-	case SyncGroup:
-		return "group"
-	case SyncAlways:
-		return "always"
-	case SyncNever:
-		return "never"
-	}
-	return fmt.Sprintf("SyncPolicy(%d)", int(p))
-}
-
-// ParseSyncPolicy parses the -fsync flag values group|always|never.
-func ParseSyncPolicy(s string) (SyncPolicy, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "group", "":
-		return SyncGroup, nil
-	case "always":
-		return SyncAlways, nil
-	case "never":
-		return SyncNever, nil
-	}
-	return 0, fmt.Errorf("rms: unknown sync policy %q (want group, always or never)", s)
-}
 
 // Defaults for WALOptions zero values.
 const (
@@ -218,6 +188,9 @@ func OpenWALStore(dir string, opts WALOptions) (*WALStore, error) {
 		nextID:  1,
 	}
 	s.commit = sync.NewCond(&s.mu)
+	if head, err := fs.ReadFile(dir); err == nil && bytes.HasPrefix(head, []byte("PDRMS1\n")) {
+		return nil, fmt.Errorf("rms: %s is a single-file store written by an earlier build; this version reads WAL directories only", dir)
+	}
 	if err := fs.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("rms: creating wal dir %s: %w", dir, err)
 	}
@@ -416,7 +389,7 @@ func (s *WALStore) replaySegment(seq uint64) (valid int64, torn bool, err error)
 }
 
 // applyEntry folds one entry — replayed from a segment, or just
-// appended — into memory (same semantics as FileStore.applyEntry).
+// appended — into memory.
 func (s *WALStore) applyEntry(op byte, id int, payload []byte) {
 	switch op {
 	case opAdd, opSet:
@@ -651,58 +624,8 @@ func (s *WALStore) snapshotLocked() error {
 // commitWait blocks until the caller's entries up to lsn are durable
 // under the configured policy, grouping with concurrent committers.
 func (s *WALStore) commitWait(lsn uint64) error {
-	switch s.opts.Sync {
-	case SyncNever:
+	if s.opts.Sync == SyncNever {
 		return nil
-	case SyncAlways:
-		// Per-call fsync: every committer issues its own sync (the honest
-		// baseline — no batching across callers), serialized on the same
-		// ticket rotation waits on so the handle can't be closed mid-Sync.
-		s.mu.Lock()
-		for s.syncing {
-			s.commit.Wait()
-		}
-		if s.fail != nil {
-			err := s.fail
-			s.mu.Unlock()
-			return err
-		}
-		if s.closed {
-			// Close already flushed and fsynced everything appended.
-			synced := s.synced >= lsn
-			s.mu.Unlock()
-			if synced {
-				return nil
-			}
-			return ErrClosed
-		}
-		s.syncing = true
-		target := s.lsn
-		err := s.w.Flush()
-		seg := s.seg
-		s.mu.Unlock()
-		var serr error
-		syncStart := time.Now()
-		if err == nil {
-			serr = seg.Sync()
-		}
-		stall := time.Since(syncStart)
-		s.mu.Lock()
-		s.syncing = false
-		switch {
-		case err != nil:
-			err = s.wedgeLocked(err)
-		case serr != nil:
-			err = s.wedgeLocked(serr)
-		default:
-			s.noteFsync(stall)
-			if target > s.synced {
-				s.synced = target
-			}
-		}
-		s.commit.Broadcast()
-		s.mu.Unlock()
-		return err
 	}
 	// SyncGroup: first unsatisfied arrival leads; everyone else parks
 	// on the ticket and is acked by the leader's broadcast.
@@ -731,7 +654,7 @@ func (s *WALStore) commitWait(lsn uint64) error {
 			// otherwise enter the syscall before anyone else has had
 			// CPU time — it is what turns N commits into one fsync.
 			// Appends do not wait on the syncing ticket, only rotation
-			// and SyncAlways do, so the window genuinely admits them.
+			// does, so the window genuinely admits them.
 			for spins := 0; spins < 4; spins++ {
 				before := s.lsn
 				s.mu.Unlock()
@@ -838,8 +761,8 @@ func (s *WALStore) appendWait(ops []Op, ids []int) error {
 	return nil
 }
 
-// Apply implements Store: one fsync for the whole batch under SyncGroup
-// and SyncAlways, none under SyncNever.
+// Apply implements Store: one fsync for the whole batch under
+// SyncGroup, none under SyncNever.
 func (s *WALStore) Apply(ops []Op) ([]int, error) {
 	ids := make([]int, len(ops))
 	if err := s.appendWait(ops, ids); err != nil {
@@ -933,15 +856,15 @@ func (s *WALStore) Size() (int, error) {
 }
 
 // Garbage returns the superseded log bytes accumulated since the last
-// snapshot (implements Maintainer).
+// snapshot; masd's idle-host backstop polls it and calls Compact.
 func (s *WALStore) Garbage() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.garbage
 }
 
-// Compact forces a snapshot + segment prune now (implements
-// Maintainer). It also surfaces the last auto-snapshot failure.
+// Compact forces a snapshot + segment prune now. It also surfaces the
+// last auto-snapshot failure.
 func (s *WALStore) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1027,7 +950,7 @@ func (s *WALStore) RegisterMetrics(m *metrics.Registry, prefix, what string) {
 		func() float64 { return float64(s.Stats().MaxFsync.Microseconds()) })
 }
 
-// WALOf unwraps layered stores (e.g. a replication tap) down to the
+// WALOf unwraps layered stores (e.g. a tracing decorator) down to the
 // *WALStore underneath, or nil if the chain does not end in one.
 func WALOf(st Store) *WALStore {
 	for st != nil {
@@ -1077,11 +1000,4 @@ func (s *WALStore) Close() error {
 		return fmt.Errorf("rms: closing wal %s: %w", s.name, cerr)
 	}
 	return nil
-}
-
-// Maintainer is implemented by stores with reclaimable log garbage
-// (FileStore, WALStore); daemons poll Garbage and call Compact.
-type Maintainer interface {
-	Garbage() int
-	Compact() error
 }

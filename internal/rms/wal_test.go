@@ -290,17 +290,19 @@ func TestWALStoreCompactForced(t *testing.T) {
 	checkWALContents(t, re, want)
 }
 
+var polNames = map[SyncPolicy]string{SyncGroup: "group", SyncNever: "never"}
+
 // TestWALStorePolicies: every sync policy must reach the same persisted
 // state after a clean Close (Close fsyncs under all policies).
 func TestWALStorePolicies(t *testing.T) {
-	for _, pol := range []SyncPolicy{SyncGroup, SyncAlways, SyncNever} {
+	for _, pol := range []SyncPolicy{SyncGroup, SyncNever} {
 		pol := pol
-		t.Run(pol.String(), func(t *testing.T) {
+		t.Run(polNames[pol], func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "pol.wal")
 			s := openTestWAL(t, dir, WALOptions{Sync: pol})
 			want := map[int][]byte{}
 			for i := 0; i < 20; i++ {
-				data := []byte(fmt.Sprintf("%s-%d", pol, i))
+				data := []byte(fmt.Sprintf("%s-%d", polNames[pol], i))
 				id, err := s.Add(data)
 				if err != nil {
 					t.Fatal(err)
@@ -322,18 +324,19 @@ func TestWALStorePolicies(t *testing.T) {
 }
 
 func TestWALStoreFsyncCounts(t *testing.T) {
-	// SyncAlways issues one fsync per op; SyncNever issues none on the
-	// write path. (Group batching under contention is covered by
+	// One goroutine's ops arrive one after another, so SyncGroup pays
+	// one fsync per op; SyncNever issues none on the write path. (Group
+	// batching under contention is covered by
 	// TestWALStoreGroupCommitBatches.)
-	dir := filepath.Join(t.TempDir(), "alw.wal")
-	s := openTestWAL(t, dir, WALOptions{Sync: SyncAlways})
+	dir := filepath.Join(t.TempDir(), "grp.wal")
+	s := openTestWAL(t, dir, WALOptions{})
 	for i := 0; i < 10; i++ {
 		if _, err := s.Add([]byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := s.Fsyncs(); got != 10 {
-		t.Fatalf("SyncAlways fsyncs = %d, want 10", got)
+		t.Fatalf("serial SyncGroup fsyncs = %d, want 10", got)
 	}
 	s.Close()
 
@@ -348,35 +351,6 @@ func TestWALStoreFsyncCounts(t *testing.T) {
 		t.Fatalf("SyncNever write-path fsyncs = %d, want 0", got)
 	}
 	s2.Close()
-}
-
-func TestParseSyncPolicy(t *testing.T) {
-	cases := []struct {
-		in   string
-		want SyncPolicy
-		err  bool
-	}{
-		{"group", SyncGroup, false},
-		{"", SyncGroup, false},
-		{"  Group ", SyncGroup, false},
-		{"always", SyncAlways, false},
-		{"ALWAYS", SyncAlways, false},
-		{"never", SyncNever, false},
-		{"fsync", 0, true},
-		{"osync", 0, true},
-	}
-	for _, c := range cases {
-		got, err := ParseSyncPolicy(c.in)
-		if (err != nil) != c.err || (err == nil && got != c.want) {
-			t.Errorf("ParseSyncPolicy(%q) = %v, %v; want %v, err=%v", c.in, got, err, c.want, c.err)
-		}
-	}
-	for _, p := range []SyncPolicy{SyncGroup, SyncAlways, SyncNever} {
-		back, err := ParseSyncPolicy(p.String())
-		if err != nil || back != p {
-			t.Errorf("round-trip %v: got %v, %v", p, back, err)
-		}
-	}
 }
 
 // TestQuickMemWALEquivalence drives MemStore and WALStore with the same
@@ -438,22 +412,7 @@ func TestQuickMemWALEquivalence(t *testing.T) {
 				}
 			}
 		}
-		mIDs, _ := mem.IDs()
-		wIDs, _ := wal.IDs()
-		if len(mIDs) != len(wIDs) {
-			return false
-		}
-		for i := range mIDs {
-			if mIDs[i] != wIDs[i] {
-				return false
-			}
-			mData, _ := mem.Get(mIDs[i])
-			wData, _ := wal.Get(wIDs[i])
-			if !bytes.Equal(mData, wData) {
-				return false
-			}
-		}
-		return true
+		return sameContents(mem, wal)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

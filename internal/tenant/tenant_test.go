@@ -146,92 +146,6 @@ func TestBucketConcurrent(t *testing.T) {
 	}
 }
 
-func TestWFQWeightedOrdering(t *testing.T) {
-	q := NewWFQ()
-	// Backlog both tenants, then drain: heavy (weight 3) must receive
-	// ~3 services for every light one.
-	for i := 0; i < 30; i++ {
-		q.Enqueue("heavy", 3, fmt.Sprintf("h%d", i))
-	}
-	for i := 0; i < 30; i++ {
-		q.Enqueue("light", 1, fmt.Sprintf("l%d", i))
-	}
-	heavyFirst12 := 0
-	var order []string
-	for {
-		tenant, _, ok := q.Dequeue()
-		if !ok {
-			break
-		}
-		order = append(order, tenant)
-		if len(order) <= 12 && tenant == "heavy" {
-			heavyFirst12++
-		}
-	}
-	if len(order) != 60 {
-		t.Fatalf("drained %d items, want 60", len(order))
-	}
-	// In the first 12 services a 3:1 split means ~9 heavy.
-	if heavyFirst12 < 8 || heavyFirst12 > 10 {
-		t.Fatalf("heavy got %d of the first 12 services, want ~9 (3:1 weights)", heavyFirst12)
-	}
-	// Per-tenant FIFO: heavy's own items must drain in order.
-	q2 := NewWFQ()
-	q2.Enqueue("a", 1, 1)
-	q2.Enqueue("a", 1, 2)
-	q2.Enqueue("a", 1, 3)
-	for want := 1; want <= 3; want++ {
-		_, p, ok := q2.Dequeue()
-		if !ok || p.(int) != want {
-			t.Fatalf("tenant-local order broken: got %v want %d", p, want)
-		}
-	}
-}
-
-// TestWFQConcurrent exercises enqueue/dequeue races under -race and
-// checks conservation.
-func TestWFQConcurrent(t *testing.T) {
-	q := NewWFQ()
-	const n = 500
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < n; i++ {
-				q.Enqueue(fmt.Sprintf("t%d", w), w+1, i)
-			}
-		}(w)
-	}
-	var got int64
-	var mu sync.Mutex
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				_, _, ok := q.Dequeue()
-				if !ok {
-					mu.Lock()
-					done := got
-					mu.Unlock()
-					if done == 4*n {
-						return
-					}
-					continue
-				}
-				mu.Lock()
-				got++
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if got != 4*n {
-		t.Fatalf("dequeued %d items, want %d", got, 4*n)
-	}
-}
-
 func TestAdmissionRateAndQuota(t *testing.T) {
 	reg := NewRegistry()
 	if err := reg.Put(&Tenant{ID: "hog", Secret: "s", Limits: Limits{RatePerSec: 10, Burst: 2, MaxInFlight: 3}}); err != nil {
