@@ -47,8 +47,7 @@ func main() {
 	flavour := flag.String("flavour", "aglets", "MAS codec flavour (aglets|voyager)")
 	svcList := flag.String("services", "bank", "comma-separated services to host: bank,food,docs")
 	journalPath := flag.String("journal", "", "agent journal directory (enables crash recovery; agents resume on restart)")
-	announceLocs := flag.Bool("announce-locations", true, "relay agent arrival/departure events to each agent's home gateway (/cluster/loc) for the federation's location directory")
-	clusterSecret := flag.String("cluster-secret", "", "shared cluster secret stamped on location relays (clustered home gateways refuse unauthenticated ones)")
+	clusterSecret := flag.String("cluster-secret", "", "shared cluster secret stamped on the location relays sent to each agent's home gateway (clustered home gateways refuse unauthenticated ones; standalone ones are skipped)")
 	retryEvery := flag.Duration("retry-interval", 30*time.Second, "how often parked transfers are retried (with -journal)")
 	replicateTo := flag.String("replicate", "", "standby address to stream journal commits to (DESIGN.md §10; requires -journal and -cluster-secret); the standby holds a live replica and serves it back on /cluster/repl/fetch")
 	replMode := flag.String("repl-mode", string(repl.ModeAsync), "replication ack discipline: async (ship on the flush tick) or semi-sync (each commit waits for the standby)")
@@ -163,15 +162,15 @@ func main() {
 	if journal != nil {
 		masCfg.Journal = journal // a nil *WALStore must not become a non-nil Store
 	}
-	var relay *locRelay
-	if *announceLocs {
-		// Best-effort: clustered home gateways fold the event into the
-		// replicated location directory; standalone gateways 404 it and
-		// clustered ones refuse it without the matching -cluster-secret.
-		// Sent from the background, so no transfer waits for a relay.
-		relay = newLocRelay(cluster.LocationRelay(rt, public, *clusterSecret), masCfg.Metrics)
-		masCfg.OnAgentMove = relay.post
-	}
+	// Location relays, best-effort: clustered home gateways fold the event
+	// into the replicated location directory and refuse it (logged once)
+	// without the matching -cluster-secret; a standalone gateway answers
+	// 404 and is left alone until the next re-probe. Sent from the
+	// background, so no transfer waits for a relay.
+	sender := cluster.NewRelay(rt, public, *clusterSecret)
+	sender.RegisterMetrics(masCfg.Metrics)
+	relay := newLocRelay(sender.Send, masCfg.Metrics)
+	masCfg.OnAgentMove = relay.post
 	srv, err := mas.NewServer(masCfg)
 	if err != nil {
 		log.Fatalf("masd: %v", err)
@@ -230,9 +229,7 @@ func main() {
 	// races a half-finished retry round.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if relay != nil {
-		go relay.run(ctx)
-	}
+	go relay.run(ctx)
 	if journal != nil {
 		n, err := srv.Resume(ctx)
 		if err != nil {
@@ -310,9 +307,7 @@ func main() {
 		// recovers anything left on the next start).
 		log.Printf("masd %s: %v received, shutting down", public, s)
 		cancel()
-		if relay != nil {
-			<-relay.done
-		}
+		<-relay.done
 		if *replicateTo != "" {
 			// One last flush so the standby's replica is current before
 			// this host goes away.

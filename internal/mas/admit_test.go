@@ -15,7 +15,8 @@ import (
 	"pdagent/internal/transport"
 )
 
-// countStore counts the commits a journal asks of its store.
+// countStore counts the writes a journal asks of its store, waited for
+// or trailing.
 type countStore struct {
 	rms.Store
 	writes atomic.Int64
@@ -39,6 +40,11 @@ func (s *countStore) Delete(id int) error {
 func (s *countStore) Apply(ops []rms.Op) ([]int, error) {
 	s.writes.Add(1)
 	return s.Store.Apply(ops)
+}
+
+func (s *countStore) ApplyTrailing(ops []rms.Op) ([]int, error) {
+	s.writes.Add(1)
+	return s.Store.ApplyTrailing(ops)
 }
 
 // counted swaps the journal at addr for a counting one and restarts the

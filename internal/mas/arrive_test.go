@@ -187,7 +187,7 @@ func TestArrivalJournalsAtFirstSuspension(t *testing.T) {
 	}
 }
 
-// failStore refuses every commit while fail is set.
+// failStore refuses every write while fail is set.
 type failStore struct {
 	rms.Store
 	fail atomic.Bool
@@ -214,6 +214,13 @@ func (s *failStore) Apply(ops []rms.Op) ([]int, error) {
 		return nil, errDiskFull
 	}
 	return s.Store.Apply(ops)
+}
+
+func (s *failStore) ApplyTrailing(ops []rms.Op) ([]int, error) {
+	if s.fail.Load() {
+		return nil, errDiskFull
+	}
+	return s.Store.ApplyTrailing(ops)
 }
 
 // gateService is a resident service whose first call blocks until the

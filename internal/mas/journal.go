@@ -44,6 +44,16 @@ import (
 // maxJournalTombstones per store (oldest evicted first); retries
 // arrive on RetryParked/restart timescales, so the window a watermark
 // must actually cover is short.
+//
+// The writes that retire an agent that is no longer here — the tombstone
+// replace, drop, a tombstone's eviction — are trailing appends
+// (rms.Store.ApplyTrailing): in log order, durable with the store's next
+// commit, waited for by nobody. A crash that loses one leaves the live
+// entry it would have retired, which is the state "crashed between the
+// receiver's OK and the tombstone write": Resume re-ships to the
+// journaled target and the receiver's watermark, or the home side's
+// idempotent result intake, answers the duplicate. Every write that is
+// at that moment the only durable copy of an agent keeps its wait.
 
 // journalMagic versions the journal entry encoding; journalMagicV1 is
 // the pre-tenant layout, read-compatible but never written anew.
@@ -308,15 +318,16 @@ func (j *journal) put(e *journalEntry) (evicted string, err error) {
 	// held above is what keeps two puts for *this* agent ordered.
 	switch {
 	case e.tombstone():
-		// Crash-safe replace in one ordered commit: the tombstone FIRST,
-		// then the delete of the superseded live entry. If a crash keeps
-		// only the first both records survive, and openJournal keeps
-		// the higher (newer) record id — the watermark is never lost.
+		// Crash-safe replace in one ordered, trailing append: the tombstone
+		// FIRST, then the delete of the superseded live entry. If a crash
+		// keeps only the first both records survive, and openJournal keeps
+		// the higher (newer) record id — the watermark is never lost; if it
+		// keeps neither, the live entry is re-shipped (see above).
 		ops := append(make([]rms.Op, 0, 2), rms.Op{Op: rms.OpAdd, Data: data})
 		if existed {
 			ops = append(ops, rms.Op{Op: rms.OpDelete, ID: recID})
 		}
-		ids, err := j.store.Apply(ops)
+		ids, err := j.store.ApplyTrailing(ops)
 		if err != nil {
 			return "", err
 		}
@@ -369,7 +380,9 @@ func (j *journal) put(e *journalEntry) (evicted string, err error) {
 	}
 	j.mu.Unlock()
 	if evictRec >= 0 {
-		_ = j.store.Delete(evictRec)
+		// Trailing, like the tombstone that pushed it out. Best-effort: a
+		// failed or lost eviction leaves a record openJournal re-indexes.
+		_, _ = j.store.ApplyTrailing([]rms.Op{{Op: rms.OpDelete, ID: evictRec}})
 	}
 	return evicted, nil
 }
@@ -390,7 +403,8 @@ func (j *journal) drop(id string) error {
 	if !ok {
 		return nil
 	}
-	return j.store.Delete(recID)
+	_, err := j.store.ApplyTrailing([]rms.Op{{Op: rms.OpDelete, ID: recID}})
+	return err
 }
 
 // loadAll decodes every journaled entry, skipping undecodable records

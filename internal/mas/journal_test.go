@@ -652,10 +652,12 @@ func TestResumeFromTornJournal(t *testing.T) {
 	}
 }
 
-// TestTombstoneReplaceIsOneCommit: retiring a journaled agent writes the
-// tombstone and deletes the superseded live record behind ONE fsync, the
-// pair still replays to the tombstone alone, and a store failure comes
-// back to the caller instead of being dropped with the delete.
+// TestTombstoneReplaceIsOneCommit: retiring a journaled agent is ONE
+// ordered append — the tombstone, then the delete of the superseded live
+// record — with no commit of its own: it costs no fsync, rides the next
+// write that waits, reaches the log in that order, still replays to the
+// tombstone alone, and a store failure comes back to the caller instead
+// of being dropped with the delete.
 func TestTombstoneReplaceIsOneCommit(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "journal.wal")
 	wal, err := rms.OpenWALStore(dir, rms.WALOptions{})
@@ -663,6 +665,8 @@ func TestTombstoneReplaceIsOneCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wal.Close()
+	var logged []rms.CommitOp // durable ops, in log order
+	wal.SetCommitSink(func(ops []rms.CommitOp) { logged = append(logged, ops...) })
 	jr, err := openJournal(wal)
 	if err != nil {
 		t.Fatal(err)
@@ -679,8 +683,27 @@ func TestTombstoneReplaceIsOneCommit(t *testing.T) {
 	if _, err := jr.put(tomb); err != nil {
 		t.Fatal(err)
 	}
-	if got := wal.Fsyncs() - before; got != 1 {
-		t.Fatalf("tombstone replace cost %d fsyncs, want 1", got)
+	if st := wal.Stats(); wal.Fsyncs() != before || st.TrailingOps != 2 || st.TrailingUnsynced != 2 {
+		t.Fatalf("tombstone replace cost %d fsyncs with %d/%d trailing ops un-synced, want 0 and 2/2",
+			wal.Fsyncs()-before, st.TrailingUnsynced, st.TrailingOps)
+	}
+	next := *live
+	next.ID = "ag-2"
+	if _, err := jr.put(&next); err != nil {
+		t.Fatal(err)
+	}
+	if st := wal.Stats(); wal.Fsyncs()-before != 1 || st.TrailingUnsynced != 0 {
+		t.Fatalf("the next waited write: %d fsyncs, %d trailing ops still un-synced; want 1 and 0", wal.Fsyncs()-before, st.TrailingUnsynced)
+	}
+	var order []string
+	for _, op := range logged {
+		order = append(order, fmt.Sprintf("%d:%d", op.Op, op.ID))
+	}
+	if want := fmt.Sprintf("%d:1 %d:2 %d:1 %d:3", rms.OpAdd, rms.OpAdd, rms.OpDelete, rms.OpAdd); strings.Join(order, " ") != want {
+		t.Fatalf("log order (op:id) = %v, want %s: the tombstone before the delete of the record it replaces", order, want)
+	}
+	if err := jr.drop("ag-2"); err != nil {
+		t.Fatal(err)
 	}
 	if ids, _ := wal.IDs(); len(ids) != 1 || ids[0] != 2 {
 		t.Fatalf("store holds records %v, want the tombstone (2) alone", ids)
@@ -697,5 +720,45 @@ func TestTombstoneReplaceIsOneCommit(t *testing.T) {
 	other := &journalEntry{ID: "ag-2", Home: "gw-0", State: StateDelivered, Watermark: 1}
 	if _, err := jr.put(other); !errors.Is(err, rms.ErrClosed) {
 		t.Fatalf("tombstone over a closed store: err = %v, want ErrClosed", err)
+	}
+}
+
+// TestTombstoneEvictionTrails: past maxJournalTombstones every retirement
+// also evicts the oldest tombstone. The eviction is a trailing append
+// like the tombstone that caused it — it used to be a waited Delete, a
+// second fsync per retirement for the rest of the daemon's life.
+func TestTombstoneEvictionTrails(t *testing.T) {
+	wal, err := rms.OpenWALStore(filepath.Join(t.TempDir(), "journal.wal"), rms.WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	jr, err := openJournal(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tomb := func(i int) *journalEntry {
+		return &journalEntry{ID: fmt.Sprintf("ag-%d", i), Home: "gw-0", State: StateDelivered, Watermark: 1}
+	}
+	for i := 0; i < maxJournalTombstones; i++ {
+		if evicted, err := jr.put(tomb(i)); err != nil || evicted != "" {
+			t.Fatalf("tombstone %d: evicted %q, err %v; want the cap not reached yet", i, evicted, err)
+		}
+	}
+	// Fsyncs the store started itself (the bound expiring on a slow run)
+	// are not the journal's.
+	commits := func() uint64 { return wal.Fsyncs() - wal.Stats().TrailingSyncs }
+	before, ops := commits(), wal.Stats().TrailingOps
+	for i := maxJournalTombstones; i < maxJournalTombstones+3; i++ {
+		evicted, err := jr.put(tomb(i))
+		if want := fmt.Sprintf("ag-%d", i-maxJournalTombstones); err != nil || evicted != want {
+			t.Fatalf("tombstone %d: evicted %q, err %v; want the oldest, %s", i, evicted, err, want)
+		}
+	}
+	if got, appended := commits()-before, wal.Stats().TrailingOps-ops; got != 0 || appended != 6 {
+		t.Fatalf("3 retirements over the cap cost %d fsyncs in %d trailing ops, want 0 in 6 (tombstone + eviction each)", got, appended)
+	}
+	if n, _ := wal.NumRecords(); n != maxJournalTombstones {
+		t.Fatalf("journal holds %d records, want the cap %d", n, maxJournalTombstones)
 	}
 }

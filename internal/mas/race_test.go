@@ -11,6 +11,7 @@ import (
 	"pdagent/internal/atp"
 	"pdagent/internal/mascript"
 	"pdagent/internal/mavm"
+	"pdagent/internal/netsim"
 	"pdagent/internal/rms"
 	"pdagent/internal/transport"
 )
@@ -64,6 +65,207 @@ func (g *gateStore) Delete(id int) error {
 func (g *gateStore) Apply(ops []rms.Op) ([]int, error) {
 	g.gate()
 	return g.Store.Apply(ops)
+}
+
+func (g *gateStore) ApplyTrailing(ops []rms.Op) ([]int, error) {
+	g.gate()
+	return g.Store.ApplyTrailing(ops)
+}
+
+// tailStore is a journal that loses its un-synced tail in a crash: it
+// logs every op it applied and how much of that log a waited write has
+// covered, and crashed() rebuilds the store from that prefix — what a
+// restart over the same disk finds after a kill that no commit followed.
+type tailStore struct {
+	rms.Store
+	mu     sync.Mutex // held across the inner write: log order is apply order
+	log    []rms.Op   // every applied op, with the record id it landed on
+	synced int        // prefix of log a waited write has made durable
+}
+
+func newTailStore(name string) *tailStore {
+	return &tailStore{Store: rms.NewMemStore(name, 0)}
+}
+
+func (s *tailStore) write(waited bool, ops ...rms.Op) ([]int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ids, err := s.Store.Apply(ops)
+	if err != nil {
+		return nil, err
+	}
+	for i, op := range ops {
+		s.log = append(s.log, rms.Op{Op: op.Op, ID: ids[i], Data: append([]byte(nil), op.Data...)})
+	}
+	if waited {
+		s.synced = len(s.log)
+	}
+	return ids, nil
+}
+
+func (s *tailStore) Add(data []byte) (int, error) {
+	ids, err := s.write(true, rms.Op{Op: rms.OpAdd, Data: data})
+	if err != nil {
+		return 0, err
+	}
+	return ids[0], nil
+}
+
+func (s *tailStore) Set(id int, data []byte) error {
+	_, err := s.write(true, rms.Op{Op: rms.OpSet, ID: id, Data: data})
+	return err
+}
+
+func (s *tailStore) Delete(id int) error {
+	_, err := s.write(true, rms.Op{Op: rms.OpDelete, ID: id})
+	return err
+}
+
+func (s *tailStore) Apply(ops []rms.Op) ([]int, error) { return s.write(true, ops...) }
+
+func (s *tailStore) ApplyTrailing(ops []rms.Op) ([]int, error) { return s.write(false, ops...) }
+
+// unsynced is how many applied ops a crash now would lose.
+func (s *tailStore) unsynced() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.log) - s.synced
+}
+
+// crashed replays the durable prefix into a fresh store, as WAL recovery
+// does: record ids the lost tail had allocated are free again.
+func (s *tailStore) crashed() *tailStore {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	records, next := map[int][]byte{}, 1
+	for _, op := range s.log[:s.synced] {
+		if op.Op == rms.OpDelete {
+			delete(records, op.ID)
+		} else {
+			records[op.ID] = op.Data
+		}
+		if op.ID >= next {
+			next = op.ID + 1
+		}
+	}
+	return &tailStore{
+		Store:  rms.NewMemStoreFrom(s.Name(), next, records),
+		log:    append([]rms.Op(nil), s.log[:s.synced]...),
+		synced: s.synced,
+	}
+}
+
+// TestLostRetirementIsReshippedAndAnswered: a retirement write (the
+// sender's tombstone, the gateway's drop, the homecoming's tombstone) is
+// a trailing append, so a server killed before its next commit restarts
+// over a journal that still holds the live entry. That is the state
+// "crashed between the receiver's OK and the tombstone write": Resume
+// re-ships to the journaled target and whoever took the agent the first
+// time answers the duplicate — one copy, one receipt per bank.
+func TestLostRetirementIsReshippedAndAnswered(t *testing.T) {
+	const id = "ag-tail"
+	// lossy swaps addr's journal for one that loses its tail.
+	lossy := func(w *jWorld, addr string) {
+		w.journals[addr] = newTailStore("journal-" + addr)
+		w.startServer(addr)
+	}
+	// killLosingTail crashes addr with its trailing appends un-synced and
+	// restarts it over what the disk kept.
+	killLosingTail := func(ctx context.Context, w *jWorld, addr string, wantLost, wantResumed int) {
+		t.Helper()
+		ts := w.journals[addr].(*tailStore)
+		if got := ts.unsynced(); got != wantLost {
+			t.Fatalf("%s: %d un-synced op(s) at the kill, want %d", addr, got, wantLost)
+		}
+		w.crash(addr)
+		w.journals[addr] = ts.crashed()
+		if n := w.restart(ctx, addr); n != wantResumed {
+			t.Fatalf("%s resumed %d agent(s) over the journal its crash left, want %d", addr, n, wantResumed)
+		}
+	}
+	oneReceiptPerBank := func(w *jWorld) {
+		t.Helper()
+		for _, b := range []string{"bank-a", "bank-b"} {
+			if bal, _ := w.banks[b].Balance("alice"); bal != 950 {
+				t.Errorf("%s alice = %d, want 950: the re-shipped copy ran its transfer again, or never did", b, bal)
+			}
+		}
+	}
+	atRest := func(w *jWorld, addrs ...string) {
+		t.Helper()
+		for _, addr := range addrs {
+			if got := w.servers[addr].ResidentCount(); got != 0 {
+				t.Errorf("%s still has %d resident agent(s)", addr, got)
+			}
+			entries, err := w.servers[addr].jr.loadAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				if !e.tombstone() {
+					t.Errorf("%s's journal still holds a live copy of %s (%s)", addr, e.ID, e.State)
+				}
+			}
+		}
+	}
+
+	t.Run("sender's tombstone", func(t *testing.T) {
+		w := newJWorld(t, map[string]string{"bank-a": "aglets", "bank-b": "voyager"}, netsim.ZoneWired)
+		lossy(w, "bank-a")
+		ctx := netsim.WithClock(context.Background(), netsim.NewClock())
+		w.admit(ctx, bankTourSrc, id, map[string]mavm.Value{"banks": listParam("bank-a", "bank-b")})
+		// Bank A has bank B's OK and has written its tombstone — appended,
+		// not synced — when it dies.
+		for w.servers["bank-a"].AgentStates()[id] != StateDeparted {
+			if !w.queue.Step() {
+				t.Fatal("agent never left bank-a")
+			}
+		}
+		killLosingTail(ctx, w, "bank-a", 2, 1) // tombstone + delete of the live entry
+		w.queue.Drain()
+		if got := w.arrivalCount(); got != 1 {
+			t.Fatalf("arrivals = %d, want exactly 1: bank-b must answer the re-shipped copy as a duplicate", got)
+		}
+		oneReceiptPerBank(w)
+		atRest(w, "bank-a", "bank-b")
+	})
+
+	t.Run("gateway's drop and homecoming tombstone, and the last sender's", func(t *testing.T) {
+		w := newJWorld(t, map[string]string{"bank-a": "aglets", "bank-b": "voyager"}, netsim.ZoneWired)
+		lossy(w, "gw-0")
+		lossy(w, "bank-b")
+		ctx := netsim.WithClock(context.Background(), netsim.NewClock())
+		w.admit(ctx, bankTourSrc, id, map[string]mavm.Value{"banks": listParam("bank-a", "bank-b")})
+		w.queue.Drain()
+		if got := w.arrivalCount(); got != 1 {
+			t.Fatalf("arrivals = %d before any crash, want 1", got)
+		}
+		// The gateway's journal has waited for one write, the admission's
+		// record; its drop and the homecoming's tombstone die with it, and
+		// so does bank B's tombstone. The gateway re-ships to bank A (a
+		// duplicate there); bank B re-ships home, where no watermark is
+		// left to answer it: the home side takes the same agent's result a
+		// second time and its intake, keyed by agent id, files it once.
+		killLosingTail(ctx, w, "gw-0", 2, 1)   // drop, homecoming tombstone
+		killLosingTail(ctx, w, "bank-b", 2, 1) // tombstone + delete
+		w.queue.Drain()
+		w.mu.Lock()
+		filed := map[string]string{} // the gateway's mailbox dedups on "result:"+agent id
+		for _, a := range w.arrivals {
+			got := fmt.Sprint(a.Kind, a.VM.Results)
+			if prev, dup := filed["result:"+a.VM.AgentID]; dup && prev != got {
+				t.Errorf("the duplicate homecoming carries a different result: %s vs %s", got, prev)
+			}
+			filed["result:"+a.VM.AgentID] = got
+		}
+		calls := len(w.arrivals)
+		w.mu.Unlock()
+		if calls != 2 || len(filed) != 1 {
+			t.Fatalf("home side called %d time(s) for %d distinct result(s), want the same result offered twice", calls, len(filed))
+		}
+		oneReceiptPerBank(w)
+		atRest(w, "gw-0", "bank-a", "bank-b")
+	})
 }
 
 // TestFastHopReturnsBeforeSenderBookkeeping is the regression test for
@@ -223,10 +425,13 @@ func TestFastHopReturnsBeforeSenderBookkeeping(t *testing.T) {
 // TestRevisitedHostJournalStaysCoherent drives an itinerary that comes
 // back to the same journaled host twice (gw-0 → site-1 → gw-0 → site-1
 // → gw-0, all inline): the second residency at site-1 begins while the
-// first departure's bookkeeping frame is still pending on the stack.
-// The superseded frame must not tombstone the newer record — after the
-// journey, the site's journal must show the agent departed exactly
-// once and resume nothing.
+// first departure's bookkeeping frame is still pending on the stack —
+// and, retirements being trailing appends, while the first departure's
+// tombstone is still un-synced. The superseded frame must not tombstone
+// the newer record — after the journey, the site's journal must show
+// the agent departed exactly once and resume nothing; a site killed with
+// its last tombstone un-synced resumes the second residency's record,
+// re-ships it, and home answers the duplicate.
 func TestRevisitedHostJournalStaysCoherent(t *testing.T) {
 	inline := func(fn func()) { fn() }
 	tr := &directTransport{hosts: map[string]transport.Handler{}}
@@ -242,7 +447,7 @@ func TestRevisitedHostJournalStaysCoherent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	siteJournal := rms.NewMemStore("site-journal", 0)
+	siteJournal := newTailStore("site-journal")
 	site, err := NewServer(Config{
 		Addr: "site-1", Codec: codec, Transport: tr, Spawn: inline,
 		Journal: siteJournal,
@@ -282,18 +487,41 @@ func TestRevisitedHostJournalStaysCoherent(t *testing.T) {
 		}
 	}
 	site.Kill()
-	replacement, err := NewServer(Config{
-		Addr: "site-1", Codec: codec, Transport: tr, Spawn: inline,
-		Journal: siteJournal,
-	})
-	if err != nil {
-		t.Fatal(err)
+	// resumeOver restarts site-1 over store and returns what it resumed
+	// and the journal it ends with.
+	resumeOver := func(store rms.Store) (int, []*journalEntry) {
+		t.Helper()
+		replacement, err := NewServer(Config{
+			Addr: "site-1", Codec: codec, Transport: tr, Spawn: inline,
+			Journal: store,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.hosts["site-1"] = replacement.Handler()
+		n, err := replacement.Resume(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries, err := replacement.jr.loadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n, entries
 	}
-	n, err := replacement.Resume(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
+	if n, _ := resumeOver(siteJournal); n != 0 {
 		t.Fatalf("replacement resumed %d agent(s), want 0", n)
+	}
+	// The same kill with the second departure's tombstone lost. The first
+	// one was made durable, in order, by the re-arrival's waited record.
+	if got := siteJournal.unsynced(); got != 2 {
+		t.Fatalf("%d un-synced op(s) after the journey, want the last tombstone and its delete", got)
+	}
+	n, entries := resumeOver(siteJournal.crashed())
+	if n != 1 || len(arrivals) != 1 {
+		t.Fatalf("over the crashed journal: resumed %d, %d arrival(s) at home; want the second residency re-shipped and answered as a duplicate", n, len(arrivals))
+	}
+	if len(entries) != 1 || !entries[0].tombstone() {
+		t.Fatalf("site journal after the re-ship = %+v, want one tombstone", entries)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 // This file is the crash-recovery property suite: a simulated
@@ -18,9 +19,12 @@ import (
 // survived, torn tails) and recovered with the real OpenWALStore. The
 // invariant: under the default group-commit policy the recovered state
 // is exactly the acked prefix of the workload, or that prefix plus a
-// prefix of the call in flight (its single op, or the first j ops of an
-// Apply batch, in order — never a gap) — an acked write may NEVER be
-// missing, at any crash point, in any variant.
+// prefix of what was appended behind it — the trailing ops no waited
+// call has covered yet, then the call in flight (its single op, or the
+// first j ops of an Apply batch), in log order, never a gap. An op a
+// waited call acknowledged may NEVER be missing, and a trailing op never
+// survives without everything before it, at any crash point, in any
+// variant.
 
 // simInode is one file's content: data is what the process sees,
 // synced is the prefix made durable by fsync.
@@ -37,8 +41,8 @@ type simFS struct {
 	live    map[string]*simInode
 	durable map[string]*simInode
 	images  []crashImage
-	acked   int // ops acked so far; bumped by the test between calls
-	pending int // ops of the call in flight (1, or an Apply batch's length)
+	acked   int // ops a waited call has covered; bumped by the test between calls
+	pending int // ops appended or about to be beyond acked: un-synced trailing ones + the call in flight
 }
 
 type crashFile struct {
@@ -231,7 +235,8 @@ func crashVariants(img crashImage) []map[string][]byte {
 // filesystem and checks no acked op is ever lost.
 func TestWALStoreCrashAtEverySyscall(t *testing.T) {
 	fs := newSimFS()
-	opts := WALOptions{SegmentBytes: 220, CompactGarbage: 350, fs: fs}
+	// simFS is single-threaded: the trailing timer must never fire.
+	opts := WALOptions{SegmentBytes: 220, CompactGarbage: 350, fs: fs, trailingBound: time.Hour}
 	simDir := "simwal"
 
 	s, err := OpenWALStore(simDir, opts)
@@ -250,36 +255,41 @@ func TestWALStoreCrashAtEverySyscall(t *testing.T) {
 		mutate(next)
 		states = append(states, next)
 	}
+	// fs.pending is the un-synced trailing ops plus the one op of the next
+	// call; a batch adds the rest of its length before it runs. A waited
+	// call that returns has covered all of it; a trailing one only appended.
+	acked := func() { fs.acked, fs.pending = fs.acked+fs.pending, 1 }
 	doAdd := func(data []byte) {
 		id, err := s.Add(data)
 		if err != nil {
-			t.Fatalf("op %d Add: %v", fs.acked+1, err)
+			t.Fatalf("op %d Add: %v", len(states), err)
 		}
 		pushState(func(m map[int][]byte) { m[id] = data })
-		fs.acked++
+		acked()
 	}
 	doSet := func(id int, data []byte) {
 		if err := s.Set(id, data); err != nil {
-			t.Fatalf("op %d Set(%d): %v", fs.acked+1, id, err)
+			t.Fatalf("op %d Set(%d): %v", len(states), id, err)
 		}
 		pushState(func(m map[int][]byte) { m[id] = data })
-		fs.acked++
+		acked()
 	}
 	doDelete := func(id int) {
 		if err := s.Delete(id); err != nil {
-			t.Fatalf("op %d Delete(%d): %v", fs.acked+1, id, err)
+			t.Fatalf("op %d Delete(%d): %v", len(states), id, err)
 		}
 		pushState(func(m map[int][]byte) { delete(m, id) })
-		fs.acked++
+		acked()
 	}
 
-	// doApply commits one batch; the model gains one state per op, so a
-	// crash mid-batch must land on one of them.
-	doApply := func(ops ...Op) {
-		fs.pending = len(ops)
-		ids, err := s.Apply(ops)
+	// doApply commits one batch, doTrail appends one without waiting; the
+	// model gains one state per op, so a crash mid-batch must land on one
+	// of them.
+	batch := func(apply func([]Op) ([]int, error), ops []Op) {
+		fs.pending += len(ops) - 1
+		ids, err := apply(ops)
 		if err != nil {
-			t.Fatalf("op %d Apply: %v", fs.acked+1, err)
+			t.Fatalf("op %d batch: %v", len(states), err)
 		}
 		for i, op := range ops {
 			id, op := ids[i], op
@@ -291,8 +301,22 @@ func TestWALStoreCrashAtEverySyscall(t *testing.T) {
 				}
 			})
 		}
-		fs.acked += len(ops)
-		fs.pending = 1
+	}
+	doApply := func(ops ...Op) {
+		batch(s.Apply, ops)
+		acked()
+	}
+	doTrail := func(ops ...Op) {
+		batch(s.ApplyTrailing, ops)
+		fs.pending++ // still un-synced, and the next call's op behind them
+	}
+	// doClose: a clean close syncs the trailing tail; nothing is in flight.
+	doClose := func() {
+		fs.pending--
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		acked()
 	}
 
 	// Phase 1: fill across several rotations.
@@ -312,11 +336,20 @@ func TestWALStoreCrashAtEverySyscall(t *testing.T) {
 		Op{Op: OpSet, ID: 1, Data: []byte("crash-meta-" + strings.Repeat("m", 40))})
 	doApply(Op{Op: OpSet, ID: 1, Data: []byte("crash-cursor")}, Op{Op: OpDelete, ID: 7}, Op{Op: OpDelete, ID: 8}, Op{Op: OpDelete, ID: 9})
 	doApply(Op{Op: OpAdd, Data: []byte("crash-tombstone")}, Op{Op: OpDelete, ID: 2})
+	// Trailing and waited batches interleaved, as a journal retires one
+	// agent while it records the next: a trailing tombstone replace, a
+	// waited record that covers it, two trailing batches in a row crossing
+	// a rotation (which syncs them), a waited batch, and a trailing drop
+	// left for Close to sync.
+	doTrail(Op{Op: OpAdd, Data: []byte("crash-trail-tomb-" + strings.Repeat("t", 30))}, Op{Op: OpDelete, ID: 3})
+	doAdd([]byte("crash-record-after-trail"))
+	doTrail(Op{Op: OpAdd, Data: []byte("crash-trail-tomb2-" + strings.Repeat("u", 40))}, Op{Op: OpDelete, ID: 4})
+	doTrail(Op{Op: OpAdd, Data: []byte("crash-trail-tomb3-" + strings.Repeat("v", 40))}, Op{Op: OpDelete, ID: 1})
+	doApply(Op{Op: OpAdd, Data: []byte("crash-entry2")}, Op{Op: OpSet, ID: 10, Data: []byte("crash-meta2")})
+	doTrail(Op{Op: OpDelete, ID: 10})
 	// Phase 3: a mid-life crash-free restart — recovery's own syscalls
 	// (truncates, removes, the end-of-open SyncDir) also yield images.
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	doClose()
 	s, err = OpenWALStore(simDir, opts)
 	if err != nil {
 		t.Fatalf("mid-life reopen: %v", err)
@@ -330,12 +363,14 @@ func TestWALStoreCrashAtEverySyscall(t *testing.T) {
 		t.Fatal(err)
 	}
 	doAdd([]byte("crash-final"))
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	doTrail(Op{Op: OpAdd, Data: []byte("crash-trailing-final")})
+	doClose()
 
 	if len(fs.images) < 50 {
 		t.Fatalf("suite captured only %d crash images — instrumentation broken?", len(fs.images))
+	}
+	if fs.acked != len(states)-1 {
+		t.Fatalf("model drifted: %d ops acked after the last close, %d applied", fs.acked, len(states)-1)
 	}
 	t.Logf("%d crash images, %d ops", len(fs.images), fs.acked)
 
@@ -356,8 +391,8 @@ func TestWALStoreCrashAtEverySyscall(t *testing.T) {
 			if err != nil {
 				t.Fatalf("image %d variant %d (acked=%d): recovery failed: %v", idx, v, img.acked, err)
 			}
-			// Allowed: the acked prefix, plus any prefix of the call that
-			// was in flight when the crash hit.
+			// Allowed: the acked prefix, plus any prefix of what was
+			// appended behind it when the crash hit.
 			allowed := states[img.acked:min(img.acked+img.pending+1, len(states))]
 			if !matchesAny(re, allowed) {
 				ids, _ := re.IDs()

@@ -53,6 +53,14 @@ type Store interface {
 	// that every prefix is a state they recover from. ops and their Data
 	// are not retained.
 	Apply(ops []Op) (ids []int, err error)
+	// ApplyTrailing is Apply without the durability wait: the ops are
+	// validated, take their place in the same ordered log and are visible
+	// to every later call when it returns, and become durable with the
+	// store's next commit (a store that fsyncs bounds that wait itself).
+	// A crash may lose them, and then loses every later op too — never a
+	// gap. For writes whose loss the caller recovers from, such as
+	// retiring a record whose subject has already been handed on.
+	ApplyTrailing(ops []Op) (ids []int, err error)
 	// NumRecords returns the number of live records.
 	NumRecords() (int, error)
 	// NextID returns the id the next Add will use.
@@ -218,6 +226,9 @@ func (s *MemStore) Apply(ops []Op) ([]int, error) {
 	}
 	return ids, nil
 }
+
+// ApplyTrailing implements Store: a MemStore has no commit to trail.
+func (s *MemStore) ApplyTrailing(ops []Op) ([]int, error) { return s.Apply(ops) }
 
 // Add implements Store.
 func (s *MemStore) Add(data []byte) (int, error) {

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 )
 
 // collectSink gathers every op a tap emits, guarding against the
@@ -107,6 +108,50 @@ func TestWALStoreCommitTapOrdersAndCovers(t *testing.T) {
 		if string(want) != string(got) {
 			t.Fatalf("record %d: replica %q, primary %q", id, got, want)
 		}
+	}
+}
+
+// TestWALStoreTapTrailingRidesNextCommit: a trailing op is not durable
+// when ApplyTrailing returns, so the tap must not have seen it; it
+// reaches the sink with the commit that covers it, after that fsync, in
+// log order ahead of the op that was waited for.
+func TestWALStoreTapTrailingRidesNextCommit(t *testing.T) {
+	s, err := OpenWALStore(t.TempDir(), WALOptions{trailingBound: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c := &collectSink{}
+	var fsyncsAtEmit []uint64
+	s.SetCommitSink(func(ops []CommitOp) {
+		fsyncsAtEmit = append(fsyncsAtEmit, s.Fsyncs())
+		c.sink(ops)
+	})
+	if _, err := s.ApplyTrailing([]Op{{Op: OpAdd, Data: []byte("tomb")}, {Op: OpAdd, Data: []byte("tomb2")}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ApplyTrailing([]Op{{Op: OpDelete, ID: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.snapshot(); len(got) != 0 {
+		t.Fatalf("tap saw %d op(s) no fsync has covered: %+v", len(got), got)
+	}
+	if _, err := s.Add([]byte("waited")); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, op := range c.snapshot() {
+		got = append(got, fmt.Sprintf("%d:%d:%s", op.Op, op.ID, op.Data))
+	}
+	want := []string{
+		fmt.Sprintf("%d:1:tomb", OpAdd), fmt.Sprintf("%d:2:tomb2", OpAdd),
+		fmt.Sprintf("%d:1:", OpDelete), fmt.Sprintf("%d:3:waited", OpAdd),
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("tap saw %v, want %v", got, want)
+	}
+	if len(fsyncsAtEmit) != 1 || fsyncsAtEmit[0] != 1 {
+		t.Fatalf("sink called %d time(s) at fsync counts %v, want once, after the one fsync that covered all four ops", len(fsyncsAtEmit), fsyncsAtEmit)
 	}
 }
 

@@ -32,7 +32,10 @@ import (
 // never fsyncs on the write path (simulations and tests). One caller
 // with several ops in hand gives them to Apply, which appends them all
 // and waits once — group commit cannot batch writes that arrive one
-// after another from the same goroutine.
+// after another from the same goroutine. ApplyTrailing appends in the
+// same log order and does not wait at all: its ops are durable with the
+// next commit anyone waits for, or with a sync the store starts itself
+// trailingSyncBound after the first un-synced one (DESIGN.md §9).
 //
 // Layout. A WALStore lives in a directory:
 //
@@ -79,6 +82,15 @@ type WALStore struct {
 	synced  uint64 // highest lsn covered by an fsync
 	syncing bool   // a group-commit leader's fsync is in flight
 
+	// Trailing appends (ApplyTrailing): entries nobody waits on. An
+	// un-synced tail starts at trailFirst, appended at trailSince, when a
+	// trailing batch finds everything before it synced; trailTimer, armed
+	// while there may be one, syncs the log once that tail is
+	// trailingBound old, so no trailing entry stays volatile longer.
+	trailFirst uint64
+	trailSince time.Time
+	trailTimer *time.Timer
+
 	// Commit tap (replication, DESIGN.md §10): mutations buffer in
 	// tapBuf at append time and a sink leader drains everything fsync
 	// has covered, in order, after the commit that made them durable.
@@ -96,6 +108,9 @@ type WALStore struct {
 	groupedOps atomic.Uint64 // entries acked by group-commit fsyncs
 	segs       atomic.Uint64 // mirror of segSeq
 	snaps      atomic.Uint64 // snapshots written since open
+	trailed    atomic.Uint64 // trailing entries appended since open
+	trailSafe  atomic.Uint64 // ... of which an fsync has covered
+	trailSyncs atomic.Uint64 // bound expiries that found a tail to sync
 
 	scratch []byte
 	snapErr error // last auto-snapshot failure (surfaced by Compact)
@@ -131,6 +146,11 @@ const (
 	DefaultCompactGarbage = 1 << 20
 )
 
+// trailingSyncBound is the longest a trailing append stays un-synced on
+// an open store: a store with no waited commit to ride syncs its tail
+// itself this long after the first un-synced trailing entry.
+const trailingSyncBound = time.Second
+
 // WALOptions tunes a WALStore. The zero value is production-ready:
 // group commit, 4 MiB segments, snapshot at 1 MiB of garbage.
 type WALOptions struct {
@@ -144,6 +164,8 @@ type WALOptions struct {
 
 	// fs overrides the filesystem (crash-injection tests only).
 	fs walFS
+	// trailingBound overrides trailingSyncBound (tests only).
+	trailingBound time.Duration
 }
 
 const (
@@ -170,6 +192,9 @@ func OpenWALStore(dir string, opts WALOptions) (*WALStore, error) {
 	}
 	if opts.CompactGarbage <= 0 {
 		opts.CompactGarbage = DefaultCompactGarbage
+	}
+	if opts.trailingBound <= 0 {
+		opts.trailingBound = trailingSyncBound
 	}
 	fs := opts.fs
 	if fs == nil {
@@ -504,6 +529,7 @@ func (s *WALStore) rotateLocked() error {
 	if s.synced < s.lsn {
 		s.synced = s.lsn
 	}
+	s.trailSafe.Store(s.trailed.Load())
 	s.commit.Broadcast()
 	if err := s.seg.Close(); err != nil {
 		return s.wedgeLocked(err)
@@ -673,6 +699,7 @@ func (s *WALStore) commitWait(lsn uint64) error {
 				continue
 			}
 			target := s.lsn // everything appended so far rides this fsync
+			trailed := s.trailed.Load()
 			err := s.w.Flush()
 			seg := s.seg
 			s.mu.Unlock()
@@ -696,6 +723,7 @@ func (s *WALStore) commitWait(lsn uint64) error {
 					// what the group-commit gauges report.
 					s.groupedOps.Add(target - s.synced)
 					s.synced = target
+					s.trailSafe.Store(trailed)
 				}
 			}
 			s.commit.Broadcast()
@@ -708,20 +736,19 @@ func (s *WALStore) commitWait(lsn uint64) error {
 // Name implements Store.
 func (s *WALStore) Name() string { return s.name }
 
-// appendWait is the one write path. The whole batch is validated, then
+// appendOps is the one write path. The whole batch is validated, then
 // every op is appended as its own ordinary frame, back to back under
-// one hold of mu, and the caller waits for one commit covering the last
-// lsn — so a crash leaves a prefix of the batch in order, never a gap,
-// and recovery needs no batch frame. ids receives each op's record id.
-func (s *WALStore) appendWait(ops []Op, ids []int) error {
-	if len(ops) == 0 {
-		return nil
-	}
+// one hold of mu — so a crash leaves a prefix of the batch in order,
+// never a gap, and recovery needs no batch frame. ids receives each
+// op's record id; the last op's lsn is returned for the caller to wait
+// on, or, for a trailing batch, left to the next commit or the timer.
+func (s *WALStore) appendOps(ops []Op, ids []int, trailing bool) (uint64, error) {
 	var frames int64
 	for _, op := range ops {
 		frames += entryHeaderSize + int64(len(op.payload()))
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	// Rotation must let an in-flight fsync land before it closes the
 	// segment handle, and that wait releases mu. A batch that may cross
 	// the segment boundary waits here instead, before it is validated:
@@ -730,28 +757,49 @@ func (s *WALStore) appendWait(ops []Op, ids []int) error {
 		s.commit.Wait()
 	}
 	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
+		return 0, ErrClosed
 	}
 	if s.fail != nil {
-		err := s.fail
-		s.mu.Unlock()
-		return err
+		return 0, s.fail
 	}
 	if err := checkOps(s.name, ops, ids, s.records, s.nextID); err != nil {
-		s.mu.Unlock()
-		return err
+		return 0, err
 	}
 	var lsn uint64
 	for i, op := range ops {
 		var err error
 		if lsn, err = s.appendLocked(op.Op, ids[i], op.payload()); err != nil {
-			s.mu.Unlock()
-			return err
+			return 0, err
 		}
 		s.applyEntry(op.Op, ids[i], clone(op.payload()))
 	}
-	s.mu.Unlock()
+	if trailing {
+		if s.trailFirst <= s.synced {
+			s.trailFirst, s.trailSince = lsn, time.Now()
+		}
+		s.trailed.Add(uint64(len(ops)))
+		if s.trailTimer == nil {
+			s.trailTimer = time.AfterFunc(s.opts.trailingBound, s.trailingExpired)
+		}
+	}
+	return lsn, nil
+}
+
+// appendWait appends ops and waits for one commit covering the last.
+func (s *WALStore) appendWait(ops []Op, ids []int) error {
+	if len(ops) == 0 {
+		return nil
+	}
+	lsn, err := s.appendOps(ops, ids, false)
+	if err != nil {
+		return err
+	}
+	return s.commitSink(lsn)
+}
+
+// commitSink waits until lsn is durable and, with a tap attached, has
+// been handed to the sink.
+func (s *WALStore) commitSink(lsn uint64) error {
 	if err := s.commitWait(lsn); err != nil {
 		return err
 	}
@@ -759,6 +807,46 @@ func (s *WALStore) appendWait(ops []Op, ids []int) error {
 		s.sinkWait(lsn)
 	}
 	return nil
+}
+
+// trailingExpired is the timer's callback. A tail that waited commits
+// have covered needs nothing, and the next trailing append arms the
+// timer again; one younger than the bound — under traffic the tail is
+// whatever was appended since the last commit — gets the rest of its
+// time; one as old as the bound is synced by the store itself.
+func (s *WALStore) trailingExpired() {
+	s.mu.Lock()
+	s.trailTimer = nil
+	if s.closed || s.fail != nil || s.trailFirst <= s.synced {
+		s.mu.Unlock()
+		return
+	}
+	if rest := s.opts.trailingBound - time.Since(s.trailSince); rest > 0 {
+		s.trailTimer = time.AfterFunc(rest, s.trailingExpired)
+		s.mu.Unlock()
+		return
+	}
+	lsn := s.lsn
+	s.mu.Unlock()
+	s.trailSyncs.Add(1)
+	_ = s.commitSink(lsn) // a failure wedges the store: Err and every later write report it
+}
+
+// ApplyTrailing implements Store: the ops take their place in the log
+// and in memory now and are durable with the next commit, within
+// trailingSyncBound at the latest. Under SyncNever nothing waits anyway.
+func (s *WALStore) ApplyTrailing(ops []Op) ([]int, error) {
+	if s.opts.Sync == SyncNever {
+		return s.Apply(ops)
+	}
+	ids := make([]int, len(ops))
+	if len(ops) == 0 {
+		return ids, nil
+	}
+	if _, err := s.appendOps(ops, ids, true); err != nil {
+		return nil, err
+	}
+	return ids, nil
 }
 
 // Apply implements Store: one fsync for the whole batch under
@@ -905,17 +993,30 @@ type WALStats struct {
 	// of a drowning disk — the gateway's shed watermark reads it.
 	LastFsync time.Duration
 	MaxFsync  time.Duration
+	// TrailingOps counts entries appended by ApplyTrailing; Unsynced is
+	// how many of them no fsync has covered yet — what a crash right now
+	// would lose, at most trailingSyncBound old. TrailingSyncs counts the
+	// times that bound expired on an un-synced tail and the store synced
+	// it itself: near zero while trailing entries ride waited commits.
+	TrailingOps      uint64
+	TrailingUnsynced uint64
+	TrailingSyncs    uint64
 }
 
 // Stats returns a lock-free snapshot of the WAL's counters.
 func (s *WALStore) Stats() WALStats {
+	safe := s.trailSafe.Load() // before trailed, which only grows: the difference cannot go negative
+	trailed := s.trailed.Load()
 	return WALStats{
-		Fsyncs:     s.fsyncs.Load(),
-		GroupedOps: s.groupedOps.Load(),
-		Segments:   s.segs.Load(),
-		Snapshots:  s.snaps.Load(),
-		LastFsync:  time.Duration(s.lastFsync.Load()),
-		MaxFsync:   time.Duration(s.maxFsync.Load()),
+		Fsyncs:           s.fsyncs.Load(),
+		GroupedOps:       s.groupedOps.Load(),
+		Segments:         s.segs.Load(),
+		Snapshots:        s.snaps.Load(),
+		LastFsync:        time.Duration(s.lastFsync.Load()),
+		MaxFsync:         time.Duration(s.maxFsync.Load()),
+		TrailingOps:      trailed,
+		TrailingUnsynced: trailed - safe,
+		TrailingSyncs:    s.trailSyncs.Load(),
 	}
 }
 
@@ -948,6 +1049,15 @@ func (s *WALStore) RegisterMetrics(m *metrics.Registry, prefix, what string) {
 	m.GaugeFunc(prefix+"_max_fsync_us",
 		"Longest fsync the "+what+" WAL has seen, microseconds.",
 		func() float64 { return float64(s.Stats().MaxFsync.Microseconds()) })
+	m.GaugeFunc(prefix+"_trailing_ops",
+		"Ops the "+what+" WAL appended without a durability wait of their own (retirements).",
+		func() float64 { return float64(s.Stats().TrailingOps) })
+	m.GaugeFunc(prefix+"_trailing_unsynced",
+		"Trailing ops of the "+what+" WAL no fsync has covered yet: what a crash now would lose and the peers re-ship.",
+		func() float64 { return float64(s.Stats().TrailingUnsynced) })
+	m.GaugeFunc(prefix+"_trailing_syncs",
+		"Fsyncs the "+what+" WAL started itself because trailing ops found no commit to ride within the bound (an idle host).",
+		func() float64 { return float64(s.Stats().TrailingSyncs) })
 }
 
 // WALOf unwraps layered stores (e.g. a tracing decorator) down to the
@@ -969,10 +1079,21 @@ func WALOf(st Store) *WALStore {
 // Close implements Store: flush, a final fsync (all policies — a clean
 // shutdown is on disk), and release.
 func (s *WALStore) Close() error {
+	// A trailing tail has no caller to commit it and hand it to the tap:
+	// do that first, outside mu as every sink call is. A failure here is
+	// the wedge the rest of Close handles.
+	s.mu.Lock()
+	lsn := s.lsn
+	s.mu.Unlock()
+	_ = s.commitSink(lsn)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil
+	}
+	if s.trailTimer != nil {
+		s.trailTimer.Stop()
+		s.trailTimer = nil
 	}
 	for s.syncing {
 		s.commit.Wait()
@@ -988,6 +1109,7 @@ func (s *WALStore) Close() error {
 		if err = s.seg.Sync(); err == nil {
 			s.fsyncs.Add(1)
 			s.synced = s.lsn
+			s.trailSafe.Store(s.trailed.Load())
 		}
 	}
 	cerr := s.seg.Close()

@@ -338,6 +338,24 @@ func TestWALStoreFsyncCounts(t *testing.T) {
 	if got := s.Fsyncs(); got != 10 {
 		t.Fatalf("serial SyncGroup fsyncs = %d, want 10", got)
 	}
+	// Trailing appends pay nothing of their own: N of them and the waited
+	// op behind them are one fsync, and the group it acks is N + 1 ops.
+	const trailing = 7
+	grouped := s.Stats().GroupedOps
+	for i := 0; i < trailing; i++ {
+		if _, err := s.ApplyTrailing([]Op{{Op: OpAdd, Data: []byte("t")}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.Fsyncs != 10 || st.TrailingOps != trailing || st.TrailingUnsynced != trailing {
+		t.Fatalf("after %d trailing appends: %+v, want no fsync and all of them un-synced", trailing, st)
+	}
+	if _, err := s.Add([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Fsyncs != 11 || st.GroupedOps-grouped != trailing+1 || st.TrailingUnsynced != 0 || st.TrailingSyncs != 0 {
+		t.Fatalf("%d trailing + 1 waited: %+v, want 1 fsync acking %d ops and nothing left un-synced", trailing, st, trailing+1)
+	}
 	s.Close()
 
 	dir2 := filepath.Join(t.TempDir(), "nev.wal")
@@ -353,6 +371,174 @@ func TestWALStoreFsyncCounts(t *testing.T) {
 	s2.Close()
 }
 
+// TestWALStoreTrailingSyncsItself: a store nobody writes to again syncs
+// its trailing tail by itself once the bound has passed — the ops are on
+// disk, the gauges say so — and Close syncs a tail younger than the
+// bound; neither needs a caller.
+func TestWALStoreTrailingSyncsItself(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "idle.wal")
+	s := openTestWAL(t, dir, WALOptions{trailingBound: 20 * time.Millisecond})
+	c := &collectSink{}
+	s.SetCommitSink(c.sink)
+	if _, err := s.ApplyTrailing([]Op{{Op: OpAdd, Data: []byte("a")}, {Op: OpAdd, Data: []byte("b")}}); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Fsyncs != 0 || st.TrailingUnsynced != 2 {
+		t.Fatalf("right after the append: %+v, want nothing synced yet", st)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Stats().TrailingUnsynced != 0 || len(c.snapshot()) != 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("idle store never synced its trailing tail: %+v, sink saw %d op(s)", s.Stats(), len(c.snapshot()))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := s.Stats(); st.Fsyncs != 1 || st.TrailingSyncs != 1 || st.GroupedOps != 2 {
+		t.Fatalf("after the bound: %+v, want one self-started fsync covering both ops", st)
+	}
+	// What a kill now leaves on disk (the store is still open) has them.
+	img := filepath.Join(t.TempDir(), "img.wal")
+	if err := os.MkdirAll(img, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	seg := fmt.Sprintf("%s%016x%s", segPrefix, 1, segSuffix)
+	data, err := os.ReadFile(filepath.Join(dir, seg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(img, seg), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re := openTestWAL(t, img, WALOptions{})
+	checkWALContents(t, re, map[int][]byte{1: []byte("a"), 2: []byte("b")})
+	re.Close()
+
+	// A covered tail arms nothing: a later expiry finds no work.
+	if _, err := s.ApplyTrailing([]Op{{Op: OpDelete, ID: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Add([]byte("c")); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(40 * time.Millisecond)
+	if st := s.Stats(); st.Fsyncs != 2 || st.TrailingSyncs != 1 {
+		t.Fatalf("a tail a waited commit covered was synced again: %+v", st)
+	}
+	// Under traffic the tail is only what was appended since the last
+	// waited commit: it is never as old as the bound, and over several
+	// bounds' worth of writes the store starts no fsync of its own.
+	s3 := openTestWAL(t, filepath.Join(t.TempDir(), "busy.wal"), WALOptions{trailingBound: 150 * time.Millisecond})
+	defer s3.Close()
+	writes := uint64(0)
+	for end := time.Now().Add(400 * time.Millisecond); time.Now().Before(end); writes++ {
+		if _, err := s3.ApplyTrailing([]Op{{Op: OpAdd, Data: []byte("retired")}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s3.Add([]byte("recorded")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s3.Stats(); st.TrailingSyncs != 0 || st.Fsyncs != writes {
+		t.Fatalf("busy store: %+v after %d waited writes, want one fsync each and none started by the bound", st, writes)
+	}
+	// Close syncs a tail the bound has not reached, and hands it to the tap.
+	s2 := openTestWAL(t, filepath.Join(t.TempDir(), "close.wal"), WALOptions{trailingBound: time.Hour})
+	c2 := &collectSink{}
+	s2.SetCommitSink(c2.sink)
+	if _, err := s2.ApplyTrailing([]Op{{Op: OpAdd, Data: []byte("z")}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s2.Stats(); st.TrailingUnsynced != 0 || st.TrailingSyncs != 0 || len(c2.snapshot()) != 1 {
+		t.Fatalf("after Close: %+v, sink saw %d op(s); want the tail synced by Close, not by the bound", st, len(c2.snapshot()))
+	}
+}
+
+// TestWALStoreTrailingConcurrent races trailing appenders, waited
+// committers, the bound's timer (1 ms, so it fires throughout), rotation
+// and Close: every op that returned is in the reopened store, and the
+// gauges end at rest.
+func TestWALStoreTrailingConcurrent(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "race.wal")
+	s := openTestWAL(t, dir, WALOptions{SegmentBytes: 2048, trailingBound: time.Millisecond})
+	const writers, each = 4, 60
+	var mu sync.Mutex
+	want := map[int][]byte{}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				data := []byte(fmt.Sprintf("w%d-%d", w, i))
+				var id int
+				if i%5 == 4 {
+					var err error
+					if id, err = s.Add(data); err != nil {
+						t.Errorf("Add: %v", err)
+						return
+					}
+				} else {
+					ids, err := s.ApplyTrailing([]Op{{Op: OpAdd, Data: data}})
+					if err != nil {
+						t.Errorf("ApplyTrailing: %v", err)
+						return
+					}
+					id = ids[0]
+				}
+				mu.Lock()
+				want[id] = data
+				mu.Unlock()
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.TrailingOps != writers*each*4/5 || st.TrailingUnsynced != 0 {
+		t.Fatalf("after Close: %+v, want %d trailing ops, none un-synced", st, writers*each*4/5)
+	}
+	re := openTestWAL(t, dir, WALOptions{})
+	defer re.Close()
+	checkWALContents(t, re, want)
+}
+
+// TestWALStoreTrailingRefusedWhenWedgedOrClosed: a trailing append does
+// not wait for the disk, but it still answers for the store's state.
+func TestWALStoreTrailingRefusedWhenWedgedOrClosed(t *testing.T) {
+	s, err := OpenWALStore(filepath.Join(t.TempDir(), "wedge.wal"), WALOptions{fs: &errSyncFS{walFS: osFS{}, fuse: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ApplyTrailing([]Op{{Op: OpAdd, Data: []byte("rides the failing fsync")}}); err != nil {
+		t.Fatalf("trailing append on a healthy store: %v", err)
+	}
+	if _, err := s.Add([]byte("x")); !errors.Is(err, ErrWedged) {
+		t.Fatalf("Add over a failing fsync: err = %v, want the wedge", err)
+	}
+	if _, err := s.ApplyTrailing([]Op{{Op: OpAdd, Data: []byte("y")}}); !errors.Is(err, ErrWedged) {
+		t.Fatalf("trailing append on a wedged store: err = %v, want the wedge", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ApplyTrailing([]Op{{Op: OpAdd, Data: []byte("z")}}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("trailing append on a closed store: err = %v, want ErrClosed", err)
+	}
+	// An invalid trailing batch is refused whole, like a waited one.
+	ok := openTestWAL(t, filepath.Join(t.TempDir(), "ok.wal"), WALOptions{})
+	defer ok.Close()
+	if _, err := ok.ApplyTrailing([]Op{{Op: OpAdd, Data: []byte("a")}, {Op: OpDelete, ID: 9}}); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("invalid trailing batch: err = %v, want ErrNotFound", err)
+	}
+	if n, _ := ok.NumRecords(); n != 0 || ok.Stats().TrailingOps != 0 {
+		t.Fatalf("refused trailing batch left %d record(s), %d trailing op(s)", n, ok.Stats().TrailingOps)
+	}
+}
+
 // TestQuickMemWALEquivalence drives MemStore and WALStore with the same
 // random operation sequence and checks they stay observably identical
 // (same structure as TestQuickMemFileEquivalence).
@@ -366,23 +552,28 @@ func TestQuickMemWALEquivalence(t *testing.T) {
 		mem := NewMemStore("m", 0)
 		wal, err := OpenWALStore(
 			filepath.Join(t.TempDir(), fmt.Sprintf("eq-%d.wal", rand.Int())),
-			WALOptions{Sync: SyncNever, SegmentBytes: 512})
+			WALOptions{SegmentBytes: 512, trailingBound: time.Hour})
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
 		defer wal.Close()
 		for _, o := range ops {
 			id := int(o.ID%16) + 1
-			switch o.Kind % 5 {
-			case 4:
-				// A batch of up to four ops drawn from the payload bytes:
-				// accepted or rejected alike, with the same ids.
+			switch o.Kind % 6 {
+			case 4, 5:
+				// A batch of up to four ops drawn from the payload bytes,
+				// waited for (4) or trailing (5): accepted or rejected
+				// alike, with the same ids, and visible at once either way.
 				var batch []Op
 				for _, b := range o.Data[:min(len(o.Data), 4)] {
 					batch = append(batch, Op{Op: OpAdd + b%3, ID: int(b>>2)%16 + 1, Data: o.Data})
 				}
-				m, e1 := mem.Apply(batch)
-				w, e2 := wal.Apply(batch)
+				apply := Store.Apply
+				if o.Kind%6 == 5 {
+					apply = Store.ApplyTrailing
+				}
+				m, e1 := apply(mem, batch)
+				w, e2 := apply(wal, batch)
 				if (e1 == nil) != (e2 == nil) || !reflect.DeepEqual(m, w) {
 					return false
 				}

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 // walPrefixStates parses one segment's bytes and returns every entry
@@ -84,13 +85,14 @@ func assertWALState(t *testing.T, tag string, s *WALStore, want map[int][]byte) 
 }
 
 // TestWALStoreTornBatchCommit truncates a segment holding a full batch
-// of adds, overwrites and deletes at EVERY byte boundary and reopens:
-// recovery must land exactly on the last intact entry boundary — never
-// an error, never a phantom or corrupt record — and the store must
-// accept writes afterwards.
+// of adds, overwrites and deletes — waited writes interleaved with
+// trailing batches — at EVERY byte boundary and reopens: recovery must
+// land exactly on the last intact entry boundary — never an error, never
+// a phantom or corrupt record, never a trailing op without everything
+// appended before it — and the store must accept writes afterwards.
 func TestWALStoreTornBatchCommit(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "torn.wal")
-	s := openTestWAL(t, dir, WALOptions{Sync: SyncNever})
+	s := openTestWAL(t, dir, WALOptions{trailingBound: time.Hour})
 	payloads := [][]byte{
 		[]byte("alpha-record-one"),
 		bytes.Repeat([]byte{0xAB}, 300),
@@ -108,6 +110,17 @@ func TestWALStoreTornBatchCommit(t *testing.T) {
 	if err := s.Delete(3); err != nil {
 		t.Fatal(err)
 	}
+	// A trailing tombstone replace, a waited write behind it, a trailing
+	// delete left for Close: the file holds them in call order.
+	if ids, err := s.ApplyTrailing([]Op{{Op: OpAdd, Data: []byte("trailing-tombstone")}, {Op: OpDelete, ID: 1}}); err != nil || ids[0] != 5 {
+		t.Fatalf("ApplyTrailing = %v, %v", ids, err)
+	}
+	if id, err := s.Add([]byte("waited-after-trailing")); err != nil || id != 6 {
+		t.Fatalf("Add = %d, %v", id, err)
+	}
+	if _, err := s.ApplyTrailing([]Op{{Op: OpDelete, ID: 4}}); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -118,6 +131,21 @@ func TestWALStoreTornBatchCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	boundaries, states := walPrefixStates(full, map[int][]byte{})
+	// Log order is call order: the state after each of the 10 entries is
+	// the model's — in particular no prefix holds the waited record 6
+	// without the trailing tombstone 5, or misses record 1's delete.
+	if len(states) != 11 {
+		t.Fatalf("segment holds %d entries, want 10", len(states)-1)
+	}
+	for i, st := range states {
+		_, has5 := st[5]
+		_, has1 := st[1]
+		_, has6 := st[6]
+		_, has4 := st[4]
+		if (i >= 7) != has5 || (i >= 1 && i < 8) != has1 || (i >= 9) != has6 || (i >= 4 && i < 10) != has4 {
+			t.Fatalf("after entry %d the log reads tombstone %v, record-1 %v, record-6 %v, record-4 %v: not call order", i, has5, has1, has6, has4)
+		}
+	}
 
 	for cut := 0; cut <= len(full); cut++ {
 		cutDir := filepath.Join(t.TempDir(), "cut.wal")
@@ -152,7 +180,7 @@ func TestWALStoreTornBatchCommit(t *testing.T) {
 	}
 	// The untruncated file recovers the complete final state.
 	if final := states[len(states)-1]; len(final) != 3 {
-		t.Fatalf("model ended with %d records, want 3", len(final))
+		t.Fatalf("model ended with %d records, want 3 (2, 5, 6)", len(final))
 	}
 }
 
