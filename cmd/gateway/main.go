@@ -24,6 +24,13 @@
 // agent journal (resident agents survive a crash). Both are
 // group-commit WAL directories, power-loss durable (DESIGN.md §9).
 //
+// Every device dispatch passes one admission rule after its dispatch
+// key verifies (DESIGN.md §11–§12): -shed-inflight N refuses it with
+// 503 + Retry-After while N agents are in flight and its tenant is not
+// under its weighted share of N, and -tenants FILE declares the
+// accounts, their weights and their rate/quota limits (429). Without
+// -tenants every subscription bills to one unlimited default account.
+//
 // With -replicate (clustered members only) the journal and mailbox
 // stores stream their commits to the ring-successor standby
 // (DESIGN.md §10): if this member dies — even losing its disk — the
@@ -87,11 +94,8 @@ func main() {
 	workers := flag.Int("outbound-workers", 32, "bounded worker pool size for outbound calls (status chasing, management)")
 	maxConns := flag.Int("max-conns-per-host", transport.DefaultMaxPerDest, "outbound connection and in-flight limit per destination")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
-	shedInFlight := flag.Int("shed-inflight", 0, "shed device dispatches (503 + Retry-After) while this many agents are in flight; 0 disables")
-	shedQueue := flag.Int("shed-queue", 0, "shed device dispatches while the outbound worker queue is this deep; 0 disables")
-	shedFsyncStall := flag.Duration("shed-fsync-stall", 0, "shed device dispatches while the journal's last fsync took at least this long (requires -journal); 0 disables")
-	shedRetryAfter := flag.Duration("shed-retry-after", time.Second, "Retry-After hint on shed responses")
-	tenantsFile := flag.String("tenants", "", "tenant accounts config file (DESIGN.md §12): per-tenant rate limits, quotas and weighted-fair admission on device dispatch. Empty runs single-tenant (every subscription bills to the default account)")
+	shedInFlight := flag.Int("shed-inflight", 0, "shed authenticated device dispatches (503 + Retry-After) while this many agents are in flight, sparing tenants under their weighted share; 0 disables")
+	tenantsFile := flag.String("tenants", "", "tenant accounts config file (DESIGN.md §12): per-tenant rate limits, quotas and weighted shares on device dispatch. Empty runs single-tenant (every subscription bills to the unlimited default account)")
 	flag.Parse()
 
 	if *pprofAddr != "" {
@@ -234,16 +238,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("gateway: generating key pair: %v", err)
 	}
-	var shed *gateway.ShedConfig
-	if *shedInFlight > 0 || *shedQueue > 0 || *shedFsyncStall > 0 {
-		shed = &gateway.ShedConfig{
-			MaxInFlight:   *shedInFlight,
-			MaxQueueDepth: *shedQueue,
-			MaxFsyncStall: *shedFsyncStall,
-			RetryAfter:    *shedRetryAfter,
-		}
-		log.Printf("gateway %s: admission control on (inflight>=%d queue>=%d fsync-stall>=%v)",
-			public, *shedInFlight, *shedQueue, *shedFsyncStall)
+	if *shedInFlight > 0 {
+		log.Printf("gateway %s: shedding at %d in-flight agent(s)", public, *shedInFlight)
 	}
 	var tenants *tenant.Registry
 	if *tenantsFile != "" {
@@ -265,7 +261,7 @@ func main() {
 		Journal:         journal,
 		Mailbox:         mailbox,
 		OutboundWorkers: *workers,
-		Shed:            shed,
+		ShedInFlight:    *shedInFlight,
 		Tenants:         tenants,
 		Logf:            log.Printf,
 	})

@@ -16,6 +16,11 @@
 // with the same secret serves as a standby, holding a live replica
 // and answering /cluster/repl/fetch so a host that lost its disk can
 // be recovered from its standby.
+//
+// Tenant accounts are a gateway matter (gateway -tenants): a host
+// learns each arriving agent's account from its transfer and exports
+// pdagent_tenant_residents and pdagent_tenant_journal_bytes by account,
+// with a default row always present.
 package main
 
 import (
@@ -53,7 +58,6 @@ func main() {
 	replMode := flag.String("repl-mode", string(repl.ModeAsync), "replication ack discipline: async (ship on the flush tick) or semi-sync (each commit waits for the standby)")
 	replFlush := flag.Duration("repl-flush", 2*time.Second, "async replication flush interval")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6061); empty disables")
-	tenantsFile := flag.String("tenants", "", "tenant accounts config file (DESIGN.md §12); enables per-tenant residency/journal gauges on /metrics. Empty runs single-tenant")
 	flag.Parse()
 
 	if *pprofAddr != "" {
@@ -193,37 +197,29 @@ func main() {
 			"Buffered-but-unreplicated ops across streams (replication lag).",
 			func() float64 { return float64(peer.Stats().PendingOps) })
 	}
-	if *tenantsFile != "" {
-		// Admission runs at the gateways (they resolve the account from
-		// the subscription table); a standalone MAS host learns tenants
-		// from the authenticated transfer headers and only needs the
-		// registry to validate the fleet's shared config and break its
-		// /metrics down per account.
-		treg, err := tenant.LoadFile(*tenantsFile)
-		if err != nil {
-			log.Fatalf("masd: %v", err)
-		}
-		m := srv.Metrics()
-		m.GaugeVecFunc("pdagent_tenant_residents",
-			"Resident agents by tenant account.", "tenant",
-			func() map[string]float64 {
-				out := map[string]float64{tenant.DefaultLabel: 0}
-				for label, n := range srv.ResidentsByTenant() {
-					out[label] = float64(n)
-				}
-				return out
-			})
-		m.GaugeVecFunc("pdagent_tenant_journal_bytes",
-			"Journaled agent bytes by tenant account.", "tenant",
-			func() map[string]float64 {
-				out := map[string]float64{tenant.DefaultLabel: 0}
-				for label, b := range srv.JournalBytesByTenant() {
-					out[label] = float64(b)
-				}
-				return out
-			})
-		log.Printf("masd %s: multi-tenant metrics on (%d account(s) from %s)", public, treg.Len(), *tenantsFile)
-	}
+	// Per-tenant residency: admission runs at the gateways (they resolve
+	// the account from the subscription table); a MAS host learns each
+	// agent's tenant from the authenticated transfer headers and breaks
+	// its /metrics down per account, the default one included.
+	m := srv.Metrics()
+	m.GaugeVecFunc("pdagent_tenant_residents",
+		"Resident agents by tenant account.", "tenant",
+		func() map[string]float64 {
+			out := map[string]float64{tenant.DefaultLabel: 0}
+			for label, n := range srv.ResidentsByTenant() {
+				out[label] = float64(n)
+			}
+			return out
+		})
+	m.GaugeVecFunc("pdagent_tenant_journal_bytes",
+		"Journaled agent bytes by tenant account.", "tenant",
+		func() map[string]float64 {
+			out := map[string]float64{tenant.DefaultLabel: 0}
+			for label, b := range srv.JournalBytesByTenant() {
+				out[label] = float64(b)
+			}
+			return out
+		})
 	// Background work (parked-transfer retries, journal compaction)
 	// runs under a context cancelled on SIGTERM, so a shutdown never
 	// races a half-finished retry round.

@@ -283,13 +283,6 @@ func (m *Membership) LoadOf(addr string) (Load, bool) {
 	return e.load, true
 }
 
-// Leaving reports whether Leave ran.
-func (m *Membership) Leaving() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.leaving
-}
-
 // Tick runs one heartbeat round: advance suspicion/eviction, then
 // exchange views with every known peer (and unseen seeds). Peers that
 // answer are fresh evidence; merge folds in what they know. Returns

@@ -182,17 +182,6 @@ func (n *Node) StampIdentity(req *transport.Request) {
 	req.SetHeader(epochHeader, strconv.FormatUint(n.Epoch(), 10))
 }
 
-// AdoptEpoch raises this instance's epoch to at least e — how a
-// restarted member re-admits itself past the fence its standby raised.
-func (n *Node) AdoptEpoch(e uint64) {
-	for {
-		cur := n.epoch.Load()
-		if cur >= e || n.epoch.CompareAndSwap(cur, e) {
-			return
-		}
-	}
-}
-
 // Fenced reports whether this node has learned it is a fenced zombie:
 // a peer refused its heartbeat with a fence epoch above its own, or
 // gossip delivered a fence row for its address. A fenced gateway must

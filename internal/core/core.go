@@ -681,12 +681,6 @@ func (w *SimWorld) RunUntilResult(ctx context.Context, dev *device.Platform, age
 	return dev.Collect(ctx, agentID)
 }
 
-// WirelessRTT estimates the configured base wireless round-trip time,
-// useful for calibrating experiment thresholds.
-func WirelessRTT(l netsim.Link) time.Duration {
-	return 2 * l.Latency
-}
-
 // Transport exposes a zone-bound round-tripper (for baselines and
 // tests).
 func (w *SimWorld) Transport(zone string) transport.RoundTripper {

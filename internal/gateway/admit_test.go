@@ -16,6 +16,7 @@ import (
 	"pdagent/internal/netsim"
 	"pdagent/internal/pisec"
 	"pdagent/internal/rms"
+	"pdagent/internal/tenant"
 	"pdagent/internal/transport"
 	"pdagent/internal/wire"
 )
@@ -252,7 +253,7 @@ func TestForwardedZeroHopResultRelay(t *testing.T) {
 			}
 			edge, home := gws["gw-a"], gws["gw-b"]
 			secret := []byte("relay-sub-secret")
-			edge.Registry().SetSecret("echo", owner, secret)
+			edge.Registry().SetSecret("echo", owner, secret, tenant.DefaultID)
 			pi := &wire.PackedInformation{
 				CodeID: "echo", DispatchKey: pisec.DispatchKey("echo", secret),
 				Owner: owner, Nonce: "n-relay", Source: echoSrc,

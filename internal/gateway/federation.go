@@ -80,7 +80,7 @@ func (g *Gateway) routeDispatch(ctx context.Context, pi *wire.PackedInformation,
 				// Track the remote agent so result/status requests from
 				// the device route to its home member, and bind the nonce
 				// so a device retry of this upload answers idempotently.
-				g.reg.CreateOwnedAgent(agentID, pi.CodeID, pi.Owner, tenantID, "", home)
+				g.reg.CreateAgent(agentID, pi.CodeID, pi.Owner, tenantID, "", home)
 				g.reg.BindNonce(pi.CodeID, pi.Owner, pi.Nonce, agentID)
 				g.mForwarded.Inc()
 				g.trace.Record(agentID, "forward", home)
@@ -176,9 +176,7 @@ func (g *Gateway) handleClusterDispatch(ctx context.Context, req *transport.Requ
 		// admission completed, answer with the original agent id so the
 		// retry dedups instead of erroring.
 		if agentID := g.reg.NonceAgent(pi.CodeID, pi.Owner, pi.Nonce); agentID != "" {
-			resp := transport.OKText(agentID)
-			resp.SetHeader("agent", agentID)
-			return resp
+			return agentAnswer(agentID)
 		}
 		return transport.Errorf(transport.StatusConflict,
 			"replayed packed information (nonce already used)")

@@ -138,19 +138,20 @@ type Config struct {
 	// with the embedded MAS so a journey's dispatch, transfer and
 	// delivery hops land in one ring.
 	Trace *metrics.TraceRing
-	// Shed, when set, enables watermark admission control on device
-	// dispatches (see ShedConfig). Nil means never shed.
-	Shed *ShedConfig
-	// Tenants, when set, turns on the multi-tenant control plane
-	// (DESIGN.md §12): subscriptions bind to tenant accounts, device
-	// dispatches pass per-tenant rate/quota admission (refusals answer
-	// 429 with a Retry-After, distinct from the 503 the overload
-	// shedder uses), watermark shedding becomes weighted-fair (tenants
-	// under their fair share of the in-flight budget survive a shed),
-	// and per-tenant usage is gossiped on cluster heartbeats so quotas
-	// hold cluster-wide. Nil is the single-tenant deployment: every
-	// subscription belongs to the implicit default account and the
-	// dispatch path is untouched.
+	// ShedInFlight is the in-flight watermark of admission control
+	// (DESIGN.md §11): while the registry holds at least this many
+	// dispatched-but-unfinished agents, an authenticated device dispatch
+	// whose tenant is at or over its weighted share of the watermark is
+	// refused with 503 and a Retry-After. 0 never sheds.
+	ShedInFlight int
+	// Tenants are the accounts of the multi-tenant control plane
+	// (DESIGN.md §12): subscriptions bind to them, device dispatches pass
+	// their rate/quota admission (refusals answer 429 with a Retry-After,
+	// distinct from the 503 of a shed), a shed spares tenants under their
+	// weighted share of the in-flight watermark, and per-tenant usage is
+	// gossiped on cluster heartbeats so quotas hold cluster-wide. Nil is
+	// an empty registry: every subscription belongs to the implicit,
+	// unlimited default account, which passes the same admission.
 	Tenants *tenant.Registry
 }
 
@@ -191,30 +192,24 @@ type Gateway struct {
 	mbPullSem      chan struct{}
 	mbPullStarted  atomic.Uint64
 	mbPullShared   atomic.Uint64
-	// Multi-tenant control plane (nil in single-tenant deployments):
-	// the account registry, this member's usage ledger, and the
-	// rate/quota/weighted-fair admission layer over both.
-	tenants   *tenant.Registry
-	tledger   *tenant.Ledger
+	// admission is the rate/quota/weighted-fair layer (tenancy.go) over
+	// Config.Tenants and the registry's in-flight ledger.
 	admission *tenant.Admission
 	// Observability (observe.go). Counter and histogram handles live
 	// here so hot paths touch only atomics; gauges are registered as
 	// functions and cost nothing between scrapes.
-	metrics        *metrics.Registry
-	trace          *metrics.TraceRing
-	log            *metrics.Logger
-	walStall       func() time.Duration // nil without a WAL journal
-	shedRetryAfter string
-	mDispatchUs    *metrics.Histogram
-	mMailboxUs     *metrics.Histogram
-	mDispatched    *metrics.Counter
-	mDispatchErr   *metrics.Counter
-	mShed          *metrics.Counter
-	mForwarded     *metrics.Counter
-	mResults       *metrics.Counter
-	mRelayed       *metrics.Counter
-	mAdopted       *metrics.Counter
-	// Per-tenant counter families (nil in single-tenant deployments).
+	metrics         *metrics.Registry
+	trace           *metrics.TraceRing
+	log             *metrics.Logger
+	mDispatchUs     *metrics.Histogram
+	mMailboxUs      *metrics.Histogram
+	mDispatched     *metrics.Counter
+	mDispatchErr    *metrics.Counter
+	mShed           *metrics.Counter
+	mForwarded      *metrics.Counter
+	mResults        *metrics.Counter
+	mRelayed        *metrics.Counter
+	mAdopted        *metrics.Counter
 	mTenantDispatch *metrics.CounterVec
 	mTenantShed     *metrics.CounterVec
 	mTenantQuota    *metrics.CounterVec
@@ -262,6 +257,9 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.Programs == nil {
 		cfg.Programs = progcache.New(0)
 	}
+	if cfg.Tenants == nil {
+		cfg.Tenants = tenant.NewRegistry()
+	}
 	codec, err := atp.ByName(cfg.Flavour)
 	if err != nil {
 		return nil, err
@@ -273,6 +271,7 @@ func New(cfg Config) (*Gateway, error) {
 		pool:  newWorkerPool(cfg.OutboundWorkers, cfg.Logf),
 		progs: cfg.Programs,
 	}
+	g.admission = tenant.NewAdmission(cfg.Tenants, g.reg.ledger)
 	if cfg.Mailbox != nil {
 		store := cfg.Mailbox.Store
 		if store == nil {
@@ -292,16 +291,6 @@ func New(cfg Config) (*Gateway, error) {
 		g.mailboxStore = store
 		g.mbPullInflight = map[string]chan struct{}{}
 		g.mbPullSem = make(chan struct{}, maxConcurrentMailboxPulls)
-	}
-	if cfg.Tenants != nil {
-		// Multi-tenant mode: the ledger mirrors the registry's in-flight
-		// deltas per tenant, and the admission layer fronts the dispatch
-		// path. Single-tenant gateways skip all of it — the registry
-		// never touches a ledger and dispatch stays byte-identical.
-		g.tenants = cfg.Tenants
-		g.tledger = tenant.NewLedger()
-		g.admission = tenant.NewAdmission(cfg.Tenants, g.tledger)
-		g.reg.SetLedger(g.tledger)
 	}
 	g.metrics = cfg.Metrics
 	g.trace = cfg.Trace
@@ -331,18 +320,16 @@ func New(cfg Config) (*Gateway, error) {
 		return nil, err
 	}
 	g.mas = masSrv
-	if g.admission != nil {
-		// The slow usage halves live in the MAS (table walks) and the
-		// mailbox hub; the admission layer consults them only for
-		// tenants that actually configured those quotas.
-		g.admission.Slow = g.slowUsage
-		if cfg.Cluster != nil {
-			// Quotas hold cluster-wide: heartbeats gossip this member's
-			// per-tenant rows, and admission sums what the rest of the
-			// fleet last reported.
-			cfg.Cluster.SetTenantUsageFunc(g.tenantUsage)
-			g.admission.Remote = g.remoteUsage
-		}
+	// The slow usage halves live in the MAS (table walks) and the
+	// mailbox hub; the admission layer consults them only for tenants
+	// that actually configured those quotas.
+	g.admission.Slow = g.slowUsage
+	if cfg.Cluster != nil {
+		// Quotas hold cluster-wide: heartbeats gossip this member's
+		// per-tenant rows, and admission sums what the rest of the fleet
+		// last reported.
+		cfg.Cluster.SetTenantUsageFunc(g.tenantUsage)
+		g.admission.Remote = g.remoteUsage
 	}
 
 	m := transport.NewMux()
@@ -549,7 +536,7 @@ func (g *Gateway) onAgentHome(ctx context.Context, a *mas.Arrival) error {
 	// (a zero-hop journey inside the edge's forward), so it leaves under
 	// Spawn: a best-effort push must not hold a dispatch's answer, and
 	// an edge that hears the result before the forward's answer adopts
-	// it early (CompleteAgent, then CreateOwnedAgent merges).
+	// it early (CompleteAgent, then CreateAgent merges).
 	origin, _ := g.reg.Origin(rd.AgentID)
 	relay := g.cfg.Cluster != nil && origin != "" && origin != g.cfg.Addr
 	if err := g.fileResult(rd, doc, "result", !relay); err != nil {
@@ -623,29 +610,26 @@ func (g *Gateway) handleSubscribe(_ context.Context, req *transport.Request) *tr
 	if !ok {
 		return transport.Errorf(transport.StatusNotFound, "no code package %q", codeID)
 	}
-	// Multi-tenant binding (§12): a subscribe carrying tenant +
-	// tenant-secret headers binds the subscription to that account —
-	// every later dispatch against it is admitted and billed there.
-	// The tenant secret gates the binding; otherwise anyone could park
-	// their traffic on a victim's quota. Without the headers (or on a
-	// single-tenant gateway, which ignores them) the subscription
-	// belongs to the implicit default account, exactly as before.
+	// Tenant binding (§12): a subscribe carrying tenant + tenant-secret
+	// headers binds the subscription to that account — every later
+	// dispatch against it is admitted and billed there. The tenant
+	// secret gates the binding; otherwise anyone could park their
+	// traffic on a victim's quota. Without the headers the subscription
+	// belongs to the implicit default account.
 	tenantID := tenant.DefaultID
-	if g.tenants != nil {
-		if id := req.GetHeader("tenant"); id != "" {
-			t, known := g.tenants.Get(id)
-			if !known || !g.tenants.Registered(id) || t.Secret != req.GetHeader("tenant-secret") {
-				return transport.Errorf(transport.StatusUnauthorized,
-					"unknown tenant %q or bad tenant secret", id)
-			}
-			tenantID = id
+	if id := req.GetHeader("tenant"); id != "" {
+		t, known := g.cfg.Tenants.Get(id)
+		if !known || t.Secret != req.GetHeader("tenant-secret") {
+			return transport.Errorf(transport.StatusUnauthorized,
+				"unknown tenant %q or bad tenant secret", id)
 		}
+		tenantID = id
 	}
 	secret, err := pisec.NewSubscriptionSecret()
 	if err != nil {
 		return transport.Errorf(transport.StatusServerError, "issuing secret: %v", err)
 	}
-	g.reg.SetTenantSecret(codeID, owner, secret, tenantID)
+	g.reg.SetSecret(codeID, owner, secret, tenantID)
 
 	pubKey, err := g.cfg.KeyPair.Public().Marshal()
 	if err != nil {
@@ -691,23 +675,6 @@ func (g *Gateway) dispatchDevice(ctx context.Context, req *transport.Request) *t
 	if why := g.unhealthy(); why != "" {
 		return transport.Errorf(transport.StatusUnavailable, "gateway %s refusing dispatches: %s", g.cfg.Addr, why)
 	}
-	// Admission control (DESIGN.md §11): when a configured watermark
-	// is crossed, refuse retryably before spending any decryption or
-	// parsing work on a request the member cannot absorb. Forwarded
-	// cluster dispatches do not pass through here — the edge already
-	// admitted them. Multi-tenant members defer the shed until the
-	// dispatch key has been verified (admitTenant): the tenant is only
-	// known post-auth, and weighted-fair shedding needs the tenant.
-	if g.cfg.Shed != nil && g.admission == nil {
-		if why := g.shedReason(); why != "" {
-			g.mShed.Inc()
-			g.trace.Record(shedTrace, "shed", why)
-			resp := transport.Errorf(transport.StatusUnavailable,
-				"gateway %s shedding load: %s", g.cfg.Addr, why)
-			resp.SetHeader("retry-after", g.shedRetryAfter)
-			return resp
-		}
-	}
 	// Bound what an unauthenticated sender can have hashed and
 	// decrypted: not retryable, the same body will never fit.
 	if len(req.Body) > maxDispatchBody {
@@ -724,7 +691,7 @@ func (g *Gateway) dispatchDevice(ctx context.Context, req *transport.Request) *t
 	// Step 3: the Agent Creator validates the supplied unique key. The
 	// same shard lookup also resolves the tenant account the
 	// subscription was bound to at subscribe time (the default account,
-	// "", on a single-tenant gateway) — the tenant is never read from
+	// "", unless a tenant claimed it) — the tenant is never read from
 	// the request, so a device cannot bill its traffic to someone
 	// else's account.
 	secret, tenantID, subscribed := g.reg.SecretOwner(pi.CodeID, pi.Owner)
@@ -736,14 +703,24 @@ func (g *Gateway) dispatchDevice(ctx context.Context, req *transport.Request) *t
 		return transport.Errorf(transport.StatusUnauthorized,
 			"invalid dispatch key for code %q", pi.CodeID)
 	}
-	// Tenant admission (DESIGN.md §12): weighted-fair shed, then the
-	// tenant's own rate and quota limits. Runs before the mailbox is
-	// touched and before the nonce is consumed, so a refused dispatch
-	// neither grows hub state nor wedges the device's retry.
-	if g.admission != nil {
-		if resp := g.admitTenant(tenantID); resp != nil {
-			return resp
+	// A device retrying an upload whose answer it lost: the nonce is
+	// already bound to the agent it admitted. Answered before admission
+	// — it creates nothing, so it is never shed, refused or charged a
+	// rate token — and like every replay answer below it carries no
+	// mailbox token and honours no ack.
+	if pi.Nonce != "" {
+		if agentID := g.reg.NonceAgent(pi.CodeID, pi.Owner, pi.Nonce); agentID != "" {
+			return agentAnswer(agentID)
 		}
+	}
+	// Admission (DESIGN.md §11–§12): the in-flight shed, then the
+	// tenant's own rate and quota limits. Runs after the key check, so an
+	// unauthenticated or malformed upload is answered 400/401 whatever
+	// the load, and before the mailbox is touched and the nonce is
+	// consumed, so a refused dispatch neither grows hub state nor wedges
+	// the device's retry.
+	if resp := g.admitTenant(tenantID); resp != nil {
+		return resp
 	}
 	// The device just proved a subscription (dispatch key verified):
 	// open its mailbox here — this is the member it talks to — so its
@@ -781,9 +758,7 @@ func (g *Gateway) dispatchDevice(ctx context.Context, req *transport.Request) *t
 		// pull-repair collect until its next fresh dispatch re-delivers
 		// the token.
 		if agentID := g.reg.NonceAgent(pi.CodeID, pi.Owner, pi.Nonce); agentID != "" {
-			resp := transport.OKText(agentID)
-			resp.SetHeader("agent", agentID)
-			return resp
+			return agentAnswer(agentID)
 		}
 		return transport.Errorf(transport.StatusConflict,
 			"replayed packed information (nonce already used)")
@@ -874,13 +849,13 @@ func (g *Gateway) admitDispatch(ctx context.Context, pi *wire.PackedInformation,
 	if err != nil {
 		return fail(transport.Errorf(transport.StatusServerError, "creating agent: %v", err))
 	}
-	g.reg.CreateOwnedAgent(agentID, pi.CodeID, pi.Owner, tenantID, origin, "")
+	g.reg.CreateAgent(agentID, pi.CodeID, pi.Owner, tenantID, origin, "")
 	g.reg.SetRequestDoc(agentID, reqDocID)
 	// The admit span goes first: the agent's first slice runs inside
 	// the admission, and a zero-hop journey's result, mailbox and
 	// deliver spans must follow it in the trace.
 	g.trace.Record(agentID, "admit", pi.CodeID)
-	if err := g.mas.AdmitAgentOwned(ctx, vm, pi.CodeID, pi.Owner, tenantID, g.cfg.Addr); err != nil {
+	if err := g.mas.AdmitAgent(ctx, vm, pi.CodeID, pi.Owner, tenantID, g.cfg.Addr); err != nil {
 		// Retire the tracking entry so a failed admission does not
 		// inflate the in-flight load gauge forever (which would make
 		// the cluster spill this member's keys for no reason).
@@ -896,7 +871,13 @@ func (g *Gateway) admitDispatch(ctx context.Context, pi *wire.PackedInformation,
 	// agent id back instead of a replay refusal.
 	g.reg.BindNonce(pi.CodeID, pi.Owner, pi.Nonce, agentID)
 	g.logf("gateway %s: dispatched agent %s (code %s, owner %s)", g.cfg.Addr, agentID, pi.CodeID, pi.Owner)
+	return agentAnswer(agentID)
+}
 
+// agentAnswer hands a device its agent id, as the body and in the
+// agent header — the answer to an admission and, idempotently, to any
+// retry of it.
+func agentAnswer(agentID string) *transport.Response {
 	resp := transport.OKText(agentID)
 	resp.SetHeader("agent", agentID)
 	return resp

@@ -208,6 +208,11 @@ func TestCatalogAndSubscribe(t *testing.T) {
 	if resp.Status != transport.StatusBadRequest {
 		t.Fatalf("missing headers: %d", resp.Status)
 	}
+	// A tenant this gateway has no account for, on a gateway configured
+	// with none: refused, not silently billed to the default account.
+	if _, resp := f.subscribeTenant(t, "echo", "dev-1", "acme", "s3"); resp.Status != transport.StatusUnauthorized {
+		t.Fatalf("unknown tenant: %d, want 401", resp.Status)
+	}
 }
 
 func TestDispatchFlow(t *testing.T) {

@@ -3,7 +3,6 @@ package gateway
 import (
 	"context"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -16,49 +15,7 @@ import (
 )
 
 // This file is the gateway's observability surface (DESIGN.md §11):
-// the /metrics endpoint, per-journey itinerary tracing, and the
-// signal-driven admission control that closes the loop from gauges
-// back to the front door.
-
-// ShedConfig sets the admission-control watermarks. A device dispatch
-// is refused with StatusUnavailable plus a Retry-After hint when any
-// configured watermark is crossed — checked before the PI is even
-// unpacked, so a melting gateway sheds at near-zero cost. Every
-// signal read is a single atomic load or channel length; the check
-// adds no locks and no allocations to the dispatch path.
-//
-// Forwarded cluster dispatches (/cluster/dispatch) are never shed:
-// the edge member already admitted the journey and consumed its
-// nonce, so refusing it mid-flight would strand an accepted dispatch.
-// Each member's own watermarks gate its own front door instead.
-type ShedConfig struct {
-	// MaxInFlight sheds while the registry's in-flight agent count is
-	// at or above this (0 = no limit).
-	MaxInFlight int
-	// MaxQueueDepth sheds while the outbound worker pool's backlog is
-	// at or above this (0 = no limit).
-	MaxQueueDepth int
-	// MaxFsyncStall sheds while the agent journal's most recent fsync
-	// took at least this long (0 = no limit; requires a WAL-backed
-	// Config.Journal, otherwise the signal reads as zero).
-	MaxFsyncStall time.Duration
-	// RetryAfter is the Retry-After hint on shed responses, rounded up
-	// to whole seconds (default 1s).
-	RetryAfter time.Duration
-}
-
-// Shed reason strings double as span details, so a traced journey
-// that ends in a shed says which watermark tripped.
-const (
-	shedInFlight = "in-flight-watermark"
-	shedQueue    = "outbound-queue-watermark"
-	shedFsync    = "fsync-stall-watermark"
-)
-
-// shedTrace is the pseudo trace id shed spans are recorded under:
-// shed requests never got an agent id, but operators still want
-// `/pdagent/trace/_shed` to show the recent refusals.
-const shedTrace = "_shed"
+// the /metrics endpoint and per-journey itinerary tracing.
 
 // opTransferOut must match the op the MAS records when it ships an
 // agent (mas.shipAgent): trace reconstruction follows these spans'
@@ -68,22 +25,6 @@ const opTransferOut = "transfer-out"
 // traceChaseLimit bounds how many non-member hosts one trace
 // reconstruction will chase along transfer-out hops.
 const traceChaseLimit = 16
-
-// shedReason returns the first tripped watermark, or "" to admit.
-// Hot path: called once per device dispatch before unpacking.
-func (g *Gateway) shedReason() string {
-	c := g.cfg.Shed
-	if c.MaxInFlight > 0 && g.reg.InFlight() >= c.MaxInFlight {
-		return shedInFlight
-	}
-	if c.MaxQueueDepth > 0 && g.pool.QueueDepth() >= c.MaxQueueDepth {
-		return shedQueue
-	}
-	if c.MaxFsyncStall > 0 && g.walStall != nil && g.walStall() >= c.MaxFsyncStall {
-		return shedFsync
-	}
-	return ""
-}
 
 // hubStatsCache amortises push.Hub.Stats — which walks the dirty
 // mailbox set — across the dozen gauges that read it, so one scrape
@@ -106,9 +47,8 @@ func (c *hubStatsCache) stats() push.Stats {
 }
 
 // initObserve wires the gateway's metrics registry, trace ring and
-// leveled logger, registers every gauge the scrape exposes, and
-// precomputes the shed response's Retry-After header. Called from New
-// after the registry, pool and hub exist. Counter and histogram
+// leveled logger, and registers every gauge the scrape exposes. Called
+// from New after the registry, pool and hub exist. Counter and histogram
 // handles are stored on the Gateway so hot paths touch only atomics;
 // gauges are functions evaluated lazily at scrape time, costing
 // nothing between scrapes.
@@ -121,13 +61,6 @@ func (g *Gateway) initObserve() {
 	}
 	g.log = metrics.NewLogger("gateway", g.cfg.Logf)
 
-	retry := time.Second
-	if g.cfg.Shed != nil && g.cfg.Shed.RetryAfter > 0 {
-		retry = g.cfg.Shed.RetryAfter
-	}
-	secs := int64((retry + time.Second - 1) / time.Second)
-	g.shedRetryAfter = strconv.FormatInt(secs, 10)
-
 	m := g.metrics
 	g.mDispatchUs = m.Histogram("pdagent_dispatch_us",
 		"Device dispatch handler latency, microseconds.")
@@ -136,7 +69,7 @@ func (g *Gateway) initObserve() {
 	g.mDispatchErr = m.Counter("pdagent_dispatch_errors_total",
 		"Device dispatches answered with a non-OK status (shed included).")
 	g.mShed = m.Counter("pdagent_dispatch_shed_total",
-		"Device dispatches refused by admission control watermarks.")
+		"Device dispatches shed by the in-flight watermark (503).")
 	g.mForwarded = m.Counter("pdagent_dispatch_forwarded_total",
 		"Dispatches forwarded to their consistent-hash home member.")
 	g.mResults = m.Counter("pdagent_results_total",
@@ -245,7 +178,6 @@ func (g *Gateway) initObserve() {
 	}
 
 	if w := rms.WALOf(g.cfg.Journal); w != nil {
-		g.walStall = w.LastFsyncStall
 		w.RegisterMetrics(m, "pdagent_wal", "agent journal")
 	}
 	if w := rms.WALOf(g.mailboxStore); w != nil && g.mailboxStore != g.cfg.Journal {
@@ -272,12 +204,10 @@ func (g *Gateway) initObserve() {
 			})
 	}
 
-	if g.admission != nil {
-		// The gauge closures read g.mas lazily at scrape time; the MAS
-		// is built right after initObserve returns, long before the
-		// first scrape.
-		g.initTenantObserve(m)
-	}
+	// The gauge closures read g.mas lazily at scrape time; the MAS is
+	// built right after initObserve returns, long before the first
+	// scrape.
+	g.initTenantObserve(m)
 
 	if node := g.cfg.Cluster; node != nil {
 		m.GaugeFunc("pdagent_cluster_view_version",

@@ -19,11 +19,14 @@ import (
 // TestShedInFlightWatermark drives the admission-control loop: with a
 // one-agent in-flight watermark and agent execution held back, the
 // second dispatch must bounce with StatusUnavailable + Retry-After,
-// the shed counter and the _shed trace must record it, and draining
-// the backlog must reopen the front door.
+// the shed counters (the default account's included) and the _shed
+// trace must record it, and draining the backlog must reopen the front
+// door. The shed is decided after the dispatch key verifies: while it
+// is tripped, a forged key still answers 401, an oversized body 400,
+// and the lost-answer retry of the admitted upload its agent id.
 func TestShedInFlightWatermark(t *testing.T) {
 	f := newFixtureCfg(t, func(cfg *Config) {
-		cfg.Shed = &ShedConfig{MaxInFlight: 1}
+		cfg.ShedInFlight = 1
 	})
 	f.addSlowEcho(t)
 	sub := f.subscribe(t, "slow", "dev-1")
@@ -40,8 +43,9 @@ func TestShedInFlightWatermark(t *testing.T) {
 	// First dispatch admits; the agent runs out of its first slice and
 	// the rest of its loop sits in the serial queue, so the in-flight
 	// gauge stays at the watermark.
-	if resp := f.dispatchPI(t, pi("n-1"), false); !resp.IsOK() {
-		t.Fatalf("first dispatch: %d %s", resp.Status, resp.Text())
+	first := f.dispatchPI(t, pi("n-1"), false)
+	if !first.IsOK() {
+		t.Fatalf("first dispatch: %d %s", first.Status, first.Text())
 	}
 	if n := f.gw.Registry().InFlight(); n != 1 {
 		t.Fatalf("in-flight = %d, want 1", n)
@@ -60,6 +64,28 @@ func TestShedInFlightWatermark(t *testing.T) {
 	spans := f.gw.TraceRing().Spans(shedTrace)
 	if len(spans) != 1 || spans[0].Op != "shed" || spans[0].Detail != shedInFlight {
 		t.Fatalf("shed spans = %+v, want one %q/%q", spans, "shed", shedInFlight)
+	}
+
+	forged := pi("n-4")
+	forged.DispatchKey = strings.Repeat("0", 32)
+	if resp := f.dispatchPI(t, forged, false); resp.Status != transport.StatusUnauthorized {
+		t.Fatalf("forged key under the watermark: %d %s, want 401", resp.Status, resp.Text())
+	}
+	if resp := f.dispatchBody(t, make([]byte, maxDispatchBody+1)); resp.Status != transport.StatusBadRequest {
+		t.Fatalf("oversized body under the watermark: %d %s, want 400", resp.Status, resp.Text())
+	}
+	if resp := f.dispatchPI(t, pi("n-1"), false); !resp.IsOK() || resp.Text() != first.Text() || resp.GetHeader("mailbox-token") != "" {
+		t.Fatalf("retried upload under the watermark: %d %q token %q, want its agent %q without a token",
+			resp.Status, resp.Text(), resp.GetHeader("mailbox-token"), first.Text())
+	}
+	scrape := f.gw.Handler().Serve(context.Background(), &transport.Request{Path: "/metrics"}).Text()
+	for _, row := range []string{
+		"pdagent_dispatch_shed_total 1\n",
+		`pdagent_tenant_shed_total{tenant="default"} 1` + "\n",
+	} {
+		if !strings.Contains(scrape, row) {
+			t.Errorf("scrape lacks %q", row)
+		}
 	}
 
 	// Run the backlog: the agent completes, in-flight drops, and the

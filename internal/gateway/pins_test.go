@@ -125,7 +125,7 @@ type vtPoint struct {
 }
 
 // runVirtualTime drives cfg. The gateway is real — unpack, key check,
-// nonce window, tenant admission, ShedConfig — and only time is
+// nonce window, tenant admission, the in-flight shed — and only time is
 // simulated: every admission suspends its agent after one short slice,
 // Spawn hands the driver the rest of the journey, and the driver runs
 // it at the agent's virtual completion instant, so the in-flight gauges
@@ -137,7 +137,7 @@ func runVirtualTime(t *testing.T, cfg vtConfig) map[string]vtPoint {
 		c.Spawn = func(fn func()) { spawned = append(spawned, fn) }
 		c.FuelSlice = pinFuel
 		if cfg.maxInFlight > 0 {
-			c.Shed = &ShedConfig{MaxInFlight: cfg.maxInFlight}
+			c.ShedInFlight = cfg.maxInFlight
 		}
 	}
 	var f *fixture

@@ -32,9 +32,8 @@ type Registry struct {
 	// under the shard lock so no watcher can register after its shard
 	// was swept.
 	closed atomic.Bool
-	// ledger, when set, receives per-tenant in-flight deltas alongside
-	// the inFlight gauge (nil in single-tenant deployments: the hot
-	// path pays nothing).
+	// ledger splits the inFlight gauge by tenant (admission's quota and
+	// weighted-share input).
 	ledger *tenant.Ledger
 }
 
@@ -65,7 +64,7 @@ type registryShard struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	r := &Registry{shards: make([]registryShard, registryShards)}
+	r := &Registry{shards: make([]registryShard, registryShards), ledger: tenant.NewLedger()}
 	for i := range r.shards {
 		s := &r.shards[i]
 		s.catalog = map[string]*wire.CodePackage{}
@@ -136,16 +135,11 @@ func (r *Registry) Packages() []*wire.CodePackage {
 
 // --- subscriptions ------------------------------------------------------
 
-// SetSecret records the subscription secret for (codeID, owner) under
-// the default tenant.
-func (r *Registry) SetSecret(codeID, owner string, secret []byte) {
-	r.SetTenantSecret(codeID, owner, secret, tenant.DefaultID)
-}
-
-// SetTenantSecret records the subscription secret for (codeID, owner)
-// and binds the subscription to a tenant: every dispatch against it is
-// admitted and accounted under that tenant from then on.
-func (r *Registry) SetTenantSecret(codeID, owner string, secret []byte, tenantID string) {
+// SetSecret records the subscription secret for (codeID, owner) and
+// binds the subscription to a tenant (tenant.DefaultID unless the
+// subscribe named an account): every dispatch against it is admitted
+// and accounted under that tenant from then on.
+func (r *Registry) SetSecret(codeID, owner string, secret []byte, tenantID string) {
 	k := subKey(codeID, owner)
 	s := r.shardFor(k)
 	s.mu.Lock()
@@ -164,10 +158,6 @@ func (r *Registry) SecretOwner(codeID, owner string) ([]byte, string, bool) {
 	s.mu.RUnlock()
 	return e.key, e.tenant, ok
 }
-
-// SetLedger installs the per-tenant usage ledger that in-flight
-// deltas are mirrored into (nil disables mirroring).
-func (r *Registry) SetLedger(l *tenant.Ledger) { r.ledger = l }
 
 // RememberNonce records a dispatch nonce in the subscription's replay
 // window, reporting false if the nonce was already seen (a replayed
@@ -323,30 +313,20 @@ func (r *Registry) NextAgentID(gatewayAddr string) string {
 	return string(b)
 }
 
-// CreateAgent registers a freshly dispatched agent.
-func (r *Registry) CreateAgent(id, codeID, owner string) {
-	r.CreateRoutedAgent(id, codeID, owner, "", "")
-}
-
-// CreateRoutedAgent registers a dispatched agent with federation
-// routing metadata: origin is the edge member that forwarded the
-// dispatch here (home gateways relay the result back to it), homeGW is
-// the member owning the agent (edge gateways route result and status
-// requests there). Either may be empty. An existing entry is never
-// replaced — a fast agent's relayed result can land before the edge
-// processes the forward response, and resetting the meta would orphan
-// the stored document — only missing routing metadata is filled in.
-// Remotely-homed entries (homeGW != "") are pure bookkeeping and do
-// not count toward this member's in-flight load: the home member
-// counts the real work, and double-counting would make pass-through
-// edges spill spuriously.
-func (r *Registry) CreateRoutedAgent(id, codeID, owner, origin, homeGW string) {
-	r.CreateOwnedAgent(id, codeID, owner, tenant.DefaultID, origin, homeGW)
-}
-
-// CreateOwnedAgent is CreateRoutedAgent with an explicit tenant: the
-// agent's in-flight accounting lands on that tenant's ledger row.
-func (r *Registry) CreateOwnedAgent(id, codeID, owner, tenantID, origin, homeGW string) {
+// CreateAgent registers a dispatched agent, billed to tenantID (its
+// in-flight accounting lands on that tenant's ledger row), with
+// federation routing metadata: origin is the edge member that
+// forwarded the dispatch here (home gateways relay the result back to
+// it), homeGW is the member owning the agent (edge gateways route
+// result and status requests there). Either may be empty. An existing
+// entry is never replaced — a fast agent's relayed result can land
+// before the edge processes the forward response, and resetting the
+// meta would orphan the stored document — only missing metadata is
+// filled in. Remotely-homed entries (homeGW != "") are pure
+// bookkeeping and do not count toward this member's in-flight load:
+// the home member counts the real work, and double-counting would make
+// pass-through edges spill spuriously.
+func (r *Registry) CreateAgent(id, codeID, owner, tenantID, origin, homeGW string) {
 	s := r.shardFor(id)
 	s.mu.Lock()
 	if meta, exists := s.dispatch[id]; exists {
@@ -366,9 +346,7 @@ func (r *Registry) CreateOwnedAgent(id, codeID, owner, tenantID, origin, homeGW 
 	s.mu.Unlock()
 	if homeGW == "" {
 		r.inFlight.Add(1)
-		if r.ledger != nil {
-			r.ledger.AddInFlight(tenantID, 1)
-		}
+		r.ledger.AddInFlight(tenantID, 1)
 	}
 }
 
@@ -413,9 +391,7 @@ func (r *Registry) CompleteAgent(id, codeID, owner string, docID int, why string
 	s.mu.Unlock()
 	if wasLive {
 		r.inFlight.Add(-1)
-		if r.ledger != nil {
-			r.ledger.AddInFlight(tenantID, -1)
-		}
+		r.ledger.AddInFlight(tenantID, -1)
 	}
 	return watchers
 }
@@ -572,9 +548,7 @@ func (r *Registry) ReleaseAgent(id, why string) ([]chan struct{}, bool) {
 	s.mu.Unlock()
 	if wasLive {
 		r.inFlight.Add(-1)
-		if r.ledger != nil {
-			r.ledger.AddInFlight(tenantID, -1)
-		}
+		r.ledger.AddInFlight(tenantID, -1)
 	}
 	return watchers, true
 }
@@ -600,9 +574,7 @@ func (r *Registry) AdoptClone(srcID, cloneID string) bool {
 	s.mu.Unlock()
 	if !exists {
 		r.inFlight.Add(1)
-		if r.ledger != nil {
-			r.ledger.AddInFlight(st.Tenant, 1)
-		}
+		r.ledger.AddInFlight(st.Tenant, 1)
 	}
 	return true
 }

@@ -3,6 +3,8 @@ package gateway
 import (
 	"testing"
 	"time"
+
+	"pdagent/internal/tenant"
 )
 
 // These tests cover the registry's retention queues: ExpireResults and
@@ -12,9 +14,9 @@ import (
 
 func TestExpireResultsPopsOnlyRipe(t *testing.T) {
 	r := NewRegistry()
-	r.CreateAgent("a1", "echo", "dev")
+	r.CreateAgent("a1", "echo", "dev", tenant.DefaultID, "", "")
 	r.CompleteAgent("a1", "echo", "dev", 11, "done")
-	r.CreateAgent("a2", "echo", "dev")
+	r.CreateAgent("a2", "echo", "dev", tenant.DefaultID, "", "")
 	r.CompleteAgent("a2", "echo", "dev", 12, "done")
 
 	// A cutoff before completion reclaims nothing and leaves the queues
@@ -51,7 +53,7 @@ func TestExpireResultsPopsOnlyRipe(t *testing.T) {
 
 func TestPruneGoneTombstoneLifecycle(t *testing.T) {
 	r := NewRegistry()
-	r.CreateAgent("a1", "echo", "dev")
+	r.CreateAgent("a1", "echo", "dev", tenant.DefaultID, "", "")
 	r.CompleteAgent("a1", "echo", "dev", 7, "done")
 	if got := r.ExpireResults(time.Now().Add(time.Hour)); len(got) != 1 {
 		t.Fatalf("expired %d results, want 1", len(got))
@@ -81,7 +83,7 @@ func TestPruneGoneTombstoneLifecycle(t *testing.T) {
 // tombstone queued by the earlier expiry must not delete it.
 func TestPruneGoneSkipsResurrected(t *testing.T) {
 	r := NewRegistry()
-	r.CreateAgent("a1", "echo", "dev")
+	r.CreateAgent("a1", "echo", "dev", tenant.DefaultID, "", "")
 	r.CompleteAgent("a1", "echo", "dev", 7, "done")
 	if got := r.ExpireResults(time.Now().Add(time.Hour)); len(got) != 1 {
 		t.Fatalf("expired %d results, want 1", len(got))
@@ -113,7 +115,7 @@ func TestPruneGoneSkipsResurrected(t *testing.T) {
 // retention queue as expiry tombstones.
 func TestReleaseAgentQueuesTombstone(t *testing.T) {
 	r := NewRegistry()
-	r.CreateAgent("a1", "echo", "dev")
+	r.CreateAgent("a1", "echo", "dev", tenant.DefaultID, "", "")
 	if _, ok := r.ReleaseAgent("a1", "disposed by owner"); !ok {
 		t.Fatal("release failed")
 	}

@@ -13,6 +13,7 @@ import (
 	"pdagent/internal/netsim"
 	"pdagent/internal/pisec"
 	"pdagent/internal/rms"
+	"pdagent/internal/tenant"
 	"pdagent/internal/transport"
 	"pdagent/internal/wire"
 )
@@ -27,7 +28,7 @@ func TestRegistryConcurrentDispatchNoLoss(t *testing.T) {
 	const goroutines = 16
 	const perG = 200
 	for i := 0; i < goroutines; i++ {
-		reg.SetSecret("app.echo", fmt.Sprintf("dev-%d", i), []byte{byte(i)})
+		reg.SetSecret("app.echo", fmt.Sprintf("dev-%d", i), []byte{byte(i)}, tenant.DefaultID)
 	}
 	ids := make([][]string, goroutines)
 	var wg sync.WaitGroup
@@ -51,7 +52,7 @@ func TestRegistryConcurrentDispatchNoLoss(t *testing.T) {
 					return
 				}
 				id := reg.NextAgentID("gw-race")
-				reg.CreateAgent(id, "app.echo", owner)
+				reg.CreateAgent(id, "app.echo", owner, tenant.DefaultID, "", "")
 				reg.CompleteAgent(id, "app.echo", owner, i*perG+k, "")
 				st, ok := reg.Agent(id)
 				if !ok || !st.Done || st.Owner != owner {
@@ -84,7 +85,7 @@ func TestRegistryConcurrentDispatchNoLoss(t *testing.T) {
 // nonce: exactly one must win.
 func TestRegistryNonceSingleAcceptance(t *testing.T) {
 	reg := NewRegistry()
-	reg.SetSecret("app.echo", "dev-1", []byte("s"))
+	reg.SetSecret("app.echo", "dev-1", []byte("s"), tenant.DefaultID)
 	for round := 0; round < 50; round++ {
 		nonce := fmt.Sprintf("contested-%d", round)
 		const racers = 32
@@ -114,7 +115,7 @@ func TestRegistryWatch(t *testing.T) {
 	if _, ok := reg.Watch("ghost"); ok {
 		t.Fatal("watch on unknown agent succeeded")
 	}
-	reg.CreateAgent("ag-1", "app.echo", "dev-1")
+	reg.CreateAgent("ag-1", "app.echo", "dev-1", tenant.DefaultID, "", "")
 	ch, ok := reg.Watch("ag-1")
 	if !ok {
 		t.Fatal("watch on known agent failed")
@@ -153,7 +154,7 @@ func TestRegistryReleaseAgent(t *testing.T) {
 	if _, ok := reg.ReleaseAgent("ghost", "x"); ok {
 		t.Fatal("released unknown agent")
 	}
-	reg.CreateAgent("ag-1", "app.echo", "dev-1")
+	reg.CreateAgent("ag-1", "app.echo", "dev-1", tenant.DefaultID, "", "")
 	pre, _ := reg.Watch("ag-1")
 	watchers, ok := reg.ReleaseAgent("ag-1", "disposed by owner")
 	if !ok || len(watchers) != 1 {
@@ -188,7 +189,7 @@ func TestRegistryAdoptClone(t *testing.T) {
 	if reg.AdoptClone("ghost", "clone-1") {
 		t.Fatal("adopted clone of unknown agent")
 	}
-	reg.CreateAgent("ag-1", "app.echo", "dev-1")
+	reg.CreateAgent("ag-1", "app.echo", "dev-1", tenant.DefaultID, "", "")
 	if !reg.AdoptClone("ag-1", "clone-1") {
 		t.Fatal("clone adoption failed")
 	}

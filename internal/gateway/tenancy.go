@@ -11,48 +11,53 @@ import (
 	"pdagent/internal/transport"
 )
 
-// This file is the gateway half of the multi-tenant control plane
-// (DESIGN.md §12). The tenant package owns the mechanisms — accounts,
-// token buckets, the usage ledger, weighted-fair math; the code here
-// wires them into the dispatch path (admitTenant), composes the
-// member's full per-tenant usage for heartbeat gossip (tenantUsage),
-// and folds the fleet's gossiped rows back into admission decisions
-// (remoteUsage), so quotas hold cluster-wide.
+// This file is the gateway's admission control and its half of the
+// tenant control plane (DESIGN.md §11–§12). The tenant package owns
+// the mechanisms — accounts, token buckets, the in-flight ledger,
+// weighted-fair math; the code here runs every device dispatch through
+// them (admitTenant), composes the member's full per-tenant usage for
+// heartbeat gossip (tenantUsage), and folds the fleet's gossiped rows
+// back into admission decisions (remoteUsage), so quotas hold
+// cluster-wide. A gateway without configured tenants runs the same
+// code on the one default account.
 
-// Tenants exposes the gateway's tenant registry (tests, tooling); nil
-// on single-tenant gateways.
-func (g *Gateway) Tenants() *tenant.Registry { return g.tenants }
+// Shed refusals carry this span detail and this Retry-After (seconds).
+const (
+	shedInFlight   = "in-flight-watermark"
+	shedRetryAfter = "1"
+)
 
-// TenantLedger exposes this member's per-tenant usage ledger (tests,
-// benchmarks); nil on single-tenant gateways.
-func (g *Gateway) TenantLedger() *tenant.Ledger { return g.tledger }
+// shedTrace is the pseudo trace id shed spans are recorded under:
+// shed requests never got an agent id, but operators still want
+// `/pdagent/trace/_shed` to show the recent refusals.
+const shedTrace = "_shed"
 
-// Admission exposes the tenant admission layer (tests, benchmarks);
-// nil on single-tenant gateways.
-func (g *Gateway) Admission() *tenant.Admission { return g.admission }
+// TenantLedger exposes this member's per-tenant in-flight ledger
+// (tests, benchmarks).
+func (g *Gateway) TenantLedger() *tenant.Ledger { return g.reg.ledger }
 
-// admitTenant runs the §12 admission pipeline for one authenticated
-// dispatch: the weighted-fair shed first (overload is a member
-// condition, answered 503 so devices route around it), then the
-// tenant's own rate and quota limits (answered 429 with a Retry-After
-// so the device backs off — the member is fine, the account is not).
-// Nil means admitted.
+// admitTenant is the one admission rule for an authenticated device
+// dispatch. First the shed: while the registry's in-flight count is at
+// Config.ShedInFlight, a tenant at or over its weighted share of that
+// watermark is refused 503 with a Retry-After (the member is
+// overloaded; devices route around it), and tenants under their share
+// — who did not cause the overload — stay admitted. With one account
+// its share is the whole watermark, so this is a flat in-flight
+// watermark. Then the tenant's own rate and quota limits, answered 429
+// with a Retry-After (the member is fine, the account is not). Nil
+// means admitted. Forwarded /cluster/dispatch requests never come
+// here: the edge admitted the journey and consumed its nonce, and
+// refusing it at the home would strand an accepted dispatch.
 func (g *Gateway) admitTenant(tenantID string) *transport.Response {
 	label := tenant.Label(tenantID)
-	if g.cfg.Shed != nil {
-		// While a watermark is tripped, tenants under their weighted
-		// fair share of the in-flight budget stay admitted — they did
-		// not cause the overload — and the over-share tenants absorb
-		// the shed.
-		if why := g.shedReason(); why != "" && !g.admission.Protected(tenantID, g.cfg.Shed.MaxInFlight) {
-			g.mShed.Inc()
-			g.mTenantShed.With(label).Inc()
-			g.trace.Record(shedTrace, "shed", why)
-			resp := transport.Errorf(transport.StatusUnavailable,
-				"gateway %s shedding load: %s", g.cfg.Addr, why)
-			resp.SetHeader("retry-after", g.shedRetryAfter)
-			return resp
-		}
+	if mark := g.cfg.ShedInFlight; mark > 0 && g.reg.InFlight() >= mark && !g.admission.Protected(tenantID, mark) {
+		g.mShed.Inc()
+		g.mTenantShed.With(label).Inc()
+		g.trace.Record(shedTrace, "shed", shedInFlight)
+		resp := transport.Errorf(transport.StatusUnavailable,
+			"gateway %s shedding load: %s", g.cfg.Addr, shedInFlight)
+		resp.SetHeader("retry-after", shedRetryAfter)
+		return resp
 	}
 	if d := g.admission.Admit(tenantID); !d.OK {
 		g.mTenantQuota.With(label).Inc()
@@ -107,10 +112,8 @@ func (g *Gateway) tenantUsage() []cluster.TenantUsage {
 		}
 		return r
 	}
-	for _, u := range g.tledger.Snapshot() {
-		r := row(u.Tenant)
-		r.InFlight += u.InFlight
-		r.MailboxBytes += u.MailboxBytes
+	for _, u := range g.reg.ledger.Snapshot() {
+		row(u.Tenant).InFlight += u.InFlight
 	}
 	for label, n := range g.mas.ResidentsByTenant() {
 		row(label).Residents += n
@@ -149,7 +152,7 @@ func (g *Gateway) remoteUsage() map[string]tenant.Usage {
 }
 
 // initTenantObserve registers the tenant-labelled metric families
-// (called from initObserve on multi-tenant gateways). The counter
+// (called from initObserve). The counter
 // families pre-touch their default rows so a scrape is well-formed
 // before the first dispatch; the gauges always emit a default row for
 // the same reason.
@@ -174,7 +177,7 @@ func (g *Gateway) initTenantObserve(m *metrics.Registry) {
 		"Dispatched-but-unfinished agents on this member, by tenant.", "tenant",
 		func() map[string]float64 {
 			rows := map[string]float64{}
-			for _, u := range g.tledger.Snapshot() {
+			for _, u := range g.reg.ledger.Snapshot() {
 				rows[u.Tenant] = float64(u.InFlight)
 			}
 			return withDefault(rows)

@@ -105,14 +105,30 @@ func TestTenantSubscribeBinding(t *testing.T) {
 	f.queue.Drain()
 }
 
+// TestTenantRateLimit429: a bucket of two admits two uploads and
+// answers the third 429. Retrying an admitted upload (its answer was
+// lost) creates nothing, so it is answered with its agent id and costs
+// no token — even from an empty bucket.
 func TestTenantRateLimit429(t *testing.T) {
 	f := newTenantFixture(t, nil,
-		&tenant.Tenant{ID: "acme", Secret: "s3", Limits: tenant.Limits{RatePerSec: 0.0001, Burst: 1}})
+		&tenant.Tenant{ID: "acme", Secret: "s3", Limits: tenant.Limits{RatePerSec: 0.0001, Burst: 2}})
 	f.addEcho(t)
 	sub, _ := f.subscribeTenant(t, "echo", "dev-1", "acme", "s3")
 
+	first := f.echoPI(sub, "dev-1")
+	admitted := f.dispatchPI(t, first, true)
+	if !admitted.IsOK() {
+		t.Fatalf("first dispatch: %d %s", admitted.Status, admitted.Text())
+	}
+	retry := func(when string) {
+		t.Helper()
+		if resp := f.dispatchPI(t, first, true); !resp.IsOK() || resp.Text() != admitted.Text() {
+			t.Fatalf("retry %s: %d %q, want %q", when, resp.Status, resp.Text(), admitted.Text())
+		}
+	}
+	retry("with a token left")
 	if resp := f.dispatchPI(t, f.echoPI(sub, "dev-1"), true); !resp.IsOK() {
-		t.Fatalf("first dispatch: %d %s", resp.Status, resp.Text())
+		t.Fatalf("second dispatch (the retry must not have spent its token): %d %s", resp.Status, resp.Text())
 	}
 	resp := f.dispatchPI(t, f.echoPI(sub, "dev-1"), true)
 	if resp.Status != transport.StatusTooManyRequests {
@@ -121,6 +137,7 @@ func TestTenantRateLimit429(t *testing.T) {
 	if resp.GetHeader("retry-after") == "" {
 		t.Fatal("429 missing Retry-After hint")
 	}
+	retry("from an empty bucket")
 }
 
 func TestTenantMaxInFlight429(t *testing.T) {
@@ -148,7 +165,7 @@ func TestTenantMaxInFlight429(t *testing.T) {
 
 func TestWeightedFairShed503(t *testing.T) {
 	f := newTenantFixture(t, func(c *Config) {
-		c.Shed = &ShedConfig{MaxInFlight: 1}
+		c.ShedInFlight = 1
 	},
 		&tenant.Tenant{ID: "hog", Secret: "sh"},
 		&tenant.Tenant{ID: "meek", Secret: "sm"})

@@ -1,13 +1,14 @@
 // Package kxml is a minimal XML library modelled on the kXML pull parser
 // the PDAgent paper uses on the handheld (J2ME) side.
 //
-// It provides three layers:
+// It provides two layers and an encoder:
 //
 //   - a streaming pull Parser emitting events (StartElement, Text, ...),
 //     mirroring kXML's XmlPullParser;
 //   - a DOM-lite Node tree built on top of the pull parser, used for the
 //     Packed Information and result documents;
-//   - a Writer for serialising trees and streams back to XML text.
+//   - Node.Encode and the Append* escapers, serialising trees (and the
+//     wire package's append-style encoders) back to XML text.
 //
 // The dialect is deliberately small — elements, attributes, character
 // data, CDATA, comments, processing instructions and a skipped DOCTYPE —

@@ -10,26 +10,31 @@ import (
 )
 
 func TestParseSimpleDocument(t *testing.T) {
-	doc := `<?xml version="1.0"?><pi id="42"><code lang="mascript">x</code><param name="to">bank-a</param></pi>`
-	root, err := ParseString(doc)
-	if err != nil {
-		t.Fatalf("ParseString: %v", err)
-	}
-	if root.Name != "pi" {
-		t.Fatalf("root name = %q, want pi", root.Name)
-	}
-	if v, ok := root.Attr("id"); !ok || v != "42" {
-		t.Fatalf("id attr = %q,%v", v, ok)
-	}
-	if got := root.ChildText("code"); got != "x" {
-		t.Fatalf("code text = %q", got)
-	}
-	p := root.Find("param")
-	if p == nil {
-		t.Fatal("param child missing")
-	}
-	if v, _ := p.Attr("name"); v != "to" {
-		t.Fatalf("param name = %q", v)
+	for _, doc := range []string{
+		`<?xml version="1.0"?><pi id="42"><code lang="mascript">x</code><param name="to">bank-a</param></pi>`,
+		// Indented: whitespace between elements is text the lookups skip.
+		"<?xml version=\"1.0\"?>\n<pi id=\"42\">\n  <code lang=\"mascript\">x</code>\n  <param name=\"to\">bank-a</param>\n</pi>\n",
+	} {
+		root, err := ParseString(doc)
+		if err != nil {
+			t.Fatalf("ParseString(%q): %v", doc, err)
+		}
+		if root.Name != "pi" {
+			t.Fatalf("root name = %q, want pi", root.Name)
+		}
+		if v, ok := root.Attr("id"); !ok || v != "42" {
+			t.Fatalf("id attr = %q,%v", v, ok)
+		}
+		if got := root.ChildText("code"); got != "x" {
+			t.Fatalf("code text = %q", got)
+		}
+		p := root.Find("param")
+		if p == nil {
+			t.Fatal("param child missing")
+		}
+		if v, _ := p.Attr("name"); v != "to" {
+			t.Fatalf("param name = %q", v)
+		}
 	}
 }
 
@@ -48,13 +53,18 @@ func TestParseEscapes(t *testing.T) {
 }
 
 func TestParseCDATAAndComments(t *testing.T) {
-	doc := `<r><!-- a comment --><![CDATA[<raw> & unescaped]]></r>`
-	root, err := ParseString(doc)
-	if err != nil {
-		t.Fatalf("ParseString: %v", err)
-	}
-	if got := root.TextContent(); got != "<raw> & unescaped" {
-		t.Fatalf("cdata text = %q", got)
+	for doc, want := range map[string]string{
+		`<r><!-- a comment --><![CDATA[<raw> & unescaped]]></r>`: "<raw> & unescaped",
+		// "]]>" inside character data travels as two adjacent sections.
+		`<r><![CDATA[x]]]]><![CDATA[>y]]></r>`: "x]]>y",
+	} {
+		root, err := ParseString(doc)
+		if err != nil {
+			t.Fatalf("ParseString(%q): %v", doc, err)
+		}
+		if got := root.TextContent(); got != want {
+			t.Fatalf("cdata text of %q = %q, want %q", doc, got, want)
+		}
 	}
 }
 
@@ -193,91 +203,6 @@ func TestNodeHelpers(t *testing.T) {
 	}
 	if root.Equal(clone) {
 		t.Fatal("Equal should detect attr difference")
-	}
-}
-
-func TestWriterStream(t *testing.T) {
-	var b strings.Builder
-	w := NewWriter(&b)
-	w.Declaration()
-	w.Start("pi", Attr{Name: "id", Value: "7"})
-	w.Element("code", "let x = 1")
-	w.Start("params")
-	w.Element("p", "a&b", Attr{Name: "n", Value: `q"`})
-	w.End()
-	w.End()
-	if err := w.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	root, err := ParseString(b.String())
-	if err != nil {
-		t.Fatalf("reparse: %v\ndoc: %s", err, b.String())
-	}
-	if root.ChildText("code") != "let x = 1" {
-		t.Fatalf("code = %q", root.ChildText("code"))
-	}
-	p := root.Path("params", "p")
-	if p.TextContent() != "a&b" {
-		t.Fatalf("p text = %q", p.TextContent())
-	}
-	if v, _ := p.Attr("n"); v != `q"` {
-		t.Fatalf("attr n = %q", v)
-	}
-}
-
-func TestWriterUnbalanced(t *testing.T) {
-	var b strings.Builder
-	w := NewWriter(&b)
-	w.Start("a")
-	if err := w.Flush(); err == nil {
-		t.Fatal("expected unclosed-element error")
-	}
-	w2 := NewWriter(&b)
-	w2.End()
-	if err := w2.Flush(); err == nil {
-		t.Fatal("expected End-without-Start error")
-	}
-}
-
-func TestWriterCDataSplit(t *testing.T) {
-	var b strings.Builder
-	w := NewWriter(&b)
-	w.Start("a")
-	w.CData("x]]>y")
-	w.End()
-	if err := w.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	root, err := ParseString(b.String())
-	if err != nil {
-		t.Fatalf("reparse: %v (doc %q)", err, b.String())
-	}
-	if got := root.TextContent(); got != "x]]>y" {
-		t.Fatalf("cdata round-trip = %q", got)
-	}
-}
-
-func TestIndentWriterReparses(t *testing.T) {
-	var b strings.Builder
-	w := NewIndentWriter(&b, "  ")
-	w.Start("root")
-	w.Start("child", Attr{Name: "k", Value: "v"})
-	w.Element("leaf", "text")
-	w.End()
-	w.Empty("solo")
-	w.End()
-	if err := w.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	if !strings.Contains(b.String(), "\n") {
-		t.Fatal("indent writer produced no newlines")
-	}
-	root, err := ParseString(b.String())
-	if err != nil {
-		t.Fatalf("reparse: %v", err)
-	}
-	if root.Path("child", "leaf") == nil {
-		t.Fatal("structure lost in indent round-trip")
 	}
 }
 

@@ -1,11 +1,6 @@
 package kxml
 
-import (
-	"bytes"
-	"fmt"
-	"io"
-	"strings"
-)
+import "bytes"
 
 // needsTextEscape reports whether s contains character-data specials.
 func needsTextEscape(s string) bool {
@@ -96,161 +91,6 @@ func EscapeAttr(s string) string {
 		return s
 	}
 	return string(AppendEscapedAttr(make([]byte, 0, len(s)+8), s))
-}
-
-// Writer emits XML as a stream of calls, tracking open elements. It is
-// the serialising half of the kXML analogue.
-type Writer struct {
-	w      io.Writer
-	stack  []string
-	indent string // "" = compact
-	// inText tracks whether the current element has mixed content, which
-	// suppresses indentation so text round-trips exactly.
-	hadText []bool
-	err     error
-}
-
-// NewWriter returns a compact (no-whitespace) writer.
-func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
-
-// NewIndentWriter returns a writer that pretty-prints using the given
-// indent unit. Elements containing text are kept inline.
-func NewIndentWriter(w io.Writer, indent string) *Writer {
-	return &Writer{w: w, indent: indent}
-}
-
-func (w *Writer) printf(format string, args ...any) {
-	if w.err != nil {
-		return
-	}
-	_, w.err = fmt.Fprintf(w.w, format, args...)
-}
-
-// Declaration writes the standard <?xml ...?> document declaration.
-func (w *Writer) Declaration() {
-	w.printf("<?xml version=\"1.0\" encoding=\"UTF-8\"?>")
-	w.newline()
-}
-
-func (w *Writer) newline() {
-	if w.indent != "" {
-		w.printf("\n")
-	}
-}
-
-func (w *Writer) pad() {
-	if w.indent != "" {
-		w.printf("%s", strings.Repeat(w.indent, len(w.stack)))
-	}
-}
-
-// Start opens an element with optional attributes.
-func (w *Writer) Start(name string, attrs ...Attr) {
-	w.pad()
-	w.printf("<%s", name)
-	for _, a := range attrs {
-		w.printf(" %s=\"%s\"", a.Name, EscapeAttr(a.Value))
-	}
-	w.printf(">")
-	w.newline()
-	w.stack = append(w.stack, name)
-	w.hadText = append(w.hadText, false)
-}
-
-// Empty writes a self-closing element with optional attributes.
-func (w *Writer) Empty(name string, attrs ...Attr) {
-	w.pad()
-	w.printf("<%s", name)
-	for _, a := range attrs {
-		w.printf(" %s=\"%s\"", a.Name, EscapeAttr(a.Value))
-	}
-	w.printf("/>")
-	w.newline()
-}
-
-// End closes the most recently opened element.
-func (w *Writer) End() {
-	if len(w.stack) == 0 {
-		if w.err == nil {
-			w.err = fmt.Errorf("kxml: End with no open element")
-		}
-		return
-	}
-	name := w.stack[len(w.stack)-1]
-	w.stack = w.stack[:len(w.stack)-1]
-	w.hadText = w.hadText[:len(w.hadText)-1]
-	w.pad()
-	w.printf("</%s>", name)
-	w.newline()
-}
-
-// Text writes escaped character data.
-func (w *Writer) Text(s string) {
-	if len(w.hadText) > 0 {
-		w.hadText[len(w.hadText)-1] = true
-	}
-	w.pad()
-	w.printf("%s", EscapeText(s))
-	w.newline()
-}
-
-// CData writes a CDATA section. The body must not contain "]]>"; if it
-// does, the section is split so the document stays well-formed.
-func (w *Writer) CData(s string) {
-	w.pad()
-	for {
-		i := strings.Index(s, "]]>")
-		if i < 0 {
-			break
-		}
-		w.printf("<![CDATA[%s]]>", s[:i+2])
-		s = s[i+2:]
-	}
-	w.printf("<![CDATA[%s]]>", s)
-	w.newline()
-}
-
-// Comment writes an XML comment. Double hyphens in the body are padded
-// so the comment stays well-formed.
-func (w *Writer) Comment(s string) {
-	w.pad()
-	w.printf("<!--%s-->", strings.ReplaceAll(s, "--", "- -"))
-	w.newline()
-}
-
-// Element writes a complete leaf element with text content.
-func (w *Writer) Element(name, text string, attrs ...Attr) {
-	w.pad()
-	w.printf("<%s", name)
-	for _, a := range attrs {
-		w.printf(" %s=\"%s\"", a.Name, EscapeAttr(a.Value))
-	}
-	if text == "" {
-		w.printf("/>")
-	} else {
-		w.printf(">%s</%s>", EscapeText(text), name)
-	}
-	w.newline()
-}
-
-// Flush reports any error accumulated during writing and verifies all
-// elements were closed.
-func (w *Writer) Flush() error {
-	if w.err != nil {
-		return w.err
-	}
-	if len(w.stack) > 0 {
-		return fmt.Errorf("kxml: %d unclosed element(s), innermost <%s>", len(w.stack), w.stack[len(w.stack)-1])
-	}
-	return nil
-}
-
-// Write serialises the subtree rooted at n to w in compact form.
-func (n *Node) Write(w io.Writer) error {
-	var b bytes.Buffer
-	writeNode(&b, n)
-	_, err := w.Write(b.Bytes())
-	return err
 }
 
 func writeNode(b *bytes.Buffer, n *Node) {

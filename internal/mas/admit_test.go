@@ -12,6 +12,7 @@ import (
 	"pdagent/internal/mavm"
 	"pdagent/internal/netsim"
 	"pdagent/internal/rms"
+	"pdagent/internal/tenant"
 	"pdagent/internal/transport"
 )
 
@@ -350,7 +351,7 @@ func TestAdmissionFailsWhenHomeRefusesResult(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return srv.AdmitAgent(ctx, vm, "code-1", "dev-1", "gw-0")
+		return srv.AdmitAgent(ctx, vm, "code-1", "dev-1", tenant.DefaultID, "gw-0")
 	}
 	if err := admit(); err == nil {
 		t.Fatal("admission succeeded although the home side refused the result")

@@ -17,6 +17,7 @@ import (
 	"pdagent/internal/netsim"
 	"pdagent/internal/rms"
 	"pdagent/internal/services"
+	"pdagent/internal/tenant"
 	"pdagent/internal/transport"
 )
 
@@ -149,7 +150,7 @@ func (w *jWorld) admit(ctx context.Context, src, id string, params map[string]ma
 	if err != nil {
 		w.t.Fatal(err)
 	}
-	if err := w.servers["gw-0"].AdmitAgent(ctx, vm, "code-1", "dev-1", "gw-0"); err != nil {
+	if err := w.servers["gw-0"].AdmitAgent(ctx, vm, "code-1", "dev-1", tenant.DefaultID, "gw-0"); err != nil {
 		w.t.Fatal(err)
 	}
 }
@@ -588,7 +589,7 @@ func TestResumeFromTornJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := netsim.WithClock(context.Background(), netsim.NewClock())
-	if err := srv.AdmitAgent(ctx, vm, "code-1", "dev-1", "gw-0"); err != nil {
+	if err := srv.AdmitAgent(ctx, vm, "code-1", "dev-1", tenant.DefaultID, "gw-0"); err != nil {
 		t.Fatal(err)
 	}
 	queue.Drain()

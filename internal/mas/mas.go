@@ -225,7 +225,7 @@ type Server struct {
 	mTransferFail *metrics.Counter
 	mParked       *metrics.Counter
 	mDeliver      *metrics.Counter
-	admits        [len(entryOutcomes)]atomic.Uint64 // AdmitAgentOwned, by entryOutcomes index
+	admits        [len(entryOutcomes)]atomic.Uint64 // AdmitAgent, by entryOutcomes index
 	arrives       [len(entryOutcomes)]atomic.Uint64 // migrate arrivals, likewise
 
 	mu       sync.Mutex
@@ -454,22 +454,18 @@ func (h hostAPI) Log(agentID, msg string) {
 // --- agent admission and execution ---------------------------------------
 
 // AdmitAgent registers a fresh agent (created locally, e.g. by the
-// gateway's Agent Creator) and starts executing it, billed to the
-// default tenant. ctx carries the journey clock in simulated worlds.
-func (s *Server) AdmitAgent(ctx context.Context, vm *mavm.VM, codeID, owner, home string) error {
-	return s.AdmitAgentOwned(ctx, vm, codeID, owner, "", home)
-}
-
-// AdmitAgentOwned is AdmitAgent with an explicit tenant account: the
-// agent's journal footprint and residency bill to tenantID, and every
-// onward transfer carries the account so remote hosts bill it too.
+// gateway's Agent Creator) and starts executing it. The agent's journal
+// footprint and residency bill to tenantID (tenant.DefaultID unless a
+// tenant claimed the subscription), and every onward transfer carries
+// the account so remote hosts bill it too. ctx carries the journey
+// clock in simulated worlds.
 //
 // The agent's first fuel slice runs here, on the caller's goroutine, and
 // the journal records it at its first suspension point (enter): a
 // caller waits for at most one FuelSlice of agent CPU. A result the
 // home side refuses, or a failed journal write, fails the admission and
 // leaves nothing behind.
-func (s *Server) AdmitAgentOwned(ctx context.Context, vm *mavm.VM, codeID, owner, tenantID, home string) error {
+func (s *Server) AdmitAgent(ctx context.Context, vm *mavm.VM, codeID, owner, tenantID, home string) error {
 	rec := &record{
 		id:     vm.AgentID,
 		home:   home,
@@ -500,7 +496,7 @@ func (s *Server) AdmitAgentOwned(ctx context.Context, vm *mavm.VM, codeID, owner
 }
 
 // enter is the one rule for every way an agent enters this server —
-// AdmitAgentOwned and a migrate arrival over /atp/transfer: run before
+// AdmitAgent and a migrate arrival over /atp/transfer: run before
 // you journal. It runs the agent's first fuel slice here on the caller's
 // goroutine and makes the agent durable as that slice left it
 // (DESIGN.md §3):

@@ -14,6 +14,7 @@ import (
 	"pdagent/internal/mavm"
 	"pdagent/internal/netsim"
 	"pdagent/internal/services"
+	"pdagent/internal/tenant"
 	"pdagent/internal/transport"
 )
 
@@ -95,7 +96,7 @@ func (w *simWorld) dispatch(t *testing.T, src string, params map[string]mavm.Val
 		t.Fatal(err)
 	}
 	ctx := netsim.WithClock(context.Background(), netsim.NewClock())
-	if err := w.home.AdmitAgent(ctx, vm, "code-1", "device-1", "gw-0"); err != nil {
+	if err := w.home.AdmitAgent(ctx, vm, "code-1", "device-1", tenant.DefaultID, "gw-0"); err != nil {
 		t.Fatal(err)
 	}
 	w.queue.Drain()
@@ -440,7 +441,7 @@ func admitLooper(t *testing.T, w *simWorld, id string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.home.AdmitAgent(context.Background(), vm, "code-loop", "dev", "gw-0"); err != nil {
+	if err := w.home.AdmitAgent(context.Background(), vm, "code-loop", "dev", tenant.DefaultID, "gw-0"); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "agent resident at site-1", func() bool {
@@ -551,7 +552,7 @@ func TestAgentStrandsWhenHomeUnreachable(t *testing.T) {
 	}
 	vm, _ := mavm.New(prog, "ag-stranded", nil)
 	ctx := netsim.WithClock(context.Background(), netsim.NewClock())
-	if err := w.home.AdmitAgent(ctx, vm, "code-1", "dev", "gw-0"); err != nil {
+	if err := w.home.AdmitAgent(ctx, vm, "code-1", "dev", tenant.DefaultID, "gw-0"); err != nil {
 		t.Fatal(err)
 	}
 	// The gateway vanishes from the network right after dispatch. Its
@@ -615,7 +616,7 @@ func TestFlavourHandshakeCached(t *testing.T) {
 	prog, _ := mascript.Compile(`migrate("bank-a"); migrate(home()); deliver("n", 2);`)
 	vm, _ := mavm.New(prog, "ag-2", nil)
 	ctx := netsim.WithClock(context.Background(), netsim.NewClock())
-	if err := w.home.AdmitAgent(ctx, vm, "code-1", "dev", "gw-0"); err != nil {
+	if err := w.home.AdmitAgent(ctx, vm, "code-1", "dev", tenant.DefaultID, "gw-0"); err != nil {
 		t.Fatal(err)
 	}
 	w.queue.Drain()

@@ -13,6 +13,7 @@ import (
 	"pdagent/internal/mavm"
 	"pdagent/internal/netsim"
 	"pdagent/internal/rms"
+	"pdagent/internal/tenant"
 	"pdagent/internal/transport"
 )
 
@@ -312,7 +313,7 @@ func TestFastHopReturnsBeforeSenderBookkeeping(t *testing.T) {
 	// With inline spawn everywhere, the entire three-hop journey runs
 	// inside AdmitAgent; the homecoming migrate arrives at gw-0 while
 	// gw-0's shipAgent frame for hop 1 is still on the stack below us.
-	if err := home.AdmitAgent(context.Background(), vm, "app.race", "dev", "gw-0"); err != nil {
+	if err := home.AdmitAgent(context.Background(), vm, "app.race", "dev", tenant.DefaultID, "gw-0"); err != nil {
 		t.Fatal(err)
 	}
 	if len(arrivals) != 1 {
@@ -397,7 +398,7 @@ func TestFastHopReturnsBeforeSenderBookkeeping(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := home.AdmitAgent(context.Background(), vm, "app.race", "dev", "gw-0"); err != nil {
+		if err := home.AdmitAgent(context.Background(), vm, "app.race", "dev", tenant.DefaultID, "gw-0"); err != nil {
 			t.Fatal(err)
 		}
 		<-gs.entered
@@ -467,7 +468,7 @@ func TestRevisitedHostJournalStaysCoherent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := home.AdmitAgent(context.Background(), vm, "app.race", "dev", "gw-0"); err != nil {
+	if err := home.AdmitAgent(context.Background(), vm, "app.race", "dev", tenant.DefaultID, "gw-0"); err != nil {
 		t.Fatal(err)
 	}
 	if len(arrivals) != 1 || arrivals[0].Kind != KindDone {

@@ -186,7 +186,7 @@ func TestTenantAccountTravelsWithAgent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.servers["gw-0"].AdmitAgentOwned(ctx, vm, "code-1", "dev-1", "acme", "gw-0"); err != nil {
+	if err := w.servers["gw-0"].AdmitAgent(ctx, vm, "code-1", "dev-1", "acme", "gw-0"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -223,7 +223,7 @@ func TestTenantSurvivesCrashRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.servers["gw-0"].AdmitAgentOwned(ctx, vm, "code-1", "dev-1", "acme", "gw-0"); err != nil {
+	if err := w.servers["gw-0"].AdmitAgent(ctx, vm, "code-1", "dev-1", "acme", "gw-0"); err != nil {
 		t.Fatal(err)
 	}
 	// Crash before the queued departure ever ran: only the journal

@@ -42,7 +42,6 @@ const DefaultTraceCap = 4096
 // flight recorder, not an audit log.
 type TraceRing struct {
 	member string
-	now    func() time.Time
 
 	mu    sync.Mutex
 	spans []Span
@@ -55,14 +54,7 @@ func NewTraceRing(member string, capacity int) *TraceRing {
 	if capacity <= 0 {
 		capacity = DefaultTraceCap
 	}
-	return &TraceRing{member: member, now: time.Now, spans: make([]Span, 0, capacity)}
-}
-
-// SetNow replaces the ring's clock (virtual-time tests).
-func (r *TraceRing) SetNow(now func() time.Time) {
-	r.mu.Lock()
-	r.now = now
-	r.mu.Unlock()
+	return &TraceRing{member: member, spans: make([]Span, 0, capacity)}
 }
 
 // Member returns the member name spans are recorded under.
@@ -78,7 +70,7 @@ func (r *TraceRing) Record(trace, op, detail string) {
 		Member: r.member,
 		Op:     op,
 		Detail: detail,
-		At:     r.now().UnixNano(),
+		At:     time.Now().UnixNano(),
 		Seq:    r.n,
 	}
 	if len(r.spans) < cap(r.spans) {

@@ -1020,12 +1020,6 @@ func (s *WALStore) Stats() WALStats {
 	}
 }
 
-// LastFsyncStall returns the duration of the most recent fsync — a
-// single atomic load, cheap enough for a per-dispatch admission check.
-func (s *WALStore) LastFsyncStall() time.Duration {
-	return time.Duration(s.lastFsync.Load())
-}
-
 // RegisterMetrics exposes the WAL's durability counters on a metrics
 // registry as lazily-evaluated gauges under prefix (e.g.
 // "pdagent_wal"); what names the store in help text (e.g. "agent

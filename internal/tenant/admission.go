@@ -26,7 +26,7 @@ const defaultRetryAfter = time.Second
 // Admission is the per-member tenant admission layer: token-bucket
 // rate limits, cluster-wide quota checks against the local ledger
 // plus gossiped remote usage, and the weighted-fair shed decision
-// used when an overload watermark trips.
+// used when the in-flight watermark trips.
 type Admission struct {
 	// Registry resolves tenant ids to their limits. Required.
 	Registry *Registry
@@ -44,8 +44,8 @@ type Admission struct {
 	// table walks) and pending mailbox bytes (the hub's own tally).
 	// It is consulted only when a tenant actually has one of those
 	// quotas configured, so unlimited tenants never pay for the walk.
-	// The ledger's InFlight wins over Slow's (expected zero there);
-	// fields add, so suppliers must not overlap.
+	// Its InFlight must be zero: the ledger counts that half, and the
+	// fields add.
 	Slow func(id string) Usage
 
 	mu      sync.Mutex
@@ -54,12 +54,6 @@ type Admission struct {
 
 // NewAdmission builds an admission layer over a registry and ledger.
 func NewAdmission(reg *Registry, led *Ledger) *Admission {
-	if reg == nil {
-		reg = NewRegistry()
-	}
-	if led == nil {
-		led = NewLedger()
-	}
 	return &Admission{Registry: reg, Ledger: led, buckets: map[string]*Bucket{}}
 }
 

@@ -25,30 +25,21 @@ func (u *Usage) Add(o Usage) {
 	u.JournalBytes += o.JournalBytes
 }
 
-// counters is one tenant's live tally. The hot-path fields are
-// atomics: the registry bumps InFlight on every dispatch/complete,
-// the hub MailboxBytes on every enqueue/ack, the journal
-// JournalBytes on every put/drop.
-type counters struct {
-	inFlight     atomic.Int64
-	residents    atomic.Int64
-	mailboxBytes atomic.Int64
-	journalBytes atomic.Int64
-}
-
-// Ledger is the per-tenant usage table for one member. The empty
-// tenant id is the default account; a get-or-create map guarded by a
-// RWMutex keeps lookups cheap (read lock + atomic bump on the hot
-// path).
+// Ledger is the per-tenant in-flight table for one member: the registry
+// bumps a tenant's count on every dispatch and completion. The other
+// Usage halves are read from their owners when needed (Admission.Slow),
+// not mirrored here. The empty tenant id is the default account; a
+// get-or-create map guarded by a RWMutex keeps lookups cheap (read lock
+// + atomic bump on the hot path).
 type Ledger struct {
 	mu sync.RWMutex
-	m  map[string]*counters
+	m  map[string]*atomic.Int64
 }
 
 // NewLedger returns an empty ledger.
-func NewLedger() *Ledger { return &Ledger{m: map[string]*counters{}} }
+func NewLedger() *Ledger { return &Ledger{m: map[string]*atomic.Int64{}} }
 
-func (l *Ledger) get(id string) *counters {
+func (l *Ledger) get(id string) *atomic.Int64 {
 	l.mu.RLock()
 	c := l.m[id]
 	l.mu.RUnlock()
@@ -58,55 +49,28 @@ func (l *Ledger) get(id string) *counters {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if c = l.m[id]; c == nil {
-		c = &counters{}
+		c = new(atomic.Int64)
 		l.m[id] = c
 	}
 	return c
 }
 
 // AddInFlight adjusts a tenant's in-flight agent count.
-func (l *Ledger) AddInFlight(id string, delta int64) { l.get(id).inFlight.Add(delta) }
+func (l *Ledger) AddInFlight(id string, delta int64) { l.get(id).Add(delta) }
 
 // InFlight reads a tenant's in-flight agent count.
 func (l *Ledger) InFlight(id string) int64 {
-	n := l.get(id).inFlight.Load()
+	n := l.get(id).Load()
 	if n < 0 {
 		return 0
 	}
 	return n
 }
-
-// AddResidents adjusts a tenant's resident-agent count.
-func (l *Ledger) AddResidents(id string, delta int64) { l.get(id).residents.Add(delta) }
-
-// SetResidents overwrites a tenant's resident-agent count (used by
-// embedders that derive it from a scrape-time walk).
-func (l *Ledger) SetResidents(id string, n int64) { l.get(id).residents.Store(n) }
-
-// AddMailboxBytes adjusts a tenant's pending mailbox byte tally.
-func (l *Ledger) AddMailboxBytes(id string, delta int64) { l.get(id).mailboxBytes.Add(delta) }
-
-// AddJournalBytes adjusts a tenant's journaled byte tally.
-func (l *Ledger) AddJournalBytes(id string, delta int64) { l.get(id).journalBytes.Add(delta) }
 
 // UsageOf snapshots one tenant (negative tallies clamp to zero — a
 // release racing an admission must not turn a quota check negative).
 func (l *Ledger) UsageOf(id string) Usage {
-	c := l.get(id)
-	return Usage{
-		Tenant:       Label(id),
-		InFlight:     clamp(c.inFlight.Load()),
-		Residents:    clamp(c.residents.Load()),
-		MailboxBytes: clamp(c.mailboxBytes.Load()),
-		JournalBytes: clamp(c.journalBytes.Load()),
-	}
-}
-
-func clamp(n int64) int64 {
-	if n < 0 {
-		return 0
-	}
-	return n
+	return Usage{Tenant: Label(id), InFlight: l.InFlight(id)}
 }
 
 // Snapshot returns every tenant's usage sorted by label — the rows a

@@ -1,14 +1,13 @@
 // Package tenant is the multi-tenant control plane (DESIGN.md §12):
-// tenant accounts with shared secrets and resource limits, a registry
-// persisted over any rms.Store (so it rides the WAL and replication
-// tiers like the agent journal does), per-tenant token-bucket rate
-// limits, weighted-fair admission, and a usage ledger whose snapshots
-// are gossiped on cluster heartbeats so quotas hold cluster-wide.
+// tenant accounts with shared secrets and resource limits, loaded from
+// a config file; per-tenant token-bucket rate limits; weighted-fair
+// admission; and an in-flight ledger whose snapshots are gossiped on
+// cluster heartbeats so quotas hold cluster-wide.
 //
-// The zero value of everything here is the single-tenant deployment:
-// a gateway without an Admission layer behaves exactly as before, and
-// the empty tenant id ("") names the default account every
-// unclaimed subscription belongs to.
+// Every gateway admits through this package. An empty Registry is the
+// single-tenant deployment: the empty tenant id ("") names the default
+// account every unclaimed subscription belongs to, and it has no
+// limits.
 package tenant
 
 import (
@@ -19,7 +18,6 @@ import (
 	"sync"
 
 	"pdagent/internal/kxml"
-	"pdagent/internal/rms"
 )
 
 // DefaultID is the account unclaimed subscriptions belong to. It is
@@ -80,82 +78,42 @@ type Tenant struct {
 	Limits Limits
 }
 
-// Registry is the tenant account table. When opened over an rms.Store
-// every Put is persisted as one record per tenant, so the table rides
-// whatever durability tier the store provides (MemStore in simulated
-// worlds, the group-commit WAL — and with it §10 replication — in the
-// daemons).
+// Registry is the tenant account table: the accounts a -tenants config
+// file declares, held in memory. It always resolves the implicit
+// default account, so an empty registry is the single-tenant
+// deployment.
 type Registry struct {
 	mu      sync.RWMutex
 	tenants map[string]*Tenant
-	store   rms.Store      // nil for a memory-only registry
-	recs    map[string]int // tenant id -> store record id
 }
 
-// NewRegistry returns an empty, memory-only registry.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{tenants: map[string]*Tenant{}, recs: map[string]int{}}
+	return &Registry{tenants: map[string]*Tenant{}}
 }
 
-// OpenRegistry builds a registry over a store, loading every persisted
-// tenant record. Records that do not decode are dropped rather than
-// resurrected half-written.
-func OpenRegistry(store rms.Store) (*Registry, error) {
-	r := NewRegistry()
-	r.store = store
-	ids, err := store.IDs()
-	if err != nil {
-		return nil, fmt.Errorf("tenant: scanning registry store: %w", err)
-	}
-	for _, recID := range ids {
-		data, err := store.Get(recID)
-		if err != nil {
-			return nil, fmt.Errorf("tenant: reading record %d: %w", recID, err)
-		}
-		t, err := decodeTenant(data)
-		if err != nil {
-			_ = store.Delete(recID)
-			continue
-		}
-		if old, ok := r.recs[t.ID]; ok {
-			_ = store.Delete(old)
-		}
-		r.tenants[t.ID] = t
-		r.recs[t.ID] = recID
-	}
-	return r, nil
-}
-
-// Put inserts or replaces a tenant, persisting it when the registry is
-// store-backed.
+// Put inserts or replaces a tenant.
 func (r *Registry) Put(t *Tenant) error {
 	if t.ID == "" {
 		return fmt.Errorf("tenant: tenant needs an id")
 	}
 	cp := *t
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.tenants[cp.ID] = &cp
-	if r.store == nil {
-		return nil
-	}
-	data := encodeTenant(&cp)
-	if recID, ok := r.recs[cp.ID]; ok {
-		return r.store.Set(recID, data)
-	}
-	recID, err := r.store.Add(data)
-	if err != nil {
-		return err
-	}
-	r.recs[cp.ID] = recID
+	r.mu.Unlock()
 	return nil
 }
+
+// defaultTenant is what Get answers for the default id: one shared,
+// unlimited account, so resolving it costs no allocation on the
+// dispatch path. Callers must not modify it.
+var defaultTenant = &Tenant{ID: DefaultID}
 
 // Get looks a tenant up by id. The default id ("") always resolves to
 // an unlimited account, so single-tenant traffic needs no registration.
 func (r *Registry) Get(id string) (*Tenant, bool) {
 	if id == DefaultID {
-		return &Tenant{ID: DefaultID}, true
+		return defaultTenant, true
 	}
 	r.mu.RLock()
 	t, ok := r.tenants[id]
@@ -190,50 +148,6 @@ func (r *Registry) All() []*Tenant {
 	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// --- wire encoding -------------------------------------------------------
-
-// encodeTenant renders one tenant as an XML record:
-//
-//	<tenant id="acme" secret="s" weight="4" rate="100" burst="200"
-//	        max-inflight="500" max-residents="1000"
-//	        max-mailbox-bytes="1048576" max-journal-bytes="1048576"/>
-func encodeTenant(t *Tenant) []byte {
-	n := kxml.NewElement("tenant")
-	n.SetAttr("id", t.ID)
-	n.SetAttr("secret", t.Secret)
-	l := t.Limits
-	if l.Weight > 0 {
-		n.SetAttr("weight", strconv.Itoa(l.Weight))
-	}
-	if l.RatePerSec > 0 {
-		n.SetAttr("rate", strconv.FormatFloat(l.RatePerSec, 'g', -1, 64))
-	}
-	if l.Burst > 0 {
-		n.SetAttr("burst", strconv.Itoa(l.Burst))
-	}
-	if l.MaxInFlight > 0 {
-		n.SetAttr("max-inflight", strconv.FormatInt(l.MaxInFlight, 10))
-	}
-	if l.MaxResidents > 0 {
-		n.SetAttr("max-residents", strconv.FormatInt(l.MaxResidents, 10))
-	}
-	if l.MaxMailboxBytes > 0 {
-		n.SetAttr("max-mailbox-bytes", strconv.FormatInt(l.MaxMailboxBytes, 10))
-	}
-	if l.MaxJournalBytes > 0 {
-		n.SetAttr("max-journal-bytes", strconv.FormatInt(l.MaxJournalBytes, 10))
-	}
-	return n.EncodeDocument()
-}
-
-func decodeTenant(data []byte) (*Tenant, error) {
-	root, err := kxml.ParseBytes(data)
-	if err != nil {
-		return nil, err
-	}
-	return tenantFromNode(root)
 }
 
 func tenantFromNode(n *kxml.Node) (*Tenant, error) {

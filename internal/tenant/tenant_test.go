@@ -5,60 +5,12 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"pdagent/internal/rms"
 )
-
-func TestRegistryStoreRoundTrip(t *testing.T) {
-	store := rms.NewMemStore("tenants", 0)
-	reg, err := OpenRegistry(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := &Tenant{ID: "acme", Secret: "s3", Limits: Limits{
-		Weight: 4, RatePerSec: 100, Burst: 200,
-		MaxInFlight: 500, MaxResidents: 1000,
-		MaxMailboxBytes: 1 << 20, MaxJournalBytes: 2 << 20,
-	}}
-	if err := reg.Put(want); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Put(&Tenant{ID: "hog", Secret: "s7", Limits: Limits{RatePerSec: 20, Burst: 5}}); err != nil {
-		t.Fatal(err)
-	}
-	// Replace acme in place: the record must be overwritten, not doubled.
-	want.Limits.Weight = 8
-	if err := reg.Put(want); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := OpenRegistry(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.Len() != 2 {
-		t.Fatalf("reopened registry has %d tenants, want 2", re.Len())
-	}
-	got, ok := re.Get("acme")
-	if !ok {
-		t.Fatal("acme missing after reopen")
-	}
-	if *got != *want {
-		t.Fatalf("acme round-trip mismatch:\n got %+v\nwant %+v", got, want)
-	}
-	if _, ok := re.Get("hog"); !ok {
-		t.Fatal("hog missing after reopen")
-	}
-	// The default account always resolves, unlimited.
-	def, ok := re.Get(DefaultID)
-	if !ok || def.Limits != (Limits{}) {
-		t.Fatalf("default tenant = %+v, %v; want unlimited", def, ok)
-	}
-}
 
 func TestParseConfig(t *testing.T) {
 	doc := []byte(`<tenants>
-  <tenant id="acme" secret="a" weight="4" rate="100"/>
+  <tenant id="acme" secret="a" weight="4" rate="100" burst="200" max-inflight="500"
+          max-residents="1000" max-mailbox-bytes="1048576" max-journal-bytes="2097152"/>
   <tenant id="hog" secret="b" rate="20" burst="5" max-inflight="16"/>
 </tenants>`)
 	ts, err := ParseConfig(doc)
@@ -68,8 +20,13 @@ func TestParseConfig(t *testing.T) {
 	if len(ts) != 2 {
 		t.Fatalf("parsed %d tenants, want 2", len(ts))
 	}
-	if ts[0].ID != "acme" || ts[0].Limits.Weight != 4 || ts[0].Limits.RatePerSec != 100 {
-		t.Fatalf("acme parsed as %+v", ts[0])
+	acme := Tenant{ID: "acme", Secret: "a", Limits: Limits{
+		Weight: 4, RatePerSec: 100, Burst: 200,
+		MaxInFlight: 500, MaxResidents: 1000,
+		MaxMailboxBytes: 1 << 20, MaxJournalBytes: 2 << 20,
+	}}
+	if *ts[0] != acme {
+		t.Fatalf("acme parsed as %+v, want %+v", ts[0], acme)
 	}
 	if ts[1].Limits.MaxInFlight != 16 || ts[1].Limits.Burst != 5 {
 		t.Fatalf("hog parsed as %+v", ts[1])
@@ -79,6 +36,36 @@ func TestParseConfig(t *testing.T) {
 	}
 	if _, err := ParseConfig([]byte(`<tenants><tenant secret="x"/></tenants>`)); err == nil {
 		t.Fatal("tenant without id accepted")
+	}
+}
+
+// TestRegistryPutAndDefault: Put replaces an account in place, and the
+// default account resolves unlimited without registration or
+// allocation (every single-tenant dispatch resolves it).
+func TestRegistryPutAndDefault(t *testing.T) {
+	reg := NewRegistry()
+	acme := &Tenant{ID: "acme", Secret: "s3", Limits: Limits{Weight: 4}}
+	for _, tn := range []*Tenant{acme, {ID: "hog", Secret: "s7"}} {
+		if err := reg.Put(tn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	acme.Limits.Weight = 8
+	if err := reg.Put(acme); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := reg.Get("acme"); reg.Len() != 2 || !ok || *got != *acme {
+		t.Fatalf("after replacing acme: %d tenants, acme = %+v; want 2 and %+v", reg.Len(), got, acme)
+	}
+	if err := reg.Put(&Tenant{Secret: "x"}); err == nil {
+		t.Fatal("tenant without id accepted")
+	}
+	def, ok := reg.Get(DefaultID)
+	if !ok || def.Limits != (Limits{}) || reg.Registered(DefaultID) {
+		t.Fatalf("default tenant = %+v, %v; want unlimited and unregistered", def, ok)
+	}
+	if n := testing.AllocsPerRun(100, func() { reg.Get(DefaultID) }); n != 0 {
+		t.Fatalf("Get(DefaultID) allocates %.0f times, want 0", n)
 	}
 }
 
@@ -271,8 +258,8 @@ func TestProtectedFairShare(t *testing.T) {
 func TestLedgerSnapshot(t *testing.T) {
 	led := NewLedger()
 	led.AddInFlight("b", 2)
-	led.AddMailboxBytes("a", 100)
-	led.AddJournalBytes("", 50)
+	led.AddInFlight("a", 1)
+	led.AddInFlight("", 5)
 	snap := led.Snapshot()
 	if len(snap) != 3 {
 		t.Fatalf("snapshot has %d rows, want 3", len(snap))
@@ -281,8 +268,8 @@ func TestLedgerSnapshot(t *testing.T) {
 	if snap[0].Tenant != "a" || snap[1].Tenant != "b" || snap[2].Tenant != "default" {
 		t.Fatalf("snapshot order %v", []string{snap[0].Tenant, snap[1].Tenant, snap[2].Tenant})
 	}
-	if snap[2].JournalBytes != 50 {
-		t.Fatalf("default journal bytes = %d, want 50", snap[2].JournalBytes)
+	if snap[2].InFlight != 5 {
+		t.Fatalf("default in-flight = %d, want 5", snap[2].InFlight)
 	}
 	// Negative tallies clamp.
 	led.AddInFlight("b", -5)

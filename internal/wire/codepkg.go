@@ -37,27 +37,6 @@ func (cp *CodePackage) EncodeXML() *kxml.Node {
 	return n
 }
 
-// ParseCodePackage parses a <code-package> element.
-func ParseCodePackage(n *kxml.Node) (*CodePackage, error) {
-	if n == nil || n.Name != "code-package" {
-		return nil, fmt.Errorf("wire: expected <code-package>")
-	}
-	cp := &CodePackage{
-		CodeID:      n.AttrDefault("id", ""),
-		Name:        n.AttrDefault("name", ""),
-		Version:     n.AttrDefault("version", ""),
-		Description: n.ChildText("description"),
-		Source:      n.ChildText("source"),
-	}
-	if cp.CodeID == "" {
-		return nil, fmt.Errorf("wire: code package missing id")
-	}
-	if cp.Source == "" {
-		return nil, fmt.Errorf("wire: code package %q missing source", cp.CodeID)
-	}
-	return cp, nil
-}
-
 // Subscription is the gateway's response to a subscribe request: the
 // code package, the per-subscription secret the dispatch key derives
 // from, and the gateway's public key for sealing future PIs.
@@ -136,7 +115,7 @@ func ParseSubscription(doc []byte) (*Subscription, error) {
 }
 
 // parseCodePackagePull decodes a just-opened <code-package> element on
-// the pull path, mirroring ParseCodePackage.
+// the pull path.
 func parseCodePackagePull(s *scanner, ev kxml.Event) (*CodePackage, error) {
 	cp := &CodePackage{
 		CodeID:  evAttrDefault(ev, "id", ""),
