@@ -66,8 +66,15 @@ func ParseCodec(name string) (Codec, error) {
 const frameMagic = 'Z'
 
 // MaxDecodedSize bounds the decoded length a frame may declare, so a
-// corrupt header cannot trigger an enormous allocation.
+// corrupt header cannot trigger an enormous allocation. Below it, a
+// declared length the payload cannot decode to is refused as well,
+// before anything is allocated for it.
 const MaxDecodedSize = 64 << 20
+
+// IsFrame reports whether b begins with the frame magic. No XML
+// document can begin with it, so a reader that takes either a frame or
+// a raw document tells the two apart by this byte alone.
+func IsFrame(b []byte) bool { return len(b) > 0 && b[0] == frameMagic }
 
 // ErrCorrupt is returned when a frame fails structural validation.
 var ErrCorrupt = errors.New("compress: corrupt frame")
@@ -198,7 +205,14 @@ var flateDecPool = sync.Pool{New: func() any {
 	return d
 }}
 
+// flateMaxRatio bounds what a DEFLATE stream can decode to: a 258-byte
+// match costs at least two bits.
+const flateMaxRatio = 1032
+
 func flateDecompressAppend(dst []byte, payload []byte, size int) ([]byte, error) {
+	if size > flateMaxRatio*len(payload) {
+		return nil, fmt.Errorf("%w: flate declared size %d exceeds what %d payload bytes can hold", ErrCorrupt, size, len(payload))
+	}
 	d := flateDecPool.Get().(*flateDec)
 	defer func() {
 		d.br.Reset(nil)

@@ -2,7 +2,10 @@ package compress
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -80,6 +83,58 @@ func TestDecodeErrors(t *testing.T) {
 	for name, frame := range cases {
 		if _, err := Decode(frame); err == nil {
 			t.Errorf("%s: Decode succeeded, want error", name)
+		}
+	}
+}
+
+// allocatedBy reports the bytes the heap handed out while fn ran.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestMaxDecodedSizeBound sits on the decoded-size bound: a header
+// declaring exactly MaxDecodedSize passes the header check and one
+// declaring a byte more is refused with ErrCorrupt. Neither that nor a
+// short frame claiming the whole bound — more than its payload can
+// decode to, for either compressing codec — allocates anything near the
+// size it declares, while the densest stream each encoder writes still
+// decodes.
+func TestMaxDecodedSizeBound(t *testing.T) {
+	frame := func(codec Codec, size uint64) []byte {
+		return append(binary.AppendUvarint([]byte{frameMagic, byte(codec)}, size), 0xFF, 'p', 'a', 'y', 'l', 'o', 'a', 'd', '!')
+	}
+	if c, err := FrameCodec(frame(LZSS, MaxDecodedSize)); err != nil || c != LZSS {
+		t.Fatalf("a frame declaring MaxDecodedSize: FrameCodec = %v, %v; want it past the header check", c, err)
+	}
+	if _, err := FrameCodec(frame(LZSS, MaxDecodedSize+1)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("a frame declaring MaxDecodedSize+1: FrameCodec err = %v, want ErrCorrupt", err)
+	}
+	for name, f := range map[string][]byte{
+		"lzss, MaxDecodedSize+1":  frame(LZSS, MaxDecodedSize+1),
+		"lzss, MaxDecodedSize":    frame(LZSS, MaxDecodedSize),
+		"flate, MaxDecodedSize":   frame(Flate, MaxDecodedSize),
+		"lzss, just past payload": frame(LZSS, lzMaxRatio*9+1),
+	} {
+		var err error
+		if n := allocatedBy(func() { _, err = Decode(f) }); n > 1<<16 {
+			t.Errorf("%s: decoding allocated %d bytes", name, n)
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Decode err = %v, want ErrCorrupt", name, err)
+		}
+	}
+	zeros := make([]byte, 1<<20)
+	for _, codec := range []Codec{LZSS, Flate} {
+		enc, err := Encode(codec, zeros)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dec, err := Decode(enc); err != nil || !bytes.Equal(dec, zeros) {
+			t.Fatalf("%v: 1 MiB of zeros (%d bytes framed) does not round-trip: %v", codec, len(enc), err)
 		}
 	}
 }

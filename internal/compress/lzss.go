@@ -20,6 +20,10 @@ const (
 	lzHashSize = 1 << lzHashBits
 	// lzMaxChain bounds match-search work per position.
 	lzMaxChain = 64
+
+	// lzMaxRatio bounds what a token stream can decode to: at best a flag
+	// byte and eight 2-byte pairs (17 bytes) yield 8 × lzMaxMatch = 144.
+	lzMaxRatio = 9
 )
 
 func lzHash(b []byte) uint32 {
@@ -146,6 +150,9 @@ func lzssCompressAppend(dst []byte, src []byte) []byte {
 // appended to dst. Back-references are resolved against the decoded
 // region only (never into dst's existing prefix).
 func lzssDecompressAppend(dst []byte, src []byte, size int) ([]byte, error) {
+	if size > lzMaxRatio*len(src) {
+		return nil, fmt.Errorf("%w: lzss declared size %d exceeds what %d payload bytes can hold", ErrCorrupt, size, len(src))
+	}
 	base := len(dst)
 	out := slices.Grow(dst, size)
 	i := 0

@@ -3,6 +3,7 @@ package device
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -617,6 +618,58 @@ func TestLongPollAckRidesNextRequest(t *testing.T) {
 				t.Fatalf("mailbox store holds %d records at the end, want the meta record alone", n)
 			}
 		})
+	}
+}
+
+// preFrameGateway stands in for a gateway from before mailbox answers
+// were framed: every mailbox answer — polled, or attached to a dispatch
+// answer — reaches the device as the raw XML such a gateway sent, bodies
+// escaped as text (a token-less export with nothing evicted is that
+// answer byte for byte).
+type preFrameGateway struct {
+	inner transport.RoundTripper
+	raw   int // answers rewritten
+}
+
+func (g *preFrameGateway) RoundTrip(ctx context.Context, addr string, req *transport.Request) (*transport.Response, error) {
+	resp, err := g.inner.RoundTrip(ctx, addr, req)
+	if err != nil || !resp.IsOK() || !compress.IsFrame(resp.Body) {
+		return resp, err
+	}
+	dev, entries, watermark, evicted, _, _, err := push.ParseEntries(resp.Body)
+	if err != nil || evicted != 0 {
+		return nil, fmt.Errorf("answer to %s: evicted %d, %v", req.Path, evicted, err)
+	}
+	resp.Body = push.EncodeExport(dev, entries, watermark, "", "")
+	g.raw++
+	return resp, nil
+}
+
+// TestPreFrameGatewayAnswersStillParse: against a gateway that answers
+// raw XML, a long-polled result and a result attached to the dispatch
+// answer are both delivered, once each.
+func TestPreFrameGatewayAnswersStillParse(t *testing.T) {
+	gw := &preFrameGateway{}
+	f := newSessionFixture(t, func(c *Config) { gw.inner, c.Transport = c.Transport, gw })
+	ctx := context.Background()
+	if err := f.plat.Subscribe(ctx, "gw-d", "echo"); err != nil {
+		t.Fatal(err)
+	}
+	// The first journey long-polls (its upload holds no token yet); the
+	// second is answered in its dispatch.
+	for j := int64(0); j < 2; j++ {
+		id, err := f.plat.Dispatch(ctx, "echo", mavmParams(j))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.queue.Drain()
+		ds, _, err := f.plat.PollMailbox(ctx, "gw-d", time.Second)
+		if err != nil || len(ds) != 1 || ds[0].AgentID != id || ds[0].Result == nil || !ds[0].Result.OK() {
+			t.Fatalf("journey %d delivered %+v, %v; want the result of %s", j, ds, err, id)
+		}
+	}
+	if gw.raw != 2 || f.plat.Cursor("gw-d") != 2 {
+		t.Fatalf("%d raw answer(s), cursor %d; want a poll answer and a dispatch answer, cursor 2", gw.raw, f.plat.Cursor("gw-d"))
 	}
 }
 

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"pdagent/internal/compress"
 	"pdagent/internal/push"
 	"pdagent/internal/rms"
 	"pdagent/internal/tenant"
@@ -100,6 +102,52 @@ func TestOldDeviceDispatchAnswerUnchanged(t *testing.T) {
 	if st := hub.Stats(); st.Delivered != 0 || st.StagedAcks != 0 || st.Pending != 5 {
 		t.Fatalf("hub after five uploads that asked for nothing: %+v", st)
 	}
+}
+
+// TestMailboxAnswersAreFrames: every mailbox answer a device receives —
+// a fetch, a long-poll, mail attached to a dispatch answer, and the
+// empty answer for a device the hub has never heard of — is one LZSS
+// frame of exactly the document push.EncodeEntries renders for the
+// pending entries.
+func TestMailboxAnswersAreFrames(t *testing.T) {
+	f := newMailboxFixture(t, nil)
+	f.addEcho(t)
+	sub := f.subscribe(t, "echo", "dev-1")
+	hub := f.gw.Mailbox()
+	wantFrame := func(what string, resp *transport.Response, want []byte) {
+		t.Helper()
+		if !resp.IsOK() || !compress.IsFrame(resp.Body) {
+			t.Fatalf("%s: %d %q, want a frame", what, resp.Status, resp.Body)
+		}
+		if c, err := compress.FrameCodec(resp.Body); err != nil || c != compress.LZSS {
+			t.Fatalf("%s: codec %v, %v; want LZSS", what, c, err)
+		}
+		if doc, err := compress.Decode(resp.Body); err != nil || !bytes.Equal(doc, want) {
+			t.Fatalf("%s: frame decodes to %q (%v), want %q", what, doc, err, want)
+		}
+	}
+	get := func(path, device string) *transport.Response {
+		t.Helper()
+		req := &transport.Request{Path: path}
+		req.SetHeader("device", device)
+		req.SetHeader("ack", "0")
+		req.SetHeader("mailbox-token", hub.TokenOf(device))
+		if path == "/pdagent/mailbox/poll" {
+			req.SetHeader("wait", "1s")
+		}
+		resp, err := f.tr.RoundTrip(context.Background(), "gw-t", req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	wantFrame("unknown device", get("/pdagent/mailbox/poll", "nobody"), push.EncodeEntries("nobody", nil, 0, 0))
+	wantPlain(t, upload(t, f, f.packPI(t, f.echoPI(sub, "dev-1"), false), nil), hub.TokenOf("dev-1"))
+	wantFrame("fetch", get("/pdagent/mailbox", "dev-1"), push.EncodeEntries("dev-1", hub.Export("dev-1"), 1, 0))
+	resp := upload(t, f, f.packPI(t, f.echoPI(sub, "dev-1"), false), asking(hub.TokenOf("dev-1"), 0))
+	wantFrame("dispatch answer", resp, push.EncodeEntries("dev-1", hub.Export("dev-1"), 2, 0))
+	wantFrame("long-poll", get("/pdagent/mailbox/poll", "dev-1"), push.EncodeEntries("dev-1", hub.Export("dev-1"), 2, 0))
 }
 
 // TestDispatchAnswerBoundedBatch sits on the bound: of 33 entries

@@ -514,8 +514,8 @@ func (g *Gateway) onAgentHome(ctx context.Context, a *mas.Arrival) error {
 	}
 	rd := &wire.ResultDocument{
 		AgentID: a.VM.AgentID,
-		CodeID:  a.Image.CodeID,
-		Owner:   a.Image.Owner,
+		CodeID:  a.CodeID,
+		Owner:   a.Owner,
 		Status:  status,
 		Error:   a.VM.FailMsg(),
 		Hops:    a.VM.Hops,

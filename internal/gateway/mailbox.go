@@ -16,7 +16,9 @@ import (
 // sessions (DESIGN.md §7). The push.Hub owns the durable per-device
 // mailboxes; the code here feeds it — result documents the moment an
 // agent comes home, status changes, management notifications — and
-// serves the delivery endpoints the device platform polls:
+// serves the delivery endpoints the device platform polls. Every mailbox
+// answer a device receives is one LZSS frame of the mailbox document
+// (push.EncodeDelivery); the /cluster/ documents stay raw:
 //
 //	/pdagent/mailbox        fetch + ack (one round trip, ack committed)
 //	/pdagent/mailbox/poll   long-poll variant (parks until mail or wait;
@@ -136,17 +138,17 @@ func (g *Gateway) enqueueNote(agentID, owner, kind, eventID, note string) {
 // attachMail turns an OK dispatch answer into a mailbox delivery for a
 // device that asked for one: whatever is pending beyond its cursor, the
 // journey just admitted included if it is already over, rides the
-// answer as the mailbox document a poll would have fetched, the agent id
-// in the header alone. With nothing pending (the agent travels, a
-// forwarded journey's result is not relayed yet) the answer goes out as
-// it is and the device long-polls.
+// answer as the frame a poll would have fetched, the agent id in the
+// header alone. With nothing pending (the agent travels, a forwarded
+// journey's result is not relayed yet) the answer goes out as it is and
+// the device long-polls.
 func (g *Gateway) attachMail(device string, resp *transport.Response) *transport.Response {
 	entries, watermark, evicted, err := g.hub.PollStaged(device, 0, defaultPollBatch)
 	if err != nil || len(entries) == 0 {
 		return resp
 	}
 	g.mailDispatch.Add(uint64(len(entries)))
-	out := transport.OK(push.EncodeEntries(device, entries, watermark, evicted))
+	out := transport.OK(push.EncodeDelivery(device, entries, watermark, evicted))
 	out.SetHeader("agent", resp.GetHeader("agent"))
 	return out
 }
@@ -218,7 +220,7 @@ func (g *Gateway) serveMailbox(ctx context.Context, req *transport.Request, long
 	// from its previous edge — gets an empty answer without parking, so
 	// a scanner looping over made-up device names cannot grow the hub.
 	if !g.hub.Known(device) {
-		return transport.OK(push.EncodeEntries(device, nil, after, 0))
+		return transport.OK(push.EncodeDelivery(device, nil, after, 0))
 	}
 	// Reading and (destructively) acknowledging mail requires the
 	// mailbox token the device received on its authenticated dispatch:
@@ -274,7 +276,7 @@ func (g *Gateway) serveMailbox(ctx context.Context, req *transport.Request, long
 	} else {
 		g.mailFetch.Add(uint64(len(entries)))
 	}
-	return transport.OK(push.EncodeEntries(device, entries, watermark, evicted))
+	return transport.OK(push.EncodeDelivery(device, entries, watermark, evicted))
 }
 
 func defaultStr(s, def string) string {

@@ -12,6 +12,7 @@ import (
 
 	"pdagent/internal/compress"
 	"pdagent/internal/pisec"
+	"pdagent/internal/push"
 	"pdagent/internal/tenant"
 	"pdagent/internal/transport"
 	"pdagent/internal/wire"
@@ -36,8 +37,9 @@ const (
 // agent the rest of its zero-hop journey on the gateway side. The
 // journaled row suspends its agent in the admission, so the WAL commit
 // of its record is inside the measurement. Bounds are the figure read
-// when the pins were written (66 and 57) + 20 %, the echo row capped at
-// the bound its predecessor held.
+// when the pins were last measured (58 and 57) + 20 %; the echo row
+// fell from 66 when home delivery stopped marshalling the agent it
+// hands over.
 func TestDispatchAllocsPerOp(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -48,7 +50,7 @@ func TestDispatchAllocsPerOp(t *testing.T) {
 		journaled bool
 		max       float64 // allocs/op
 	}{
-		{"echo", echoSrc, false, 78},
+		{"echo", echoSrc, false, 70},
 		{"journaled", pinSlowSrc, true, 68},
 	} {
 		t.Run(row.name, func(t *testing.T) {
@@ -87,6 +89,20 @@ func TestDispatchAllocsPerOp(t *testing.T) {
 				t.Fatalf("%s dispatch costs %.0f allocs/op, bound %.0f", row.name, got, row.max)
 			}
 		})
+	}
+}
+
+// TestMailboxAnswerAllocsPerOp pins the append-built mailbox answer: a
+// result's delivery is two allocations, the document and its LZSS frame
+// (the node tree it replaced made about twenty).
+func TestMailboxAnswerAllocsPerOp(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	entries := []*push.Entry{{Seq: 7, Kind: push.KindResult, AgentID: "ag-gw-t-7", EventID: "result:ag-gw-t-7",
+		Body: []byte(`<?xml version="1.0" encoding="UTF-8"?><result-document agent="ag-gw-t-7" status="done"/>`), Enqueued: time.Now()}}
+	if got := testing.AllocsPerRun(100, func() { push.EncodeDelivery("dev-pin", entries, 7, 0) }); got > 2 {
+		t.Fatalf("a mailbox answer costs %.0f allocs, want 2", got)
 	}
 }
 

@@ -94,8 +94,9 @@ type AgentMove struct {
 type Arrival struct {
 	// Kind is the transfer kind (done, failed, retracted).
 	Kind string
-	// Image is the raw transferred image.
-	Image *atp.Image
+	// AgentID, CodeID and Owner name the agent and the subscription
+	// whose journey it was.
+	AgentID, CodeID, Owner string
 	// VM is the reconstructed agent state (results, status, hops).
 	VM *mavm.VM
 }
@@ -665,20 +666,15 @@ func (s *Server) finishAgent(ctx context.Context, rec *record, kind string) erro
 	return nil
 }
 
-// deliverLocal hands a finished agent to the home side. If the home
-// side did not take the results the agent strands (its journal entry,
-// if it has one, stays for Resume) and the error says why: marking it
-// delivered would hide the failure behind an eternal "still
-// travelling".
+// deliverLocal hands a finished agent to the home side — its live VM,
+// nothing marshalled. If the home side did not take the results the
+// agent strands (its journal entry, if it has one, stays for Resume)
+// and the error says why: marking it delivered would hide the failure
+// behind an eternal "still travelling".
 func (s *Server) deliverLocal(ctx context.Context, rec *record, kind string) error {
 	if s.cfg.OnAgentHome != nil {
-		im, err := s.encodeImage(rec)
-		if err != nil {
-			s.setErr(rec, "encoding for local delivery: "+err.Error())
-			s.setState(rec, StateStranded, "")
-			return err
-		}
-		if err := s.notifyHome(ctx, &Arrival{Kind: kind, Image: im, VM: rec.vm}); err != nil {
+		a := &Arrival{Kind: kind, AgentID: rec.id, CodeID: rec.codeID, Owner: rec.owner, VM: rec.vm}
+		if err := s.notifyHome(ctx, a); err != nil {
 			s.logf("mas %s: home delivery of %s: %v", s.cfg.Addr, rec.id, err)
 			s.setErr(rec, "home delivery: "+err.Error())
 			s.setState(rec, StateStranded, "")
@@ -718,7 +714,7 @@ func (s *Server) notifyMove(ctx context.Context, mv AgentMove) {
 func (s *Server) notifyHome(ctx context.Context, a *Arrival) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.logf("mas %s: OnAgentHome panic for agent %s: %v", s.cfg.Addr, a.Image.AgentID, r)
+			s.logf("mas %s: OnAgentHome panic for agent %s: %v", s.cfg.Addr, a.AgentID, r)
 			err = fmt.Errorf("home delivery callback panicked: %v", r)
 		}
 	}()
@@ -1104,7 +1100,8 @@ func (s *Server) handleTransfer(ctx context.Context, req *transport.Request) *tr
 			return resp
 		}
 		if s.cfg.OnAgentHome != nil {
-			if err := s.notifyHome(ctx, &Arrival{Kind: kind, Image: im, VM: vm}); err != nil {
+			a := &Arrival{Kind: kind, AgentID: im.AgentID, CodeID: im.CodeID, Owner: im.Owner, VM: vm}
+			if err := s.notifyHome(ctx, a); err != nil {
 				s.setErr(rec, "home delivery: "+err.Error())
 				s.setState(rec, StateStranded, "")
 				// Release the reservation without committing a watermark:

@@ -1,10 +1,12 @@
 package push
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"time"
 
+	"pdagent/internal/compress"
 	"pdagent/internal/kxml"
 )
 
@@ -17,11 +19,18 @@ import (
 //	  <e seq="3">result:ag-1</e> ...
 //	</mb-meta>
 //	<mailbox device="d" next="5" evicted="1">
-//	  <entry seq=... kind=... agent=... event=... enq=...>body</entry>
+//	  <entry seq=... kind=... agent=... event=... enq=...><![CDATA[body]]></entry>
 //	</mailbox>
 //
-// Bodies are text payloads (result documents, short notes); they ride
-// as escaped character data. Timestamps are unix nanoseconds.
+// Bodies are text payloads (result documents, short notes). In the
+// backing records and in a migration export they ride as escaped
+// character data; in the mailbox document a device reads they ride as
+// CDATA (a "]]>" inside one is split across two sections), so a result
+// document's markup crosses the wireless link unescaped. That document
+// goes to the device as one compress frame — LZSS, the codec every
+// device already decodes its own records with (EncodeDelivery) — whose
+// magic byte no XML document can begin with: ParseEntries reads either
+// form. Timestamps are unix nanoseconds.
 
 // encodeEntryRecord renders one entry's backing record. Like the meta
 // record it sits on the enqueue path, so it is append-built.
@@ -43,17 +52,6 @@ func encodeEntryRecord(device string, e *Entry) []byte {
 	b = kxml.AppendEscapedText(b, string(e.Body))
 	b = append(b, `</mb-entry>`...)
 	return b
-}
-
-func fillEntry(n *kxml.Node, e *Entry) {
-	n.SetAttr("seq", strconv.FormatUint(e.Seq, 10))
-	n.SetAttr("kind", e.Kind)
-	n.SetAttr("agent", e.AgentID)
-	n.SetAttr("event", e.EventID)
-	n.SetAttr("enq", strconv.FormatInt(e.Enqueued.UnixNano(), 10))
-	if len(e.Body) > 0 {
-		n.AddText(string(e.Body))
-	}
 }
 
 func entryFrom(n *kxml.Node) (*Entry, error) {
@@ -197,9 +195,20 @@ func parseRecord(data []byte) (device string, e *Entry, meta *metaState, err err
 
 // EncodeEntries renders the mailbox document a gateway serves to a
 // polling device: the pending entries, the watermark the reader should
-// ack once processed, and the device's lifetime eviction count.
+// ack once processed, and the device's lifetime eviction count. The
+// device receives it framed (EncodeDelivery).
 func EncodeEntries(device string, entries []*Entry, watermark, evicted uint64) []byte {
-	return encodeMailboxDoc(device, entries, watermark, evicted, "", "")
+	return encodeMailboxDoc(device, entries, watermark, evicted, "", "", true)
+}
+
+// EncodeDelivery is the mailbox answer a gateway sends a device:
+// EncodeEntries' document as one LZSS frame.
+func EncodeDelivery(device string, entries []*Entry, watermark, evicted uint64) []byte {
+	doc := EncodeEntries(device, entries, watermark, evicted)
+	// Sized for the frame header and LZSS's worst case (every byte a
+	// literal, a flag byte per eight), so the buffer never grows.
+	out, _ := compress.AppendEncode(make([]byte, 0, len(doc)+len(doc)/8+16), compress.LZSS, doc)
+	return out
 }
 
 // EncodeExport renders the migration document one gateway serves to a
@@ -207,31 +216,92 @@ func EncodeEntries(device string, entries []*Entry, watermark, evicted uint64) [
 // access token (so the device keeps authenticating at its new edge)
 // and its tenant binding (so the new edge bills the mailbox to the
 // same account). Export documents travel only on the
-// secret-authenticated /cluster/ channel — never to devices.
+// secret-authenticated /cluster/ channel — never to devices — raw, with
+// the escaped bodies every member has always read.
 func EncodeExport(device string, entries []*Entry, watermark uint64, token, tenant string) []byte {
-	return encodeMailboxDoc(device, entries, watermark, 0, token, tenant)
+	return encodeMailboxDoc(device, entries, watermark, 0, token, tenant, false)
 }
 
-func encodeMailboxDoc(device string, entries []*Entry, watermark, evicted uint64, token, tenant string) []byte {
-	n := kxml.NewElement("mailbox")
-	n.SetAttr("device", device)
-	n.SetAttr("next", strconv.FormatUint(watermark, 10))
-	n.SetAttr("evicted", strconv.FormatUint(evicted, 10))
+// encodeMailboxDoc is the one mailbox-document encoder, append-built
+// like the records above; cdata selects how entry bodies are written.
+func encodeMailboxDoc(device string, entries []*Entry, watermark, evicted uint64, token, tenant string, cdata bool) []byte {
+	size := 128 + len(device) + len(token) + len(tenant)
+	for _, e := range entries {
+		size += 128 + len(e.Kind) + len(e.AgentID) + len(e.EventID) + len(e.Body)
+	}
+	b := make([]byte, 0, size)
+	b = append(b, `<?xml version="1.0" encoding="UTF-8"?><mailbox device="`...)
+	b = kxml.AppendEscapedAttr(b, device)
+	b = append(b, `" next="`...)
+	b = strconv.AppendUint(b, watermark, 10)
+	b = append(b, `" evicted="`...)
+	b = strconv.AppendUint(b, evicted, 10)
 	if token != "" {
-		n.SetAttr("token", token)
+		b = append(b, `" token="`...)
+		b = kxml.AppendEscapedAttr(b, token)
 	}
 	if tenant != "" {
-		n.SetAttr("tenant", tenant)
+		b = append(b, `" tenant="`...)
+		b = kxml.AppendEscapedAttr(b, tenant)
 	}
+	if len(entries) == 0 {
+		return append(b, `"/>`...)
+	}
+	b = append(b, `">`...)
 	for _, e := range entries {
-		fillEntry(n.AddElement("entry"), e)
+		b = append(b, `<entry seq="`...)
+		b = strconv.AppendUint(b, e.Seq, 10)
+		b = append(b, `" kind="`...)
+		b = kxml.AppendEscapedAttr(b, e.Kind)
+		b = append(b, `" agent="`...)
+		b = kxml.AppendEscapedAttr(b, e.AgentID)
+		b = append(b, `" event="`...)
+		b = kxml.AppendEscapedAttr(b, e.EventID)
+		b = append(b, `" enq="`...)
+		b = strconv.AppendInt(b, e.Enqueued.UnixNano(), 10)
+		if len(e.Body) == 0 {
+			b = append(b, `"/>`...)
+			continue
+		}
+		b = append(b, `">`...)
+		if cdata {
+			b = appendCDATA(b, e.Body)
+		} else {
+			b = kxml.AppendEscapedText(b, string(e.Body))
+		}
+		b = append(b, `</entry>`...)
 	}
-	return n.EncodeDocument()
+	return append(b, `</mailbox>`...)
 }
 
-// ParseEntries decodes a mailbox document. token and tenant are only
-// present on migration exports.
+// appendCDATA writes text as CDATA. A "]]>" inside it would end the
+// section, so it is split across two: "]]" closes one, ">" opens the next.
+func appendCDATA(b, text []byte) []byte {
+	b = append(b, `<![CDATA[`...)
+	for {
+		i := bytes.Index(text, []byte("]]>"))
+		if i < 0 {
+			break
+		}
+		b = append(b, text[:i+2]...)
+		b = append(b, `]]><![CDATA[`...)
+		text = text[i+2:]
+	}
+	b = append(b, text...)
+	return append(b, `]]>`...)
+}
+
+// ParseEntries decodes a mailbox document, raw or framed
+// (EncodeDelivery). token and tenant are only present on migration
+// exports.
 func ParseEntries(doc []byte) (device string, entries []*Entry, watermark, evicted uint64, token, tenant string, err error) {
+	if compress.IsFrame(doc) {
+		// Decode refuses a declared size past compress.MaxDecodedSize, or
+		// past what the payload can decode to, before allocating for it.
+		if doc, err = compress.Decode(doc); err != nil {
+			return "", nil, 0, 0, "", "", fmt.Errorf("push: mailbox frame: %w", err)
+		}
+	}
 	root, err := kxml.ParseBytes(doc)
 	if err != nil {
 		return "", nil, 0, 0, "", "", err
