@@ -9,7 +9,9 @@ import (
 	"pdagent/internal/device"
 	"pdagent/internal/gateway"
 	"pdagent/internal/mas"
+	"pdagent/internal/netsim"
 	"pdagent/internal/transport"
+	"pdagent/internal/wire"
 )
 
 // clusterWorld builds a 3-member clustered world with small keys.
@@ -101,6 +103,64 @@ func TestClusterDispatchAnyMemberCompletes(t *testing.T) {
 		if bal != 10_000-10 {
 			t.Errorf("%s alice = %d, want %d", b, bal, 10_000-10)
 		}
+	}
+}
+
+// bodyTap keeps the bodies a host is sent on one path.
+type bodyTap struct {
+	transport.Handler
+	path   string
+	bodies [][]byte
+}
+
+func (b *bodyTap) Serve(ctx context.Context, req *transport.Request) *transport.Response {
+	if req.Path == b.path {
+		b.bodies = append(b.bodies, req.Body)
+	}
+	return b.Handler.Serve(ctx, req)
+}
+
+// TestClusterEdgeResolvesCodeReference: the device's upload names its
+// code by hash; the edge resolves it against its own catalogue, and the
+// PI it forwards to the home member carries the full source.
+func TestClusterEdgeResolvesCodeReference(t *testing.T) {
+	w := clusterWorld(t, SimConfig{Seed: 7})
+	defer w.Close()
+	ctx, _ := w.NewJourney()
+	owner := "alice"
+	edge, home := edgeAndHome(t, w, owner)
+	upload := &bodyTap{Handler: w.Gateways[w.gatewayIndex(edge)].Handler(), path: "/pdagent/dispatch"}
+	forward := &bodyTap{Handler: w.Gateways[w.gatewayIndex(home)].Handler(), path: "/cluster/dispatch"}
+	w.Net.AddHost(edge, netsim.ZoneWired, upload)
+	w.Net.AddHost(home, netsim.ZoneWired, forward)
+
+	dev := deviceAt(t, w, owner)
+	if err := dev.Subscribe(ctx, edge, AppEBanking); err != nil {
+		t.Fatal(err)
+	}
+	agentID, err := dev.Dispatch(ctx, AppEBanking, ebankingParams([]string{"bank-a", "bank-b"}, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(upload.bodies) != 1 || len(forward.bodies) != 1 {
+		t.Fatalf("%d upload(s) at the edge, %d forward(s) at the home; want 1 each", len(upload.bodies), len(forward.bodies))
+	}
+	sent, err := wire.Unpack(upload.bodies[0], w.gwKeys[edge])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sent.Source != "" || sent.CodeHash != wire.CodeHash(EBankingSource) {
+		t.Fatalf("device uploaded code %d bytes, hash %q; want the reference alone", len(sent.Source), sent.CodeHash)
+	}
+	got, err := wire.ParsePackedInformation(forward.bodies[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Source != EBankingSource || got.CodeHash != "" {
+		t.Fatalf("home received %d bytes of code, hash %q; want the full source", len(got.Source), got.CodeHash)
+	}
+	if rd, err := w.RunUntilResult(ctx, dev, agentID); err != nil || !rd.OK() {
+		t.Fatalf("journey: %+v, %v", rd, err)
 	}
 }
 

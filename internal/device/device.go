@@ -90,7 +90,8 @@ type Config struct {
 type subscription struct {
 	sub   *wire.Subscription
 	key   *pisec.PublicKey
-	recID int // backing record
+	hash  string // wire.CodeHash of the package source
+	recID int    // backing record
 }
 
 // Platform is the PDAgent platform instance on one device.
@@ -238,7 +239,7 @@ func (p *Platform) load() error {
 				p.logf("device %s: bad subscription record %d: %v", p.cfg.Owner, id, err)
 				continue
 			}
-			entry := &subscription{sub: sub, recID: id}
+			entry := &subscription{sub: sub, hash: wire.CodeHash(sub.Package.Source), recID: id}
 			if sub.GatewayKey != "" {
 				if key, err := pisec.ParsePublicKey(sub.GatewayKey); err == nil {
 					entry.key = key
@@ -536,6 +537,8 @@ func (p *Platform) Subscribe(ctx context.Context, gw, codeID string) error {
 		}
 	}
 
+	hash := wire.CodeHash(sub.Package.Source)
+
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	doc, err := sub.EncodeXML()
@@ -550,14 +553,14 @@ func (p *Platform) Subscribe(ctx context.Context, gw, codeID string) error {
 		if err := p.cfg.Store.Set(old.recID, framed); err != nil {
 			return err
 		}
-		p.subs[codeID] = &subscription{sub: sub, key: key, recID: old.recID}
+		p.subs[codeID] = &subscription{sub: sub, key: key, hash: hash, recID: old.recID}
 		return nil
 	}
 	recID, err := p.putRecord(doc)
 	if err != nil {
 		return err
 	}
-	p.subs[codeID] = &subscription{sub: sub, key: key, recID: recID}
+	p.subs[codeID] = &subscription{sub: sub, key: key, hash: hash, recID: recID}
 	p.logf("device %s: subscribed to %q at %s", p.cfg.Owner, codeID, gw)
 	return nil
 }

@@ -394,3 +394,47 @@ func TestUploadsShareSessionNotBuffer(t *testing.T) {
 		}
 	}
 }
+
+// TestReRegisteredPackageFallsBackOnce: an upload names the subscribed
+// code by hash; after the gateway re-registers the package that hash is
+// stale, the gateway answers 412, and the device re-sends the same
+// upload (same nonce) once, carrying the code. The journey completes.
+func TestReRegisteredPackageFallsBackOnce(t *testing.T) {
+	var keep *keepBodies
+	f := newFixture(t, func(cfg *Config) {
+		keep = &keepBodies{RoundTripper: cfg.Transport}
+		cfg.Transport = keep
+	})
+	ctx := context.Background()
+	if err := f.plat.Subscribe(ctx, "gw-d", "echo"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.gw.AddCodePackage(&wire.CodePackage{CodeID: "echo", Name: "echo", Version: "2", Source: `deliver("v", 2);`}); err != nil {
+		t.Fatal(err)
+	}
+	id, err := f.plat.Dispatch(ctx, "echo", map[string]mavm.Value{"k": mavm.Int(7)})
+	if err != nil {
+		t.Fatalf("Dispatch: %v", err)
+	}
+	if len(keep.bodies) != 2 {
+		t.Fatalf("%d uploads, want the reference and one fallback", len(keep.bodies))
+	}
+	ref, err := wire.Unpack(keep.bodies[0], kp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := wire.Unpack(keep.bodies[1], kp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Source != "" || ref.CodeHash != wire.CodeHash(echoSrc) || full.Source != echoSrc || full.Nonce != ref.Nonce {
+		t.Fatalf("uploads: reference %+v, fallback %+v", ref, full)
+	}
+	rd, err := f.plat.Collect(ctx, id)
+	if err != nil {
+		t.Fatalf("collect: %v", err)
+	}
+	if echo, ok := rd.Get("echo"); !rd.OK() || !ok || echo.MapEntries()["k"].AsInt() != 7 {
+		t.Fatalf("result %+v", rd)
+	}
+}

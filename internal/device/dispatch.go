@@ -30,9 +30,10 @@ func (p *Platform) Dispatch(ctx context.Context, codeID string, params map[strin
 }
 
 // buildPI assembles the Packed Information for a service execution:
-// code, parameters, a fresh nonce and the derived dispatch key. The
-// offline part of §3.2 — no network involved, so it also backs the
-// offline dispatch queue.
+// the subscribed code by reference (its hash; the gateway that served
+// the subscription holds the code), parameters, a fresh nonce and the
+// derived dispatch key. The offline part of §3.2 — no network
+// involved, so it also backs the offline dispatch queue.
 func (p *Platform) buildPI(codeID string, params map[string]mavm.Value) (*wire.PackedInformation, error) {
 	p.mu.Lock()
 	entry, ok := p.subs[codeID]
@@ -49,7 +50,7 @@ func (p *Platform) buildPI(codeID string, params map[string]mavm.Value) (*wire.P
 		DispatchKey: pisec.DispatchKey(codeID, entry.sub.Secret),
 		Owner:       p.cfg.Owner,
 		Nonce:       nonce,
-		Source:      entry.sub.Package.Source,
+		CodeHash:    entry.hash,
 		Params:      params,
 	}, nil
 }
@@ -97,6 +98,19 @@ func (p *Platform) uploadPI(ctx context.Context, pi *wire.PackedInformation) (st
 	resp, err := p.roundTrip(ctx, gw, req)
 	if err != nil {
 		return "", err
+	}
+	if resp.Status == transport.StatusPreconditionFailed && pi.Source == "" {
+		// The gateway does not hold the code the hash names (DESIGN.md
+		// §7): send the same upload, same nonce, once more with the code.
+		full := *pi
+		full.Source, full.CodeHash = entry.sub.Package.Source, ""
+		if body, err = wire.AppendPack(nil, &full, p.cfg.Codec, key); err != nil {
+			return "", err
+		}
+		req = &transport.Request{Path: req.Path, Header: req.Header, Body: body}
+		if resp, err = p.roundTrip(ctx, gw, req); err != nil {
+			return "", err
+		}
 	}
 	if !resp.IsOK() {
 		return "", fmt.Errorf("device: dispatching %q: %w", pi.CodeID, resp.Err())

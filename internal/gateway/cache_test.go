@@ -9,6 +9,7 @@ import (
 	"pdagent/internal/mascript"
 	"pdagent/internal/mavm"
 	"pdagent/internal/pisec"
+	"pdagent/internal/tenant"
 	"pdagent/internal/transport"
 	"pdagent/internal/wire"
 )
@@ -83,6 +84,58 @@ func TestDispatchCacheHitSkipsCompiler(t *testing.T) {
 	if resp := f.dispatchPI(t, pi, false); resp.Status != transport.StatusBadRequest {
 		t.Fatalf("ad-hoc source under poisoned compiler: status %d, want bad request", resp.Status)
 	}
+}
+
+// TestDispatchByReferenceSkipsCompiler: a PI that names its code by hash
+// runs the catalogue program, and compiles nothing doing it.
+func TestDispatchByReferenceSkipsCompiler(t *testing.T) {
+	f := newFixture(t)
+	f.addEcho(t)
+	sub := f.subscribe(t, "echo", "dev-1")
+
+	compiles := 0
+	realCompile := mascript.CompileEntry
+	mascript.CompileEntry = func(src string) (*mavm.Program, error) {
+		compiles++
+		return nil, fmt.Errorf("poisoned: compiler invoked on a reference dispatch for %q", src)
+	}
+	defer func() { mascript.CompileEntry = realCompile }()
+
+	rd := f.dispatchResult(t, &wire.PackedInformation{
+		CodeID:      "echo",
+		DispatchKey: pisec.DispatchKey("echo", sub.Secret),
+		Owner:       "dev-1",
+		CodeHash:    wire.CodeHash(sub.Package.Source),
+		Params:      map[string]mavm.Value{"n": mavm.Int(7)},
+	})
+	if echo, ok := rd.Get("echo"); !rd.OK() || !ok || echo.MapEntries()["n"].AsInt() != 7 {
+		t.Fatalf("reference dispatch: result %+v", rd)
+	}
+	if compiles != 0 {
+		t.Fatalf("reference dispatch compiled %d time(s), want 0", compiles)
+	}
+}
+
+// TestStaleCodeHashPreconditionFailed: a hash the catalogue does not
+// hold is answered 412 before admission, so it spends neither the
+// tenant's only rate token nor the nonce — the device's re-send of the
+// same upload carrying the code is admitted.
+func TestStaleCodeHashPreconditionFailed(t *testing.T) {
+	f := newTenantFixture(t, nil,
+		&tenant.Tenant{ID: "acme", Secret: "s3", Limits: tenant.Limits{RatePerSec: 0.0001, Burst: 1}})
+	f.addEcho(t)
+	sub, _ := f.subscribeTenant(t, "echo", "dev-1", "acme", "s3")
+
+	pi := f.echoPI(sub, "dev-1")
+	pi.Source, pi.CodeHash = "", wire.CodeHash(`deliver("old", 1);`)
+	if resp := f.dispatchPI(t, pi, true); resp.Status != transport.StatusPreconditionFailed {
+		t.Fatalf("stale hash: %d %s, want 412", resp.Status, resp.Text())
+	}
+	pi.Source = sub.Package.Source
+	if resp := f.dispatchPI(t, pi, true); !resp.IsOK() {
+		t.Fatalf("same-nonce re-send carrying the code: %d %s", resp.Status, resp.Text())
+	}
+	f.queue.Drain()
 }
 
 // TestReRegisterInvalidatesCache re-registers a code id with new source

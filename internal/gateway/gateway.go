@@ -606,7 +606,7 @@ func (g *Gateway) handleSubscribe(_ context.Context, req *transport.Request) *tr
 	if codeID == "" || owner == "" {
 		return transport.Errorf(transport.StatusBadRequest, "subscribe needs code-id and owner headers")
 	}
-	cp, ok := g.reg.Package(codeID)
+	cp, _, ok := g.reg.Package(codeID)
 	if !ok {
 		return transport.Errorf(transport.StatusNotFound, "no code package %q", codeID)
 	}
@@ -712,6 +712,18 @@ func (g *Gateway) dispatchDevice(ctx context.Context, req *transport.Request) *t
 		if agentID := g.reg.NonceAgent(pi.CodeID, pi.Owner, pi.Nonce); agentID != "" {
 			return agentAnswer(agentID)
 		}
+	}
+	// Code by reference (DESIGN.md §7): a device dispatching catalogue
+	// code names it by hash. Resolved before admission and the nonce, so
+	// a 412 for code this gateway does not hold costs no rate token and
+	// leaves the nonce free for the device's re-send carrying the code.
+	if pi.Source == "" {
+		cp, hash, ok := g.reg.Package(pi.CodeID)
+		if !ok || hash != pi.CodeHash {
+			return transport.Errorf(transport.StatusPreconditionFailed,
+				"code %q with hash %s not held here", pi.CodeID, pi.CodeHash)
+		}
+		pi.Source, pi.CodeHash = cp.Source, ""
 	}
 	// Admission (DESIGN.md §11–§12): the in-flight shed, then the
 	// tenant's own rate and quota limits. Runs after the key check, so an

@@ -36,10 +36,12 @@ const (
 // cache hit, admission with the agent's first slice, and for the echo
 // agent the rest of its zero-hop journey on the gateway side. The
 // journaled row suspends its agent in the admission, so the WAL commit
-// of its record is inside the measurement. Bounds are the figure read
-// when the pins were last measured (58 and 57) + 20 %; the echo row
-// fell from 66 when home delivery stopped marshalling the agent it
-// hands over.
+// of its record is inside the measurement. The upload names its code by
+// hash, as a device's does. Bounds are the figure read when the pins
+// were last measured (58 and 57) + 20 %; the echo row fell from 66 when
+// home delivery stopped marshalling the agent it hands over, and reads
+// 59 by reference (the fifth root attribute grows the parser's
+// attribute slice once more than the source string it replaces).
 func TestDispatchAllocsPerOp(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -64,7 +66,7 @@ func TestDispatchAllocsPerOp(t *testing.T) {
 			defer f.gw.Close()
 			f.addPackage(t, "pin", row.src)
 			sub := f.subscribe(t, "pin", "dev-pin")
-			key := pisec.DispatchKey("pin", sub.Secret)
+			key, hash := pisec.DispatchKey("pin", sub.Secret), wire.CodeHash(row.src)
 			handler := f.gw.Handler()
 			var body, nonce []byte
 			seq := 0
@@ -73,7 +75,7 @@ func TestDispatchAllocsPerOp(t *testing.T) {
 				nonce = strconv.AppendInt(append(nonce[:0], 'n', '-'), int64(seq), 10)
 				pi := &wire.PackedInformation{
 					CodeID: "pin", DispatchKey: key, Owner: "dev-pin",
-					Nonce: string(nonce), Source: row.src,
+					Nonce: string(nonce), CodeHash: hash,
 				}
 				var err error
 				if body, err = wire.AppendPack(body[:0], pi, compress.LZSS, nil); err != nil {

@@ -47,11 +47,11 @@ type subEntry struct {
 
 type registryShard struct {
 	mu       sync.RWMutex
-	catalog  map[string]*wire.CodePackage // code id -> package
-	secrets  map[string]subEntry          // subKey -> secret + owning tenant
-	dispatch map[string]*agentMeta        // agent id -> meta
-	replay   map[string]*nonceWindow      // subKey -> recent dispatch nonces
-	watchers map[string][]chan struct{}   // agent id -> result watchers
+	catalog  map[string]catalogEntry    // code id -> package
+	secrets  map[string]subEntry        // subKey -> secret + owning tenant
+	dispatch map[string]*agentMeta      // agent id -> meta
+	replay   map[string]*nonceWindow    // subKey -> recent dispatch nonces
+	watchers map[string][]chan struct{} // agent id -> result watchers
 	// doneQ and goneQ are retention queues: agent ids in completion /
 	// tombstone order, so the TTL sweeps pop ripe entries from the
 	// front instead of scanning every dispatched agent the gateway has
@@ -67,7 +67,7 @@ func NewRegistry() *Registry {
 	r := &Registry{shards: make([]registryShard, registryShards), ledger: tenant.NewLedger()}
 	for i := range r.shards {
 		s := &r.shards[i]
-		s.catalog = map[string]*wire.CodePackage{}
+		s.catalog = map[string]catalogEntry{}
 		s.secrets = map[string]subEntry{}
 		s.dispatch = map[string]*agentMeta{}
 		s.replay = map[string]*nonceWindow{}
@@ -100,21 +100,30 @@ func subKey(codeID, owner string) string { return codeID + "\x00" + owner }
 
 // --- catalogue ----------------------------------------------------------
 
-// PutPackage publishes (or replaces) a code package in the catalogue.
+// catalogEntry is a published package and wire.CodeHash of its source.
+type catalogEntry struct {
+	pkg  *wire.CodePackage
+	hash string
+}
+
+// PutPackage publishes (or replaces) a code package in the catalogue,
+// hashing its source once for dispatches that name it by reference.
 func (r *Registry) PutPackage(cp *wire.CodePackage) {
+	e := catalogEntry{pkg: cp, hash: wire.CodeHash(cp.Source)}
 	s := r.shardFor(cp.CodeID)
 	s.mu.Lock()
-	s.catalog[cp.CodeID] = cp
+	s.catalog[cp.CodeID] = e
 	s.mu.Unlock()
 }
 
-// Package looks up a catalogue entry.
-func (r *Registry) Package(codeID string) (*wire.CodePackage, bool) {
+// Package looks up a catalogue entry and the wire.CodeHash of its
+// source.
+func (r *Registry) Package(codeID string) (*wire.CodePackage, string, bool) {
 	s := r.shardFor(codeID)
 	s.mu.RLock()
-	cp, ok := s.catalog[codeID]
+	e, ok := s.catalog[codeID]
 	s.mu.RUnlock()
-	return cp, ok
+	return e.pkg, e.hash, ok
 }
 
 // Packages returns the whole catalogue, sorted by code id so catalogue
@@ -124,8 +133,8 @@ func (r *Registry) Packages() []*wire.CodePackage {
 	for i := range r.shards {
 		s := &r.shards[i]
 		s.mu.RLock()
-		for _, cp := range s.catalog {
-			out = append(out, cp)
+		for _, e := range s.catalog {
+			out = append(out, e.pkg)
 		}
 		s.mu.RUnlock()
 	}

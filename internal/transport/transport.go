@@ -53,6 +53,10 @@ const (
 	StatusNotFound     = 404
 	StatusConflict     = 409
 	StatusGone         = 410
+	// StatusPreconditionFailed answers a dispatch that names its code
+	// by a hash the gateway does not hold: the device re-sends the same
+	// upload carrying the code.
+	StatusPreconditionFailed = 412
 	// StatusTooManyRequests signals a per-tenant rate or quota
 	// refusal: unlike StatusUnavailable (the member is overloaded),
 	// the condition is the caller's own doing, so device sessions

@@ -40,9 +40,15 @@ func (pi *PackedInformation) AppendXML(dst []byte) ([]byte, error) {
 	if pi.Nonce != "" {
 		dst = appendAttr(dst, "nonce", pi.Nonce)
 	}
-	dst = append(dst, "><code>"...)
-	dst = kxml.AppendEscapedText(dst, pi.Source)
-	dst = append(dst, "</code>"...)
+	if pi.CodeHash != "" {
+		dst = appendAttr(dst, "code-hash", pi.CodeHash)
+	}
+	dst = append(dst, '>')
+	if pi.Source != "" || pi.CodeHash == "" {
+		dst = append(dst, "<code>"...)
+		dst = kxml.AppendEscapedText(dst, pi.Source)
+		dst = append(dst, "</code>"...)
+	}
 	if len(pi.Params) == 0 {
 		dst = append(dst, "<params/>"...)
 	} else {

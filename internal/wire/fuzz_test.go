@@ -51,8 +51,8 @@ func fuzzKeyPair(t testing.TB) *pisec.KeyPair {
 
 // --- DOM reference decoders -------------------------------------------
 //
-// Verbatim copies of the pre-fast-path parsers (kxml.Node tree +
-// ValueFromXML). The fuzz target checks the zero-DOM decoders against
+// Copies of the pre-fast-path parsers (kxml.Node tree + ValueFromXML),
+// the PI one extended with the code-hash reference. The fuzz target checks the zero-DOM decoders against
 // them differentially while both implementations exist in the tree.
 
 func domParsePackedInformation(doc []byte) (*PackedInformation, error) {
@@ -69,6 +69,7 @@ func domParsePackedInformation(doc []byte) (*PackedInformation, error) {
 		Owner:       root.AttrDefault("owner", ""),
 		Nonce:       root.AttrDefault("nonce", ""),
 		Source:      root.ChildText("code"),
+		CodeHash:    root.AttrDefault("code-hash", ""),
 		Params:      map[string]mavm.Value{},
 	}
 	if params := root.Find("params"); params != nil {
@@ -84,7 +85,7 @@ func domParsePackedInformation(doc []byte) (*PackedInformation, error) {
 			pi.Params[name] = v
 		}
 	}
-	if pi.CodeID == "" || pi.Source == "" {
+	if pi.CodeID == "" || (pi.Source == "" && pi.CodeHash == "") {
 		return nil, errExpectedValue
 	}
 	return pi, nil
@@ -208,6 +209,24 @@ func FuzzUnpack(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(rdoc)
+	// Reference forms: hash only, hash plus code, hash with an empty
+	// <code/>, each framed and as a raw document.
+	ref := *pi
+	ref.Source, ref.CodeHash = "", CodeHash(pi.Source)
+	both := *pi
+	both.CodeHash = ref.CodeHash
+	for _, p := range []*PackedInformation{&ref, &both} {
+		body, err := Pack(p, compress.LZSS, nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+		if doc, err = p.EncodeXML(); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(doc)
+	}
+	f.Add([]byte(`<packed-information code-id="app.fuzz" code-hash="0011223344556677" key="k" owner="o" nonce="n"><code/><params/></packed-information>`))
 	f.Add([]byte("PISEC1 not really"))
 	f.Add([]byte("Z\x01\x05hello"))
 	f.Add([]byte("<a><b/></a>"))

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"crypto/rand"
+	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 
@@ -28,8 +29,13 @@ type PackedInformation struct {
 	// extension beyond the paper's Figure 7 model, which does not
 	// address replay.)
 	Nonce string
-	// Source is the MAScript agent code being dispatched.
+	// Source is the MAScript agent code being dispatched. It may be
+	// empty when CodeHash names code the gateway already holds.
 	Source string
+	// CodeHash is CodeHash(Source) of the subscribed package: a device
+	// dispatching catalogue code sends this reference instead of the
+	// code, and the gateway resolves it against its catalogue.
+	CodeHash string
 	// Params are the user's service parameters entered offline.
 	Params map[string]mavm.Value
 }
@@ -41,6 +47,13 @@ func NewNonce() (string, error) {
 		return "", fmt.Errorf("wire: nonce: %w", err)
 	}
 	return hex.EncodeToString(b[:]), nil
+}
+
+// CodeHash names a MAScript source by reference: the first 8 bytes of
+// its SHA-256, as 16 hex characters.
+func CodeHash(src string) string {
+	sum := sha256.Sum256([]byte(src))
+	return hex.EncodeToString(sum[:8])
 }
 
 // EncodeXML renders the PI document (AppendXML into a fresh buffer).
@@ -62,6 +75,7 @@ func ParsePackedInformation(doc []byte) (*PackedInformation, error) {
 		DispatchKey: evAttrDefault(root, "key", ""),
 		Owner:       evAttrDefault(root, "owner", ""),
 		Nonce:       evAttrDefault(root, "nonce", ""),
+		CodeHash:    evAttrDefault(root, "code-hash", ""),
 		Params:      map[string]mavm.Value{},
 	}
 	sawCode, sawParams := false, false
@@ -96,8 +110,8 @@ func ParsePackedInformation(doc []byte) (*PackedInformation, error) {
 	if pi.CodeID == "" {
 		return nil, fmt.Errorf("wire: packed information missing code-id")
 	}
-	if pi.Source == "" {
-		return nil, fmt.Errorf("wire: packed information missing code")
+	if pi.Source == "" && pi.CodeHash == "" {
+		return nil, fmt.Errorf("wire: packed information missing code and code-hash")
 	}
 	return pi, nil
 }

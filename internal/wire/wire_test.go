@@ -118,6 +118,57 @@ func TestParsePackedInformationErrors(t *testing.T) {
 	}
 }
 
+// TestPackedInformationByReference covers the reference form: a PI that
+// names its code by hash omits the <code> element, round-trips the
+// hash, and is still refused when it carries neither code nor hash.
+func TestPackedInformationByReference(t *testing.T) {
+	src := `migrate("bank-a"); deliver("x", 1);`
+	h := CodeHash(src)
+	if len(h) != 16 || h != CodeHash(src) || h == CodeHash(src+" ") {
+		t.Fatalf("CodeHash(%q) = %q: want a stable 16-hex-digit digest", src, h)
+	}
+	ref := &PackedInformation{CodeID: "code-9", DispatchKey: "k", Owner: "dev", Nonce: "n-1", CodeHash: h}
+	doc, err := ref.EncodeXML()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(doc, []byte("<code")) || !bytes.Contains(doc, []byte(`code-hash="`+h+`"`)) {
+		t.Fatalf("reference form encodes as %s", doc)
+	}
+	back, err := Unpack(mustPack(t, ref), nil)
+	if err != nil {
+		t.Fatalf("Unpack(reference form): %v", err)
+	}
+	if back.CodeHash != h || back.Source != "" || back.Nonce != "n-1" {
+		t.Fatalf("reference form round-tripped to %+v", back)
+	}
+
+	both := *ref
+	both.Source = src
+	if back, err = Unpack(mustPack(t, &both), nil); err != nil || back.CodeHash != h || back.Source != src {
+		t.Fatalf("hash plus code round-tripped to %+v (%v)", back, err)
+	}
+
+	neither := *ref
+	neither.CodeHash = ""
+	doc, err = neither.EncodeXML()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParsePackedInformation(doc); err == nil {
+		t.Fatalf("PI with neither code nor hash accepted: %s", doc)
+	}
+}
+
+func mustPack(t *testing.T, pi *PackedInformation) []byte {
+	t.Helper()
+	body, err := Pack(pi, compress.LZSS, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
 func TestPackUnpackAllModes(t *testing.T) {
 	kp, err := pisec.GenerateKeyPair(1024) // small key: test speed
 	if err != nil {
