@@ -40,10 +40,12 @@ func (m *linkMeter) RoundTrip(ctx context.Context, addr string, req *transport.R
 // TestEBankJourneyLinkBytes pins what the paper's evaluation journey
 // (two banks, five transfers at each, a long-polling device holding its
 // mailbox token) moves over the handheld's link: the sealed upload,
-// naming its code by hash, and the long-poll whose answer is the result
-// as one LZSS frame: 2 requests and 1576 bytes per journey, against 1946
-// when the upload carried the code and 4785 when the answer was the raw
-// mailbox document with the result escaped inside it. The nonce and the
+// naming its code by hash and its sealed session by id, and the
+// long-poll whose answer is the result as one LZSS frame: 2 requests and
+// 1464 bytes per journey, against 1576 when every upload carried the
+// 128-byte RSA-1024 wrap instead of the 16-byte id, 1946 when it also
+// carried the code, and 4785 when the answer was the raw mailbox
+// document with the result escaped inside it. The nonce and the
 // dispatch key are random hex, so the compressed upload wobbles by a
 // byte or two between runs.
 func TestEBankJourneyLinkBytes(t *testing.T) {
@@ -85,7 +87,7 @@ func TestEBankJourneyLinkBytes(t *testing.T) {
 	if n := m.requests - requests; n != 2*journeys {
 		t.Fatalf("%d requests for %d journeys, want 2 each", n, journeys)
 	}
-	if want := 1576; perJourney < want-want/100 || perJourney > want+want/100 {
+	if want := 1464; perJourney < want-want/100 || perJourney > want+want/100 {
 		t.Fatalf("device link carries %d bytes per journey, want %d ± 1 %%", perJourney, want)
 	}
 }

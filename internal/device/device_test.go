@@ -3,6 +3,10 @@ package device
 import (
 	"bytes"
 	"context"
+	"crypto/rand"
+	"crypto/rsa"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"sync"
@@ -358,9 +362,15 @@ func (k *keepBodies) RoundTrip(ctx context.Context, addr string, req *transport.
 	return k.RoundTripper.RoundTrip(ctx, addr, req)
 }
 
+// keyFieldLen reads a sealed body's key-field length: the modulus size
+// (128 for the fixture's RSA-1024 key) for the wrapped key, 16 for a
+// session id.
+func keyFieldLen(body []byte) int { return int(binary.BigEndian.Uint16(body[len("PISEC1"):])) }
+
 // TestUploadsShareSessionNotBuffer: a platform's uploads are one sealed
-// session (same wrapped key on the wire), yet each body stays intact
-// after later uploads — a RoundTripper may keep req.Body.
+// session — the first carries the wrapped key, the rest its id — yet
+// each body stays intact after later uploads: a RoundTripper may keep
+// req.Body.
 func TestUploadsShareSessionNotBuffer(t *testing.T) {
 	var keep *keepBodies
 	f := newFixture(t, func(cfg *Config) {
@@ -380,7 +390,8 @@ func TestUploadsShareSessionNotBuffer(t *testing.T) {
 	if len(keep.bodies) != len(memos) {
 		t.Fatalf("kept %d bodies, want %d", len(keep.bodies), len(memos))
 	}
-	const wrappedAt, wrappedLen = 8, 128 // "PISEC1" + u16, RSA-1024 fixture key
+	const keyAt, wrapLen, idLen = 8, 128, 16 // "PISEC1" + u16, RSA-1024 fixture key, SHA-256 prefix
+	id := sha256.Sum256(keep.bodies[0][keyAt : keyAt+wrapLen])
 	for i, body := range keep.bodies {
 		pi, err := wire.Unpack(body, kp)
 		if err != nil {
@@ -389,9 +400,210 @@ func TestUploadsShareSessionNotBuffer(t *testing.T) {
 		if got := pi.Params["memo"].AsStr(); got != memos[i] {
 			t.Fatalf("kept body %d now carries a %d-byte memo, want %d", i, len(got), len(memos[i]))
 		}
-		if !bytes.Equal(body[wrappedAt:wrappedAt+wrappedLen], keep.bodies[0][wrappedAt:wrappedAt+wrappedLen]) {
-			t.Fatalf("upload %d started a new sealed session", i)
+		switch {
+		case i == 0 && keyFieldLen(body) != wrapLen:
+			t.Fatalf("the first upload carries a %d-byte key field, want the wrap", keyFieldLen(body))
+		case i > 0 && (keyFieldLen(body) != idLen || !bytes.Equal(body[keyAt:keyAt+idLen], id[:idLen])):
+			t.Fatalf("upload %d does not name the first upload's session", i)
 		}
+	}
+}
+
+// gateRT holds every dispatch until n have been sent, so n uploads are
+// sealed before the gateway has answered any of them, and records each
+// dispatch body and answer status.
+type gateRT struct {
+	transport.RoundTripper
+	n      int
+	open   chan struct{}
+	mu     sync.Mutex
+	bodies [][]byte
+	status []int
+}
+
+func (g *gateRT) RoundTrip(ctx context.Context, addr string, req *transport.Request) (*transport.Response, error) {
+	if req.Path != "/pdagent/dispatch" {
+		return g.RoundTripper.RoundTrip(ctx, addr, req)
+	}
+	g.mu.Lock()
+	g.bodies = append(g.bodies, req.Body)
+	if len(g.bodies) == g.n {
+		close(g.open)
+	}
+	g.mu.Unlock()
+	<-g.open
+	resp, err := g.RoundTripper.RoundTrip(ctx, addr, req)
+	if resp != nil {
+		g.mu.Lock()
+		g.status = append(g.status, resp.Status)
+		g.mu.Unlock()
+	}
+	return resp, err
+}
+
+// handlerRT serves requests straight from a handler: unlike the netsim
+// fixture transport, safe for concurrent callers.
+type handlerRT struct{ h transport.Handler }
+
+func (r handlerRT) RoundTrip(ctx context.Context, _ string, req *transport.Request) (*transport.Response, error) {
+	return r.h.Serve(ctx, req), nil
+}
+
+// TestSessionIdAfterFirstAccept: a device's first sealed uploads carry
+// the wrapped key and, once the gateway has accepted one, every later
+// upload the 16-byte session id — a body exactly modulus − 16 bytes
+// shorter for the same plaintext. Uploads sealed before the first
+// answer all carry the wrap, and none is refused.
+func TestSessionIdAfterFirstAccept(t *testing.T) {
+	f := newFixture(t, nil)
+	const racers = 8
+	gate := &gateRT{RoundTripper: handlerRT{f.gw.Handler()}, n: racers, open: make(chan struct{})}
+	dev, err := NewPlatform(Config{Owner: "racer", Transport: gate, Codec: compress.LZSS, Secure: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := dev.Subscribe(ctx, "gw-d", "echo"); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, racers)
+	for i := 0; i < racers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := dev.Dispatch(ctx, "echo", map[string]mavm.Value{"i": mavm.Int(int64(i))}); err != nil {
+				errs <- err
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := dev.Dispatch(ctx, "echo", map[string]mavm.Value{"i": mavm.Int(0)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(gate.bodies) != racers+2 {
+		t.Fatalf("%d uploads, want %d: something was re-sent", len(gate.bodies), racers+2)
+	}
+	for i, st := range gate.status {
+		if st != transport.StatusOK {
+			t.Fatalf("answer %d: %d", i, st)
+		}
+	}
+	overhead := func(body []byte) int {
+		t.Helper()
+		pt, err := pisec.AppendOpen(nil, kp, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(body) - len(pt)
+	}
+	for i, body := range gate.bodies {
+		want := 128
+		if i >= racers {
+			want = 16
+		}
+		if keyFieldLen(body) != want {
+			t.Fatalf("upload %d carries a %d-byte key field, want %d", i, keyFieldLen(body), want)
+		}
+	}
+	if d := overhead(gate.bodies[0]) - overhead(gate.bodies[racers]); d != 128-16 {
+		t.Fatalf("the id envelope is %d bytes smaller, want %d", d, 128-16)
+	}
+}
+
+// restartGateway replaces the fixture's gateway with a new process over
+// kp at the same address, serving src as "echo". Nothing of the old
+// process's memory survives — its unseal table included — except the
+// device's subscription, carried over as a persisted registry would.
+func (f *fixture) restartGateway(t *testing.T, kp *pisec.KeyPair, src string) {
+	t.Helper()
+	gw, err := gateway.New(gateway.Config{
+		Addr:      "gw-d",
+		KeyPair:   kp,
+		Transport: f.net.Transport(netsim.ZoneWired),
+		Spawn:     f.queue.Go,
+		FuelSlice: fixtureFuel,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gw.AddCodePackage(&wire.CodePackage{CodeID: "echo", Name: "echo", Version: "1", Source: src}); err != nil {
+		t.Fatal(err)
+	}
+	if secret, tenantID, ok := f.gw.Registry().SecretOwner("echo", "test-dev"); ok {
+		gw.Registry().SetSecret("echo", "test-dev", secret, tenantID)
+	}
+	f.gw.Close()
+	f.gw = gw
+	f.net.AddHost("gw-d", netsim.ZoneWired, gw.Handler())
+}
+
+// TestGatewayRestartFallsBackOnce: a gateway back over the same private
+// key with an empty unseal table answers the device's session id 412;
+// the device re-sends once with the wrapped key and names the session by
+// id again from the next upload. When the code hash is stale as well,
+// that same single re-send carries the code too.
+func TestGatewayRestartFallsBackOnce(t *testing.T) {
+	var keep *keepBodies
+	f := newFixture(t, func(cfg *Config) {
+		keep = &keepBodies{RoundTripper: cfg.Transport}
+		cfg.Transport = keep
+	})
+	priv, err := rsa.GenerateKey(rand.Reader, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.restartGateway(t, pisec.KeyPairFromRSA(priv), echoSrc)
+	ctx := context.Background()
+	if err := f.plat.Subscribe(ctx, "gw-d", "echo"); err != nil {
+		t.Fatal(err)
+	}
+	dispatch := func(uploads int, keyLens ...int) string {
+		t.Helper()
+		n := len(keep.bodies)
+		id, err := f.plat.Dispatch(ctx, "echo", map[string]mavm.Value{"k": mavm.Int(7)})
+		if err != nil {
+			t.Fatalf("Dispatch: %v", err)
+		}
+		got := keep.bodies[n:]
+		if len(got) != uploads {
+			t.Fatalf("%d uploads, want %d", len(got), uploads)
+		}
+		for i, body := range got {
+			if keyFieldLen(body) != keyLens[i] {
+				t.Fatalf("upload %d of %d carries a %d-byte key field, want %d", i+1, uploads, keyFieldLen(body), keyLens[i])
+			}
+		}
+		return id
+	}
+	dispatch(1, 128)
+	dispatch(1, 16)
+
+	f.restartGateway(t, pisec.KeyPairFromRSA(priv), echoSrc)
+	dispatch(2, 16, 128)
+	id := dispatch(1, 16)
+	if rd, err := f.plat.Collect(ctx, id); err != nil || !rd.OK() {
+		t.Fatalf("collect after the fallback: %+v, %v", rd, err)
+	}
+
+	restarted := pisec.KeyPairFromRSA(priv)
+	f.restartGateway(t, restarted, `deliver("v", 2);`)
+	dispatch(2, 16, 128)
+	resent, err := wire.Unpack(keep.bodies[len(keep.bodies)-1], restarted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resent.Source != echoSrc || resent.CodeHash != "" {
+		t.Fatalf("the re-send carries source %q and hash %q, want the subscribed code", resent.Source, resent.CodeHash)
+	}
+	if full, _, unknown, _ := restarted.UnsealStats(); full != 1 || unknown != 1 {
+		t.Fatalf("restarted gateway: %d full unseal(s), %d unknown id(s); want 1 and 1", full, unknown)
 	}
 }
 

@@ -99,12 +99,16 @@ func (p *Platform) uploadPI(ctx context.Context, pi *wire.PackedInformation) (st
 	if err != nil {
 		return "", err
 	}
-	if resp.Status == transport.StatusPreconditionFailed && pi.Source == "" {
+	if resp.Status == transport.StatusPreconditionFailed {
 		// The gateway does not hold the code the hash names (DESIGN.md
-		// §7): send the same upload, same nonce, once more with the code.
+		// §7) or the session the envelope names (§pisec): send it all —
+		// the same upload, same nonce, once more with the code and the
+		// current session's wrapped key, asked for this body alone.
 		full := *pi
-		full.Source, full.CodeHash = entry.sub.Package.Source, ""
-		if body, err = wire.AppendPack(nil, &full, p.cfg.Codec, key); err != nil {
+		if full.Source == "" {
+			full.Source, full.CodeHash = entry.sub.Package.Source, ""
+		}
+		if body, err = wire.AppendPackWrapped(nil, &full, p.cfg.Codec, key); err != nil {
 			return "", err
 		}
 		req = &transport.Request{Path: req.Path, Header: req.Header, Body: body}
@@ -114,6 +118,11 @@ func (p *Platform) uploadPI(ctx context.Context, pi *wire.PackedInformation) (st
 	}
 	if !resp.IsOK() {
 		return "", fmt.Errorf("device: dispatching %q: %w", pi.CodeID, resp.Err())
+	}
+	if key != nil {
+		// The gateway opened this envelope: once that is one carrying the
+		// wrapped key, later uploads name the session by its id.
+		key.Accepted(req.Body)
 	}
 	// A gateway that attached mail names the agent in the header and
 	// fills the body with the mailbox document; any other answer has the

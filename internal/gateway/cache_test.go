@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"pdagent/internal/compress"
 	"pdagent/internal/mascript"
 	"pdagent/internal/mavm"
 	"pdagent/internal/pisec"
@@ -134,6 +135,45 @@ func TestStaleCodeHashPreconditionFailed(t *testing.T) {
 	pi.Source = sub.Package.Source
 	if resp := f.dispatchPI(t, pi, true); !resp.IsOK() {
 		t.Fatalf("same-nonce re-send carrying the code: %d %s", resp.Status, resp.Text())
+	}
+	f.queue.Drain()
+}
+
+// TestUnknownSessionPreconditionFailed: a sealed upload naming a session
+// this gateway does not hold is answered 412 before the key check,
+// admission and the nonce: it spends neither the tenant's only rate
+// token nor the nonce, and opens no mailbox. The re-send of the same
+// upload with the wrapped key is admitted.
+func TestUnknownSessionPreconditionFailed(t *testing.T) {
+	f := newTenantFixture(t, func(c *Config) { c.Mailbox = &MailboxConfig{} },
+		&tenant.Tenant{ID: "acme", Secret: "s3", Limits: tenant.Limits{RatePerSec: 0.0001, Burst: 1}})
+	f.addEcho(t)
+	sub, _ := f.subscribeTenant(t, "echo", "dev-1", "acme", "s3")
+	pi := f.echoPI(sub, "dev-1")
+	pi.Nonce = "n-unknown-session"
+
+	// A sender that believes its session accepted, which this gateway
+	// never opened: what a restart or an evicted entry leaves behind.
+	pk := f.kp.Public()
+	wrapped, err := wire.Pack(pi, compress.LZSS, pk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk.Accepted(wrapped)
+	byID, err := wire.Pack(pi, compress.LZSS, pk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full0, resumed0, unknown0, sessions0 := f.kp.UnsealStats()
+	if resp := f.dispatchBody(t, byID); resp.Status != transport.StatusPreconditionFailed {
+		t.Fatalf("unknown session: %d %s, want 412", resp.Status, resp.Text())
+	}
+	f.wantUnsealRows(t, full0, resumed0, unknown0+1, sessions0)
+	if f.gw.Mailbox().Known("dev-1") {
+		t.Fatal("the 412 opened the device's mailbox")
+	}
+	if resp := f.dispatchBody(t, wrapped); !resp.IsOK() {
+		t.Fatalf("same-nonce re-send with the wrapped key: %d %s", resp.Status, resp.Text())
 	}
 	f.queue.Drain()
 }

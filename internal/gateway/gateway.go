@@ -31,6 +31,7 @@ package gateway
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -685,6 +686,14 @@ func (g *Gateway) dispatchDevice(ctx context.Context, req *transport.Request) *t
 	// decompression and XML parsing (the XML Writer).
 	pi, err := wire.Unpack(req.Body, g.cfg.KeyPair)
 	if err != nil {
+		// A sealed upload naming a session this gateway does not hold
+		// (evicted, or this process restarted): 412, like a stale code
+		// hash below and for the same reasons — before the key check,
+		// admission and the nonce, so the device's one re-send, carrying
+		// the wrapped key, is admitted (DESIGN.md §pisec).
+		if errors.Is(err, pisec.ErrUnknownSession) {
+			return transport.Errorf(transport.StatusPreconditionFailed, "unpacking packed information: %v", err)
+		}
 		return transport.Errorf(transport.StatusBadRequest, "unpacking packed information: %v", err)
 	}
 

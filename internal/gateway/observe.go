@@ -85,14 +85,14 @@ func (g *Gateway) initObserve() {
 	// is threaded through wire.Unpack), the scrape reads them.
 	kp := g.cfg.KeyPair
 	m.CounterVecFunc("pdagent_unseal_total",
-		"Sealed envelopes past the MD5 check, by path: full ran the RSA private-key operation, resumed found the session key in the table.",
+		"Sealed envelopes past the MD5 check, by path: full ran the RSA private-key operation, resumed found the session key in the table, unknown named a session the table does not hold (answered 412).",
 		"path", func() map[string]float64 {
-			full, resumed, _ := kp.UnsealStats()
-			return map[string]float64{"full": float64(full), "resumed": float64(resumed)}
+			full, resumed, unknown, _ := kp.UnsealStats()
+			return map[string]float64{"full": float64(full), "resumed": float64(resumed), "unknown": float64(unknown)}
 		})
 	m.GaugeFunc("pdagent_unseal_sessions",
-		"Session keys held in the unseal table (bounded; a miss is a full unseal).",
-		func() float64 { _, _, n := kp.UnsealStats(); return float64(n) })
+		"Session keys held in the unseal table (bounded; an evicted session's next upload is a 412 and its re-send a full unseal).",
+		func() float64 { _, _, _, n := kp.UnsealStats(); return float64(n) })
 
 	m.GaugeFunc("pdagent_inflight",
 		"Agents dispatched but not yet completed (registry in-flight count).",

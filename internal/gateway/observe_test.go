@@ -3,6 +3,8 @@ package gateway
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
@@ -201,7 +203,7 @@ func TestZeroHopTraceReadsInTimeOrder(t *testing.T) {
 }
 
 // wantUnsealRows scrapes /metrics and checks the unseal stage's rows.
-func (f *fixture) wantUnsealRows(t *testing.T, full, resumed uint64, sessions int) {
+func (f *fixture) wantUnsealRows(t *testing.T, full, resumed, unknown uint64, sessions int) {
 	t.Helper()
 	resp := f.gw.Handler().Serve(context.Background(), &transport.Request{Path: "/metrics"})
 	if !resp.IsOK() {
@@ -211,6 +213,7 @@ func (f *fixture) wantUnsealRows(t *testing.T, full, resumed uint64, sessions in
 		"# TYPE pdagent_unseal_total counter\n",
 		fmt.Sprintf("pdagent_unseal_total{path=\"full\"} %d\n", full),
 		fmt.Sprintf("pdagent_unseal_total{path=\"resumed\"} %d\n", resumed),
+		fmt.Sprintf("pdagent_unseal_total{path=\"unknown\"} %d\n", unknown),
 		fmt.Sprintf("pdagent_unseal_sessions %d\n", sessions),
 	} {
 		if !strings.Contains(resp.Text(), row) {
@@ -232,16 +235,17 @@ func (b *bodyTap) RoundTrip(ctx context.Context, addr string, req *transport.Req
 	return b.RoundTripper.RoundTrip(ctx, addr, req)
 }
 
-// TestUnsealResumption: one device's second sealed dispatch reuses its
-// session — same wrapped key on the wire, counted as resumed — and the
-// replay window still stands in front of a resumed envelope.
+// TestUnsealResumption: one device's second sealed dispatch names the
+// session its first one opened — the 16-byte id SHA-256(wrap)[:16] in
+// place of the wrapped key, counted as resumed — and the replay window
+// still stands in front of an envelope that names its session.
 func TestUnsealResumption(t *testing.T) {
 	f := newFixture(t)
 	f.addEcho(t)
-	// Both rows exist before any sealed traffic (the key pair is shared
+	// Every row exists before any sealed traffic (the key pair is shared
 	// by the package's fixtures, so counts are deltas from here).
-	full0, resumed0, sessions0 := f.kp.UnsealStats()
-	f.wantUnsealRows(t, full0, resumed0, sessions0)
+	full0, resumed0, unknown0, sessions0 := f.kp.UnsealStats()
+	f.wantUnsealRows(t, full0, resumed0, unknown0, sessions0)
 
 	tap := &bodyTap{RoundTripper: f.tr}
 	dev, err := device.NewPlatform(device.Config{Owner: "dev-r", Transport: tap, Secure: true})
@@ -258,13 +262,17 @@ func TestUnsealResumption(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f.wantUnsealRows(t, full0+1, resumed0+1, sessions0+1)
-	const wrappedAt, wrappedLen = 8, 128 // "PISEC1" + u16, RSA-1024 fixture key
-	if len(tap.bodies) != 2 || !bytes.Equal(tap.bodies[0][wrappedAt:wrappedAt+wrappedLen], tap.bodies[1][wrappedAt:wrappedAt+wrappedLen]) {
-		t.Fatal("the second upload did not carry the first one's wrapped key")
+	f.wantUnsealRows(t, full0+1, resumed0+1, unknown0, sessions0+1)
+	const keyAt, wrapLen, idLen = 8, 128, 16 // "PISEC1" + u16, RSA-1024 fixture key, SHA-256 prefix
+	if len(tap.bodies) != 2 || binary.BigEndian.Uint16(tap.bodies[0][keyAt-2:]) != wrapLen {
+		t.Fatal("the first upload did not carry the wrapped key")
+	}
+	id := sha256.Sum256(tap.bodies[0][keyAt : keyAt+wrapLen])
+	if binary.BigEndian.Uint16(tap.bodies[1][keyAt-2:]) != idLen || !bytes.Equal(tap.bodies[1][keyAt:keyAt+idLen], id[:idLen]) {
+		t.Fatal("the second upload did not name the first one's session by id")
 	}
 
-	// The resumed body replayed verbatim: unsealed (resumed again), then
+	// The id body replayed verbatim: unsealed (resumed again), then
 	// stopped by the nonce window — the original agent id, no new agent,
 	// no mailbox token for whoever captured it.
 	agents := f.gw.Registry().NumAgents()
@@ -276,7 +284,7 @@ func TestUnsealResumption(t *testing.T) {
 	if n := f.gw.Registry().NumAgents(); n != agents {
 		t.Fatalf("replay created an agent: %d -> %d", agents, n)
 	}
-	f.wantUnsealRows(t, full0+1, resumed0+2, sessions0+1)
+	f.wantUnsealRows(t, full0+1, resumed0+2, unknown0, sessions0+1)
 }
 
 // TestDispatchBodyBound sits on the upload limit: a body of exactly
@@ -292,12 +300,12 @@ func TestDispatchBodyBound(t *testing.T) {
 	if len(atLimit) != maxDispatchBody {
 		t.Fatalf("test envelope is %d bytes, want %d", len(atLimit), maxDispatchBody)
 	}
-	full0, _, _ := f.kp.UnsealStats()
+	full0, _, _, _ := f.kp.UnsealStats()
 	resp := f.dispatchBody(t, atLimit)
 	if resp.Status != transport.StatusBadRequest || !strings.Contains(resp.Text(), "decompressing") {
 		t.Fatalf("body at the limit: %d %s; want it unsealed and refused by the decompressor", resp.Status, resp.Text())
 	}
-	if full, _, _ := f.kp.UnsealStats(); full != full0+1 {
+	if full, _, _, _ := f.kp.UnsealStats(); full != full0+1 {
 		t.Fatalf("body at the limit did not reach the unseal stage")
 	}
 	resp = f.dispatchBody(t, append(atLimit, 0))

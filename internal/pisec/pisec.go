@@ -14,10 +14,13 @@
 //
 // The session key lasts a device session, not one message: a PublicKey
 // reuses its key and wrap (fresh IV per envelope) until a use or age
-// limit rotates them, and a KeyPair remembers wrapped-key bytes →
-// session key, a pure function of its own private key, in a bounded
-// table. Only a session's first envelope pays the RSA private-key
-// operation; nothing is negotiated, so a table miss is a full unseal.
+// limit rotates them, and a KeyPair remembers session id → session key
+// in a bounded table, the id being SHA-256(wrap)[:16]. Only a session's
+// first envelope pays the RSA private-key operation. Once the receiver
+// has accepted an envelope of the session (PublicKey.Accepted), later
+// envelopes carry the 16-byte id in place of the wrap; an id the table
+// does not hold is ErrUnknownSession, and the sender re-sends with the
+// wrap (AppendSealWrapped).
 //
 // The package also derives the per-dispatch unique key of §3.2: "The
 // Agent Dispatcher will ... generate a unique key from the assigned
@@ -26,6 +29,7 @@
 package pisec
 
 import (
+	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/md5"
@@ -54,12 +58,19 @@ var (
 	ErrDigestMismatch = errors.New("pisec: MD5 digest mismatch, packed information altered")
 	// ErrMalformed means the envelope could not be parsed at all.
 	ErrMalformed = errors.New("pisec: malformed envelope")
+	// ErrUnknownSession means an envelope named its session by id and the
+	// receiver does not hold that session (evicted, or a restarted
+	// receiver): the sender re-sends with the wrapped key.
+	ErrUnknownSession = errors.New("pisec: unknown session id, re-send with the wrapped key")
 )
 
 // Session limits: constants, not options — there is one sealed path.
 const (
 	// sessionKeySize is the AES-256 key every sender wraps.
 	sessionKeySize = 32
+	// sessionIDSize is the key field of an envelope that names its
+	// session instead of carrying the wrap: a 128-bit SHA-256 prefix.
+	sessionIDSize = 16
 	// sealSessionUses rotates a sender's key after this many envelopes:
 	// at 1024 the RSA work is under 0.1% of a session's cost, and below
 	// a few hundred the saving starts to erode.
@@ -67,10 +78,21 @@ const (
 	// sealSessionAge rotates a key this old however little it was used,
 	// bounding how long one key protects an idle device's uploads.
 	sealSessionAge = 15 * time.Minute
-	// openSessionCap bounds the receiver's table: 4096 entries of ~350 B
-	// (RSA-2048 wrap, key, map slot) is ~1.4 MiB per KeyPair.
+	// openSessionCap bounds the receiver's table: 4096 entries of ~64 B
+	// (id, key, map slot) is ~256 KiB per KeyPair.
 	openSessionCap = 4096
 )
+
+// sessionID names a session in the receiver's table and, once the
+// receiver has accepted the session, on the wire.
+type sessionID = [sessionIDSize]byte
+
+// idOf names the session wrapped starts. Anyone who saw the wrap can
+// compute it, so it authenticates nothing: it only selects a table entry.
+func idOf(wrapped []byte) sessionID {
+	sum := sha256.Sum256(wrapped)
+	return sessionID(sum[:sessionIDSize])
+}
 
 // KeyPair is a gateway identity: an RSA private key, accessors for the
 // public half, and the table that lets a resumed envelope skip RSA.
@@ -78,9 +100,9 @@ type KeyPair struct {
 	priv *rsa.PrivateKey
 
 	mu       sync.Mutex
-	sessions map[string][sessionKeySize]byte // wrapped-key bytes -> session key
+	sessions map[sessionID][sessionKeySize]byte
 
-	full, resumed atomic.Uint64
+	full, resumed, unknown atomic.Uint64
 }
 
 // GenerateKeyPair creates a new RSA key pair with the given modulus
@@ -107,11 +129,13 @@ func (kp *KeyPair) Public() *PublicKey { return &PublicKey{key: &kp.priv.PublicK
 type PublicKey struct {
 	key *rsa.PublicKey
 
-	mu      sync.Mutex
-	block   cipher.Block // AES-256 under the current session key; nil before the first seal
-	wrapped []byte       // that key's RSA-OAEP wrap, carried verbatim by every envelope; never mutated
-	uses    int
-	born    time.Time
+	mu       sync.Mutex
+	block    cipher.Block // AES-256 under the current session key; nil before the first seal
+	wrapped  []byte       // that key's RSA-OAEP wrap; never mutated
+	id       []byte       // idOf(wrapped); never mutated
+	accepted bool         // the receiver has opened an envelope of this session
+	uses     int
+	born     time.Time
 }
 
 // Marshal encodes the key as base64 PKIX DER for embedding in XML
@@ -159,13 +183,13 @@ var envelopeMagicBytes = []byte(envelopeMagic)
 
 // digestParts is the envelope digest over everything except the digest
 // itself.
-func digestParts(wrapped, iv, ciphertext []byte) [md5.Size]byte {
+func digestParts(keyField, iv, ciphertext []byte) [md5.Size]byte {
 	h := md5.New()
 	h.Write(envelopeMagicBytes)
 	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(wrapped)))
+	binary.BigEndian.PutUint32(n[:], uint32(len(keyField)))
 	h.Write(n[:])
-	h.Write(wrapped)
+	h.Write(keyField)
 	h.Write(iv)
 	h.Write(ciphertext)
 	var out [md5.Size]byte
@@ -173,11 +197,12 @@ func digestParts(wrapped, iv, ciphertext []byte) [md5.Size]byte {
 	return out
 }
 
-// envelopeRef parses the binary envelope form — magic, u16 wrapped-key
-// length, wrapped key, 16-byte IV, 16-byte digest, ciphertext to end —
-// without copying: the returned slices alias b, so a dispatch decode
-// never duplicates the wrapped key or ciphertext.
-func envelopeRef(b []byte) (wrapped, iv, digest, ciphertext []byte, err error) {
+// envelopeRef parses the binary envelope form — magic, u16 key-field
+// length, key field (the wrapped key or a session id), 16-byte IV,
+// 16-byte digest, ciphertext to end — without copying: the returned
+// slices alias b, so a dispatch decode never duplicates the key field
+// or ciphertext.
+func envelopeRef(b []byte) (keyField, iv, digest, ciphertext []byte, err error) {
 	min := len(envelopeMagic) + 2 + aes.BlockSize + md5.Size
 	if len(b) < min || string(b[:len(envelopeMagic)]) != envelopeMagic {
 		return nil, nil, nil, nil, ErrMalformed
@@ -188,18 +213,20 @@ func envelopeRef(b []byte) (wrapped, iv, digest, ciphertext []byte, err error) {
 	if len(b) < p+klen+aes.BlockSize+md5.Size {
 		return nil, nil, nil, nil, ErrMalformed
 	}
-	wrapped = b[p : p+klen]
+	keyField = b[p : p+klen]
 	p += klen
 	iv = b[p : p+aes.BlockSize]
 	p += aes.BlockSize
 	digest = b[p : p+md5.Size]
 	p += md5.Size
-	return wrapped, iv, digest, b[p:], nil
+	return keyField, iv, digest, b[p:], nil
 }
 
-// session returns the cipher and wrapped key the next envelope uses,
-// starting a new session on first use and at the use or age limit.
-func (pk *PublicKey) session(now time.Time) (cipher.Block, []byte, error) {
+// session returns the cipher and key field the next envelope uses — the
+// session id once the receiver has accepted the session, unless wrap
+// asks for the wrapped key — starting a new session on first use and at
+// the use or age limit.
+func (pk *PublicKey) session(now time.Time, wrap bool) (cipher.Block, []byte, error) {
 	pk.mu.Lock()
 	defer pk.mu.Unlock()
 	if pk.block == nil || pk.uses >= sealSessionUses || now.Sub(pk.born) >= sealSessionAge {
@@ -215,22 +242,52 @@ func (pk *PublicKey) session(now time.Time) (cipher.Block, []byte, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("pisec: cipher init: %w", err)
 		}
-		pk.block, pk.wrapped, pk.uses, pk.born = block, wrapped, 0, now
+		id := idOf(wrapped)
+		pk.block, pk.wrapped, pk.id, pk.accepted, pk.uses, pk.born = block, wrapped, id[:], false, 0, now
 	}
 	pk.uses++
+	if pk.accepted && !wrap {
+		return pk.block, pk.id, nil
+	}
 	return pk.block, pk.wrapped, nil
+}
+
+// Accepted records that the receiver opened envelope, one sealed through
+// pk. Once it has opened one carrying the current session's wrapped key,
+// later envelopes name the session by id. An envelope of an earlier
+// session, or one that already carried the id, changes nothing.
+func (pk *PublicKey) Accepted(envelope []byte) {
+	keyField, _, _, _, err := envelopeRef(envelope)
+	if err != nil {
+		return
+	}
+	pk.mu.Lock()
+	defer pk.mu.Unlock()
+	if pk.wrapped != nil && bytes.Equal(keyField, pk.wrapped) {
+		pk.accepted = true
+	}
 }
 
 // AppendSeal seals plaintext to pk per Figure 7 and appends the
 // marshalled envelope to dst. Envelopes sealed through one PublicKey
 // share a session key until it rotates; each gets a fresh random IV.
+// The key field is the wrapped session key until pk.Accepted has seen
+// the receiver open one, and the 16-byte session id after that.
 func AppendSeal(dst []byte, pk *PublicKey, plaintext []byte) ([]byte, error) {
-	return pk.appendSeal(dst, plaintext, time.Now())
+	return pk.appendSeal(dst, plaintext, time.Now(), false)
+}
+
+// AppendSealWrapped is AppendSeal carrying the current session's wrapped
+// key whatever the receiver has accepted: the re-send of an envelope
+// refused with ErrUnknownSession. It changes nothing a concurrent
+// AppendSeal reads.
+func AppendSealWrapped(dst []byte, pk *PublicKey, plaintext []byte) ([]byte, error) {
+	return pk.appendSeal(dst, plaintext, time.Now(), true)
 }
 
 // appendSeal is AppendSeal at a given instant (tests inject the clock).
-func (pk *PublicKey) appendSeal(dst, plaintext []byte, now time.Time) ([]byte, error) {
-	block, wrapped, err := pk.session(now)
+func (pk *PublicKey) appendSeal(dst, plaintext []byte, now time.Time, wrap bool) ([]byte, error) {
+	block, keyField, err := pk.session(now, wrap)
 	if err != nil {
 		return dst, err
 	}
@@ -239,8 +296,8 @@ func (pk *PublicKey) appendSeal(dst, plaintext []byte, now time.Time) ([]byte, e
 		return dst, fmt.Errorf("pisec: iv: %w", err)
 	}
 	dst = append(dst, envelopeMagic...)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(wrapped)))
-	dst = append(dst, wrapped...)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(keyField)))
+	dst = append(dst, keyField...)
 	dst = append(dst, iv[:]...)
 	digestAt := len(dst)
 	var zero [md5.Size]byte
@@ -248,25 +305,38 @@ func (pk *PublicKey) appendSeal(dst, plaintext []byte, now time.Time) ([]byte, e
 	ctAt := len(dst)
 	dst = append(dst, plaintext...)
 	cipher.NewCTR(block, iv[:]).XORKeyStream(dst[ctAt:], dst[ctAt:])
-	sum := digestParts(wrapped, iv[:], dst[ctAt:])
+	sum := digestParts(keyField, iv[:], dst[ctAt:])
 	copy(dst[digestAt:], sum[:])
 	return dst, nil
 }
 
-// sessionKey recovers the key behind wrapped: from the table if these
-// bytes were unwrapped before, else by the RSA private-key operation,
-// whose result — only a successful one — is remembered, evicting an
-// arbitrary entry at capacity. Callers verify the envelope digest first.
-func (kp *KeyPair) sessionKey(wrapped []byte) (key [sessionKeySize]byte, err error) {
+// sessionKey recovers the key the envelope's key field names, from the
+// table if its session is held. Otherwise a session id is
+// ErrUnknownSession — no RSA, no insert — and a wrapped key goes to the
+// RSA private-key operation, whose result (only a successful one) is
+// remembered under the session's id, evicting an arbitrary entry at
+// capacity. Callers verify the envelope digest first.
+func (kp *KeyPair) sessionKey(keyField []byte) (key [sessionKeySize]byte, err error) {
+	byID := len(keyField) == sessionIDSize
+	var id sessionID
+	if byID {
+		id = sessionID(keyField)
+	} else {
+		id = idOf(keyField)
+	}
 	kp.mu.Lock()
-	key, ok := kp.sessions[string(wrapped)]
+	key, ok := kp.sessions[id]
 	kp.mu.Unlock()
-	if ok {
+	switch {
+	case ok:
 		kp.resumed.Add(1)
 		return key, nil
+	case byID:
+		kp.unknown.Add(1)
+		return key, ErrUnknownSession
 	}
 	kp.full.Add(1)
-	raw, err := rsa.DecryptOAEP(sha256.New(), rand.Reader, kp.priv, wrapped, envelopeMagicBytes)
+	raw, err := rsa.DecryptOAEP(sha256.New(), rand.Reader, kp.priv, keyField, envelopeMagicBytes)
 	if err != nil {
 		return key, fmt.Errorf("pisec: unwrapping session key: %w", err)
 	}
@@ -278,46 +348,49 @@ func (kp *KeyPair) sessionKey(wrapped []byte) (key [sessionKeySize]byte, err err
 	kp.mu.Lock()
 	defer kp.mu.Unlock()
 	if kp.sessions == nil {
-		kp.sessions = make(map[string][sessionKeySize]byte)
+		kp.sessions = make(map[sessionID][sessionKeySize]byte)
 	}
 	// A concurrent open of the same session may have inserted it already.
-	if _, ok := kp.sessions[string(wrapped)]; !ok && len(kp.sessions) >= openSessionCap {
+	if _, ok := kp.sessions[id]; !ok && len(kp.sessions) >= openSessionCap {
 		for victim := range kp.sessions {
 			delete(kp.sessions, victim)
 			break
 		}
 	}
-	kp.sessions[string(wrapped)] = key
+	kp.sessions[id] = key
 	return key, nil
 }
 
 // UnsealStats reports how many opens ran the RSA private-key operation
-// (full) or found their key in the table (resumed), and its occupancy.
-func (kp *KeyPair) UnsealStats() (full, resumed uint64, sessions int) {
+// (full), found their key in the table (resumed) or named a session the
+// table does not hold (unknown: ErrUnknownSession), and the table's
+// occupancy.
+func (kp *KeyPair) UnsealStats() (full, resumed, unknown uint64, sessions int) {
 	kp.mu.Lock()
 	sessions = len(kp.sessions)
 	kp.mu.Unlock()
-	return kp.full.Load(), kp.resumed.Load(), sessions
+	return kp.full.Load(), kp.resumed.Load(), kp.unknown.Load(), sessions
 }
 
 // AppendOpen verifies and decrypts a marshalled envelope, appending the
 // plaintext to dst (returned unextended on error); nothing else of body
-// is copied. A wrapped key not exactly one modulus long is refused
-// before any hashing, and the MD5 check of Figure 7 runs before the
-// session table is consulted.
+// is copied. A key field that is neither one modulus long (the wrapped
+// key) nor a session id is refused before any hashing, and the MD5 check
+// of Figure 7 runs before the session table is consulted. A session id
+// is only looked up: it never reaches the RSA operation.
 func AppendOpen(dst []byte, kp *KeyPair, body []byte) ([]byte, error) {
-	wrapped, iv, digest, ct, err := envelopeRef(body)
+	keyField, iv, digest, ct, err := envelopeRef(body)
 	if err != nil {
 		return dst, err
 	}
-	if len(wrapped) != kp.priv.Size() {
+	if len(keyField) != kp.priv.Size() && len(keyField) != sessionIDSize {
 		return dst, ErrMalformed
 	}
-	sum := digestParts(wrapped, iv, ct)
+	sum := digestParts(keyField, iv, ct)
 	if string(sum[:]) != string(digest) {
 		return dst, ErrDigestMismatch
 	}
-	key, err := kp.sessionKey(wrapped)
+	key, err := kp.sessionKey(keyField)
 	if err != nil {
 		return dst, err
 	}

@@ -84,12 +84,13 @@ func TestUnmarshalMalformed(t *testing.T) {
 	short = binary.BigEndian.AppendUint16(short, uint16(kp.priv.Size()-1))
 	short = append(short, sealed[len(envelopeMagic)+3:]...)
 	cases := map[string][]byte{
-		"empty":             {},
-		"bad magic":         []byte("NOTPIS0000000000000000000000000000000000"),
-		"truncated":         []byte("PISEC1\x01"),
-		"short key":         append([]byte("PISEC1\xFF\xFF"), make([]byte, 10)...),
-		"key below modulus": short,
-		"no ciphertext yet": sealed[:len(envelopeMagic)+2+kp.priv.Size()+aes.BlockSize+md5.Size-1],
+		"empty":               {},
+		"bad magic":           []byte("NOTPIS0000000000000000000000000000000000"),
+		"truncated":           []byte("PISEC1\x01"),
+		"short key":           append([]byte("PISEC1\xFF\xFF"), make([]byte, 10)...),
+		"key below modulus":   short,
+		"neither wrap nor id": append([]byte("PISEC1\x00\x11"), make([]byte, 17+aes.BlockSize+md5.Size)...),
+		"no ciphertext yet":   sealed[:len(envelopeMagic)+2+kp.priv.Size()+aes.BlockSize+md5.Size-1],
 	}
 	for name, b := range cases {
 		out, err := AppendOpen([]byte("dst"), kp, b)
@@ -150,8 +151,8 @@ func TestOpenWithWrongKey(t *testing.T) {
 	if _, err := AppendOpen(nil, other, body); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("AppendOpen with a 1024-bit key = %v, want ErrMalformed", err)
 	}
-	if full, resumed, n := other.UnsealStats(); full+resumed != 0 || n != 0 {
-		t.Fatalf("size-mismatched envelope reached the unseal stage: full=%d resumed=%d sessions=%d", full, resumed, n)
+	if full, resumed, unknown, n := other.UnsealStats(); full+resumed+unknown != 0 || n != 0 {
+		t.Fatalf("size-mismatched envelope reached the unseal stage: full=%d resumed=%d unknown=%d sessions=%d", full, resumed, unknown, n)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"crypto/md5"
 	"crypto/rsa"
 	"crypto/x509"
+	"encoding/binary"
 	"encoding/pem"
 	"errors"
 	"fmt"
@@ -45,11 +46,33 @@ func coldKeyPair(t testing.TB) *KeyPair {
 	return KeyPairFromRSA(priv)
 }
 
-func wantStats(t *testing.T, kp *KeyPair, full, resumed uint64, sessions int) {
+func wantStats(t *testing.T, kp *KeyPair, full, resumed, unknown uint64, sessions int) {
 	t.Helper()
-	if f, r, n := kp.UnsealStats(); f != full || r != resumed || n != sessions {
-		t.Fatalf("UnsealStats = full %d, resumed %d, sessions %d; want %d, %d, %d", f, r, n, full, resumed, sessions)
+	if f, r, u, n := kp.UnsealStats(); f != full || r != resumed || u != unknown || n != sessions {
+		t.Fatalf("UnsealStats = full %d, resumed %d, unknown %d, sessions %d; want %d, %d, %d, %d",
+			f, r, u, n, full, resumed, unknown, sessions)
 	}
+}
+
+// keyField returns the envelope's key field: the wrapped key, or the
+// session id.
+func keyField(t testing.TB, body []byte) []byte {
+	t.Helper()
+	field, _, _, _, err := envelopeRef(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return field
+}
+
+// mustOpen opens body on kp or fails the test.
+func mustOpen(t testing.TB, kp *KeyPair, body []byte) []byte {
+	t.Helper()
+	out, err := AppendOpen(nil, kp, body)
+	if err != nil {
+		t.Fatalf("AppendOpen: %v", err)
+	}
+	return out
 }
 
 // TestSessionEquivalence: envelopes of one session open to the sealed
@@ -72,7 +95,7 @@ func TestSessionEquivalence(t *testing.T) {
 			t.Fatalf("warm open of envelope %d: %v", i, err)
 		}
 	}
-	wantStats(t, warm, 1, n-1, 1)
+	wantStats(t, warm, 1, n-1, 0, 1)
 
 	cold := coldKeyPair(t)
 	for i := n - 1; i >= 0; i-- { // any envelope of the session can be the one that pays
@@ -81,7 +104,7 @@ func TestSessionEquivalence(t *testing.T) {
 			t.Fatalf("cold open of envelope %d: %v", i, err)
 		}
 	}
-	wantStats(t, cold, 1, n-1, 1)
+	wantStats(t, cold, 1, n-1, 0, 1)
 
 	other, err := GenerateKeyPair(1024)
 	if err != nil {
@@ -92,7 +115,7 @@ func TestSessionEquivalence(t *testing.T) {
 			t.Fatalf("envelope %d on a different key: %v, want rsa.ErrDecryption", i, err)
 		}
 	}
-	wantStats(t, other, n, 0, 0)
+	wantStats(t, other, n, 0, 0, 0)
 }
 
 // TestSessionRotation: every envelope has its own IV, and the wrapped
@@ -103,7 +126,7 @@ func TestSessionRotation(t *testing.T) {
 	t0 := time.Unix(1_000_000, 0)
 	sealAt := func(now time.Time) (wrapped, iv string) {
 		t.Helper()
-		body, err := pk.appendSeal(nil, []byte("pi"), now)
+		body, err := pk.appendSeal(nil, []byte("pi"), now, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +190,7 @@ func TestResumedEnvelopeTamper(t *testing.T) {
 	for name, at := range fields {
 		_, firstErr[name] = AppendOpen(nil, kp, flipped(first, at))
 	}
-	wantStats(t, kp, 0, 0, 0)
+	wantStats(t, kp, 0, 0, 0, 0)
 	if _, err := AppendOpen(nil, kp, first); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +201,7 @@ func TestResumedEnvelopeTamper(t *testing.T) {
 			t.Errorf("resumed envelope, flipped %s: %v; first envelope gave %v", name, err, firstErr[name])
 		}
 	}
-	wantStats(t, kp, 1, 0, 1)
+	wantStats(t, kp, 1, 0, 0, 1)
 
 	// MD5 is unkeyed: an attacker can re-digest a forged wrapped key. The
 	// unwrap refuses it and the table must not learn it.
@@ -192,11 +215,164 @@ func TestResumedEnvelopeTamper(t *testing.T) {
 	if _, err := AppendOpen(nil, kp, forged); !errors.Is(err, rsa.ErrDecryption) {
 		t.Fatalf("re-digested forged wrapped key: %v, want rsa.ErrDecryption", err)
 	}
-	wantStats(t, kp, 2, 0, 1)
+	wantStats(t, kp, 2, 0, 0, 1)
 	if _, err := AppendOpen(nil, kp, resumed); err != nil {
 		t.Fatalf("the genuine session stopped opening: %v", err)
 	}
-	wantStats(t, kp, 2, 1, 1)
+	wantStats(t, kp, 2, 1, 0, 1)
+
+	// The same for an envelope naming the session by id: every flipped
+	// field is a digest mismatch, and nothing reaches the table.
+	pk.Accepted(resumed)
+	byID := mustSeal(t, pk, []byte("integrity matters"))
+	idFields := map[string]int{
+		"session id": len(envelopeMagic) + 2 + 5,
+		"iv":         len(envelopeMagic) + 2 + sessionIDSize + 1,
+		"digest":     len(envelopeMagic) + 2 + sessionIDSize + 16 + 1,
+		"ciphertext": len(byID) - 1,
+	}
+	for name, at := range idFields {
+		if _, err := AppendOpen(nil, kp, flipped(byID, at)); !errors.Is(err, ErrDigestMismatch) {
+			t.Errorf("id envelope, flipped %s: %v, want ErrDigestMismatch", name, err)
+		}
+	}
+	wantStats(t, kp, 2, 1, 0, 1)
+}
+
+// TestAcceptedSwitchesToID: a session's envelopes carry the wrap until
+// the receiver has accepted one of them, then the 16-byte id — the same
+// plaintext sealing modulus − 16 bytes shorter. AppendSealWrapped still
+// carries the wrap and switches nothing back; a rotation starts over
+// with the wrap, and accepting the previous session's envelope, or an
+// id envelope, does not switch the new one.
+func TestAcceptedSwitchesToID(t *testing.T) {
+	kp := coldKeyPair(t)
+	pk := kp.Public()
+	t0 := time.Unix(1_000_000, 0)
+	seal := func(now time.Time, wrap bool) []byte {
+		t.Helper()
+		body, err := pk.appendSeal(nil, []byte("pi"), now, wrap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out := mustOpen(t, kp, body); string(out) != "pi" {
+			t.Fatalf("opened %q", out)
+		}
+		return body
+	}
+	a, b := seal(t0, false), seal(t0, false)
+	if len(keyField(t, a)) != kp.priv.Size() || !bytes.Equal(keyField(t, a), keyField(t, b)) {
+		t.Fatal("before acceptance the envelopes must carry the session's wrap")
+	}
+	pk.Accepted(b)
+	id := idOf(keyField(t, a))
+	c := seal(t0, false)
+	if !bytes.Equal(keyField(t, c), id[:]) {
+		t.Fatalf("after acceptance the key field is %d bytes, want the session id", len(keyField(t, c)))
+	}
+	if d := len(a) - len(c); d != kp.priv.Size()-sessionIDSize {
+		t.Fatalf("the id envelope is %d bytes shorter, want %d", d, kp.priv.Size()-sessionIDSize)
+	}
+	if w := seal(t0, true); !bytes.Equal(keyField(t, w), keyField(t, a)) {
+		t.Fatal("AppendSealWrapped did not carry the wrap")
+	}
+	if !bytes.Equal(keyField(t, seal(t0, false)), id[:]) {
+		t.Fatal("a wrapped seal switched the session back to the wrap")
+	}
+
+	rotated := seal(t0.Add(sealSessionAge), false)
+	if f := keyField(t, rotated); len(f) != kp.priv.Size() || bytes.Equal(f, keyField(t, a)) {
+		t.Fatal("a rotated session must start with its own wrap")
+	}
+	pk.Accepted(a)
+	pk.Accepted(c)
+	if len(keyField(t, seal(t0.Add(sealSessionAge), false))) != kp.priv.Size() {
+		t.Fatal("accepting an envelope of the previous session switched the new one to its id")
+	}
+	wantStats(t, kp, 2, 5, 0, 2)
+}
+
+// withID returns a copy of the id envelope body naming id instead, its
+// digest recomputed: what anyone can forge without the private key.
+func withID(t *testing.T, body []byte, id sessionID) []byte {
+	t.Helper()
+	forged := append([]byte(nil), body...)
+	field, iv, digest, ct, err := envelopeRef(forged)
+	if err != nil || len(field) != sessionIDSize {
+		t.Fatalf("not an id envelope (%v)", err)
+	}
+	copy(field, id[:])
+	sum := digestParts(field, iv, ct)
+	copy(digest, sum[:])
+	return forged
+}
+
+// TestUnknownSessionFloodCostsNoRSA sits on the table's bound from both
+// sides. A flood of distinct, correctly digested ids nobody holds is
+// refused with ErrUnknownSession at MD5 cost: no RSA, no insert, the
+// genuine session untouched. Then full envelopes from other senders fill
+// the table past its cap; the one sender whose entry that evicted is
+// refused once, re-sends once with the wrap, and names its session by
+// id again.
+func TestUnknownSessionFloodCostsNoRSA(t *testing.T) {
+	kp := coldKeyPair(t)
+	victim := kp.Public()
+	first := mustSeal(t, victim, []byte("first"))
+	mustOpen(t, kp, first)
+	victim.Accepted(first)
+	byID := mustSeal(t, victim, []byte("by id"))
+	mustOpen(t, kp, byID)
+	wantStats(t, kp, 1, 1, 0, 1)
+
+	const flood = 1000
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < flood; i++ {
+		var id sessionID
+		rng.Read(id[:])
+		if _, err := AppendOpen(nil, kp, withID(t, byID, id)); !errors.Is(err, ErrUnknownSession) {
+			t.Fatalf("unknown id %d: %v, want ErrUnknownSession", i, err)
+		}
+	}
+	wantStats(t, kp, 1, 1, flood, 1)
+	mustOpen(t, kp, mustSeal(t, victim, []byte("still held")))
+
+	senders := map[sessionID]*PublicKey{idOf(keyField(t, first)): victim}
+	for len(senders) <= openSessionCap {
+		pk := kp.Public()
+		body := mustSeal(t, pk, []byte("fill"))
+		mustOpen(t, kp, body)
+		pk.Accepted(body)
+		senders[idOf(keyField(t, body))] = pk
+	}
+	var evicted []*PublicKey
+	for id, pk := range senders {
+		if _, held := kp.sessions[id]; !held {
+			evicted = append(evicted, pk)
+		}
+	}
+	if len(evicted) != 1 {
+		t.Fatalf("filling the table past its cap evicted %d senders, want 1", len(evicted))
+	}
+	wantStats(t, kp, 1+openSessionCap, 2, flood, openSessionCap)
+
+	pk, pt := evicted[0], []byte("after eviction")
+	if _, err := AppendOpen(nil, kp, mustSeal(t, pk, pt)); !errors.Is(err, ErrUnknownSession) {
+		t.Fatalf("evicted session's id: %v, want ErrUnknownSession", err)
+	}
+	resent, err := AppendSealWrapped(nil, pk, pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := mustOpen(t, kp, resent); !bytes.Equal(out, pt) {
+		t.Fatalf("re-send opened to %q", out)
+	}
+	pk.Accepted(resent)
+	again := mustSeal(t, pk, pt)
+	if len(keyField(t, again)) != sessionIDSize {
+		t.Fatal("after the re-send the sender did not name its session by id")
+	}
+	mustOpen(t, kp, again)
+	wantStats(t, kp, 2+openSessionCap, 3, flood+1, openSessionCap)
 }
 
 // fillTable stuffs n placeholder sessions into kp's table, so capacity
@@ -205,10 +381,10 @@ func fillTable(kp *KeyPair, n int) {
 	kp.mu.Lock()
 	defer kp.mu.Unlock()
 	if kp.sessions == nil {
-		kp.sessions = make(map[string][sessionKeySize]byte)
+		kp.sessions = make(map[sessionID][sessionKeySize]byte)
 	}
 	for i := 0; i < n; i++ {
-		kp.sessions[fmt.Sprintf("placeholder-%d", i)] = [sessionKeySize]byte{}
+		kp.sessions[idOf([]byte(fmt.Sprintf("placeholder-%d", i)))] = [sessionKeySize]byte{}
 	}
 }
 
@@ -222,13 +398,13 @@ func TestSessionTableBound(t *testing.T) {
 	if _, err := AppendOpen(nil, kp, a); err != nil {
 		t.Fatal(err)
 	}
-	wantStats(t, kp, 1, 0, openSessionCap)
+	wantStats(t, kp, 1, 0, 0, openSessionCap)
 	if _, err := AppendOpen(nil, kp, a); err != nil {
 		t.Fatal(err)
 	}
-	wantStats(t, kp, 1, 1, openSessionCap) // filling the table evicted nothing: a is still resumable
+	wantStats(t, kp, 1, 1, 0, openSessionCap) // filling the table evicted nothing: a is still resumable
 
-	before := map[string]bool{}
+	before := map[sessionID]bool{}
 	for id := range kp.sessions {
 		before[id] = true
 	}
@@ -236,7 +412,7 @@ func TestSessionTableBound(t *testing.T) {
 	if _, err := AppendOpen(nil, kp, b); err != nil {
 		t.Fatal(err)
 	}
-	wantStats(t, kp, 2, 1, openSessionCap)
+	wantStats(t, kp, 2, 1, 0, openSessionCap)
 	gone := 0
 	for id := range before {
 		if _, ok := kp.sessions[id]; !ok {
@@ -250,12 +426,14 @@ func TestSessionTableBound(t *testing.T) {
 	if _, err := AppendOpen(nil, kp, b); err != nil {
 		t.Fatal(err)
 	}
-	wantStats(t, kp, 2, 2, openSessionCap)
+	wantStats(t, kp, 2, 2, 0, openSessionCap)
 }
 
 // TestConcurrentSessions (run under -race): 64 senders with their own
 // keys and 8 sharing one all open on one KeyPair whose table is full, so
-// every fresh session evicts while the others resume.
+// every fresh session evicts while the others resume. Each sender
+// switches to ids once an envelope is accepted, and a sender whose
+// session was evicted re-sends once with the wrap.
 func TestConcurrentSessions(t *testing.T) {
 	kp := coldKeyPair(t)
 	fillTable(kp, openSessionCap)
@@ -277,11 +455,20 @@ func TestConcurrentSessions(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if out, err = AppendOpen(out[:0], kp, body); err != nil || !bytes.Equal(out, pt) {
+				out, err = AppendOpen(out[:0], kp, body)
+				if errors.Is(err, ErrUnknownSession) {
+					if body, err = AppendSealWrapped(body[:0], pk, pt); err != nil {
+						t.Error(err)
+						return
+					}
+					out, err = AppendOpen(out[:0], kp, body)
+				}
+				if err != nil || !bytes.Equal(out, pt) {
 					t.Errorf("sender %d envelope %d: %q, %v", g, i, out, err)
 					return
 				}
-				if _, _, n := kp.UnsealStats(); n > openSessionCap {
+				pk.Accepted(body)
+				if _, _, _, n := kp.UnsealStats(); n > openSessionCap {
 					t.Errorf("table holds %d sessions, cap %d", n, openSessionCap)
 					return
 				}
@@ -295,15 +482,18 @@ func TestConcurrentSessions(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	full, resumed, n := kp.UnsealStats()
+	// Every envelope ends in exactly one successful open — its own, or
+	// its re-send's after a refused id, which is counted apart.
+	full, resumed, unknown, n := kp.UnsealStats()
 	if n != openSessionCap || full < 64+65 || full+resumed != (64+8)*20+64 {
-		t.Fatalf("after the storm: full %d, resumed %d, sessions %d", full, resumed, n)
+		t.Fatalf("after the storm: full %d, resumed %d, unknown %d, sessions %d", full, resumed, unknown, n)
 	}
 }
 
 // FuzzAppendOpen: the one decoder that faces the device before any
 // authentication. No input may panic; an error leaves dst unextended
-// and the session table unchanged.
+// and the session table unchanged; an envelope whose key field is a
+// session id never runs the RSA operation.
 func FuzzAppendOpen(f *testing.F) {
 	kp := coldKeyPair(f)
 	pk := kp.Public()
@@ -316,13 +506,27 @@ func FuzzAppendOpen(f *testing.F) {
 		header + kp.priv.Size() + 16, header + kp.priv.Size() + 16 + md5.Size, len(first) - 1} {
 		f.Add(first[:at])
 	}
-	if _, err := AppendOpen(nil, kp, first); err != nil {
-		f.Fatal(err)
+	mustOpen(f, kp, first)
+	// The short form: an id the table holds, one it does not (a sender
+	// that believes its session accepted), and truncations at each field
+	// boundary of the first.
+	pk.Accepted(first)
+	byID := mustSeal(f, pk, []byte("<packed-information/>"))
+	stranger := kp.Public()
+	stranger.Accepted(mustSeal(f, stranger, nil))
+	f.Add(byID)
+	f.Add(mustSeal(f, stranger, []byte("<packed-information/>")))
+	for _, at := range []int{header, header + sessionIDSize, header + sessionIDSize + 16,
+		header + sessionIDSize + 16 + md5.Size, len(byID) - 1} {
+		f.Add(byID[:at])
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		_, _, before := kp.UnsealStats()
+		full0, _, _, before := kp.UnsealStats()
 		out, err := AppendOpen([]byte("dst"), kp, body)
-		_, _, after := kp.UnsealStats()
+		full1, _, _, after := kp.UnsealStats()
+		if len(body) >= header && binary.BigEndian.Uint16(body[len(envelopeMagic):]) == sessionIDSize && full1 != full0 {
+			t.Fatalf("an envelope naming its session by id ran the RSA operation (%v)", err)
+		}
 		if err != nil {
 			if string(out) != "dst" {
 				t.Fatalf("dst extended to %d bytes on error %v", len(out), err)

@@ -187,13 +187,35 @@ func FuzzUnpack(f *testing.F) {
 		f.Add(body)
 		f.Add(body[:len(body)/2])
 	}
-	// Sealed corpus.
-	sealed, err := Pack(pi, compress.LZSS, kp.Public())
+	// Sealed corpus: a session's first envelope carries the wrapped key;
+	// once the gateway has opened it, the next names the session by id,
+	// and a re-send after a 412 carries the wrap again.
+	pk := kp.Public()
+	sealed, err := Pack(pi, compress.LZSS, pk)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(sealed)
 	f.Add(sealed[:len(sealed)-3])
+	if _, err := Unpack(sealed, kp); err != nil {
+		f.Fatal(err)
+	}
+	pk.Accepted(sealed)
+	byID, err := Pack(pi, compress.LZSS, pk)
+	if err != nil {
+		f.Fatal(err)
+	}
+	resent, err := AppendPackWrapped(nil, pi, compress.LZSS, pk)
+	if err != nil {
+		f.Fatal(err)
+	}
+	const wrapLen, idLen = 128, 16 // RSA-1024 fuzz key; SHA-256 prefix
+	if len(sealed)-len(byID) != wrapLen-idLen || len(resent) != len(sealed) {
+		f.Fatalf("sealed %d B, by id %d B, re-sent %d B", len(sealed), len(byID), len(resent))
+	}
+	f.Add(byID)
+	f.Add(byID[:len(byID)-3])
+	f.Add(resent)
 	// Flipped-byte sealed body (digest mismatch path).
 	bad := append([]byte(nil), sealed...)
 	bad[len(bad)/2] ^= 0x40

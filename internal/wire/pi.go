@@ -160,6 +160,18 @@ func Pack(pi *PackedInformation, codec compress.Codec, gatewayKey *pisec.PublicK
 // a device (or benchmark) reusing its body buffer allocates nothing per
 // upload in steady state.
 func AppendPack(dst []byte, pi *PackedInformation, codec compress.Codec, gatewayKey *pisec.PublicKey) ([]byte, error) {
+	return appendPack(dst, pi, codec, gatewayKey, pisec.AppendSeal)
+}
+
+// AppendPackWrapped is AppendPack sealing with the session's wrapped key
+// even once the gateway has accepted the session
+// (pisec.AppendSealWrapped): the device's re-send after a 412.
+func AppendPackWrapped(dst []byte, pi *PackedInformation, codec compress.Codec, gatewayKey *pisec.PublicKey) ([]byte, error) {
+	return appendPack(dst, pi, codec, gatewayKey, pisec.AppendSealWrapped)
+}
+
+func appendPack(dst []byte, pi *PackedInformation, codec compress.Codec, gatewayKey *pisec.PublicKey,
+	seal func(dst []byte, pk *pisec.PublicKey, plaintext []byte) ([]byte, error)) ([]byte, error) {
 	docBuf := getScratch()
 	defer putScratch(docBuf)
 	doc, err := pi.AppendXML((*docBuf)[:0])
@@ -181,7 +193,7 @@ func AppendPack(dst []byte, pi *PackedInformation, codec compress.Codec, gateway
 	if err != nil {
 		return dst, fmt.Errorf("wire: compressing packed information: %w", err)
 	}
-	out, err := pisec.AppendSeal(dst, gatewayKey, framed)
+	out, err := seal(dst, gatewayKey, framed)
 	if err != nil {
 		return dst, fmt.Errorf("wire: sealing packed information: %w", err)
 	}
