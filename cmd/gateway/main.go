@@ -17,7 +17,8 @@
 // With -mailbox-dir the gateway keeps a durable per-device mailbox
 // (DESIGN.md §7): results, status changes and management notifications
 // are enqueued the moment they happen and delivered through
-// /pdagent/mailbox[/poll] when the device reconnects — intermittently
+// /pdagent/mailbox/poll when the device reconnects (/pdagent/mailbox is
+// the same handler, for older devices) — intermittently
 // connected devices are first-class. -mailbox-ttl, -mailbox-quota and
 // -result-ttl bound retention; a background sweeper (-sweep-every)
 // enforces them. With -journal PATH the embedded MAS keeps a durable

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"pdagent/internal/metrics"
 	"pdagent/internal/rms"
 )
 
@@ -261,23 +262,55 @@ func TestReconnectStorm100k(t *testing.T) {
 		t.Fatalf("storm delivered %d/%d, %d redelivered", res.Delivered, res.Entries, res.Redelivered)
 	}
 	p50, p99, p999 := res.Drain.Quantile(0.5), res.Drain.Quantile(0.99), res.Drain.Quantile(0.999)
-	t.Logf("drain p50=%v p99=%v p999=%v max=%v queue=%v service=%v wall=%v",
-		p50, p99, p999, res.Drain.Max(), res.QueueTime, res.ServiceTime, res.WallTime)
+	t.Logf("drain p50=%dµs p99=%dµs p999=%dµs max=%dµs queue=%v service=%v wall=%v",
+		p50, p99, p999, res.Drain.MaxUS(), res.QueueTime, res.ServiceTime, res.WallTime)
 	if p50 == 0 || p99 < p50 || p999 < p99 {
-		t.Fatalf("implausible percentiles: p50=%v p99=%v p999=%v", p50, p99, p999)
+		t.Fatalf("implausible percentiles: p50=%dµs p99=%dµs p999=%dµs", p50, p99, p999)
 	}
 	// Virtual-time quantities from a pinned seed: the same on every
 	// machine, so a different reading means the delivery path changed —
 	// round trips or bytes per drain over the wireless link — not that
 	// the runner was slow. Readings are histogram bucket midpoints, 65 ms
 	// apart at this range.
-	if p50 != 1146880*time.Microsecond || p99 != 1409024*time.Microsecond {
-		t.Fatalf("drain p50=%v p99=%v, pinned at 1.14688s / 1.409024s", p50, p99)
+	if p50 != 1146880 || p99 != 1343488 {
+		t.Fatalf("drain p50=%dµs p99=%dµs, pinned at 1146880µs / 1343488µs", p50, p99)
 	}
 	// 200k requests against a single 100µs server inside 30s runs the
 	// middle tier at ~67% utilisation: the tail must show real queueing
 	// beyond the bare link RTT.
 	if res.QueueTime == 0 {
 		t.Fatal("no queueing observed — capacity model not engaged")
+	}
+}
+
+// TestHistogramQuantiles: quantiles of a known uniform distribution,
+// observed as durations the way the simulator records its drain and
+// session latencies, come back within bucket resolution.
+func TestHistogramQuantiles(t *testing.T) {
+	h := &metrics.Histogram{}
+	for i := 1; i <= 100_000; i++ {
+		h.Observe(time.Duration(i) * time.Microsecond) // uniform 1µs..100ms
+	}
+	checks := []struct {
+		q    float64
+		want time.Duration
+	}{
+		{0.50, 50 * time.Millisecond},
+		{0.99, 99 * time.Millisecond},
+		{0.999, 99_900 * time.Microsecond},
+	}
+	for _, c := range checks {
+		got := time.Duration(h.Quantile(c.q)) * time.Microsecond
+		lo := time.Duration(float64(c.want) * 0.95)
+		hi := time.Duration(float64(c.want) * 1.05)
+		if got < lo || got > hi {
+			t.Fatalf("p%g = %v, want ~%v", c.q*100, got, c.want)
+		}
+	}
+	if max := time.Duration(h.MaxUS()) * time.Microsecond; max != 100*time.Millisecond {
+		t.Fatalf("max = %v", max)
+	}
+	if m := time.Duration(h.MeanUS()) * time.Microsecond; m < 49*time.Millisecond || m > 51*time.Millisecond {
+		t.Fatalf("mean = %v", m)
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"pdagent/internal/cluster"
 	"pdagent/internal/gateway"
+	"pdagent/internal/metrics"
 	"pdagent/internal/netsim"
 	"pdagent/internal/push"
 	"pdagent/internal/repl"
@@ -76,7 +77,7 @@ type CrashStormResult struct {
 	// Fence is the fencing epoch raised over the dead member.
 	Fence uint64
 	// Drain is reconnect -> entry delivered on the virtual clock.
-	Drain    *Histogram
+	Drain    *metrics.Histogram
 	WallTime time.Duration
 }
 
@@ -214,7 +215,7 @@ func CrashStorm(cfg CrashStormConfig) (*CrashStormResult, error) {
 	res := &CrashStormResult{
 		Devices: cfg.Devices,
 		Entries: cfg.Devices * cfg.EntriesPerDevice,
-		Drain:   &Histogram{},
+		Drain:   &metrics.Histogram{},
 	}
 	reconnectAt := make([]time.Duration, cfg.Devices)
 	reconnected := make([]bool, cfg.Devices)
@@ -314,7 +315,7 @@ func CrashStorm(cfg CrashStormConfig) (*CrashStormResult, error) {
 		}
 		for _, e := range entries {
 			led.deliver(e.EventID)
-			res.Drain.Record(now - ev.at)
+			res.Drain.Observe(now - ev.at)
 		}
 		heap.Push(&events, stormEvent{at: now, device: d, ack: true, watermark: watermark, got: len(entries)})
 	}
@@ -346,7 +347,7 @@ func CrashStorm(cfg CrashStormConfig) (*CrashStormResult, error) {
 		}
 	}
 	res.WallTime = time.Since(start)
-	logf("churnsim: crash storm complete: %d/%d delivered, %d lost (window %d ops), drain p99=%v (wall %v)",
+	logf("churnsim: crash storm complete: %d/%d delivered, %d lost (window %d ops), drain p99=%dµs (wall %v)",
 		res.Delivered, res.Enqueued, res.Lost, res.LostWindow, res.Drain.Quantile(0.99), res.WallTime)
 	return res, nil
 }

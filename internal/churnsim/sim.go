@@ -1,3 +1,15 @@
+// Package churnsim is the million-device scale-and-churn harness
+// (DESIGN.md §8): it drives the mailbox hub and the gateway's delivery
+// endpoints with 10⁵–10⁶ simulated devices on virtual time — reconnect
+// storms, scripted join/leave/crash churn, diurnal load waves — and
+// reports HDR-style latency percentiles (metrics.Histogram) plus
+// memory-per-idle-device, so fleet-scale regressions are caught by CI
+// instead of by a pager.
+//
+// Everything here is deterministic under a seed: delays come from
+// netsim links and the host-capacity queue model, never from wall
+// clocks, so the percentiles a scenario reports are bit-identical
+// across machines and safe to gate in CI.
 package churnsim
 
 import (
@@ -11,6 +23,7 @@ import (
 
 	"pdagent/internal/cluster"
 	"pdagent/internal/gateway"
+	"pdagent/internal/metrics"
 	"pdagent/internal/netsim"
 	"pdagent/internal/pisec"
 	"pdagent/internal/push"
@@ -84,7 +97,7 @@ type ScriptResult struct {
 	// Drain is the per-entry latency from enqueue to delivery on the
 	// virtual clock (mail to online devices drains at ~0; mail to
 	// offline devices waits for their reconnect).
-	Drain *Histogram
+	Drain *metrics.Histogram
 	// PeakPending is the largest pending backlog observed at any phase
 	// boundary.
 	PeakPending int
@@ -146,7 +159,7 @@ func RunScript(s Script, cfg FleetConfig) (*ScriptResult, error) {
 		store: cfg.Store,
 		rng:   rand.New(rand.NewSource(s.Seed)),
 		led:   newLedger(),
-		res:   &ScriptResult{Drain: &Histogram{}},
+		res:   &ScriptResult{Drain: &metrics.Histogram{}},
 	}
 	if f.store == nil {
 		f.store = rms.NewMemStore("churn", 0)
@@ -335,7 +348,7 @@ func (f *fleetRunner) drain(idx int) {
 		}
 		for _, e := range entries {
 			f.led.deliver(e.EventID)
-			f.res.Drain.Record(f.vnow - e.Enqueued.Sub(simEpoch))
+			f.res.Drain.Observe(f.vnow - e.Enqueued.Sub(simEpoch))
 		}
 		f.cursors[idx] = watermark
 	}
@@ -378,8 +391,9 @@ func (f *fleetRunner) setOnline(idx int, online bool) {
 
 // StormConfig configures a gateway-level reconnect storm: Devices
 // mailboxes fill while the fleet is dark, then every device reconnects
-// inside Window and drains through the real delivery endpoints
-// (/pdagent/mailbox) over a capacity-limited simulated network.
+// inside Window and drains through the real delivery endpoint
+// (/pdagent/mailbox: the gateway's one mailbox read handler, on the path
+// older devices send to) over a capacity-limited simulated network.
 type StormConfig struct {
 	// Devices is the fleet size (the CI scenario runs 100k+).
 	Devices int
@@ -418,9 +432,9 @@ type StormResult struct {
 	Devices, Entries       int
 	Delivered, Redelivered uint64
 	Duplicates             uint64
-	MigrationPulls         int        // cluster exports served (Members > 1)
-	Drain                  *Histogram // reconnect -> entry delivered (virtual)
-	Session                *Histogram // reconnect -> mailbox drained + acked (virtual)
+	MigrationPulls         int                // cluster exports served (Members > 1)
+	Drain                  *metrics.Histogram // reconnect -> entry delivered (virtual)
+	Session                *metrics.Histogram // reconnect -> mailbox drained + acked (virtual)
 	QueueTime, ServiceTime time.Duration
 	WallTime               time.Duration // real time the simulation took
 	VirtualSpan            time.Duration // storm start -> last session end
@@ -586,8 +600,8 @@ func ReconnectStorm(cfg StormConfig) (*StormResult, error) {
 	res := &StormResult{
 		Devices: cfg.Devices,
 		Entries: cfg.Devices * cfg.EntriesPerDevice,
-		Drain:   &Histogram{},
-		Session: &Histogram{},
+		Drain:   &metrics.Histogram{},
+		Session: &metrics.Histogram{},
 	}
 	reconnectAt := make([]time.Duration, cfg.Devices)
 	tr := net.Transport(netsim.ZoneWireless)
@@ -632,7 +646,7 @@ func ReconnectStorm(cfg StormConfig) (*StormResult, error) {
 			if len(entries) != 0 {
 				return nil, fmt.Errorf("churnsim: %s: %d entries after full drain", dev, len(entries))
 			}
-			res.Session.Record(now - reconnectAt[d])
+			res.Session.Observe(now - reconnectAt[d])
 			if now > res.VirtualSpan {
 				res.VirtualSpan = now
 			}
@@ -648,7 +662,7 @@ func ReconnectStorm(cfg StormConfig) (*StormResult, error) {
 		}
 		for _, e := range entries {
 			led.deliver(e.EventID)
-			res.Drain.Record(now - ev.at)
+			res.Drain.Observe(now - ev.at)
 		}
 		heap.Push(&events, stormEvent{at: now, device: d, ack: true, watermark: watermark, got: len(entries)})
 	}
@@ -680,7 +694,7 @@ func ReconnectStorm(cfg StormConfig) (*StormResult, error) {
 	if res.VirtualSpan == 0 {
 		res.VirtualSpan = cfg.Window
 	}
-	logf("churnsim: storm complete: %d devices, drain p50=%v p99=%v p999=%v (wall %v)",
+	logf("churnsim: storm complete: %d devices, drain p50=%dµs p99=%dµs p999=%dµs (wall %v)",
 		cfg.Devices, res.Drain.Quantile(0.50), res.Drain.Quantile(0.99), res.Drain.Quantile(0.999), res.WallTime)
 	return res, nil
 }

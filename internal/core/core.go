@@ -79,7 +79,7 @@ type SimConfig struct {
 	// Mailbox enables the disconnection-tolerant device sessions
 	// (DESIGN.md §7) on every gateway: results, status changes and
 	// management notifications are enqueued into durable per-device
-	// mailboxes and delivered through /pdagent/mailbox. The per-gateway
+	// mailboxes and delivered through /pdagent/mailbox/poll. The per-gateway
 	// stores are exposed through SimWorld.Mailboxes and survive
 	// CrashGateway / RestartGateway, like the journals.
 	Mailbox bool

@@ -205,11 +205,29 @@ func (p *Platform) logf(format string, args ...any) {
 // database; we compress every record the same way.
 
 func (p *Platform) putRecord(doc []byte) (int, error) {
+	id := 0
+	err := p.setRecord(&id, doc)
+	return id, err
+}
+
+// setRecord stores doc in the record *recID names, or adds it and sets
+// *recID when there is none yet: the state kept as one record each —
+// the gateway list, the mailbox state, the collected set, a
+// subscription — is rewritten in place.
+func (p *Platform) setRecord(recID *int, doc []byte) error {
 	framed, err := compress.Encode(p.cfg.Codec, doc)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	return p.cfg.Store.Add(framed)
+	if *recID != 0 {
+		return p.cfg.Store.Set(*recID, framed)
+	}
+	id, err := p.cfg.Store.Add(framed)
+	if err != nil {
+		return err
+	}
+	*recID = id
+	return nil
 }
 
 func (p *Platform) load() error {
@@ -369,20 +387,7 @@ func (p *Platform) SetGateways(addrs []string) error {
 
 func (p *Platform) storeGatewaysLocked(addrs []string) error {
 	p.gateways = append([]string(nil), addrs...)
-	doc := (&wire.GatewayList{Addresses: p.gateways}).EncodeXML()
-	framed, err := compress.Encode(p.cfg.Codec, doc)
-	if err != nil {
-		return err
-	}
-	if p.listRec != 0 {
-		return p.cfg.Store.Set(p.listRec, framed)
-	}
-	id, err := p.cfg.Store.Add(framed)
-	if err != nil {
-		return err
-	}
-	p.listRec = id
-	return nil
+	return p.setRecord(&p.listRec, (&wire.GatewayList{Addresses: p.gateways}).EncodeXML())
 }
 
 // Gateways returns the current gateway list.
@@ -545,19 +550,11 @@ func (p *Platform) Subscribe(ctx context.Context, gw, codeID string) error {
 	if err != nil {
 		return err
 	}
+	recID := 0
 	if old, exists := p.subs[codeID]; exists {
-		framed, err := compress.Encode(p.cfg.Codec, doc)
-		if err != nil {
-			return err
-		}
-		if err := p.cfg.Store.Set(old.recID, framed); err != nil {
-			return err
-		}
-		p.subs[codeID] = &subscription{sub: sub, key: key, hash: hash, recID: old.recID}
-		return nil
+		recID = old.recID
 	}
-	recID, err := p.putRecord(doc)
-	if err != nil {
+	if err := p.setRecord(&recID, doc); err != nil {
 		return err
 	}
 	p.subs[codeID] = &subscription{sub: sub, key: key, hash: hash, recID: recID}

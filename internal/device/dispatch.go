@@ -2,7 +2,6 @@ package device
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strconv"
 
@@ -10,7 +9,6 @@ import (
 	"pdagent/internal/mavm"
 	"pdagent/internal/pisec"
 	"pdagent/internal/push"
-	"pdagent/internal/rms"
 	"pdagent/internal/transport"
 	"pdagent/internal/wire"
 )
@@ -223,15 +221,7 @@ func (p *Platform) Collect(ctx context.Context, agentID string) (*wire.ResultDoc
 	if err != nil {
 		return nil, err
 	}
-	p.mu.Lock()
-	if recID, ok := p.pendIDs[agentID]; ok {
-		if err := p.cfg.Store.Delete(recID); err != nil && !errors.Is(err, rms.ErrNotFound) {
-			p.logf("device %s: dropping pending record for %s: %v", p.cfg.Owner, agentID, err)
-		}
-		delete(p.pendIDs, agentID)
-	}
-	delete(p.pending, agentID)
-	p.mu.Unlock()
+	p.forgetPending(agentID)
 	// Remember the direct collection so a mailbox copy of this result
 	// (enqueued before the gateway saw the collect) is recognisable as
 	// a duplicate by the next session.
@@ -299,13 +289,7 @@ func (p *Platform) Dispose(ctx context.Context, agentID string) error {
 		return fmt.Errorf("device: disposing %s: %w", agentID, resp.Err())
 	}
 	// The journey will never produce a result; forget it locally.
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if recID, ok := p.pendIDs[agentID]; ok {
-		_ = p.cfg.Store.Delete(recID)
-		delete(p.pendIDs, agentID)
-	}
-	delete(p.pending, agentID)
+	p.forgetPending(agentID)
 	return nil
 }
 

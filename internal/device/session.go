@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"time"
 
-	"pdagent/internal/compress"
 	"pdagent/internal/kxml"
 	"pdagent/internal/mavm"
 	"pdagent/internal/push"
@@ -183,23 +182,9 @@ func (p *Platform) markCollected(agentID string) {
 	for _, id := range p.collectedOrder {
 		rec.AddElement("a").AddText(id)
 	}
-	framed, err := compress.Encode(p.cfg.Codec, rec.EncodeDocument())
-	if err != nil {
+	if err := p.setRecord(&p.collectedRec, rec.EncodeDocument()); err != nil {
 		p.logf("device %s: persisting collected set: %v", p.cfg.Owner, err)
-		return
 	}
-	if p.collectedRec != 0 {
-		if err := p.cfg.Store.Set(p.collectedRec, framed); err != nil {
-			p.logf("device %s: persisting collected set: %v", p.cfg.Owner, err)
-		}
-		return
-	}
-	id, err := p.cfg.Store.Add(framed)
-	if err != nil {
-		p.logf("device %s: persisting collected set: %v", p.cfg.Owner, err)
-		return
-	}
-	p.collectedRec = id
 }
 
 // storeMailboxStateLocked persists the session gateway and the
@@ -227,20 +212,7 @@ func (p *Platform) storeMailboxStateLocked() error {
 		c.SetAttr("gw", gw)
 		c.SetAttr("v", p.tokens[gw])
 	}
-	doc := rec.EncodeDocument()
-	framed, err := compress.Encode(p.cfg.Codec, doc)
-	if err != nil {
-		return err
-	}
-	if p.mboxRec != 0 {
-		return p.cfg.Store.Set(p.mboxRec, framed)
-	}
-	id, err := p.cfg.Store.Add(framed)
-	if err != nil {
-		return err
-	}
-	p.mboxRec = id
-	return nil
+	return p.setRecord(&p.mboxRec, rec.EncodeDocument())
 }
 
 // SessionGateway returns the gateway whose mailbox holds this device's
@@ -261,13 +233,11 @@ func (p *Platform) Cursor(gw string) uint64 {
 // fetchMailbox runs one fetch+ack round trip against gw: acknowledge
 // cursor, receive the next batch. prevEdge (first call after switching
 // gateways) asks gw to pull our mailbox from the member we previously
-// talked to. wait > 0 long-polls.
+// talked to. wait > 0 long-polls. Every read goes to the one mailbox
+// endpoint: the gateway stages the ack and commits it with the
+// device's next enqueue or with an answer that goes out empty.
 func (p *Platform) fetchMailbox(ctx context.Context, gw, prevEdge string, cursor uint64, wait time.Duration) ([]*push.Entry, uint64, uint64, error) {
-	path := "/pdagent/mailbox"
-	if wait > 0 {
-		path = "/pdagent/mailbox/poll"
-	}
-	req := &transport.Request{Path: path}
+	req := &transport.Request{Path: "/pdagent/mailbox/poll"}
 	req.SetHeader("device", p.cfg.Owner)
 	req.SetHeader("ack", strconv.FormatUint(cursor, 10))
 	// The mailbox token proves we are the device this mail belongs to.
@@ -323,15 +293,8 @@ func (p *Platform) processEntries(entries []*push.Entry) []Delivery {
 				out = append(out, d)
 				continue
 			}
+			stillPending := p.forgetPending(rd.AgentID)
 			p.mu.Lock()
-			_, stillPending := p.pending[rd.AgentID]
-			if recID, ok := p.pendIDs[rd.AgentID]; ok {
-				if err := p.cfg.Store.Delete(recID); err != nil && !errors.Is(err, rms.ErrNotFound) {
-					p.logf("device %s: dropping pending record for %s: %v", p.cfg.Owner, rd.AgentID, err)
-				}
-				delete(p.pendIDs, rd.AgentID)
-			}
-			delete(p.pending, rd.AgentID)
 			alreadyCollected := p.collected[rd.AgentID]
 			p.mu.Unlock()
 			if !stillPending && alreadyCollected {
@@ -365,11 +328,12 @@ func (p *Platform) processEntries(entries []*push.Entry) []Delivery {
 	return out
 }
 
-// forgetPending drops a journey's pending record (no result is
-// coming).
-func (p *Platform) forgetPending(agentID string) {
+// forgetPending retires a journey's pending record — its result was
+// collected or delivered, or no result is coming — reporting whether
+// the journey was pending.
+func (p *Platform) forgetPending(agentID string) bool {
 	if agentID == "" {
-		return
+		return false
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -379,7 +343,9 @@ func (p *Platform) forgetPending(agentID string) {
 		}
 		delete(p.pendIDs, agentID)
 	}
+	_, pending := p.pending[agentID]
 	delete(p.pending, agentID)
+	return pending
 }
 
 // mailBatch is one mailbox answer as received: the entries, the
@@ -392,8 +358,9 @@ type mailBatch struct {
 
 // PollMailbox collects mail from gw. A batch the last dispatch's answer
 // carried is handed out first. With wait == 0 it then performs fetch+ack
-// rounds until the mailbox is drained, so it ends fully acknowledged at
-// the gateway. With wait > 0 it returns as soon as a batch is processed
+// rounds until the mailbox is drained; the last, empty answer commits
+// the acks, so it ends fully acknowledged at the gateway. With wait > 0
+// it returns as soon as a batch is processed
 // — the carried one without any request, else one long-poll — and that
 // batch's ack rides the device's next request (its next upload or poll,
 // or the first fetch of its next session) instead of costing a round

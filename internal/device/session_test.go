@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -618,6 +619,90 @@ func TestLongPollAckRidesNextRequest(t *testing.T) {
 				t.Fatalf("mailbox store holds %d records at the end, want the meta record alone", n)
 			}
 		})
+	}
+}
+
+// restartAfterRead wraps a device's transport and calls restart once,
+// right after the device's n-th mailbox read is answered.
+type restartAfterRead struct {
+	inner   transport.RoundTripper
+	n       int
+	reads   int
+	restart func()
+}
+
+func (r *restartAfterRead) RoundTrip(ctx context.Context, addr string, req *transport.Request) (*transport.Response, error) {
+	resp, err := r.inner.RoundTrip(ctx, addr, req)
+	if strings.HasPrefix(req.Path, "/pdagent/mailbox") {
+		if r.reads++; r.reads == r.n {
+			r.restart()
+		}
+	}
+	return resp, err
+}
+
+// TestSessionDrainAcrossGatewayRestart: a session drains a mailbox
+// bigger than one batch over the one mailbox read, and the gateway
+// crash-restarts between its rounds — after the read that staged the
+// first batch's ack and took the second batch, before anything
+// committed that ack. The restarted gateway re-offers the whole mailbox;
+// the drain's next read acknowledges it again (every re-offered entry is
+// behind the device's cursor), finds nothing more and commits. The
+// application receives each entry once.
+func TestSessionDrainAcrossGatewayRestart(t *testing.T) {
+	const total = 40 // more than one batch of the gateway's default 32
+	mbx := rms.NewMemStore("gw-mailbox", 0)
+	tap := &restartAfterRead{n: 2}
+	f := newSessionFixture(t, func(c *Config) { tap.inner, c.Transport = c.Transport, tap })
+	f.startGateway(t, mbx)
+	tap.restart = func() {
+		f.startGateway(t, mbx)
+		if n := f.gw.Mailbox().Pending("test-dev"); n != total {
+			t.Errorf("restarted gateway re-offers %d entries, want all %d: the first batch's ack was staged, not committed", n, total)
+		}
+	}
+	ctx := context.Background()
+	if err := f.plat.Subscribe(ctx, "gw-d", "echo"); err != nil {
+		t.Fatal(err)
+	}
+	id, err := f.plat.Dispatch(ctx, "echo", nil) // mints the token; its result is entry 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 2; i <= total; i++ {
+		note := fmt.Sprint("note-", i)
+		if _, _, err := f.gw.Mailbox().Enqueue("test-dev", push.KindManage, id, note, []byte(note)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s, err := f.plat.OpenSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tap.reads != 3 {
+		t.Fatalf("the drain took %d mailbox reads, want 3: a batch, the rest, the empty read", tap.reads)
+	}
+	seen := map[uint64]bool{}
+	for _, d := range s.Deliveries {
+		if seen[d.Seq] {
+			t.Fatalf("entry %d delivered twice", d.Seq)
+		}
+		seen[d.Seq] = true
+	}
+	if len(seen) != total || f.plat.Cursor("gw-d") != total || len(f.plat.Pending()) != 0 {
+		t.Fatalf("%d entries delivered, cursor %d, pending %v; want %d, %d, none", len(seen), f.plat.Cursor("gw-d"), f.plat.Pending(), total, total)
+	}
+	// The restarted gateway heard every entry acknowledged again, by the
+	// drain's last read, and committed that ack.
+	if st := f.gw.Mailbox().Stats(); st.Delivered != total || st.Pending != 0 || st.StagedAcks != 0 || st.AcksFlushed != 1 {
+		t.Fatalf("restarted gateway: %+v; want all %d entries re-acked, one commit", st, total)
+	}
+	if n, _ := mbx.NumRecords(); n != 1 {
+		t.Fatalf("mailbox store holds %d records, want the meta record alone", n)
+	}
+	if s, err := f.plat.OpenSession(ctx); err != nil || len(s.Deliveries) != 0 {
+		t.Fatalf("a second session delivered %+v, %v", s, err)
 	}
 }
 

@@ -66,8 +66,8 @@ func TestHomecomingNotAckedUntilResultStored(t *testing.T) {
 	if st, _ := f.gw.Registry().Agent(agentID); st.Done {
 		t.Fatal("gateway published a result it could not enqueue")
 	}
-	if n, _ := f.docs.NumRecords(); n != 1 {
-		t.Fatalf("File Directory holds %d documents, want the request document alone", n)
+	if n, _ := f.docs.NumRecords(); n != 0 {
+		t.Fatalf("File Directory holds %d documents, want none: the result was refused and no request document is kept", n)
 	}
 	if n := f.gw.Mailbox().Pending("dev-1"); n != 0 {
 		t.Fatalf("%d mailbox entries while the store was failing", n)
@@ -92,8 +92,8 @@ func TestHomecomingNotAckedUntilResultStored(t *testing.T) {
 	if again, _, _ := pollMailbox(t, f, "dev-1", watermark); len(again) != 0 {
 		t.Fatalf("result delivered twice: %d entries", len(again))
 	}
-	if n, _ := f.docs.NumRecords(); n != 2 {
-		t.Fatalf("File Directory holds %d documents, want request + result", n)
+	if n, _ := f.docs.NumRecords(); n != 1 {
+		t.Fatalf("File Directory holds %d documents, want the result alone", n)
 	}
 }
 

@@ -14,8 +14,10 @@
 //   - Agent Creator — validates the dispatch key against the
 //     subscription secret and "generates mobile agent classes", i.e.
 //     compiles the MAScript source for the local MAS flavour;
-//   - Document Creator / File Directory — materialises request and
-//     result documents in an allocated storage space (an rms.Store);
+//   - Document Creator / File Directory — materialises result
+//     documents in an allocated storage space (an rms.Store); the
+//     request's parameters go to the agent directly (pi.Params), so no
+//     request document is stored;
 //   - Subscription service — serves the catalogue and issues code
 //     packages with per-subscription secrets (§3.1);
 //   - Directory service — serves the gateway address list (§3.5).
@@ -25,8 +27,7 @@
 // for unrelated agents never contend on a shared mutex; outbound work
 // — chasing an agent's forwarding pointers, management verbs — runs on
 // a bounded worker pool with context cancellation instead of unbounded
-// inline calls; and result completion fans out to WatchResult
-// subscribers with a wait-free channel close.
+// inline calls.
 package gateway
 
 import (
@@ -120,10 +121,10 @@ type Config struct {
 	// sessions of DESIGN.md §7: every device gets a durable,
 	// quota-bounded mailbox into which result documents, status changes
 	// and management notifications are enqueued the moment they happen,
-	// served through /pdagent/mailbox (fetch+ack) and
-	// /pdagent/mailbox/poll (long-poll with resumable cursors). Back it
-	// with a persistent store and mailboxes survive gateway crashes
-	// like the agent journal does.
+	// served through /pdagent/mailbox/poll (fetch+ack with resumable
+	// cursors, long-polling when the device asks to wait). Back it with a
+	// persistent store and mailboxes survive gateway crashes like the
+	// agent journal does.
 	Mailbox *MailboxConfig
 	// OutboundWorkers bounds concurrent outbound work — status chasing,
 	// management calls, result fan-out (default 16).
@@ -184,7 +185,7 @@ type Gateway struct {
 	// resultsSwept counts result documents reclaimed by the TTL sweep.
 	resultsSwept atomic.Uint64
 	// Mailbox entries handed to devices, by the answer that carried them:
-	// a dispatch's, a long-poll's, a session fetch's.
+	// a dispatch's, a read that waited, a read that did not.
 	mailDispatch, mailPoll, mailFetch atomic.Uint64
 	// Migration-pull herd protection (see pullMailboxFrom): per-device
 	// singleflight plus a global concurrency bound.
@@ -350,8 +351,10 @@ func New(cfg Config) (*Gateway, error) {
 	m.Handle("/metrics", g.metrics.Handler())
 	m.HandleFunc("/pdagent/trace/", g.handleTrace)
 	if g.hub != nil {
+		// One handler, one ack rule; the bare path stays mounted for
+		// devices built before every read went to /poll.
+		m.HandleFunc("/pdagent/mailbox/poll", g.handleMailbox)
 		m.HandleFunc("/pdagent/mailbox", g.handleMailbox)
-		m.HandleFunc("/pdagent/mailbox/poll", g.handleMailboxPoll)
 	}
 	if cfg.Cluster != nil {
 		// Federation endpoints: the exact paths below are gateway-level
@@ -404,11 +407,10 @@ func (g *Gateway) Registry() *Registry { return g.reg }
 // PublicKey returns the gateway's public key.
 func (g *Gateway) PublicKey() *pisec.PublicKey { return g.cfg.KeyPair.Public() }
 
-// Close stops the gateway's outbound worker pool and releases every
-// registered result watcher (their channels are closed, so blocked
-// WatchResult subscribers wake instead of leaking). In-flight jobs
-// finish; queued work is abandoned. The gateway must not serve further
-// requests needing outbound calls after Close.
+// Close stops the gateway's outbound worker pool and wakes parked
+// mailbox long-polls. In-flight jobs finish; queued work is abandoned.
+// The gateway must not serve further requests needing outbound calls
+// after Close.
 func (g *Gateway) Close() {
 	if g.cfg.Cluster != nil {
 		g.cfg.Cluster.Stop()
@@ -419,19 +421,6 @@ func (g *Gateway) Close() {
 		g.hub.Close()
 	}
 	g.pool.Close()
-	for _, ch := range g.reg.ReleaseAllWatchers() {
-		close(ch)
-	}
-}
-
-// WatchResult returns a channel closed when the agent reaches a
-// terminal state — its result document became collectable, or it was
-// disposed (immediately-closed if it already did); false for unknown
-// agents. This is the in-process subscriber side of the result
-// fan-out; subscribers should pair it with their own timeout, since a
-// stranded agent never signals.
-func (g *Gateway) WatchResult(agentID string) (<-chan struct{}, bool) {
-	return g.reg.Watch(agentID)
 }
 
 // AddCodePackage publishes an application in the subscription
@@ -574,13 +563,7 @@ func (g *Gateway) fileResult(rd *wire.ResultDocument, doc []byte, span string, e
 			return err
 		}
 	}
-	// Fan the completion signal out to result watchers. Closing a
-	// channel is wait-free, so this cannot delay the MAS arrival path
-	// and needs no queueing — subscribers do their (possibly slow)
-	// result fetch on their own goroutines after the signal.
-	for _, ch := range g.reg.CompleteAgent(rd.AgentID, rd.CodeID, rd.Owner, docID, rd.Error) {
-		close(ch)
-	}
+	g.reg.CompleteAgent(rd.AgentID, rd.CodeID, rd.Owner, docID, rd.Error)
 	// A result filed twice — the relay racing the edge's on-demand
 	// fetch of the same document — keeps its first copy; the mailbox
 	// dedups on the agent id, the File Directory here.
@@ -825,7 +808,7 @@ func (g *Gateway) dispatchDevice(ctx context.Context, req *transport.Request) *t
 }
 
 // admitDispatch is steps 4–6 of the Agent Dispatch Handler: compile,
-// materialise the request document, create and admit the agent. origin
+// create the agent over the request's parameters and admit it. origin
 // is the edge member that forwarded the dispatch ("" for direct ones);
 // the result document will be relayed back to it. tenantID is the
 // account the journey bills to ("" = default) — it threads into the
@@ -848,30 +831,15 @@ func (g *Gateway) admitDispatch(ctx context.Context, pi *wire.PackedInformation,
 		return fail(transport.Errorf(transport.StatusBadRequest, "agent code: %v", err))
 	}
 
-	// Step 5: the Document Creator materialises the request document
-	// and the File Directory allocates space for it. The document is
-	// rendered into a pooled buffer; Documents.Add copies what it keeps.
+	// Steps 5–6: the agent is created over the request's parameters
+	// (pi.Params) — the only reader of the request, so no request
+	// document is stored — and the MAS is signalled to dispatch it.
 	agentID := g.reg.NextAgentID(g.cfg.Addr)
-	docBuf := reqDocPool.Get().(*[]byte)
-	reqDoc, err := pi.AppendXML((*docBuf)[:0])
-	*docBuf = reqDoc[:0]
-	if err != nil {
-		putReqDocBuf(docBuf)
-		return fail(transport.Errorf(transport.StatusServerError, "request document: %v", err))
-	}
-	reqDocID, err := g.cfg.Documents.Add(reqDoc)
-	putReqDocBuf(docBuf)
-	if err != nil {
-		return fail(transport.Errorf(transport.StatusServerError, "storing request document: %v", err))
-	}
-
-	// Step 6: signal the MAS to create and dispatch the agent.
 	vm, err := mavm.New(prog, agentID, pi.Params)
 	if err != nil {
 		return fail(transport.Errorf(transport.StatusServerError, "creating agent: %v", err))
 	}
 	g.reg.CreateAgent(agentID, pi.CodeID, pi.Owner, tenantID, origin, "")
-	g.reg.SetRequestDoc(agentID, reqDocID)
 	// The admit span goes first: the agent's first slice runs inside
 	// the admission, and a zero-hop journey's result, mailbox and
 	// deliver spans must follow it in the trace.
@@ -880,10 +848,7 @@ func (g *Gateway) admitDispatch(ctx context.Context, pi *wire.PackedInformation,
 		// Retire the tracking entry so a failed admission does not
 		// inflate the in-flight load gauge forever (which would make
 		// the cluster spill this member's keys for no reason).
-		watchers, _ := g.reg.ReleaseAgent(agentID, "admission failed: "+err.Error())
-		for _, ch := range watchers {
-			close(ch)
-		}
+		g.reg.ReleaseAgent(agentID, "admission failed: "+err.Error())
 		g.trace.Record(agentID, "admit-failed", err.Error())
 		return fail(transport.Errorf(transport.StatusServerError, "admitting agent: %v", err))
 	}
@@ -1074,13 +1039,9 @@ func (g *Gateway) handleDispose(ctx context.Context, req *transport.Request) *tr
 	agentID := req.GetHeader("agent")
 	resp := g.manage(ctx, agentID, "dispose", nil)
 	if resp.IsOK() {
-		// A disposed agent will never produce a result; mark it
-		// terminal and release its watchers instead of leaving them
-		// blocked forever.
-		watchers, _ := g.reg.ReleaseAgent(agentID, "disposed by owner")
-		for _, ch := range watchers {
-			close(ch)
-		}
+		// A disposed agent will never produce a result: mark it
+		// terminal, so a result request answers 410 Gone.
+		g.reg.ReleaseAgent(agentID, "disposed by owner")
 		// Status change into the mailbox: any other session of this
 		// owner learns the journey is over without polling status.
 		g.enqueueNote(agentID, "", push.KindStatus, "disposed:"+agentID, "disposed by owner")
@@ -1139,22 +1100,4 @@ func parseStatus(body []byte) (*statusFields, error) {
 
 func parseXML(body []byte) (*kxml.Node, error) {
 	return kxml.ParseBytes(body)
-}
-
-// reqDocPool recycles request-document render buffers on the dispatch
-// hot path; rms stores copy on Add, so the buffer never escapes.
-var reqDocPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 2048)
-	return &b
-}}
-
-// maxPooledReqDoc keeps one giant request document from pinning a
-// multi-megabyte buffer in the pool forever.
-const maxPooledReqDoc = 1 << 20
-
-func putReqDocBuf(b *[]byte) {
-	if cap(*b) > maxPooledReqDoc {
-		return
-	}
-	reqDocPool.Put(b)
 }

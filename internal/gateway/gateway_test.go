@@ -256,9 +256,10 @@ func TestDispatchFlow(t *testing.T) {
 		t.Fatalf("echo = %v", echo)
 	}
 
-	// The File Directory holds both the request and the result document.
-	if n, _ := f.docs.NumRecords(); n != 2 {
-		t.Fatalf("documents = %d, want request + result", n)
+	// The File Directory holds the result document alone: the request's
+	// parameters went to the agent, not into a stored document.
+	if n, _ := f.docs.NumRecords(); n != 1 {
+		t.Fatalf("documents = %d, want the result alone", n)
 	}
 }
 

@@ -20,9 +20,11 @@ import (
 // answer a device receives is one LZSS frame of the mailbox document
 // (push.EncodeDelivery); the /cluster/ documents stay raw:
 //
-//	/pdagent/mailbox        fetch + ack (one round trip, ack committed)
-//	/pdagent/mailbox/poll   long-poll variant (parks until mail or wait;
-//	                        the ack is staged, not waited for)
+//	/pdagent/mailbox/poll   fetch + ack; with a wait, parks until mail
+//	                        arrives or the wait ends. The ack is staged
+//	                        and rides the mailbox's next commit; an
+//	                        answer that goes out empty commits it
+//	/pdagent/mailbox        the same handler, for older devices
 //	/cluster/mailbox/export peer pulls a device's mailbox (migration)
 //	/cluster/mailbox/ack    peer confirms the pulled entries landed
 //
@@ -70,9 +72,6 @@ func (g *Gateway) Sweep() (results, mailbox int) {
 		for _, ex := range g.reg.ExpireResults(time.Now().Add(-mc.ResultTTL)) {
 			if ex.DocID != 0 {
 				_ = g.cfg.Documents.Delete(ex.DocID)
-			}
-			if ex.ReqDocID != 0 {
-				_ = g.cfg.Documents.Delete(ex.ReqDocID)
 			}
 			results++
 			// The owner may be offline: leave a status entry so the
@@ -163,29 +162,26 @@ const defaultPollBatch = 32
 // asks for.
 const maxLongPoll = 2 * time.Minute
 
+// handleMailbox serves every device mailbox read: acknowledge the
+// cursor, answer what is pending beyond it, and, when nothing is and the
+// device asked to wait, park until mail arrives. Headers: device
+// (required), ack (cursor watermark the device has durably processed),
+// max (batch bound), wait (long-poll duration, e.g. "30s"), prev-edge
+// (the member the device previously talked to; triggers an on-demand
+// mailbox pull). The ack never waits for its commit (DESIGN.md §7): it
+// is staged and rides the fsync of the device's next enqueue, and an
+// answer that goes out empty commits it, so a drained or idle device
+// leaves nothing staged. Parked time is included in the latency
+// histogram by design: its p99 tracks the wait ceiling, its p50 how
+// often devices find mail already pending.
 func (g *Gateway) handleMailbox(ctx context.Context, req *transport.Request) *transport.Response {
 	start := time.Now()
-	resp := g.serveMailbox(ctx, req, false)
+	resp := g.serveMailbox(ctx, req)
 	g.mMailboxUs.Observe(time.Since(start))
 	return resp
 }
 
-func (g *Gateway) handleMailboxPoll(ctx context.Context, req *transport.Request) *transport.Response {
-	// Long-poll cycles include parked wait time by design: the p99 of
-	// this histogram tracks the configured wait ceiling, while p50
-	// shows how often devices find entries already pending.
-	start := time.Now()
-	resp := g.serveMailbox(ctx, req, true)
-	g.mMailboxUs.Observe(time.Since(start))
-	return resp
-}
-
-// serveMailbox implements fetch+ack, with optional long-poll parking.
-// Headers: device (required), ack (cursor watermark the device has
-// durably processed), max (batch bound), wait (long-poll duration,
-// e.g. "30s"; only on /pdagent/mailbox/poll), prev-edge (the member the
-// device previously talked to; triggers an on-demand mailbox pull).
-func (g *Gateway) serveMailbox(ctx context.Context, req *transport.Request, longPoll bool) *transport.Response {
+func (g *Gateway) serveMailbox(ctx context.Context, req *transport.Request) *transport.Response {
 	if g.hub == nil {
 		return transport.Errorf(transport.StatusNotFound, "gateway %s has no mailbox subsystem", g.cfg.Addr)
 	}
@@ -204,6 +200,11 @@ func (g *Gateway) serveMailbox(ctx context.Context, req *transport.Request, long
 	if max <= 0 {
 		max = defaultPollBatch
 	}
+	wait, err := time.ParseDuration(defaultStr(req.GetHeader("wait"), "0s"))
+	if err != nil || wait < 0 {
+		wait = 0
+	}
+	wait = min(wait, maxLongPoll)
 
 	// The mailbox follows the device: if it last talked to another
 	// member, pull whatever that member still holds before answering.
@@ -236,42 +237,28 @@ func (g *Gateway) serveMailbox(ctx context.Context, req *transport.Request, long
 	disconnect := g.hub.Connect(device)
 	defer disconnect()
 
-	// A long-poll never waits for its ack's commit: the ack is staged
-	// and rides the fsync of the device's next enqueue (DESIGN.md §7).
-	poll := g.hub.Poll
-	if longPoll {
-		poll = g.hub.PollStaged
+	entries, watermark, evicted, err := g.hub.PollStaged(device, after, max)
+	if err == nil && len(entries) == 0 && wait > 0 {
+		timer := time.NewTimer(wait)
+		select {
+		case <-g.hub.Wait(device): // wait-free fan-out from Enqueue
+		case <-ctx.Done():
+		case <-timer.C:
+		}
+		timer.Stop()
+		entries, watermark, evicted, err = g.hub.PollStaged(device, after, max)
 	}
-	entries, watermark, evicted, err := poll(device, after, max)
 	if err != nil {
 		return transport.Errorf(transport.StatusServerError, "mailbox poll: %v", err)
 	}
-	if longPoll && len(entries) == 0 {
-		if wait, werr := time.ParseDuration(defaultStr(req.GetHeader("wait"), "0s")); werr == nil && wait > 0 {
-			if wait > maxLongPoll {
-				wait = maxLongPoll
-			}
-			timer := time.NewTimer(wait)
-			select {
-			case <-g.hub.Wait(device): // wait-free fan-out from Enqueue
-			case <-ctx.Done():
-			case <-timer.C:
-			}
-			timer.Stop()
-			entries, watermark, evicted, err = poll(device, after, max)
-			if err != nil {
-				return transport.Errorf(transport.StatusServerError, "mailbox poll: %v", err)
-			}
-		}
-		if len(entries) == 0 {
-			// Ending empty, nobody is kept waiting for mail: commit what
-			// is staged, so an idle device's acks do not sit in memory
-			// until its next enqueue. (The ack stands even if persisting
-			// it fails; the hub logs that.)
-			_, _ = g.hub.Ack(device, after)
-		}
+	if len(entries) == 0 {
+		// Ending empty, nobody is kept waiting for mail: commit what is
+		// staged, so a drained device's acks do not sit in memory until
+		// its next enqueue. (The ack stands even if persisting it fails;
+		// the hub logs that.)
+		_, _ = g.hub.Ack(device, after)
 	}
-	if longPoll {
+	if wait > 0 {
 		g.mailPoll.Add(uint64(len(entries)))
 	} else {
 		g.mailFetch.Add(uint64(len(entries)))

@@ -1,10 +1,12 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -31,7 +33,7 @@ func pollMailbox(t *testing.T, f *fixture, device string, ack uint64) (entries [
 }
 
 // fetchMailbox is pollMailbox that long-polls when wait > 0, the way
-// device.PollMailbox picks its endpoint.
+// device.PollMailbox reads.
 func fetchMailbox(t *testing.T, f *fixture, device string, ack uint64, wait time.Duration) (entries []*push.Entry, watermark, evicted uint64) {
 	t.Helper()
 	entries, watermark, evicted, err := tryFetchMailbox(f, device, ack, wait)
@@ -44,9 +46,18 @@ func fetchMailbox(t *testing.T, f *fixture, device string, ack uint64, wait time
 // tryFetchMailbox is fetchMailbox for goroutines that may not call
 // t.Fatal.
 func tryFetchMailbox(f *fixture, device string, ack uint64, wait time.Duration) (entries []*push.Entry, watermark, evicted uint64, err error) {
-	req := &transport.Request{Path: "/pdagent/mailbox"}
+	resp, err := readMailbox(f, "/pdagent/mailbox/poll", device, ack, wait)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	_, entries, watermark, evicted, _, _, err = push.ParseEntries(resp.Body)
+	return entries, watermark, evicted, err
+}
+
+// readMailbox sends one mailbox read to path and returns the OK answer.
+func readMailbox(f *fixture, path, device string, ack uint64, wait time.Duration) (*transport.Response, error) {
+	req := &transport.Request{Path: path}
 	if wait > 0 {
-		req.Path = "/pdagent/mailbox/poll"
 		req.SetHeader("wait", wait.String())
 	}
 	req.SetHeader("device", device)
@@ -56,13 +67,73 @@ func tryFetchMailbox(f *fixture, device string, ack uint64, wait time.Duration) 
 	req.SetHeader("mailbox-token", f.gw.Mailbox().Touch(device))
 	resp, err := f.tr.RoundTrip(context.Background(), "gw-t", req)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, err
 	}
 	if !resp.IsOK() {
-		return nil, 0, 0, fmt.Errorf("mailbox poll: %d %s", resp.Status, resp.Text())
+		return nil, fmt.Errorf("mailbox read at %s: %d %s", path, resp.Status, resp.Text())
 	}
-	_, entries, watermark, evicted, _, _, err = push.ParseEntries(resp.Body)
-	return entries, watermark, evicted, err
+	return resp, nil
+}
+
+// TestBarePathIsTheSameRead: a read sent to /pdagent/mailbox, where
+// devices built before every read went to /poll send theirs, gets the
+// same answer, byte for byte, and the same ack effect as one sent to
+// /pdagent/mailbox/poll — with and without a wait. The ack is staged
+// while mail goes out and committed by the answer that goes out empty.
+func TestBarePathIsTheSameRead(t *testing.T) {
+	for _, wait := range []time.Duration{0, time.Millisecond} {
+		type step struct {
+			body  []byte
+			stats push.Stats
+			recs  int
+		}
+		run := func(path string) (steps []step, scrape string) {
+			store := rms.NewMemStore("mbx", 0)
+			f := newMailboxFixture(t, &MailboxConfig{Store: store})
+			hub := f.gw.Mailbox()
+			for i := 1; i <= 3; i++ {
+				agent := "ag-" + strconv.Itoa(i)
+				if _, _, err := hub.Enqueue("dev-1", push.KindResult, agent, "result:"+agent, []byte("<r/>")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, ack := range []uint64{0, 2, 3} {
+				resp, err := readMailbox(f, path, "dev-1", ack, wait)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n, _ := store.NumRecords()
+				steps = append(steps, step{body: resp.Body, stats: hub.Stats(), recs: n})
+			}
+			return steps, string(f.gw.Metrics().AppendPrometheus(nil))
+		}
+		bare, bareScrape := run("/pdagent/mailbox")
+		poll, pollScrape := run("/pdagent/mailbox/poll")
+		for i := range poll {
+			if !bytes.Equal(bare[i].body, poll[i].body) || bare[i].stats != poll[i].stats || bare[i].recs != poll[i].recs {
+				t.Fatalf("wait %v, read %d: bare path answered %q (%+v, %d records), /poll %q (%+v, %d records)",
+					wait, i, bare[i].body, bare[i].stats, bare[i].recs, poll[i].body, poll[i].stats, poll[i].recs)
+			}
+		}
+		// Read 2 (ack 2) stages its ack while entry 3 goes out; read 3
+		// (ack 3) answers empty and commits both.
+		if st := poll[1].stats; st.StagedAcks != 1 || st.AcksFlushed != 0 {
+			t.Fatalf("wait %v: after the ack with mail going out: %+v, want it staged", wait, st)
+		}
+		if st, recs := poll[2].stats, poll[2].recs; st.StagedAcks != 0 || st.AcksFlushed != 2 || st.Pending != 0 || recs != 1 {
+			t.Fatalf("wait %v: after the empty answer: %+v, %d records; want both acks committed, the meta record alone", wait, st, recs)
+		}
+		// Four entries went out (entry 3 twice: read 2 acked only 2), all
+		// under the row the wait picks.
+		via := "fetch"
+		if wait > 0 {
+			via = "poll"
+		}
+		row := fmt.Sprintf("pdagent_mailbox_delivered_total{via=%q} 4\n", via)
+		if !strings.Contains(bareScrape, row) || !strings.Contains(pollScrape, row) {
+			t.Fatalf("wait %v: a scrape lacks %q", wait, row)
+		}
+	}
 }
 
 // dispatchEcho subscribes and dispatches one echo journey, returning
@@ -178,18 +249,18 @@ func TestMailboxSurvivesGatewayRestart(t *testing.T) {
 	}
 }
 
-// TestResultTTLSweep: the shared sweeper reclaims expired result (and
-// request) documents from the File Directory, flips the agent to the
-// terminal expired state, and leaves a visible status note in the
-// owner's mailbox.
+// TestResultTTLSweep: the shared sweeper reclaims expired result
+// documents from the File Directory, flips the agent to the terminal
+// expired state, and leaves a visible status note in the owner's
+// mailbox.
 func TestResultTTLSweep(t *testing.T) {
 	f := newMailboxFixture(t, &MailboxConfig{ResultTTL: time.Nanosecond})
 	f.addEcho(t)
 	agentID := dispatchEcho(t, f, "dev-1")
 	f.queue.Drain()
 
-	if n, _ := f.docs.NumRecords(); n != 2 {
-		t.Fatalf("documents before sweep = %d, want request + result", n)
+	if n, _ := f.docs.NumRecords(); n != 1 {
+		t.Fatalf("documents before sweep = %d, want the result alone", n)
 	}
 	time.Sleep(2 * time.Millisecond) // let the 1ns TTL elapse
 	results, _ := f.gw.Sweep()
@@ -197,7 +268,7 @@ func TestResultTTLSweep(t *testing.T) {
 		t.Fatalf("sweep reclaimed %d (counter %d), want 1", results, f.gw.ResultsSwept())
 	}
 	if n, _ := f.docs.NumRecords(); n != 0 {
-		t.Fatalf("documents after sweep = %d, want 0 (request and result reclaimed)", n)
+		t.Fatalf("documents after sweep = %d, want 0 (result reclaimed)", n)
 	}
 	// A second sweep finds nothing: expiry is terminal, not repeated.
 	if results, _ := f.gw.Sweep(); results != 0 {
@@ -383,7 +454,8 @@ func TestFailedAdmissionReleasesNonce(t *testing.T) {
 // inside its admission, so the journal is never written: the result's
 // mailbox commit is the durable hand-over. A session device makes the
 // mailbox pay one ordered commit each for the enqueue (entry + meta)
-// and the ack (cursor + delete). A long-polling device pays one: its
+// and the ack (cursor + delete): its drain stages the ack and the
+// drain's last, empty read commits it. A long-polling device pays one: its
 // ack rides the next long-poll, is staged there, and shares the next
 // journey's enqueue commit (cursor + delete + entry + meta). The enqueue
 // precedes the poll, so the ack it folds is the one before last: a
@@ -584,7 +656,7 @@ func TestLongPollEndingEmptyCommitsAck(t *testing.T) {
 // TestOldDeviceConfirmRoundStillCommits: a device built before the ack
 // moved off the critical path follows every long-poll delivery with a
 // confirming /pdagent/mailbox fetch. Against this gateway that round
-// still works, and commits the ack before it answers.
+// still works: its answer is empty, so it commits the ack.
 func TestOldDeviceConfirmRoundStillCommits(t *testing.T) {
 	store := rms.NewMemStore("mbx", 0)
 	f := newMailboxFixture(t, &MailboxConfig{Store: store})
@@ -600,8 +672,12 @@ func TestOldDeviceConfirmRoundStillCommits(t *testing.T) {
 			t.Fatalf("journey %d: long-poll delivered %+v", i, entries)
 		}
 		cursor = watermark
-		if entries, watermark, _ := pollMailbox(t, f, "dev-1", cursor); len(entries) != 0 || watermark != cursor {
-			t.Fatalf("journey %d: confirm round = %d entries, watermark %d", i, len(entries), watermark)
+		resp, err := readMailbox(f, "/pdagent/mailbox", "dev-1", cursor, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, entries, watermark, _, _, _, err := push.ParseEntries(resp.Body); err != nil || len(entries) != 0 || watermark != cursor {
+			t.Fatalf("journey %d: confirm round = %d entries, watermark %d, %v", i, len(entries), watermark, err)
 		}
 		if n, _ := store.NumRecords(); n != 1 || hub.Stats().StagedAcks != 0 {
 			t.Fatalf("journey %d: %d record(s), %d staged ack(s) after the confirm round, want the meta record alone", i, n, hub.Stats().StagedAcks)

@@ -146,13 +146,13 @@ func (g *Gateway) initObserve() {
 			"Mailbox entries expired by TTL before delivery.",
 			func() float64 { return float64(c.stats().EvictedTTL) })
 		m.CounterVecFunc("pdagent_mailbox_acks_total",
-			"Mailbox acknowledgements committed, by how: folded rode the device's next enqueue (one fsync for both), flushed paid a commit of its own (a synchronous ack, or a staged one met by an empty long-poll, the sweeper or shutdown).",
+			"Mailbox acknowledgements committed, by how: folded rode the device's next enqueue (one fsync for both), flushed paid a commit of its own (an empty mailbox answer, the sweeper or shutdown).",
 			"commit", func() map[string]float64 {
 				st := c.stats()
 				return map[string]float64{"folded": float64(st.AcksFolded), "flushed": float64(st.AcksFlushed)}
 			})
 		m.CounterVecFunc("pdagent_mailbox_delivered_total",
-			"Mailbox entries handed to devices, by the answer that carried them: dispatch cost the device no request of its own, poll is a long-poll, fetch a session's fetch+ack round.",
+			"Mailbox entries handed to devices, by the answer that carried them: dispatch cost the device no request of its own, poll is a read that asked to wait, fetch one that did not (a session's drain).",
 			"via", func() map[string]float64 {
 				return map[string]float64{
 					"dispatch": float64(g.mailDispatch.Load()),
@@ -161,7 +161,7 @@ func (g *Gateway) initObserve() {
 				}
 			})
 		m.GaugeFunc("pdagent_mailbox_staged_acks",
-			"Acknowledgements (a long-poll's, an upload's) in force in memory and waiting for their mailbox's next commit.",
+			"Acknowledgements (a mailbox read's, an upload's) in force in memory and waiting for their mailbox's next commit.",
 			func() float64 { return float64(c.stats().StagedAcks) })
 		m.GaugeFunc("pdagent_mailbox_dedup_ids",
 			"Event ids currently held in mailbox dedup windows.",

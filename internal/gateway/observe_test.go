@@ -350,8 +350,11 @@ func TestMailboxAckMetrics(t *testing.T) {
 	enqueue(2)
 	fetchMailbox(t, f, "dev-1", 1, time.Second) // ack 1 staged
 	enqueue(3)                                  // and folded
-	pollMailbox(t, f, "dev-1", 2)               // ack 2 committed on its own
+	pollMailbox(t, f, "dev-1", 2)               // ack 2 staged, mail answered
+	pollMailbox(t, f, "dev-1", 3)               // ack 3 staged; the empty answer commits both
 	enqueue(4)
-	fetchMailbox(t, f, "dev-1", 3, time.Second) // ack 3 staged
-	scrape(f, 1, 1, 1)
+	fetchMailbox(t, f, "dev-1", 3, time.Second)
+	enqueue(5)
+	fetchMailbox(t, f, "dev-1", 4, time.Second) // ack 4 staged
+	scrape(f, 1, 2, 1)
 }

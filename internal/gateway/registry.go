@@ -28,10 +28,6 @@ type Registry struct {
 	// inFlight gauges dispatched-but-unfinished agents; heartbeats
 	// gossip it as the cluster's load-aware-spill signal.
 	inFlight atomic.Int64
-	// closed is set by ReleaseAllWatchers (gateway shutdown); checked
-	// under the shard lock so no watcher can register after its shard
-	// was swept.
-	closed atomic.Bool
 	// ledger splits the inFlight gauge by tenant (admission's quota and
 	// weighted-share input).
 	ledger *tenant.Ledger
@@ -47,11 +43,10 @@ type subEntry struct {
 
 type registryShard struct {
 	mu       sync.RWMutex
-	catalog  map[string]catalogEntry    // code id -> package
-	secrets  map[string]subEntry        // subKey -> secret + owning tenant
-	dispatch map[string]*agentMeta      // agent id -> meta
-	replay   map[string]*nonceWindow    // subKey -> recent dispatch nonces
-	watchers map[string][]chan struct{} // agent id -> result watchers
+	catalog  map[string]catalogEntry // code id -> package
+	secrets  map[string]subEntry     // subKey -> secret + owning tenant
+	dispatch map[string]*agentMeta   // agent id -> meta
+	replay   map[string]*nonceWindow // subKey -> recent dispatch nonces
 	// doneQ and goneQ are retention queues: agent ids in completion /
 	// tombstone order, so the TTL sweeps pop ripe entries from the
 	// front instead of scanning every dispatched agent the gateway has
@@ -71,7 +66,6 @@ func NewRegistry() *Registry {
 		s.secrets = map[string]subEntry{}
 		s.dispatch = map[string]*agentMeta{}
 		s.replay = map[string]*nonceWindow{}
-		s.watchers = map[string][]chan struct{}{}
 	}
 	return r
 }
@@ -279,9 +273,6 @@ type agentMeta struct {
 	gone    bool // terminal without a result (disposed by owner)
 	docID   int  // record id of the result document in Documents
 	lastWhy string
-	// reqDocID is the request document's record id in Documents; the
-	// TTL sweeper reclaims it together with the result document.
-	reqDocID int
 	// doneAt stamps when the result became collectable (drives the
 	// result-document TTL sweep).
 	doneAt time.Time
@@ -372,11 +363,10 @@ func (r *Registry) InFlight() int {
 
 // CompleteAgent marks an agent's result as ready, adopting agents this
 // gateway never dispatched (e.g. clones created remotely) so their
-// owners can still collect. It returns the result watchers registered
-// for the agent; the caller fans the completion signal out to them. An
-// agent completed twice keeps its first document: the caller whose
-// docID Agent does not report afterwards withdraws its copy.
-func (r *Registry) CompleteAgent(id, codeID, owner string, docID int, why string) []chan struct{} {
+// owners can still collect. An agent completed twice keeps its first
+// document: the caller whose docID Agent does not report afterwards
+// withdraws its copy.
+func (r *Registry) CompleteAgent(id, codeID, owner string, docID int, why string) {
 	s := r.shardFor(id)
 	s.mu.Lock()
 	meta, ok := s.dispatch[id]
@@ -395,38 +385,23 @@ func (r *Registry) CompleteAgent(id, codeID, owner string, docID int, why string
 		meta.lastWhy = why
 		meta.doneAt = time.Now()
 	}
-	watchers := s.watchers[id]
-	delete(s.watchers, id)
 	s.mu.Unlock()
 	if wasLive {
 		r.inFlight.Add(-1)
 		r.ledger.AddInFlight(tenantID, -1)
 	}
-	return watchers
-}
-
-// SetRequestDoc records the request document's storage id for an
-// agent, so the TTL sweeper can reclaim it alongside the result.
-func (r *Registry) SetRequestDoc(id string, docID int) {
-	s := r.shardFor(id)
-	s.mu.Lock()
-	if meta, ok := s.dispatch[id]; ok {
-		meta.reqDocID = docID
-	}
-	s.mu.Unlock()
 }
 
 // ExpiredResult names the storage still held by one expired agent.
 type ExpiredResult struct {
-	AgentID  string
-	DocID    int // result document record id
-	ReqDocID int // request document record id (0 = none recorded)
+	AgentID string
+	DocID   int // result document record id
 }
 
 // ExpireResults retires every completed agent whose result became
 // collectable at or before cutoff: the agent flips to the terminal
 // "gone" state (result requests answer StatusGone with the reason) and
-// the document ids are returned so the caller can delete them from the
+// result document ids are returned so the caller can delete them from the
 // File Directory. Uncompleted and already-expired agents are untouched.
 // Cost is O(expired), not O(agents): each shard pops ripe entries from
 // the front of its completion queue and stops at the first unripe one,
@@ -447,12 +422,11 @@ func (r *Registry) ExpireResults(cutoff time.Time) []ExpiredResult {
 			if !ok || !meta.done {
 				continue // stale entry (released or pruned since queued)
 			}
-			out = append(out, ExpiredResult{AgentID: id, DocID: meta.docID, ReqDocID: meta.reqDocID})
+			out = append(out, ExpiredResult{AgentID: id, DocID: meta.docID})
 			meta.done = false
 			meta.gone = true
 			meta.goneAt = time.Now()
 			meta.docID = 0
-			meta.reqDocID = 0
 			meta.lastWhy = "result expired (retention TTL)"
 			s.goneQ = append(s.goneQ, id)
 		}
@@ -534,15 +508,15 @@ func (r *Registry) KnownAgent(id string) bool {
 }
 
 // ReleaseAgent marks a known agent terminal without a result (disposed
-// by its owner), recording why, and returns its result watchers for
-// release. Subsequent Watch calls get an immediately-closed channel.
-func (r *Registry) ReleaseAgent(id, why string) ([]chan struct{}, bool) {
+// by its owner, or its admission failed), recording why; false for an
+// unknown agent.
+func (r *Registry) ReleaseAgent(id, why string) bool {
 	s := r.shardFor(id)
 	s.mu.Lock()
 	meta, ok := s.dispatch[id]
 	if !ok {
 		s.mu.Unlock()
-		return nil, false
+		return false
 	}
 	wasLive := !meta.done && !meta.gone && meta.homeGW == ""
 	tenantID := meta.tenant
@@ -552,14 +526,12 @@ func (r *Registry) ReleaseAgent(id, why string) ([]chan struct{}, bool) {
 	}
 	meta.gone = true
 	meta.lastWhy = why
-	watchers := s.watchers[id]
-	delete(s.watchers, id)
 	s.mu.Unlock()
 	if wasLive {
 		r.inFlight.Add(-1)
 		r.ledger.AddInFlight(tenantID, -1)
 	}
-	return watchers, true
+	return true
 }
 
 // AdoptClone registers cloneID under the code id and owner of srcID so
@@ -586,50 +558,6 @@ func (r *Registry) AdoptClone(srcID, cloneID string) bool {
 		r.ledger.AddInFlight(st.Tenant, 1)
 	}
 	return true
-}
-
-// ReleaseAllWatchers removes and returns every registered result
-// watcher, for release at gateway shutdown. After it runs, Watch hands
-// out immediately-closed channels instead of registering, so a
-// subscriber racing shutdown can never block forever.
-func (r *Registry) ReleaseAllWatchers() []chan struct{} {
-	r.closed.Store(true)
-	var out []chan struct{}
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		for id, watchers := range s.watchers {
-			out = append(out, watchers...)
-			delete(s.watchers, id)
-		}
-		s.mu.Unlock()
-	}
-	return out
-}
-
-// Watch returns a channel that is closed when the agent reaches a
-// terminal state — its result became collectable, or it was disposed
-// (immediately-closed if it already did). The second return is false
-// for unknown agents. An agent that strands mid-journey never closes
-// its channel; subscribers should watch with their own timeout.
-func (r *Registry) Watch(id string) (<-chan struct{}, bool) {
-	s := r.shardFor(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	meta, ok := s.dispatch[id]
-	if !ok {
-		return nil, false
-	}
-	ch := make(chan struct{})
-	// The closed check is made under the shard lock: either this Watch
-	// registered before the shutdown sweep locked the shard (and was
-	// swept), or it observes closed here.
-	if meta.done || meta.gone || r.closed.Load() {
-		close(ch)
-		return ch, true
-	}
-	s.watchers[id] = append(s.watchers[id], ch)
-	return ch, true
 }
 
 // NumAgents counts dispatched agents across all shards.

@@ -116,7 +116,7 @@ func TestPruneGoneSkipsResurrected(t *testing.T) {
 func TestReleaseAgentQueuesTombstone(t *testing.T) {
 	r := NewRegistry()
 	r.CreateAgent("a1", "echo", "dev", tenant.DefaultID, "", "")
-	if _, ok := r.ReleaseAgent("a1", "disposed by owner"); !ok {
+	if !r.ReleaseAgent("a1", "disposed by owner") {
 		t.Fatal("release failed")
 	}
 	if n := r.PruneGone(time.Now().Add(-time.Hour)); n != 0 {

@@ -110,77 +110,24 @@ func TestRegistryNonceSingleAcceptance(t *testing.T) {
 	}
 }
 
-func TestRegistryWatch(t *testing.T) {
-	reg := NewRegistry()
-	if _, ok := reg.Watch("ghost"); ok {
-		t.Fatal("watch on unknown agent succeeded")
-	}
-	reg.CreateAgent("ag-1", "app.echo", "dev-1", tenant.DefaultID, "", "")
-	ch, ok := reg.Watch("ag-1")
-	if !ok {
-		t.Fatal("watch on known agent failed")
-	}
-	select {
-	case <-ch:
-		t.Fatal("watcher fired before completion")
-	default:
-	}
-	watchers := reg.CompleteAgent("ag-1", "app.echo", "dev-1", 7, "")
-	if len(watchers) != 1 {
-		t.Fatalf("watchers = %d, want 1", len(watchers))
-	}
-	for _, w := range watchers {
-		close(w)
-	}
-	select {
-	case <-ch:
-	default:
-		t.Fatal("watcher not signalled")
-	}
-	// Watching an already-done agent returns a closed channel.
-	ch2, ok := reg.Watch("ag-1")
-	if !ok {
-		t.Fatal("watch after done failed")
-	}
-	select {
-	case <-ch2:
-	default:
-		t.Fatal("watch after done not immediately ready")
-	}
-}
-
 func TestRegistryReleaseAgent(t *testing.T) {
 	reg := NewRegistry()
-	if _, ok := reg.ReleaseAgent("ghost", "x"); ok {
+	if reg.ReleaseAgent("ghost", "x") {
 		t.Fatal("released unknown agent")
 	}
 	reg.CreateAgent("ag-1", "app.echo", "dev-1", tenant.DefaultID, "", "")
-	pre, _ := reg.Watch("ag-1")
-	watchers, ok := reg.ReleaseAgent("ag-1", "disposed by owner")
-	if !ok || len(watchers) != 1 {
-		t.Fatalf("release: ok=%v watchers=%d", ok, len(watchers))
+	if n := reg.InFlight(); n != 1 {
+		t.Fatalf("in flight before release = %d, want 1", n)
 	}
-	for _, ch := range watchers {
-		close(ch)
-	}
-	select {
-	case <-pre:
-	default:
-		t.Fatal("pre-release watcher not signalled")
-	}
-	// Watching after release must not block forever.
-	post, ok := reg.Watch("ag-1")
-	if !ok {
-		t.Fatal("watch after release failed")
-	}
-	select {
-	case <-post:
-	default:
-		t.Fatal("watch after release not immediately closed")
+	if !reg.ReleaseAgent("ag-1", "disposed by owner") {
+		t.Fatal("release of a known agent failed")
 	}
 	st, _ := reg.Agent("ag-1")
 	if !st.Gone || st.Done || st.LastWhy != "disposed by owner" {
 		t.Fatalf("released status = %+v", st)
+	}
+	if n := reg.InFlight(); n != 0 {
+		t.Fatalf("in flight after release = %d, want 0", n)
 	}
 }
 
@@ -246,11 +193,30 @@ func newConcurrentFixture(t *testing.T) *concurrentFixture {
 	return f
 }
 
+// collectResult collects an agent's result document through
+// /pdagent/result as a device does: 409 means still travelling, so it
+// asks again until the deadline.
+func collectResult(tr transport.RoundTripper, gw, agentID string) (*transport.Response, error) {
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		req := &transport.Request{Path: "/pdagent/result"}
+		req.SetHeader("agent", agentID)
+		resp, err := tr.RoundTrip(context.Background(), gw, req)
+		if err != nil || resp.Status != transport.StatusConflict {
+			return resp, err
+		}
+		if time.Now().After(deadline) {
+			return nil, fmt.Errorf("agent %s: result lost (still travelling after 10s)", agentID)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestGatewayConcurrentDispatchNoLostResults is the -race hammering
-// test of ISSUE 1: many goroutines subscribe, dispatch and collect
-// concurrently; every dispatched agent must produce exactly its own
-// result (no losses, no cross-wiring), and the shared-nonce race must
-// admit exactly one dispatch.
+// test of the dispatch path: many goroutines subscribe, dispatch and
+// collect concurrently; every dispatched agent must produce exactly its
+// own result (no losses, no cross-wiring), and the shared-nonce race
+// must admit exactly one dispatch.
 func TestGatewayConcurrentDispatchNoLostResults(t *testing.T) {
 	f := newConcurrentFixture(t)
 	err := f.gw.AddCodePackage(&wire.CodePackage{
@@ -310,20 +276,7 @@ func TestGatewayConcurrentDispatchNoLostResults(t *testing.T) {
 					return
 				}
 				agentID := resp.Text()
-				ready, ok := f.gw.WatchResult(agentID)
-				if !ok {
-					t.Errorf("agent %s unknown right after dispatch", agentID)
-					return
-				}
-				select {
-				case <-ready:
-				case <-time.After(10 * time.Second):
-					t.Errorf("agent %s: result lost (timeout)", agentID)
-					return
-				}
-				rreq := &transport.Request{Path: "/pdagent/result"}
-				rreq.SetHeader("agent", agentID)
-				resp, err = f.tr.RoundTrip(context.Background(), "gw-c", rreq)
+				resp, err = collectResult(f.tr, "gw-c", agentID)
 				if err != nil || !resp.IsOK() {
 					t.Errorf("agent %s result: %v %v", agentID, resp, err)
 					return
@@ -434,9 +387,9 @@ func mustSubscribe(t *testing.T, f *concurrentFixture, codeID, owner string) *wi
 }
 
 // TestGatewayDisposeReleasesResult disposes a still-travelling agent
-// and asserts the gateway reports the terminal state: result becomes
-// 410 Gone (not "still travelling" forever) and WatchResult returns a
-// closed channel.
+// and asserts the gateway reports the terminal state: a device's
+// collection gets 410 Gone (not "still travelling" forever) and the
+// agent no longer counts as in flight.
 func TestGatewayDisposeReleasesResult(t *testing.T) {
 	f := newConcurrentFixture(t)
 	gw, err := New(Config{
@@ -487,6 +440,9 @@ func TestGatewayDisposeReleasesResult(t *testing.T) {
 		t.Fatalf("dispatch: %v %v", dresp, err)
 	}
 	agentID := dresp.Text()
+	if n := gw.Registry().InFlight(); n != 1 {
+		t.Fatalf("in flight before dispose = %d, want 1", n)
+	}
 
 	mreq := &transport.Request{Path: "/pdagent/manage/dispose"}
 	mreq.SetHeader("agent", agentID)
@@ -495,9 +451,7 @@ func TestGatewayDisposeReleasesResult(t *testing.T) {
 		t.Fatalf("dispose: %v %v", resp, err)
 	}
 
-	rreq := &transport.Request{Path: "/pdagent/result"}
-	rreq.SetHeader("agent", agentID)
-	resp, err = f.tr.RoundTrip(context.Background(), "gw-dispose", rreq)
+	resp, err = collectResult(f.tr, "gw-dispose", agentID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,14 +465,8 @@ func TestGatewayDisposeReleasesResult(t *testing.T) {
 	if err != nil || !resp.IsOK() || resp.GetHeader("agent-state") != "disposed" {
 		t.Fatalf("status after dispose = %v %v (state %q)", resp, err, resp.GetHeader("agent-state"))
 	}
-	ready, ok := gw.WatchResult(agentID)
-	if !ok {
-		t.Fatal("watch after dispose failed")
-	}
-	select {
-	case <-ready:
-	default:
-		t.Fatal("watch after dispose not immediately closed")
+	if n := gw.Registry().InFlight(); n != 0 {
+		t.Fatalf("in flight after dispose = %d, want 0", n)
 	}
 }
 

@@ -8,12 +8,12 @@ import (
 )
 
 // Histogram is a concurrent log-linear latency histogram in
-// microseconds. It uses the same bucket geometry as churnsim's
-// single-threaded histogram (§8): exact below 32µs, then 32 sub-
-// buckets per power of two, bounding quantile error to ~3%. Unlike
-// churnsim's, the bucket array is fixed-size atomics — Observe is
-// lock-free, allocation-free, and safe to call concurrently with
-// scrapes, which is what the dispatch path needs.
+// microseconds: exact below 32µs, then 32 sub-buckets per power of two,
+// bounding quantile error to ~3% (the HDR-histogram trick). The bucket
+// array is fixed-size atomics — Observe is lock-free, allocation-free,
+// and safe to call concurrently with scrapes, which is what the
+// dispatch path needs. The churnsim scenarios (§8) record their
+// virtual-time latencies into it too. The zero value is ready to use.
 type Histogram struct {
 	count   atomic.Uint64
 	sum     atomic.Uint64 // total µs observed

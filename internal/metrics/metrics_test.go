@@ -66,6 +66,60 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+// TestHistogramExactBelowSubRange: values under 32µs land in exact
+// 1µs buckets.
+func TestHistogramExactBelowSubRange(t *testing.T) {
+	var h Histogram
+	for us := uint64(0); us < 32; us++ {
+		h.RecordUS(us)
+	}
+	if q := h.Quantile(0); q != 0 {
+		t.Fatalf("q0 = %d, want 0", q)
+	}
+	if q := h.Quantile(0.5); q != 15 {
+		t.Fatalf("q0.5 = %d, want 15", q)
+	}
+	if q := h.Quantile(1); q != 31 {
+		t.Fatalf("q1 = %d, want 31", q)
+	}
+	if m := h.MeanUS(); m != 15.5 {
+		t.Fatalf("mean = %v, want 15.5", m)
+	}
+}
+
+// TestHistogramRelativeError: any value is reproduced by its bucket
+// midpoint within the advertised 1/32 relative error, exactly below 32.
+func TestHistogramRelativeError(t *testing.T) {
+	for us := uint64(0); us < 10*60*1_000_000; us = us*17/16 + 1 {
+		mid := bucketMid(bucketOf(us))
+		if us < 32 {
+			if mid != us {
+				t.Fatalf("small value %dµs not exact (mid %dµs)", us, mid)
+			}
+			continue
+		}
+		if rel := math.Abs(float64(mid)-float64(us)) / float64(us); rel > 1.0/32 {
+			t.Fatalf("value %dµs -> bucket %d mid %dµs, rel err %.4f", us, bucketOf(us), mid, rel)
+		}
+	}
+}
+
+// TestHistogramMonotoneBuckets: bucket indexes are monotone in the
+// value, so quantile rank walks are order-correct.
+func TestHistogramMonotoneBuckets(t *testing.T) {
+	prev := -1
+	for us := uint64(0); us < 1<<20; us += 97 {
+		b := bucketOf(us)
+		if b < prev {
+			t.Fatalf("bucketOf(%d) = %d < previous %d", us, b, prev)
+		}
+		prev = b
+	}
+	if b := bucketOf(math.MaxUint64); b != histBuckets-1 {
+		t.Fatalf("bucketOf(max) = %d, want the last bucket %d", b, histBuckets-1)
+	}
+}
+
 func TestHistogramObserveDuration(t *testing.T) {
 	var h Histogram
 	h.Observe(1500 * time.Microsecond)

@@ -781,7 +781,7 @@ func (h *Hub) Poll(device string, after uint64, max int) (entries []*Entry, wate
 }
 
 // PollStaged is Poll without the wait for the ack's commit — for the
-// long-poll endpoint and for an upload that carries an ack, where a
+// gateway's mailbox reads and for an upload that carries an ack, where a
 // device would otherwise spend a round trip on an fsync it gains nothing
 // from. The ack takes effect in memory at
 // once; its store ops are staged and ride the mailbox's next commit —

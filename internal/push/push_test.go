@@ -321,8 +321,9 @@ func TestEntriesWireRoundTrip(t *testing.T) {
 	if dev != "alice" || watermark != 5 || evicted != 7 || len(out) != 2 || token != "" {
 		t.Fatalf("decoded dev %q wm %d ev %d n %d tok %q", dev, watermark, evicted, len(out), token)
 	}
-	// Export documents additionally carry the access token.
-	_, _, _, _, token, _, err = ParseEntries(EncodeExport("alice", in, 5, "tok-1", ""))
+	// Export documents additionally carry the access token and the
+	// enqueue times (the device's document has none).
+	_, exported, _, _, token, _, err := ParseEntries(EncodeExport("alice", in, 5, "tok-1", ""))
 	if err != nil || token != "tok-1" {
 		t.Fatalf("export token = %q, %v", token, err)
 	}
@@ -333,8 +334,11 @@ func TestEntriesWireRoundTrip(t *testing.T) {
 			t.Fatalf("entry %d: got %+v want %+v", i, out[i], in[i])
 		}
 	}
-	if !out[0].Enqueued.Equal(in[0].Enqueued) {
-		t.Fatalf("enqueue time lost: %v vs %v", out[0].Enqueued, in[0].Enqueued)
+	if !out[0].Enqueued.IsZero() {
+		t.Fatalf("device document carried enqueue time %v", out[0].Enqueued)
+	}
+	if !exported[0].Enqueued.Equal(in[0].Enqueued) {
+		t.Fatalf("export lost the enqueue time: %v vs %v", exported[0].Enqueued, in[0].Enqueued)
 	}
 }
 

@@ -19,16 +19,20 @@ import (
 //	  <e seq="3">result:ag-1</e> ...
 //	</mb-meta>
 //	<mailbox device="d" next="5" evicted="1">
-//	  <entry seq=... kind=... agent=... event=... enq=...><![CDATA[body]]></entry>
+//	  <entry seq=... kind=... agent=... event=...><![CDATA[body]]></entry>
 //	</mailbox>
 //
 // Bodies are text payloads (result documents, short notes). In the
 // backing records and in a migration export they ride as escaped
 // character data; in the mailbox document a device reads they ride as
 // CDATA (a "]]>" inside one is split across two sections), so a result
-// document's markup crosses the wireless link unescaped. That document
-// goes to the device as one compress frame — LZSS, the codec every
-// device already decodes its own records with (EncodeDelivery) — whose
+// document's markup crosses the wireless link unescaped. The device's
+// document carries no enqueue time (enq): no device reads it, and a
+// wall-clock stamp would make the answer's length vary from run to run.
+// A migration export keeps it, so TTLs keep counting at the new edge;
+// a missing enq parses as the zero time. The device's document travels
+// as one compress frame — LZSS, the codec every device already decodes
+// its own records with (EncodeDelivery) — whose
 // magic byte no XML document can begin with: ParseEntries reads either
 // form. Timestamps are unix nanoseconds.
 
@@ -223,8 +227,9 @@ func EncodeExport(device string, entries []*Entry, watermark uint64, token, tena
 }
 
 // encodeMailboxDoc is the one mailbox-document encoder, append-built
-// like the records above; cdata selects how entry bodies are written.
-func encodeMailboxDoc(device string, entries []*Entry, watermark, evicted uint64, token, tenant string, cdata bool) []byte {
+// like the records above; forDevice selects the device's form: CDATA
+// bodies and no enqueue times.
+func encodeMailboxDoc(device string, entries []*Entry, watermark, evicted uint64, token, tenant string, forDevice bool) []byte {
 	size := 128 + len(device) + len(token) + len(tenant)
 	for _, e := range entries {
 		size += 128 + len(e.Kind) + len(e.AgentID) + len(e.EventID) + len(e.Body)
@@ -257,14 +262,16 @@ func encodeMailboxDoc(device string, entries []*Entry, watermark, evicted uint64
 		b = kxml.AppendEscapedAttr(b, e.AgentID)
 		b = append(b, `" event="`...)
 		b = kxml.AppendEscapedAttr(b, e.EventID)
-		b = append(b, `" enq="`...)
-		b = strconv.AppendInt(b, e.Enqueued.UnixNano(), 10)
+		if !forDevice {
+			b = append(b, `" enq="`...)
+			b = strconv.AppendInt(b, e.Enqueued.UnixNano(), 10)
+		}
 		if len(e.Body) == 0 {
 			b = append(b, `"/>`...)
 			continue
 		}
 		b = append(b, `">`...)
-		if cdata {
+		if forDevice {
 			b = appendCDATA(b, e.Body)
 		} else {
 			b = kxml.AppendEscapedText(b, string(e.Body))
