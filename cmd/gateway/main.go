@@ -195,9 +195,7 @@ func main() {
 		peer = repl.NewPeer(repl.Config{
 			Self:      public,
 			Transport: rt,
-			Stamp:     node.StampIdentity,
-			Authorize: node.Authorized,
-			OriginOf:  cluster.Origin,
+			Identity:  node,
 			StandbyFn: func() string { return node.StandbyFor(public) },
 			Mode:      mode,
 			Logf:      log.Printf,

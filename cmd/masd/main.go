@@ -132,13 +132,10 @@ func main() {
 		if err != nil {
 			log.Fatalf("masd: %v", err)
 		}
-		id := cluster.StaticIdentity{Self: public, Secret: *clusterSecret}
 		peer = repl.NewPeer(repl.Config{
 			Self:      public,
 			Transport: rt,
-			Stamp:     id.Stamp,
-			Authorize: id.Authorized,
-			OriginOf:  cluster.Origin,
+			Identity:  cluster.StaticIdentity{Self: public, Secret: *clusterSecret},
 			StandbyFn: func() string { return *replicateTo },
 			Mode:      mode,
 			Logf:      log.Printf,

@@ -132,11 +132,10 @@ func CrashStorm(cfg CrashStormConfig) (*CrashStormResult, error) {
 	nodes := make([]*cluster.Node, 2)
 	for i, addr := range addrs {
 		nodes[i] = cluster.NewNode(cluster.Config{
-			Self:           addr,
-			Seeds:          addrs,
-			Transport:      wired,
-			Secret:         "churn-cluster-secret",
-			NoLocationPush: true,
+			Self:      addr,
+			Seeds:     addrs,
+			Transport: wired,
+			Secret:    "churn-cluster-secret",
 		})
 	}
 	peers := make([]*repl.Peer, 2)
@@ -145,9 +144,7 @@ func CrashStorm(cfg CrashStormConfig) (*CrashStormResult, error) {
 		peers[i] = repl.NewPeer(repl.Config{
 			Self:      addrs[i],
 			Transport: wired,
-			Stamp:     nodes[i].StampIdentity,
-			Authorize: nodes[i].Authorized,
-			OriginOf:  cluster.Origin,
+			Identity:  nodes[i],
 			StandbyFn: func() string { return addrs[1-i] },
 			Mode:      cfg.Mode,
 			Logf:      cfg.Logf,

@@ -538,11 +538,10 @@ func ReconnectStorm(cfg StormConfig) (*StormResult, error) {
 		}
 		if cfg.Members > 1 {
 			gcfg.Cluster = cluster.NewNode(cluster.Config{
-				Self:           addr,
-				Seeds:          addrs,
-				Transport:      net.Transport(netsim.ZoneWired),
-				Secret:         "churn-cluster-secret",
-				NoLocationPush: true,
+				Self:      addr,
+				Seeds:     addrs,
+				Transport: net.Transport(netsim.ZoneWired),
+				Secret:    "churn-cluster-secret",
 			})
 		}
 		gw, err := gateway.New(gcfg)

@@ -47,11 +47,10 @@ func TestStormRace10k(t *testing.T) {
 			Transport: net.Transport(netsim.ZoneWired),
 			Mailbox:   &gateway.MailboxConfig{Store: rms.NewMemStore("race-"+addr, 0)},
 			Cluster: cluster.NewNode(cluster.Config{
-				Self:           addr,
-				Seeds:          addrs,
-				Transport:      net.Transport(netsim.ZoneWired),
-				Secret:         "race-secret",
-				NoLocationPush: true,
+				Self:      addr,
+				Seeds:     addrs,
+				Transport: net.Transport(netsim.ZoneWired),
+				Secret:    "race-secret",
 			}),
 		})
 		if err != nil {

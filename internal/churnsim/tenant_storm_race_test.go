@@ -52,11 +52,10 @@ func TestStormRace3Tenants(t *testing.T) {
 			Tenants:   treg,
 			Mailbox:   &gateway.MailboxConfig{Store: rms.NewMemStore("trace-"+addr, 0)},
 			Cluster: cluster.NewNode(cluster.Config{
-				Self:           addr,
-				Seeds:          addrs,
-				Transport:      net.Transport(netsim.ZoneWired),
-				Secret:         "race-secret",
-				NoLocationPush: true,
+				Self:      addr,
+				Seeds:     addrs,
+				Transport: net.Transport(netsim.ZoneWired),
+				Secret:    "race-secret",
 			}),
 		})
 		if err != nil {

@@ -17,7 +17,7 @@ type testFleet struct {
 	addrs []string
 }
 
-func newFleet(t *testing.T, n int) *testFleet {
+func newFleet(t testing.TB, n int) *testFleet {
 	t.Helper()
 	f := &testFleet{net: netsim.New(1)}
 	for i := 0; i < n; i++ {
@@ -47,7 +47,7 @@ func TestSeedBootstrap(t *testing.T) {
 	// Before any heartbeat, the seed list is the live view: placement
 	// and the directory work from t=0.
 	for _, n := range f.nodes {
-		if got := len(n.Membership().AliveAddrs()); got != 3 {
+		if got := len(n.AliveAddrs()); got != 3 {
 			t.Fatalf("node %s bootstrapped with %d live members, want 3", n.Self(), got)
 		}
 	}
@@ -66,22 +66,22 @@ func TestHeartbeatEviction(t *testing.T) {
 	f := newFleet(t, 3)
 	ctx := context.Background()
 	f.tickAll(ctx)
-	if !f.nodes[0].Membership().Alive("gw-2") {
+	if !f.nodes[0].Alive("gw-2") {
 		t.Fatal("gw-2 should be alive after a heartbeat round")
 	}
 
 	if err := f.net.KillHost("gw-2"); err != nil {
 		t.Fatal(err)
 	}
-	// Default SuspectAfter is 3 ticks: run the survivors past it.
+	// suspectAfter is 3 ticks: run the survivors past it.
 	for i := 0; i < 5; i++ {
 		f.nodes[0].Tick(ctx)
 		f.nodes[1].Tick(ctx)
 	}
-	if f.nodes[0].Membership().Alive("gw-2") {
+	if f.nodes[0].Alive("gw-2") {
 		t.Fatal("gw-2 still alive after missing 5 ticks")
 	}
-	for _, addr := range f.nodes[0].Membership().AliveAddrs() {
+	for _, addr := range f.nodes[0].AliveAddrs() {
 		if addr == "gw-2" {
 			t.Fatal("gw-2 still in the live view")
 		}
@@ -100,12 +100,12 @@ func TestHeartbeatEviction(t *testing.T) {
 		t.Fatal("no keys placed at all")
 	}
 
-	// Eviction after EvictAfter more ticks.
+	// Eviction after evictAfter more ticks.
 	for i := 0; i < 10; i++ {
 		f.nodes[0].Tick(ctx)
 		f.nodes[1].Tick(ctx)
 	}
-	for _, m := range f.nodes[0].Membership().Members() {
+	for _, m := range f.nodes[0].Members() {
 		if m.Addr == "gw-2" && m.State != StateLeft {
 			t.Fatalf("gw-2 state %s after long silence, want %s", m.State, StateLeft)
 		}
@@ -118,7 +118,7 @@ func TestHeartbeatEviction(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		f.tickAll(ctx)
 	}
-	if !f.nodes[0].Membership().Alive("gw-2") {
+	if !f.nodes[0].Alive("gw-2") {
 		t.Fatal("revived gw-2 did not rejoin the live view")
 	}
 }
@@ -137,13 +137,13 @@ func TestGossipSpreadsEviction(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		f.nodes[0].Tick(ctx)
 	}
-	if f.nodes[0].Membership().Alive("gw-2") {
+	if f.nodes[0].Alive("gw-2") {
 		t.Fatal("gw-0 did not suspect gw-2")
 	}
 	// One tick of gw-1 pulls gw-0's view (suspect state gossips in).
 	f.nodes[1].Tick(ctx)
 	f.nodes[1].Tick(ctx)
-	if f.nodes[1].Membership().Alive("gw-2") {
+	if f.nodes[1].Alive("gw-2") {
 		t.Fatal("suspicion did not spread to gw-1 by gossip")
 	}
 }
@@ -154,10 +154,10 @@ func TestLeaveImmediate(t *testing.T) {
 	f.tickAll(ctx)
 	f.nodes[2].Leave(ctx)
 	// No further ticks needed: the leave broadcast updates peers now.
-	if f.nodes[0].Membership().Alive("gw-2") || f.nodes[1].Membership().Alive("gw-2") {
+	if f.nodes[0].Alive("gw-2") || f.nodes[1].Alive("gw-2") {
 		t.Fatal("peers still count a departed member as alive")
 	}
-	if f.nodes[2].Membership().Alive("gw-2") {
+	if f.nodes[2].Alive("gw-2") {
 		t.Fatal("a leaving member counts itself alive")
 	}
 	if got := f.nodes[2].Home(SubscriptionKey("a", "b")); got == "gw-2" {
@@ -235,8 +235,8 @@ func TestLocationReplication(t *testing.T) {
 func TestForwarderLoopProtection(t *testing.T) {
 	f := newFleet(t, 2)
 	ctx := context.Background()
-	fw0 := f.nodes[0].Forwarder()
-	fw1 := f.nodes[1].Forwarder()
+	fw0 := f.nodes[0]
+	fw1 := f.nodes[1]
 
 	locBody := EncodeUpdate(Location{AgentID: "ag-x", Addr: "bank-a", Seq: 1})
 	r1 := reqTo("/cluster/loc")
@@ -274,7 +274,7 @@ func TestClusterEndpointsRequireToken(t *testing.T) {
 	ctx := context.Background()
 	rt := f.net.Transport(netsim.ZoneWired)
 
-	hb := f.nodes[0].Membership().viewDoc()
+	hb := f.nodes[0].viewDoc()
 	for _, path := range []string{"/cluster/heartbeat", "/cluster/loc"} {
 		req := &transport.Request{Path: path, Body: hb}
 		req.SetHeader("x-cluster-fwd", "gw-0") // forged chain
@@ -296,7 +296,7 @@ func TestClusterEndpointsRequireToken(t *testing.T) {
 	}
 	// The real forwarder (which stamps the right token) still works.
 	locReq := &transport.Request{Path: "/cluster/loc", Body: EncodeUpdate(Location{AgentID: "a", Addr: "b", Seq: 1})}
-	resp, err := f.nodes[0].Forwarder().Forward(ctx, "gw-1", locReq)
+	resp, err := f.nodes[0].Forward(ctx, "gw-1", locReq)
 	if err != nil || !resp.IsOK() {
 		t.Fatalf("authorised push refused: %v %v", err, resp)
 	}
@@ -379,7 +379,7 @@ func TestConcurrentGossip(t *testing.T) {
 					Seq:     r,
 				})
 				_ = n.Home(SubscriptionKey("app.echo", fmt.Sprintf("dev-%d", r)))
-				_ = n.Membership().AliveAddrs()
+				_ = n.AliveAddrs()
 				n.SetTenantUsageFunc(func() []TenantUsage {
 					return []TenantUsage{{Tenant: "acme", InFlight: int64(r)}}
 				})
@@ -389,7 +389,7 @@ func TestConcurrentGossip(t *testing.T) {
 	}
 	wg.Wait()
 	for _, n := range f.nodes {
-		if got := len(n.Membership().AliveAddrs()); got != 3 {
+		if got := len(n.AliveAddrs()); got != 3 {
 			t.Fatalf("node %s ended with %d live members, want 3", n.Self(), got)
 		}
 	}

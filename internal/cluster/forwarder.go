@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"pdagent/internal/transport"
@@ -15,52 +14,12 @@ import (
 // disagreeing views.
 const fwdHeader = "x-cluster-fwd"
 
-// tokenHeader carries the shared cluster secret. The /cluster/
-// endpoints sit on the same listener as device traffic and the HTTP
-// adapter copies client headers verbatim, so the hop chain alone must
-// never be treated as proof that a request came from a peer — only
-// the token is.
-const tokenHeader = "x-cluster-token"
-
-// originHeader names the member a request claims to come from, and
-// epochHeader the fencing epoch that instance of the member holds.
-// Neither is proof of identity on its own (headers are
-// client-settable) — they are meaningful only AFTER the token check,
-// as the fencing discriminator between a live member and a fenced
-// zombie of the same address (DESIGN.md §10).
-const (
-	originHeader = "x-cluster-origin"
-	epochHeader  = "x-cluster-epoch"
-	// fencedEpochHeader rides a Forbidden reply to tell a zombie the
-	// epoch it was fenced at.
-	fencedEpochHeader = "x-cluster-fenced-epoch"
-)
-
 // maxForwardHops bounds a forwarding chain even across disjoint views.
 const maxForwardHops = 4
 
 // ErrForwardLoop is returned when a forward would revisit a member
 // already in the request's chain (or the chain is too long).
 var ErrForwardLoop = fmt.Errorf("cluster: forwarding loop")
-
-// Forwarder proxies requests between cluster members over the shared
-// transport, tagging each hop for loop protection and stamping the
-// shared cluster secret.
-type Forwarder struct {
-	self    string
-	rt      transport.RoundTripper
-	secret  string
-	epochFn func() uint64 // nil: epoch 0
-}
-
-// NewForwarder builds a forwarder identifying itself as self.
-func NewForwarder(self string, rt transport.RoundTripper, secret string) *Forwarder {
-	return &Forwarder{self: self, rt: rt, secret: secret}
-}
-
-// SetEpochFn installs the fencing-epoch reporter stamped on every
-// forwarded request (Node wiring).
-func (f *Forwarder) SetEpochFn(fn func() uint64) { f.epochFn = fn }
 
 // Chain returns the members a request has already visited.
 func Chain(req *transport.Request) []string {
@@ -71,27 +30,22 @@ func Chain(req *transport.Request) []string {
 	return strings.Split(h, ",")
 }
 
-// Origin returns the member address a request claims to come from (""
-// if unstamped). Like the hop chain it is client-settable, so it is
-// meaningful only AFTER Node.Authorized accepted the request.
-func Origin(req *transport.Request) string { return req.GetHeader(originHeader) }
-
 // Forwarded reports whether req already crossed at least one member —
 // gateway endpoints use it to trust intra-cluster requests and to
 // refuse re-forwarding.
 func Forwarded(req *transport.Request) bool { return req.GetHeader(fwdHeader) != "" }
 
-// Forward sends req to addr with this member appended to the hop
-// chain. It refuses loops (addr already in the chain, or chain at the
-// hop bound) with ErrForwardLoop rather than putting the request back
-// on the wire.
-func (f *Forwarder) Forward(ctx context.Context, addr string, req *transport.Request) (*transport.Response, error) {
+// Forward sends a copy of req to addr with this member appended to the
+// hop chain and this member's identity stamped on it. It refuses loops
+// (addr already in the chain, or chain at the hop bound) with
+// ErrForwardLoop rather than putting the request back on the wire.
+func (n *Node) Forward(ctx context.Context, addr string, req *transport.Request) (*transport.Response, error) {
 	chain := Chain(req)
 	if len(chain) >= maxForwardHops {
 		return nil, fmt.Errorf("%w: chain %v at bound %d", ErrForwardLoop, chain, maxForwardHops)
 	}
 	for _, h := range chain {
-		if h == addr || h == f.self {
+		if h == addr || h == n.cfg.Self {
 			return nil, fmt.Errorf("%w: %s already in chain %v", ErrForwardLoop, addr, chain)
 		}
 	}
@@ -99,17 +53,7 @@ func (f *Forwarder) Forward(ctx context.Context, addr string, req *transport.Req
 	for k, v := range req.Header {
 		fwd.SetHeader(k, v)
 	}
-	if len(chain) == 0 {
-		fwd.SetHeader(fwdHeader, f.self)
-	} else {
-		fwd.SetHeader(fwdHeader, strings.Join(chain, ",")+","+f.self)
-	}
-	fwd.SetHeader(tokenHeader, f.secret)
-	fwd.SetHeader(originHeader, f.self)
-	epoch := uint64(0)
-	if f.epochFn != nil {
-		epoch = f.epochFn()
-	}
-	fwd.SetHeader(epochHeader, strconv.FormatUint(epoch, 10))
-	return f.rt.RoundTrip(ctx, addr, fwd)
+	fwd.SetHeader(fwdHeader, strings.Join(append(chain, n.cfg.Self), ","))
+	n.Stamp(fwd)
+	return n.cfg.Transport.RoundTrip(ctx, addr, fwd)
 }

@@ -7,12 +7,75 @@ import (
 	"pdagent/internal/transport"
 )
 
+// tokenHeader carries the shared cluster secret. The /cluster/
+// endpoints sit on the same listener as device traffic and the HTTP
+// adapter copies client headers verbatim, so the hop chain alone must
+// never be treated as proof that a request came from a peer — only
+// the token is.
+const tokenHeader = "x-cluster-token"
+
+// originHeader names the member a request claims to come from, and
+// epochHeader the fencing epoch that instance of the member holds.
+// Neither is proof of identity on its own (headers are
+// client-settable) — they are meaningful only AFTER the token check,
+// as the fencing discriminator between a live member and a fenced
+// zombie of the same address (DESIGN.md §10).
+const (
+	originHeader = "x-cluster-origin"
+	epochHeader  = "x-cluster-epoch"
+	// fencedEpochHeader rides a refused heartbeat's reply to tell a
+	// zombie the epoch it was fenced at.
+	fencedEpochHeader = "x-cluster-fenced-epoch"
+)
+
+// stamp adds a cluster identity — token, origin, epoch — to an
+// outgoing request. Every intra-cluster sender goes through it:
+// heartbeats and leaves, forwarded requests, location pushes, masd
+// location relays and replication streams.
+func stamp(req *transport.Request, self, secret string, epoch uint64) {
+	req.SetHeader(tokenHeader, secret)
+	req.SetHeader(originHeader, self)
+	req.SetHeader(epochHeader, strconv.FormatUint(epoch, 10))
+}
+
+// vet is the one check every intra-cluster request passes: a
+// constant-time compare of the shared secret, then the fence of the
+// origin the request names against the epoch it claims. fenceOf nil
+// checks the token alone. A request refused by a fence comes back with
+// that fence (0 otherwise), so the heartbeat handler can tell the
+// zombie its own death.
+func vet(req *transport.Request, secret string, fenceOf func(string) uint64) (ok bool, fence uint64) {
+	if subtle.ConstantTimeCompare([]byte(req.GetHeader(tokenHeader)), []byte(secret)) != 1 {
+		return false, 0
+	}
+	if origin := req.GetHeader(originHeader); origin != "" && fenceOf != nil {
+		if f := fenceOf(origin); f > requestEpoch(req) {
+			return false, f
+		}
+	}
+	return true, 0
+}
+
+// requestEpoch reads the fencing epoch a request claims (0 if absent).
+func requestEpoch(req *transport.Request) uint64 {
+	e, err := strconv.ParseUint(req.GetHeader(epochHeader), 10, 64)
+	if err != nil {
+		return 0
+	}
+	return e
+}
+
+// origin returns the member address a request claims to come from (""
+// if unstamped). It is client-settable, so it is meaningful only AFTER
+// vet accepted the request.
+func origin(req *transport.Request) string { return req.GetHeader(originHeader) }
+
 // StaticIdentity is a fixed cluster identity for hosts that speak the
 // authenticated intra-cluster protocol without being members — a masd
-// replicating its journal to a standby, for instance. It stamps the
-// same headers Node.StampIdentity does and vets incoming requests with
-// the same shared-secret check, but knows nothing about fencing: a
-// non-member never gossips fences, so Authorized admits any epoch.
+// replicating its journal to a standby or relaying locations, for
+// instance. It stamps and vets like Node, but knows nothing about
+// fencing: a non-member never gossips fences, so Authorized admits any
+// epoch.
 type StaticIdentity struct {
 	// Self is the address stamped as the request origin.
 	Self string
@@ -24,14 +87,14 @@ type StaticIdentity struct {
 }
 
 // Stamp adds the cluster token, origin and epoch to an outgoing
-// request, mirroring Node.StampIdentity.
-func (id StaticIdentity) Stamp(req *transport.Request) {
-	req.SetHeader(tokenHeader, id.Secret)
-	req.SetHeader(originHeader, id.Self)
-	req.SetHeader(epochHeader, strconv.FormatUint(id.Epoch, 10))
-}
+// request.
+func (id StaticIdentity) Stamp(req *transport.Request) { stamp(req, id.Self, id.Secret, id.Epoch) }
 
 // Authorized vets an incoming request by the shared secret alone.
 func (id StaticIdentity) Authorized(req *transport.Request) bool {
-	return subtle.ConstantTimeCompare([]byte(req.GetHeader(tokenHeader)), []byte(id.Secret)) == 1
+	ok, _ := vet(req, id.Secret, nil)
+	return ok
 }
+
+// Origin returns the member an authorized request came from.
+func (StaticIdentity) Origin(req *transport.Request) string { return origin(req) }

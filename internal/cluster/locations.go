@@ -159,17 +159,8 @@ func (l *Locations) appendRecent(root *kxml.Node) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, id := range l.recent {
-		e, ok := l.byAgent[id]
-		if !ok {
-			continue
-		}
-		n := root.AddElement("loc")
-		n.SetAttr("agent", e.AgentID)
-		n.SetAttr("addr", e.Addr)
-		n.SetAttr("home-gw", e.HomeGW)
-		n.SetAttr("seq", strconv.Itoa(e.Seq))
-		if e.Terminal {
-			n.SetAttr("terminal", "1")
+		if e, ok := l.byAgent[id]; ok {
+			appendLoc(root, *e)
 		}
 	}
 	l.recent = l.recent[:0]
@@ -200,6 +191,12 @@ func (l *Locations) mergeFrom(root *kxml.Node) {
 func EncodeUpdate(loc Location) []byte {
 	root := kxml.NewElement("cluster-view")
 	root.SetAttr("from", "")
+	appendLoc(root, loc)
+	return root.EncodeDocument()
+}
+
+// appendLoc renders one location as a <loc> element of root.
+func appendLoc(root *kxml.Node, loc Location) {
 	n := root.AddElement("loc")
 	n.SetAttr("agent", loc.AgentID)
 	n.SetAttr("addr", loc.Addr)
@@ -208,5 +205,4 @@ func EncodeUpdate(loc Location) []byte {
 	if loc.Terminal {
 		n.SetAttr("terminal", "1")
 	}
-	return root.EncodeDocument()
 }

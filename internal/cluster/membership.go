@@ -2,10 +2,10 @@ package cluster
 
 import (
 	"context"
-	"crypto/subtle"
+	"errors"
+	"math"
 	"sort"
 	"strconv"
-	"sync"
 
 	"pdagent/internal/kxml"
 	"pdagent/internal/transport"
@@ -18,7 +18,7 @@ type MemberState string
 const (
 	// StateAlive members receive traffic and placement.
 	StateAlive MemberState = "alive"
-	// StateSuspect members missed SuspectAfter ticks of evidence; they
+	// StateSuspect members missed suspectAfter ticks of evidence; they
 	// are skipped by placement but still probed, so a heartbeat from
 	// them (or fresh gossip) restores StateAlive.
 	StateSuspect MemberState = "suspect"
@@ -67,48 +67,6 @@ type Member struct {
 	Age int
 }
 
-// MembershipConfig configures a Membership.
-type MembershipConfig struct {
-	// Self is this member's advertised address. Required.
-	Self string
-	// Seeds are addresses that bootstrap the view (self is implied and
-	// filtered out). The static §3.5 list becomes the seed list.
-	Seeds []string
-	// Transport carries heartbeats. Required.
-	Transport transport.RoundTripper
-	// Secret is the shared cluster credential stamped on every
-	// heartbeat and required of every received one (see
-	// cluster.Config.Secret).
-	Secret string
-	// SuspectAfter is how many ticks without evidence mark a member
-	// suspect (default 3).
-	SuspectAfter int
-	// EvictAfter is how many ticks without evidence evict a member from
-	// the view entirely (default 8; must exceed SuspectAfter).
-	EvictAfter int
-	// LoadFn reports local load for outgoing heartbeats (nil: zero).
-	LoadFn func() Load
-	// TenantUsageFn reports this member's per-tenant usage rows for
-	// outgoing heartbeats (nil: none gossiped).
-	TenantUsageFn func() []TenantUsage
-	// EpochFn reports this member's fencing epoch, stamped on outgoing
-	// heartbeats so peers can refuse a fenced zombie (nil: epoch 0).
-	EpochFn func() uint64
-	// OnEvict fires (outside the membership lock) when suspicion
-	// transitions a member to StateLeft — the warm-standby promotion
-	// hook. It does NOT fire for graceful leaves or tombstones learned
-	// from gossip: only the member that aged the suspect out itself
-	// promotes, so a view that merely heard about the eviction does not
-	// double-promote.
-	OnEvict func(addr string)
-	// OnFenced fires (outside the lock) when this member learns its own
-	// address is fenced at an epoch above its own — it is a zombie that
-	// missed its eviction and must stop serving writes.
-	OnFenced func(epoch uint64)
-	// Logf receives diagnostics.
-	Logf func(format string, args ...any)
-}
-
 // memberInfo is the mutable per-member record.
 type memberInfo struct {
 	state    MemberState
@@ -118,85 +76,36 @@ type memberInfo struct {
 	lastSeen int           // local tick of last evidence
 }
 
-// Membership is the gossiping failure detector. Drive it with Tick —
-// manually in simulated worlds (deterministic), or via Node.Start on a
-// wall-clock interval in the daemons.
-type Membership struct {
-	cfg MembershipConfig
-
-	mu       sync.Mutex
-	members  map[string]*memberInfo // excludes self
-	tick     int
-	selfInc  int
-	selfLoad Load // cached at heartbeat time; see LoadOf
-	leaving  bool
-	version  uint64 // bumped whenever the placement-relevant view changes
-	// fences maps a member address to its fencing epoch: requests from
-	// that address carrying a lower epoch are refused everywhere. Raised
-	// by a promoted standby, spread by max-merge gossip, never lowered.
-	fences map[string]uint64
-
-	locs *Locations // piggyback source/sink; may be nil
-}
-
-// NewMembership builds a membership bootstrapped from the seed list:
-// seeds start alive, so placement works before the first heartbeat.
-func NewMembership(cfg MembershipConfig) *Membership {
-	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = 3
-	}
-	if cfg.EvictAfter <= cfg.SuspectAfter {
-		cfg.EvictAfter = cfg.SuspectAfter + 5
-	}
-	m := &Membership{cfg: cfg, members: map[string]*memberInfo{}, version: 1, fences: map[string]uint64{}}
-	for _, s := range cfg.Seeds {
-		if s == "" || s == cfg.Self {
-			continue
-		}
-		m.members[s] = &memberInfo{state: StateAlive}
-	}
-	return m
-}
-
-func (m *Membership) logf(format string, args ...any) {
-	if m.cfg.Logf != nil {
-		m.cfg.Logf(format, args...)
-	}
-}
-
-// Self returns the advertised address.
-func (m *Membership) Self() string { return m.cfg.Self }
-
 // Version counts placement-relevant view changes; Node caches its ring
 // against it.
-func (m *Membership) Version() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.version
+func (n *Node) Version() uint64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.version
 }
 
 // Alive reports whether addr is in the live view (self included unless
 // leaving).
-func (m *Membership) Alive(addr string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if addr == m.cfg.Self {
-		return !m.leaving
+func (n *Node) Alive(addr string) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if addr == n.cfg.Self {
+		return !n.leaving
 	}
-	e, ok := m.members[addr]
+	e, ok := n.members[addr]
 	return ok && e.state == StateAlive
 }
 
 // AliveAddrs returns the live member view, sorted, self first. This is
 // what the gateway's §3.5 directory endpoint now serves.
-func (m *Membership) AliveAddrs() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+func (n *Node) AliveAddrs() []string {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	var out []string
-	if !m.leaving {
-		out = append(out, m.cfg.Self)
+	if !n.leaving {
+		out = append(out, n.cfg.Self)
 	}
-	for addr, e := range m.members {
+	for addr, e := range n.members {
 		if e.state == StateAlive {
 			out = append(out, addr)
 		}
@@ -209,14 +118,14 @@ func (m *Membership) AliveAddrs() []string {
 
 // Members snapshots the full view including suspects and tombstones
 // (self excluded), for debugging and tests.
-func (m *Membership) Members() []Member {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Member, 0, len(m.members))
-	for addr, e := range m.members {
+func (n *Node) Members() []Member {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	out := make([]Member, 0, len(n.members))
+	for addr, e := range n.members {
 		out = append(out, Member{
 			Addr: addr, State: e.state, Incarnation: e.inc,
-			Load: e.load, Age: m.tick - e.lastSeen,
+			Load: e.load, Age: n.tick - e.lastSeen,
 		})
 	}
 	return out
@@ -224,18 +133,18 @@ func (m *Membership) Members() []Member {
 
 // SetLoadFunc installs the local load reporter; the gateway wires its
 // registry gauge here after construction.
-func (m *Membership) SetLoadFunc(fn func() Load) {
-	m.mu.Lock()
-	m.cfg.LoadFn = fn
-	m.mu.Unlock()
+func (n *Node) SetLoadFunc(fn func() Load) {
+	n.mu.Lock()
+	n.loadFn = fn
+	n.mu.Unlock()
 }
 
 // SetTenantUsageFunc installs the local per-tenant usage reporter;
 // the gateway wires its tenant ledger here after construction.
-func (m *Membership) SetTenantUsageFunc(fn func() []TenantUsage) {
-	m.mu.Lock()
-	m.cfg.TenantUsageFn = fn
-	m.mu.Unlock()
+func (n *Node) SetTenantUsageFunc(fn func() []TenantUsage) {
+	n.mu.Lock()
+	n.usageFn = fn
+	n.mu.Unlock()
 }
 
 // RemoteTenantUsage sums the per-tenant usage last gossiped by every
@@ -244,11 +153,11 @@ func (m *Membership) SetTenantUsageFunc(fn func() []TenantUsage) {
 // heartbeat-granularity: a quota can overshoot by what the cluster
 // admitted inside one gossip round, which is the documented §12
 // trade-off for keeping admission off the cluster's critical path.
-func (m *Membership) RemoteTenantUsage() map[string]TenantUsage {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+func (n *Node) RemoteTenantUsage() map[string]TenantUsage {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	out := map[string]TenantUsage{}
-	for _, e := range m.members {
+	for _, e := range n.members {
 		if e.state == StateLeft {
 			continue
 		}
@@ -266,17 +175,17 @@ func (m *Membership) RemoteTenantUsage() map[string]TenantUsage {
 }
 
 // LoadOf returns the last known load of addr. Self answers from the
-// snapshot taken at the last heartbeat, NOT a live LoadFn call: LoadOf
-// sits on the placement path of every dispatch, and LoadFn may walk
+// snapshot taken at the last heartbeat, NOT a live loadFn call: LoadOf
+// sits on the placement path of every dispatch, and loadFn may walk
 // gateway state under its own locks — heartbeat-granularity freshness
 // is exactly what remote members get too.
-func (m *Membership) LoadOf(addr string) (Load, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if addr == m.cfg.Self {
-		return m.selfLoad, true
+func (n *Node) LoadOf(addr string) (Load, bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if addr == n.cfg.Self {
+		return n.selfLoad, true
 	}
-	e, ok := m.members[addr]
+	e, ok := n.members[addr]
 	if !ok {
 		return Load{}, false
 	}
@@ -287,105 +196,96 @@ func (m *Membership) LoadOf(addr string) (Load, bool) {
 // exchange views with every known peer (and unseen seeds). Peers that
 // answer are fresh evidence; merge folds in what they know. Returns
 // how many peers answered.
-func (m *Membership) Tick(ctx context.Context) int {
-	m.mu.Lock()
-	m.tick++
-	now := m.tick
+func (n *Node) Tick(ctx context.Context) int {
+	n.mu.Lock()
+	n.tick++
+	now := n.tick
 	var evicted []string
 	// Failure suspicion: age out evidence.
-	for addr, e := range m.members {
+	for addr, e := range n.members {
 		age := now - e.lastSeen
 		switch {
-		case e.state == StateAlive && age > m.cfg.SuspectAfter:
+		case e.state == StateAlive && age > suspectAfter:
 			e.state = StateSuspect
-			m.version++
-			m.logf("cluster %s: suspecting %s (no evidence for %d ticks)", m.cfg.Self, addr, age)
-		case e.state == StateSuspect && age > m.cfg.EvictAfter:
+			n.version++
+			n.logf("cluster %s: suspecting %s (no evidence for %d ticks)", n.cfg.Self, addr, age)
+		case e.state == StateSuspect && age > evictAfter:
 			e.state = StateLeft
-			m.version++
+			n.version++
 			evicted = append(evicted, addr)
-			m.logf("cluster %s: evicting %s", m.cfg.Self, addr)
-		case e.state == StateLeft && age > 3*m.cfg.EvictAfter:
-			delete(m.members, addr) // tombstone aged out
+			n.logf("cluster %s: evicting %s", n.cfg.Self, addr)
+		case e.state == StateLeft && age > 3*evictAfter:
+			delete(n.members, addr) // tombstone aged out
 		}
 	}
-	var peers []string
-	for addr, e := range m.members {
-		if e.state != StateLeft {
-			peers = append(peers, addr)
-		}
-	}
-	m.mu.Unlock()
-	if m.cfg.OnEvict != nil {
+	peers := n.peersLocked()
+	n.mu.Unlock()
+	if n.cfg.OnEvict != nil {
 		sort.Strings(evicted)
 		for _, addr := range evicted {
-			m.cfg.OnEvict(addr)
+			n.cfg.OnEvict(addr)
 		}
 	}
-	sort.Strings(peers) // deterministic heartbeat order for simulated worlds
 
-	doc := m.viewDoc()
+	doc := n.viewDoc()
 	answered := 0
 	for _, addr := range peers {
-		req := &transport.Request{Path: "/cluster/heartbeat", Body: doc}
-		m.stampIdentity(req)
-		resp, err := m.cfg.Transport.RoundTrip(ctx, addr, req)
-		if err != nil || !resp.IsOK() {
-			if err == nil {
-				m.noteFencedReply(resp)
-			}
+		resp, err := n.heartbeat(ctx, addr, doc)
+		if err != nil {
+			continue
+		}
+		if !resp.IsOK() {
+			n.noteFencedReply(resp)
 			continue
 		}
 		answered++
-		m.noteEvidence(addr)
-		if err := m.Merge(resp.Body); err != nil {
-			m.logf("cluster %s: bad heartbeat reply from %s: %v", m.cfg.Self, addr, err)
+		n.noteEvidence(addr)
+		if err := n.merge(resp.Body); err != nil {
+			n.logf("cluster %s: bad heartbeat reply from %s: %v", n.cfg.Self, addr, err)
 		}
 	}
 	return answered
 }
 
-// stampIdentity adds the cluster token plus the sender's address and
-// fencing epoch to an outgoing intra-cluster request.
-func (m *Membership) stampIdentity(req *transport.Request) {
-	req.SetHeader(tokenHeader, m.cfg.Secret)
-	req.SetHeader(originHeader, m.cfg.Self)
-	req.SetHeader(epochHeader, strconv.FormatUint(m.epoch(), 10))
+// peersLocked lists the members a heartbeat goes to — every one not
+// known to have left — sorted, so simulated worlds heartbeat in a
+// deterministic order. Called with mu held.
+func (n *Node) peersLocked() []string {
+	var peers []string
+	for addr, e := range n.members {
+		if e.state != StateLeft {
+			peers = append(peers, addr)
+		}
+	}
+	sort.Strings(peers)
+	return peers
 }
 
-func (m *Membership) epoch() uint64 {
-	if m.cfg.EpochFn == nil {
-		return 0
-	}
-	return m.cfg.EpochFn()
+// heartbeat sends one stamped cluster-view document to addr.
+func (n *Node) heartbeat(ctx context.Context, addr string, doc []byte) (*transport.Response, error) {
+	req := &transport.Request{Path: "/cluster/heartbeat", Body: doc}
+	n.Stamp(req)
+	return n.cfg.Transport.RoundTrip(ctx, addr, req)
 }
 
 // noteFencedReply inspects a refused heartbeat: a Forbidden reply
 // carrying the fenced-epoch header means a peer has fenced US — we are
 // a zombie that missed its own eviction, and a standby now owns our
-// state. Surface it so the embedder stops serving writes.
-func (m *Membership) noteFencedReply(resp *transport.Response) {
-	if resp == nil || resp.Status != transport.StatusForbidden {
+// state. Latch it so the gateway stops serving writes.
+func (n *Node) noteFencedReply(resp *transport.Response) {
+	if resp.Status != transport.StatusForbidden {
 		return
 	}
-	h := resp.GetHeader(fencedEpochHeader)
-	if h == "" {
-		return
-	}
-	epoch, err := strconv.ParseUint(h, 10, 64)
-	if err != nil {
-		return
-	}
-	if m.cfg.OnFenced != nil {
-		m.cfg.OnFenced(epoch)
+	if epoch, err := strconv.ParseUint(resp.GetHeader(fencedEpochHeader), 10, 64); err == nil {
+		n.noteFenced(epoch)
 	}
 }
 
 // FenceOf returns addr's fencing epoch (0 if never fenced).
-func (m *Membership) FenceOf(addr string) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.fences[addr]
+func (n *Node) FenceOf(addr string) uint64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.fences[addr]
 }
 
 // RaiseFence bumps addr's fencing epoch past everything seen so far
@@ -393,12 +293,12 @@ func (m *Membership) FenceOf(addr string) uint64 {
 // it on its next heartbeats; any instance of addr presenting a lower
 // epoch is refused cluster writes from then on. A legitimately
 // restarted addr re-enters by adopting an epoch >= the fence.
-func (m *Membership) RaiseFence(addr string) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f := m.fences[addr] + 1
-	m.fences[addr] = f
-	m.version++
+func (n *Node) RaiseFence(addr string) uint64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	f := n.fences[addr] + 1
+	n.fences[addr] = f
+	n.version++
 	return f
 }
 
@@ -406,103 +306,86 @@ func (m *Membership) RaiseFence(addr string) uint64 {
 // member is not resurrected by answering a probe: it departed (or was
 // evicted) under its current incarnation and must rejoin by refuting
 // with a higher one, so stale processes cannot flap the view.
-func (m *Membership) noteEvidence(addr string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.members[addr]
+func (n *Node) noteEvidence(addr string) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	e, ok := n.members[addr]
 	if !ok {
 		e = &memberInfo{}
-		m.members[addr] = e
+		n.members[addr] = e
 	}
 	if e.state == StateSuspect {
 		e.state = StateAlive
-		m.version++
+		n.version++
 	}
-	e.lastSeen = m.tick
+	e.lastSeen = n.tick
 }
 
-// Leave announces a graceful departure: the local member flips to
-// leaving (AliveAddrs drops self, placement refuses local homes) and a
-// final heartbeat with state=left is pushed to every live peer so they
-// drop us without waiting for suspicion.
-func (m *Membership) Leave(ctx context.Context) {
-	m.mu.Lock()
-	if m.leaving {
-		m.mu.Unlock()
+// Leave stops the tick loop and announces a graceful departure: the
+// local member flips to leaving (AliveAddrs drops self, placement
+// refuses local homes) and a final heartbeat with state=left is pushed
+// to every live peer so they drop us without waiting for suspicion.
+func (n *Node) Leave(ctx context.Context) {
+	n.Stop()
+	n.mu.Lock()
+	if n.leaving {
+		n.mu.Unlock()
 		return
 	}
-	m.leaving = true
-	m.selfInc++
-	m.version++
-	var peers []string
-	for addr, e := range m.members {
-		if e.state != StateLeft {
-			peers = append(peers, addr)
-		}
-	}
-	m.mu.Unlock()
-	sort.Strings(peers)
-	doc := m.viewDoc()
+	n.leaving = true
+	n.selfInc++
+	n.version++
+	peers := n.peersLocked()
+	n.mu.Unlock()
+	doc := n.viewDoc()
 	for _, addr := range peers {
-		req := &transport.Request{Path: "/cluster/heartbeat", Body: doc}
-		m.stampIdentity(req)
-		if _, err := m.cfg.Transport.RoundTrip(ctx, addr, req); err != nil {
-			m.logf("cluster %s: leave notification to %s: %v", m.cfg.Self, addr, err)
+		if _, err := n.heartbeat(ctx, addr, doc); err != nil {
+			n.logf("cluster %s: leave notification to %s: %v", n.cfg.Self, addr, err)
 		}
 	}
 }
 
-// HandleHeartbeat is the /cluster/heartbeat endpoint: merge the
-// sender's view and answer with ours (pull-push gossip). Requests
-// without the shared secret are refused — an outsider must not be
-// able to evict members or poison the view.
-func (m *Membership) HandleHeartbeat(_ context.Context, req *transport.Request) *transport.Response {
-	if subtle.ConstantTimeCompare([]byte(req.GetHeader(tokenHeader)), []byte(m.cfg.Secret)) != 1 {
+// handleHeartbeat is the /cluster/heartbeat endpoint: merge the
+// sender's view and answer with ours (pull-push gossip). It runs the
+// same vet as every /cluster/ endpoint: without the shared secret an
+// outsider must not be able to evict members or poison the view, and a
+// zombie ex-primary (fenced after its standby promoted) is refused —
+// and told so, with the fence epoch in the reply, so it learns its own
+// death instead of gossiping stale state back into the view. Its
+// entries must not be merged: a zombie's view still lists itself
+// alive.
+func (n *Node) handleHeartbeat(_ context.Context, req *transport.Request) *transport.Response {
+	ok, fence := vet(req, n.cfg.Secret, n.FenceOf)
+	switch {
+	case fence > 0:
+		resp := transport.Errorf(transport.StatusForbidden, "cluster: %s fenced at epoch %d", origin(req), fence)
+		resp.SetHeader(fencedEpochHeader, strconv.FormatUint(fence, 10))
+		return resp
+	case !ok:
 		return transport.Errorf(transport.StatusForbidden, "cluster: missing or wrong cluster token")
 	}
-	// Epoch fencing: a zombie ex-primary (fenced after its standby
-	// promoted) is refused — and told so, with the fence epoch in the
-	// reply, so it learns its own death instead of gossiping stale
-	// state back into the view. Its entries must not be merged: a
-	// zombie's view still lists itself alive.
-	if origin := req.GetHeader(originHeader); origin != "" {
-		if fence := m.FenceOf(origin); fence > requestEpoch(req) {
-			resp := transport.Errorf(transport.StatusForbidden,
-				"cluster: %s fenced at epoch %d", origin, fence)
-			resp.SetHeader(fencedEpochHeader, strconv.FormatUint(fence, 10))
-			return resp
-		}
-	}
-	if err := m.Merge(req.Body); err != nil {
+	if err := n.merge(req.Body); err != nil {
 		return transport.Errorf(transport.StatusBadRequest, "cluster view: %v", err)
 	}
-	return transport.OK(m.viewDoc())
-}
-
-// requestEpoch reads the fencing epoch a request claims (0 if absent).
-func requestEpoch(req *transport.Request) uint64 {
-	e, err := strconv.ParseUint(req.GetHeader(epochHeader), 10, 64)
-	if err != nil {
-		return 0
-	}
-	return e
+	return transport.OK(n.viewDoc())
 }
 
 // viewDoc renders the local view (plus piggybacked location updates)
 // as a cluster-view XML document.
-func (m *Membership) viewDoc() []byte {
-	m.mu.Lock()
+func (n *Node) viewDoc() []byte {
+	n.mu.Lock()
 	root := kxml.NewElement("cluster-view")
-	root.SetAttr("from", m.cfg.Self)
-	root.SetAttr("inc", strconv.Itoa(m.selfInc))
+	root.SetAttr("from", n.cfg.Self)
+	selfInc := n.selfInc
+	root.SetAttr("inc", strconv.Itoa(selfInc))
 	selfState := StateAlive
-	if m.leaving {
+	if n.leaving {
 		selfState = StateLeft
 	}
 	var selfLoad Load
-	loadFn := m.cfg.LoadFn
-	usageFn := m.cfg.TenantUsageFn
-	now := m.tick
+	loadFn := n.loadFn
+	usageFn := n.usageFn
+	now := n.tick
 	type row struct {
 		addr  string
 		state MemberState
@@ -510,24 +393,24 @@ func (m *Membership) viewDoc() []byte {
 		load  Load
 		age   int
 	}
-	rows := make([]row, 0, len(m.members)+1)
-	for addr, e := range m.members {
+	rows := make([]row, 0, len(n.members)+1)
+	for addr, e := range n.members {
 		rows = append(rows, row{addr, e.state, e.inc, e.load, now - e.lastSeen})
 	}
-	fences := make(map[string]uint64, len(m.fences))
-	for addr, f := range m.fences {
+	fences := make(map[string]uint64, len(n.fences))
+	for addr, f := range n.fences {
 		fences[addr] = f
 	}
-	m.mu.Unlock()
+	n.mu.Unlock()
 
-	// Load is read outside the lock: LoadFn reaches into gateway state.
+	// Load is read outside the lock: loadFn reaches into gateway state.
 	if loadFn != nil {
 		selfLoad = loadFn()
-		m.mu.Lock()
-		m.selfLoad = selfLoad // refresh the placement-path snapshot
-		m.mu.Unlock()
+		n.mu.Lock()
+		n.selfLoad = selfLoad // refresh the placement-path snapshot
+		n.mu.Unlock()
 	}
-	rows = append(rows, row{m.cfg.Self, selfState, m.selfIncSnapshot(), selfLoad, 0})
+	rows = append(rows, row{n.cfg.Self, selfState, selfInc, selfLoad, 0})
 	for _, r := range rows {
 		e := root.AddElement("member")
 		e.SetAttr("addr", r.addr)
@@ -559,19 +442,11 @@ func (m *Membership) viewDoc() []byte {
 		e.SetAttr("addr", addr)
 		e.SetAttr("epoch", strconv.FormatUint(fences[addr], 10))
 	}
-	if m.locs != nil {
-		m.locs.appendRecent(root)
-	}
+	n.locs.appendRecent(root)
 	return root.EncodeDocument()
 }
 
-func (m *Membership) selfIncSnapshot() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.selfInc
-}
-
-// Merge folds a cluster-view document into the local view, SWIM
+// merge folds a cluster-view document into the local view, SWIM
 // style. Rules, per member entry e about member a:
 //
 //   - a == self and e says suspect/left while we are not leaving:
@@ -586,18 +461,18 @@ func (m *Membership) selfIncSnapshot() int {
 //     incarnation.
 //
 // Piggybacked <loc> entries are folded into the location table.
-func (m *Membership) Merge(doc []byte) error {
+func (n *Node) merge(doc []byte) error {
 	root, err := kxml.ParseBytes(doc)
 	if err != nil {
 		return err
 	}
 	if root.Name != "cluster-view" {
-		return errNotView
+		return errors.New("cluster: not a cluster-view document")
 	}
 	from := root.AttrDefault("from", "")
 	selfFencedAt := uint64(0)
 	usageRows := []TenantUsage{}
-	m.mu.Lock()
+	n.mu.Lock()
 	for _, child := range root.Children {
 		if child.Name == "usage" {
 			// Usage rows are the sender's own tallies; collected here and
@@ -623,12 +498,12 @@ func (m *Membership) Merge(doc []byte) error {
 			if addr == "" || err != nil {
 				continue
 			}
-			if epoch > m.fences[addr] {
-				m.fences[addr] = epoch
-				m.version++
+			if epoch > n.fences[addr] {
+				n.fences[addr] = epoch
+				n.version++
 			}
-			if addr == m.cfg.Self && m.fences[addr] > m.epoch() {
-				selfFencedAt = m.fences[addr]
+			if addr == n.cfg.Self && n.fences[addr] > n.Epoch() {
+				selfFencedAt = n.fences[addr]
 			}
 			continue
 		}
@@ -641,67 +516,68 @@ func (m *Membership) Merge(doc []byte) error {
 		}
 		state := MemberState(child.AttrDefault("state", string(StateAlive)))
 		inc := atoiDefault(child.AttrDefault("inc", "0"))
+		if inc == math.MaxInt {
+			continue // no incarnation could refute it
+		}
 		load := Load{
 			QueueDepth: atoiDefault(child.AttrDefault("queue", "0")),
 			InFlight:   atoiDefault(child.AttrDefault("inflight", "0")),
 		}
-		if addr == m.cfg.Self {
-			if state != StateAlive && inc >= m.selfInc && !m.leaving {
-				m.selfInc = inc + 1 // refutation
-				m.version++
+		if addr == n.cfg.Self {
+			if state != StateAlive && inc >= n.selfInc && !n.leaving {
+				n.selfInc = inc + 1 // refutation
+				n.version++
 			}
 			continue
 		}
 		direct := addr == from // the sender vouches for itself only
-		e, ok := m.members[addr]
+		e, ok := n.members[addr]
 		if !ok {
 			// Unknown member: adopt it with a fresh grace period — if it
 			// is actually dead, our own suspicion will age it out.
-			m.members[addr] = &memberInfo{state: state, inc: inc, load: load, lastSeen: m.tick}
-			m.version++
+			n.members[addr] = &memberInfo{state: state, inc: inc, load: load, lastSeen: n.tick}
+			n.version++
 			continue
 		}
 		switch {
 		case inc > e.inc:
 			if e.state != state {
-				m.version++
+				n.version++
 			}
 			e.inc, e.state, e.load = inc, state, load
 			if direct {
-				e.lastSeen = m.tick
+				e.lastSeen = n.tick
 			}
 		case inc == e.inc:
 			if direct {
-				e.lastSeen = m.tick
+				e.lastSeen = n.tick
 				e.load = load
 				if state == StateAlive && e.state != StateAlive && e.state != StateLeft {
 					e.state = StateAlive
-					m.version++
+					n.version++
 				}
 				if state == StateLeft && e.state != StateLeft {
 					e.state = StateLeft // graceful leave announcement
-					m.version++
+					n.version++
 				}
 			} else if rank(state) > rank(e.state) {
 				e.state = state
-				m.version++
+				n.version++
 			}
 		}
 	}
 	// The sender vouches for its own usage: replace its rows wholesale
 	// (an empty heartbeat clears stale tallies).
-	if from != "" && from != m.cfg.Self {
-		if e, ok := m.members[from]; ok {
+	if from != "" && from != n.cfg.Self {
+		if e, ok := n.members[from]; ok {
 			e.usage = usageRows
 		}
 	}
-	m.mu.Unlock()
-	if selfFencedAt > 0 && m.cfg.OnFenced != nil {
-		m.cfg.OnFenced(selfFencedAt)
+	n.mu.Unlock()
+	if selfFencedAt > 0 {
+		n.noteFenced(selfFencedAt)
 	}
-	if m.locs != nil {
-		m.locs.mergeFrom(root)
-	}
+	n.locs.mergeFrom(root)
 	return nil
 }
 
@@ -733,9 +609,8 @@ func atoi64Default(s string) int64 {
 	return n
 }
 
-// errNotView is returned by Merge for a document of the wrong type.
-var errNotView = errorString("cluster: not a cluster-view document")
-
-type errorString string
-
-func (e errorString) Error() string { return string(e) }
+func (n *Node) logf(format string, args ...any) {
+	if n.cfg.Logf != nil {
+		n.cfg.Logf(format, args...)
+	}
+}

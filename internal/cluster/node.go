@@ -2,9 +2,7 @@ package cluster
 
 import (
 	"context"
-	"crypto/subtle"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,6 +16,14 @@ import (
 // which placement skips a member and spills its keys to the next ring
 // position.
 const SpillThreshold = 256
+
+// Failure-detector tick budgets: a member without evidence for
+// suspectAfter ticks is suspected, for evictAfter ticks evicted, and
+// its tombstone ages out after 3*evictAfter.
+const (
+	suspectAfter = 3
+	evictAfter   = 8
+)
 
 // Config configures a cluster Node.
 type Config struct {
@@ -38,39 +44,28 @@ type Config struct {
 	// single-process fabrics (simulations, benchmarks) may leave it
 	// empty.
 	Secret string
-	// SuspectAfter / EvictAfter are failure-detector tick budgets (see
-	// MembershipConfig).
-	SuspectAfter, EvictAfter int
-	// LoadFn reports local load for heartbeats (the gateway wires its
-	// registry's in-flight count and the MAS queue depth here).
-	LoadFn func() Load
 	// Epoch is this member's starting fencing epoch (DESIGN.md §10). A
 	// fresh member starts at 0; a member restarting after its standby
 	// promoted (and fenced the old instance) must start at or above the
 	// fence to be re-admitted to cluster writes.
 	Epoch uint64
-	// OnEvict fires when local suspicion evicts a member — the
-	// warm-standby promotion hook (see MembershipConfig.OnEvict).
+	// OnEvict fires (outside the membership lock) when local suspicion
+	// evicts a member — the warm-standby promotion hook. It does NOT
+	// fire for graceful leaves or evictions learned from gossip: only
+	// the member that aged the suspect out itself promotes, so a view
+	// that merely heard about the eviction does not double-promote.
 	OnEvict func(addr string)
-	// NoLocationPush disables the synchronous per-event push of
-	// location updates to peers; replicas then converge only through
-	// heartbeat piggyback. Status chases fall back to the home member's
-	// pointer chain either way, so this trades chase latency for
-	// admission-path round trips (benchmarks use it to isolate
-	// forwarding cost).
-	NoLocationPush bool
 	// Logf receives diagnostics.
 	Logf func(format string, args ...any)
 }
 
-// Node is one gateway's cluster runtime: membership + placement ring +
-// location directory + forwarder, mounted under /cluster/ on the
-// gateway mux.
+// Node is one gateway's cluster runtime, mounted under /cluster/ on the
+// gateway mux: its identity (stamped on every request it sends, vetted
+// on every request it receives), the gossiping failure detector, the
+// placement ring, the location directory and the forwarder.
 type Node struct {
 	cfg  Config
-	mem  *Membership
 	locs *Locations
-	fwd  *Forwarder
 	mux  *transport.Mux
 
 	// epoch is this instance's fencing epoch; selfFenced latches once
@@ -78,6 +73,21 @@ type Node struct {
 	epoch      atomic.Uint64
 	selfFenced atomic.Bool
 	log        *metrics.Logger
+
+	// mu guards the membership view below (membership.go).
+	mu       sync.Mutex
+	members  map[string]*memberInfo // excludes self
+	tick     int
+	selfInc  int
+	selfLoad Load // cached at heartbeat time; see LoadOf
+	leaving  bool
+	version  uint64 // bumped whenever the placement-relevant view changes
+	// fences maps a member address to its fencing epoch: requests from
+	// that address carrying a lower epoch are refused everywhere. Raised
+	// by a promoted standby, spread by max-merge gossip, never lowered.
+	fences  map[string]uint64
+	loadFn  func() Load          // nil: zero load
+	usageFn func() []TenantUsage // nil: no usage rows
 
 	ringMu  sync.Mutex
 	ring    *Ring
@@ -97,29 +107,21 @@ func NewNode(cfg Config) *Node {
 		sink = func(string, ...any) {}
 	}
 	n := &Node{
-		cfg:  cfg,
-		locs: NewLocations(),
-		fwd:  NewForwarder(cfg.Self, cfg.Transport, cfg.Secret),
-		log:  metrics.NewLogger("cluster", sink),
+		cfg:     cfg,
+		locs:    NewLocations(),
+		log:     metrics.NewLogger("cluster", sink),
+		members: map[string]*memberInfo{},
+		version: 1,
+		fences:  map[string]uint64{},
 	}
 	n.epoch.Store(cfg.Epoch)
-	n.fwd.SetEpochFn(n.Epoch)
-	n.mem = NewMembership(MembershipConfig{
-		Self:         cfg.Self,
-		Seeds:        cfg.Seeds,
-		Transport:    cfg.Transport,
-		Secret:       cfg.Secret,
-		SuspectAfter: cfg.SuspectAfter,
-		EvictAfter:   cfg.EvictAfter,
-		LoadFn:       cfg.LoadFn,
-		EpochFn:      n.Epoch,
-		OnEvict:      cfg.OnEvict,
-		OnFenced:     n.noteFenced,
-		Logf:         cfg.Logf,
-	})
-	n.mem.locs = n.locs
+	for _, s := range cfg.Seeds {
+		if s != "" && s != cfg.Self {
+			n.members[s] = &memberInfo{state: StateAlive}
+		}
+	}
 	m := transport.NewMux()
-	m.HandleFunc("/cluster/heartbeat", n.mem.HandleHeartbeat)
+	m.HandleFunc("/cluster/heartbeat", n.handleHeartbeat)
 	m.HandleFunc("/cluster/loc", n.handleLoc)
 	n.mux = m
 	return n
@@ -128,59 +130,31 @@ func NewNode(cfg Config) *Node {
 // Self returns the advertised address.
 func (n *Node) Self() string { return n.cfg.Self }
 
-// SetLoadFunc installs the local load reporter (gateway wiring).
-func (n *Node) SetLoadFunc(fn func() Load) { n.mem.SetLoadFunc(fn) }
-
-// SetTenantUsageFunc installs the per-tenant usage reporter gossiped
-// on heartbeats.
-func (n *Node) SetTenantUsageFunc(fn func() []TenantUsage) { n.mem.SetTenantUsageFunc(fn) }
-
-// RemoteTenantUsage sums the per-tenant usage last gossiped by the
-// rest of the cluster, keyed by tenant label.
-func (n *Node) RemoteTenantUsage() map[string]TenantUsage { return n.mem.RemoteTenantUsage() }
-
-// Membership exposes the failure detector (directory endpoint, tests).
-func (n *Node) Membership() *Membership { return n.mem }
-
 // Locations exposes the location directory.
 func (n *Node) Locations() *Locations { return n.locs }
-
-// Forwarder exposes the cross-member request proxy.
-func (n *Node) Forwarder() *Forwarder { return n.fwd }
-
-// Authorized reports whether req carries the shared cluster secret —
-// the ONLY acceptable proof that a request on a /cluster/ endpoint
-// came from a peer member (the hop-chain header is client-settable
-// and must never be trusted on its own) — AND, when the request names
-// its origin member, that the origin's claimed fencing epoch is not
-// below the fence raised for that address. The fence check is what
-// stops a zombie ex-primary (dead to the cluster, standby promoted in
-// its place) from double-delivering through /cluster/* writes.
-func (n *Node) Authorized(req *transport.Request) bool {
-	token := req.GetHeader(tokenHeader)
-	if subtle.ConstantTimeCompare([]byte(token), []byte(n.cfg.Secret)) != 1 {
-		return false
-	}
-	if origin := req.GetHeader(originHeader); origin != "" {
-		if n.mem.FenceOf(origin) > requestEpoch(req) {
-			return false
-		}
-	}
-	return true
-}
 
 // Epoch returns this instance's fencing epoch.
 func (n *Node) Epoch() uint64 { return n.epoch.Load() }
 
-// StampIdentity adds the cluster token plus this member's address and
-// fencing epoch to an outgoing intra-cluster request — the same
-// identity heartbeats carry, so replication streams are subject to the
-// same zombie fencing.
-func (n *Node) StampIdentity(req *transport.Request) {
-	req.SetHeader(tokenHeader, n.cfg.Secret)
-	req.SetHeader(originHeader, n.cfg.Self)
-	req.SetHeader(epochHeader, strconv.FormatUint(n.Epoch(), 10))
+// Stamp adds this member's identity — the cluster token, its address
+// and its fencing epoch — to an outgoing intra-cluster request.
+func (n *Node) Stamp(req *transport.Request) { stamp(req, n.cfg.Self, n.cfg.Secret, n.Epoch()) }
+
+// Authorized reports whether req carries the shared cluster secret —
+// the ONLY acceptable proof that a request on a /cluster/ endpoint
+// came from a peer member (the hop-chain header is client-settable
+// and must never be trusted on its own) — AND that the origin it names
+// claims a fencing epoch not below the fence raised for that address.
+// The fence check is what stops a zombie ex-primary (dead to the
+// cluster, standby promoted in its place) from double-delivering
+// through /cluster/* writes.
+func (n *Node) Authorized(req *transport.Request) bool {
+	ok, _ := vet(req, n.cfg.Secret, n.FenceOf)
+	return ok
 }
+
+// Origin returns the member an authorized request came from.
+func (n *Node) Origin(req *transport.Request) string { return origin(req) }
 
 // Fenced reports whether this node has learned it is a fenced zombie:
 // a peer refused its heartbeat with a fence epoch above its own, or
@@ -196,14 +170,6 @@ func (n *Node) noteFenced(epoch uint64) {
 	n.log.Oncef("fenced", "cluster %s: fenced at epoch %d — a standby owns this member's state; refusing writes", n.cfg.Self, epoch)
 }
 
-// RaiseFence fences addr at a new, higher epoch and returns it. The
-// promoting standby calls it before adopting the dead member's
-// replica; gossip spreads the fence fleet-wide.
-func (n *Node) RaiseFence(addr string) uint64 { return n.mem.RaiseFence(addr) }
-
-// FenceOf returns addr's current fence epoch (0 if never fenced).
-func (n *Node) FenceOf(addr string) uint64 { return n.mem.FenceOf(addr) }
-
 // StandbyFor returns the warm-standby member for addr: the cyclic
 // successor of addr in the sorted list of live members (addr itself
 // included whether or not it is still alive, so the assignment is
@@ -212,27 +178,11 @@ func (n *Node) FenceOf(addr string) uint64 { return n.mem.FenceOf(addr) }
 // exactly one live member considers itself the standby of each other
 // member.
 func (n *Node) StandbyFor(addr string) string {
-	members := n.mem.AliveAddrs()
-	set := make(map[string]bool, len(members)+1)
-	for _, a := range members {
-		set[a] = true
-	}
-	set[addr] = true
-	sorted := make([]string, 0, len(set))
-	for a := range set {
-		sorted = append(sorted, a)
-	}
-	sort.Strings(sorted)
-	idx := -1
-	for i, a := range sorted {
-		if a == addr {
-			idx = i
-			break
-		}
-	}
-	for i := 1; i < len(sorted); i++ {
-		cand := sorted[(idx+i)%len(sorted)]
-		if cand != addr && set[cand] && cand != "" && n.mem.Alive(cand) {
+	alive := n.AliveAddrs()
+	sort.Strings(alive)
+	i := sort.SearchStrings(alive, addr) // addr's place in the cycle
+	for j := range alive {
+		if cand := alive[(i+j)%len(alive)]; cand != addr && cand != "" {
 			return cand
 		}
 	}
@@ -242,10 +192,6 @@ func (n *Node) StandbyFor(addr string) string {
 // Handler serves the node's /cluster/ endpoints; the gateway mounts it
 // alongside its own federation endpoints.
 func (n *Node) Handler() transport.Handler { return n.mux }
-
-// Tick runs one heartbeat round (deterministic driving for simulated
-// worlds; Start wraps it in a wall-clock loop).
-func (n *Node) Tick(ctx context.Context) int { return n.mem.Tick(ctx) }
 
 // Start drives Tick on a fixed interval until Stop. Safe to call once.
 func (n *Node) Start(interval time.Duration) {
@@ -283,22 +229,14 @@ func (n *Node) Stop() {
 	}
 }
 
-// Leave gossips a graceful departure and stops the tick loop: peers
-// drop this member from the live view immediately instead of waiting
-// for suspicion.
-func (n *Node) Leave(ctx context.Context) {
-	n.Stop()
-	n.mem.Leave(ctx)
-}
-
 // currentRing returns the ring over the live member view, rebuilt only
 // when membership changed.
 func (n *Node) currentRing() *Ring {
-	v := n.mem.Version()
+	v := n.Version()
 	n.ringMu.Lock()
 	defer n.ringMu.Unlock()
 	if n.ring == nil || n.ringVer != v {
-		n.ring = NewRing(n.mem.AliveAddrs())
+		n.ring = NewRing(n.AliveAddrs())
 		n.ringVer = v
 	}
 	return n.ring
@@ -320,33 +258,31 @@ func (n *Node) HomeExcluding(key string, exclude map[string]bool) string {
 		if exclude[addr] {
 			return true
 		}
-		if !n.mem.Alive(addr) {
+		if !n.Alive(addr) {
 			return true
 		}
-		load, ok := n.mem.LoadOf(addr)
+		load, ok := n.LoadOf(addr)
 		return ok && load.QueueDepth+load.InFlight > SpillThreshold
 	})
 }
 
-// PublishLocation applies one location event locally and pushes it to
-// every live peer (best-effort — heartbeat piggyback repairs missed
-// pushes). MAS arrival/departure hooks call this synchronously, so by
-// the time a transfer is acked the fleet-wide directory already points
-// at the receiver.
+// PublishLocation applies one location event locally and pushes it,
+// stamped like every other intra-cluster write, to every live peer
+// (best-effort — heartbeat piggyback repairs missed pushes). MAS
+// arrival/departure hooks call this synchronously, so by the time a
+// transfer is acked the fleet-wide directory already points at the
+// receiver.
 func (n *Node) PublishLocation(ctx context.Context, loc Location) {
 	if !n.locs.Update(loc) {
 		return // stale; nothing new to spread
 	}
-	if n.cfg.NoLocationPush {
-		return // heartbeat piggyback only
-	}
 	doc := EncodeUpdate(loc)
-	for _, addr := range n.mem.AliveAddrs() {
+	for _, addr := range n.AliveAddrs() {
 		if addr == n.cfg.Self {
 			continue
 		}
 		req := &transport.Request{Path: "/cluster/loc", Body: doc}
-		req.SetHeader(tokenHeader, n.cfg.Secret)
+		n.Stamp(req)
 		// The push sits on agent admission/arrival paths, so one hung
 		// peer must not stall the journey: each push gets its own wall
 		// deadline (inert on the inline simulated fabric, where round
@@ -364,10 +300,12 @@ func (n *Node) PublishLocation(ctx context.Context, loc Location) {
 // piggyback repairs anything a timed-out push missed.
 const locationPushTimeout = 2 * time.Second
 
-// handleLoc is the /cluster/loc push endpoint.
+// handleLoc is the /cluster/loc push endpoint: member pushes and masd
+// relays both land here, and both pass the same vet as any other
+// cluster write.
 func (n *Node) handleLoc(_ context.Context, req *transport.Request) *transport.Response {
 	if !n.Authorized(req) {
-		return transport.Errorf(transport.StatusForbidden, "cluster: missing or wrong cluster token")
+		return transport.Errorf(transport.StatusForbidden, "cluster: missing or wrong cluster token, or fenced origin")
 	}
 	root, err := kxml.ParseBytes(req.Body)
 	if err != nil || root.Name != "cluster-view" {

@@ -30,8 +30,8 @@ type relayHome struct {
 }
 
 // Relay sends a NON-member MAS host's location events to each agent's
-// home gateway's /cluster/loc endpoint, stamped with the shared cluster
-// secret, so mid-itinerary hops between hosts reach the replicated
+// home gateway's /cluster/loc endpoint, stamped with the host's static
+// cluster identity, so mid-itinerary hops between hosts reach the replicated
 // directory. Best-effort by design — a missed or refused relay only
 // costs chase hops. It learns from the answers which homes want them: a
 // standalone gateway has no /cluster/loc and answers 404, and is then
@@ -39,10 +39,10 @@ type relayHome struct {
 // transport error, a 5xx, or the 401/403 of a wrong secret, which is
 // logged once per home — and an OK un-learns it.
 type Relay struct {
-	rt           transport.RoundTripper
-	self, secret string
-	log          *metrics.Logger
-	now          func() time.Time
+	rt  transport.RoundTripper
+	id  StaticIdentity
+	log *metrics.Logger
+	now func() time.Time
 
 	mu    sync.Mutex
 	homes map[string]*relayHome
@@ -53,7 +53,7 @@ type Relay struct {
 // NewRelay builds the relay of the host at selfAddr.
 func NewRelay(rt transport.RoundTripper, selfAddr, secret string) *Relay {
 	return &Relay{
-		rt: rt, self: selfAddr, secret: secret,
+		rt: rt, id: StaticIdentity{Self: selfAddr, Secret: secret},
 		log: metrics.NewLogger("loc-relay", nil), now: time.Now,
 		homes: map[string]*relayHome{},
 	}
@@ -109,7 +109,7 @@ func (r *Relay) forget(addr string) {
 // Send relays one location event, or skips it. It is the OnAgentMove
 // hook LocationRelay returns.
 func (r *Relay) Send(ctx context.Context, mv mas.AgentMove) {
-	if mv.Home == "" || mv.Home == r.self {
+	if mv.Home == "" || mv.Home == r.id.Self {
 		return
 	}
 	r.mu.Lock()
@@ -131,7 +131,7 @@ func (r *Relay) Send(ctx context.Context, mv mas.AgentMove) {
 			Seq: mv.Seq, Terminal: mv.Terminal,
 		}),
 	}
-	req.SetHeader(tokenHeader, r.secret)
+	r.id.Stamp(req)
 	pushCtx, cancel := context.WithTimeout(ctx, locationPushTimeout)
 	resp, err := r.rt.RoundTrip(pushCtx, mv.Home, req)
 	cancel()
@@ -159,6 +159,6 @@ func (r *Relay) Send(ctx context.Context, mv mas.AgentMove) {
 	outcome.Add(1)
 	if outcome == &r.refused {
 		r.log.Oncef("refused:"+mv.Home, "%s: home gateway %s refuses location relays (%d %s): its -cluster-secret is not this host's; agents homed there are found by chasing only",
-			r.self, mv.Home, resp.Status, resp.Text())
+			r.id.Self, mv.Home, resp.Status, resp.Text())
 	}
 }

@@ -1,7 +1,12 @@
 // Package cluster turns N PDAgent gateways into one logical middle
-// tier (DESIGN.md §6). It provides the four pieces the federation
-// needs:
+// tier (DESIGN.md §6). One Node per gateway holds the pieces the
+// federation needs:
 //
+//   - identity: every intra-cluster request carries the shared secret,
+//     its origin member and that member's fencing epoch (stamp), and
+//     every /cluster/ endpoint runs one check on it (vet): the secret,
+//     then the origin's fence, so a fenced zombie is refused
+//     everywhere;
 //   - membership: a static seed list bootstraps the view; periodic
 //     heartbeat gossip over the shared transport keeps it live,
 //     carries per-member load (queue depth, in-flight agents) and
@@ -14,8 +19,8 @@
 //     and reconciled by per-agent sequence numbers, so any member can
 //     route status chases and result fetches to the agent's current
 //     MAS;
-//   - forwarding: a Forwarder over transport.RoundTripper that proxies
-//     mis-homed requests between members with loop protection.
+//   - forwarding: Node.Forward proxies mis-homed requests between
+//     members with loop protection.
 //
 // Everything here is deterministic when driven manually (Node.Tick on
 // a simulated world); Node.Start runs the same tick on a wall-clock

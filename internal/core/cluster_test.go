@@ -380,7 +380,7 @@ func TestClusterDrainAndLiveDirectory(t *testing.T) {
 
 	// Peers dropped it without any failure-detector delay...
 	for _, node := range w.Nodes[:2] {
-		for _, addr := range node.Membership().AliveAddrs() {
+		for _, addr := range node.AliveAddrs() {
 			if addr == draining.Addr() {
 				t.Fatalf("peer %s still lists the drained member", node.Self())
 			}

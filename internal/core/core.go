@@ -278,9 +278,7 @@ func (w *SimWorld) buildGateway(i int, addr string, kp *pisec.KeyPair, journal r
 		peer = repl.NewPeer(repl.Config{
 			Self:      addr,
 			Transport: w.Net.Transport(netsim.ZoneWired),
-			Stamp:     node.StampIdentity,
-			Authorize: node.Authorized,
-			OriginOf:  cluster.Origin,
+			Identity:  node,
 			StandbyFn: func() string { return node.StandbyFor(addr) },
 			Mode:      w.cfg.ReplMode,
 		})
@@ -324,7 +322,7 @@ func (w *SimWorld) liveGatewayView() []string {
 		if w.crashedGW[gw.Addr()] || w.Nodes[i] == nil {
 			continue
 		}
-		if addrs := w.Nodes[i].Membership().AliveAddrs(); len(addrs) > 0 {
+		if addrs := w.Nodes[i].AliveAddrs(); len(addrs) > 0 {
 			return addrs
 		}
 	}

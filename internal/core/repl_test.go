@@ -193,7 +193,7 @@ func TestZombieExPrimaryFenced(t *testing.T) {
 	// Its forwarded writes are refused by the epoch check...
 	req := &transport.Request{Path: "/cluster/dispatch", Body: []byte("<whatever/>")}
 	req.SetHeader("x-cluster-fwd", victim)
-	zombie.StampIdentity(req)
+	zombie.Stamp(req)
 	resp, err := w.Transport("wired").RoundTrip(ctx, prom.By, req)
 	if err != nil {
 		t.Fatal(err)

@@ -14,8 +14,9 @@ import (
 // hosts (which are NOT cluster members) and relayed back must be
 // reconstructible end to end from a single /pdagent/trace/{agent-id}
 // request at the edge — the edge's own spans, the home member's spans
-// fetched over the authenticated /cluster/trace channel, and the bank
-// hosts' spans chased along the transfer-out hops.
+// and the bank hosts' spans, each asked for its local share of the
+// same /pdagent/trace/{agent-id} (the hosts chased along the
+// transfer-out hops).
 func TestTraceReconstructsForwardedJourney(t *testing.T) {
 	w := clusterWorld(t, SimConfig{Seed: 7, Mailbox: true})
 	defer w.Close()

@@ -216,11 +216,10 @@ func TestForwardedZeroHopResultRelay(t *testing.T) {
 					Spawn:     spawn,
 					Mailbox:   &MailboxConfig{Store: rms.NewMemStore("mailbox-"+addr, 0)},
 					Cluster: cluster.NewNode(cluster.Config{
-						Self:           addr,
-						Seeds:          addrs,
-						Transport:      net.Transport(netsim.ZoneWired),
-						Secret:         "relay-secret",
-						NoLocationPush: true,
+						Self:      addr,
+						Seeds:     addrs,
+						Transport: net.Transport(netsim.ZoneWired),
+						Secret:    "relay-secret",
 					}),
 				})
 				if err != nil {

@@ -136,7 +136,7 @@ func (g *Gateway) forwardDispatch(ctx context.Context, home string, pi *wire.Pac
 	if tenantID != "" {
 		req.SetHeader("tenant", tenantID)
 	}
-	return g.cfg.Cluster.Forwarder().Forward(ctx, home, req)
+	return g.cfg.Cluster.Forward(ctx, home, req)
 }
 
 // handleClusterDispatch admits a dispatch forwarded by a peer member.
@@ -198,7 +198,7 @@ func (g *Gateway) relayResult(ctx context.Context, origin string, rd *wire.Resul
 	defer cancel()
 	req := &transport.Request{Path: "/cluster/result", Body: doc}
 	req.SetHeader("agent", rd.AgentID)
-	resp, err := g.cfg.Cluster.Forwarder().Forward(ctx, origin, req)
+	resp, err := g.cfg.Cluster.Forward(ctx, origin, req)
 	if err != nil {
 		g.logf("gateway %s: relaying result of %s to %s: %v", g.cfg.Addr, rd.AgentID, origin, err)
 		return
@@ -253,7 +253,7 @@ func (g *Gateway) adoptResult(rd *wire.ResultDocument, doc []byte) error {
 func (g *Gateway) fetchRemoteResult(ctx context.Context, agentID string, st AgentStatus) *transport.Response {
 	req := &transport.Request{Path: "/pdagent/result"}
 	req.SetHeader("agent", agentID)
-	resp, err := g.cfg.Cluster.Forwarder().Forward(ctx, st.HomeGW, req)
+	resp, err := g.cfg.Cluster.Forward(ctx, st.HomeGW, req)
 	if err != nil {
 		return transport.Errorf(transport.StatusConflict,
 			"agent %q still travelling (home %s unreachable: %v)", agentID, st.HomeGW, err)

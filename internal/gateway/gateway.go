@@ -362,7 +362,6 @@ func New(cfg Config) (*Gateway, error) {
 		// /cluster/ (heartbeat, location gossip) goes to the node.
 		m.HandleFunc("/cluster/dispatch", g.handleClusterDispatch)
 		m.HandleFunc("/cluster/result", g.handleClusterResult)
-		m.HandleFunc("/cluster/trace", g.handleClusterTrace)
 		if g.hub != nil {
 			m.HandleFunc("/cluster/mailbox/export", g.handleClusterMailboxExport)
 			m.HandleFunc("/cluster/mailbox/ack", g.handleClusterMailboxAck)
@@ -1071,7 +1070,7 @@ func (g *Gateway) handleClone(ctx context.Context, req *transport.Request) *tran
 func (g *Gateway) handleGateways(_ context.Context, _ *transport.Request) *transport.Response {
 	var addrs []string
 	if g.cfg.Cluster != nil {
-		addrs = g.cfg.Cluster.Membership().AliveAddrs()
+		addrs = g.cfg.Cluster.AliveAddrs()
 	}
 	if len(addrs) == 0 {
 		addrs = append([]string{g.cfg.Addr}, g.cfg.Peers...)

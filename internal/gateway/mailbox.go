@@ -213,7 +213,7 @@ func (g *Gateway) serveMailbox(ctx context.Context, req *transport.Request) *tra
 	// cluster secret, and forwarding it to an arbitrary address would
 	// hand that secret to whoever the client pointed us at.
 	if prev := req.GetHeader("prev-edge"); prev != "" && prev != g.cfg.Addr &&
-		g.cfg.Cluster != nil && g.isClusterMember(prev) {
+		g.cfg.Cluster != nil && g.cfg.Cluster.Alive(prev) {
 		g.pullMailboxFrom(ctx, prev, device, req.GetHeader("mailbox-token"))
 	}
 
@@ -274,20 +274,6 @@ func defaultStr(s, def string) string {
 }
 
 // --- cluster migration (the mailbox follows the device) -----------------
-
-// isClusterMember reports whether addr is in the live membership view
-// (self included).
-func (g *Gateway) isClusterMember(addr string) bool {
-	if addr == g.cfg.Addr {
-		return true
-	}
-	for _, a := range g.cfg.Cluster.Membership().AliveAddrs() {
-		if a == addr {
-			return true
-		}
-	}
-	return false
-}
 
 // mailboxPullTimeout bounds one migration pull; like the result relay,
 // it runs on a foreground path (the device's poll), so a hung previous
@@ -372,7 +358,7 @@ func (g *Gateway) pullMailboxDirect(ctx context.Context, prev, device, tok strin
 	// unauthenticated poll cannot displace a victim's mail to another
 	// member.
 	exp.SetHeader("mailbox-token", tok)
-	resp, err := g.cfg.Cluster.Forwarder().Forward(ctx, prev, exp)
+	resp, err := g.cfg.Cluster.Forward(ctx, prev, exp)
 	if err != nil || !resp.IsOK() {
 		if err == nil {
 			err = resp.Err()
@@ -400,7 +386,7 @@ func (g *Gateway) pullMailboxDirect(ctx context.Context, prev, device, tok strin
 	ack := &transport.Request{Path: "/cluster/mailbox/ack"}
 	ack.SetHeader("device", device)
 	ack.SetHeader("upto", strconv.FormatUint(watermark, 10))
-	if _, err := g.cfg.Cluster.Forwarder().Forward(ctx, prev, ack); err != nil {
+	if _, err := g.cfg.Cluster.Forward(ctx, prev, ack); err != nil {
 		// The import deduplicates by event id, so a re-pull after this
 		// lost ack cannot double-deliver.
 		g.logf("gateway %s: acking mailbox pull for %s at %s: %v", g.cfg.Addr, device, prev, err)

@@ -51,11 +51,10 @@ func newPullFixture(t *testing.T) *pullFixture {
 		Transport: net.Transport(netsim.ZoneWired),
 		Mailbox:   &MailboxConfig{Store: rms.NewMemStore("pull", 0)},
 		Cluster: cluster.NewNode(cluster.Config{
-			Self:           "gw-t",
-			Seeds:          addrs,
-			Transport:      net.Transport(netsim.ZoneWired),
-			Secret:         "pull-secret",
-			NoLocationPush: true,
+			Self:      "gw-t",
+			Seeds:     addrs,
+			Transport: net.Transport(netsim.ZoneWired),
+			Secret:    "pull-secret",
 		}),
 	})
 	if err != nil {

@@ -212,10 +212,10 @@ func (g *Gateway) initObserve() {
 	if node := g.cfg.Cluster; node != nil {
 		m.GaugeFunc("pdagent_cluster_view_version",
 			"Membership view version (increments on every churn event).",
-			func() float64 { return float64(node.Membership().Version()) })
+			func() float64 { return float64(node.Version()) })
 		m.GaugeFunc("pdagent_cluster_alive",
 			"Cluster members currently considered alive (self included).",
-			func() float64 { return float64(len(node.Membership().AliveAddrs())) })
+			func() float64 { return float64(len(node.AliveAddrs())) })
 		m.GaugeFunc("pdagent_cluster_epoch",
 			"This member's fencing epoch.",
 			func() float64 { return float64(node.Epoch()) })
@@ -258,12 +258,12 @@ func sortSpans(spans []wire.TraceSpan) {
 // reconstructed hop by hop. The id is the agent id minted at dispatch
 // — it already rides every wire document on the path, so no new
 // identifier was threaded anywhere. Reconstruction merges this
-// member's span ring with every alive cluster member's
-// (/cluster/trace, authenticated), then chases transfer-out hops to
-// MAS hosts, which are not cluster members and therefore only
-// discoverable from the itinerary itself. A "scope: local" header
-// answers from the local ring only — that is how peers are queried,
-// which keeps reconstruction non-recursive.
+// member's span ring with every alive cluster member's, then chases
+// transfer-out hops to MAS hosts, which are not cluster members and
+// therefore only discoverable from the itinerary itself. Members and
+// hosts are asked the same public question: this endpoint with a
+// "scope: local" header, which answers from the local ring only and so
+// keeps reconstruction non-recursive.
 func (g *Gateway) handleTrace(ctx context.Context, req *transport.Request) *transport.Response {
 	id := strings.TrimPrefix(req.Path, "/pdagent/trace/")
 	if id == "" || strings.Contains(id, "/") {
@@ -274,20 +274,22 @@ func (g *Gateway) handleTrace(ctx context.Context, req *transport.Request) *tran
 		return traceResponse(id, spans)
 	}
 	queried := map[string]bool{g.cfg.Addr: true}
+	ask := func(addr string) {
+		queried[addr] = true
+		hreq := &transport.Request{Path: "/pdagent/trace/" + id}
+		hreq.SetHeader("scope", "local")
+		resp, err := g.cfg.Transport.RoundTrip(ctx, addr, hreq)
+		if err != nil || !resp.IsOK() {
+			return
+		}
+		if td, err := wire.ParseTrace(resp.Body); err == nil {
+			spans = append(spans, td.Spans...)
+		}
+	}
 	if node := g.cfg.Cluster; node != nil {
-		for _, member := range node.Membership().AliveAddrs() {
-			if queried[member] {
-				continue
-			}
-			queried[member] = true
-			creq := &transport.Request{Path: "/cluster/trace"}
-			creq.SetHeader("trace", id)
-			resp, err := node.Forwarder().Forward(ctx, member, creq)
-			if err != nil || !resp.IsOK() {
-				continue
-			}
-			if td, err := wire.ParseTrace(resp.Body); err == nil {
-				spans = append(spans, td.Spans...)
+		for _, member := range node.AliveAddrs() {
+			if !queried[member] {
+				ask(member)
 			}
 		}
 	}
@@ -302,35 +304,13 @@ func (g *Gateway) handleTrace(ctx context.Context, req *transport.Request) *tran
 		if next == "" {
 			break
 		}
-		queried[next] = true
-		hreq := &transport.Request{Path: "/pdagent/trace/" + id}
-		hreq.SetHeader("scope", "local")
-		resp, err := g.cfg.Transport.RoundTrip(ctx, next, hreq)
-		if err != nil || !resp.IsOK() {
-			continue
-		}
-		if td, err := wire.ParseTrace(resp.Body); err == nil {
-			spans = append(spans, td.Spans...)
-		}
+		ask(next)
 	}
 	if len(spans) == 0 {
 		return transport.Errorf(transport.StatusNotFound, "no spans recorded for trace %q", id)
 	}
 	sortSpans(spans)
 	return traceResponse(id, spans)
-}
-
-// handleClusterTrace answers a peer member's span query from the
-// local ring only (the peer is doing the reconstruction).
-func (g *Gateway) handleClusterTrace(_ context.Context, req *transport.Request) *transport.Response {
-	if !g.cfg.Cluster.Authorized(req) {
-		return transport.Errorf(transport.StatusForbidden, "cluster trace requires the cluster token")
-	}
-	id := req.GetHeader("trace")
-	if id == "" {
-		return transport.Errorf(transport.StatusBadRequest, "trace header required")
-	}
-	return traceResponse(id, wireSpans(g.trace.Spans(id)))
 }
 
 func traceResponse(id string, spans []wire.TraceSpan) *transport.Response {

@@ -26,8 +26,8 @@
 // exactly which ops a snapshot already covered.
 //
 // Fencing: senders stamp the cluster identity (token, origin, fencing
-// epoch) on every request, and receivers run the same Authorize check
-// the heartbeat path uses. A zombie ex-primary that keeps streaming
+// epoch) on every request, and receivers run the same check the
+// heartbeat path uses. A zombie ex-primary that keeps streaming
 // after its standby promoted is refused at the door (its epoch is
 // below the raised fence), so split-brain cannot double-deliver.
 package repl
@@ -105,26 +105,31 @@ const (
 // inline fabric).
 const streamTimeout = 5 * time.Second
 
-// Config configures a Peer. Transport, Stamp, Authorize and StandbyFn
-// are required; the cluster Node provides the first three
-// (Node.StampIdentity, Node.Authorized) so replication rides the same
-// secret and fencing the heartbeats use.
+// Identity is the cluster identity replication rides: a member's
+// cluster.Node (so streams get the same secret and fencing the
+// heartbeats use) or a masd's cluster.StaticIdentity.
+type Identity interface {
+	// Stamp adds the identity (token, origin, epoch) to an outgoing
+	// request.
+	Stamp(req *transport.Request)
+	// Authorized vets an incoming request: shared secret plus, for a
+	// member, fencing epoch (refuses zombie primaries).
+	Authorized(req *transport.Request) bool
+	// Origin returns the member an authorized request came from; a
+	// stream whose claimed primary differs from its origin is refused,
+	// so one member cannot overwrite another's replica.
+	Origin(req *transport.Request) string
+}
+
+// Config configures a Peer. Transport, Identity and StandbyFn are
+// required.
 type Config struct {
 	// Self is this member's advertised address.
 	Self string
 	// Transport carries streams to the standby.
 	Transport transport.RoundTripper
-	// Stamp adds the cluster identity (token, origin, epoch) to an
-	// outgoing request.
-	Stamp func(req *transport.Request)
-	// Authorize vets an incoming request: shared secret plus fencing
-	// epoch (refuses zombie primaries).
-	Authorize func(req *transport.Request) bool
-	// OriginOf extracts the authenticated origin of a request
-	// (cluster.Origin); a stream whose claimed primary differs from its
-	// origin is refused, so one member cannot overwrite another's
-	// replica.
-	OriginOf func(req *transport.Request) string
+	// Identity stamps outgoing requests and vets incoming ones.
+	Identity Identity
 	// StandbyFn names the member to stream to ("" when no standby is
 	// alive; streams buffer until one is).
 	StandbyFn func() string
@@ -333,7 +338,7 @@ func (p *Peer) flushLocked(ctx context.Context, st *stream) {
 		return
 	}
 	req := &transport.Request{Path: PathStream, Body: encodeOps(st.pending)}
-	p.cfg.Stamp(req)
+	p.cfg.Identity.Stamp(req)
 	req.SetHeader(hdrPrimary, p.cfg.Self)
 	req.SetHeader(hdrRole, st.role)
 	req.SetHeader(hdrSeq, strconv.FormatUint(st.firstSeq, 10))
@@ -369,7 +374,7 @@ func (p *Peer) snapshotLocked(ctx context.Context, st *stream) bool {
 	st.pending = nil
 	st.firstSeq = st.seq
 	req := &transport.Request{Path: PathSnapshot, Body: encodeRecords(recs)}
-	p.cfg.Stamp(req)
+	p.cfg.Identity.Stamp(req)
 	req.SetHeader(hdrPrimary, p.cfg.Self)
 	req.SetHeader(hdrRole, st.role)
 	req.SetHeader(hdrSeq, strconv.FormatUint(st.seq, 10))
@@ -506,7 +511,7 @@ func (p *Peer) HandleStream(_ context.Context, req *transport.Request) *transpor
 // an authorized member — the disk-loss recovery path for a rejoining
 // primary.
 func (p *Peer) HandleFetch(_ context.Context, req *transport.Request) *transport.Response {
-	if p.cfg.Authorize == nil || !p.cfg.Authorize(req) {
+	if !p.cfg.Identity.Authorized(req) {
 		return transport.Errorf(transport.StatusForbidden, "repl: unauthorized")
 	}
 	primary := req.GetHeader(hdrPrimary)
@@ -537,7 +542,7 @@ func (p *Peer) HandleFetch(_ context.Context, req *transport.Request) *transport
 // of PathFetch.
 func (p *Peer) Fetch(ctx context.Context, addr, primary, role string) (*Replica, error) {
 	req := &transport.Request{Path: PathFetch}
-	p.cfg.Stamp(req)
+	p.cfg.Identity.Stamp(req)
 	req.SetHeader(hdrPrimary, primary)
 	req.SetHeader(hdrRole, role)
 	resp, err := p.cfg.Transport.RoundTrip(ctx, addr, req)
@@ -566,7 +571,7 @@ func (p *Peer) Fetch(ctx context.Context, addr, primary, role string) (*Replica,
 // vet runs the shared receiver checks: authorization (secret +
 // fencing) and primary/origin agreement.
 func (p *Peer) vet(req *transport.Request) (primary, role string, errResp *transport.Response) {
-	if p.cfg.Authorize == nil || !p.cfg.Authorize(req) {
+	if !p.cfg.Identity.Authorized(req) {
 		return "", "", transport.Errorf(transport.StatusForbidden, "repl: unauthorized")
 	}
 	primary = req.GetHeader(hdrPrimary)
@@ -574,10 +579,8 @@ func (p *Peer) vet(req *transport.Request) (primary, role string, errResp *trans
 	if primary == "" || role == "" {
 		return "", "", transport.Errorf(transport.StatusBadRequest, "repl: missing primary or role")
 	}
-	if p.cfg.OriginOf != nil {
-		if origin := p.cfg.OriginOf(req); origin != "" && origin != primary {
-			return "", "", transport.Errorf(transport.StatusForbidden, "repl: origin %s may not write %s's replica", origin, primary)
-		}
+	if origin := p.cfg.Identity.Origin(req); origin != "" && origin != primary {
+		return "", "", transport.Errorf(transport.StatusForbidden, "repl: origin %s may not write %s's replica", origin, primary)
 	}
 	return primary, role, nil
 }

@@ -44,9 +44,7 @@ func newHarness(t *testing.T, mode Mode) *harness {
 		p := NewPeer(Config{
 			Self:      self,
 			Transport: rt,
-			Stamp:     func(req *transport.Request) { req.SetHeader("x-test-origin", self) },
-			Authorize: func(req *transport.Request) bool { return true },
-			OriginOf:  func(req *transport.Request) string { return req.GetHeader("x-test-origin") },
+			Identity:  testIdentity(self),
 			StandbyFn: func() string { return standby },
 			Mode:      mode,
 			Logf:      t.Logf,
@@ -58,6 +56,16 @@ func newHarness(t *testing.T, mode Mode) *harness {
 	}
 	return &harness{rt: rt, a: mk("a", "b"), b: mk("b", "a")}
 }
+
+// testIdentity stamps its address as the origin and admits every
+// request.
+type testIdentity string
+
+func (id testIdentity) Stamp(req *transport.Request) { req.SetHeader("x-test-origin", string(id)) }
+
+func (testIdentity) Authorized(*transport.Request) bool { return true }
+
+func (testIdentity) Origin(req *transport.Request) string { return req.GetHeader("x-test-origin") }
 
 func TestSemiSyncStreamBuildsReplica(t *testing.T) {
 	h := newHarness(t, ModeSemiSync)

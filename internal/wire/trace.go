@@ -27,8 +27,8 @@ type TraceSpan struct {
 }
 
 // TraceDoc is the wire form of a reconstructed (or member-local)
-// itinerary: the spans `/pdagent/trace/{id}` and `/cluster/trace`
-// exchange and serve.
+// itinerary: the spans `/pdagent/trace/{id}` serves, whole or (with
+// "scope: local") as one member's or host's share.
 type TraceDoc struct {
 	// TraceID is the journey's trace id (the agent id).
 	TraceID string
