@@ -1,0 +1,61 @@
+package cluster
+
+import (
+	"context"
+	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"pdagent/internal/transport"
+)
+
+// namedHTTP routes member names to real loopback servers over the real
+// HTTP client, so a test controls the order peers are heartbeated in.
+type namedHTTP map[string]string
+
+func (m namedHTTP) RoundTrip(ctx context.Context, addr string, req *transport.Request) (*transport.Response, error) {
+	return (&transport.HTTPClient{}).RoundTrip(ctx, m[addr], req)
+}
+
+// TestStoppedPeerDoesNotStallHeartbeat: gw-1 accepts the connection and
+// never answers, like a member under kill -STOP. One tick at gw-0 still
+// returns within heartbeatTimeout (plus scheduling slack), not the HTTP
+// client's 30 s, and gw-2, heartbeated after gw-1, still gets its
+// heartbeat and answers it.
+func TestStoppedPeerDoesNotStallHeartbeat(t *testing.T) {
+	release := make(chan struct{})
+	stopped := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { <-release }))
+	defer stopped.Close()
+	defer close(release) // runs first: the parked handler returns before Close waits on it
+
+	routes := namedHTTP{"gw-1": stopped.Listener.Addr().String()}
+	seeds := []string{"gw-0", "gw-1", "gw-2"}
+	healthy := NewNode(Config{Self: "gw-2", Seeds: seeds, Transport: routes, Secret: "test-cluster-secret"})
+	var heard atomic.Int32
+	inner := transport.NewHTTPHandler(healthy.Handler())
+	ok := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/cluster/heartbeat" {
+			heard.Add(1)
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer ok.Close()
+	routes["gw-2"] = ok.Listener.Addr().String()
+
+	node := NewNode(Config{Self: "gw-0", Seeds: seeds, Transport: routes, Secret: "test-cluster-secret"})
+	answered := make(chan int, 1)
+	start := time.Now()
+	go func() { answered <- node.Tick(context.Background()) }()
+	bound := heartbeatTimeout + 2*time.Second
+	select {
+	case n := <-answered:
+		if n != 1 || heard.Load() != 1 {
+			t.Fatalf("tick: %d peer(s) answered, gw-2 heard %d heartbeat(s); want 1 and 1", n, heard.Load())
+		}
+		t.Logf("tick with a stopped peer took %v", time.Since(start).Round(time.Millisecond))
+	case <-time.After(bound):
+		t.Fatalf("a tick with one stopped peer is still running after %v (gw-2 heard %d heartbeat(s))", bound, heard.Load())
+	}
+}

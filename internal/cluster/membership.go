@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"time"
 
 	"pdagent/internal/kxml"
 	"pdagent/internal/transport"
@@ -261,12 +262,23 @@ func (n *Node) peersLocked() []string {
 	return peers
 }
 
-// heartbeat sends one stamped cluster-view document to addr.
+// heartbeat sends one stamped cluster-view document to addr. Peers are
+// heartbeated one after another, so the round trip gets its own wall
+// deadline: a peer stopped mid-round trip (kill -STOP, a hung host)
+// costs the tick heartbeatTimeout, not the HTTP client's 30 s, and the
+// peers after it still hear from us (inert on the inline simulated
+// fabric, where round trips complete before it could fire).
 func (n *Node) heartbeat(ctx context.Context, addr string, doc []byte) (*transport.Response, error) {
 	req := &transport.Request{Path: "/cluster/heartbeat", Body: doc}
 	n.Stamp(req)
+	ctx, cancel := context.WithTimeout(ctx, heartbeatTimeout)
+	defer cancel()
 	return n.cfg.Transport.RoundTrip(ctx, addr, req)
 }
+
+// heartbeatTimeout bounds one heartbeat round trip. A peer that misses
+// it has given no evidence this tick, like one that refused the dial.
+const heartbeatTimeout = time.Second
 
 // noteFencedReply inspects a refused heartbeat: a Forbidden reply
 // carrying the fenced-epoch header means a peer has fenced US — we are

@@ -9,7 +9,8 @@
 //   - None: identity passthrough (ablation baseline);
 //   - LZSS: a dictionary coder with a 4 KiB window — the "simple text
 //     compression" of the paper, implemented here from scratch;
-//   - Flate: stdlib DEFLATE as a stronger reference point.
+//   - Flate: stdlib DEFLATE at BestSpeed, the codec of every mailbox
+//     answer a gateway sends a device.
 //
 // Frame format: magic 'Z', codec id byte, uvarint decoded length,
 // payload. Decode dispatches on the codec id.
@@ -147,7 +148,7 @@ func AppendDecode(dst []byte, frame []byte) ([]byte, error) {
 }
 
 // appendWriter is an io.Writer appending into a byte slice, the shim
-// that lets the pooled flate writer emit straight into a caller buffer.
+// that lets a reused flate writer emit straight into a caller buffer.
 type appendWriter struct{ buf []byte }
 
 func (w *appendWriter) Write(p []byte) (int, error) {
@@ -156,41 +157,60 @@ func (w *appendWriter) Write(p []byte) (int, error) {
 }
 
 // flateEnc bundles a reusable flate writer with its output shim so one
-// pool entry covers both.
+// free-list slot covers both.
 type flateEnc struct {
 	aw appendWriter
 	fw *flate.Writer
 }
 
-var flateEncPool = sync.Pool{New: func() any {
+// flateEncs is a free list of DEFLATE encoders. A flate.Writer is
+// about 1.2 MB at BestSpeed, so it is kept here rather than in a
+// sync.Pool, which would drop it every second GC and make the next
+// mailbox answer allocate a new one. Four slots cover the encoders a
+// busy gateway has in flight at once; a fifth is built and dropped.
+var flateEncs = make(chan *flateEnc, 4)
+
+// flateLevel is BestSpeed: at levels 2-9 compress/flate's reset clears
+// a 640 KiB hash table on every call, which costs more CPU than
+// encoding a mailbox answer; BestSpeed's reset is an offset bump.
+const flateLevel = flate.BestSpeed
+
+func getFlateEnc() *flateEnc {
+	select {
+	case e := <-flateEncs:
+		return e
+	default:
+	}
 	e := &flateEnc{}
-	fw, err := flate.NewWriter(&e.aw, flate.BestCompression)
+	fw, err := flate.NewWriter(&e.aw, flateLevel)
 	if err != nil {
-		// BestCompression is a valid level; NewWriter cannot fail on it.
+		// flateLevel is a valid level; NewWriter cannot fail on it.
 		panic(err)
 	}
 	e.fw = fw
 	return e
-}}
+}
+
+func putFlateEnc(e *flateEnc) {
+	e.aw.buf = nil // never retain caller memory in the free list
+	select {
+	case flateEncs <- e:
+	default:
+	}
+}
 
 func flateCompressAppend(dst []byte, data []byte) ([]byte, error) {
-	e := flateEncPool.Get().(*flateEnc)
+	e := getFlateEnc()
+	defer putFlateEnc(e)
 	e.aw.buf = dst
 	e.fw.Reset(&e.aw)
 	if _, err := e.fw.Write(data); err != nil {
-		e.aw.buf = nil
-		flateEncPool.Put(e)
 		return nil, fmt.Errorf("compress: flate write: %w", err)
 	}
 	if err := e.fw.Close(); err != nil {
-		e.aw.buf = nil
-		flateEncPool.Put(e)
 		return nil, fmt.Errorf("compress: flate close: %w", err)
 	}
-	out := e.aw.buf
-	e.aw.buf = nil // never retain caller memory in the pool
-	flateEncPool.Put(e)
-	return out, nil
+	return e.aw.buf, nil
 }
 
 // flateDec bundles a reusable flate reader with its input shim.

@@ -113,18 +113,26 @@ func TestMaxDecodedSizeBound(t *testing.T) {
 	if _, err := FrameCodec(frame(LZSS, MaxDecodedSize+1)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("a frame declaring MaxDecodedSize+1: FrameCodec err = %v, want ErrCorrupt", err)
 	}
-	for name, f := range map[string][]byte{
-		"lzss, MaxDecodedSize+1":  frame(LZSS, MaxDecodedSize+1),
-		"lzss, MaxDecodedSize":    frame(LZSS, MaxDecodedSize),
-		"flate, MaxDecodedSize":   frame(Flate, MaxDecodedSize),
-		"lzss, just past payload": frame(LZSS, lzMaxRatio*9+1),
+	// A frame declaring one byte more than its payload can decode to is
+	// refused before the decoder allocates the declared size or a
+	// reader, so it costs less than either.
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		max   uint64
+	}{
+		{"lzss, MaxDecodedSize+1", frame(LZSS, MaxDecodedSize+1), 1 << 16},
+		{"lzss, MaxDecodedSize", frame(LZSS, MaxDecodedSize), 1 << 16},
+		{"flate, MaxDecodedSize", frame(Flate, MaxDecodedSize), 1 << 16},
+		{"lzss, just past payload", frame(LZSS, lzMaxRatio*9+1), 1 << 10},
+		{"flate, just past payload", frame(Flate, flateMaxRatio*9+1), 1 << 10},
 	} {
 		var err error
-		if n := allocatedBy(func() { _, err = Decode(f) }); n > 1<<16 {
-			t.Errorf("%s: decoding allocated %d bytes", name, n)
+		if n := allocatedBy(func() { _, err = Decode(tc.frame) }); n > tc.max {
+			t.Errorf("%s: decoding allocated %d bytes, bound %d", tc.name, n, tc.max)
 		}
 		if !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: Decode err = %v, want ErrCorrupt", name, err)
+			t.Errorf("%s: Decode err = %v, want ErrCorrupt", tc.name, err)
 		}
 	}
 	zeros := make([]byte, 1<<20)

@@ -41,9 +41,10 @@ func (m *linkMeter) RoundTrip(ctx context.Context, addr string, req *transport.R
 // (two banks, five transfers at each, a long-polling device holding its
 // mailbox token) moves over the handheld's link: the sealed upload,
 // naming its code by hash and its sealed session by id, and the
-// long-poll whose answer is the result as one LZSS frame without
-// enqueue times: 2 requests and 1440 bytes per journey, against 1464
-// when the answer carried each entry's wall-clock enqueue time, 1576
+// long-poll whose answer is the result as one DEFLATE frame without
+// enqueue times: 2 requests and 1216 bytes per journey, against 1440
+// when the answer was an LZSS frame, 1464 when it also carried each
+// entry's wall-clock enqueue time, 1576
 // when every upload carried the 128-byte RSA-1024 wrap instead of the
 // 16-byte id, 1946 when it also carried the code, and 4785 when the
 // answer was the raw mailbox document with the result escaped inside
@@ -89,7 +90,7 @@ func TestEBankJourneyLinkBytes(t *testing.T) {
 	if n := m.requests - requests; n != 2*journeys {
 		t.Fatalf("%d requests for %d journeys, want 2 each", n, journeys)
 	}
-	if want := 1440; perJourney < want-want/100 || perJourney > want+want/100 {
+	if want := 1216; perJourney < want-want/100 || perJourney > want+want/100 {
 		t.Fatalf("device link carries %d bytes per journey, want %d ± 1 %%", perJourney, want)
 	}
 }

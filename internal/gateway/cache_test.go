@@ -3,6 +3,7 @@ package gateway
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -120,22 +121,33 @@ func TestDispatchByReferenceSkipsCompiler(t *testing.T) {
 // TestStaleCodeHashPreconditionFailed: a hash the catalogue does not
 // hold is answered 412 before admission, so it spends neither the
 // tenant's only rate token nor the nonce — the device's re-send of the
-// same upload carrying the code is admitted.
+// same upload carrying the code is admitted. The 412 is counted as a
+// refusal, the re-send is not.
 func TestStaleCodeHashPreconditionFailed(t *testing.T) {
 	f := newTenantFixture(t, nil,
 		&tenant.Tenant{ID: "acme", Secret: "s3", Limits: tenant.Limits{RatePerSec: 0.0001, Burst: 1}})
 	f.addEcho(t)
 	sub, _ := f.subscribeTenant(t, "echo", "dev-1", "acme", "s3")
+	wantRefused := func(n int) {
+		t.Helper()
+		row := fmt.Sprintf("pdagent_dispatch_refused_total{reason=\"412-code\"} %d\n", n)
+		if scrape := f.gw.Handler().Serve(context.Background(), &transport.Request{Path: "/metrics"}).Text(); !strings.Contains(scrape, row) {
+			t.Fatalf("scrape lacks %q", row)
+		}
+	}
 
+	wantRefused(0)
 	pi := f.echoPI(sub, "dev-1")
 	pi.Source, pi.CodeHash = "", wire.CodeHash(`deliver("old", 1);`)
 	if resp := f.dispatchPI(t, pi, true); resp.Status != transport.StatusPreconditionFailed {
 		t.Fatalf("stale hash: %d %s, want 412", resp.Status, resp.Text())
 	}
+	wantRefused(1)
 	pi.Source = sub.Package.Source
 	if resp := f.dispatchPI(t, pi, true); !resp.IsOK() {
 		t.Fatalf("same-nonce re-send carrying the code: %d %s", resp.Status, resp.Text())
 	}
+	wantRefused(1)
 	f.queue.Drain()
 }
 

@@ -106,8 +106,8 @@ func TestOldDeviceDispatchAnswerUnchanged(t *testing.T) {
 
 // TestMailboxAnswersAreFrames: every mailbox answer a device receives —
 // a fetch, a long-poll, mail attached to a dispatch answer, and the
-// empty answer for a device the hub has never heard of — is one LZSS
-// frame of exactly the document push.EncodeEntries renders for the
+// empty answer for a device the hub has never heard of — is one
+// DEFLATE frame of exactly the document push.EncodeEntries renders for the
 // pending entries.
 func TestMailboxAnswersAreFrames(t *testing.T) {
 	f := newMailboxFixture(t, nil)
@@ -119,8 +119,8 @@ func TestMailboxAnswersAreFrames(t *testing.T) {
 		if !resp.IsOK() || !compress.IsFrame(resp.Body) {
 			t.Fatalf("%s: %d %q, want a frame", what, resp.Status, resp.Body)
 		}
-		if c, err := compress.FrameCodec(resp.Body); err != nil || c != compress.LZSS {
-			t.Fatalf("%s: codec %v, %v; want LZSS", what, c, err)
+		if c, err := compress.FrameCodec(resp.Body); err != nil || c != compress.Flate {
+			t.Fatalf("%s: codec %v, %v; want Flate", what, c, err)
 		}
 		if doc, err := compress.Decode(resp.Body); err != nil || !bytes.Equal(doc, want) {
 			t.Fatalf("%s: frame decodes to %q (%v), want %q", what, doc, err, want)

@@ -212,6 +212,7 @@ type Gateway struct {
 	mResults        *metrics.Counter
 	mRelayed        *metrics.Counter
 	mAdopted        *metrics.Counter
+	mRefusedCode    *metrics.Counter
 	mTenantDispatch *metrics.CounterVec
 	mTenantShed     *metrics.CounterVec
 	mTenantQuota    *metrics.CounterVec
@@ -711,6 +712,7 @@ func (g *Gateway) dispatchDevice(ctx context.Context, req *transport.Request) *t
 	if pi.Source == "" {
 		cp, hash, ok := g.reg.Package(pi.CodeID)
 		if !ok || hash != pi.CodeHash {
+			g.mRefusedCode.Inc()
 			return transport.Errorf(transport.StatusPreconditionFailed,
 				"code %q with hash %s not held here", pi.CodeID, pi.CodeHash)
 		}

@@ -17,7 +17,7 @@ import (
 // mailboxes; the code here feeds it — result documents the moment an
 // agent comes home, status changes, management notifications — and
 // serves the delivery endpoints the device platform polls. Every mailbox
-// answer a device receives is one LZSS frame of the mailbox document
+// answer a device receives is one DEFLATE frame of the mailbox document
 // (push.EncodeDelivery); the /cluster/ documents stay raw:
 //
 //	/pdagent/mailbox/poll   fetch + ack; with a wait, parks until mail

@@ -78,6 +78,11 @@ func (g *Gateway) initObserve() {
 		"Result documents relayed to the edge member of a forwarded dispatch.")
 	g.mAdopted = m.Counter("pdagent_results_adopted_total",
 		"Relayed or fetched result documents adopted at this edge.")
+	// Refusals by reason; the first row is the stale code hash's 412
+	// (the unknown session's is pdagent_unseal_total{path="unknown"}).
+	g.mRefusedCode = m.CounterVec("pdagent_dispatch_refused_total",
+		"Device dispatches refused before admission, by reason: 412-code named its code by a hash this gateway's catalogue does not hold.",
+		"reason").With("412-code")
 	g.mMailboxUs = m.Histogram("pdagent_mailbox_cycle_us",
 		"Mailbox fetch/ack or long-poll cycle latency, microseconds.")
 

@@ -95,7 +95,7 @@ func TestDispatchAllocsPerOp(t *testing.T) {
 }
 
 // TestMailboxAnswerAllocsPerOp pins the append-built mailbox answer: a
-// result's delivery is two allocations, the document and its LZSS frame
+// result's delivery is two allocations, the document and its DEFLATE frame
 // (the node tree it replaced made about twenty).
 func TestMailboxAnswerAllocsPerOp(t *testing.T) {
 	if raceEnabled {

@@ -406,6 +406,9 @@ func (r *reader) bytes(n int) []byte {
 	return out
 }
 
+// remaining is how many input bytes are left to decode.
+func (r *reader) remaining() uint64 { return uint64(len(r.data) - r.pos) }
+
 func (r *reader) uvarint() uint64 {
 	if r.err != nil {
 		return 0

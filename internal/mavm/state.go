@@ -251,7 +251,7 @@ func (sr *stateReader) readRef() (Value, error) {
 
 func (sr *stateReader) readRefSlice() ([]Value, error) {
 	n := sr.r.uvarint()
-	if n > uint64(len(sr.r.data)) {
+	if n > sr.r.remaining() {
 		return nil, fmt.Errorf("mavm: corrupt snapshot: slice count %d", n)
 	}
 	out := make([]Value, 0, n)
@@ -287,9 +287,14 @@ func UnmarshalState(prog *Program, data []byte) (*VM, error) {
 	vm.Hops = int(r.uvarint())
 	vm.Steps = r.uvarint()
 
+	// Every count below is checked against the bytes left before
+	// anything is allocated for it: each container, element, entry and
+	// root takes at least one byte of input, so what a snapshot makes
+	// the decoder allocate is bounded by a multiple of its length.
+	//
 	// Object table: allocate shells, then fill contents.
 	nObj := r.uvarint()
-	if nObj > maxSnapshotObjects {
+	if nObj > maxSnapshotObjects || nObj > r.remaining() {
 		return nil, fmt.Errorf("mavm: snapshot declares %d containers", nObj)
 	}
 	sr := &stateReader{r: r}
@@ -307,7 +312,7 @@ func UnmarshalState(prog *Program, data []byte) (*VM, error) {
 	for i := uint64(0); i < nObj && r.err == nil; i++ {
 		obj := sr.objects[i]
 		n := r.uvarint()
-		if n > uint64(len(data)) {
+		if n > r.remaining() {
 			return nil, fmt.Errorf("mavm: corrupt snapshot: container size %d", n)
 		}
 		if obj.kind == KindList {
@@ -333,7 +338,7 @@ func UnmarshalState(prog *Program, data []byte) (*VM, error) {
 
 	// Roots.
 	nParams := r.uvarint()
-	if nParams > uint64(len(data)) {
+	if nParams > r.remaining() {
 		return nil, fmt.Errorf("mavm: corrupt snapshot: param count")
 	}
 	vm.Params = make(map[string]Value, nParams)
@@ -353,7 +358,7 @@ func UnmarshalState(prog *Program, data []byte) (*VM, error) {
 		return nil, err
 	}
 	nResults := r.uvarint()
-	if nResults > uint64(len(data)) {
+	if nResults > r.remaining() {
 		return nil, fmt.Errorf("mavm: corrupt snapshot: result count")
 	}
 	for i := uint64(0); i < nResults && r.err == nil; i++ {

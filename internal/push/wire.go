@@ -31,10 +31,10 @@ import (
 // wall-clock stamp would make the answer's length vary from run to run.
 // A migration export keeps it, so TTLs keep counting at the new edge;
 // a missing enq parses as the zero time. The device's document travels
-// as one compress frame — LZSS, the codec every device already decodes
-// its own records with (EncodeDelivery) — whose
-// magic byte no XML document can begin with: ParseEntries reads either
-// form. Timestamps are unix nanoseconds.
+// as one compress frame — DEFLATE at BestSpeed, a codec every device
+// has always decoded (EncodeDelivery); gateways before it sent LZSS —
+// whose magic byte no XML document can begin with: ParseEntries reads
+// either form, and either codec. Timestamps are unix nanoseconds.
 
 // encodeEntryRecord renders one entry's backing record. Like the meta
 // record it sits on the enqueue path, so it is append-built.
@@ -206,12 +206,13 @@ func EncodeEntries(device string, entries []*Entry, watermark, evicted uint64) [
 }
 
 // EncodeDelivery is the mailbox answer a gateway sends a device:
-// EncodeEntries' document as one LZSS frame.
+// EncodeEntries' document as one DEFLATE frame.
 func EncodeDelivery(device string, entries []*Entry, watermark, evicted uint64) []byte {
 	doc := EncodeEntries(device, entries, watermark, evicted)
-	// Sized for the frame header and LZSS's worst case (every byte a
-	// literal, a flag byte per eight), so the buffer never grows.
-	out, _ := compress.AppendEncode(make([]byte, 0, len(doc)+len(doc)/8+16), compress.LZSS, doc)
+	// Sized for the frame header and DEFLATE's worst case (stored
+	// blocks: 5 bytes per 64 KiB, and the final empty block), so the
+	// buffer never grows.
+	out, _ := compress.AppendEncode(make([]byte, 0, len(doc)+len(doc)/4096+32), compress.Flate, doc)
 	return out
 }
 

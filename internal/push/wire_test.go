@@ -50,17 +50,22 @@ func TestExportBytesUnchanged(t *testing.T) {
 	}
 }
 
-// TestDeliveryIsOneLZSSFrame: what a device receives is an LZSS frame of
-// exactly EncodeEntries' document, whose bodies ride as CDATA and which
-// carries no enqueue times; it parses to the entries that went in, as
-// does the raw document and the pre-frame answer an older gateway sends
-// (enqueue times included).
-func TestDeliveryIsOneLZSSFrame(t *testing.T) {
+// TestDeliveryIsOneFlateFrame: what a device receives is a DEFLATE
+// frame of exactly EncodeEntries' document, whose bodies ride as CDATA
+// and which carries no enqueue times; it parses to the entries that
+// went in, as do the raw document, the LZSS frame a gateway sent before
+// answers were DEFLATE and the pre-frame answer of a gateway older
+// still (enqueue times included).
+func TestDeliveryIsOneFlateFrame(t *testing.T) {
 	in := wireEntries()
 	frame := EncodeDelivery("alice", in, 6, 2)
 	doc := EncodeEntries("alice", in, 6, 2)
-	if c, err := compress.FrameCodec(frame); err != nil || c != compress.LZSS {
-		t.Fatalf("delivery codec = %v, %v; want one LZSS frame", c, err)
+	if c, err := compress.FrameCodec(frame); err != nil || c != compress.Flate {
+		t.Fatalf("delivery codec = %v, %v; want one Flate frame", c, err)
+	}
+	lzss, err := compress.Encode(compress.LZSS, doc)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if dec, err := compress.Decode(frame); err != nil || !bytes.Equal(dec, doc) {
 		t.Fatalf("frame decodes to %q (%v), want EncodeEntries' document %q", dec, err, doc)
@@ -74,7 +79,7 @@ func TestDeliveryIsOneLZSSFrame(t *testing.T) {
 	if bytes.Contains(doc, []byte(`enq=`)) {
 		t.Fatalf("device document carries enqueue times: %s", doc)
 	}
-	for name, body := range map[string][]byte{"frame": frame, "raw": doc, "pre-frame answer": []byte(preFrameAnswer)} {
+	for name, body := range map[string][]byte{"frame": frame, "raw": doc, "lzss frame": lzss, "pre-frame answer": []byte(preFrameAnswer)} {
 		dev, out, watermark, evicted, token, tenant, err := ParseEntries(body)
 		if err != nil || dev != "alice" || watermark != 6 || evicted != 2 || token != "" || tenant != "" {
 			t.Fatalf("%s: device %q watermark %d evicted %d token %q tenant %q, %v", name, dev, watermark, evicted, token, tenant, err)
@@ -94,6 +99,20 @@ func TestDeliveryIsOneLZSSFrame(t *testing.T) {
 				t.Fatalf("%s: entry %d = %+v, want %+v", name, i, out[i], want)
 			}
 		}
+	}
+}
+
+// TestDeliveryKeepsItsEncoderAcrossGC: the DEFLATE encoder a mailbox
+// answer is written with (about 1.2 MB) survives garbage collection, so
+// an answer after a GC allocates its document and its frame, not a new
+// encoder.
+func TestDeliveryKeepsItsEncoderAcrossGC(t *testing.T) {
+	in := wireEntries()
+	EncodeDelivery("alice", in, 6, 2)
+	runtime.GC()
+	runtime.GC() // a sync.Pool drops what it held on the second
+	if n := allocatedBy(func() { EncodeDelivery("alice", in, 6, 2) }); n > 64<<10 {
+		t.Fatalf("a mailbox answer after a GC allocated %d bytes: a new encoder", n)
 	}
 }
 
@@ -142,17 +161,20 @@ func parse(b []byte) (p parsed) {
 // host may answer — raw documents, frames, exports. No input panics or
 // allocates more than a fixed multiple of its own length plus the size
 // it declares; a frame declaring past compress.MaxDecodedSize is
-// refused; and any raw input parses exactly as its own LZSS frame does.
+// refused; and any raw input parses exactly as its own frame does under
+// either codec a gateway answers with: DEFLATE, and the LZSS of older
+// gateways.
 func FuzzParseEntries(f *testing.F) {
 	in := wireEntries()
-	flate, _ := compress.Encode(compress.Flate, EncodeEntries("bob", in[:1], 3, 0))
+	lzss, _ := compress.Encode(compress.LZSS, EncodeEntries("bob", in[:1], 3, 0))
 	for _, s := range [][]byte{
 		EncodeEntries("alice", in, 6, 2),
 		EncodeDelivery("alice", in, 6, 2),
+		EncodeDelivery("alice", in[:1], 3, 0),
 		EncodeDelivery("alice", nil, 0, 0),
 		EncodeExport("alice", in, 6, "tok-1", "acme"),
 		[]byte(preFrameAnswer),
-		flate,
+		lzss,
 		overDeclared(),
 		[]byte(`<mailbox><entry seq="x"/></mailbox>`),
 	} {
@@ -176,16 +198,18 @@ func FuzzParseEntries(f *testing.F) {
 		if compress.IsFrame(data) {
 			return
 		}
-		framed, err := compress.Encode(compress.LZSS, data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pf := parse(framed)
-		if (p.err == nil) != (pf.err == nil) {
-			t.Fatalf("raw parse err %v, framed parse err %v", p.err, pf.err)
-		}
-		if p.err == nil && !reflect.DeepEqual(p, pf) {
-			t.Fatalf("raw and framed parses differ:\n%+v\n%+v", p, pf)
+		for _, codec := range []compress.Codec{compress.Flate, compress.LZSS} {
+			framed, err := compress.Encode(codec, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pf := parse(framed)
+			if (p.err == nil) != (pf.err == nil) {
+				t.Fatalf("raw parse err %v, %v-framed parse err %v", p.err, codec, pf.err)
+			}
+			if p.err == nil && !reflect.DeepEqual(p, pf) {
+				t.Fatalf("raw and %v-framed parses differ:\n%+v\n%+v", codec, p, pf)
+			}
 		}
 	})
 }
