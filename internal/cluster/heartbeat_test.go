@@ -59,3 +59,41 @@ func TestStoppedPeerDoesNotStallHeartbeat(t *testing.T) {
 		t.Fatalf("a tick with one stopped peer is still running after %v (gw-2 heard %d heartbeat(s))", bound, heard.Load())
 	}
 }
+
+// TestStoppedPeersCostOneHeartbeatTimeout: gw-1 and gw-2 both accept
+// the connection and never answer. A tick at gw-0 heartbeats its peers
+// at once, so it returns within one heartbeatTimeout plus slack, not
+// one per stopped peer (two in a row would take 2 s), and gw-3 still
+// hears its heartbeat and answers it.
+func TestStoppedPeersCostOneHeartbeatTimeout(t *testing.T) {
+	release := make(chan struct{})
+	stopped := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { <-release }))
+	defer stopped.Close()
+	defer close(release) // runs first: the parked handlers return before Close waits on them
+
+	routes := namedHTTP{"gw-1": stopped.Listener.Addr().String(), "gw-2": stopped.Listener.Addr().String()}
+	seeds := []string{"gw-0", "gw-1", "gw-2", "gw-3"}
+	healthy := NewNode(Config{Self: "gw-3", Seeds: seeds, Transport: routes, Secret: "test-cluster-secret"})
+	var heard atomic.Int32
+	inner := transport.NewHTTPHandler(healthy.Handler())
+	ok := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/cluster/heartbeat" {
+			heard.Add(1)
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer ok.Close()
+	routes["gw-3"] = ok.Listener.Addr().String()
+
+	node := NewNode(Config{Self: "gw-0", Seeds: seeds, Transport: routes, Secret: "test-cluster-secret"})
+	start := time.Now()
+	n := node.Tick(context.Background())
+	took := time.Since(start)
+	if n != 1 || heard.Load() != 1 {
+		t.Fatalf("tick: %d peer(s) answered, gw-3 heard %d heartbeat(s); want 1 and 1", n, heard.Load())
+	}
+	if bound := heartbeatTimeout + heartbeatTimeout/2; took >= bound {
+		t.Fatalf("a tick with two stopped peers took %v, bound %v", took.Round(time.Millisecond), bound)
+	}
+	t.Logf("tick with two stopped peers took %v", took.Round(time.Millisecond))
+}

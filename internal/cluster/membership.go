@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"pdagent/internal/kxml"
@@ -228,10 +229,28 @@ func (n *Node) Tick(ctx context.Context) int {
 		}
 	}
 
+	// The round trips run at once, so k stopped peers cost the tick one
+	// heartbeatTimeout, not k of them. Replies are applied once all have
+	// returned, in sorted peer order, so a simulated world merges them
+	// in the same order every run.
 	doc := n.viewDoc()
+	type reply struct {
+		resp *transport.Response
+		err  error
+	}
+	replies := make([]reply, len(peers))
+	var wg sync.WaitGroup
+	for i, addr := range peers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			replies[i].resp, replies[i].err = n.heartbeat(ctx, addr, doc)
+		}()
+	}
+	wg.Wait()
 	answered := 0
-	for _, addr := range peers {
-		resp, err := n.heartbeat(ctx, addr, doc)
+	for i, addr := range peers {
+		resp, err := replies[i].resp, replies[i].err
 		if err != nil {
 			continue
 		}
@@ -249,8 +268,8 @@ func (n *Node) Tick(ctx context.Context) int {
 }
 
 // peersLocked lists the members a heartbeat goes to — every one not
-// known to have left — sorted, so simulated worlds heartbeat in a
-// deterministic order. Called with mu held.
+// known to have left — sorted, so simulated worlds apply the replies in
+// a deterministic order. Called with mu held.
 func (n *Node) peersLocked() []string {
 	var peers []string
 	for addr, e := range n.members {
@@ -262,12 +281,11 @@ func (n *Node) peersLocked() []string {
 	return peers
 }
 
-// heartbeat sends one stamped cluster-view document to addr. Peers are
-// heartbeated one after another, so the round trip gets its own wall
-// deadline: a peer stopped mid-round trip (kill -STOP, a hung host)
-// costs the tick heartbeatTimeout, not the HTTP client's 30 s, and the
-// peers after it still hear from us (inert on the inline simulated
-// fabric, where round trips complete before it could fire).
+// heartbeat sends one stamped cluster-view document to addr. The round
+// trip gets its own wall deadline: a peer stopped mid-round trip (kill
+// -STOP, a hung host) costs the tick heartbeatTimeout, not the HTTP
+// client's 30 s (inert on the inline simulated fabric, where round
+// trips complete before it could fire).
 func (n *Node) heartbeat(ctx context.Context, addr string, doc []byte) (*transport.Response, error) {
 	req := &transport.Request{Path: "/cluster/heartbeat", Body: doc}
 	n.Stamp(req)

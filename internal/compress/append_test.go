@@ -12,7 +12,7 @@ import (
 // every codec.
 func TestAppendRoundTripWithPrefix(t *testing.T) {
 	payload := []byte("the quick brown fox jumps over the lazy dog, twice: the quick brown fox")
-	for _, codec := range []Codec{None, LZSS, Flate} {
+	for _, codec := range []Codec{None, LZSS, Flate, FlateDict} {
 		prefix := []byte("HDR")
 		frame, err := AppendEncode(append([]byte(nil), prefix...), codec, payload)
 		if err != nil {
@@ -97,7 +97,7 @@ func TestPooledCodecsConcurrent(t *testing.T) {
 				for j := range payload {
 					payload[j] = byte(r.Intn(8))
 				}
-				codec := []Codec{None, LZSS, Flate}[i%3]
+				codec := []Codec{None, LZSS, Flate, FlateDict}[i%4]
 				var err error
 				frame, err = AppendEncode(frame[:0], codec, payload)
 				if err != nil {

@@ -11,7 +11,7 @@ import (
 	"testing/quick"
 )
 
-var allCodecs = []Codec{None, LZSS, Flate}
+var allCodecs = []Codec{None, LZSS, Flate, FlateDict}
 
 func TestRoundTripBasic(t *testing.T) {
 	samples := [][]byte{
@@ -47,7 +47,7 @@ func TestRoundTripBasic(t *testing.T) {
 func TestCompressionActuallyCompresses(t *testing.T) {
 	// Repetitive XML, the dominant payload in this system.
 	doc := []byte(strings.Repeat(`<transaction from="bank-a" to="bank-b" amount="100"/>`, 100))
-	for _, codec := range []Codec{LZSS, Flate} {
+	for _, codec := range []Codec{LZSS, Flate, FlateDict} {
 		enc, err := Encode(codec, doc)
 		if err != nil {
 			t.Fatal(err)
@@ -126,6 +126,7 @@ func TestMaxDecodedSizeBound(t *testing.T) {
 		{"flate, MaxDecodedSize", frame(Flate, MaxDecodedSize), 1 << 16},
 		{"lzss, just past payload", frame(LZSS, lzMaxRatio*9+1), 1 << 10},
 		{"flate, just past payload", frame(Flate, flateMaxRatio*9+1), 1 << 10},
+		{"flate-dict, just past payload", frame(FlateDict, flateMaxRatio*9+1), 1 << 10},
 	} {
 		var err error
 		if n := allocatedBy(func() { _, err = Decode(tc.frame) }); n > tc.max {
@@ -136,7 +137,7 @@ func TestMaxDecodedSizeBound(t *testing.T) {
 		}
 	}
 	zeros := make([]byte, 1<<20)
-	for _, codec := range []Codec{LZSS, Flate} {
+	for _, codec := range []Codec{LZSS, Flate, FlateDict} {
 		enc, err := Encode(codec, zeros)
 		if err != nil {
 			t.Fatal(err)
@@ -225,6 +226,7 @@ func TestParseCodec(t *testing.T) {
 		{"", None, true},
 		{"lzss", LZSS, true},
 		{"flate", Flate, true},
+		{"flate-dict", FlateDict, true},
 		{"zip", None, false},
 	} {
 		got, err := ParseCodec(tc.in)

@@ -67,7 +67,7 @@ func TestAllCodecsRoundTripProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	for i := 0; i < 100; i++ {
 		payload := randPayload(r)
-		for _, codec := range []Codec{None, LZSS, Flate} {
+		for _, codec := range []Codec{None, LZSS, Flate, FlateDict} {
 			frame, err := Encode(codec, payload)
 			if err != nil {
 				t.Fatalf("iter %d codec %s: Encode: %v", i, codec, err)

@@ -82,15 +82,16 @@ func (p *Platform) uploadPI(ctx context.Context, pi *wire.PackedInformation) (st
 	p.packCap.Store(int64(len(body)))
 	gw := entry.sub.Gateway
 	req := &transport.Request{Path: "/pdagent/dispatch", Body: body}
-	// Ask for the waiting mail in the answer (DESIGN.md §7): the token and
-	// the cursor mean on an upload what they mean on a poll. Not while a
-	// batch is unread — the cursor has not moved past it, so the answer
-	// would carry the same entries again.
+	// Ask for the waiting mail in the answer (DESIGN.md §7): the token,
+	// the cursor and accept mean on an upload what they mean on a poll.
+	// Not while a batch is unread — the cursor has not moved past it, so
+	// the answer would carry the same entries again.
 	p.mu.Lock()
 	asked := p.tokens[gw] != "" && p.unread[gw] == nil
 	if asked {
 		req.SetHeader("mailbox-token", p.tokens[gw])
 		req.SetHeader("ack", strconv.FormatUint(p.cursors[gw], 10))
+		req.SetHeader("accept", acceptFlateDict)
 	}
 	p.mu.Unlock()
 	resp, err := p.roundTrip(ctx, gw, req)

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"pdagent/internal/compress"
 	"pdagent/internal/kxml"
 	"pdagent/internal/mavm"
 	"pdagent/internal/push"
@@ -230,6 +231,12 @@ func (p *Platform) Cursor(gw string) uint64 {
 	return p.cursors[gw]
 }
 
+// acceptFlateDict is the accept header of every mailbox read and of a
+// dispatch that asks for mail: this device decodes compress.FlateDict
+// answers. A gateway that ignores it answers in a codec every device
+// decodes, and push.ParseEntries reads any frame by its codec byte.
+var acceptFlateDict = strconv.Itoa(int(compress.FlateDict))
+
 // fetchMailbox runs one fetch+ack round trip against gw: acknowledge
 // cursor, receive the next batch. prevEdge (first call after switching
 // gateways) asks gw to pull our mailbox from the member we previously
@@ -240,6 +247,7 @@ func (p *Platform) fetchMailbox(ctx context.Context, gw, prevEdge string, cursor
 	req := &transport.Request{Path: "/pdagent/mailbox/poll"}
 	req.SetHeader("device", p.cfg.Owner)
 	req.SetHeader("ack", strconv.FormatUint(cursor, 10))
+	req.SetHeader("accept", acceptFlateDict)
 	// The mailbox token proves we are the device this mail belongs to.
 	// At a new edge we present the token our previous edge minted; the
 	// migration carries it over, so it keeps working.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 	"time"
@@ -755,6 +756,88 @@ func TestPreFrameGatewayAnswersStillParse(t *testing.T) {
 	}
 	if gw.raw != 2 || f.plat.Cursor("gw-d") != 2 {
 		t.Fatalf("%d raw answer(s), cursor %d; want a poll answer and a dispatch answer, cursor 2", gw.raw, f.plat.Cursor("gw-d"))
+	}
+}
+
+// codecGateway passes a device's requests through and counts the codec
+// of every framed answer that reaches it. With stripAccept it stands in
+// for a gateway built before devices sent accept — the request arrives
+// without it, so the answer is the plain DEFLATE frame (codec 2) — and
+// with lzss as well for one older still, whose answers were LZSS frames.
+type codecGateway struct {
+	inner       transport.RoundTripper
+	stripAccept bool
+	lzss        bool
+	got         map[compress.Codec]int
+}
+
+func (g *codecGateway) RoundTrip(ctx context.Context, addr string, req *transport.Request) (*transport.Response, error) {
+	if g.stripAccept {
+		r := *req
+		r.Header = maps.Clone(req.Header)
+		delete(r.Header, "accept")
+		req = &r
+	}
+	resp, err := g.inner.RoundTrip(ctx, addr, req)
+	if err != nil || !resp.IsOK() || !compress.IsFrame(resp.Body) {
+		return resp, err
+	}
+	if g.lzss {
+		doc, err := compress.Decode(resp.Body)
+		if err != nil {
+			return nil, err
+		}
+		if resp.Body, err = compress.Encode(compress.LZSS, doc); err != nil {
+			return nil, err
+		}
+	}
+	c, err := compress.FrameCodec(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	g.got[c]++
+	return resp, nil
+}
+
+// TestAcceptIgnoringGatewayAnswersStillParse: a device sends accept: 3
+// on its mailbox reads and on the dispatch that asks for mail, and gets
+// codec-3 answers; against a gateway that ignores the header (codec 2),
+// or answers LZSS, a long-polled result and a result attached to the
+// dispatch answer are still delivered, once each.
+func TestAcceptIgnoringGatewayAnswersStillParse(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		stripAccept, lzss bool
+		want              compress.Codec
+	}{
+		{"accept honoured", false, false, compress.FlateDict},
+		{"accept ignored", true, false, compress.Flate},
+		{"lzss gateway", true, true, compress.LZSS},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gw := &codecGateway{stripAccept: tc.stripAccept, lzss: tc.lzss, got: map[compress.Codec]int{}}
+			f := newSessionFixture(t, func(c *Config) { gw.inner, c.Transport = c.Transport, gw })
+			ctx := context.Background()
+			if err := f.plat.Subscribe(ctx, "gw-d", "echo"); err != nil {
+				t.Fatal(err)
+			}
+			// The first journey long-polls (its upload holds no token
+			// yet); the second is answered in its dispatch.
+			for j := int64(0); j < 2; j++ {
+				id, err := f.plat.Dispatch(ctx, "echo", mavmParams(j))
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.queue.Drain()
+				ds, _, err := f.plat.PollMailbox(ctx, "gw-d", time.Second)
+				if err != nil || len(ds) != 1 || ds[0].AgentID != id || ds[0].Result == nil || !ds[0].Result.OK() {
+					t.Fatalf("journey %d delivered %+v, %v; want the result of %s", j, ds, err, id)
+				}
+			}
+			if len(gw.got) != 1 || gw.got[tc.want] != 2 || f.plat.Cursor("gw-d") != 2 {
+				t.Fatalf("framed answers by codec %v, cursor %d; want a poll answer and a dispatch answer in %v, cursor 2", gw.got, f.plat.Cursor("gw-d"), tc.want)
+			}
+		})
 	}
 }
 

@@ -108,19 +108,21 @@ func TestOldDeviceDispatchAnswerUnchanged(t *testing.T) {
 // a fetch, a long-poll, mail attached to a dispatch answer, and the
 // empty answer for a device the hub has never heard of — is one
 // DEFLATE frame of exactly the document push.EncodeEntries renders for the
-// pending entries.
+// pending entries: plain to a request without accept, primed with the
+// platform's markup (codec 3) to one with "accept: 3".
 func TestMailboxAnswersAreFrames(t *testing.T) {
 	f := newMailboxFixture(t, nil)
 	f.addEcho(t)
 	sub := f.subscribe(t, "echo", "dev-1")
 	hub := f.gw.Mailbox()
+	codec, accept := compress.Flate, map[string]string{}
 	wantFrame := func(what string, resp *transport.Response, want []byte) {
 		t.Helper()
 		if !resp.IsOK() || !compress.IsFrame(resp.Body) {
 			t.Fatalf("%s: %d %q, want a frame", what, resp.Status, resp.Body)
 		}
-		if c, err := compress.FrameCodec(resp.Body); err != nil || c != compress.Flate {
-			t.Fatalf("%s: codec %v, %v; want Flate", what, c, err)
+		if c, err := compress.FrameCodec(resp.Body); err != nil || c != codec {
+			t.Fatalf("%s: codec %v, %v; want %v", what, c, err, codec)
 		}
 		if doc, err := compress.Decode(resp.Body); err != nil || !bytes.Equal(doc, want) {
 			t.Fatalf("%s: frame decodes to %q (%v), want %q", what, doc, err, want)
@@ -135,6 +137,9 @@ func TestMailboxAnswersAreFrames(t *testing.T) {
 		if path == "/pdagent/mailbox/poll" {
 			req.SetHeader("wait", "1s")
 		}
+		for k, v := range accept {
+			req.SetHeader(k, v)
+		}
 		resp, err := f.tr.RoundTrip(context.Background(), "gw-t", req)
 		if err != nil {
 			t.Fatal(err)
@@ -148,6 +153,50 @@ func TestMailboxAnswersAreFrames(t *testing.T) {
 	resp := upload(t, f, f.packPI(t, f.echoPI(sub, "dev-1"), false), asking(hub.TokenOf("dev-1"), 0))
 	wantFrame("dispatch answer", resp, push.EncodeEntries("dev-1", hub.Export("dev-1"), 2, 0))
 	wantFrame("long-poll", get("/pdagent/mailbox/poll", "dev-1"), push.EncodeEntries("dev-1", hub.Export("dev-1"), 2, 0))
+
+	codec, accept = compress.FlateDict, map[string]string{"accept": "3"}
+	wantFrame("unknown device, accept: 3", get("/pdagent/mailbox/poll", "nobody"), push.EncodeEntries("nobody", nil, 0, 0))
+	wantFrame("fetch, accept: 3", get("/pdagent/mailbox", "dev-1"), push.EncodeEntries("dev-1", hub.Export("dev-1"), 2, 0))
+	headers := asking(hub.TokenOf("dev-1"), 0)
+	headers["accept"] = "3"
+	resp = upload(t, f, f.packPI(t, f.echoPI(sub, "dev-1"), false), headers)
+	wantFrame("dispatch answer, accept: 3", resp, push.EncodeEntries("dev-1", hub.Export("dev-1"), 3, 0))
+	wantFrame("long-poll, accept: 3", get("/pdagent/mailbox/poll", "dev-1"), push.EncodeEntries("dev-1", hub.Export("dev-1"), 3, 0))
+}
+
+// TestMailboxFramesCountedByCodec: a tokened poll without accept moves
+// pdagent_mailbox_frames_total{codec="flate"} and one with "accept: 3"
+// moves {codec="flate-dict"}; both rows are on the scrape, at 0, before
+// any answer.
+func TestMailboxFramesCountedByCodec(t *testing.T) {
+	f := newMailboxFixture(t, nil)
+	f.addEcho(t)
+	sub := f.subscribe(t, "echo", "dev-1")
+	hub := f.gw.Mailbox()
+	wantFrames := func(flate, dict int) {
+		t.Helper()
+		f.wantScrapeRow(t, fmt.Sprintf(`pdagent_mailbox_frames_total{codec="flate"} %d`, flate))
+		f.wantScrapeRow(t, fmt.Sprintf(`pdagent_mailbox_frames_total{codec="flate-dict"} %d`, dict))
+	}
+	wantFrames(0, 0)
+	wantPlain(t, upload(t, f, f.packPI(t, f.echoPI(sub, "dev-1"), false), nil), hub.TokenOf("dev-1"))
+	wantFrames(0, 0)
+	poll := func(accept string) {
+		t.Helper()
+		req := &transport.Request{Path: "/pdagent/mailbox/poll"}
+		req.SetHeader("device", "dev-1")
+		req.SetHeader("mailbox-token", hub.TokenOf("dev-1"))
+		if accept != "" {
+			req.SetHeader("accept", accept)
+		}
+		if resp, err := f.tr.RoundTrip(context.Background(), "gw-t", req); err != nil || !resp.IsOK() {
+			t.Fatalf("poll: %v %v", resp, err)
+		}
+	}
+	poll("")
+	wantFrames(1, 0)
+	poll("3")
+	wantFrames(1, 1)
 }
 
 // TestDispatchAnswerBoundedBatch sits on the bound: of 33 entries

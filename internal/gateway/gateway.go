@@ -213,6 +213,9 @@ type Gateway struct {
 	mRelayed        *metrics.Counter
 	mAdopted        *metrics.Counter
 	mRefusedCode    *metrics.Counter
+	mRefusedAuth    *metrics.Counter
+	mFramesFlate    *metrics.Counter
+	mFramesDict     *metrics.Counter
 	mTenantDispatch *metrics.CounterVec
 	mTenantShed     *metrics.CounterVec
 	mTenantQuota    *metrics.CounterVec
@@ -688,10 +691,12 @@ func (g *Gateway) dispatchDevice(ctx context.Context, req *transport.Request) *t
 	// else's account.
 	secret, tenantID, subscribed := g.reg.SecretOwner(pi.CodeID, pi.Owner)
 	if !subscribed {
+		g.mRefusedAuth.Inc()
 		return transport.Errorf(transport.StatusUnauthorized,
 			"no subscription for code %q by %q", pi.CodeID, pi.Owner)
 	}
 	if !pisec.VerifyDispatchKey(pi.CodeID, secret, pi.DispatchKey) {
+		g.mRefusedAuth.Inc()
 		return transport.Errorf(transport.StatusUnauthorized,
 			"invalid dispatch key for code %q", pi.CodeID)
 	}
@@ -789,7 +794,7 @@ func (g *Gateway) dispatchDevice(ctx context.Context, req *transport.Request) *t
 			return resp
 		}
 		if mailAsked {
-			return g.attachMail(pi.Owner, resp)
+			return g.attachMail(req, pi.Owner, resp)
 		}
 		if mailboxToken != "" {
 			resp.SetHeader("mailbox-token", mailboxToken)

@@ -274,12 +274,15 @@ func TestDispatchRejectsBadKeys(t *testing.T) {
 		Source: sub.Package.Source,
 	}
 
+	// Both 401s are counted as refusals; the garbage body's 400 is not.
+	f.wantScrapeRow(t, `pdagent_dispatch_refused_total{reason="401"} 0`)
 	// Wrong dispatch key.
 	pi := base
 	pi.DispatchKey = strings.Repeat("0", 32)
 	if resp := f.dispatchPI(t, &pi, true); resp.Status != transport.StatusUnauthorized {
 		t.Fatalf("forged key: %d %s", resp.Status, resp.Text())
 	}
+	f.wantScrapeRow(t, `pdagent_dispatch_refused_total{reason="401"} 1`)
 	// Right key, wrong owner (never subscribed).
 	pi = base
 	pi.Owner = "stranger"
@@ -287,6 +290,7 @@ func TestDispatchRejectsBadKeys(t *testing.T) {
 	if resp := f.dispatchPI(t, &pi, true); resp.Status != transport.StatusUnauthorized {
 		t.Fatalf("stranger: %d", resp.Status)
 	}
+	f.wantScrapeRow(t, `pdagent_dispatch_refused_total{reason="401"} 2`)
 	// Garbage body.
 	resp, _ := f.tr.RoundTrip(context.Background(), "gw-t", &transport.Request{
 		Path: "/pdagent/dispatch", Body: []byte("garbage"),
@@ -294,6 +298,7 @@ func TestDispatchRejectsBadKeys(t *testing.T) {
 	if resp.Status != transport.StatusBadRequest {
 		t.Fatalf("garbage: %d", resp.Status)
 	}
+	f.wantScrapeRow(t, `pdagent_dispatch_refused_total{reason="401"} 2`)
 	// Valid key but source fails to compile.
 	pi = base
 	pi.DispatchKey = pisec.DispatchKey("echo", sub.Secret)

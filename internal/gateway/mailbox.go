@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"time"
 
+	"pdagent/internal/compress"
 	"pdagent/internal/push"
 	"pdagent/internal/rms"
 	"pdagent/internal/transport"
@@ -18,7 +19,8 @@ import (
 // agent comes home, status changes, management notifications — and
 // serves the delivery endpoints the device platform polls. Every mailbox
 // answer a device receives is one DEFLATE frame of the mailbox document
-// (push.EncodeDelivery); the /cluster/ documents stay raw:
+// (mailboxFrame), primed with the platform's markup for a device that
+// sends "accept: 3"; the /cluster/ documents stay raw:
 //
 //	/pdagent/mailbox/poll   fetch + ack; with a wait, parks until mail
 //	                        arrives or the wait ends. The ack is staged
@@ -141,15 +143,34 @@ func (g *Gateway) enqueueNote(agentID, owner, kind, eventID, note string) {
 // header alone. With nothing pending (the agent travels, a forwarded
 // journey's result is not relayed yet) the answer goes out as it is and
 // the device long-polls.
-func (g *Gateway) attachMail(device string, resp *transport.Response) *transport.Response {
+func (g *Gateway) attachMail(req *transport.Request, device string, resp *transport.Response) *transport.Response {
 	entries, watermark, evicted, err := g.hub.PollStaged(device, 0, defaultPollBatch)
 	if err != nil || len(entries) == 0 {
 		return resp
 	}
 	g.mailDispatch.Add(uint64(len(entries)))
-	out := transport.OK(push.EncodeDelivery(device, entries, watermark, evicted))
+	out := transport.OK(g.mailboxFrame(req, device, entries, watermark, evicted))
 	out.SetHeader("agent", resp.GetHeader("agent"))
 	return out
+}
+
+// acceptFlateDict is the accept header of a device that decodes
+// compress.FlateDict frames.
+var acceptFlateDict = strconv.Itoa(int(compress.FlateDict))
+
+// mailboxFrame is the body of every mailbox answer a device receives:
+// the pending entries as one frame, counted by codec. The codec is read
+// off the request alone — FlateDict for a device that sent "accept: 3",
+// Flate, which every device decodes, for any other — so nothing about a
+// device is remembered, and a migration, a restart or another cluster
+// edge answers it the same way.
+func (g *Gateway) mailboxFrame(req *transport.Request, device string, entries []*push.Entry, watermark, evicted uint64) []byte {
+	codec, frames := compress.Flate, g.mFramesFlate
+	if req.GetHeader("accept") == acceptFlateDict {
+		codec, frames = compress.FlateDict, g.mFramesDict
+	}
+	frames.Inc()
+	return push.EncodeDelivery(codec, device, entries, watermark, evicted)
 }
 
 // --- device-facing delivery endpoints -----------------------------------
@@ -221,7 +242,7 @@ func (g *Gateway) serveMailbox(ctx context.Context, req *transport.Request) *tra
 	// from its previous edge — gets an empty answer without parking, so
 	// a scanner looping over made-up device names cannot grow the hub.
 	if !g.hub.Known(device) {
-		return transport.OK(push.EncodeDelivery(device, nil, after, 0))
+		return transport.OK(g.mailboxFrame(req, device, nil, after, 0))
 	}
 	// Reading and (destructively) acknowledging mail requires the
 	// mailbox token the device received on its authenticated dispatch:
@@ -263,7 +284,7 @@ func (g *Gateway) serveMailbox(ctx context.Context, req *transport.Request) *tra
 	} else {
 		g.mailFetch.Add(uint64(len(entries)))
 	}
-	return transport.OK(push.EncodeDelivery(device, entries, watermark, evicted))
+	return transport.OK(g.mailboxFrame(req, device, entries, watermark, evicted))
 }
 
 func defaultStr(s, def string) string {

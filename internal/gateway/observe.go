@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"pdagent/internal/compress"
 	"pdagent/internal/metrics"
 	"pdagent/internal/push"
 	"pdagent/internal/rms"
@@ -78,11 +79,17 @@ func (g *Gateway) initObserve() {
 		"Result documents relayed to the edge member of a forwarded dispatch.")
 	g.mAdopted = m.Counter("pdagent_results_adopted_total",
 		"Relayed or fetched result documents adopted at this edge.")
-	// Refusals by reason; the first row is the stale code hash's 412
-	// (the unknown session's is pdagent_unseal_total{path="unknown"}).
-	g.mRefusedCode = m.CounterVec("pdagent_dispatch_refused_total",
-		"Device dispatches refused before admission, by reason: 412-code named its code by a hash this gateway's catalogue does not hold.",
-		"reason").With("412-code")
+	// Refusals by reason: the stale code hash's 412 and the key check's
+	// 401 (the unknown session's 412 is pdagent_unseal_total{path="unknown"}).
+	refused := m.CounterVec("pdagent_dispatch_refused_total",
+		"Device dispatches refused before admission, by reason: 412-code named its code by a hash this gateway's catalogue does not hold, 401 named no subscription or carried a bad dispatch key.",
+		"reason")
+	g.mRefusedCode, g.mRefusedAuth = refused.With("412-code"), refused.With("401")
+	// Both rows are resolved here, so an answer touches one atomic.
+	frames := m.CounterVec("pdagent_mailbox_frames_total",
+		"Mailbox answers sent to devices, by frame codec: flate-dict to a device that sent accept: 3, flate to any other.",
+		"codec")
+	g.mFramesFlate, g.mFramesDict = frames.With(compress.Flate.String()), frames.With(compress.FlateDict.String())
 	g.mMailboxUs = m.Histogram("pdagent_mailbox_cycle_us",
 		"Mailbox fetch/ack or long-poll cycle latency, microseconds.")
 

@@ -358,3 +358,13 @@ func TestMailboxAckMetrics(t *testing.T) {
 	fetchMailbox(t, f, "dev-1", 4, time.Second) // ack 4 staged
 	scrape(f, 1, 2, 1)
 }
+
+// wantScrapeRow fails the test unless the gateway's scrape holds row,
+// a whole line.
+func (f *fixture) wantScrapeRow(t *testing.T, row string) {
+	t.Helper()
+	scrape := f.gw.Handler().Serve(context.Background(), &transport.Request{Path: "/metrics"}).Text()
+	if !strings.Contains(scrape, row+"\n") {
+		t.Fatalf("scrape lacks %q", row)
+	}
+}

@@ -95,16 +95,24 @@ func TestDispatchAllocsPerOp(t *testing.T) {
 }
 
 // TestMailboxAnswerAllocsPerOp pins the append-built mailbox answer: a
-// result's delivery is two allocations, the document and its DEFLATE frame
-// (the node tree it replaced made about twenty).
+// result's delivery, picked codec and counter row included, is two
+// allocations, the document and its DEFLATE frame, in either codec (the
+// node tree it replaced made about twenty).
 func TestMailboxAnswerAllocsPerOp(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
+	f := newMailboxFixture(t, nil)
 	entries := []*push.Entry{{Seq: 7, Kind: push.KindResult, AgentID: "ag-gw-t-7", EventID: "result:ag-gw-t-7",
 		Body: []byte(`<?xml version="1.0" encoding="UTF-8"?><result-document agent="ag-gw-t-7" status="done"/>`), Enqueued: time.Now()}}
-	if got := testing.AllocsPerRun(100, func() { push.EncodeDelivery("dev-pin", entries, 7, 0) }); got > 2 {
-		t.Fatalf("a mailbox answer costs %.0f allocs, want 2", got)
+	for _, accept := range []string{"", "3"} {
+		req := &transport.Request{Path: "/pdagent/mailbox/poll"}
+		if accept != "" {
+			req.SetHeader("accept", accept)
+		}
+		if got := testing.AllocsPerRun(100, func() { f.gw.mailboxFrame(req, "dev-pin", entries, 7, 0) }); got > 2 {
+			t.Fatalf("accept %q: a mailbox answer costs %.0f allocs, want 2", accept, got)
+		}
 	}
 }
 

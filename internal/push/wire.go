@@ -31,10 +31,12 @@ import (
 // wall-clock stamp would make the answer's length vary from run to run.
 // A migration export keeps it, so TTLs keep counting at the new edge;
 // a missing enq parses as the zero time. The device's document travels
-// as one compress frame — DEFLATE at BestSpeed, a codec every device
-// has always decoded (EncodeDelivery); gateways before it sent LZSS —
-// whose magic byte no XML document can begin with: ParseEntries reads
-// either form, and either codec. Timestamps are unix nanoseconds.
+// as one compress frame (EncodeDelivery) whose magic byte no XML
+// document can begin with: DEFLATE primed with the platform's markup
+// (compress.FlateDict) for a device that says it reads it, DEFLATE at
+// BestSpeed, a codec every device has always decoded, for any other;
+// gateways before those sent LZSS. ParseEntries reads either form, and
+// every codec. Timestamps are unix nanoseconds.
 
 // encodeEntryRecord renders one entry's backing record. Like the meta
 // record it sits on the enqueue path, so it is append-built.
@@ -206,13 +208,14 @@ func EncodeEntries(device string, entries []*Entry, watermark, evicted uint64) [
 }
 
 // EncodeDelivery is the mailbox answer a gateway sends a device:
-// EncodeEntries' document as one DEFLATE frame.
-func EncodeDelivery(device string, entries []*Entry, watermark, evicted uint64) []byte {
+// EncodeEntries' document as one frame of codec, compress.Flate or
+// compress.FlateDict.
+func EncodeDelivery(codec compress.Codec, device string, entries []*Entry, watermark, evicted uint64) []byte {
 	doc := EncodeEntries(device, entries, watermark, evicted)
 	// Sized for the frame header and DEFLATE's worst case (stored
 	// blocks: 5 bytes per 64 KiB, and the final empty block), so the
 	// buffer never grows.
-	out, _ := compress.AppendEncode(make([]byte, 0, len(doc)+len(doc)/4096+32), compress.Flate, doc)
+	out, _ := compress.AppendEncode(make([]byte, 0, len(doc)+len(doc)/4096+32), codec, doc)
 	return out
 }
 

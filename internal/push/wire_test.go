@@ -51,24 +51,31 @@ func TestExportBytesUnchanged(t *testing.T) {
 }
 
 // TestDeliveryIsOneFlateFrame: what a device receives is a DEFLATE
-// frame of exactly EncodeEntries' document, whose bodies ride as CDATA
-// and which carries no enqueue times; it parses to the entries that
-// went in, as do the raw document, the LZSS frame a gateway sent before
-// answers were DEFLATE and the pre-frame answer of a gateway older
-// still (enqueue times included).
+// frame — plain, or primed with the platform's markup — of exactly
+// EncodeEntries' document, whose bodies ride as CDATA and which carries
+// no enqueue times; it parses to the entries that went in, as do the
+// raw document, the LZSS frame a gateway sent before answers were
+// DEFLATE and the pre-frame answer of a gateway older still (enqueue
+// times included).
 func TestDeliveryIsOneFlateFrame(t *testing.T) {
 	in := wireEntries()
-	frame := EncodeDelivery("alice", in, 6, 2)
+	frame := EncodeDelivery(compress.Flate, "alice", in, 6, 2)
+	dict := EncodeDelivery(compress.FlateDict, "alice", in, 6, 2)
 	doc := EncodeEntries("alice", in, 6, 2)
-	if c, err := compress.FrameCodec(frame); err != nil || c != compress.Flate {
-		t.Fatalf("delivery codec = %v, %v; want one Flate frame", c, err)
-	}
 	lzss, err := compress.Encode(compress.LZSS, doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec, err := compress.Decode(frame); err != nil || !bytes.Equal(dec, doc) {
-		t.Fatalf("frame decodes to %q (%v), want EncodeEntries' document %q", dec, err, doc)
+	for codec, f := range map[compress.Codec][]byte{compress.Flate: frame, compress.FlateDict: dict} {
+		if c, err := compress.FrameCodec(f); err != nil || c != codec {
+			t.Fatalf("delivery codec = %v, %v; want one %v frame", c, err, codec)
+		}
+		if dec, err := compress.Decode(f); err != nil || !bytes.Equal(dec, doc) {
+			t.Fatalf("%v frame decodes to %q (%v), want EncodeEntries' document %q", codec, dec, err, doc)
+		}
+	}
+	if len(dict) >= len(frame) {
+		t.Fatalf("the primed frame is %d bytes, the plain one %d", len(dict), len(frame))
 	}
 	if !bytes.Contains(doc, []byte(`<![CDATA[<?xml version="1.0"?><result-document agent="ag-1">a & b ]]]]><![CDATA[> c</result-document>]]>`)) {
 		t.Fatalf("result body not written as split CDATA: %s", doc)
@@ -79,7 +86,7 @@ func TestDeliveryIsOneFlateFrame(t *testing.T) {
 	if bytes.Contains(doc, []byte(`enq=`)) {
 		t.Fatalf("device document carries enqueue times: %s", doc)
 	}
-	for name, body := range map[string][]byte{"frame": frame, "raw": doc, "lzss frame": lzss, "pre-frame answer": []byte(preFrameAnswer)} {
+	for name, body := range map[string][]byte{"frame": frame, "flate-dict frame": dict, "raw": doc, "lzss frame": lzss, "pre-frame answer": []byte(preFrameAnswer)} {
 		dev, out, watermark, evicted, token, tenant, err := ParseEntries(body)
 		if err != nil || dev != "alice" || watermark != 6 || evicted != 2 || token != "" || tenant != "" {
 			t.Fatalf("%s: device %q watermark %d evicted %d token %q tenant %q, %v", name, dev, watermark, evicted, token, tenant, err)
@@ -102,17 +109,19 @@ func TestDeliveryIsOneFlateFrame(t *testing.T) {
 	}
 }
 
-// TestDeliveryKeepsItsEncoderAcrossGC: the DEFLATE encoder a mailbox
-// answer is written with (about 1.2 MB) survives garbage collection, so
-// an answer after a GC allocates its document and its frame, not a new
-// encoder.
+// TestDeliveryKeepsItsEncoderAcrossGC: the DEFLATE encoders a mailbox
+// answer is written with (about 1 MB each, plain and primed) survive
+// garbage collection, so an answer after a GC allocates its document
+// and its frame, not a new encoder.
 func TestDeliveryKeepsItsEncoderAcrossGC(t *testing.T) {
 	in := wireEntries()
-	EncodeDelivery("alice", in, 6, 2)
-	runtime.GC()
-	runtime.GC() // a sync.Pool drops what it held on the second
-	if n := allocatedBy(func() { EncodeDelivery("alice", in, 6, 2) }); n > 64<<10 {
-		t.Fatalf("a mailbox answer after a GC allocated %d bytes: a new encoder", n)
+	for _, codec := range []compress.Codec{compress.Flate, compress.FlateDict} {
+		EncodeDelivery(codec, "alice", in, 6, 2)
+		runtime.GC()
+		runtime.GC() // a sync.Pool drops what it held on the second
+		if n := allocatedBy(func() { EncodeDelivery(codec, "alice", in, 6, 2) }); n > 64<<10 {
+			t.Fatalf("a %v mailbox answer after a GC allocated %d bytes: a new encoder", codec, n)
+		}
 	}
 }
 
@@ -162,16 +171,19 @@ func parse(b []byte) (p parsed) {
 // allocates more than a fixed multiple of its own length plus the size
 // it declares; a frame declaring past compress.MaxDecodedSize is
 // refused; and any raw input parses exactly as its own frame does under
-// either codec a gateway answers with: DEFLATE, and the LZSS of older
-// gateways.
+// every codec a gateway answers with: DEFLATE primed with the
+// platform's markup, plain DEFLATE, and the LZSS of older gateways.
 func FuzzParseEntries(f *testing.F) {
 	in := wireEntries()
 	lzss, _ := compress.Encode(compress.LZSS, EncodeEntries("bob", in[:1], 3, 0))
 	for _, s := range [][]byte{
 		EncodeEntries("alice", in, 6, 2),
-		EncodeDelivery("alice", in, 6, 2),
-		EncodeDelivery("alice", in[:1], 3, 0),
-		EncodeDelivery("alice", nil, 0, 0),
+		EncodeDelivery(compress.Flate, "alice", in, 6, 2),
+		EncodeDelivery(compress.Flate, "alice", in[:1], 3, 0),
+		EncodeDelivery(compress.Flate, "alice", nil, 0, 0),
+		EncodeDelivery(compress.FlateDict, "alice", in, 6, 2),
+		EncodeDelivery(compress.FlateDict, "alice", in[:1], 3, 0),
+		EncodeDelivery(compress.FlateDict, "alice", nil, 0, 0),
 		EncodeExport("alice", in, 6, "tok-1", "acme"),
 		[]byte(preFrameAnswer),
 		lzss,
@@ -198,7 +210,7 @@ func FuzzParseEntries(f *testing.F) {
 		if compress.IsFrame(data) {
 			return
 		}
-		for _, codec := range []compress.Codec{compress.Flate, compress.LZSS} {
+		for _, codec := range []compress.Codec{compress.FlateDict, compress.Flate, compress.LZSS} {
 			framed, err := compress.Encode(codec, data)
 			if err != nil {
 				t.Fatal(err)
