@@ -54,3 +54,34 @@ func TestFencedMemberLocationPushRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestFencedZombieReplyIgnored: gw-0 has fenced gw-2 but not evicted
+// it, so it still heartbeats gw-2, and the zombie — which vets gw-0's
+// heartbeat as valid and answers it — replies stamped with its own
+// epoch 0. That reply is neither merged (the member only the zombie
+// knows stays unknown) nor counted as evidence (the tick counts one
+// answer, and gw-2's evidence ages until gw-0 suspects it).
+func TestFencedZombieReplyIgnored(t *testing.T) {
+	f := newFleet(t, 3)
+	ctx := context.Background()
+	f.tickAll(ctx)
+	zombie := f.nodes[2]
+	if err := zombie.merge([]byte(`<cluster-view from="gw-9" inc="0"><member addr="gw-9" inc="0" state="alive"/></cluster-view>`)); err != nil {
+		t.Fatal(err)
+	}
+	gw0 := f.nodes[0]
+	gw0.RaiseFence("gw-2")
+	for tick := 1; tick <= suspectAfter+1; tick++ {
+		if n := gw0.Tick(ctx); n != 1 {
+			t.Fatalf("tick %d: %d peers answered, want 1 (gw-1; the zombie's reply is no evidence)", tick, n)
+		}
+	}
+	for _, m := range gw0.Members() {
+		switch {
+		case m.Addr == "gw-9":
+			t.Fatalf("gw-0 merged the zombie's view: it knows %+v", m)
+		case m.Addr == "gw-2" && m.State != StateSuspect:
+			t.Fatalf("gw-2 after %d ticks of zombie replies: %+v, want suspect", suspectAfter+1, m)
+		}
+	}
+}

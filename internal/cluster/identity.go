@@ -28,6 +28,14 @@ const (
 	fencedEpochHeader = "x-cluster-fenced-epoch"
 )
 
+// stampReply adds the answering member's origin and epoch to a
+// heartbeat's OK reply, so the sender can refuse a fenced zombie's
+// answer as the zombie's endpoints refuse its requests.
+func stampReply(resp *transport.Response, self string, epoch uint64) {
+	resp.SetHeader(originHeader, self)
+	resp.SetHeader(epochHeader, strconv.FormatUint(epoch, 10))
+}
+
 // stamp adds a cluster identity — token, origin, epoch — to an
 // outgoing request. Every intra-cluster sender goes through it:
 // heartbeats and leaves, forwarded requests, location pushes, masd
@@ -49,16 +57,17 @@ func vet(req *transport.Request, secret string, fenceOf func(string) uint64) (ok
 		return false, 0
 	}
 	if origin := req.GetHeader(originHeader); origin != "" && fenceOf != nil {
-		if f := fenceOf(origin); f > requestEpoch(req) {
+		if f := fenceOf(origin); f > parseEpoch(req.GetHeader(epochHeader)) {
 			return false, f
 		}
 	}
 	return true, 0
 }
 
-// requestEpoch reads the fencing epoch a request claims (0 if absent).
-func requestEpoch(req *transport.Request) uint64 {
-	e, err := strconv.ParseUint(req.GetHeader(epochHeader), 10, 64)
+// parseEpoch reads the fencing epoch a request or a heartbeat reply
+// claims in its epoch header (0 if absent).
+func parseEpoch(header string) uint64 {
+	e, err := strconv.ParseUint(header, 10, 64)
 	if err != nil {
 		return 0
 	}

@@ -258,6 +258,13 @@ func (n *Node) Tick(ctx context.Context) int {
 			n.noteFencedReply(resp)
 			continue
 		}
+		// A reply from below addr's fence is a zombie's — fenced but not
+		// evicted yet: its view still lists itself alive, and its answer
+		// is no proof that addr lives.
+		if fence := n.FenceOf(addr); fence > parseEpoch(resp.GetHeader(epochHeader)) {
+			n.logf("cluster %s: ignoring heartbeat reply from %s (origin %q): fenced at epoch %d", n.cfg.Self, addr, resp.GetHeader(originHeader), fence)
+			continue
+		}
 		answered++
 		n.noteEvidence(addr)
 		if err := n.merge(resp.Body); err != nil {
@@ -383,7 +390,9 @@ func (n *Node) Leave(ctx context.Context) {
 // and told so, with the fence epoch in the reply, so it learns its own
 // death instead of gossiping stale state back into the view. Its
 // entries must not be merged: a zombie's view still lists itself
-// alive.
+// alive. The OK reply is stamped with this member's origin and epoch,
+// so a sender that has fenced this address refuses the answer the same
+// way (Tick).
 func (n *Node) handleHeartbeat(_ context.Context, req *transport.Request) *transport.Response {
 	ok, fence := vet(req, n.cfg.Secret, n.FenceOf)
 	switch {
@@ -397,7 +406,9 @@ func (n *Node) handleHeartbeat(_ context.Context, req *transport.Request) *trans
 	if err := n.merge(req.Body); err != nil {
 		return transport.Errorf(transport.StatusBadRequest, "cluster view: %v", err)
 	}
-	return transport.OK(n.viewDoc())
+	resp := transport.OK(n.viewDoc())
+	stampReply(resp, n.cfg.Self, n.Epoch())
+	return resp
 }
 
 // viewDoc renders the local view (plus piggybacked location updates)

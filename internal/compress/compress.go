@@ -9,11 +9,14 @@
 //   - None: identity passthrough (ablation baseline);
 //   - LZSS: a dictionary coder with a 4 KiB window — the "simple text
 //     compression" of the paper, implemented here from scratch;
-//   - Flate: stdlib DEFLATE at BestSpeed, the codec of a mailbox answer
-//     to a device that does not say it reads FlateDict;
-//   - FlateDict: DEFLATE at level 2 primed with a frozen preset
-//     dictionary of the platform's own markup (dict.go), the codec of a
-//     mailbox answer to a device that sends "accept: 3".
+//   - Flate: DEFLATE (deflate.go), the codec of a mailbox answer to a
+//     device that does not say it reads FlateDict;
+//   - FlateDict: DEFLATE primed with a frozen preset dictionary of the
+//     platform's own markup (dict.go), the codec of a mailbox answer to
+//     a device that sends "accept: 3".
+//
+// Both DEFLATE codecs decode with the standard library's inflater, so
+// any RFC 1951 decoder primed with the same dictionary reads them.
 //
 // Frame format: magic 'Z', codec id byte, uvarint decoded length,
 // payload. Decode dispatches on the codec id.
@@ -56,22 +59,6 @@ func (c Codec) String() string {
 	}
 }
 
-// ParseCodec maps a codec name to its id.
-func ParseCodec(name string) (Codec, error) {
-	switch name {
-	case "none", "":
-		return None, nil
-	case "lzss":
-		return LZSS, nil
-	case "flate":
-		return Flate, nil
-	case "flate-dict":
-		return FlateDict, nil
-	default:
-		return None, fmt.Errorf("compress: unknown codec %q", name)
-	}
-}
-
 const frameMagic = 'Z'
 
 // MaxDecodedSize bounds the decoded length a frame may declare, so a
@@ -107,12 +94,10 @@ func AppendEncode(dst []byte, codec Codec, data []byte) ([]byte, error) {
 		return append(dst, data...), nil
 	case LZSS:
 		return lzssCompressAppend(dst, data), nil
-	case Flate, FlateDict:
-		out, err := flateEncoders(codec).compressAppend(dst, data)
-		if err != nil {
-			return dst[:base], err
-		}
-		return out, nil
+	case Flate:
+		return flatePrimer.deflate(dst, data), nil
+	case FlateDict:
+		return flateDictPrimer.deflate(dst, data), nil
 	default:
 		return dst[:base], fmt.Errorf("compress: unknown codec %d", codec)
 	}
@@ -157,92 +142,6 @@ func AppendDecode(dst []byte, frame []byte) ([]byte, error) {
 	default:
 		return dst, fmt.Errorf("%w: unknown codec %d", ErrCorrupt, codec)
 	}
-}
-
-// appendWriter is an io.Writer appending into a byte slice, the shim
-// that lets a reused flate writer emit straight into a caller buffer.
-type appendWriter struct{ buf []byte }
-
-func (w *appendWriter) Write(p []byte) (int, error) {
-	w.buf = append(w.buf, p...)
-	return len(p), nil
-}
-
-// flateEnc bundles a reusable flate writer with its output shim so one
-// free-list slot covers both.
-type flateEnc struct {
-	aw appendWriter
-	fw *flate.Writer
-}
-
-// flateFree is a free list of DEFLATE encoders of one level and preset
-// dictionary. A flate.Writer is about 1 MB, so it is kept here rather
-// than in a sync.Pool, which would drop it every second GC and make the
-// next mailbox answer allocate a new one. Four slots cover the encoders
-// a busy gateway has in flight at once; a fifth is built and dropped.
-type flateFree struct {
-	free  chan *flateEnc
-	level int
-	dict  []byte
-}
-
-var (
-	// Flate is BestSpeed: at levels 2-9 compress/flate's reset clears a
-	// 640 KiB hash table on every call, which costs more CPU than
-	// encoding a mailbox answer; BestSpeed's reset is an offset bump.
-	flateEncs = &flateFree{free: make(chan *flateEnc, 4), level: flate.BestSpeed}
-	// FlateDict is level 2, the lowest that uses a preset dictionary
-	// (BestSpeed ignores one), and pays that hash-table clear plus
-	// hashing the dictionary on every reset: 20 µs against 11 to encode
-	// the e-banking answer, which it writes in 228 B against 414.
-	// Level 9 writes 198 B for about 8 µs more.
-	flateDictEncs = &flateFree{free: make(chan *flateEnc, 4), level: 2, dict: flateDict}
-)
-
-func flateEncoders(codec Codec) *flateFree {
-	if codec == FlateDict {
-		return flateDictEncs
-	}
-	return flateEncs
-}
-
-func (l *flateFree) get() *flateEnc {
-	select {
-	case e := <-l.free:
-		return e
-	default:
-	}
-	e := &flateEnc{}
-	// Every Reset re-primes the writer with l.dict (none for codec 2).
-	fw, err := flate.NewWriterDict(&e.aw, l.level, l.dict)
-	if err != nil {
-		// Both levels are valid; NewWriterDict cannot fail on them.
-		panic(err)
-	}
-	e.fw = fw
-	return e
-}
-
-func (l *flateFree) put(e *flateEnc) {
-	e.aw.buf = nil // never retain caller memory in the free list
-	select {
-	case l.free <- e:
-	default:
-	}
-}
-
-func (l *flateFree) compressAppend(dst []byte, data []byte) ([]byte, error) {
-	e := l.get()
-	defer l.put(e)
-	e.aw.buf = dst
-	e.fw.Reset(&e.aw)
-	if _, err := e.fw.Write(data); err != nil {
-		return nil, fmt.Errorf("compress: flate write: %w", err)
-	}
-	if err := e.fw.Close(); err != nil {
-		return nil, fmt.Errorf("compress: flate close: %w", err)
-	}
-	return e.aw.buf, nil
 }
 
 // flateDec bundles a reusable flate reader with its input shim.
@@ -309,17 +208,4 @@ func parseFrame(frame []byte) (Codec, int, []byte, error) {
 		return 0, 0, nil, fmt.Errorf("%w: declared size %d exceeds limit", ErrCorrupt, size)
 	}
 	return codec, int(size), frame[2+n:], nil
-}
-
-// Ratio returns compressed/original size for reporting; 1.0 means no
-// gain. Empty input reports 1.0.
-func Ratio(codec Codec, data []byte) float64 {
-	if len(data) == 0 {
-		return 1.0
-	}
-	enc, err := Encode(codec, data)
-	if err != nil {
-		return 1.0
-	}
-	return float64(len(enc)) / float64(len(data))
 }

@@ -58,19 +58,6 @@ func TestCompressionActuallyCompresses(t *testing.T) {
 	}
 }
 
-func TestRatio(t *testing.T) {
-	doc := []byte(strings.Repeat("abcdefgh", 512))
-	if r := Ratio(LZSS, doc); r >= 1 {
-		t.Errorf("LZSS ratio on repetitive input = %f", r)
-	}
-	if r := Ratio(None, doc); r <= 1 || r > 1.01 {
-		t.Errorf("None ratio = %f, want slightly over 1 (frame overhead)", r)
-	}
-	if r := Ratio(LZSS, nil); r != 1.0 {
-		t.Errorf("empty ratio = %f", r)
-	}
-}
-
 func TestDecodeErrors(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":          {},
@@ -212,32 +199,6 @@ func TestQuickRoundTripStructured(t *testing.T) {
 			if err != nil || !bytes.Equal(dec, data) {
 				t.Fatalf("trial %d codec %v: round-trip failed: %v", trial, codec, err)
 			}
-		}
-	}
-}
-
-func TestParseCodec(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Codec
-		ok   bool
-	}{
-		{"none", None, true},
-		{"", None, true},
-		{"lzss", LZSS, true},
-		{"flate", Flate, true},
-		{"flate-dict", FlateDict, true},
-		{"zip", None, false},
-	} {
-		got, err := ParseCodec(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("ParseCodec(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	for _, c := range allCodecs {
-		back, err := ParseCodec(c.String())
-		if err != nil || back != c {
-			t.Errorf("ParseCodec(String(%v)) = %v, %v", c, back, err)
 		}
 	}
 }

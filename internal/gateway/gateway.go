@@ -207,13 +207,14 @@ type Gateway struct {
 	mMailboxUs      *metrics.Histogram
 	mDispatched     *metrics.Counter
 	mDispatchErr    *metrics.Counter
-	mShed           *metrics.Counter
 	mForwarded      *metrics.Counter
 	mResults        *metrics.Counter
 	mRelayed        *metrics.Counter
 	mAdopted        *metrics.Counter
+	mRefused        *metrics.CounterVec
 	mRefusedCode    *metrics.Counter
 	mRefusedAuth    *metrics.Counter
+	mRefusedShed    *metrics.Counter
 	mFramesFlate    *metrics.Counter
 	mFramesDict     *metrics.Counter
 	mTenantDispatch *metrics.CounterVec

@@ -11,6 +11,7 @@ import (
 	"pdagent/internal/metrics"
 	"pdagent/internal/push"
 	"pdagent/internal/rms"
+	"pdagent/internal/tenant"
 	"pdagent/internal/transport"
 	"pdagent/internal/wire"
 )
@@ -69,8 +70,6 @@ func (g *Gateway) initObserve() {
 		"Device dispatches handled (admitted, forwarded, replayed or refused).")
 	g.mDispatchErr = m.Counter("pdagent_dispatch_errors_total",
 		"Device dispatches answered with a non-OK status (shed included).")
-	g.mShed = m.Counter("pdagent_dispatch_shed_total",
-		"Device dispatches shed by the in-flight watermark (503).")
 	g.mForwarded = m.Counter("pdagent_dispatch_forwarded_total",
 		"Dispatches forwarded to their consistent-hash home member.")
 	g.mResults = m.Counter("pdagent_results_total",
@@ -79,12 +78,18 @@ func (g *Gateway) initObserve() {
 		"Result documents relayed to the edge member of a forwarded dispatch.")
 	g.mAdopted = m.Counter("pdagent_results_adopted_total",
 		"Relayed or fetched result documents adopted at this edge.")
-	// Refusals by reason: the stale code hash's 412 and the key check's
-	// 401 (the unknown session's 412 is pdagent_unseal_total{path="unknown"}).
-	refused := m.CounterVec("pdagent_dispatch_refused_total",
-		"Device dispatches refused before admission, by reason: 412-code named its code by a hash this gateway's catalogue does not hold, 401 named no subscription or carried a bad dispatch key.",
+	// Refusals by reason: the stale code hash's 412, the key check's
+	// 401, the tenant's rate and quota 429s and the in-flight
+	// watermark's 503 (the unknown session's 412 is
+	// pdagent_unseal_total{path="unknown"}). Every row is there from the
+	// first scrape.
+	g.mRefused = m.CounterVec("pdagent_dispatch_refused_total",
+		"Device dispatches refused before admission, by reason: 412-code named its code by a hash this gateway's catalogue does not hold, 401 named no subscription or carried a bad dispatch key, 429-rate was over its tenant's dispatch rate, 429-quota over a tenant quota, 503-watermark was shed at the in-flight watermark.",
 		"reason")
-	g.mRefusedCode, g.mRefusedAuth = refused.With("412-code"), refused.With("401")
+	g.mRefusedCode, g.mRefusedAuth = g.mRefused.With("412-code"), g.mRefused.With("401")
+	g.mRefusedShed = g.mRefused.With("503-watermark")
+	g.mRefused.With(tenant.RefusedRate)
+	g.mRefused.With(tenant.RefusedQuota)
 	// Both rows are resolved here, so an answer touches one atomic.
 	frames := m.CounterVec("pdagent_mailbox_frames_total",
 		"Mailbox answers sent to devices, by frame codec: flate-dict to a device that sent accept: 3, flate to any other.",

@@ -21,11 +21,12 @@ import (
 // TestShedInFlightWatermark drives the admission-control loop: with a
 // one-agent in-flight watermark and agent execution held back, the
 // second dispatch must bounce with StatusUnavailable + Retry-After,
-// the shed counters (the default account's included) and the _shed
-// trace must record it, and draining the backlog must reopen the front
-// door. The shed is decided after the dispatch key verifies: while it
-// is tripped, a forged key still answers 401, an oversized body 400,
-// and the lost-answer retry of the admitted upload its agent id.
+// the refusal row reason="503-watermark", the default account's shed
+// counter and the _shed trace must record it, and draining the backlog
+// must reopen the front door. The shed is decided after the dispatch
+// key verifies: while it is tripped, a forged key still answers 401, an
+// oversized body 400, and the lost-answer retry of the admitted upload
+// its agent id.
 func TestShedInFlightWatermark(t *testing.T) {
 	f := newFixtureCfg(t, func(cfg *Config) {
 		cfg.ShedInFlight = 1
@@ -53,15 +54,13 @@ func TestShedInFlightWatermark(t *testing.T) {
 		t.Fatalf("in-flight = %d, want 1", n)
 	}
 
+	f.wantScrapeRow(t, `pdagent_dispatch_refused_total{reason="503-watermark"} 0`)
 	resp := f.dispatchPI(t, pi("n-2"), false)
 	if resp.Status != transport.StatusUnavailable {
 		t.Fatalf("watermarked dispatch: %d %s, want %d", resp.Status, resp.Text(), transport.StatusUnavailable)
 	}
 	if ra := resp.GetHeader("retry-after"); ra != "1" {
 		t.Fatalf("retry-after = %q, want \"1\"", ra)
-	}
-	if n := f.gw.mShed.Value(); n != 1 {
-		t.Fatalf("shed counter = %d, want 1", n)
 	}
 	spans := f.gw.TraceRing().Spans(shedTrace)
 	if len(spans) != 1 || spans[0].Op != "shed" || spans[0].Detail != shedInFlight {
@@ -82,7 +81,7 @@ func TestShedInFlightWatermark(t *testing.T) {
 	}
 	scrape := f.gw.Handler().Serve(context.Background(), &transport.Request{Path: "/metrics"}).Text()
 	for _, row := range []string{
-		"pdagent_dispatch_shed_total 1\n",
+		`pdagent_dispatch_refused_total{reason="503-watermark"} 1` + "\n",
 		`pdagent_tenant_shed_total{tenant="default"} 1` + "\n",
 	} {
 		if !strings.Contains(scrape, row) {
@@ -145,7 +144,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		typed[parts[2]] = true
 	}
 	for _, name := range []string{
-		"pdagent_dispatch_us", "pdagent_dispatch_total", "pdagent_dispatch_shed_total",
+		"pdagent_dispatch_us", "pdagent_dispatch_total", "pdagent_dispatch_refused_total",
 		"pdagent_inflight", "pdagent_outbound_queue_depth", "pdagent_residents",
 		"pdagent_deliver_total", "pdagent_trace_spans", "pdagent_admit_total",
 	} {

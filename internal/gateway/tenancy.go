@@ -51,7 +51,7 @@ func (g *Gateway) TenantLedger() *tenant.Ledger { return g.reg.ledger }
 func (g *Gateway) admitTenant(tenantID string) *transport.Response {
 	label := tenant.Label(tenantID)
 	if mark := g.cfg.ShedInFlight; mark > 0 && g.reg.InFlight() >= mark && !g.admission.Protected(tenantID, mark) {
-		g.mShed.Inc()
+		g.mRefusedShed.Inc()
 		g.mTenantShed.With(label).Inc()
 		g.trace.Record(shedTrace, "shed", shedInFlight)
 		resp := transport.Errorf(transport.StatusUnavailable,
@@ -60,6 +60,7 @@ func (g *Gateway) admitTenant(tenantID string) *transport.Response {
 		return resp
 	}
 	if d := g.admission.Admit(tenantID); !d.OK {
+		g.mRefused.With(d.Kind).Inc()
 		g.mTenantQuota.With(label).Inc()
 		g.trace.Record(shedTrace, "quota-refused", d.Reason)
 		resp := transport.Errorf(transport.StatusTooManyRequests,

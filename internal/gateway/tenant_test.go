@@ -130,10 +130,13 @@ func TestTenantRateLimit429(t *testing.T) {
 	if resp := f.dispatchPI(t, f.echoPI(sub, "dev-1"), true); !resp.IsOK() {
 		t.Fatalf("second dispatch (the retry must not have spent its token): %d %s", resp.Status, resp.Text())
 	}
+	f.wantScrapeRow(t, `pdagent_dispatch_refused_total{reason="429-rate"} 0`)
 	resp := f.dispatchPI(t, f.echoPI(sub, "dev-1"), true)
 	if resp.Status != transport.StatusTooManyRequests {
 		t.Fatalf("over-rate dispatch: %d, want 429", resp.Status)
 	}
+	f.wantScrapeRow(t, `pdagent_dispatch_refused_total{reason="429-rate"} 1`)
+	f.wantScrapeRow(t, `pdagent_dispatch_refused_total{reason="429-quota"} 0`)
 	if resp.GetHeader("retry-after") == "" {
 		t.Fatal("429 missing Retry-After hint")
 	}
@@ -152,10 +155,14 @@ func TestTenantMaxInFlight429(t *testing.T) {
 	// The first journey has not completed (it suspended; the serial
 	// queue holding the rest of it is undrained), so the account is at
 	// its in-flight cap: quota refusal, not a shed.
+	f.wantScrapeRow(t, `pdagent_dispatch_refused_total{reason="429-quota"} 0`)
 	resp := f.dispatchPI(t, f.echoPI(sub, "dev-1"), true)
 	if resp.Status != transport.StatusTooManyRequests {
 		t.Fatalf("over-quota dispatch: %d, want 429", resp.Status)
 	}
+	f.wantScrapeRow(t, `pdagent_dispatch_refused_total{reason="429-quota"} 1`)
+	f.wantScrapeRow(t, `pdagent_dispatch_refused_total{reason="429-rate"} 0`)
+	f.wantScrapeRow(t, `pdagent_dispatch_refused_total{reason="503-watermark"} 0`)
 	f.queue.Drain()
 	if resp := f.dispatchPI(t, f.echoPI(sub, "dev-1"), true); !resp.IsOK() {
 		t.Fatalf("post-drain dispatch: %d %s", resp.Status, resp.Text())

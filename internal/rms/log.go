@@ -1,10 +1,8 @@
 package rms
 
 import (
-	"bufio"
 	"encoding/binary"
 	"hash/crc32"
-	"io"
 )
 
 // The on-disk entry codec: WAL segments and WAL snapshots carry the
@@ -45,33 +43,31 @@ func appendLogEntry(dst []byte, op byte, id int, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// readLogEntry reads one entry frame from r. ok is false at clean EOF,
-// on a torn (truncated) entry, or on a corrupt one — replay must stop
-// there and keep the prefix. n is the frame's total byte length.
-func readLogEntry(r *bufio.Reader) (op byte, id int, payload []byte, n int, ok bool) {
-	var hdr [entryHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readLogEntry decodes the entry frame at the start of data. ok is
+// false at the end of data, on a torn (truncated) entry, or on a
+// corrupt one — replay must stop there and keep the prefix. The payload
+// is a copy, allocated only once the bytes it declares are known to be
+// there. n is the frame's total byte length.
+func readLogEntry(data []byte) (op byte, id int, payload []byte, n int, ok bool) {
+	if len(data) < entryHeaderSize {
 		return 0, 0, nil, 0, false
 	}
-	op = hdr[0]
-	id = int(binary.BigEndian.Uint32(hdr[1:5]))
-	size := binary.BigEndian.Uint32(hdr[5:9])
-	sum := binary.BigEndian.Uint32(hdr[9:13])
-	if size > MaxRecordSize {
-		return 0, 0, nil, 0, false // corrupt length field
+	op = data[0]
+	id = int(binary.BigEndian.Uint32(data[1:5]))
+	size := binary.BigEndian.Uint32(data[5:9])
+	sum := binary.BigEndian.Uint32(data[9:13])
+	if size > MaxRecordSize || int(size) > len(data)-entryHeaderSize {
+		return 0, 0, nil, 0, false // corrupt length field or torn payload
 	}
-	payload = make([]byte, size)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, 0, nil, 0, false // torn payload
-	}
+	n = entryHeaderSize + int(size)
 	crc := crc32.NewIEEE()
-	crc.Write(hdr[:9])
-	crc.Write(payload)
+	crc.Write(data[:9])
+	crc.Write(data[entryHeaderSize:n])
 	if crc.Sum32() != sum {
 		return 0, 0, nil, 0, false // corrupt entry
 	}
 	if op != opAdd && op != opSet && op != opDelete {
 		return 0, 0, nil, 0, false // unknown op
 	}
-	return op, id, payload, entryHeaderSize + int(size), true
+	return op, id, append(make([]byte, 0, size), data[entryHeaderSize:n]...), n, true
 }

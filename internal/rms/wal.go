@@ -400,10 +400,9 @@ func (s *WALStore) replaySegment(seq uint64) (valid int64, torn bool, err error)
 	if len(data) < len(segMagic) || !bytes.Equal(data[:len(segMagic)], segMagic) {
 		return 0, true, nil // torn at the header
 	}
-	r := bufio.NewReader(bytes.NewReader(data[len(segMagic):]))
 	valid = int64(len(segMagic))
 	for {
-		op, id, payload, n, ok := readLogEntry(r)
+		op, id, payload, n, ok := readLogEntry(data[valid:])
 		if !ok {
 			break
 		}
@@ -450,11 +449,15 @@ func (s *WALStore) loadSnapshot(seq uint64) error {
 	if crc32.ChecksumIEEE(hdr[:len(snapMagic)+16]) != sum {
 		return fmt.Errorf("rms: snapshot %d: header crc mismatch", seq)
 	}
+	// The header CRC covers only the header: a count the bytes after it
+	// cannot hold is refused before the map is sized by it.
+	if count > uint64(len(data)-snapHeaderSize)/entryHeaderSize {
+		return fmt.Errorf("rms: snapshot %d: %d entries cannot fit in %d bytes", seq, count, len(data)-snapHeaderSize)
+	}
 	records := make(map[int][]byte, count)
-	r := bufio.NewReader(bytes.NewReader(data[snapHeaderSize:]))
 	read := int64(snapHeaderSize)
 	for i := uint64(0); i < count; i++ {
-		op, id, payload, n, ok := readLogEntry(r)
+		op, id, payload, n, ok := readLogEntry(data[read:])
 		if !ok || op != opAdd {
 			return fmt.Errorf("rms: snapshot %d: entry %d invalid", seq, i)
 		}

@@ -1,7 +1,6 @@
 package rms
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"os"
@@ -30,10 +29,9 @@ func walPrefixStates(seg []byte, base map[int][]byte) (boundaries []int64, state
 	if len(seg) < len(segMagic) || !bytes.Equal(seg[:len(segMagic)], segMagic) {
 		return boundaries, states
 	}
-	r := bufio.NewReader(bytes.NewReader(seg[len(segMagic):]))
 	off := int64(len(segMagic))
 	for {
-		op, id, payload, n, ok := readLogEntry(r)
+		op, id, payload, n, ok := readLogEntry(seg[off:])
 		if !ok {
 			break
 		}

@@ -13,10 +13,19 @@ import (
 // overload shedder answers (the member is saturated — the device
 // should try another member or retry soon).
 type Decision struct {
-	OK           bool
+	OK bool
+	// Kind names a refusal for counting: RefusedRate or RefusedQuota.
+	Kind         string
 	Reason       string
 	RetryAfterNs int64
 }
+
+// The kinds of refusal Admit decides, as the reason label a gateway
+// counts them under.
+const (
+	RefusedRate  = "429-rate"  // over the tenant's dispatch rate
+	RefusedQuota = "429-quota" // over a quota, or a tenant with no account
+)
 
 // defaultRetryAfter is the Retry-After hint when the refusal has no
 // natural horizon (quota refusals: the device cannot know when the
@@ -103,7 +112,7 @@ func (a *Admission) usage(id string, wantSlow bool) Usage {
 func (a *Admission) Admit(id string) Decision {
 	t, ok := a.Registry.Get(id)
 	if !ok {
-		return Decision{Reason: fmt.Sprintf("unknown tenant %q", id), RetryAfterNs: int64(defaultRetryAfter)}
+		return Decision{Kind: RefusedQuota, Reason: fmt.Sprintf("unknown tenant %q", id), RetryAfterNs: int64(defaultRetryAfter)}
 	}
 	if b := a.bucket(t); b != nil {
 		now := a.now()
@@ -113,6 +122,7 @@ func (a *Admission) Admit(id string) Decision {
 				retry = int64(defaultRetryAfter)
 			}
 			return Decision{
+				Kind:         RefusedRate,
 				Reason:       fmt.Sprintf("tenant %s over dispatch rate (%.6g/s)", Label(id), t.Limits.RatePerSec),
 				RetryAfterNs: retry,
 			}
@@ -137,6 +147,7 @@ func (a *Admission) Admit(id string) Decision {
 
 func quotaRefusal(id, what string, have, max int64) Decision {
 	return Decision{
+		Kind:         RefusedQuota,
 		Reason:       fmt.Sprintf("tenant %s over quota: %s %d >= %d", Label(id), what, have, max),
 		RetryAfterNs: int64(defaultRetryAfter),
 	}

@@ -150,8 +150,8 @@ func TestAdmissionRateAndQuota(t *testing.T) {
 		}
 	}
 	d := ad.Admit("hog")
-	if d.OK {
-		t.Fatal("over-rate dispatch admitted")
+	if d.OK || d.Kind != RefusedRate {
+		t.Fatalf("over-rate dispatch: %+v, want a %s refusal", d, RefusedRate)
 	}
 	if d.RetryAfterNs <= 0 {
 		t.Fatalf("over-rate refusal missing Retry-After: %+v", d)
@@ -160,8 +160,8 @@ func TestAdmissionRateAndQuota(t *testing.T) {
 	now += int64(100 * time.Millisecond)
 	led.AddInFlight("hog", 3)
 	d = ad.Admit("hog")
-	if d.OK {
-		t.Fatal("over-quota dispatch admitted")
+	if d.OK || d.Kind != RefusedQuota {
+		t.Fatalf("over-quota dispatch: %+v, want a %s refusal", d, RefusedQuota)
 	}
 	led.AddInFlight("hog", -1)
 	now += int64(100 * time.Millisecond)
@@ -169,8 +169,8 @@ func TestAdmissionRateAndQuota(t *testing.T) {
 		t.Fatalf("in-quota dispatch refused: %s", d.Reason)
 	}
 	// Unknown tenants are refused outright.
-	if d := ad.Admit("ghost"); d.OK {
-		t.Fatal("unknown tenant admitted")
+	if d := ad.Admit("ghost"); d.OK || d.Kind != RefusedQuota {
+		t.Fatalf("unknown tenant: %+v, want a %s refusal", d, RefusedQuota)
 	}
 	// The default account is unlimited.
 	if d := ad.Admit(DefaultID); !d.OK {
