@@ -8,12 +8,15 @@
 //
 //   - None: identity passthrough (ablation baseline);
 //   - LZSS: a dictionary coder with a 4 KiB window — the "simple text
-//     compression" of the paper, implemented here from scratch;
+//     compression" of the paper, implemented here from scratch; the
+//     device's records and its uploads to a gateway not known to read
+//     FlateDict;
 //   - Flate: DEFLATE (deflate.go), the codec of a mailbox answer to a
 //     device that does not say it reads FlateDict;
 //   - FlateDict: DEFLATE primed with a frozen preset dictionary of the
 //     platform's own markup (dict.go), the codec of a mailbox answer to
-//     a device that sends "accept: 3".
+//     a device that sends "accept: 3", and of that device's uploads to
+//     a gateway whose answers came in it.
 //
 // Both DEFLATE codecs decode with the standard library's inflater, so
 // any RFC 1951 decoder primed with the same dictionary reads them.

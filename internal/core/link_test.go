@@ -40,12 +40,14 @@ func (m *linkMeter) RoundTrip(ctx context.Context, addr string, req *transport.R
 // TestEBankJourneyLinkBytes pins what the paper's evaluation journey
 // (two banks, five transfers at each, a long-polling device holding its
 // mailbox token) moves over the handheld's link: the sealed upload,
-// naming its code by hash and its sealed session by id, and the
-// long-poll whose answer is the result as one DEFLATE frame primed with
-// the platform's markup, without enqueue times: 2 requests and 1050
+// naming its code by hash and its sealed session by id, compressed in
+// the primed DEFLATE codec the gateway's answers showed it reads, and
+// the long-poll whose answer is the result as one DEFLATE frame primed
+// with the platform's markup, without enqueue times: 2 requests and 823
 // bytes per journey, the two accept headers asking for that frame
-// included, against 1070 when the standard library's level-2 writer
-// encoded the frame, 1216 when the frame was unprimed, 1440
+// included, against 1050 with an LZSS upload, 1070 when the standard
+// library's level-2 writer encoded the answer, 1216 when the answer was
+// unprimed, 1440
 // when the answer was an LZSS frame, 1464 when it also carried each
 // entry's wall-clock enqueue time, 1576
 // when every upload carried the 128-byte RSA-1024 wrap instead of the
@@ -93,7 +95,7 @@ func TestEBankJourneyLinkBytes(t *testing.T) {
 	if n := m.requests - requests; n != 2*journeys {
 		t.Fatalf("%d requests for %d journeys, want 2 each", n, journeys)
 	}
-	if want := 1050; perJourney < want-want/100 || perJourney > want+want/100 {
+	if want := 823; perJourney < want-want/100 || perJourney > want+want/100 {
 		t.Fatalf("device link carries %d bytes per journey, want %d ± 1 %%", perJourney, want)
 	}
 }

@@ -61,11 +61,15 @@ type Config struct {
 	Transport transport.RoundTripper
 	// Store is the on-device RMS database (default: in-memory).
 	Store rms.Store
-	// Codec compresses stored code and outgoing PIs (default LZSS, the
-	// paper's "simple text compression").
+	// Codec compresses the device's records and the PIs it uploads to
+	// a gateway not known to read compress.FlateDict (default LZSS, the
+	// paper's "simple text compression"; zero means the default). A
+	// gateway whose last mailbox answer was a FlateDict frame gets its
+	// uploads in that codec instead.
 	Codec compress.Codec
-	// Secure seals PIs to the gateway key per Figure 7 (default true;
-	// the ablation benches switch it off).
+	// Secure seals PIs to the gateway key per Figure 7. The zero value
+	// uploads them unsealed (the ablation benches); a real device sets
+	// it.
 	Secure bool
 	// RTTThreshold triggers a gateway-list refresh when the best probe
 	// exceeds it (default 2 s, in journey-clock time for simulations).
@@ -119,6 +123,11 @@ type Platform struct {
 	// most one per gateway: the cursor moves when PollMailbox processes
 	// the batch, so one lost with the process is offered again.
 	unread map[string]*mailBatch
+	// flateDict marks, per gateway, that its last mailbox answer was a
+	// compress.FlateDict frame: it reads that codec, so uploads to it
+	// use it. Memory only; a restarted device uploads in Config.Codec
+	// until its first answer.
+	flateDict map[string]bool
 	// collected remembers journeys whose results were obtained OUTSIDE
 	// mailbox delivery (direct or repair Collect), so a mailbox copy of
 	// the same result arriving later is recognisable as a duplicate —
@@ -161,6 +170,9 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	if cfg.Store == nil {
 		cfg.Store = rms.NewMemStore("pdagent-db", 0)
 	}
+	if cfg.Codec == compress.None {
+		cfg.Codec = compress.LZSS
+	}
 	if cfg.RTTThreshold == 0 {
 		cfg.RTTThreshold = 2 * time.Second
 	}
@@ -181,6 +193,7 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		cursors:   map[string]uint64{},
 		tokens:    map[string]string{},
 		unread:    map[string]*mailBatch{},
+		flateDict: map[string]bool{},
 		queued:    map[string]*queuedDispatch{},
 		collected: map[string]bool{},
 		rng:       rand.New(rand.NewSource(int64(hashOwner(cfg.Owner)))),

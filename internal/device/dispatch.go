@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"pdagent/internal/compress"
 	"pdagent/internal/kxml"
 	"pdagent/internal/mavm"
 	"pdagent/internal/pisec"
@@ -61,6 +62,11 @@ func (p *Platform) buildPI(codeID string, params map[string]mavm.Value) (*wire.P
 func (p *Platform) uploadPI(ctx context.Context, pi *wire.PackedInformation) (string, error) {
 	p.mu.Lock()
 	entry, ok := p.subs[pi.CodeID]
+	codec := p.cfg.Codec
+	if ok && p.flateDict[entry.sub.Gateway] {
+		// The gateway reads codec 3: it last answered in it.
+		codec = compress.FlateDict
+	}
 	p.mu.Unlock()
 	if !ok {
 		return "", fmt.Errorf("%w: %q", ErrNotSubscribed, pi.CodeID)
@@ -75,7 +81,7 @@ func (p *Platform) uploadPI(ctx context.Context, pi *wire.PackedInformation) (st
 	// One right-sized allocation per upload. The body is not recycled
 	// after the round trip: a RoundTripper may keep req.Body (the
 	// benchmark's traced pass does).
-	body, err := wire.AppendPack(make([]byte, 0, p.packCap.Load()), pi, p.cfg.Codec, key)
+	body, err := wire.AppendPack(make([]byte, 0, p.packCap.Load()), pi, codec, key)
 	if err != nil {
 		return "", err
 	}
@@ -107,7 +113,7 @@ func (p *Platform) uploadPI(ctx context.Context, pi *wire.PackedInformation) (st
 		if full.Source == "" {
 			full.Source, full.CodeHash = entry.sub.Package.Source, ""
 		}
-		if body, err = wire.AppendPackWrapped(nil, &full, p.cfg.Codec, key); err != nil {
+		if body, err = wire.AppendPackWrapped(nil, &full, codec, key); err != nil {
 			return "", err
 		}
 		req = &transport.Request{Path: req.Path, Header: req.Header, Body: body}
@@ -131,6 +137,7 @@ func (p *Platform) uploadPI(ctx context.Context, pi *wire.PackedInformation) (st
 	if agentID == "" {
 		agentID = resp.Text()
 	} else if asked && string(resp.Body) != agentID {
+		p.learnCodec(gw, resp.Body)
 		_, entries, watermark, evicted, _, _, err := push.ParseEntries(resp.Body)
 		if err != nil {
 			// The dispatch stands; the mail is still in the mailbox.

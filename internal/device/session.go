@@ -281,8 +281,24 @@ func (p *Platform) fetchMailbox(ctx context.Context, gw, prevEdge string, cursor
 	if !resp.IsOK() {
 		return nil, 0, 0, fmt.Errorf("device: mailbox at %s: %w", gw, resp.Err())
 	}
+	p.learnCodec(gw, resp.Body)
 	_, entries, watermark, evicted, _, _, err := push.ParseEntries(resp.Body)
 	return entries, watermark, evicted, err
+}
+
+// learnCodec notes the codec of a mailbox answer from gw: a gateway
+// whose last answer was a compress.FlateDict frame gets its uploads in
+// that codec; any other answer, a raw pre-frame one included, puts it
+// back on Config.Codec.
+func (p *Platform) learnCodec(gw string, answer []byte) {
+	c, err := compress.FrameCodec(answer)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err == nil && c == compress.FlateDict {
+		p.flateDict[gw] = true
+	} else {
+		delete(p.flateDict, gw)
+	}
 }
 
 // processEntries turns mailbox entries into Deliveries, applying their

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -744,15 +745,7 @@ func TestPreFrameGatewayAnswersStillParse(t *testing.T) {
 	// The first journey long-polls (its upload holds no token yet); the
 	// second is answered in its dispatch.
 	for j := int64(0); j < 2; j++ {
-		id, err := f.plat.Dispatch(ctx, "echo", mavmParams(j))
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.queue.Drain()
-		ds, _, err := f.plat.PollMailbox(ctx, "gw-d", time.Second)
-		if err != nil || len(ds) != 1 || ds[0].AgentID != id || ds[0].Result == nil || !ds[0].Result.OK() {
-			t.Fatalf("journey %d delivered %+v, %v; want the result of %s", j, ds, err, id)
-		}
+		echoJourney(t, f, f.plat, j)
 	}
 	if gw.raw != 2 || f.plat.Cursor("gw-d") != 2 {
 		t.Fatalf("%d raw answer(s), cursor %d; want a poll answer and a dispatch answer, cursor 2", gw.raw, f.plat.Cursor("gw-d"))
@@ -824,20 +817,205 @@ func TestAcceptIgnoringGatewayAnswersStillParse(t *testing.T) {
 			// The first journey long-polls (its upload holds no token
 			// yet); the second is answered in its dispatch.
 			for j := int64(0); j < 2; j++ {
-				id, err := f.plat.Dispatch(ctx, "echo", mavmParams(j))
-				if err != nil {
-					t.Fatal(err)
-				}
-				f.queue.Drain()
-				ds, _, err := f.plat.PollMailbox(ctx, "gw-d", time.Second)
-				if err != nil || len(ds) != 1 || ds[0].AgentID != id || ds[0].Result == nil || !ds[0].Result.OK() {
-					t.Fatalf("journey %d delivered %+v, %v; want the result of %s", j, ds, err, id)
-				}
+				echoJourney(t, f, f.plat, j)
 			}
 			if len(gw.got) != 1 || gw.got[tc.want] != 2 || f.plat.Cursor("gw-d") != 2 {
 				t.Fatalf("framed answers by codec %v, cursor %d; want a poll answer and a dispatch answer in %v, cursor 2", gw.got, f.plat.Cursor("gw-d"), tc.want)
 			}
 		})
+	}
+}
+
+// uploadCodecs passes a device's requests through and records the
+// frame codec of every dispatch body it uploads, opening a sealed one
+// with the fixture key.
+type uploadCodecs struct {
+	inner transport.RoundTripper
+	got   []compress.Codec
+}
+
+func (u *uploadCodecs) RoundTrip(ctx context.Context, addr string, req *transport.Request) (*transport.Response, error) {
+	resp, err := u.inner.RoundTrip(ctx, addr, req)
+	if req.Path != "/pdagent/dispatch" {
+		return resp, err
+	}
+	frame := req.Body
+	if !compress.IsFrame(frame) {
+		if frame, err = pisec.AppendOpen(nil, kp, req.Body); err != nil {
+			return nil, err
+		}
+	}
+	c, err := compress.FrameCodec(frame)
+	if err != nil {
+		return nil, err
+	}
+	u.got = append(u.got, c)
+	return resp, nil
+}
+
+// echoJourney dispatches one echo journey and long-polls its result.
+func echoJourney(t *testing.T, f *fixture, plat *Platform, j int64) {
+	t.Helper()
+	ctx := context.Background()
+	id, err := plat.Dispatch(ctx, "echo", mavmParams(j))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.queue.Drain()
+	ds, _, err := plat.PollMailbox(ctx, "gw-d", time.Second)
+	if err != nil || len(ds) != 1 || ds[0].AgentID != id || ds[0].Result == nil || !ds[0].Result.OK() {
+		t.Fatalf("journey %d delivered %+v, %v; want the result of %s", j, ds, err, id)
+	}
+}
+
+// TestUploadCodecFollowsMailboxAnswers: a device's first upload to a
+// gateway is in Config.Codec; once a mailbox answer from it was a
+// codec-3 frame, its uploads are codec 3 too, plain or sealed. A
+// gateway that answers codec 2, LZSS or raw pre-frame XML gets
+// Config.Codec throughout.
+func TestUploadCodecFollowsMailboxAnswers(t *testing.T) {
+	const lz, dict = compress.LZSS, compress.FlateDict
+	for _, tc := range []struct {
+		name   string
+		plain  bool
+		answer func(inner transport.RoundTripper) transport.RoundTripper
+		want   []compress.Codec
+	}{
+		{"codec 3 sealed", false, func(rt transport.RoundTripper) transport.RoundTripper {
+			return &codecGateway{inner: rt, got: map[compress.Codec]int{}}
+		}, []compress.Codec{lz, dict, dict}},
+		{"codec 3 plain", true, func(rt transport.RoundTripper) transport.RoundTripper {
+			return &codecGateway{inner: rt, got: map[compress.Codec]int{}}
+		}, []compress.Codec{lz, dict, dict}},
+		{"codec 2", false, func(rt transport.RoundTripper) transport.RoundTripper {
+			return &codecGateway{inner: rt, stripAccept: true, got: map[compress.Codec]int{}}
+		}, []compress.Codec{lz, lz, lz}},
+		{"lzss", false, func(rt transport.RoundTripper) transport.RoundTripper {
+			return &codecGateway{inner: rt, stripAccept: true, lzss: true, got: map[compress.Codec]int{}}
+		}, []compress.Codec{lz, lz, lz}},
+		{"pre-frame", false, func(rt transport.RoundTripper) transport.RoundTripper {
+			return &preFrameGateway{inner: rt}
+		}, []compress.Codec{lz, lz, lz}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			up := &uploadCodecs{}
+			f := newSessionFixture(t, func(c *Config) {
+				up.inner, c.Transport, c.Secure = tc.answer(c.Transport), up, !tc.plain
+			})
+			if err := f.plat.Subscribe(context.Background(), "gw-d", "echo"); err != nil {
+				t.Fatal(err)
+			}
+			// The first journey long-polls; the later ones are answered
+			// in their dispatch.
+			for j := int64(0); j < 3; j++ {
+				echoJourney(t, f, f.plat, j)
+			}
+			if !slices.Equal(up.got, tc.want) {
+				t.Fatalf("uploads in %v, want %v", up.got, tc.want)
+			}
+		})
+	}
+}
+
+// TestUploadCodecFallsBackWhenAnswersChange: a gateway that answered
+// codec 3 and then answers codec 2 — on mail attached to a dispatch
+// answer, or on a session's drain — gets Config.Codec again, and codec
+// 3 once it answers in it again.
+func TestUploadCodecFallsBackWhenAnswersChange(t *testing.T) {
+	up := &uploadCodecs{}
+	gw := &codecGateway{got: map[compress.Codec]int{}}
+	f := newSessionFixture(t, func(c *Config) { gw.inner, up.inner, c.Transport = c.Transport, gw, up })
+	ctx := context.Background()
+	if err := f.plat.Subscribe(ctx, "gw-d", "echo"); err != nil {
+		t.Fatal(err)
+	}
+	echoJourney(t, f, f.plat, 0) // codec 3 poll answer
+	echoJourney(t, f, f.plat, 1) // codec 3 upload, codec 3 mail on its answer
+	gw.stripAccept = true
+	echoJourney(t, f, f.plat, 2) // codec 3 upload, codec 2 mail on its answer
+	echoJourney(t, f, f.plat, 3) // LZSS upload, codec 2 mail
+	gw.stripAccept = false
+	echoJourney(t, f, f.plat, 4) // LZSS upload, codec 3 mail
+	gw.stripAccept = true
+	if _, _, err := f.plat.PollMailbox(ctx, "gw-d", 0); err != nil { // codec 2 empty drain
+		t.Fatal(err)
+	}
+	echoJourney(t, f, f.plat, 5) // LZSS upload
+	const lz, dict = compress.LZSS, compress.FlateDict
+	if want := []compress.Codec{lz, dict, dict, lz, lz, lz}; !slices.Equal(up.got, want) {
+		t.Fatalf("uploads in %v, want %v", up.got, want)
+	}
+}
+
+// TestUploadCodecAfterRestart: a restarted device knows nothing of the
+// gateway's codec: its first upload is in Config.Codec, and the codec-3
+// mail attached to that upload's answer — no poll in between — makes
+// the next one codec 3.
+func TestUploadCodecAfterRestart(t *testing.T) {
+	f := newSessionFixture(t, nil)
+	if err := f.plat.Subscribe(context.Background(), "gw-d", "echo"); err != nil {
+		t.Fatal(err)
+	}
+	echoJourney(t, f, f.plat, 0) // the device now holds its token
+	up := &uploadCodecs{inner: f.net.Transport(netsim.ZoneWireless)}
+	plat, err := NewPlatform(Config{Owner: "test-dev", Transport: up, Store: f.store, Codec: compress.LZSS, Secure: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	echoJourney(t, f, plat, 1)
+	echoJourney(t, f, plat, 2)
+	if want := []compress.Codec{compress.LZSS, compress.FlateDict}; !slices.Equal(up.got, want) {
+		t.Fatalf("uploads in %v, want %v", up.got, want)
+	}
+}
+
+// TestUploadCodecReSend: the re-send after a 412 (a stale code hash) is
+// framed like the upload it repeats — codec 3 to a gateway that
+// answered in codec 3 — and the journey completes.
+func TestUploadCodecReSend(t *testing.T) {
+	up := &uploadCodecs{}
+	f := newSessionFixture(t, func(c *Config) { up.inner, c.Transport = c.Transport, up })
+	if err := f.plat.Subscribe(context.Background(), "gw-d", "echo"); err != nil {
+		t.Fatal(err)
+	}
+	echoJourney(t, f, f.plat, 0)
+	if err := f.gw.AddCodePackage(&wire.CodePackage{CodeID: "echo", Name: "echo", Version: "2", Source: `deliver("v", 2);`}); err != nil {
+		t.Fatal(err)
+	}
+	echoJourney(t, f, f.plat, 1)
+	if want := []compress.Codec{compress.LZSS, compress.FlateDict, compress.FlateDict}; !slices.Equal(up.got, want) {
+		t.Fatalf("uploads in %v, want the first in LZSS, the reference and its re-send in codec 3", up.got)
+	}
+}
+
+// TestUploadCodecDefaultsToLZSS: a Platform built without a Codec
+// stores LZSS-framed records and uploads an LZSS frame, not the
+// uncompressed zero codec.
+func TestUploadCodecDefaultsToLZSS(t *testing.T) {
+	up := &uploadCodecs{}
+	f := newFixture(t, func(c *Config) { up.inner, c.Transport, c.Codec = c.Transport, up, 0 })
+	ctx := context.Background()
+	if err := f.plat.Subscribe(ctx, "gw-d", "echo"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.plat.Dispatch(ctx, "echo", mavmParams(1)); err != nil {
+		t.Fatal(err)
+	}
+	ids, err := f.store.IDs()
+	if err != nil || len(ids) == 0 {
+		t.Fatalf("store holds %v, %v; want the subscription and the pending journey", ids, err)
+	}
+	for _, id := range ids {
+		rec, err := f.store.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c, err := compress.FrameCodec(rec); err != nil || c != compress.LZSS {
+			t.Fatalf("record %d framed as %v, %v; want LZSS", id, c, err)
+		}
+	}
+	if want := []compress.Codec{compress.LZSS}; !slices.Equal(up.got, want) {
+		t.Fatalf("uploads in %v, want %v", up.got, want)
 	}
 }
 

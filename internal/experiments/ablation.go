@@ -45,7 +45,9 @@ type CompressionRow struct {
 }
 
 // AblationCompression measures the PI pipeline under each compression
-// codec (sealed, as in the deployed configuration).
+// codec (sealed, as in the deployed configuration): flate-dict is the
+// upload to a gateway whose mailbox answers came in it, LZSS the upload
+// to any other.
 func AblationCompression(keyBits int) ([]CompressionRow, error) {
 	kp, err := pisec.GenerateKeyPair(keyBits)
 	if err != nil {
@@ -53,7 +55,7 @@ func AblationCompression(keyBits int) ([]CompressionRow, error) {
 	}
 	pi := representativePI()
 	var rows []CompressionRow
-	for _, codec := range []compress.Codec{compress.None, compress.LZSS, compress.Flate} {
+	for _, codec := range []compress.Codec{compress.None, compress.LZSS, compress.Flate, compress.FlateDict} {
 		body, err := wire.Pack(pi, codec, kp.Public())
 		if err != nil {
 			return nil, err

@@ -174,15 +174,16 @@ func TestAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(comp) != 3 {
+	if len(comp) != 4 {
 		t.Fatalf("compression rows = %d", len(comp))
 	}
 	byName := map[string]CompressionRow{}
 	for _, r := range comp {
 		byName[r.Codec] = r
 	}
-	if byName["lzss"].WireBytes >= byName["none"].WireBytes {
-		t.Errorf("lzss %d >= none %d", byName["lzss"].WireBytes, byName["none"].WireBytes)
+	dict, fl, lz, none := byName["flate-dict"].WireBytes, byName["flate"].WireBytes, byName["lzss"].WireBytes, byName["none"].WireBytes
+	if !(dict <= fl && fl <= lz && lz < none) {
+		t.Errorf("wire bytes flate-dict %d, flate %d, lzss %d, none %d; want them in that order, lzss below none", dict, fl, lz, none)
 	}
 	if byName["lzss"].UploadTime >= byName["none"].UploadTime {
 		t.Errorf("lzss upload not faster")

@@ -110,9 +110,10 @@ func TestDeliveryIsOneFlateFrame(t *testing.T) {
 }
 
 // TestDeliveryKeepsItsEncoderAcrossGC: the DEFLATE encoders a mailbox
-// answer is written with (about 1 MB each, plain and primed) survive
-// garbage collection, so an answer after a GC allocates its document
-// and its frame, not a new encoder.
+// answer is written with (plain and primed, each 16 KiB of hash heads
+// plus ≈ 9 B per byte of dictionary and input: chain link, window byte
+// and token) survive garbage collection, so an answer after a GC
+// allocates its document and its frame, not a new encoder.
 func TestDeliveryKeepsItsEncoderAcrossGC(t *testing.T) {
 	in := wireEntries()
 	for _, codec := range []compress.Codec{compress.Flate, compress.FlateDict} {

@@ -252,6 +252,22 @@ func FuzzUnpack(f *testing.F) {
 	f.Add([]byte("PISEC1 not really"))
 	f.Add([]byte("Z\x01\x05hello"))
 	f.Add([]byte("<a><b/></a>"))
+	// Codec 3, the upload to a gateway whose mailbox answers came in it:
+	// plain (whole and cut) and sealed.
+	dict, err := Pack(pi, compress.FlateDict, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(dict)
+	f.Add(dict[:len(dict)/2])
+	sealedDict, err := Pack(pi, compress.FlateDict, pk)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := Unpack(sealedDict, kp); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sealedDict)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The decode pipeline must never panic, whatever the body.

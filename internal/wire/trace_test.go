@@ -65,3 +65,34 @@ func TestTraceEmpty(t *testing.T) {
 		t.Fatalf("missing xml declaration")
 	}
 }
+
+// FuzzParseTrace fuzzes the trace decoder a gateway runs on the answer
+// of a peer member or MAS host: it never panics, and a document it
+// accepts re-encodes with AppendXML and parses back to the same
+// TraceDoc.
+func FuzzParseTrace(f *testing.F) {
+	f.Add((&TraceDoc{
+		TraceID: "ag-0042",
+		Spans: []TraceSpan{
+			{Member: "gw-0", Op: "dispatch", Detail: "echo", At: 100, Seq: 1},
+			{Member: "gw-1", Op: "admit", Detail: `e<&>"scaped`, At: -200},
+		},
+	}).EncodeXML())
+	f.Add([]byte(`<trace id="x"><future a="1"><nested/></future><span member="a" op="b" at="5" seq="2"/></trace>`))
+	f.Add([]byte(`<trace id="x"><span member="a" op="b" at="9223372036854775808" seq="-1"/></trace>`))
+	f.Add([]byte(`<trace id="x"><span member="a&#9;b" op="&#10;" detail="&amp;"/></trace>`))
+	f.Add([]byte(`<trace id="x"><span member="a"/></trace>`))
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		td, err := ParseTrace(doc)
+		if err != nil {
+			return
+		}
+		again, err := ParseTrace(td.AppendXML(nil))
+		if err != nil {
+			t.Fatalf("re-encoded trace does not parse: %v\n%s", err, td.AppendXML(nil))
+		}
+		if !reflect.DeepEqual(again, td) {
+			t.Fatalf("trace changed in a round trip:\n got %+v\nwant %+v", again, td)
+		}
+	})
+}
