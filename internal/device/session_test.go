@@ -12,6 +12,7 @@ import (
 
 	"pdagent/internal/compress"
 	"pdagent/internal/gateway"
+	"pdagent/internal/kxml"
 	"pdagent/internal/mavm"
 	"pdagent/internal/netsim"
 	"pdagent/internal/pisec"
@@ -643,6 +644,41 @@ func (r *restartAfterRead) RoundTrip(ctx context.Context, addr string, req *tran
 	return resp, err
 }
 
+// mailboxRecords reads a gateway's mailbox store as a restart would:
+// how many entry and meta records it holds, and the event ids its
+// mb-seen records seal.
+func mailboxRecords(t *testing.T, store rms.Store) (entries, metas int, sealed map[string]bool) {
+	t.Helper()
+	sealed = map[string]bool{}
+	ids, err := store.IDs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		data, err := store.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root, err := kxml.ParseBytes(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch root.Name {
+		case "mb-entry":
+			entries++
+		case "mb-meta":
+			metas++
+		case "mb-seen":
+			for _, e := range root.FindAll("e") {
+				sealed[e.TextContent()] = true
+			}
+		default:
+			t.Fatalf("record %d is an unknown %s", id, root.Name)
+		}
+	}
+	return entries, metas, sealed
+}
+
 // TestSessionDrainAcrossGatewayRestart: a session drains a mailbox
 // bigger than one batch over the one mailbox read, and the gateway
 // crash-restarts between its rounds — after the read that staged the
@@ -700,8 +736,14 @@ func TestSessionDrainAcrossGatewayRestart(t *testing.T) {
 	if st := f.gw.Mailbox().Stats(); st.Delivered != total || st.Pending != 0 || st.StagedAcks != 0 || st.AcksFlushed != 1 {
 		t.Fatalf("restarted gateway: %+v; want all %d entries re-acked, one commit", st, total)
 	}
-	if n, _ := mbx.NumRecords(); n != 1 {
-		t.Fatalf("mailbox store holds %d records, want the meta record alone", n)
+	// No entry is left on disk; all 40 event ids are sealed in the
+	// gateway's mb-seen records (eight each), none in the meta's tail.
+	want := map[string]bool{"result:" + id: true}
+	for i := 2; i <= total; i++ {
+		want[fmt.Sprint("note-", i)] = true
+	}
+	if entries, metas, sealed := mailboxRecords(t, mbx); entries != 0 || metas != 1 || !maps.Equal(sealed, want) {
+		t.Fatalf("mailbox store holds %d entries, %d metas and mb-seen records of %v; want none, 1 and %v", entries, metas, sealed, want)
 	}
 	if s, err := f.plat.OpenSession(ctx); err != nil || len(s.Deliveries) != 0 {
 		t.Fatalf("a second session delivered %+v, %v", s, err)

@@ -5,12 +5,14 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"pdagent/internal/kxml"
 	"pdagent/internal/pisec"
 	"pdagent/internal/push"
 	"pdagent/internal/rms"
@@ -688,6 +690,41 @@ func TestOldDeviceConfirmRoundStillCommits(t *testing.T) {
 	}
 }
 
+// mailboxRecords reads a mailbox store as a restart would: how many
+// entry and meta records it holds, and the event ids its mb-seen
+// records seal.
+func mailboxRecords(t *testing.T, store rms.Store) (entries, metas int, sealed map[string]bool) {
+	t.Helper()
+	sealed = map[string]bool{}
+	ids, err := store.IDs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		data, err := store.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root, err := kxml.ParseBytes(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch root.Name {
+		case "mb-entry":
+			entries++
+		case "mb-meta":
+			metas++
+		case "mb-seen":
+			for _, e := range root.FindAll("e") {
+				sealed[e.TextContent()] = true
+			}
+		default:
+			t.Fatalf("record %d is an unknown %s", id, root.Name)
+		}
+	}
+	return entries, metas, sealed
+}
+
 // TestMailboxAckRaces runs everything that can commit a device's acks
 // at once — its long-poll, its session fetches, its uploads (each
 // carrying an ack and bringing mail back), enqueues, the sweeper and,
@@ -709,6 +746,7 @@ func TestMailboxAckRaces(t *testing.T) {
 	var mu sync.Mutex
 	var cursor uint64
 	seen := map[uint64]bool{}
+	eventOf := map[uint64]string{} // event id by seq
 	consume := func(fetch func(ack uint64) (entries []*push.Entry, watermark uint64, err error)) {
 		mu.Lock()
 		ack := cursor
@@ -724,6 +762,7 @@ func TestMailboxAckRaces(t *testing.T) {
 				t.Errorf("seq %d delivered to a poll that acked %d", e.Seq, ack)
 			}
 			seen[e.Seq] = true
+			eventOf[e.Seq] = e.EventID
 		}
 		cursor = max(cursor, watermark)
 	}
@@ -813,8 +852,16 @@ func TestMailboxAckRaces(t *testing.T) {
 	if st.Enqueued != total || st.Delivered != total || st.Pending != 0 || st.StagedAcks != 0 {
 		t.Fatalf("ledger after the race: %+v", st)
 	}
-	if n, _ := store.NumRecords(); n != 1 {
-		t.Fatalf("store holds %d records after Close, want the meta record alone", n)
+	// No entry is left on disk. Besides the meta record the store holds
+	// the newest 64 sealed dedup ids, in eight mb-seen records of eight:
+	// the 250 ids sealed seqs 1–248, the records of 185–248 are kept,
+	// and 249–250 ride the meta's live tail.
+	want := map[string]bool{}
+	for seq := uint64(total - total%8 - 63); seq <= total-total%8; seq++ {
+		want[eventOf[seq]] = true
+	}
+	if entries, metas, sealed := mailboxRecords(t, store); entries != 0 || metas != 1 || !reflect.DeepEqual(sealed, want) {
+		t.Fatalf("store holds %d entries and %d metas after Close, and mb-seen records of %d ids; want none, 1 and %v", entries, metas, len(sealed), want)
 	}
 	reopened, err := push.NewHub(push.Config{Store: store})
 	if err != nil {

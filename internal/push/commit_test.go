@@ -209,119 +209,171 @@ func reopenCut(t *testing.T, seg []byte, cut int) *rms.WALStore {
 	return openWAL(t, dir, rms.WALOptions{})
 }
 
-// TestHubRecoversEveryFramePrefix cuts the log of a scripted enqueue /
-// ack / enqueue history at EVERY frame boundary — every state an
-// ordered commit can leave behind, mid-batch ones included — and
-// reopens a hub over each: nothing at or below the durable cursor
-// resurfaces, nothing above it is lost, no seq is handed out twice, and
-// every event whose entry frame survived is still refused as a
-// duplicate. The history ends with a long-poll's staged ack folded into
-// the next enqueue's commit; a crash anywhere in that batch leaves a
-// mailbox that the device's re-sent ack empties.
+// TestHubRecoversEveryFramePrefix cuts the log of a scripted mailbox
+// history at EVERY frame boundary — every state an ordered commit can
+// leave behind, mid-batch ones included — and reopens a hub over each:
+// nothing at or below the durable cursor resurfaces, nothing above it
+// is lost, no seq is handed out twice, and each of the newest
+// metaDedupPersist events whose entry frames survived is still refused
+// as a duplicate.
+//
+// The short history is enqueue / ack / enqueue, ending with a
+// long-poll's staged ack folded into the next enqueue's commit; a crash
+// anywhere in that batch leaves a mailbox that the device's re-sent ack
+// empties. The long one is 76 journeys of a long-polling device, each
+// enqueue folding the previous journey's ack: it seals nine mb-seen
+// chunks, so the ninth seal's commit also deletes the first.
 func TestHubRecoversEveryFramePrefix(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "mbx.wal")
-	h := newTestHub(t, openWAL(t, dir, rms.WALOptions{}), nil)
-	h.Touch("alice")
 	event := func(i int) string { return fmt.Sprint("result:ag-", i) }
-	enqueue := func(i int) { mustEnqueue(t, h, "alice", KindResult, fmt.Sprint("ag-", i), event(i), "<r/>") }
-	ack := func(upTo uint64) {
+	enqueue := func(t *testing.T, h *Hub, i int) {
+		mustEnqueue(t, h, "alice", KindResult, fmt.Sprint("ag-", i), event(i), "<r/>")
+	}
+	ack := func(t *testing.T, h *Hub, upTo uint64) {
 		if _, err := h.Ack("alice", upTo); err != nil {
 			t.Fatal(err)
 		}
 	}
-	enqueue(1)
-	enqueue(2)
-	enqueue(3)
-	ack(2)
-	enqueue(4)
-	ack(4)
-	enqueue(5)
-	const folded = 17 // frames[folded:] are the folded commit
-	if _, _, _, err := h.PollStaged("alice", 5, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, frames := readFrames(t, dir); len(frames) != folded {
-		t.Fatalf("the staged ack wrote %d frame(s) of its own", len(frames)-folded)
-	}
-	enqueue(6)
-	seg, frames := readFrames(t, dir)
-	// token + 5×(entry, meta) + (meta, 2 deletes) + (meta, 2 deletes)
-	// + (meta, delete, entry, meta)
-	if len(frames) != folded+4 {
-		t.Fatalf("history wrote %d frames, want %d", len(frames), folded+4)
-	}
-
-	for k := 0; k <= len(frames); k++ {
-		// The model: fold the surviving frames.
-		live := map[int][]byte{}
-		survived := map[string]bool{} // event ids whose entry frame is in the prefix
-		var maxSeq uint64
-		cut := walMagicLen
-		for _, f := range frames[:k] {
-			cut = f.end
-			if f.op == rms.OpDelete {
-				delete(live, f.id)
-				continue
-			}
-			live[f.id] = f.payload
-			if _, e, _, err := parseRecord(f.payload); err != nil {
+	for _, tc := range []struct {
+		name string
+		// run writes the history over a WAL in dir and returns where its
+		// final folded commit starts (0 = no check of the re-sent ack).
+		run func(t *testing.T, h *Hub, dir string) (folded int)
+	}{
+		{"short", func(t *testing.T, h *Hub, dir string) int {
+			enqueue(t, h, 1)
+			enqueue(t, h, 2)
+			enqueue(t, h, 3)
+			ack(t, h, 2)
+			enqueue(t, h, 4)
+			ack(t, h, 4)
+			enqueue(t, h, 5)
+			const folded = 17 // frames[folded:] are the folded commit
+			if _, _, _, err := h.PollStaged("alice", 5, 0); err != nil {
 				t.Fatal(err)
-			} else if e != nil {
-				survived[e.EventID] = true
-				maxSeq = max(maxSeq, e.Seq)
 			}
-		}
-		var cursor uint64
-		var want []uint64 // seqs of live entries above the durable cursor
-		for _, rec := range live {
-			if _, _, meta, _ := parseRecord(rec); meta != nil {
-				cursor = meta.cursor
+			if _, frames := readFrames(t, dir); len(frames) != folded {
+				t.Fatalf("the staged ack wrote %d frame(s) of its own", len(frames)-folded)
 			}
-		}
-		for id := 1; id <= len(frames); id++ {
-			if _, e, _, _ := parseRecord(live[id]); e != nil && e.Seq > cursor {
-				want = append(want, e.Seq)
+			enqueue(t, h, 6)
+			// token + 5×(entry, meta) + (meta, 2 deletes) + (meta, 2 deletes)
+			// + (meta, delete, entry, meta)
+			if _, frames := readFrames(t, dir); len(frames) != folded+4 {
+				t.Fatalf("history wrote %d frames, want %d", len(frames), folded+4)
 			}
-		}
+			return folded
+		}},
+		{"nine seals", func(t *testing.T, h *Hub, dir string) int {
+			for i := 1; i <= 9*chunkSize+4; i++ {
+				if _, _, _, err := h.PollStaged("alice", uint64(i-1), 0); err != nil {
+					t.Fatal(err)
+				}
+				enqueue(t, h, i)
+			}
+			_, frames := readFrames(t, dir)
+			live, deleted := map[int]bool{}, 0
+			for _, f := range frames {
+				if f.op == rms.OpDelete {
+					if live[f.id] {
+						deleted++
+					}
+					delete(live, f.id)
+				} else if rec, _ := parseRecord(f.payload); f.op == rms.OpAdd && rec.entry == nil && rec.meta == nil {
+					live[f.id] = true
+				}
+			}
+			if len(live) != sealedChunks || deleted != 1 {
+				t.Fatalf("history left %d mb-seen records and deleted %d, want %d and 1", len(live), deleted, sealedChunks)
+			}
+			return 0
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "mbx.wal")
+			h := newTestHub(t, openWAL(t, dir, rms.WALOptions{}), nil)
+			h.Touch("alice")
+			folded := tc.run(t, h, dir)
+			seg, frames := readFrames(t, dir)
+			for k := 0; k <= len(frames); k++ {
+				checkFramePrefix(t, seg, frames, k, folded)
+			}
+		})
+	}
+}
 
-		store := reopenCut(t, seg, cut)
-		h2 := newTestHub(t, store, nil)
-		entries, _, _, _ := h2.Poll("alice", 0, 0)
-		var got []uint64
-		for _, e := range entries {
-			got = append(got, e.Seq)
+// checkFramePrefix reopens a hub over the first k frames of seg and
+// checks it against a model folded from those frames. From folded on
+// (when non-zero) the crash hit a commit that folded the ack of seq 5.
+func checkFramePrefix(t *testing.T, seg []byte, frames []walFrame, k, folded int) {
+	t.Helper()
+	live := map[int][]byte{}
+	var survived []*Entry // entries whose frame is in the prefix
+	var maxSeq uint64
+	cut := walMagicLen
+	for _, f := range frames[:k] {
+		cut = f.end
+		if f.op == rms.OpDelete {
+			delete(live, f.id)
+			continue
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("cut after frame %d (durable cursor %d): hub offers seqs %v, want %v", k, cursor, got, want)
+		live[f.id] = f.payload
+		if rec, err := parseRecord(f.payload); err != nil {
+			t.Fatal(err)
+		} else if rec.entry != nil {
+			survived = append(survived, rec.entry)
+			maxSeq = max(maxSeq, rec.entry.Seq)
 		}
-		if k >= folded {
-			// The crash hit the folded commit; the device had acked 5 and
-			// says so again. Entry 6 is offered iff its frame survived, and
-			// once that is acked too nothing but the meta record is left.
-			wantRest := 0
-			if k >= folded+3 { // meta, delete, then the entry
-				wantRest = 1
-			}
-			rest, watermark, _, _ := h2.Poll("alice", 5, 0)
-			if len(rest) != wantRest || (wantRest == 1 && rest[0].Seq != 6) {
-				t.Fatalf("cut after frame %d: re-sent ack=5 is answered with %d entries, want %d", k, len(rest), wantRest)
-			}
-			h2.Poll("alice", watermark, 0)
-			if n, _ := store.NumRecords(); n != 1 || h2.Pending("alice") != 0 {
-				t.Fatalf("cut after frame %d: %d record(s), %d pending after the re-sent acks, want the meta record alone", k, n, h2.Pending("alice"))
-			}
-			// Put the acked state aside: the checks below are about the
-			// hub as the crash left it.
-			h2 = newTestHub(t, reopenCut(t, seg, cut), nil)
+	}
+	var cursor uint64
+	var want []uint64 // seqs of live entries above the durable cursor
+	for _, data := range live {
+		if rec, _ := parseRecord(data); rec.meta != nil {
+			cursor = rec.meta.cursor
 		}
-		for ev := range survived {
-			if _, dup, err := h2.Enqueue("alice", KindResult, "ag-x", ev, []byte("again")); err != nil || !dup {
-				t.Fatalf("cut after frame %d: event %s, whose entry frame survived, accepted again (dup %v, err %v)", k, ev, dup, err)
-			}
+	}
+	for id := 1; id <= len(frames); id++ {
+		if rec, _ := parseRecord(live[id]); rec.entry != nil && rec.entry.Seq > cursor {
+			want = append(want, rec.entry.Seq)
 		}
-		if seq := mustEnqueue(t, h2, "alice", KindResult, "ag-new", "result:ag-new", "new"); seq <= maxSeq || seq <= cursor {
-			t.Fatalf("cut after frame %d: fresh enqueue got seq %d; seqs up to %d were already handed out (cursor %d)", k, seq, maxSeq, cursor)
+	}
+
+	store := reopenCut(t, seg, cut)
+	h2 := newTestHub(t, store, nil)
+	entries, _, _, _ := h2.Poll("alice", 0, 0)
+	var got []uint64
+	for _, e := range entries {
+		got = append(got, e.Seq)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("cut after frame %d (durable cursor %d): hub offers seqs %v, want %v", k, cursor, got, want)
+	}
+	if folded > 0 && k >= folded {
+		// The crash hit the folded commit; the device had acked 5 and
+		// says so again. Entry 6 is offered iff its frame survived, and
+		// once that is acked too nothing but the meta record is left.
+		wantRest := 0
+		if k >= folded+3 { // meta, delete, then the entry
+			wantRest = 1
 		}
+		rest, watermark, _, _ := h2.Poll("alice", 5, 0)
+		if len(rest) != wantRest || (wantRest == 1 && rest[0].Seq != 6) {
+			t.Fatalf("cut after frame %d: re-sent ack=5 is answered with %d entries, want %d", k, len(rest), wantRest)
+		}
+		h2.Poll("alice", watermark, 0)
+		if n, _ := store.NumRecords(); n != 1 || h2.Pending("alice") != 0 {
+			t.Fatalf("cut after frame %d: %d record(s), %d pending after the re-sent acks, want the meta record alone", k, n, h2.Pending("alice"))
+		}
+		// Put the acked state aside: the checks below are about the
+		// hub as the crash left it.
+		h2 = newTestHub(t, reopenCut(t, seg, cut), nil)
+	}
+	// Entry frames are written in seq order: the newest events are last.
+	for _, e := range survived[max(0, len(survived)-metaDedupPersist):] {
+		if _, dup, err := h2.Enqueue("alice", KindResult, "ag-x", e.EventID, []byte("again")); err != nil || !dup {
+			t.Fatalf("cut after frame %d: event %s, one of the newest %d whose entry frames survived, accepted again (dup %v, err %v)", k, e.EventID, metaDedupPersist, dup, err)
+		}
+	}
+	if seq := mustEnqueue(t, h2, "alice", KindResult, "ag-new", "result:ag-new", "new"); seq <= maxSeq || seq <= cursor {
+		t.Fatalf("cut after frame %d: fresh enqueue got seq %d; seqs up to %d were already handed out (cursor %d)", k, seq, maxSeq, cursor)
 	}
 }
 

@@ -229,6 +229,10 @@ type mailbox struct {
 	dedup      map[string]uint64
 	dedupOrder []dedupRec // FIFO for the bounded, aging window
 	dirty      bool       // tracked in Hub.dirty (entries, dedup or staged acks live)
+	// seen lists the device's mb-seen records, oldest first; nil until
+	// the first seal. A pointer, not a slice: it keeps the struct in its
+	// 208-byte size class, so an idle device pays nothing for it.
+	seen *[]seenChunk
 
 	// stagedAcks counts acknowledgements applied in memory whose store
 	// ops — the cursor write, then the deletes of the records in staged —
@@ -246,6 +250,85 @@ type mailbox struct {
 type dedupRec struct {
 	id string
 	at time.Time
+}
+
+// seenChunk is one of a device's mb-seen records (wire.go): its record
+// id and the seq of the newest event id it holds.
+type seenChunk struct {
+	rec  int
+	last uint64
+}
+
+// chunks returns the device's mb-seen records, oldest first.
+func (mb *mailbox) chunks() []seenChunk {
+	if mb.seen == nil {
+		return nil
+	}
+	return *mb.seen
+}
+
+// setChunks replaces the device's mb-seen list; an empty one is freed.
+func (mb *mailbox) setChunks(c []seenChunk) {
+	switch {
+	case len(c) == 0:
+		mb.seen = nil
+	case mb.seen == nil:
+		mb.seen = &c
+	default:
+		*mb.seen = c
+	}
+}
+
+// liveTail returns the remembered event ids no mb-seen record holds yet
+// — those remembered since the last seal, which the meta record carries.
+// Fewer than chunkSize outside replay. Caller holds mb.mu.
+func liveTail(mb *mailbox) []dedupRec {
+	var sealed uint64
+	if c := mb.chunks(); len(c) > 0 {
+		sealed = c[len(c)-1].last
+	}
+	i := len(mb.dedupOrder)
+	for i > 0 && mb.dedup[mb.dedupOrder[i-1].id] > sealed {
+		i--
+	}
+	return mb.dedupOrder[i:]
+}
+
+// agedChunks counts the device's oldest mb-seen records whose newest id
+// has left the dedup window. The window only ever loses its oldest ids,
+// so such a record holds nothing it still remembers. Caller holds mb.mu.
+func agedChunks(mb *mailbox) int {
+	c := mb.chunks()
+	if len(mb.dedupOrder) == 0 {
+		return len(c)
+	}
+	oldest := mb.dedup[mb.dedupOrder[0].id]
+	n := 0
+	for n < len(c) && c[n].last < oldest {
+		n++
+	}
+	return n
+}
+
+// appendChunkDeletes appends the deletes of the device's n oldest
+// mb-seen records.
+func appendChunkDeletes(ops []rms.Op, mb *mailbox, n int) []rms.Op {
+	for _, c := range mb.chunks()[:n] {
+		ops = append(ops, rms.Op{Op: rms.OpDelete, ID: c.rec})
+	}
+	return ops
+}
+
+// dropChunks forgets the device's n oldest mb-seen records, whose
+// deletes have committed, and appends add (rec 0 = none). Caller holds
+// mb.mu.
+func (mb *mailbox) dropChunks(n int, add seenChunk) {
+	c := mb.chunks()
+	c = c[:copy(c, c[n:])]
+	if add.rec != 0 {
+		c = append(c, add)
+	}
+	mb.setChunks(c)
 }
 
 // NewHub opens a hub over the store, replaying any mailboxes already in
@@ -285,58 +368,81 @@ func (h *Hub) logf(format string, args ...any) {
 	}
 }
 
-// replay rebuilds the in-memory mailboxes from the store.
+// replay rebuilds the in-memory mailboxes from the store. The dedup
+// window comes back from the mb-seen records, the meta record's live
+// tail and the pending entries, merged by seq. Replay-only state lives
+// in locals: the mailbox struct is paid for by every idle device.
 func (h *Hub) replay() error {
 	ids, err := h.cfg.Store.IDs()
 	if err != nil {
 		return fmt.Errorf("push: reading store: %w", err)
+	}
+	type remembered struct {
+		seq uint64
+		id  string
+		at  time.Time
+	}
+	now := h.cfg.Clock()
+	metas := map[*mailbox]*metaState{}
+	events := map[*mailbox][]remembered{}
+	chunks := map[*mailbox][]seenChunk{}
+	add := func(mb *mailbox, evs []dedupEvent) {
+		for _, ev := range evs {
+			at := now
+			if ev.at != 0 {
+				at = time.Unix(0, ev.at)
+			}
+			events[mb] = append(events[mb], remembered{ev.seq, ev.id, at})
+		}
 	}
 	for _, id := range ids {
 		data, err := h.cfg.Store.Get(id)
 		if err != nil {
 			return fmt.Errorf("push: record %d: %w", id, err)
 		}
-		dev, entry, meta, err := parseRecord(data)
+		rec, err := parseRecord(data)
 		if err != nil {
 			h.logf("push: dropping unparseable record %d: %v", id, err)
 			_ = h.cfg.Store.Delete(id)
 			continue
 		}
-		mb := h.box(dev)
+		mb := h.box(rec.device)
 		switch {
-		case entry != nil:
-			entry.recID = id
-			mb.entries = append(mb.entries, entry)
-		case meta != nil:
-			// Later meta records supersede earlier ones (there should
-			// be exactly one, but a crash can tear a rewrite).
+		case rec.entry != nil:
+			rec.entry.recID = id
+			mb.entries = append(mb.entries, rec.entry)
+		case rec.meta != nil:
+			// A later meta record supersedes an earlier one, its tail
+			// included (there should be exactly one, but a crash can
+			// tear a rewrite).
 			if mb.metaRec != 0 {
 				_ = h.cfg.Store.Delete(mb.metaRec)
 			}
 			mb.metaRec = id
-			mb.cursor = meta.cursor
-			mb.evicted = meta.evicted
-			mb.token = meta.token
-			mb.tenant = meta.tenant
-			if meta.next > mb.nextSeq {
-				mb.nextSeq = meta.next
+			metas[mb] = rec.meta
+		default:
+			var last uint64
+			for _, ev := range rec.seen {
+				last = max(last, ev.seq)
 			}
-			now := h.cfg.Clock()
-			for _, ev := range meta.dedup {
-				at := now
-				if ev.at != 0 {
-					at = time.Unix(0, ev.at)
-				}
-				h.rememberLocked(mb, ev.id, ev.seq, at)
-			}
+			chunks[mb] = append(chunks[mb], seenChunk{rec: id, last: last})
+			add(mb, rec.seen)
 		}
 	}
 	var pending int64
 	for _, mb := range h.boxes {
+		if meta := metas[mb]; meta != nil {
+			mb.cursor = meta.cursor
+			mb.evicted = meta.evicted
+			mb.token = meta.token
+			mb.tenant = meta.tenant
+			mb.nextSeq = max(mb.nextSeq, meta.next)
+			add(mb, meta.dedup)
+		}
 		sort.Slice(mb.entries, func(i, j int) bool { return mb.entries[i].Seq < mb.entries[j].Seq })
 		// Drop entries already acknowledged (crash between the meta
-		// write and the entry delete) and rebuild the dedup window from
-		// whatever is still pending.
+		// write and the entry delete); whatever is still pending
+		// re-seeds the dedup window.
 		kept := mb.entries[:0]
 		for _, e := range mb.entries {
 			if e.Seq <= mb.cursor {
@@ -344,7 +450,7 @@ func (h *Hub) replay() error {
 				continue
 			}
 			kept = append(kept, e)
-			h.rememberLocked(mb, e.EventID, e.Seq, e.Enqueued)
+			events[mb] = append(events[mb], remembered{e.Seq, e.EventID, e.Enqueued})
 			mb.bytes += int64(len(e.Body))
 			if e.Seq >= mb.nextSeq {
 				mb.nextSeq = e.Seq + 1
@@ -355,8 +461,27 @@ func (h *Hub) replay() error {
 		if mb.bytes > 0 {
 			h.tbytes[tenant.Label(mb.tenant)] += mb.bytes
 		}
-		if mb.nextSeq == 0 {
-			mb.nextSeq = mb.cursor + 1
+		// Ordered by seq, then id, the merge is the same whichever
+		// record an id was read from, so a re-replay rebuilds the same
+		// window; the first copy of an id wins.
+		evs := events[mb]
+		sort.SliceStable(evs, func(i, j int) bool {
+			return evs[i].seq < evs[j].seq || (evs[i].seq == evs[j].seq && evs[i].id < evs[j].id)
+		})
+		for _, ev := range evs {
+			h.rememberLocked(mb, ev.id, ev.seq, ev.at)
+		}
+		mb.setChunks(chunks[mb])
+		if tail := liveTail(mb); len(tail) >= chunkSize {
+			// A meta written before mb-seen records carries up to
+			// metaDedupPersist ids inline. Seal them all into one chunk,
+			// so the next meta rewrite, which carries only the live
+			// tail, loses none.
+			if id, err := h.cfg.Store.Add(encodeSeenRecord(mb, tail, dedupEvent{})); err != nil {
+				h.logf("push: sealing the dedup tail of %s: %v", mb.device, err)
+			} else {
+				mb.dropChunks(0, seenChunk{rec: id, last: mb.dedup[tail[len(tail)-1].id]})
+			}
 		}
 		if len(mb.entries) > 0 || len(mb.dedupOrder) > 0 {
 			mb.dirty = true
@@ -544,11 +669,26 @@ func (h *Hub) enqueueAt(device, kind, agentID, eventID string, body []byte, at t
 		Body:     body,
 		Enqueued: at,
 	}
+	// The commit: staged acks, the entry, then — when this event makes
+	// the live tail chunkSize ids — the mb-seen chunk sealing it, then
+	// the deletes of chunks aged out or beyond sealedChunks, and last
+	// the meta record. Every prefix keeps the newest metaDedupPersist
+	// remembered ids: in chunks, in the old meta's tail or in the entry.
+	ev := dedupEvent{id: eventID, seq: e.Seq, at: now.UnixNano()}
+	tail := liveTail(mb)
+	seal := eventID != "" && len(tail)+1 >= chunkSize
+	drop := agedChunks(mb)
 	bp := opsPool.Get().(*[]rms.Op)
 	*bp = appendStagedOps(*bp, mb)
 	k := len(*bp)
-	*bp = append(*bp, rms.Op{Op: rms.OpAdd, Data: encodeEntryRecord(device, e)},
-		metaOp(mb, e.Seq+1, dedupEvent{id: eventID, seq: e.Seq, at: now.UnixNano()}))
+	*bp = append(*bp, rms.Op{Op: rms.OpAdd, Data: encodeEntryRecord(device, e)})
+	if seal {
+		*bp = append(*bp, rms.Op{Op: rms.OpAdd, Data: encodeSeenRecord(mb, tail, ev)})
+		drop = max(drop, len(mb.chunks())+1-sealedChunks)
+		tail, ev = nil, dedupEvent{}
+	}
+	*bp = appendChunkDeletes(*bp, mb, drop)
+	*bp = append(*bp, metaOp(mb, e.Seq+1, tail, ev))
 	ids, err := h.apply(bp)
 	if err != nil {
 		// Nothing in memory has moved yet, so a retry of the same event
@@ -556,7 +696,12 @@ func (h *Hub) enqueueAt(device, kind, agentID, eventID string, body []byte, at t
 		// staged for the next commit.
 		return 0, false, fmt.Errorf("push: storing entry for %s: %w", device, err)
 	}
-	e.recID, mb.metaRec = ids[k], ids[k+1]
+	e.recID, mb.metaRec = ids[k], ids[len(ids)-1]
+	var sealed seenChunk
+	if seal {
+		sealed = seenChunk{rec: ids[k+1], last: e.Seq}
+	}
+	mb.dropChunks(drop, sealed)
 	mb.nextSeq++
 	mb.entries = append(mb.entries, e)
 	mb.bytes += int64(len(e.Body))
@@ -641,33 +786,32 @@ func (h *Hub) apply(bp *[]rms.Op) ([]int, error) {
 }
 
 // metaOp is the store op that persists the device's meta record as it
-// will stand once next and ev (see encodeMetaRecord) are in effect: a
-// Set of the existing record, or the first Add. Caller holds mb.mu.
-func metaOp(mb *mailbox, next uint64, ev dedupEvent) rms.Op {
-	doc := encodeMetaRecord(mb, next, ev)
+// will stand once next, the live tail and ev (see encodeMetaRecord) are
+// in effect: a Set of the existing record, or the first Add. Caller
+// holds mb.mu.
+func metaOp(mb *mailbox, next uint64, tail []dedupRec, ev dedupEvent) rms.Op {
+	doc := encodeMetaRecord(mb, next, tail, ev)
 	if mb.metaRec != 0 {
 		return rms.Op{Op: rms.OpSet, ID: mb.metaRec, Data: doc}
 	}
 	return rms.Op{Op: rms.OpAdd, Data: doc}
 }
 
-// writeMetaLocked persists the device's watermark/cursor/dedup state.
+// writeMetaLocked persists the device's watermark/cursor/dedup state,
+// deleting the mb-seen records that aged out in the same commit.
 // Best-effort beyond the entry records themselves: a torn meta is
 // rebuilt from the pending entries at replay.
 func (h *Hub) writeMetaLocked(mb *mailbox) {
-	doc := encodeMetaRecord(mb, mb.nextSeq, dedupEvent{})
-	if mb.metaRec != 0 {
-		if err := h.cfg.Store.Set(mb.metaRec, doc); err == nil {
-			return
-		}
-		// Fall through: the record may be gone (store swapped in tests).
-	}
-	id, err := h.cfg.Store.Add(doc)
+	drop := agedChunks(mb)
+	bp := opsPool.Get().(*[]rms.Op)
+	*bp = append(appendChunkDeletes(*bp, mb, drop), metaOp(mb, mb.nextSeq, liveTail(mb), dedupEvent{}))
+	ids, err := h.apply(bp)
 	if err != nil {
 		h.logf("push: writing meta for %s: %v", mb.device, err)
 		return
 	}
-	mb.metaRec = id
+	mb.metaRec = ids[len(ids)-1]
+	mb.dropChunks(drop, seenChunk{})
 }
 
 // Ack acknowledges every entry with seq <= upTo: the cursor advances
@@ -733,7 +877,7 @@ func appendStagedOps(ops []rms.Op, mb *mailbox) []rms.Op {
 	if mb.stagedAcks == 0 {
 		return ops
 	}
-	ops = append(ops, metaOp(mb, mb.nextSeq, dedupEvent{}))
+	ops = append(ops, metaOp(mb, mb.nextSeq, liveTail(mb), dedupEvent{}))
 	for _, id := range mb.staged {
 		ops = append(ops, rms.Op{Op: rms.OpDelete, ID: id})
 	}
@@ -1019,9 +1163,10 @@ func (h *Hub) SweepExpired() int {
 		mb.mu.Lock()
 		h.commitAcksLocked(mb)
 		h.expireLocked(mb, now)
-		if h.pruneDedupLocked(mb, now) {
-			// Shrink the persisted meta too: the stored record otherwise
-			// keeps the full dedup tail alive in the backing store.
+		if h.pruneDedupLocked(mb, now) || agedChunks(mb) > 0 {
+			// Shrink the persisted state too: the meta's tail and the
+			// mb-seen records otherwise keep aged ids alive in the
+			// backing store.
 			h.writeMetaLocked(mb)
 			h.updateDirtyLocked(mb)
 		}

@@ -15,12 +15,24 @@ import (
 //
 //	<mb-entry device="d" seq="3" kind="result" agent="ag-1"
 //	          event="result:ag-1" enq="1234">body</mb-entry>
-//	<mb-meta device="d" next="7" cursor="2" evicted="1">
-//	  <e seq="3">result:ag-1</e> ...
+//	<mb-meta device="d" next="7" cursor="2" evicted="1" token="t">
+//	  <e seq="5" at="1234">result:ag-5</e> ...
 //	</mb-meta>
+//	<mb-seen device="d">
+//	  <e seq="1" at="1234">result:ag-1</e> ... (8 of them)
+//	</mb-seen>
 //	<mailbox device="d" next="5" evicted="1">
 //	  <entry seq=... kind=... agent=... event=...><![CDATA[body]]></entry>
 //	</mailbox>
+//
+// A device's dedup memory is persisted in two parts. The meta record,
+// rewritten by every commit, carries the live tail: the event ids
+// remembered since the last seal, fewer than chunkSize. The enqueue
+// that would make the tail chunkSize ids writes it, with its own id,
+// as one mb-seen record instead, which is never rewritten; a device
+// keeps its newest sealedChunks of them. A meta written before mb-seen
+// records existed carries up to metaDedupPersist ids inline; replay
+// seals them into one chunk.
 //
 // Bodies are text payloads (result documents, short notes). In the
 // backing records and in a migration export they ride as escaped
@@ -97,38 +109,37 @@ type dedupEvent struct {
 	at  int64 // unix nanoseconds; 0 in records from before aging
 }
 
-// metaDedupPersist bounds how many dedup event ids the meta record
-// carries. The full in-memory window (dedupWindow) still filters
-// replays while the process lives; the persisted tail only needs to
-// cover replays arriving shortly after a crash (a journal-resumed
-// journey re-delivering its result), so a small bound keeps the
-// meta rewrite — which happens on every enqueue and ack — cheap.
+// metaDedupPersist is how many of a device's newest remembered event
+// ids every commit prefix keeps on disk. The full in-memory window
+// (dedupWindow) still filters replays while the process lives; the
+// persisted ids only need to cover replays arriving shortly after a
+// crash (a journal-resumed journey re-delivering its result). The meta
+// record used to carry all of them, rewritten by every enqueue and ack,
+// and that was not cheap: 64 devices × 75 journeys with 600 B bodies
+// handed the store 6140 B of record data per journey, and under
+// echo_plain encodeMetaRecord alone was 5.3 % of gateway CPU (2-CPU
+// Linux host). Sealed in sealedChunks mb-seen records of chunkSize ids,
+// each written once, the same run writes 1530 B per journey and
+// encodeMetaRecord is 1.2 %.
 const metaDedupPersist = 64
 
-// encodeMetaRecord renders a device's watermark/cursor/dedup state
-// with next as the seq watermark and, when ev has an id, ev as the
-// newest dedup event — the enqueue path renders the record it is about
-// to commit before it touches the mailbox. It sits on the enqueue/ack
-// path, so the document is built with direct byte appends instead of a
-// node tree. Caller holds mb.mu.
-func encodeMetaRecord(mb *mailbox, next uint64, ev dedupEvent) []byte {
-	order := mb.dedupOrder
-	keep := metaDedupPersist
-	if ev.id != "" {
-		keep--
-	}
-	if len(order) > keep {
-		order = order[len(order)-keep:]
-	}
+// chunkSize is how many event ids one mb-seen record seals;
+// sealedChunks how many of those a device keeps.
+const (
+	chunkSize    = 8
+	sealedChunks = metaDedupPersist / chunkSize
+)
+
+// encodeMetaRecord renders a device's watermark/cursor state and its
+// live dedup tail, with next as the seq watermark and, when ev has an
+// id, ev appended to tail as the newest dedup event — the enqueue path
+// renders the record it is about to commit before it touches the
+// mailbox. It sits on the enqueue/ack path, so the document is built
+// with direct byte appends instead of a node tree. Caller holds mb.mu.
+func encodeMetaRecord(mb *mailbox, next uint64, tail []dedupRec, ev dedupEvent) []byte {
 	// Size the buffer to this mailbox, not the worst case: the record is
-	// rewritten on every enqueue and ack, and the old fixed 2.2KB
-	// allocation dominated the per-delivery garbage for the common
-	// near-empty window.
-	size := 96 + len(mb.device) + len(mb.token) + len(mb.tenant) + len(ev.id) + 56
-	for _, rec := range order {
-		size += len(rec.id) + 56 // <e seq="..." at="...">id</e>
-	}
-	b := make([]byte, 0, size)
+	// rewritten on every enqueue and ack.
+	b := make([]byte, 0, 96+len(mb.device)+len(mb.token)+len(mb.tenant)+dedupEventsSize(tail, ev))
 	b = append(b, `<mb-meta device="`...)
 	b = kxml.AppendEscapedAttr(b, mb.device)
 	b = append(b, `" next="`...)
@@ -146,13 +157,38 @@ func encodeMetaRecord(mb *mailbox, next uint64, ev dedupEvent) []byte {
 		b = kxml.AppendEscapedAttr(b, mb.tenant)
 	}
 	b = append(b, `">`...)
-	for _, rec := range order {
+	b = appendDedupEvents(b, mb, tail, ev)
+	return append(b, `</mb-meta>`...)
+}
+
+// encodeSeenRecord renders the mb-seen record that seals tail and, when
+// it has an id, ev. Caller holds mb.mu.
+func encodeSeenRecord(mb *mailbox, tail []dedupRec, ev dedupEvent) []byte {
+	b := make([]byte, 0, 48+len(mb.device)+dedupEventsSize(tail, ev))
+	b = append(b, `<mb-seen device="`...)
+	b = kxml.AppendEscapedAttr(b, mb.device)
+	b = append(b, `">`...)
+	b = appendDedupEvents(b, mb, tail, ev)
+	return append(b, `</mb-seen>`...)
+}
+
+// dedupEventsSize bounds what appendDedupEvents writes, escapes aside.
+func dedupEventsSize(tail []dedupRec, ev dedupEvent) int {
+	n := len(ev.id) + 56 // <e seq="..." at="...">id</e>
+	for _, rec := range tail {
+		n += len(rec.id) + 56
+	}
+	return n
+}
+
+// appendDedupEvents appends tail's ids, then ev when it has one.
+func appendDedupEvents(b []byte, mb *mailbox, tail []dedupRec, ev dedupEvent) []byte {
+	for _, rec := range tail {
 		b = appendDedupEvent(b, dedupEvent{id: rec.id, seq: mb.dedup[rec.id], at: rec.at.UnixNano()})
 	}
 	if ev.id != "" {
 		b = appendDedupEvent(b, ev)
 	}
-	b = append(b, `</mb-meta>`...)
 	return b
 }
 
@@ -166,37 +202,57 @@ func appendDedupEvent(b []byte, ev dedupEvent) []byte {
 	return append(b, `</e>`...)
 }
 
-// parseRecord decodes one backing-store record into either an entry or
-// a meta state (the other return is nil).
-func parseRecord(data []byte) (device string, e *Entry, meta *metaState, err error) {
+// storedRecord is one decoded backing-store record: an mb-entry
+// (entry set), an mb-meta (meta set) or, neither set, an mb-seen chunk
+// whose ids are in seen.
+type storedRecord struct {
+	device string
+	entry  *Entry
+	meta   *metaState
+	seen   []dedupEvent
+}
+
+// parseRecord decodes one backing-store record.
+func parseRecord(data []byte) (rec storedRecord, err error) {
 	root, err := kxml.ParseBytes(data)
 	if err != nil {
-		return "", nil, nil, err
+		return rec, err
 	}
-	device = root.AttrDefault("device", "")
-	if device == "" {
-		return "", nil, nil, fmt.Errorf("push: record missing device")
+	rec.device = root.AttrDefault("device", "")
+	if rec.device == "" {
+		return storedRecord{}, fmt.Errorf("push: record missing device")
 	}
 	switch root.Name {
 	case "mb-entry":
-		e, err = entryFrom(root)
-		return device, e, nil, err
+		rec.entry, err = entryFrom(root)
 	case "mb-meta":
-		m := &metaState{}
+		m := &metaState{dedup: dedupEventsFrom(root)}
 		m.next, _ = strconv.ParseUint(root.AttrDefault("next", "0"), 10, 64)
 		m.cursor, _ = strconv.ParseUint(root.AttrDefault("cursor", "0"), 10, 64)
 		m.evicted, _ = strconv.ParseUint(root.AttrDefault("evicted", "0"), 10, 64)
 		m.token = root.AttrDefault("token", "")
 		m.tenant = root.AttrDefault("tenant", "")
-		for _, c := range root.FindAll("e") {
-			seq, _ := strconv.ParseUint(c.AttrDefault("seq", "0"), 10, 64)
-			at, _ := strconv.ParseInt(c.AttrDefault("at", "0"), 10, 64)
-			m.dedup = append(m.dedup, dedupEvent{id: c.TextContent(), seq: seq, at: at})
-		}
-		return device, nil, m, nil
+		rec.meta = m
+	case "mb-seen":
+		rec.seen = dedupEventsFrom(root)
 	default:
-		return "", nil, nil, fmt.Errorf("push: unknown record type %q", root.Name)
+		err = fmt.Errorf("push: unknown record type %q", root.Name)
 	}
+	if err != nil {
+		return storedRecord{}, err
+	}
+	return rec, nil
+}
+
+// dedupEventsFrom reads the <e> children of a meta or mb-seen record.
+func dedupEventsFrom(n *kxml.Node) []dedupEvent {
+	var evs []dedupEvent
+	for _, c := range n.FindAll("e") {
+		seq, _ := strconv.ParseUint(c.AttrDefault("seq", "0"), 10, 64)
+		at, _ := strconv.ParseInt(c.AttrDefault("at", "0"), 10, 64)
+		evs = append(evs, dedupEvent{id: c.TextContent(), seq: seq, at: at})
+	}
+	return evs
 }
 
 // EncodeEntries renders the mailbox document a gateway serves to a

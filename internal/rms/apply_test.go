@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"pdagent/internal/metrics"
 )
 
 // applyScript is a batch that touches every op kind, names an id it
@@ -60,6 +62,49 @@ func TestWALStoreApplyOneFsync(t *testing.T) {
 				t.Fatalf("empty Apply: ids %v, err %v, %d fsyncs", ids, err, s.Fsyncs()-before)
 			}
 		})
+	}
+}
+
+// TestWALStoreLogBytes: LogBytes advances by exactly the frames an
+// Apply appends — a 13-byte header per op plus its payload, none for a
+// delete — and is exported as <prefix>_log_bytes.
+func TestWALStoreLogBytes(t *testing.T) {
+	s := openTestWAL(t, filepath.Join(t.TempDir(), "bytes.wal"), WALOptions{})
+	defer s.Close()
+	for _, rec := range []string{"one", "two"} {
+		if _, err := s.Add([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := s.Stats().LogBytes
+	if before != 2*entryHeaderSize+6 {
+		t.Fatalf("two Adds of 3 bytes logged %d bytes, want %d", before, 2*entryHeaderSize+6)
+	}
+	script := applyScript(3)
+	want := uint64(0)
+	for _, op := range script {
+		want += entryHeaderSize + uint64(len(op.payload()))
+	}
+	if want != 5*entryHeaderSize+11+11+11+17 {
+		t.Fatalf("script frames sum to %d bytes", want)
+	}
+	if _, err := s.Apply(script); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().LogBytes - before; got != want {
+		t.Fatalf("Apply logged %d bytes, want %d", got, want)
+	}
+	if _, err := s.Apply([]Op{{Op: OpDelete, ID: 99}}); err == nil {
+		t.Fatal("Apply of an unknown id succeeded")
+	}
+	if got := s.Stats().LogBytes - before; got != want {
+		t.Fatalf("a refused batch logged %d bytes", got-want)
+	}
+	m := metrics.NewRegistry()
+	s.RegisterMetrics(m, "test_wal", "test")
+	out := m.AppendPrometheus(nil)
+	if line := fmt.Sprintf("test_wal_log_bytes %d\n", before+want); !bytes.Contains(out, []byte(line)) {
+		t.Fatalf("scrape lacks %q:\n%s", line, out)
 	}
 }
 

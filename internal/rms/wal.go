@@ -108,6 +108,7 @@ type WALStore struct {
 	groupedOps atomic.Uint64 // entries acked by group-commit fsyncs
 	segs       atomic.Uint64 // mirror of segSeq
 	snaps      atomic.Uint64 // snapshots written since open
+	logBytes   atomic.Uint64 // log frame bytes appended since open
 	trailed    atomic.Uint64 // trailing entries appended since open
 	trailSafe  atomic.Uint64 // ... of which an fsync has covered
 	trailSyncs atomic.Uint64 // bound expiries that found a tail to sync
@@ -503,6 +504,7 @@ func (s *WALStore) appendLocked(op byte, id int, payload []byte) (uint64, error)
 		return 0, s.wedgeLocked(err)
 	}
 	s.segOff += int64(len(s.scratch))
+	s.logBytes.Add(uint64(len(s.scratch)))
 	s.lsn++
 	if s.sink != nil {
 		s.tapBuf = append(s.tapBuf, tapOp{lsn: s.lsn, op: CommitOp{Op: op, ID: id, Data: clone(payload)}})
@@ -991,6 +993,10 @@ type WALStats struct {
 	Segments uint64
 	// Snapshots counts compaction snapshots written since open.
 	Snapshots uint64
+	// LogBytes counts the bytes of log frames appended since open,
+	// frame headers included: what the store's callers cost the disk
+	// before compaction.
+	LogBytes uint64
 	// LastFsync is how long the most recent fsync took; MaxFsync the
 	// slowest since open. A growing LastFsync is the earliest signal
 	// of a drowning disk — the gateway's shed watermark reads it.
@@ -1015,6 +1021,7 @@ func (s *WALStore) Stats() WALStats {
 		GroupedOps:       s.groupedOps.Load(),
 		Segments:         s.segs.Load(),
 		Snapshots:        s.snaps.Load(),
+		LogBytes:         s.logBytes.Load(),
 		LastFsync:        time.Duration(s.lastFsync.Load()),
 		MaxFsync:         time.Duration(s.maxFsync.Load()),
 		TrailingOps:      trailed,
@@ -1040,6 +1047,9 @@ func (s *WALStore) RegisterMetrics(m *metrics.Registry, prefix, what string) {
 	m.GaugeFunc(prefix+"_snapshots",
 		"Compaction snapshots written by the "+what+" WAL.",
 		func() float64 { return float64(s.Stats().Snapshots) })
+	m.GaugeFunc(prefix+"_log_bytes",
+		"Log frame bytes appended by the "+what+" WAL, frame headers included.",
+		func() float64 { return float64(s.Stats().LogBytes) })
 	m.GaugeFunc(prefix+"_last_fsync_us",
 		"Duration of the "+what+" WAL's most recent fsync, microseconds.",
 		func() float64 { return float64(s.Stats().LastFsync.Microseconds()) })
