@@ -92,7 +92,7 @@ func main() {
 	resultTTL := flag.Duration("result-ttl", 0, "expire stored result documents this long after completion (0 keeps them forever; requires -mailbox-dir)")
 	sweepEvery := flag.Duration("sweep-every", time.Minute, "how often the mailbox/result TTL sweeper runs")
 	keyBits := flag.Int("key-bits", pisec.DefaultKeyBits, "RSA key size")
-	workers := flag.Int("outbound-workers", 32, "bounded worker pool size for outbound calls (status chasing, management)")
+	workers := flag.Int("outbound-workers", 32, "bound on concurrent outbound calls (status chasing, management)")
 	maxConns := flag.Int("max-conns-per-host", transport.DefaultMaxPerDest, "outbound connection and in-flight limit per destination")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 	shedInFlight := flag.Int("shed-inflight", 0, "shed authenticated device dispatches (503 + Retry-After) while this many agents are in flight, sparing tenants under their weighted share; 0 disables")

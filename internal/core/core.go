@@ -663,9 +663,9 @@ func (w *SimWorld) NewJourney() (context.Context, *netsim.Clock) {
 // returns the number of tasks executed.
 func (w *SimWorld) Run() int { return w.Queue.Drain() }
 
-// Close releases every gateway's outbound worker pool. Long-lived
-// embedders (and tests that chase agent status, which lazily starts
-// the pools) should defer it; one-shot experiment worlds may skip it.
+// Close closes every gateway: outbound calls still waiting fail and
+// parked mailbox long-polls wake. Long-lived embedders should defer
+// it; one-shot experiment worlds may skip it.
 func (w *SimWorld) Close() {
 	for _, gw := range w.Gateways {
 		gw.Close()

@@ -26,8 +26,8 @@
 // lock-striped Registry, so subscribe/dispatch/result/status requests
 // for unrelated agents never contend on a shared mutex; outbound work
 // — chasing an agent's forwarding pointers, management verbs — runs on
-// a bounded worker pool with context cancellation instead of unbounded
-// inline calls.
+// the requesting goroutine under a bounded slot semaphore, so a burst
+// of requests cannot fan out unbounded outbound calls.
 package gateway
 
 import (
@@ -126,8 +126,8 @@ type Config struct {
 	// persistent store and mailboxes survive gateway crashes like the
 	// agent journal does.
 	Mailbox *MailboxConfig
-	// OutboundWorkers bounds concurrent outbound work — status chasing,
-	// management calls, result fan-out (default 16).
+	// OutboundWorkers bounds concurrent outbound calls — status chasing
+	// and management verbs (default 16).
 	OutboundWorkers int
 	// Logf, when set, receives diagnostics.
 	Logf func(format string, args ...any)
@@ -172,7 +172,7 @@ type Gateway struct {
 	mas   *mas.Server
 	mux   *transport.Mux
 	reg   *Registry
-	pool  *workerPool
+	out   *outbound
 	progs *progcache.Cache
 	hub   *push.Hub // nil when Config.Mailbox is unset
 	// mailboxStore backs the hub; kept for the health probe.
@@ -191,7 +191,7 @@ type Gateway struct {
 	// singleflight plus a global concurrency bound.
 	mbPullMu       sync.Mutex
 	mbPullInflight map[string]chan struct{}
-	mbPullSem      chan struct{}
+	mbPulls        *outbound
 	mbPullStarted  atomic.Uint64
 	mbPullShared   atomic.Uint64
 	// admission is the rate/quota/weighted-fair layer (tenancy.go) over
@@ -275,7 +275,7 @@ func New(cfg Config) (*Gateway, error) {
 	g := &Gateway{
 		cfg:   cfg,
 		reg:   NewRegistry(),
-		pool:  newWorkerPool(cfg.OutboundWorkers, cfg.Logf),
+		out:   newOutbound(cfg.OutboundWorkers, cfg.Logf),
 		progs: cfg.Programs,
 	}
 	g.admission = tenant.NewAdmission(cfg.Tenants, g.reg.ledger)
@@ -297,7 +297,7 @@ func New(cfg Config) (*Gateway, error) {
 		g.hub = hub
 		g.mailboxStore = store
 		g.mbPullInflight = map[string]chan struct{}{}
-		g.mbPullSem = make(chan struct{}, maxConcurrentMailboxPulls)
+		g.mbPulls = newOutbound(maxConcurrentMailboxPulls, cfg.Logf)
 	}
 	g.metrics = cfg.Metrics
 	g.trace = cfg.Trace
@@ -411,10 +411,9 @@ func (g *Gateway) Registry() *Registry { return g.reg }
 // PublicKey returns the gateway's public key.
 func (g *Gateway) PublicKey() *pisec.PublicKey { return g.cfg.KeyPair.Public() }
 
-// Close stops the gateway's outbound worker pool and wakes parked
-// mailbox long-polls. In-flight jobs finish; queued work is abandoned.
-// The gateway must not serve further requests needing outbound calls
-// after Close.
+// Close wakes parked mailbox long-polls and fails every outbound call
+// (chase, management verb, mailbox pull) that is waiting for a slot or
+// asked for later; it returns once the calls already running are done.
 func (g *Gateway) Close() {
 	if g.cfg.Cluster != nil {
 		g.cfg.Cluster.Stop()
@@ -423,8 +422,9 @@ func (g *Gateway) Close() {
 		// Wake parked mailbox long-polls so devices racing shutdown get
 		// an (empty) answer instead of hanging on a dead gateway.
 		g.hub.Close()
+		g.mbPulls.close()
 	}
-	g.pool.Close()
+	g.out.close()
 }
 
 // AddCodePackage publishes an application in the subscription
@@ -933,27 +933,15 @@ func (g *Gateway) handleStatus(ctx context.Context, req *transport.Request) *tra
 	return resp
 }
 
-// locate runs a chase on the outbound worker pool, bounding how many
-// concurrent chases a burst of status requests can fan out. The
-// results travel in a job-local struct that the caller reads only when
-// Do returns nil (which happens-after the job completed); when Do
-// returns early — caller cancelled, pool closed — the still-running
-// job may keep writing res, so the caller must not touch it. Plain
-// locals or named returns would race here, because the early return
-// itself writes them.
-func (g *Gateway) locate(ctx context.Context, agentID, start, fallback string) (string, []byte, error) {
-	type chaseResult struct {
-		addr string
-		body []byte
-		err  error
+// locate runs a chase under an outbound slot, bounding how many
+// concurrent chases a burst of status requests can fan out.
+func (g *Gateway) locate(ctx context.Context, agentID, start, fallback string) (addr string, body []byte, err error) {
+	if rerr := g.out.run(ctx, func(ctx context.Context) {
+		addr, body, err = g.chase(ctx, agentID, start, fallback)
+	}); rerr != nil {
+		return "", nil, rerr
 	}
-	res := &chaseResult{}
-	if derr := g.pool.Do(ctx, func(ctx context.Context) {
-		res.addr, res.body, res.err = g.chase(ctx, agentID, start, fallback)
-	}); derr != nil {
-		return "", nil, derr
-	}
-	return res.addr, res.body, res.err
+	return addr, body, err
 }
 
 // chase follows moved-to pointers from start (usually the home MAS; a
@@ -961,7 +949,7 @@ func (g *Gateway) locate(ctx context.Context, agentID, start, fallback string) (
 // finds the host currently holding the agent; it returns that host's
 // status document. A stale directory hint that no longer knows the
 // agent restarts the chase from fallback — the agent's home MAS,
-// which always has the first pointer. It runs on a pool worker.
+// which always has the first pointer. It runs under an outbound slot.
 func (g *Gateway) chase(ctx context.Context, agentID, start, fallback string) (addr string, status []byte, err error) {
 	const maxHops = 16
 	if fallback == "" {
@@ -1006,7 +994,7 @@ func (g *Gateway) chase(ctx context.Context, agentID, start, fallback string) (a
 
 // manage runs a management verb at the host currently holding the
 // agent (§3.6: clone, retract, dispose). The whole remote interaction
-// — chase plus verb — occupies one pool worker.
+// — chase plus verb — holds one outbound slot.
 func (g *Gateway) manage(ctx context.Context, agentID, verb string, extra map[string]string) *transport.Response {
 	st, known := g.reg.Agent(agentID)
 	if !known {
@@ -1014,7 +1002,7 @@ func (g *Gateway) manage(ctx context.Context, agentID, verb string, extra map[st
 	}
 	start, fallback := g.chaseStart(agentID, st)
 	var resp *transport.Response
-	derr := g.pool.Do(ctx, func(ctx context.Context) {
+	derr := g.out.run(ctx, func(ctx context.Context) {
 		addr, _, err := g.chase(ctx, agentID, start, fallback)
 		if err != nil {
 			resp = transport.Errorf(transport.StatusServerError, "locating agent: %v", err)

@@ -347,14 +347,12 @@ func (g *Gateway) pullMailboxFrom(ctx context.Context, prev, device, tok string)
 		g.mbPullMu.Unlock()
 		close(ch)
 	}()
-	select {
-	case g.mbPullSem <- struct{}{}:
-		defer func() { <-g.mbPullSem }()
-	case <-ctx.Done():
-		return // the next session retries the pull
-	}
-	g.mbPullStarted.Add(1)
-	g.pullMailboxDirect(ctx, prev, device, tok)
+	// A pull refused for a cancelled poll or a closed gateway is retried
+	// by the next session.
+	_ = g.mbPulls.run(ctx, func(ctx context.Context) {
+		g.mbPullStarted.Add(1)
+		g.pullMailboxDirect(ctx, prev, device, tok)
+	})
 }
 
 // MailboxPullStats reports migration-pull counters: pulls actually

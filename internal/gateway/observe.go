@@ -115,14 +115,14 @@ func (g *Gateway) initObserve() {
 		"Agents dispatched but not yet completed (registry in-flight count).",
 		func() float64 { return float64(g.reg.InFlight()) })
 	m.GaugeFunc("pdagent_outbound_queue_depth",
-		"Outbound worker pool jobs queued and not yet picked up.",
-		func() float64 { return float64(g.pool.QueueDepth()) })
+		"Callers waiting for an outbound slot (status chase, management verb).",
+		func() float64 { return float64(g.out.waiting.Load()) })
 	m.GaugeFunc("pdagent_outbound_busy",
-		"Outbound worker pool workers currently executing a job.",
-		func() float64 { return float64(g.pool.Busy()) })
+		"Outbound slots held by a running call.",
+		func() float64 { return float64(len(g.out.slots)) })
 	m.GaugeFunc("pdagent_outbound_workers",
-		"Outbound worker pool size.",
-		func() float64 { return float64(g.pool.size) })
+		"Bound on concurrent outbound calls (OutboundWorkers).",
+		func() float64 { return float64(cap(g.out.slots)) })
 	m.GaugeFunc("pdagent_results_swept",
 		"Result documents reclaimed by the retention sweep since start.",
 		func() float64 { return float64(g.resultsSwept.Load()) })

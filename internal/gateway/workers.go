@@ -8,144 +8,76 @@ import (
 	"sync/atomic"
 )
 
-// errPoolClosed is returned for work submitted after Gateway.Close.
-var errPoolClosed = errors.New("gateway: worker pool closed")
+// errOutboundClosed is returned for outbound work asked for after
+// Gateway.Close.
+var errOutboundClosed = errors.New("gateway: closed")
 
-// workerPool bounds the gateway's outbound work — agent chasing and
-// management calls — to a fixed number of goroutines. Handlers hand
-// work to the pool instead of issuing transport calls inline, so a
-// burst of status requests cannot open an unbounded number of outbound
-// connections; excess requests queue and honour context cancellation
-// while they wait.
-//
-// Workers start lazily on first use, so gateways that never make
-// outbound calls (most simulated worlds) cost nothing.
-type workerPool struct {
-	size   int
-	jobs   chan *poolJob
-	ctx    context.Context
-	cancel context.CancelFunc
-	start  sync.Once
-	wg     sync.WaitGroup
-	logf   func(format string, args ...any)
-	busy   atomic.Int64
+// outbound bounds one kind of outbound work — agent chasing and
+// management calls, or mailbox migration pulls — to cap(slots)
+// concurrent calls, so a burst of requests cannot open an unbounded
+// number of outbound connections. A caller holds a slot while its fn
+// runs on the caller's own goroutine; callers beyond the bound wait,
+// honouring their context.
+type outbound struct {
+	slots   chan struct{}
+	closed  chan struct{}
+	once    sync.Once
+	waiting atomic.Int64
+	logf    func(format string, args ...any)
 }
 
-// QueueDepth is the number of jobs enqueued but not yet picked up by a
-// worker. One channel length read — cheap enough for the per-dispatch
-// admission check and for gauge scrapes.
-func (p *workerPool) QueueDepth() int { return len(p.jobs) }
-
-// Busy is the number of workers currently executing a job.
-func (p *workerPool) Busy() int { return int(p.busy.Load()) }
-
-type poolJob struct {
-	ctx  context.Context
-	fn   func(context.Context)
-	done chan struct{}
-	// err records why fn did not complete (skipped on a dead context,
-	// or panicked). Written before done is closed, read only after.
-	err error
-}
-
-func newWorkerPool(size int, logf func(format string, args ...any)) *workerPool {
+func newOutbound(size int, logf func(format string, args ...any)) *outbound {
 	if size < 1 {
 		size = 1
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	return &workerPool{
-		size:   size,
-		jobs:   make(chan *poolJob, 4*size),
-		ctx:    ctx,
-		cancel: cancel,
-		logf:   logf,
+	return &outbound{slots: make(chan struct{}, size), closed: make(chan struct{}), logf: logf}
+}
+
+// run takes a slot, runs fn with ctx and releases the slot. A nil
+// return guarantees fn ran to completion; it returns an error when ctx
+// ended while the caller waited, when the gateway is closed, or when fn
+// panicked. Once running, fn is expected to observe ctx itself (every
+// outbound transport call does).
+func (o *outbound) run(ctx context.Context, fn func(context.Context)) (err error) {
+	o.waiting.Add(1)
+	select {
+	case o.slots <- struct{}{}:
+	case <-ctx.Done():
+		err = ctx.Err()
+	case <-o.closed:
+		err = errOutboundClosed
 	}
-}
-
-func (p *workerPool) ensureStarted() {
-	p.start.Do(func() {
-		p.wg.Add(p.size)
-		for i := 0; i < p.size; i++ {
-			go p.worker()
-		}
-	})
-}
-
-func (p *workerPool) worker() {
-	defer p.wg.Done()
-	for {
-		select {
-		case j := <-p.jobs:
-			// Pool closed between enqueue and pickup: abandon the job
-			// rather than running outbound work after shutdown (the Do
-			// caller was, or will be, told errPoolClosed).
-			select {
-			case <-p.ctx.Done():
-				j.err = errPoolClosed
-				close(j.done)
-				return
-			default:
-			}
-			p.exec(j)
-		case <-p.ctx.Done():
-			return
-		}
+	o.waiting.Add(-1)
+	if err != nil {
+		return err
 	}
-}
-
-func (p *workerPool) exec(j *poolJob) {
-	p.busy.Add(1)
-	defer p.busy.Add(-1)
-	defer close(j.done)
+	defer func() { <-o.slots }()
+	// A slot freed by a finishing call can race close for it.
+	select {
+	case <-o.closed:
+		return errOutboundClosed
+	default:
+	}
 	defer func() {
 		if r := recover(); r != nil {
-			j.err = fmt.Errorf("gateway: worker panic: %v", r)
-			if p.logf != nil {
-				p.logf("gateway: worker panic: %v", r)
+			err = fmt.Errorf("gateway: outbound call panic: %v", r)
+			if o.logf != nil {
+				o.logf("%v", err)
 			}
 		}
 	}()
-	if err := j.ctx.Err(); err != nil {
-		j.err = err
-		return
-	}
-	j.fn(j.ctx)
+	fn(ctx)
+	return nil
 }
 
-// Do runs fn on a pool worker with the caller's context and waits for
-// it to finish. A nil return guarantees fn ran to completion; a
-// skipped (dead context) or panicked job surfaces as an error, so
-// callers never read results fn did not produce. Enqueueing honours
-// ctx cancellation; once running, fn is expected to observe ctx itself
-// (all outbound transport calls do).
-func (p *workerPool) Do(ctx context.Context, fn func(context.Context)) error {
-	p.ensureStarted()
-	j := &poolJob{ctx: ctx, fn: fn, done: make(chan struct{})}
-	select {
-	case p.jobs <- j:
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-p.ctx.Done():
-		return errPoolClosed
-	}
-	select {
-	case <-j.done:
-		return j.err
-	case <-ctx.Done():
-		// The job may still run later (a worker will skip it if it has
-		// not started); the caller must not read any job-local results
-		// after an error return.
-		return ctx.Err()
-	case <-p.ctx.Done():
-		return errPoolClosed
-	}
-}
-
-// Close stops the workers after their current job and waits for them
-// to exit, so no outbound work is still running when it returns.
-// Queued-but-unstarted jobs are abandoned; blocked Do calls return
-// errPoolClosed.
-func (p *workerPool) Close() {
-	p.cancel()
-	p.wg.Wait()
+// close fails every waiting and later run, then returns once every
+// running fn has released its slot: it takes all the slots itself and
+// never gives them back.
+func (o *outbound) close() {
+	o.once.Do(func() {
+		close(o.closed)
+		for i := 0; i < cap(o.slots); i++ {
+			o.slots <- struct{}{}
+		}
+	})
 }

@@ -4,124 +4,46 @@ import (
 	"fmt"
 	"log"
 	"sync"
-	"sync/atomic"
 )
 
-// Level is a log severity.
-type Level int32
-
-const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
-)
-
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	default:
-		return "error"
-	}
-}
-
-// loggerCore is the state shared by a logger family: the sink, the
-// level, and the once-keys. Component loggers derived with With share
-// one core, so a daemon sets the level in one place and "logged once"
-// latches are global to the process, not per component.
-type loggerCore struct {
-	sink  func(format string, args ...any)
-	level atomic.Int32
-
-	mu   sync.Mutex
-	once map[string]bool
-}
-
-// Logger is a leveled, component-tagged logger. Every line carries
-// `[component] level:` so daemon logs are grep-able by subsystem —
-// this is the one place the previously scattered ad-hoc log.Printf
-// and "logged once" sites (gateway health gates, cluster fencing,
-// repl degradation) now route through.
+// Logger is a component-tagged "log once" latch. Every line reads
+// `[component] warn: …` so daemon logs are grep-able by subsystem; it is
+// the one place the gateway's store-wedge gate, cluster fencing and the
+// location relay's refusals route through, so a condition that persists
+// logs once, not once per request.
 //
 // A nil *Logger is valid and silent, so libraries can log
 // unconditionally without nil checks at every site.
 type Logger struct {
 	component string
-	core      *loggerCore
+	sink      func(format string, args ...any)
+
+	mu   sync.Mutex
+	once map[string]bool
 }
 
 // NewLogger returns a logger tagged with component writing to sink
-// (log.Printf when sink is nil), at LevelInfo.
+// (log.Printf when sink is nil).
 func NewLogger(component string, sink func(format string, args ...any)) *Logger {
 	if sink == nil {
 		sink = log.Printf
 	}
-	core := &loggerCore{sink: sink, once: map[string]bool{}}
-	core.level.Store(int32(LevelInfo))
-	return &Logger{component: component, core: core}
+	return &Logger{component: component, sink: sink, once: map[string]bool{}}
 }
 
-// With returns a logger for another component sharing this logger's
-// sink, level, and once-latches.
-func (l *Logger) With(component string) *Logger {
-	if l == nil {
-		return nil
-	}
-	return &Logger{component: component, core: l.core}
-}
-
-// SetLevel sets the minimum level emitted by the whole logger family.
-func (l *Logger) SetLevel(v Level) {
-	if l != nil {
-		l.core.level.Store(int32(v))
-	}
-}
-
-// Enabled reports whether lines at level v are emitted.
-func (l *Logger) Enabled(v Level) bool {
-	return l != nil && int32(v) >= l.core.level.Load()
-}
-
-func (l *Logger) emit(v Level, format string, args ...any) {
-	if !l.Enabled(v) {
-		return
-	}
-	l.core.sink("[%s] %s: %s", l.component, v, fmt.Sprintf(format, args...))
-}
-
-// Debugf logs at debug level.
-func (l *Logger) Debugf(format string, args ...any) { l.emit(LevelDebug, format, args...) }
-
-// Infof logs at info level.
-func (l *Logger) Infof(format string, args ...any) { l.emit(LevelInfo, format, args...) }
-
-// Warnf logs at warn level.
-func (l *Logger) Warnf(format string, args ...any) { l.emit(LevelWarn, format, args...) }
-
-// Errorf logs at error level.
-func (l *Logger) Errorf(format string, args ...any) { l.emit(LevelError, format, args...) }
-
-// Oncef logs at warn level the first time key is seen, then suppresses
-// repeats until ResetOnce(key). It replaces the per-site atomic.Bool /
-// sync.Once latches: a wedged store or a raised fence logs once, not
-// once per request, and a recovery can re-arm the latch.
+// Oncef logs the first time key is seen, then suppresses repeats until
+// ResetOnce(key): a wedged store or a raised fence logs once, not once
+// per request, and a recovery can re-arm the latch.
 func (l *Logger) Oncef(key, format string, args ...any) {
 	if l == nil {
 		return
 	}
-	l.core.mu.Lock()
-	seen := l.core.once[key]
+	l.mu.Lock()
+	seen := l.once[key]
+	l.once[key] = true
+	l.mu.Unlock()
 	if !seen {
-		l.core.once[key] = true
-	}
-	l.core.mu.Unlock()
-	if !seen {
-		l.emit(LevelWarn, format, args...)
+		l.sink("[%s] warn: %s", l.component, fmt.Sprintf(format, args...))
 	}
 }
 
@@ -131,9 +53,9 @@ func (l *Logger) ResetOnce(key string) bool {
 	if l == nil {
 		return false
 	}
-	l.core.mu.Lock()
-	seen := l.core.once[key]
-	delete(l.core.once, key)
-	l.core.mu.Unlock()
+	l.mu.Lock()
+	seen := l.once[key]
+	delete(l.once, key)
+	l.mu.Unlock()
 	return seen
 }
