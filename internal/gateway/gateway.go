@@ -545,7 +545,6 @@ func (g *Gateway) onAgentHome(ctx context.Context, a *mas.Arrival) error {
 			g.relayResult(rctx, origin, rd, doc)
 		})
 	}
-	g.logf("gateway %s: result ready for agent %s (%s)", g.cfg.Addr, rd.AgentID, status)
 	return nil
 }
 
@@ -863,7 +862,6 @@ func (g *Gateway) admitDispatch(ctx context.Context, pi *wire.PackedInformation,
 	// upload (lost response, crash before recording) gets the same
 	// agent id back instead of a replay refusal.
 	g.reg.BindNonce(pi.CodeID, pi.Owner, pi.Nonce, agentID)
-	g.logf("gateway %s: dispatched agent %s (code %s, owner %s)", g.cfg.Addr, agentID, pi.CodeID, pi.Owner)
 	return agentAnswer(agentID)
 }
 

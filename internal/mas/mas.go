@@ -878,7 +878,6 @@ func (s *Server) sendAgent(ctx context.Context, rec *record, target, kind string
 		s.mu.Unlock()
 		close(done)
 	}
-	s.logf("mas %s: agent %s %s -> %s", s.cfg.Addr, rec.id, kind, target)
 }
 
 // transferImage sends an encoded image to target with flavour

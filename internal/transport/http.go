@@ -1,12 +1,16 @@
 package transport
 
 import (
+	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
+	"net/textproto"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -14,11 +18,15 @@ import (
 // headerPrefix namespaces PDAgent metadata within real HTTP headers.
 const headerPrefix = "X-Pdagent-"
 
+// maxBody caps a request body a handler reads and a response body the
+// client reads.
+const maxBody = 64 << 20
+
 // NewHTTPHandler adapts a transport.Handler to net/http, for serving a
 // gateway or MAS host on a real socket (the Tomcat role in the paper).
 func NewHTTPHandler(h Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+		body, err := io.ReadAll(io.LimitReader(r.Body, maxBody))
 		if err != nil {
 			http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
 			return
@@ -38,50 +46,215 @@ func NewHTTPHandler(h Handler) http.Handler {
 	})
 }
 
-// HTTPClient is a RoundTripper over real HTTP. Addresses are
-// "host:port" (scheme defaults to http).
+// Limits of the client side.
+const (
+	// requestTimeout bounds a round trip, waiting for a connection
+	// included, when ctx has no earlier deadline.
+	requestTimeout = 30 * time.Second
+	dialTimeout    = 10 * time.Second
+	tcpKeepAlive   = 30 * time.Second
+	// idleTimeout is how long an unused pooled connection is kept.
+	idleTimeout = 90 * time.Second
+	// maxHeaderBytes bounds a response's status line and headers.
+	maxHeaderBytes = 1 << 20
+)
+
+// HTTPClient is a RoundTripper over real HTTP/1.1. Addresses are
+// "host:port" or "http://host:port".
+//
+// A round trip writes its request in one write and reads the answer
+// with http.ReadResponse, both on the caller's goroutine, over a
+// keep-alive connection from a per-destination pool; nothing is
+// handed to another goroutine. A request is never re-sent: once its
+// bytes may have reached the server, a failure is the caller's to
+// judge (the ATP watermark makes a transfer's retry idempotent). The
+// zero value shares one package-level pool with no per-destination
+// cap; NewPooledHTTPClient makes a client with a capped pool of its
+// own.
 type HTTPClient struct {
-	// Client is the underlying HTTP client; a default with a 30 s
-	// timeout is used when nil.
-	Client *http.Client
+	pool *connPool
 }
 
-var defaultHTTPClient = &http.Client{Timeout: 30 * time.Second}
+var defaultPool = newConnPool(math.MaxInt)
 
 // RoundTrip implements RoundTripper.
 func (c *HTTPClient) RoundTrip(ctx context.Context, addr string, req *Request) (*Response, error) {
-	cl := c.Client
-	if cl == nil {
-		cl = defaultHTTPClient
+	p := c.pool
+	if p == nil {
+		p = defaultPool
 	}
-	url := addr + req.Path
-	if !strings.Contains(addr, "://") {
-		url = "http://" + url
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, strings.NewReader(string(req.Body)))
+	resp, err := p.roundTrip(ctx, addr, req)
 	if err != nil {
-		return nil, fmt.Errorf("transport: building request for %s: %w", addr, err)
+		return nil, fmt.Errorf("transport: %s%s: %w", addr, req.Path, err)
 	}
-	for k, v := range req.Header {
-		hreq.Header.Set(headerPrefix+k, v)
-	}
-	hresp, err := cl.Do(hreq)
+	return resp, nil
+}
+
+func (p *connPool) roundTrip(ctx context.Context, addr string, req *Request) (*Response, error) {
+	dialAddr, host, err := splitAddr(addr)
 	if err != nil {
-		werr := fmt.Errorf("transport: %s%s: %w", addr, req.Path, err)
-		// A dial failure (connection refused, no route) happens before
-		// any byte reaches the server: provably not delivered, safe for
-		// callers to replay elsewhere. Anything after the dial — reset,
-		// timeout, EOF mid-response — is ambiguous and stays unmarked.
-		var opErr *net.OpError
-		if errors.As(err, &opErr) && opErr.Op == "dial" {
-			werr = MarkNotDelivered(werr)
+		return nil, err
+	}
+	wire, err := appendRequest(make([]byte, 0, 256+len(req.Body)), host, req)
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	deadline := time.Now().Add(p.timeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
+	}
+	cn, err := p.get(ctx, dialAddr, deadline)
+	if err != nil {
+		return nil, err
+	}
+	resp, keep, err := cn.roundTrip(ctx, wire)
+	if keep {
+		p.put(cn)
+	} else {
+		p.discard(cn)
+	}
+	return resp, err
+}
+
+// splitAddr returns the address to dial and the Host header for an
+// "http://host[:port]" or bare "host[:port]" address.
+func splitAddr(addr string) (dialAddr, host string, err error) {
+	host = addr
+	if scheme, rest, ok := strings.Cut(addr, "://"); ok {
+		if !strings.EqualFold(scheme, "http") {
+			return "", "", fmt.Errorf("unsupported scheme %q", scheme)
 		}
-		return nil, werr
+		host = rest
 	}
-	defer hresp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(hresp.Body, 64<<20))
+	if host == "" || strings.ContainsAny(host, "/?#@ ") || !validValue(host) {
+		return "", "", fmt.Errorf("invalid address %q", addr)
+	}
+	if _, _, err := net.SplitHostPort(host); err != nil {
+		return net.JoinHostPort(strings.Trim(host, "[]"), "80"), host, nil
+	}
+	return host, host, nil
+}
+
+// appendRequest appends req as a POST to host: request line, Host,
+// User-Agent, Content-Length, the X-Pdagent-* headers sorted by name,
+// then the body. A path, header name or value that could break the
+// framing (CR, LF, other controls; a space in the path or name) is
+// refused.
+func appendRequest(b []byte, host string, req *Request) ([]byte, error) {
+	path := req.Path
+	if path == "" {
+		path = "/"
+	}
+	for i := 0; i < len(path); i++ {
+		if c := path[i]; c <= ' ' || c == 0x7f {
+			return nil, fmt.Errorf("invalid path %q", path)
+		}
+	}
+	var arr [8]string
+	keys := arr[:0]
+	for k, v := range req.Header {
+		if !validName(k) {
+			return nil, fmt.Errorf("invalid header name %q", k)
+		}
+		if !validValue(v) {
+			return nil, fmt.Errorf("invalid value for header %q", k)
+		}
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	b = append(b, "POST "...)
+	b = append(b, path...)
+	b = append(b, " HTTP/1.1\r\nHost: "...)
+	b = append(b, host...)
+	b = append(b, "\r\nUser-Agent: Go-http-client/1.1\r\nContent-Length: "...)
+	b = strconv.AppendInt(b, int64(len(req.Body)), 10)
+	b = append(b, "\r\n"...)
+	for _, k := range keys {
+		b = append(b, textproto.CanonicalMIMEHeaderKey(headerPrefix+k)...)
+		b = append(b, ": "...)
+		b = append(b, strings.Trim(req.Header[k], " \t")...)
+		b = append(b, "\r\n"...)
+	}
+	b = append(b, "\r\n"...)
+	return append(b, req.Body...), nil
+}
+
+// validName reports whether k is an HTTP token (RFC 9110 §5.6.2).
+func validName(k string) bool {
+	if k == "" {
+		return false
+	}
+	for i := 0; i < len(k); i++ {
+		c := k[i]
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || strings.IndexByte("!#$%&'*+-.^_`|~", c) >= 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// validValue reports whether v holds no control character but tab.
+func validValue(v string) bool {
+	for i := 0; i < len(v); i++ {
+		if c := v[i]; c < ' ' && c != '\t' || c == 0x7f {
+			return false
+		}
+	}
+	return true
+}
+
+// conn is one pooled keep-alive connection.
+type conn struct {
+	addr   string // the dial address: the pool's key
+	nc     net.Conn
+	lr     io.LimitedReader // nc, cut to maxHeaderBytes while a header is read
+	br     *bufio.Reader    // reads lr
+	idleAt time.Time        // when the pool took it back
+}
+
+func newConn(addr string, nc net.Conn) *conn {
+	c := &conn{addr: addr, nc: nc, lr: io.LimitedReader{R: nc, N: math.MaxInt64}}
+	c.br = bufio.NewReader(&c.lr)
+	return c
+}
+
+// roundTrip writes one encoded request and reads its response. keep
+// reports whether the connection may carry another request: the
+// response was read whole, nothing followed it, the server did not ask
+// to close and ctx did not abort the I/O. The connection's deadline is
+// already set.
+func (c *conn) roundTrip(ctx context.Context, wire []byte) (resp *Response, keep bool, err error) {
+	if ctx.Done() != nil {
+		stop := context.AfterFunc(ctx, func() { c.nc.SetDeadline(time.Unix(1, 0)) }) //nolint:errcheck // best effort: a closed conn is aborted anyway
+		defer func() {
+			if !stop() {
+				keep = false
+				if err != nil {
+					err = fmt.Errorf("%w: %v", ctx.Err(), err)
+				}
+			}
+		}()
+	}
+	if _, err := c.nc.Write(wire); err != nil {
+		return nil, false, err
+	}
+	return c.readResponse()
+}
+
+// readResponse reads one response from the connection.
+func (c *conn) readResponse() (*Response, bool, error) {
+	c.lr.N = maxHeaderBytes
+	hresp, err := http.ReadResponse(c.br, nil)
+	c.lr.N = math.MaxInt64
 	if err != nil {
-		return nil, fmt.Errorf("transport: reading response from %s: %w", addr, err)
+		return nil, false, err
+	}
+	body, err := io.ReadAll(io.LimitReader(hresp.Body, maxBody))
+	if err != nil {
+		return nil, false, fmt.Errorf("reading response body: %w", err)
 	}
 	resp := &Response{Status: hresp.StatusCode, Body: body}
 	for k, vs := range hresp.Header {
@@ -89,5 +262,6 @@ func (c *HTTPClient) RoundTrip(ctx context.Context, addr string, req *Request) (
 			resp.SetHeader(strings.TrimPrefix(k, headerPrefix), vs[0])
 		}
 	}
-	return resp, nil
+	keep := !hresp.Close && len(body) < maxBody && c.br.Buffered() == 0
+	return resp, keep, nil
 }

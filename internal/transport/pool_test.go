@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"net/http"
 	"sync"
 	"testing"
 	"time"
@@ -146,27 +145,5 @@ func TestPooledDefaults(t *testing.T) {
 	}
 	if p.InFlight("nowhere") != 0 {
 		t.Fatal("InFlight on unknown destination != 0")
-	}
-}
-
-func TestNewPooledHTTPClientTuning(t *testing.T) {
-	c := NewPooledHTTPClient(0)
-	tr, ok := c.Client.Transport.(*http.Transport)
-	if !ok {
-		t.Fatalf("transport is %T, want *http.Transport", c.Client.Transport)
-	}
-	if tr.MaxConnsPerHost != DefaultMaxPerDest || tr.MaxIdleConnsPerHost != DefaultMaxPerDest {
-		t.Fatalf("per-host limits = %d/%d, want %d", tr.MaxConnsPerHost, tr.MaxIdleConnsPerHost, DefaultMaxPerDest)
-	}
-	if tr.IdleConnTimeout == 0 {
-		t.Fatal("idle connections never expire")
-	}
-	if c.Client.Timeout == 0 {
-		t.Fatal("client without overall timeout")
-	}
-	c2 := NewPooledHTTPClient(8)
-	tr2 := c2.Client.Transport.(*http.Transport)
-	if tr2.MaxConnsPerHost != 8 {
-		t.Fatalf("MaxConnsPerHost = %d, want 8", tr2.MaxConnsPerHost)
 	}
 }

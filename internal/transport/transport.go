@@ -11,10 +11,14 @@
 //   - the simulated network in internal/netsim (deterministic
 //     experiments with virtual time).
 //
-// For serving-side scale, NewPooledHTTPClient returns a client over a
-// keep-alive connection pool with per-destination connection caps, and
-// Pooled wraps any RoundTripper with a per-destination in-flight
-// request limit (backpressure under bursts) — see DESIGN.md §5.
+// The server side is net/http. The client side, HTTPClient, is a small
+// HTTP/1.1 client of this package's own: each round trip writes its
+// request and reads the answer on the caller's goroutine over a pooled
+// keep-alive connection, so a call costs no goroutine handoff.
+// NewPooledHTTPClient gives a client its own pool with a
+// per-destination connection cap, and Pooled wraps any RoundTripper
+// with a per-destination in-flight request limit (backpressure under
+// bursts) — see DESIGN.md §5.
 package transport
 
 import (

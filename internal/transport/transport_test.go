@@ -121,7 +121,11 @@ func TestHTTPAdapterErrorStatus(t *testing.T) {
 }
 
 func TestHTTPClientUnreachable(t *testing.T) {
-	if _, err := (&HTTPClient{}).RoundTrip(context.Background(), "127.0.0.1:1", &Request{Path: "/x"}); err == nil {
+	_, err := (&HTTPClient{}).RoundTrip(context.Background(), "127.0.0.1:1", &Request{Path: "/x"})
+	if err == nil {
 		t.Fatal("expected connection error")
+	}
+	if !NotDelivered(err) {
+		t.Fatalf("dial failure not marked not delivered: %v", err)
 	}
 }
