@@ -93,7 +93,7 @@ func main() {
 	sweepEvery := flag.Duration("sweep-every", time.Minute, "how often the mailbox/result TTL sweeper runs")
 	keyBits := flag.Int("key-bits", pisec.DefaultKeyBits, "RSA key size")
 	workers := flag.Int("outbound-workers", 32, "bound on concurrent outbound calls (status chasing, management)")
-	maxConns := flag.Int("max-conns-per-host", transport.DefaultMaxPerDest, "outbound connection and in-flight limit per destination")
+	maxConns := flag.Int("max-conns-per-host", transport.DefaultMaxPerDest, "outbound connections per destination; every call holds one, so this also bounds in-flight calls, and callers beyond it queue")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 	shedInFlight := flag.Int("shed-inflight", 0, "shed authenticated device dispatches (503 + Retry-After) while this many agents are in flight, sparing tenants under their weighted share; 0 disables")
 	tenantsFile := flag.String("tenants", "", "tenant accounts config file (DESIGN.md §12): per-tenant rate limits, quotas and weighted shares on device dispatch. Empty runs single-tenant (every subscription bills to the unlimited default account)")
@@ -125,7 +125,7 @@ func main() {
 		}
 	}
 
-	rt := transport.NewPooled(transport.NewPooledHTTPClient(*maxConns), *maxConns)
+	rt := transport.NewPooledHTTPClient(*maxConns)
 	// Declared ahead of the node so the eviction hook (which only runs
 	// after everything is wired and heartbeats start) can close over
 	// them.

@@ -11,7 +11,7 @@ import (
 
 // realImage builds an Image from an actual compiled agent so payloads
 // are representative.
-func realImage(t *testing.T) *Image {
+func realImage(t testing.TB) *Image {
 	t.Helper()
 	prog, err := mascript.Compile(`
 		let x = [1, 2, 3];

@@ -471,8 +471,8 @@ func TestGatewayDisposeReleasesResult(t *testing.T) {
 }
 
 // TestGatewayConcurrentStatusChase drives many simultaneous status
-// requests (each a chase through the worker pool) and then verifies
-// Close() fails further outbound work instead of hanging.
+// requests (each a chase under the outbound slot semaphore) and then
+// verifies Close() fails further outbound work instead of hanging.
 func TestGatewayConcurrentStatusChase(t *testing.T) {
 	f := newConcurrentFixture(t)
 	// A no-op Spawn never runs the agent past the slice admission gave

@@ -389,8 +389,8 @@ func TestResumeAdmitStateEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := &journalEntry{
-		ID: "ag-old", Home: "gw-0", CodeID: "code-1", Owner: "dev-1",
-		State: StateRunning, Watermark: -1, Program: pb, VMState: sb,
+		Image: atp.Image{AgentID: "ag-old", Home: "gw-0", CodeID: "code-1", Owner: "dev-1", Program: pb, State: sb},
+		State: StateRunning, Watermark: -1,
 	}
 	w.crash("gw-0")
 	if _, err := w.journals["gw-0"].Add(old.encode()); err != nil {

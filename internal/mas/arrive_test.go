@@ -97,7 +97,7 @@ func TestArrivalJournalsAtFirstSuspension(t *testing.T) {
 		}
 	}
 	tombstone := func(t *testing.T, e *journalEntry) {
-		if e.State != StateDelivered || !e.tombstone() || e.Watermark != 0 || len(e.VMState) != 0 {
+		if e.State != StateDelivered || !e.tombstone() || e.Watermark != 0 || len(e.Image.State) != 0 {
 			t.Fatalf("journaled %+v, want the delivered tombstone at watermark 0 and no image", e)
 		}
 	}
@@ -505,4 +505,101 @@ func TestRetryParkedDoesNotRejournal(t *testing.T) {
 			t.Fatalf("arrivals = %d, want the journey completed once the journal took the departure", w.arrivalCount())
 		}
 	})
+}
+
+// TestResumedDepartureShipsJournaledImage: a journal entry that names a
+// destination holds the image that leaves for it. Resumed over its own
+// store, or adopted from a replica into a standby's, the departure sends
+// that image as journaled — no snapshot and no journal write before the
+// receiver's OK.
+func TestResumedDepartureShipsJournaledImage(t *testing.T) {
+	ctx := netsim.WithClock(context.Background(), netsim.NewClock())
+	w := newJWorld(t, map[string]string{"bank-a": "voyager", "gw-1": "aglets"}, "dmz")
+	cs := w.countedHome(0)
+	standby := w.counted("gw-1")
+	w.net.PartitionZones(netsim.ZoneWired, "dmz")
+	w.admit(ctx, `migrate("bank-a"); deliver("x", 1);`, "ag-rs", nil)
+	w.queue.Drain()
+	if e := soleEntry(t, cs); e.Target != "bank-a" || e.Kind != KindMigrate {
+		t.Fatalf("journal holds %+v, want the parked departure to bank-a", e)
+	}
+	replica := copyStore(t, cs)
+
+	// bank-a notes, as each transfer arrives, its body and the journal
+	// writes the sender has made by then.
+	var sender *countStore
+	var bodies [][]byte
+	var writes []int64
+	bank := w.servers["bank-a"].Handler()
+	w.net.AddHost("bank-a", "dmz", transport.HandlerFunc(func(ctx context.Context, req *transport.Request) *transport.Response {
+		if req.Path == "/atp/transfer" {
+			bodies = append(bodies, append([]byte(nil), req.Body...))
+			writes = append(writes, sender.writes.Load())
+		}
+		return bank.Serve(ctx, req)
+	}))
+	// shipsJournaled drains the queue and checks that exactly one transfer
+	// left, carrying the sender's journaled image, before any journal
+	// write of the sender's.
+	shipsJournaled := func(t *testing.T) {
+		t.Helper()
+		want, err := atp.VoyagerCodec{}.Encode(&soleEntry(t, sender).Image)
+		if err != nil {
+			t.Fatal(err)
+		}
+		from := sender.writes.Load()
+		bodies, writes = nil, nil
+		w.queue.Drain()
+		if len(bodies) != 1 || writes[0] != from {
+			t.Fatalf("%d transfer(s) reached bank-a, at sender journal writes %v; want one, at %d", len(bodies), writes, from)
+		}
+		if string(bodies[0]) != string(want) {
+			t.Fatal("the image sent is not the journaled one")
+		}
+	}
+
+	t.Run("resumed", func(t *testing.T) {
+		w.crash("gw-0")
+		w.net.HealZones(netsim.ZoneWired, "dmz")
+		sender = cs
+		if n := w.restart(ctx, "gw-0"); n != 1 {
+			t.Fatalf("resumed %d agents, want 1", n)
+		}
+		shipsJournaled(t)
+		if w.arrivalCount() != 1 {
+			t.Fatalf("arrivals = %d, want the journey completed", w.arrivalCount())
+		}
+	})
+
+	t.Run("adopted", func(t *testing.T) {
+		sender = standby
+		ids, err := w.servers["gw-1"].AdoptJournal(ctx, "gw-0", replica)
+		if err != nil || len(ids) != 1 {
+			t.Fatalf("AdoptJournal = %v, %v; want the one agent", ids, err)
+		}
+		if e := soleEntry(t, standby); e.Target != "bank-a" || e.Image.Home != "gw-1" {
+			t.Fatalf("standby journal holds %+v, want the departure to bank-a, re-homed", e)
+		}
+		shipsJournaled(t)
+	})
+}
+
+// TestMigratingCloneJournalsOnce: a clone of an agent suspended at
+// migrate is journaled once, with its destination, and departs on that
+// snapshot like any other agent.
+func TestMigratingCloneJournalsOnce(t *testing.T) {
+	ctx := netsim.WithClock(context.Background(), netsim.NewClock())
+	w := newJWorld(t, nil, netsim.ZoneWired)
+	cs := w.countedHome(0)
+	w.admit(ctx, suspendingSrc, "ag-cl", nil)
+	req := &transport.Request{Path: "/atp/clone"}
+	req.SetHeader("agent", "ag-cl")
+	resp, err := w.net.Transport(netsim.ZoneWired).RoundTrip(ctx, "gw-0", req)
+	if err != nil || !resp.IsOK() {
+		t.Fatalf("clone: %v %v", resp, err)
+	}
+	w.queue.Drain() // both departures fail and park: "elsewhere" is no host
+	if got := w.servers["gw-0"].AgentStates()[resp.Text()]; got != StateParked || cs.writes.Load() != 2 {
+		t.Fatalf("clone %q after %d journal writes, want parked after 2 (the agent's, the clone's)", got, cs.writes.Load())
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"pdagent/internal/atp"
 	"pdagent/internal/rms"
 )
 
@@ -23,6 +24,9 @@ import (
 //	fields    11 × (uint32 length + bytes):
 //	          id, home, code-id, owner, state, target, kind, last-err,
 //	          tenant, program, vm-state
+//
+// id, home, code-id, owner, program and vm-state are the entry's
+// atp.Image: in a live entry naming a target, the image sent there.
 //
 // The previous magic "MASJ1" (the same layout minus the tenant field)
 // is still accepted on read: a journal written before the multi-tenant
@@ -62,12 +66,10 @@ var (
 	journalMagicV1 = []byte("MASJ1")
 )
 
-// journalEntry is one agent's durable snapshot.
+// journalEntry is one agent's durable snapshot; a tombstone's Image
+// has no Program or State.
 type journalEntry struct {
-	ID      string
-	Home    string
-	CodeID  string
-	Owner   string
+	Image   atp.Image
 	State   AgentState
 	Target  string // pending transfer destination ("" = none)
 	Kind    string // pending transfer kind ("" = none)
@@ -77,19 +79,17 @@ type journalEntry struct {
 	// Watermark is the highest sent-hop counter accepted over
 	// /atp/transfer for this agent (-1 when it was admitted locally).
 	Watermark int
-	// Program and VMState are the mavm snapshots.
-	Program []byte
-	VMState []byte
 }
 
 func (e *journalEntry) encode() []byte {
+	im := &e.Image
 	var b bytes.Buffer
 	b.Write(journalMagic)
 	writeU32(&b, uint32(e.Watermark+1))
 	for _, f := range [][]byte{
-		[]byte(e.ID), []byte(e.Home), []byte(e.CodeID), []byte(e.Owner),
+		[]byte(im.AgentID), []byte(im.Home), []byte(im.CodeID), []byte(im.Owner),
 		[]byte(e.State), []byte(e.Target), []byte(e.Kind), []byte(e.LastErr),
-		[]byte(e.Tenant), e.Program, e.VMState,
+		[]byte(e.Tenant), im.Program, im.State,
 	} {
 		writeU32(&b, uint32(len(f)))
 		b.Write(f)
@@ -131,26 +131,28 @@ func decodeJournalEntry(data []byte) (*journalEntry, error) {
 	// slot and the agent bills to the default account.
 	snap := fields[len(fields)-2:]
 	e := &journalEntry{
-		ID:        string(fields[0]),
-		Home:      string(fields[1]),
-		CodeID:    string(fields[2]),
-		Owner:     string(fields[3]),
+		Image: atp.Image{
+			AgentID: string(fields[0]),
+			Home:    string(fields[1]),
+			CodeID:  string(fields[2]),
+			Owner:   string(fields[3]),
+			Program: append([]byte(nil), snap[0]...),
+			State:   append([]byte(nil), snap[1]...),
+		},
 		State:     AgentState(fields[4]),
 		Target:    string(fields[5]),
 		Kind:      string(fields[6]),
 		LastErr:   string(fields[7]),
 		Watermark: int(wm) - 1,
-		Program:   append([]byte(nil), snap[0]...),
-		VMState:   append([]byte(nil), snap[1]...),
 	}
 	if nFields == 11 {
 		e.Tenant = string(fields[8])
 	}
-	if e.ID == "" {
+	if e.Image.AgentID == "" {
 		return nil, fmt.Errorf("mas: journal entry missing agent id")
 	}
-	if !e.tombstone() && (len(e.Program) == 0 || len(e.VMState) == 0) {
-		return nil, fmt.Errorf("mas: journal entry for %s missing snapshot", e.ID)
+	if !e.tombstone() && (len(e.Image.Program) == 0 || len(e.Image.State) == 0) {
+		return nil, fmt.Errorf("mas: journal entry for %s missing snapshot", e.Image.AgentID)
 	}
 	return e, nil
 }
@@ -278,24 +280,25 @@ func openJournal(store rms.Store) (*journal, error) {
 			_ = store.Delete(recID)
 			continue
 		}
-		if old, ok := j.index[e.ID]; ok {
+		id := e.Image.AgentID
+		if old, ok := j.index[id]; ok {
 			_ = store.Delete(old)
 		}
-		j.index[e.ID] = recID
-		j.accountLocked(e.ID, e.Tenant, len(data))
+		j.index[id] = recID
+		j.accountLocked(id, e.Tenant, len(data))
 		if e.tombstone() {
-			j.tombs[e.ID] = recID
+			j.tombs[id] = recID
 		} else {
-			delete(j.tombs, e.ID)
+			delete(j.tombs, id)
 		}
 	}
 	return j, nil
 }
 
-// put inserts or replaces the entry for e.ID, evicting the oldest
-// tombstone when the bound is exceeded. It returns the agent id of an
-// evicted tombstone (""), so the server can prune the matching
-// in-memory watermark.
+// put inserts or replaces the entry for the agent e.Image names,
+// evicting the oldest tombstone when the bound is exceeded. It returns
+// the agent id of an evicted tombstone (""), so the server can prune
+// the matching in-memory watermark.
 //
 // A tombstone always gets a freshly allocated record id (the live
 // entry it replaces is deleted, not overwritten): record ids then
@@ -303,13 +306,13 @@ func openJournal(store rms.Store) (*journal, error) {
 // stalest acceptance evidence first and can never remove the
 // tombstone that was just written.
 func (j *journal) put(e *journalEntry) (evicted string, err error) {
-	data := e.encode()
-	st := j.stripe(e.ID)
+	data, id := e.encode(), e.Image.AgentID
+	st := j.stripe(id)
 	st.Lock()
 	defer st.Unlock()
 
 	j.mu.Lock()
-	recID, existed := j.index[e.ID]
+	recID, existed := j.index[id]
 	j.mu.Unlock()
 
 	// Store writes happen here, outside j.mu: on a group-commit WAL
@@ -345,10 +348,10 @@ func (j *journal) put(e *journalEntry) (evicted string, err error) {
 
 	evictRec := -1
 	j.mu.Lock()
-	j.index[e.ID] = recID
-	j.accountLocked(e.ID, e.Tenant, len(data))
+	j.index[id] = recID
+	j.accountLocked(id, e.Tenant, len(data))
 	if e.tombstone() {
-		j.tombs[e.ID] = recID
+		j.tombs[id] = recID
 		if len(j.tombs) > maxJournalTombstones {
 			oldID, oldRec := "", -1
 			for id, rid := range j.tombs {
@@ -376,7 +379,7 @@ func (j *journal) put(e *journalEntry) (evicted string, err error) {
 			}
 		}
 	} else {
-		delete(j.tombs, e.ID)
+		delete(j.tombs, id)
 	}
 	j.mu.Unlock()
 	if evictRec >= 0 {

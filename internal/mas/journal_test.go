@@ -673,10 +673,10 @@ func TestTombstoneReplaceIsOneCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := &journalEntry{
-		ID: "ag-1", Home: "gw-0", State: StateRunning, Watermark: 3,
-		Program: []byte("prog"), VMState: []byte("state"),
+		Image: atp.Image{AgentID: "ag-1", Home: "gw-0", Program: []byte("prog"), State: []byte("state")},
+		State: StateRunning, Watermark: 3,
 	}
-	tomb := &journalEntry{ID: "ag-1", Home: "gw-0", State: StateDeparted, Watermark: 3}
+	tomb := &journalEntry{Image: atp.Image{AgentID: "ag-1", Home: "gw-0"}, State: StateDeparted, Watermark: 3}
 	if _, err := jr.put(live); err != nil {
 		t.Fatal(err)
 	}
@@ -689,7 +689,7 @@ func TestTombstoneReplaceIsOneCommit(t *testing.T) {
 			wal.Fsyncs()-before, st.TrailingUnsynced, st.TrailingOps)
 	}
 	next := *live
-	next.ID = "ag-2"
+	next.Image.AgentID = "ag-2"
 	if _, err := jr.put(&next); err != nil {
 		t.Fatal(err)
 	}
@@ -718,7 +718,7 @@ func TestTombstoneReplaceIsOneCommit(t *testing.T) {
 	}
 
 	wal.Close()
-	other := &journalEntry{ID: "ag-2", Home: "gw-0", State: StateDelivered, Watermark: 1}
+	other := &journalEntry{Image: atp.Image{AgentID: "ag-2", Home: "gw-0"}, State: StateDelivered, Watermark: 1}
 	if _, err := jr.put(other); !errors.Is(err, rms.ErrClosed) {
 		t.Fatalf("tombstone over a closed store: err = %v, want ErrClosed", err)
 	}
@@ -739,7 +739,7 @@ func TestTombstoneEvictionTrails(t *testing.T) {
 		t.Fatal(err)
 	}
 	tomb := func(i int) *journalEntry {
-		return &journalEntry{ID: fmt.Sprintf("ag-%d", i), Home: "gw-0", State: StateDelivered, Watermark: 1}
+		return &journalEntry{Image: atp.Image{AgentID: fmt.Sprintf("ag-%d", i), Home: "gw-0"}, State: StateDelivered, Watermark: 1}
 	}
 	for i := 0; i < maxJournalTombstones; i++ {
 		if evicted, err := jr.put(tomb(i)); err != nil || evicted != "" {

@@ -190,17 +190,17 @@ type record struct {
 	parkTarget string
 	parkKind   string
 
-	// journaledTo/journaledKind: the pending transfer the agent's journal
-	// entry names ("" = none, or no entry). An agent runs no further here
-	// once its entry names a destination, so a departure to exactly that
-	// destination need not write the same snapshot again (shipAgent).
-	// Owned, like vm, by whichever goroutine is driving the agent.
+	// image is the agent's last snapshot: the image it arrived in, or
+	// the one journalPut last took. journaledTo/journaledKind name the
+	// transfer that snapshot was taken for ("" = none) — with a journal,
+	// the one its entry names. An agent runs no further here once a
+	// snapshot names a destination, so while they name a departure,
+	// image is what leaves (shipAgent). Its program bytes never go
+	// stale, and every later snapshot reuses them. Owned, like vm, by
+	// whichever goroutine is driving the agent; nil once it has left.
+	image         *atp.Image
 	journaledTo   string
 	journaledKind string
-
-	// progBytes caches the marshaled (immutable) program, shared by
-	// every journal write and outbound transfer of this agent.
-	progBytes []byte
 
 	// execMu serialises VM execution with clone/status access.
 	execMu sync.Mutex
@@ -396,13 +396,6 @@ func (s *Server) Handler() transport.Handler {
 		}
 		return s.mux.Serve(ctx, req)
 	})
-}
-
-// unmarshalProgram deserialises agent bytecode through the program
-// cache.
-func (s *Server) unmarshalProgram(b []byte) (*mavm.Program, error) {
-	prog, _, err := s.cfg.Programs.UnmarshalBytes(b)
-	return prog, err
 }
 
 // Kill simulates a process crash: the server stops executing agents,
@@ -721,52 +714,60 @@ func (s *Server) notifyHome(ctx context.Context, a *Arrival) (err error) {
 	return s.cfg.OnAgentHome(ctx, a)
 }
 
-// programBytes returns the agent's marshaled program, encoding it on
-// first use (the program never changes after admission).
-func (s *Server) programBytes(rec *record) ([]byte, error) {
-	s.mu.Lock()
-	pb := rec.progBytes
-	s.mu.Unlock()
-	if pb != nil {
-		return pb, nil
-	}
-	pb, err := mavm.MarshalProgram(rec.vm.Program())
-	if err != nil {
+// snapshot is the one encoder of an agent: its image as the VM now
+// stands. The program bytes come from the record's last image when it
+// has one (an arrival's, or an earlier snapshot's) and are marshaled
+// otherwise — once per record, for an agent admitted or cloned here.
+func snapshot(rec *record) (*atp.Image, error) {
+	im := &atp.Image{AgentID: rec.id, Home: rec.home, CodeID: rec.codeID, Owner: rec.owner}
+	var err error
+	if rec.image != nil {
+		im.Program = rec.image.Program
+	} else if im.Program, err = mavm.MarshalProgram(rec.vm.Program()); err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	rec.progBytes = pb
-	s.mu.Unlock()
-	return pb, nil
+	if im.State, err = mavm.MarshalState(rec.vm); err != nil {
+		return nil, err
+	}
+	return im, nil
 }
 
-func (s *Server) encodeImage(rec *record) (*atp.Image, error) {
-	prog, err := s.programBytes(rec)
+// decodeAgent is the one decoder of an agent: an image arriving over
+// /atp/transfer or re-hydrated from a journal becomes a record around a
+// validated VM, keeping im for its program bytes. Bytecode seen before
+// (the same agent hopping through, a retried handoff, any agent of the
+// same application) skips deserialisation and re-validation through the
+// program cache.
+func (s *Server) decodeAgent(im *atp.Image) (*record, error) {
+	prog, _, err := s.cfg.Programs.UnmarshalBytes(im.Program)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("agent program: %w", err)
 	}
-	state, err := mavm.MarshalState(rec.vm)
+	vm, err := mavm.UnmarshalState(prog, im.State)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("agent state: %w", err)
 	}
-	return &atp.Image{
-		AgentID: rec.id,
-		Home:    rec.home,
-		CodeID:  rec.codeID,
-		Owner:   rec.owner,
-		Program: prog,
-		State:   state,
-	}, nil
+	if vm.AgentID != im.AgentID {
+		return nil, fmt.Errorf("agent id mismatch: envelope %q, state %q", im.AgentID, vm.AgentID)
+	}
+	return &record{id: im.AgentID, home: im.Home, codeID: im.CodeID, owner: im.Owner, vm: vm, image: im}, nil
 }
 
 // shipAgent is the two-phase handoff's sending side: the suspended
 // image (and its destination) is made durable, then sendAgent puts it
-// on the wire. An agent whose journal entry already says exactly that —
-// it was journaled with this destination when it entered, or it is a
-// parked transfer being retried — goes to sendAgent directly.
+// on the wire. An agent whose last snapshot already says exactly that —
+// it was journaled with this destination when it entered, it is a
+// parked transfer being retried, or a resumed entry named it — sends
+// that image without marshaling or journaling again.
 func (s *Server) shipAgent(ctx context.Context, rec *record, target, kind string) {
 	if rec.journaledTo != target || rec.journaledKind != kind {
 		if err := s.journalPut(rec, target, kind); err != nil {
+			if s.jr == nil {
+				// Only the snapshot can fail, and it fails the same way again.
+				s.setErr(rec, "encoding agent: "+err.Error())
+				s.setState(rec, StateStranded, "")
+				return
+			}
 			// The WAL write must precede the wire: sending an unjournaled
 			// image risks losing the only copy if the ack is missed and we
 			// crash. Park instead; RetryParked re-attempts the journal too.
@@ -783,20 +784,16 @@ func (s *Server) shipAgent(ctx context.Context, rec *record, target, kind string
 	s.sendAgent(ctx, rec, target, kind)
 }
 
-// sendAgent encodes the agent for the destination's flavour and
-// transfers it, with retries. With a journal the receiver's OK is the
-// commit-ack that releases the entry, and a persistent failure parks
-// the agent for RetryParked / Resume instead of losing it. Without a
-// journal the legacy best-effort path applies: a failed migration is
-// failed home, and if even home is unreachable the record strands.
+// sendAgent encodes the agent's last snapshot (rec.image) for the
+// destination's flavour and transfers it, with retries. With a journal
+// the receiver's OK is the commit-ack that releases the entry, and a
+// persistent failure parks the agent for RetryParked / Resume instead
+// of losing it. Without a journal the legacy best-effort path applies:
+// a failed migration is failed home, and if even home is unreachable
+// the record strands.
 func (s *Server) sendAgent(ctx context.Context, rec *record, target, kind string) {
 	sentHops := rec.vm.Hops // as serialised into the departing image
-	im, err := s.encodeImage(rec)
-	if err != nil {
-		s.setErr(rec, "encoding agent: "+err.Error())
-		s.setState(rec, StateStranded, "")
-		return
-	}
+	im := rec.image
 	// Mark the departure BEFORE the image leaves. Once the receiver
 	// acks, it starts the agent immediately; a fast hop (program-cache
 	// hit, local service, migrate home) can bring the agent BACK here
@@ -840,6 +837,7 @@ func (s *Server) sendAgent(ctx context.Context, rec *record, target, kind string
 	}
 	s.mTransferUs.Observe(time.Since(shipStart))
 	s.mTransferOut.Inc()
+	rec.image = nil // the receiver holds the agent now; the record is bookkeeping
 	s.span(rec.id, "transfer-out", target)
 	// Publish the forwarding pointer (seq 2h+1 sorts after our arrival
 	// at 2h and before the destination's arrival at 2h+2, so a racing
@@ -1004,28 +1002,18 @@ func (s *Server) handleTransfer(ctx context.Context, req *transport.Request) *tr
 	if err != nil {
 		return transport.Errorf(transport.StatusBadRequest, "decoding agent (flavour %s): %v", s.cfg.Codec.Name(), err)
 	}
-	// A program seen before (the same agent hopping through, a retry of
-	// this handoff, clones, or any agent of the same application) skips
-	// deserialisation and bytecode re-validation via the program cache.
-	prog, err := s.unmarshalProgram(im.Program)
+	rec, err := s.decodeAgent(im)
 	if err != nil {
-		return transport.Errorf(transport.StatusBadRequest, "agent program: %v", err)
+		return transport.Errorf(transport.StatusBadRequest, "%v", err)
 	}
-	vm, err := mavm.UnmarshalState(prog, im.State)
-	if err != nil {
-		return transport.Errorf(transport.StatusBadRequest, "agent state: %v", err)
-	}
-	if vm.AgentID != im.AgentID {
-		return transport.Errorf(transport.StatusBadRequest,
-			"agent id mismatch: envelope %q, state %q", im.AgentID, vm.AgentID)
-	}
+	vm := rec.vm
 	kind := req.GetHeader("kind")
 	if kind == "" {
 		kind = KindMigrate
 	}
 	// Billing account travels out-of-band (see transferImage); an absent
 	// header is the single-tenant default.
-	tenantID := req.GetHeader("tenant")
+	rec.tenant = req.GetHeader("tenant")
 	// The hop counter as serialised by the sender is the dedup key of
 	// the two-phase handoff: a sender that never saw our OK retries the
 	// same (agent id, hop) pair, and the watermark turns the retry into
@@ -1042,10 +1030,7 @@ func (s *Server) handleTransfer(ctx context.Context, req *transport.Request) *tr
 			return transport.Errorf(transport.StatusBadRequest,
 				"agent targeted %q, arrived at %q", vm.MigrateTarget(), s.cfg.Addr)
 		}
-		rec := &record{
-			id: im.AgentID, home: im.Home, codeID: im.CodeID, owner: im.Owner,
-			tenant: tenantID, vm: vm, state: StateRunning,
-		}
+		rec.state = StateRunning
 		overLimit := vm.Hops >= s.maxHops
 		if overLimit {
 			// Runaway itinerary: accept the image but terminate the
@@ -1091,10 +1076,7 @@ func (s *Server) handleTransfer(ctx context.Context, req *transport.Request) *tr
 			return transport.Errorf(transport.StatusBadRequest,
 				"%s delivery for home %q arrived at %q", kind, im.Home, s.cfg.Addr)
 		}
-		rec := &record{
-			id: im.AgentID, home: im.Home, codeID: im.CodeID, owner: im.Owner,
-			tenant: tenantID, vm: vm, state: StateDelivered, lastErr: vm.FailMsg(),
-		}
+		rec.state, rec.lastErr, rec.image = StateDelivered, vm.FailMsg(), nil
 		if resp := s.reserveHandoff(ctx, rec, sentHop, false); resp != nil {
 			return resp
 		}
@@ -1294,7 +1276,13 @@ func (s *Server) handleClone(ctx context.Context, req *transport.Request) *trans
 	s.mu.Lock()
 	s.agents[newID] = cloneRec
 	s.mu.Unlock()
-	if err := s.journalPut(cloneRec, "", ""); err != nil {
+	// A clone of a migrating agent continues its journey, journaled with
+	// its destination like any departure; a running clone starts here.
+	target, kind := "", ""
+	if cloneVM.Status() == mavm.StatusMigrating {
+		target, kind = cloneVM.MigrateTarget(), KindMigrate
+	}
+	if err := s.journalPut(cloneRec, target, kind); err != nil {
 		// A clone has no sender holding a backup copy: admitting it
 		// unjournaled would let a crash erase it silently. Refuse.
 		s.mu.Lock()
@@ -1302,10 +1290,8 @@ func (s *Server) handleClone(ctx context.Context, req *transport.Request) *trans
 		s.mu.Unlock()
 		return transport.Errorf(transport.StatusServerError, "journaling clone %s: %v", newID, err)
 	}
-	// A clone of a migrating agent continues its journey; a running
-	// clone starts executing here.
-	if cloneVM.Status() == mavm.StatusMigrating {
-		s.spawn(func() { s.shipAgent(context.WithoutCancel(ctx), cloneRec, cloneVM.MigrateTarget(), KindMigrate) })
+	if kind != "" {
+		s.spawn(func() { s.shipAgent(context.WithoutCancel(ctx), cloneRec, target, kind) })
 	} else {
 		s.startLoop(ctx, cloneRec, nil)
 	}
@@ -1411,37 +1397,35 @@ func containsAgent(line, id string) bool {
 
 // --- durability: journal writes, parked retries, crash recovery --------
 
-// journalPut snapshots rec into the journal (no-op without one).
-// target/kind record a pending transfer destination. Callers must not
-// be racing the VM (journal only at slice boundaries: the first
-// suspension point after the agent entered, departure).
+// journalPut snapshots rec and journals the snapshot, which becomes
+// rec.image. target/kind record a pending transfer destination. Without
+// a journal only a departure takes a snapshot (the one it sends).
+// Callers must not be racing the VM (journal only at slice boundaries:
+// the first suspension point after the agent entered, departure).
 func (s *Server) journalPut(rec *record, target, kind string) error {
-	if s.jr == nil {
+	if s.jr == nil && kind == "" {
 		return nil
 	}
-	prog, err := s.programBytes(rec)
+	im, err := snapshot(rec)
 	if err != nil {
 		return err
 	}
-	state, err := mavm.MarshalState(rec.vm)
-	if err != nil {
-		return err
+	if s.jr != nil {
+		s.mu.Lock()
+		wm, ok := s.accepted[rec.id]
+		if !ok {
+			wm = -1
+		}
+		e := &journalEntry{
+			Image: *im, State: rec.state, Target: target, Kind: kind,
+			LastErr: rec.lastErr, Tenant: rec.tenant, Watermark: wm,
+		}
+		s.mu.Unlock()
+		if _, err = s.jr.put(e); err != nil { // full entries never trigger tombstone eviction
+			return err
+		}
 	}
-	s.mu.Lock()
-	wm, ok := s.accepted[rec.id]
-	if !ok {
-		wm = -1
-	}
-	e := &journalEntry{
-		ID: rec.id, Home: rec.home, CodeID: rec.codeID, Owner: rec.owner,
-		State: rec.state, Target: target, Kind: kind, LastErr: rec.lastErr,
-		Tenant: rec.tenant, Watermark: wm, Program: prog, VMState: state,
-	}
-	s.mu.Unlock()
-	if _, err = s.jr.put(e); err != nil { // full entries never trigger tombstone eviction
-		return err
-	}
-	rec.journaledTo, rec.journaledKind = target, kind
+	rec.image, rec.journaledTo, rec.journaledKind = im, target, kind
 	return nil
 }
 
@@ -1475,7 +1459,7 @@ func (s *Server) journalFinish(rec *record, st AgentState) {
 		return
 	}
 	e := &journalEntry{
-		ID: rec.id, Home: rec.home, CodeID: rec.codeID, Owner: rec.owner,
+		Image:  atp.Image{AgentID: rec.id, Home: rec.home, CodeID: rec.codeID, Owner: rec.owner},
 		Tenant: rec.tenant, State: st, Watermark: wm,
 	}
 	evicted, err := s.jr.put(e)
@@ -1553,10 +1537,10 @@ func (s *Server) Resume(ctx context.Context) (int, error) {
 		if e.tombstone() {
 			// Dedup bookkeeping only: restore the watermark so retried
 			// handoffs the dead server had accepted stay idempotent.
-			s.mergeWatermark(e.ID, e.Watermark)
+			s.mergeWatermark(e.Image.AgentID, e.Watermark)
 			continue
 		}
-		if s.resumeEntry(ctx, e) {
+		if s.resumeEntry(ctx, e, true) {
 			resumed++
 		}
 	}
@@ -1581,32 +1565,28 @@ func (s *Server) mergeWatermark(id string, wm int) {
 
 // resumeEntry re-hydrates one non-tombstone journal entry and sets its
 // journey moving again; ctx must already be detached from cancellation.
-// Returns false when the entry is skipped (undecodable, or the agent is
-// already resident — it arrived by transfer while we were recovering).
-func (s *Server) resumeEntry(ctx context.Context, e *journalEntry) bool {
-	prog, err := s.unmarshalProgram(e.Program)
+// journaled says e needs no journal write here (this server's journal
+// holds it, or there is no journal), so a transfer it names ships e's
+// image as it is. Returns false when the entry is skipped (undecodable,
+// or the agent is already resident — it arrived by transfer while we
+// were recovering).
+func (s *Server) resumeEntry(ctx context.Context, e *journalEntry, journaled bool) bool {
+	rec, err := s.decodeAgent(&e.Image)
 	if err != nil {
-		s.logf("mas %s: journal entry %s: bad program: %v", s.cfg.Addr, e.ID, err)
+		s.logf("mas %s: journal entry %s: %v", s.cfg.Addr, e.Image.AgentID, err)
 		return false
 	}
-	vm, err := mavm.UnmarshalState(prog, e.VMState)
-	if err != nil || vm.AgentID != e.ID {
-		s.logf("mas %s: journal entry %s: bad state: %v", s.cfg.Addr, e.ID, err)
-		return false
-	}
-	rec := &record{
-		id: e.ID, home: e.Home, codeID: e.CodeID, owner: e.Owner,
-		tenant: e.Tenant, vm: vm, state: e.State, lastErr: e.LastErr,
-	}
+	rec.tenant, rec.state, rec.lastErr = e.Tenant, e.State, e.LastErr
+	vm := rec.vm
 	s.mu.Lock()
-	if _, exists := s.agents[e.ID]; exists {
+	if _, exists := s.agents[rec.id]; exists {
 		s.mu.Unlock()
 		return false
 	}
-	s.agents[e.ID] = rec
+	s.agents[rec.id] = rec
 	if e.Watermark >= 0 {
-		if wm, ok := s.accepted[e.ID]; !ok || e.Watermark > wm {
-			s.accepted[e.ID] = e.Watermark
+		if wm, ok := s.accepted[rec.id]; !ok || e.Watermark > wm {
+			s.accepted[rec.id] = e.Watermark
 		}
 	}
 	s.mu.Unlock()
@@ -1617,6 +1597,9 @@ func (s *Server) resumeEntry(ctx context.Context, e *journalEntry) bool {
 		// finish the handoff. The receiver dedups if the old server's
 		// send had actually landed.
 		rec.state = StateRunning
+		if journaled {
+			rec.journaledTo, rec.journaledKind = e.Target, e.Kind
+		}
 		target, kind := e.Target, e.Kind
 		if kind == "" {
 			kind = KindMigrate
@@ -1662,19 +1645,20 @@ func (s *Server) AdoptJournal(ctx context.Context, from string, store rms.Store)
 	ctx = context.WithoutCancel(ctx)
 	var adopted []string
 	for _, e := range entries {
-		if e.Home == from {
-			e.Home = s.cfg.Addr
+		id := e.Image.AgentID
+		if e.Image.Home == from {
+			e.Image.Home = s.cfg.Addr
 		}
 		s.mu.Lock()
-		_, resident := s.agents[e.ID]
+		_, resident := s.agents[id]
 		s.mu.Unlock()
 		if e.tombstone() {
-			s.mergeWatermark(e.ID, e.Watermark)
+			s.mergeWatermark(id, e.Watermark)
 			// Persist the acceptance evidence unless a live local entry
 			// would be clobbered by it.
 			if !resident && s.jr != nil {
 				if evicted, err := s.jr.put(e); err != nil {
-					s.logf("mas %s: adopting tombstone %s from %s: %v", s.cfg.Addr, e.ID, from, err)
+					s.logf("mas %s: adopting tombstone %s from %s: %v", s.cfg.Addr, id, from, err)
 				} else if evicted != "" {
 					s.forgetHandoff(evicted)
 				}
@@ -1682,18 +1666,20 @@ func (s *Server) AdoptJournal(ctx context.Context, from string, store rms.Store)
 			continue
 		}
 		if resident {
-			s.mergeWatermark(e.ID, e.Watermark)
+			s.mergeWatermark(id, e.Watermark)
 			continue
 		}
+		journaled := true
 		if s.jr != nil {
 			if _, err := s.jr.put(e); err != nil {
 				// Our own journal is failing; adopt in memory anyway —
 				// a running copy beats a stranded journey.
-				s.logf("mas %s: journaling adopted agent %s: %v", s.cfg.Addr, e.ID, err)
+				s.logf("mas %s: journaling adopted agent %s: %v", s.cfg.Addr, id, err)
+				journaled = false
 			}
 		}
-		if s.resumeEntry(ctx, e) {
-			adopted = append(adopted, e.ID)
+		if s.resumeEntry(ctx, e, journaled) {
+			adopted = append(adopted, id)
 		}
 	}
 	if len(adopted) > 0 {

@@ -204,7 +204,7 @@ func TestLostRetirementIsReshippedAndAnswered(t *testing.T) {
 			}
 			for _, e := range entries {
 				if !e.tombstone() {
-					t.Errorf("%s's journal still holds a live copy of %s (%s)", addr, e.ID, e.State)
+					t.Errorf("%s's journal still holds a live copy of %s (%s)", addr, e.Image.AgentID, e.State)
 				}
 			}
 		}
@@ -483,7 +483,7 @@ func TestRevisitedHostJournalStaysCoherent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if e.ID == "ag-race-2" && !e.tombstone() {
+		if e.Image.AgentID == "ag-race-2" && !e.tombstone() {
 			t.Fatalf("site journal still holds a live copy of the departed agent: state %q", e.State)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"testing"
 
+	"pdagent/internal/atp"
 	"pdagent/internal/mascript"
 	"pdagent/internal/mavm"
 	"pdagent/internal/netsim"
@@ -29,9 +30,9 @@ func encodeV1Entry(e *journalEntry) []byte {
 	b.Write(journalMagicV1)
 	writeU32(&b, uint32(e.Watermark+1))
 	for _, f := range [][]byte{
-		[]byte(e.ID), []byte(e.Home), []byte(e.CodeID), []byte(e.Owner),
+		[]byte(e.Image.AgentID), []byte(e.Image.Home), []byte(e.Image.CodeID), []byte(e.Image.Owner),
 		[]byte(e.State), []byte(e.Target), []byte(e.Kind), []byte(e.LastErr),
-		e.Program, e.VMState,
+		e.Image.Program, e.Image.State,
 	} {
 		writeU32(&b, uint32(len(f)))
 		b.Write(f)
@@ -41,10 +42,12 @@ func encodeV1Entry(e *journalEntry) []byte {
 
 func TestJournalV1EntryDecodes(t *testing.T) {
 	want := &journalEntry{
-		ID: "ag-1", Home: "gw-0", CodeID: "code-1", Owner: "dev-1",
+		Image: atp.Image{
+			AgentID: "ag-1", Home: "gw-0", CodeID: "code-1", Owner: "dev-1",
+			Program: []byte("prog"), State: []byte("state"),
+		},
 		State: StateRunning, Target: "bank-a", Kind: KindMigrate,
 		LastErr: "boom", Watermark: 3,
-		Program: []byte("prog"), VMState: []byte("state"),
 	}
 	store := rms.NewMemStore("j", 0)
 	if _, err := store.Add(encodeV1Entry(want)); err != nil {
@@ -65,10 +68,10 @@ func TestJournalV1EntryDecodes(t *testing.T) {
 	if got.Tenant != "" {
 		t.Fatalf("v1 entry decoded with tenant %q, want default", got.Tenant)
 	}
-	if got.ID != want.ID || got.Home != want.Home || got.CodeID != want.CodeID ||
-		got.Owner != want.Owner || got.State != want.State || got.Target != want.Target ||
+	if got.Image.AgentID != want.Image.AgentID || got.Image.Home != want.Image.Home || got.Image.CodeID != want.Image.CodeID ||
+		got.Image.Owner != want.Image.Owner || got.State != want.State || got.Target != want.Target ||
 		got.Kind != want.Kind || got.LastErr != want.LastErr || got.Watermark != want.Watermark ||
-		!bytes.Equal(got.Program, want.Program) || !bytes.Equal(got.VMState, want.VMState) {
+		!bytes.Equal(got.Image.Program, want.Image.Program) || !bytes.Equal(got.Image.State, want.Image.State) {
 		t.Fatalf("v1 decode mismatch: %+v", got)
 	}
 }
@@ -80,9 +83,11 @@ func TestJournalTenantRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := &journalEntry{
-		ID: "ag-1", Home: "gw-0", CodeID: "code-1", Owner: "dev-1",
+		Image: atp.Image{
+			AgentID: "ag-1", Home: "gw-0", CodeID: "code-1", Owner: "dev-1",
+			Program: []byte("prog"), State: []byte("state"),
+		},
 		Tenant: "acme", State: StateRunning, Watermark: -1,
-		Program: []byte("prog"), VMState: []byte("state"),
 	}
 	if _, err := jr.put(e); err != nil {
 		t.Fatal(err)
@@ -108,12 +113,12 @@ func TestJournalBytesByTenant(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := &journalEntry{
-		ID: "ag-a", Home: "gw-0", Tenant: "acme", State: StateRunning,
-		Watermark: -1, Program: []byte("prog-a"), VMState: []byte("state-a"),
+		Image:  atp.Image{AgentID: "ag-a", Home: "gw-0", Program: []byte("prog-a"), State: []byte("state-a")},
+		Tenant: "acme", State: StateRunning, Watermark: -1,
 	}
 	d := &journalEntry{
-		ID: "ag-d", Home: "gw-0", State: StateRunning,
-		Watermark: -1, Program: []byte("prog-d"), VMState: []byte("state-d"),
+		Image: atp.Image{AgentID: "ag-d", Home: "gw-0", Program: []byte("prog-d"), State: []byte("state-d")},
+		State: StateRunning, Watermark: -1,
 	}
 	for _, e := range []*journalEntry{a, d} {
 		if _, err := jr.put(e); err != nil {
@@ -129,7 +134,7 @@ func TestJournalBytesByTenant(t *testing.T) {
 	}
 
 	// Replacing the entry re-bills the new size, not the sum of both.
-	a.VMState = bytes.Repeat([]byte("x"), 1024)
+	a.Image.State = bytes.Repeat([]byte("x"), 1024)
 	if _, err := jr.put(a); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +145,7 @@ func TestJournalBytesByTenant(t *testing.T) {
 	// A departure tombstone still occupies the store, so it stays
 	// billed — at its own (slim) size.
 	a.State = StateDeparted
-	a.Program, a.VMState = nil, nil
+	a.Image.Program, a.Image.State = nil, nil
 	a.Watermark = 2
 	if _, err := jr.put(a); err != nil {
 		t.Fatal(err)

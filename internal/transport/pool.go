@@ -210,9 +210,9 @@ func (p *connPool) sweepIdle() {
 // letting a traffic burst fan out an unbounded number of concurrent
 // calls to one host.
 //
-// The limiter is orthogonal to connection pooling: wrap a
-// NewPooledHTTPClient for real deployments, or a netsim transport in
-// tests.
+// An HTTPClient needs no wrapper: every call holds one of its capped
+// connections, so its pool already bounds and queues calls per
+// destination. Pooled limits transports that do not, such as netsim's.
 type Pooled struct {
 	inner   RoundTripper
 	perDest int
