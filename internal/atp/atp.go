@@ -22,6 +22,7 @@ import (
 	"bytes"
 	"encoding/base64"
 	"fmt"
+	"strings"
 
 	"pdagent/internal/kxml"
 )
@@ -198,32 +199,74 @@ func (VoyagerCodec) Encode(im *Image) ([]byte, error) {
 	return root.EncodeDocument(), nil
 }
 
-// Decode implements Codec.
+// Decode implements Codec. It pull-parses exactly the shape Encode
+// writes — the root and its four attributes, then <program> and <state>
+// holding text, whitespace allowed between elements — and refuses the
+// envelope at the first event that departs from it, so no body builds
+// a node tree.
 func (VoyagerCodec) Decode(data []byte) (*Image, error) {
 	if len(data) > MaxImageSize {
 		return nil, fmt.Errorf("atp: image of %d bytes exceeds limit", len(data))
 	}
-	root, err := kxml.ParseBytes(data)
+	im, err := decodeVoyager(kxml.NewParserBytes(data))
 	if err != nil {
 		return nil, fmt.Errorf("atp: voyager envelope: %w", err)
-	}
-	if root.Name != "voyager-agent" {
-		return nil, fmt.Errorf("atp: voyager envelope has root <%s>", root.Name)
-	}
-	im := &Image{
-		AgentID: root.AttrDefault("id", ""),
-		Home:    root.AttrDefault("home", ""),
-		CodeID:  root.AttrDefault("code-id", ""),
-		Owner:   root.AttrDefault("owner", ""),
-	}
-	if im.Program, err = base64.StdEncoding.DecodeString(root.ChildText("program")); err != nil {
-		return nil, fmt.Errorf("atp: voyager program payload: %w", err)
-	}
-	if im.State, err = base64.StdEncoding.DecodeString(root.ChildText("state")); err != nil {
-		return nil, fmt.Errorf("atp: voyager state payload: %w", err)
 	}
 	if err := im.Validate(); err != nil {
 		return nil, err
 	}
 	return im, nil
+}
+
+func decodeVoyager(p *kxml.Parser) (*Image, error) {
+	var ev kxml.Event
+	var err error
+	// next moves ev on, past whitespace between elements.
+	next := func() {
+		for err == nil {
+			if ev, err = p.Next(); err != nil || ev.Type != kxml.Text || strings.TrimSpace(ev.Text) != "" {
+				return
+			}
+		}
+	}
+	// want checks that ev is the typ event named name.
+	want := func(typ kxml.EventType, name string) bool {
+		if err == nil && (ev.Type != typ || ev.Name != name) {
+			err = fmt.Errorf("%d:%d: %v %q where %v %q belongs", ev.Line, ev.Col, ev.Type, ev.Name, typ, name)
+		}
+		return err == nil
+	}
+	im := &Image{}
+	next() // StartDocument
+	if next(); ev.Type == kxml.ProcInst && ev.Name == "xml" {
+		next()
+	}
+	if want(kxml.StartElement, "voyager-agent") {
+		fields := map[string]*string{"id": &im.AgentID, "home": &im.Home, "code-id": &im.CodeID, "owner": &im.Owner}
+		for _, a := range ev.Attrs {
+			if fields[a.Name] == nil {
+				return nil, fmt.Errorf("unknown attribute %q", a.Name)
+			}
+			*fields[a.Name] = a.Value
+		}
+	}
+	for _, f := range [...]struct {
+		name string
+		dst  *[]byte
+	}{{"program", &im.Program}, {"state", &im.State}} {
+		next()
+		want(kxml.StartElement, f.name)
+		if next(); err == nil && ev.Type == kxml.Text {
+			if *f.dst, err = base64.StdEncoding.DecodeString(ev.Text); err != nil {
+				return nil, fmt.Errorf("%s payload: %w", f.name, err)
+			}
+			next()
+		}
+		want(kxml.EndElement, f.name)
+	}
+	next()
+	want(kxml.EndElement, "voyager-agent")
+	next()
+	want(kxml.EndDocument, "")
+	return im, err
 }

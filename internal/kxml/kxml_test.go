@@ -1,6 +1,7 @@
 package kxml
 
 import (
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
@@ -165,6 +166,24 @@ func TestDepthLimit(t *testing.T) {
 	}
 	if _, err := ParseString(b.String()); err == nil {
 		t.Fatal("expected depth-limit error")
+	}
+}
+
+func TestAttrLimit(t *testing.T) {
+	tag := func(n int) string {
+		var b strings.Builder
+		b.WriteString("<a")
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, ` a%d=""`, i)
+		}
+		b.WriteString("/>")
+		return b.String()
+	}
+	if root, err := ParseString(tag(MaxAttrs)); err != nil || len(root.Attrs) != MaxAttrs {
+		t.Fatalf("element with MaxAttrs attributes: %v", err)
+	}
+	if _, err := ParseString(tag(MaxAttrs + 1)); err == nil || !strings.Contains(err.Error(), "attributes") {
+		t.Fatalf("element with MaxAttrs+1 attributes: err = %v, want the cap", err)
 	}
 }
 

@@ -64,6 +64,12 @@ type Event struct {
 // exhausting the stack.
 const MaxDepth = 256
 
+// MaxAttrs bounds the attributes of one element, so the duplicate check
+// each new attribute makes against the earlier ones stays cheap: without
+// it one 1 MiB start tag of 100k attributes costs seconds of CPU. No
+// document of this system writes more than a dozen.
+const MaxAttrs = 64
+
 // Parser is a streaming pull parser over an input document.
 type Parser struct {
 	src       []byte
@@ -382,6 +388,9 @@ func (p *Parser) readStartTag(line, col int) (Event, error) {
 			}
 			p.stack = append(p.stack, name)
 			return Event{Type: StartElement, Name: name, Attrs: attrs, Line: line, Col: col}, nil
+		}
+		if len(attrs) == MaxAttrs {
+			return Event{}, p.errf("element <%s> has more than %d attributes", name, MaxAttrs)
 		}
 		attr, err := p.readAttr()
 		if err != nil {

@@ -44,20 +44,21 @@ import (
 // encoding with empty snapshots — because the watermark must outlive
 // the resident copy: a sender that never saw our ack may retry after
 // we have already forwarded the agent, and a crash must not erase the
-// evidence that the hop was accepted. Tombstones are capped at
-// maxJournalTombstones per store (oldest evicted first); retries
-// arrive on RetryParked/restart timescales, so the window a watermark
-// must actually cover is short.
+// evidence that the hop was accepted. How long a tombstone stays is the
+// server's retirement rule, not the journal's: the server forgets the
+// oldest retired agent's record, watermark and tombstone together
+// (Server.forget), so the journal holds no policy of its own.
 //
 // The writes that retire an agent that is no longer here — the tombstone
-// replace, drop, a tombstone's eviction — are trailing appends
-// (rms.Store.ApplyTrailing): in log order, durable with the store's next
-// commit, waited for by nobody. A crash that loses one leaves the live
-// entry it would have retired, which is the state "crashed between the
-// receiver's OK and the tombstone write": Resume re-ships to the
-// journaled target and the receiver's watermark, or the home side's
-// idempotent result intake, answers the duplicate. Every write that is
-// at that moment the only durable copy of an agent keeps its wait.
+// replace, a drop — are trailing appends (rms.Store.ApplyTrailing): in
+// log order, durable with the store's next commit, waited for by nobody.
+// A crash that loses one leaves the entry it would have removed: a
+// tombstone, which Resume retires again, or a live entry — the state
+// "crashed between the receiver's OK and the tombstone write": Resume
+// re-ships to the journaled target and the receiver's watermark, or the
+// home side's idempotent result intake, answers the duplicate. Every
+// write that is at that moment the only durable copy of an agent keeps
+// its wait.
 
 // journalMagic versions the journal entry encoding; journalMagicV1 is
 // the pre-tenant layout, read-compatible but never written anew.
@@ -176,10 +177,6 @@ func readU32(data []byte) (uint32, []byte, error) {
 	return v, data[4:], nil
 }
 
-// maxJournalTombstones bounds the dedup tombstones retained per store
-// so a long-running daemon's journal does not grow without bound.
-const maxJournalTombstones = 4096
-
 // journalStripes is the per-agent lock-stripe count (power of two).
 const journalStripes = 64
 
@@ -187,7 +184,7 @@ const journalStripes = 64
 // (MemStore in simulated worlds, a WALStore under the daemons'
 // -journal flag).
 //
-// Locking: mu guards only the index maps and is never held across a
+// Locking: mu guards only index and sums and is never held across a
 // store call — on a group-commit WAL a write blocks until fsync, and
 // holding mu there would serialize every commit and reduce group
 // commit to per-op fsync. Per-agent stripes order operations on the
@@ -197,35 +194,32 @@ type journal struct {
 	store rms.Store
 
 	mu    sync.Mutex
-	index map[string]int // agent id -> rms record id
-	tombs map[string]int // subset of index holding tombstones
-
-	// Per-tenant quota accounting, maintained in lock-step with index:
-	// sizes/owners track each record's stored size and billed account,
-	// sums the running per-tenant byte totals (tombstones included —
-	// acceptance evidence occupies the store like anything else).
-	sizes  map[string]int    // agent id -> stored entry size
-	owners map[string]string // agent id -> tenant id
-	sums   map[string]int64  // tenant id -> journaled bytes
+	index map[string]slot // agent id -> its record
+	// sums is the per-tenant quota accounting: journaled bytes by tenant
+	// id, tombstones included (acceptance evidence occupies the store
+	// like anything else).
+	sums map[string]int64
 
 	stripes [journalStripes]sync.Mutex
 }
 
-// accountLocked (j.mu held) re-bills an agent's journal footprint:
-// size < 0 forgets the record, otherwise the delta against the prior
-// size moves between tenant sums.
-func (j *journal) accountLocked(id, tenantID string, size int) {
-	if old, ok := j.sizes[id]; ok {
-		j.chargeLocked(j.owners[id], -int64(old))
+// slot is one agent's record: its rms id, stored size and billed tenant.
+type slot struct {
+	rec, size int
+	tenant    string
+}
+
+// indexLocked (j.mu held) points id at sl, moving its bytes between the
+// tenant sums; sl.rec < 0 forgets id.
+func (j *journal) indexLocked(id string, sl slot) {
+	if old, ok := j.index[id]; ok {
+		j.chargeLocked(old.tenant, -int64(old.size))
+		delete(j.index, id)
 	}
-	if size < 0 {
-		delete(j.sizes, id)
-		delete(j.owners, id)
-		return
+	if sl.rec >= 0 {
+		j.index[id] = sl
+		j.chargeLocked(sl.tenant, int64(sl.size))
 	}
-	j.sizes[id] = size
-	j.owners[id] = tenantID
-	j.chargeLocked(tenantID, int64(size))
 }
 
 func (j *journal) chargeLocked(tenantID string, delta int64) {
@@ -261,10 +255,7 @@ func (j *journal) stripe(id string) *sync.Mutex {
 // resurrected); when two records carry the same agent id the later one
 // wins and the stale one is deleted.
 func openJournal(store rms.Store) (*journal, error) {
-	j := &journal{
-		store: store, index: map[string]int{}, tombs: map[string]int{},
-		sizes: map[string]int{}, owners: map[string]string{}, sums: map[string]int64{},
-	}
+	j := &journal{store: store, index: map[string]slot{}, sums: map[string]int64{}}
 	ids, err := store.IDs()
 	if err != nil {
 		return nil, fmt.Errorf("mas: scanning journal: %w", err)
@@ -282,38 +273,29 @@ func openJournal(store rms.Store) (*journal, error) {
 		}
 		id := e.Image.AgentID
 		if old, ok := j.index[id]; ok {
-			_ = store.Delete(old)
+			_ = store.Delete(old.rec)
 		}
-		j.index[id] = recID
-		j.accountLocked(id, e.Tenant, len(data))
-		if e.tombstone() {
-			j.tombs[id] = recID
-		} else {
-			delete(j.tombs, id)
-		}
+		j.indexLocked(id, slot{recID, len(data), e.Tenant})
 	}
 	return j, nil
 }
 
-// put inserts or replaces the entry for the agent e.Image names,
-// evicting the oldest tombstone when the bound is exceeded. It returns
-// the agent id of an evicted tombstone (""), so the server can prune
-// the matching in-memory watermark.
+// put inserts or replaces the entry for the agent e.Image names.
 //
 // A tombstone always gets a freshly allocated record id (the live
 // entry it replaces is deleted, not overwritten): record ids then
-// order tombstones by *completion* time, so eviction removes the
-// stalest acceptance evidence first and can never remove the
-// tombstone that was just written.
-func (j *journal) put(e *journalEntry) (evicted string, err error) {
+// order tombstones by *completion* time, the order Resume hands them
+// to the server's retirement ring.
+func (j *journal) put(e *journalEntry) error {
 	data, id := e.encode(), e.Image.AgentID
 	st := j.stripe(id)
 	st.Lock()
 	defer st.Unlock()
 
 	j.mu.Lock()
-	recID, existed := j.index[id]
+	old, existed := j.index[id]
 	j.mu.Unlock()
+	recID := old.rec
 
 	// Store writes happen here, outside j.mu: on a group-commit WAL
 	// each one parks until a shared fsync, and concurrent puts for
@@ -332,62 +314,24 @@ func (j *journal) put(e *journalEntry) (evicted string, err error) {
 		}
 		ids, err := j.store.ApplyTrailing(ops)
 		if err != nil {
-			return "", err
+			return err
 		}
 		recID = ids[0]
 	case existed:
 		if err := j.store.Set(recID, data); err != nil {
-			return "", err
+			return err
 		}
 	default:
-		recID, err = j.store.Add(data)
-		if err != nil {
-			return "", err
+		var err error
+		if recID, err = j.store.Add(data); err != nil {
+			return err
 		}
 	}
 
-	evictRec := -1
 	j.mu.Lock()
-	j.index[id] = recID
-	j.accountLocked(id, e.Tenant, len(data))
-	if e.tombstone() {
-		j.tombs[id] = recID
-		if len(j.tombs) > maxJournalTombstones {
-			oldID, oldRec := "", -1
-			for id, rid := range j.tombs {
-				if oldRec == -1 || rid < oldRec {
-					oldID, oldRec = id, rid
-				}
-			}
-			// The victim's stripe must be held while its record dies,
-			// or a concurrent re-arrival's Set on that record would
-			// race the Delete. TryLock, because a blocking Lock here
-			// could deadlock against another evicting put; on failure
-			// skip this round — the cap is soft and the next tombstone
-			// retries.
-			vst := j.stripe(oldID)
-			held := vst == st // victim shares our stripe: already held
-			if !held && vst.TryLock() {
-				held = true
-				defer vst.Unlock()
-			}
-			if held {
-				delete(j.tombs, oldID)
-				delete(j.index, oldID)
-				j.accountLocked(oldID, "", -1)
-				evicted, evictRec = oldID, oldRec
-			}
-		}
-	} else {
-		delete(j.tombs, id)
-	}
+	j.indexLocked(id, slot{recID, len(data), e.Tenant})
 	j.mu.Unlock()
-	if evictRec >= 0 {
-		// Trailing, like the tombstone that pushed it out. Best-effort: a
-		// failed or lost eviction leaves a record openJournal re-indexes.
-		_, _ = j.store.ApplyTrailing([]rms.Op{{Op: rms.OpDelete, ID: evictRec}})
-	}
-	return evicted, nil
+	return nil
 }
 
 // drop removes the entry for an agent id (no-op if absent).
@@ -395,18 +339,19 @@ func (j *journal) drop(id string) error {
 	st := j.stripe(id)
 	st.Lock()
 	defer st.Unlock()
+	return j.dropLocked(id)
+}
+
+// dropLocked is drop for a caller already holding id's stripe.
+func (j *journal) dropLocked(id string) error {
 	j.mu.Lock()
-	recID, ok := j.index[id]
-	if ok {
-		delete(j.index, id)
-		delete(j.tombs, id)
-		j.accountLocked(id, "", -1)
-	}
+	old, ok := j.index[id]
+	j.indexLocked(id, slot{rec: -1})
 	j.mu.Unlock()
 	if !ok {
 		return nil
 	}
-	_, err := j.store.ApplyTrailing([]rms.Op{{Op: rms.OpDelete, ID: recID}})
+	_, err := j.store.ApplyTrailing([]rms.Op{{Op: rms.OpDelete, ID: old.rec}})
 	return err
 }
 
@@ -416,8 +361,8 @@ func (j *journal) drop(id string) error {
 func (j *journal) loadAll() ([]*journalEntry, error) {
 	j.mu.Lock()
 	recIDs := make([]int, 0, len(j.index))
-	for _, recID := range j.index {
-		recIDs = append(recIDs, recID)
+	for _, sl := range j.index {
+		recIDs = append(recIDs, sl.rec)
 	}
 	j.mu.Unlock()
 	// Record-id order makes Resume deterministic (ids are allocated in

@@ -677,11 +677,11 @@ func TestTombstoneReplaceIsOneCommit(t *testing.T) {
 		State: StateRunning, Watermark: 3,
 	}
 	tomb := &journalEntry{Image: atp.Image{AgentID: "ag-1", Home: "gw-0"}, State: StateDeparted, Watermark: 3}
-	if _, err := jr.put(live); err != nil {
+	if err := jr.put(live); err != nil {
 		t.Fatal(err)
 	}
 	before := wal.Fsyncs()
-	if _, err := jr.put(tomb); err != nil {
+	if err := jr.put(tomb); err != nil {
 		t.Fatal(err)
 	}
 	if st := wal.Stats(); wal.Fsyncs() != before || st.TrailingOps != 2 || st.TrailingUnsynced != 2 {
@@ -690,7 +690,7 @@ func TestTombstoneReplaceIsOneCommit(t *testing.T) {
 	}
 	next := *live
 	next.Image.AgentID = "ag-2"
-	if _, err := jr.put(&next); err != nil {
+	if err := jr.put(&next); err != nil {
 		t.Fatal(err)
 	}
 	if st := wal.Stats(); wal.Fsyncs()-before != 1 || st.TrailingUnsynced != 0 {
@@ -719,15 +719,17 @@ func TestTombstoneReplaceIsOneCommit(t *testing.T) {
 
 	wal.Close()
 	other := &journalEntry{Image: atp.Image{AgentID: "ag-2", Home: "gw-0"}, State: StateDelivered, Watermark: 1}
-	if _, err := jr.put(other); !errors.Is(err, rms.ErrClosed) {
+	if err := jr.put(other); !errors.Is(err, rms.ErrClosed) {
 		t.Fatalf("tombstone over a closed store: err = %v, want ErrClosed", err)
 	}
 }
 
-// TestTombstoneEvictionTrails: past maxJournalTombstones every retirement
-// also evicts the oldest tombstone. The eviction is a trailing append
-// like the tombstone that caused it — it used to be a waited Delete, a
-// second fsync per retirement for the rest of the daemon's life.
+// TestTombstoneEvictionTrails: past maxRetired every retirement also
+// forgets the oldest retiree, and its journal drop is a trailing append
+// like the tombstone that pushed it out — a waited Delete would be a
+// second fsync per retirement for the rest of the daemon's life. The
+// ring is filled the way a restart fills it: Resume retires a journal of
+// maxRetired tombstones in record-id order.
 func TestTombstoneEvictionTrails(t *testing.T) {
 	wal, err := rms.OpenWALStore(filepath.Join(t.TempDir(), "journal.wal"), rms.WALOptions{})
 	if err != nil {
@@ -738,28 +740,39 @@ func TestTombstoneEvictionTrails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tomb := func(i int) *journalEntry {
-		return &journalEntry{Image: atp.Image{AgentID: fmt.Sprintf("ag-%d", i), Home: "gw-0"}, State: StateDelivered, Watermark: 1}
-	}
-	for i := 0; i < maxJournalTombstones; i++ {
-		if evicted, err := jr.put(tomb(i)); err != nil || evicted != "" {
-			t.Fatalf("tombstone %d: evicted %q, err %v; want the cap not reached yet", i, evicted, err)
+	for i := 0; i < maxRetired; i++ {
+		tomb := &journalEntry{Image: atp.Image{AgentID: fmt.Sprintf("ag-%d", i), Home: "gw-0"}, State: StateDelivered, Watermark: 1}
+		if err := jr.put(tomb); err != nil {
+			t.Fatal(err)
 		}
+	}
+	srv, err := NewServer(Config{Addr: "gw-0", Codec: atp.AgletsCodec{}, Transport: &directTransport{}, Journal: wal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Resume(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 	// Fsyncs the store started itself (the bound expiring on a slow run)
 	// are not the journal's.
 	commits := func() uint64 { return wal.Fsyncs() - wal.Stats().TrailingSyncs }
 	before, ops := commits(), wal.Stats().TrailingOps
-	for i := maxJournalTombstones; i < maxJournalTombstones+3; i++ {
-		evicted, err := jr.put(tomb(i))
-		if want := fmt.Sprintf("ag-%d", i-maxJournalTombstones); err != nil || evicted != want {
-			t.Fatalf("tombstone %d: evicted %q, err %v; want the oldest, %s", i, evicted, err, want)
+	for i := maxRetired; i < maxRetired+3; i++ {
+		id := fmt.Sprintf("ag-%d", i)
+		body, _, _ := imageAtMigrate(t, id, `migrate("gw-0"); deliver("x", 1);`, -1)
+		req := &transport.Request{Path: "/atp/transfer", Body: body}
+		req.SetHeader("kind", KindDone)
+		if resp := srv.Handler().Serve(context.Background(), req); !resp.IsOK() {
+			t.Fatalf("homecoming %s: %d %s", id, resp.Status, resp.Text())
+		}
+		if _, ok := srv.accepted[fmt.Sprintf("ag-%d", i-maxRetired)]; ok {
+			t.Fatalf("retirement %d kept the oldest watermark, ag-%d", i, i-maxRetired)
 		}
 	}
 	if got, appended := commits()-before, wal.Stats().TrailingOps-ops; got != 0 || appended != 6 {
 		t.Fatalf("3 retirements over the cap cost %d fsyncs in %d trailing ops, want 0 in 6 (tombstone + eviction each)", got, appended)
 	}
-	if n, _ := wal.NumRecords(); n != maxJournalTombstones {
-		t.Fatalf("journal holds %d records, want the cap %d", n, maxJournalTombstones)
+	if n, _ := wal.NumRecords(); n != maxRetired {
+		t.Fatalf("journal holds %d records, want the cap %d", n, maxRetired)
 	}
 }

@@ -34,6 +34,7 @@
 package mas
 
 import (
+	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -234,9 +235,18 @@ type Server struct {
 	flavours map[string]atp.Codec     // destination addr -> codec cache
 	accepted map[string]int           // agent id -> highest sent-hop accepted (transfer dedup)
 	pending  map[string]pendingAccept // agent id -> handoff mid-commit
+	// The retirement ring (retire): the FIFO of retired agent ids, and
+	// each one's place in it.
+	ring     list.List
+	retired  map[string]*list.Element
 	cloneSeq int
 	logs     []string // ring of recent agent log lines
 }
+
+// maxRetired bounds the finished agents a server remembers — records,
+// dedup watermarks and journal tombstones alike. Retries arrive on
+// RetryParked/restart timescales, so a watermark's window is short.
+const maxRetired = 4096
 
 // entryOutcomes labels pdagent_admit_total and pdagent_arrive_total:
 // what the first slice of an agent entering this server came to (see
@@ -251,13 +261,14 @@ const (
 
 // pendingAccept reserves an agent id while a journal write about it is
 // in flight. A handoff between reservation and commit (done == nil)
-// remembers the watermark to restore if the commit fails; a sender
-// writing its own departure tombstone (sendAgent) carries done, closed
-// when that write has landed.
+// remembers the watermark to restore if the commit fails, and whether
+// the record it replaced had retired; a sender retiring its own
+// departure (sendAgent) carries done, closed when that has landed.
 type pendingAccept struct {
-	prevWM  int
-	hadPrev bool
-	done    chan struct{}
+	prevWM     int
+	hadPrev    bool
+	wasRetired bool
+	done       chan struct{}
 }
 
 // maxLogLines bounds the per-server agent log ring.
@@ -306,6 +317,7 @@ func NewServer(cfg Config) (*Server, error) {
 		flavours: make(map[string]atp.Codec),
 		accepted: make(map[string]int),
 		pending:  make(map[string]pendingAccept),
+		retired:  make(map[string]*list.Element),
 	}
 	if cfg.Journal != nil {
 		jr, err := openJournal(cfg.Journal)
@@ -474,7 +486,7 @@ func (s *Server) AdmitAgent(ctx context.Context, vm *mavm.VM, codeID, owner, ten
 		s.mu.Unlock()
 		return fmt.Errorf("mas: agent %s already known at %s", rec.id, s.cfg.Addr)
 	}
-	s.agents[rec.id] = rec
+	s.putLocked(rec)
 	s.mu.Unlock()
 
 	sl, outcome, err := s.enter(ctx, rec)
@@ -608,7 +620,7 @@ func (s *Server) agentLoop(ctx context.Context, rec *record, ran *slice) {
 		s.mu.Unlock()
 		if dispose {
 			s.setState(rec, StateDisposed, "")
-			s.journalFinish(rec, StateDisposed)
+			s.retire(rec, StateDisposed)
 			s.logf("mas %s: disposed agent %s", s.cfg.Addr, rec.id)
 			return
 		}
@@ -677,7 +689,7 @@ func (s *Server) deliverLocal(ctx context.Context, rec *record, kind string) err
 	s.setState(rec, StateDelivered, "")
 	s.mDeliver.Inc()
 	s.span(rec.id, "deliver", kind)
-	s.journalFinish(rec, StateDelivered)
+	s.retire(rec, StateDelivered)
 	s.notifyMove(ctx, AgentMove{
 		AgentID: rec.id, Addr: s.cfg.Addr, Home: rec.home,
 		Seq: 2*rec.vm.Hops + 3, Terminal: true,
@@ -788,9 +800,9 @@ func (s *Server) shipAgent(ctx context.Context, rec *record, target, kind string
 // destination's flavour and transfers it, with retries. With a journal
 // the receiver's OK is the commit-ack that releases the entry, and a
 // persistent failure parks the agent for RetryParked / Resume instead
-// of losing it. Without a journal the legacy best-effort path applies:
-// a failed migration is failed home, and if even home is unreachable
-// the record strands.
+// of losing it. Without a journal nothing could re-send it later, so a
+// failed migration is failed home, and if even home is unreachable the
+// record strands.
 func (s *Server) sendAgent(ctx context.Context, rec *record, target, kind string) {
 	sentHops := rec.vm.Hops // as serialised into the departing image
 	im := rec.image
@@ -824,6 +836,7 @@ func (s *Server) sendAgent(ctx context.Context, rec *record, target, kind string
 			// Return the failed journey home so the user learns about it.
 			if err2 := s.transferImage(ctx, im, rec.home, KindFailed, rec.tenant); err2 == nil {
 				s.setState(rec, StateDeparted, rec.home)
+				s.retire(rec, StateDeparted)
 				return
 			}
 		}
@@ -858,24 +871,20 @@ func (s *Server) sendAgent(ctx context.Context, rec *record, target, kind string
 		s.mu.Unlock()
 		return
 	}
-	if s.jr == nil {
-		s.mu.Unlock()
-	} else {
-		// Reserve the id while the tombstone is written, so a re-arrival
-		// racing this block cannot interleave its journal write with
-		// ours. It waits in reserveHandoff for done rather than being
-		// refused: a journey that laps its sender (a one-bank itinerary
-		// is back within a millisecond) would lose three zero-delay
-		// retries to one fsync and park for a whole retry interval.
-		done := make(chan struct{})
-		s.pending[rec.id] = pendingAccept{done: done}
-		s.mu.Unlock()
-		s.journalFinish(rec, StateDeparted)
-		s.mu.Lock()
-		delete(s.pending, rec.id)
-		s.mu.Unlock()
-		close(done)
-	}
+	// Reserve the id while the departure is retired, so a re-arrival
+	// racing this block cannot interleave its journal write with ours.
+	// It waits in reserveHandoff for done rather than being refused: a
+	// journey that laps its sender (a one-bank itinerary is back within
+	// a millisecond) would lose three zero-delay retries to one fsync
+	// and park for a whole retry interval.
+	done := make(chan struct{})
+	s.pending[rec.id] = pendingAccept{done: done}
+	s.mu.Unlock()
+	s.retire(rec, StateDeparted)
+	s.mu.Lock()
+	delete(s.pending, rec.id)
+	s.mu.Unlock()
+	close(done)
 }
 
 // transferImage sends an encoded image to target with flavour
@@ -1103,7 +1112,7 @@ func (s *Server) handleTransfer(ctx context.Context, req *transport.Request) *tr
 		// durable dedup marker. A crash before this write makes the
 		// sender's retry redeliver (the gateway's result intake is
 		// idempotent); a crash after it dedups cleanly.
-		s.journalFinish(rec, StateDelivered)
+		s.retire(rec, StateDelivered)
 		s.notifyMove(ctx, AgentMove{
 			AgentID: rec.id, Addr: s.cfg.Addr, Home: rec.home,
 			Seq: 2*sentHop + 3, Terminal: true,
@@ -1122,9 +1131,9 @@ func (s *Server) handleTransfer(ctx context.Context, req *transport.Request) *tr
 // a duplicate-OK the first request might still roll back: acking a
 // handoff whose commit later fails would leave the agent existing
 // nowhere. A reservation that is this server's own departure
-// bookkeeping (sendAgent writing the tombstone of the hop the agent
-// has just come back from) is waited for instead: that write cannot
-// fail the arrival, only delay it. The watermark is advanced here (not
+// bookkeeping (sendAgent retiring the hop the agent has just come back
+// from) is waited for instead: retiring cannot fail the arrival, only
+// delay it. The watermark is advanced here (not
 // at commit) so the journal write between reserve and commit records
 // it durably. A nil return means the reservation is held; otherwise
 // the response to send.
@@ -1161,9 +1170,8 @@ func (s *Server) reserveHandoff(ctx context.Context, rec *record, sentHop int, r
 	if old, exists := s.agents[rec.id]; refuseRunning && exists && old.state == StateRunning {
 		return transport.Errorf(transport.StatusConflict, "agent %s already running here", rec.id)
 	}
-	s.pending[rec.id] = pendingAccept{prevWM: prevWM, hadPrev: hadPrev}
+	s.pending[rec.id] = pendingAccept{prevWM: prevWM, hadPrev: hadPrev, wasRetired: s.putLocked(rec)}
 	s.accepted[rec.id] = sentHop
-	s.agents[rec.id] = rec
 	return nil
 }
 
@@ -1177,20 +1185,24 @@ func (s *Server) commitHandoff(id string) {
 
 // abortHandoff rolls the watermark back and releases the reservation,
 // optionally dropping the inserted record (dropRecord=false keeps it
-// for operator visibility, e.g. a stranded delivery).
+// for operator visibility, e.g. a stranded delivery). A dropped record
+// that replaced a retired one leaves the id retired again, so the
+// watermark rolled back to stays under the ring's cap.
 func (s *Server) abortHandoff(rec *record, dropRecord bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if p, ok := s.pending[rec.id]; ok {
-		if p.hadPrev {
-			s.accepted[rec.id] = p.prevWM
-		} else {
-			delete(s.accepted, rec.id)
-		}
+	p := s.pending[rec.id]
+	if p.hadPrev {
+		s.accepted[rec.id] = p.prevWM
+	} else {
+		delete(s.accepted, rec.id)
 	}
 	delete(s.pending, rec.id)
 	if dropRecord {
 		delete(s.agents, rec.id)
+		if p.wasRetired {
+			s.retired[rec.id] = s.ring.PushBack(rec.id)
+		}
 	}
 }
 
@@ -1274,7 +1286,7 @@ func (s *Server) handleClone(ctx context.Context, req *transport.Request) *trans
 		tenant: rec.tenant, vm: cloneVM, state: StateRunning,
 	}
 	s.mu.Lock()
-	s.agents[newID] = cloneRec
+	s.putLocked(cloneRec)
 	s.mu.Unlock()
 	// A clone of a migrating agent continues its journey, journaled with
 	// its destination like any departure; a running clone starts here.
@@ -1332,31 +1344,25 @@ func (s *Server) handleDispose(_ context.Context, req *transport.Request) *trans
 		return transport.Errorf(transport.StatusNotFound, "no agent %q at %s", id, s.cfg.Addr)
 	}
 	s.mu.Lock()
-	switch rec.state {
-	case StateRunning:
+	state, movedTo := rec.state, rec.movedTo
+	if state == StateRunning {
 		rec.disposeReq = true
-		s.mu.Unlock()
+	}
+	s.mu.Unlock()
+	switch state {
+	case StateRunning:
 		return transport.OKText("dispose scheduled")
 	case StateDeparted:
-		movedTo := rec.movedTo
-		s.mu.Unlock()
 		resp := transport.Errorf(transport.StatusGone, "agent %q moved to %s", id, movedTo)
 		resp.SetHeader("moved-to", movedTo)
 		return resp
-	case StateDelivered, StateDisposed, StateStranded, StateParked:
-		// Dropping bookkeeping for a finished (or hopelessly parked)
-		// agent is idempotent. An explicit operator dispose forgets the
-		// journal entry outright — watermark included. The journal I/O
-		// happens after the lock is released.
-		rec.state = StateDisposed
-		s.mu.Unlock()
-		s.journalDrop(id)
-		return transport.OKText("disposed")
-	default:
-		state := rec.state
-		s.mu.Unlock()
-		return transport.Errorf(transport.StatusConflict, "agent %q is %s", id, state)
 	}
+	// A finished (or hopelessly parked, or stranded) agent is forgotten
+	// outright: record, watermark and journal entry.
+	if !s.forget(id, func() bool { return s.agents[id] == rec }) {
+		return transport.Errorf(transport.StatusUnavailable, "agent %q is mid-handoff, retry", id)
+	}
+	return transport.OKText("disposed")
 }
 
 func (s *Server) handleAgents(_ context.Context, _ *transport.Request) *transport.Response {
@@ -1421,7 +1427,7 @@ func (s *Server) journalPut(rec *record, target, kind string) error {
 			LastErr: rec.lastErr, Tenant: rec.tenant, Watermark: wm,
 		}
 		s.mu.Unlock()
-		if _, err = s.jr.put(e); err != nil { // full entries never trigger tombstone eviction
+		if err = s.jr.put(e); err != nil {
 			return err
 		}
 	}
@@ -1429,61 +1435,102 @@ func (s *Server) journalPut(rec *record, target, kind string) error {
 	return nil
 }
 
-// journalDrop removes an agent's journal entry (no-op without one).
-func (s *Server) journalDrop(id string) {
-	if s.jr == nil {
-		return
-	}
-	if err := s.jr.drop(id); err != nil {
-		s.logf("mas %s: dropping journal entry for %s: %v", s.cfg.Addr, id, err)
-	}
-}
-
-// journalFinish retires an agent's journal entry once it is no longer
-// resident (departed onward, delivered, disposed). If the agent was
-// accepted over /atp/transfer, the entry is replaced by a slim dedup
-// tombstone rather than deleted: the journaled watermark must outlive
-// the resident copy, or a crash here followed by a sender's retry of
-// the original handoff would land a second copy of an agent we
-// already forwarded. Locally admitted agents (no watermark) are
-// simply dropped.
-func (s *Server) journalFinish(rec *record, st AgentState) {
-	if s.jr == nil {
-		return
-	}
-	s.mu.Lock()
-	wm, ok := s.accepted[rec.id]
-	s.mu.Unlock()
-	if !ok {
-		s.journalDrop(rec.id)
-		return
-	}
-	e := &journalEntry{
-		Image:  atp.Image{AgentID: rec.id, Home: rec.home, CodeID: rec.codeID, Owner: rec.owner},
-		Tenant: rec.tenant, State: st, Watermark: wm,
-	}
-	evicted, err := s.jr.put(e)
-	if err != nil {
-		s.logf("mas %s: writing tombstone for %s: %v", s.cfg.Addr, rec.id, err)
-	}
-	if evicted != "" {
-		s.forgetHandoff(evicted)
-	}
-}
-
-// forgetHandoff prunes in-memory dedup state for an agent whose
-// tombstone was evicted from the journal, keeping the accepted map
-// (and terminal agent records) bounded in step with the store.
-func (s *Server) forgetHandoff(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.accepted, id)
-	if rec, ok := s.agents[id]; ok {
-		switch rec.state {
-		case StateDeparted, StateDelivered, StateDisposed:
-			delete(s.agents, id)
+// retire is the one retirement rule, with or without a journal, for an
+// agent no longer resident here (departed, delivered, disposed). Its
+// journal entry shrinks to a dedup tombstone — the watermark must
+// outlive the resident copy, or a sender's retry after a crash would
+// land a second copy — or, without a watermark, is dropped. An agent
+// finished here (not departed from its home, whose record stays as the
+// first forwarding pointer until the homecoming replaces it) then joins
+// the retirement ring.
+func (s *Server) retire(rec *record, st AgentState) {
+	if s.jr != nil {
+		s.mu.Lock()
+		wm, ok := s.accepted[rec.id]
+		s.mu.Unlock()
+		var err error
+		if ok {
+			err = s.jr.put(&journalEntry{
+				Image:  atp.Image{AgentID: rec.id, Home: rec.home, CodeID: rec.codeID, Owner: rec.owner},
+				Tenant: rec.tenant, State: st, Watermark: wm,
+			})
+		} else {
+			err = s.jr.drop(rec.id)
+		}
+		if err != nil {
+			s.logf("mas %s: retiring journal entry for %s: %v", s.cfg.Addr, rec.id, err)
 		}
 	}
+	if st != StateDeparted || rec.home != s.cfg.Addr {
+		s.enring(rec.id, rec)
+	}
+}
+
+// putLocked (s.mu held) makes rec its id's record and reports whether
+// the id had retired: it leaves the ring again.
+func (s *Server) putLocked(rec *record) (wasRetired bool) {
+	s.agents[rec.id] = rec
+	return s.unretireLocked(rec.id)
+}
+
+// unretireLocked (s.mu held) takes id out of the retirement ring.
+func (s *Server) unretireLocked(id string) bool {
+	el, ok := s.retired[id]
+	if ok {
+		s.ring.Remove(el)
+		delete(s.retired, id)
+	}
+	return ok
+}
+
+// enring retires id into the ring if rec is still its record (nil: a
+// tombstone re-read with no record) and forgets the oldest retirees past
+// maxRetired.
+func (s *Server) enring(id string, rec *record) {
+	s.mu.Lock()
+	if s.agents[id] == rec {
+		s.unretireLocked(id)
+		s.retired[id] = s.ring.PushBack(id)
+	}
+	for s.ring.Len() > maxRetired {
+		el := s.ring.Front()
+		old := el.Value.(string)
+		s.mu.Unlock()
+		s.forget(old, func() bool { return s.retired[old] == el })
+		s.mu.Lock()
+	}
+	s.mu.Unlock()
+}
+
+// forget is the one way a finished agent leaves this server — evicted
+// from the retirement ring or disposed by an operator: its record, its
+// dedup watermark and its journal entry go together. The journal stripe
+// of id is taken before still is asked, under s.mu, whether id is still
+// the one to forget (and no handoff of it is pending), and is held
+// through the trailing drop: an agent re-arriving under the same id has
+// either replaced it before the check, so nothing is forgotten, or
+// journals itself after the drop. It reports whether id was forgotten.
+func (s *Server) forget(id string, still func() bool) bool {
+	if s.jr != nil {
+		st := s.jr.stripe(id)
+		st.Lock()
+		defer st.Unlock()
+	}
+	s.mu.Lock()
+	if _, busy := s.pending[id]; busy || !still() {
+		s.mu.Unlock()
+		return false
+	}
+	delete(s.agents, id)
+	delete(s.accepted, id)
+	s.unretireLocked(id)
+	s.mu.Unlock()
+	if s.jr != nil {
+		if err := s.jr.dropLocked(id); err != nil {
+			s.logf("mas %s: dropping journal entry for %s: %v", s.cfg.Addr, id, err)
+		}
+	}
+	return true
 }
 
 // RetryParked re-attempts the pending transfer of every parked agent —
@@ -1536,8 +1583,10 @@ func (s *Server) Resume(ctx context.Context) (int, error) {
 	for _, e := range entries {
 		if e.tombstone() {
 			// Dedup bookkeeping only: restore the watermark so retried
-			// handoffs the dead server had accepted stay idempotent.
+			// handoffs the dead server had accepted stay idempotent, and
+			// retire it again, in record-id order, so the cap holds.
 			s.mergeWatermark(e.Image.AgentID, e.Watermark)
+			s.enring(e.Image.AgentID, nil)
 			continue
 		}
 		if s.resumeEntry(ctx, e, true) {
@@ -1583,7 +1632,7 @@ func (s *Server) resumeEntry(ctx context.Context, e *journalEntry, journaled boo
 		s.mu.Unlock()
 		return false
 	}
-	s.agents[rec.id] = rec
+	s.putLocked(rec)
 	if e.Watermark >= 0 {
 		if wm, ok := s.accepted[rec.id]; !ok || e.Watermark > wm {
 			s.accepted[rec.id] = e.Watermark
@@ -1655,14 +1704,13 @@ func (s *Server) AdoptJournal(ctx context.Context, from string, store rms.Store)
 		if e.tombstone() {
 			s.mergeWatermark(id, e.Watermark)
 			// Persist the acceptance evidence unless a live local entry
-			// would be clobbered by it.
+			// would be clobbered by it, and retire it like our own.
 			if !resident && s.jr != nil {
-				if evicted, err := s.jr.put(e); err != nil {
+				if err := s.jr.put(e); err != nil {
 					s.logf("mas %s: adopting tombstone %s from %s: %v", s.cfg.Addr, id, from, err)
-				} else if evicted != "" {
-					s.forgetHandoff(evicted)
 				}
 			}
+			s.enring(id, nil)
 			continue
 		}
 		if resident {
@@ -1671,7 +1719,7 @@ func (s *Server) AdoptJournal(ctx context.Context, from string, store rms.Store)
 		}
 		journaled := true
 		if s.jr != nil {
-			if _, err := s.jr.put(e); err != nil {
+			if err := s.jr.put(e); err != nil {
 				// Our own journal is failing; adopt in memory anyway —
 				// a running copy beats a stranded journey.
 				s.logf("mas %s: journaling adopted agent %s: %v", s.cfg.Addr, id, err)

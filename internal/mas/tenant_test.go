@@ -89,7 +89,7 @@ func TestJournalTenantRoundTrip(t *testing.T) {
 		},
 		Tenant: "acme", State: StateRunning, Watermark: -1,
 	}
-	if _, err := jr.put(e); err != nil {
+	if err := jr.put(e); err != nil {
 		t.Fatal(err)
 	}
 	// A fresh journal over the same store must see the account again.
@@ -121,7 +121,7 @@ func TestJournalBytesByTenant(t *testing.T) {
 		State: StateRunning, Watermark: -1,
 	}
 	for _, e := range []*journalEntry{a, d} {
-		if _, err := jr.put(e); err != nil {
+		if err := jr.put(e); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -135,7 +135,7 @@ func TestJournalBytesByTenant(t *testing.T) {
 
 	// Replacing the entry re-bills the new size, not the sum of both.
 	a.Image.State = bytes.Repeat([]byte("x"), 1024)
-	if _, err := jr.put(a); err != nil {
+	if err := jr.put(a); err != nil {
 		t.Fatal(err)
 	}
 	if got := jr.bytesByTenant()["acme"]; got != int64(len(a.encode())) {
@@ -147,7 +147,7 @@ func TestJournalBytesByTenant(t *testing.T) {
 	a.State = StateDeparted
 	a.Image.Program, a.Image.State = nil, nil
 	a.Watermark = 2
-	if _, err := jr.put(a); err != nil {
+	if err := jr.put(a); err != nil {
 		t.Fatal(err)
 	}
 	if got := jr.bytesByTenant()["acme"]; got != int64(len(a.encode())) {

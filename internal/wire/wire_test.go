@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -101,6 +102,24 @@ func TestPackedInformationRoundTrip(t *testing.T) {
 	}
 	if !back.Params["banks"].Equal(pi.Params["banks"]) || !back.Params["amount"].Equal(pi.Params["amount"]) {
 		t.Fatalf("params changed: %v", back.Params)
+	}
+}
+
+// TestUnpackRefusesAttributeFlood: a dispatch body whose start tag is a
+// 256 KiB run of attributes (about 62 KB once compressed) is refused by
+// the attribute cap before any duplicate check grows quadratic.
+func TestUnpackRefusesAttributeFlood(t *testing.T) {
+	doc := []byte(`<?xml version="1.0" encoding="UTF-8"?><packed-information`)
+	for i := 0; len(doc) < 256<<10; i++ {
+		doc = fmt.Appendf(doc, ` a%d=""`, i)
+	}
+	doc = append(doc, `></packed-information>`...)
+	body, err := compress.Encode(compress.Flate, doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Unpack(body, nil); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("more than %d attributes", kxml.MaxAttrs)) {
+		t.Fatalf("Unpack of a %d B attribute flood: err = %v, want the attribute cap", len(body), err)
 	}
 }
 
