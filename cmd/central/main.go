@@ -10,7 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"strings"
 
@@ -33,7 +32,7 @@ func main() {
 	}
 	dir := gateway.NewDirectory(addrs...)
 	log.Printf("central: serving %d gateway(s) on %s", len(addrs), *listen)
-	if err := http.ListenAndServe(*listen, transport.NewHTTPHandler(dir.Handler())); err != nil {
+	if err := transport.NewServer(dir.Handler()).ListenAndServe(*listen); err != nil {
 		log.Fatalf("central: %v", err)
 	}
 }

@@ -326,9 +326,9 @@ func main() {
 	log.Printf("gateway %s: %s flavour, key %s, listening on %s",
 		public, *flavour, kp.Public().Fingerprint(), *listen)
 
-	srv := &http.Server{Addr: *listen, Handler: transport.NewHTTPHandler(gw.Handler())}
+	srv := transport.NewServer(gw.Handler())
 	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
+	go func() { errCh <- srv.ListenAndServe(*listen) }()
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)

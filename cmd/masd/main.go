@@ -286,9 +286,9 @@ func main() {
 		m.Handle("/", handler)
 		handler = m
 	}
-	httpSrv := &http.Server{Addr: *listen, Handler: transport.NewHTTPHandler(handler)}
+	httpSrv := transport.NewServer(handler)
 	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
+	go func() { errCh <- httpSrv.ListenAndServe(*listen) }()
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	select {

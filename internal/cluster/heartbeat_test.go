@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -19,6 +20,26 @@ func (m namedHTTP) RoundTrip(ctx context.Context, addr string, req *transport.Re
 	return (&transport.HTTPClient{}).RoundTrip(ctx, m[addr], req)
 }
 
+// serveCounting serves n on a loopback transport.Server, counting the
+// heartbeats it hears, and returns its address.
+func serveCounting(t *testing.T, n *Node, heard *atomic.Int32) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := n.Handler()
+	srv := transport.NewServer(transport.HandlerFunc(func(ctx context.Context, r *transport.Request) *transport.Response {
+		if r.Path == "/cluster/heartbeat" {
+			heard.Add(1)
+		}
+		return h.Serve(ctx, r)
+	}))
+	go srv.Serve(ln)                                         //nolint:errcheck // ends with Shutdown
+	t.Cleanup(func() { srv.Shutdown(context.Background()) }) //nolint:errcheck // handlers return at once
+	return ln.Addr().String()
+}
+
 // TestStoppedPeerDoesNotStallHeartbeat: gw-1 accepts the connection and
 // never answers, like a member under kill -STOP. One tick at gw-0 still
 // returns within heartbeatTimeout (plus scheduling slack), not the HTTP
@@ -34,15 +55,7 @@ func TestStoppedPeerDoesNotStallHeartbeat(t *testing.T) {
 	seeds := []string{"gw-0", "gw-1", "gw-2"}
 	healthy := NewNode(Config{Self: "gw-2", Seeds: seeds, Transport: routes, Secret: "test-cluster-secret"})
 	var heard atomic.Int32
-	inner := transport.NewHTTPHandler(healthy.Handler())
-	ok := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/cluster/heartbeat" {
-			heard.Add(1)
-		}
-		inner.ServeHTTP(w, r)
-	}))
-	defer ok.Close()
-	routes["gw-2"] = ok.Listener.Addr().String()
+	routes["gw-2"] = serveCounting(t, healthy, &heard)
 
 	node := NewNode(Config{Self: "gw-0", Seeds: seeds, Transport: routes, Secret: "test-cluster-secret"})
 	answered := make(chan int, 1)
@@ -75,15 +88,7 @@ func TestStoppedPeersCostOneHeartbeatTimeout(t *testing.T) {
 	seeds := []string{"gw-0", "gw-1", "gw-2", "gw-3"}
 	healthy := NewNode(Config{Self: "gw-3", Seeds: seeds, Transport: routes, Secret: "test-cluster-secret"})
 	var heard atomic.Int32
-	inner := transport.NewHTTPHandler(healthy.Handler())
-	ok := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/cluster/heartbeat" {
-			heard.Add(1)
-		}
-		inner.ServeHTTP(w, r)
-	}))
-	defer ok.Close()
-	routes["gw-3"] = ok.Listener.Addr().String()
+	routes["gw-3"] = serveCounting(t, healthy, &heard)
 
 	node := NewNode(Config{Self: "gw-0", Seeds: seeds, Transport: routes, Secret: "test-cluster-secret"})
 	start := time.Now()

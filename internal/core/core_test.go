@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"errors"
-	"net/http/httptest"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -468,8 +468,17 @@ func TestEndToEndOverRealHTTP(t *testing.T) {
 	world, err := NewLiveWorld(LiveConfig{
 		KeyBits: 1024,
 		Serve: func(h transport.Handler) (addr string, stop func()) {
-			srv := httptest.NewServer(transport.NewHTTPHandler(h))
-			return strings.TrimPrefix(srv.URL, "http://"), srv.Close
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := transport.NewServer(h)
+			go srv.Serve(ln) //nolint:errcheck // ends with Shutdown
+			return ln.Addr().String(), func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				srv.Shutdown(ctx) //nolint:errcheck // a parked poll may outlast it; the test is over
+			}
 		},
 	})
 	if err != nil {

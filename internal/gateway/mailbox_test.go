@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net"
 	"path/filepath"
 	"reflect"
 	"strconv"
@@ -870,4 +871,40 @@ func TestMailboxAckRaces(t *testing.T) {
 	if left := reopened.Export("dev-1"); len(left) != 0 {
 		t.Fatalf("a restart would re-offer %d acknowledged entries", len(left))
 	}
+}
+
+// TestLongPollHangUpReleasesPresence: over real sockets, a device that
+// hangs up on its parked long-poll stops counting as connected at once,
+// not when its wait runs out — the server ends the poll's ctx when the
+// client closes the connection.
+func TestLongPollHangUpReleasesPresence(t *testing.T) {
+	f := newMailboxFixture(t, nil)
+	hub := f.gw.Mailbox()
+	token := hub.Touch("dev-1")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := transport.NewServer(f.gw.Handler())
+	go srv.Serve(ln)                         //nolint:errcheck // ends with Shutdown
+	defer srv.Shutdown(context.Background()) //nolint:errcheck // the poll has ended
+
+	nc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	fmt.Fprintf(nc, "POST /pdagent/mailbox/poll HTTP/1.1\r\nHost: gw\r\nX-Pdagent-Device: dev-1\r\n"+
+		"X-Pdagent-Mailbox-Token: %s\r\nX-Pdagent-Wait: 30s\r\nContent-Length: 0\r\n\r\n", token)
+	connected := func(want int, within time.Duration) {
+		t.Helper()
+		for deadline := time.Now().Add(within); hub.Stats().Connected != want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("connected = %d after %v, want %d", hub.Stats().Connected, within, want)
+			}
+		}
+	}
+	connected(1, 5*time.Second)
+	nc.Close()
+	connected(0, time.Second)
 }

@@ -172,7 +172,16 @@ func TestEvictionRacesReArrival(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	waitFor(t, "re-arrivals parked", func() bool { return srv.ResidentCount() == len(again) })
+	// ResidentCount also counts an agent still running its failing hop.
+	waitFor(t, "re-arrivals parked", func() bool {
+		states := srv.AgentStates()
+		for i := range again {
+			if states[fmt.Sprintf("ag-0-%d", i)] != StateParked {
+				return false
+			}
+		}
+		return true
+	})
 
 	entries, err := srv.jr.loadAll()
 	if err != nil {

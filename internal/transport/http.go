@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -18,32 +19,85 @@ import (
 // headerPrefix namespaces PDAgent metadata within real HTTP headers.
 const headerPrefix = "X-Pdagent-"
 
-// maxBody caps a request body a handler reads and a response body the
-// client reads.
+// maxBody caps a request body the server reads and a response body
+// the client reads. A longer body is refused, never cut short.
 const maxBody = 64 << 20
 
-// NewHTTPHandler adapts a transport.Handler to net/http, for serving a
-// gateway or MAS host on a real socket (the Tomcat role in the paper).
-func NewHTTPHandler(h Handler) http.Handler {
+// errBodyTooLarge refuses a body over the limit.
+var errBodyTooLarge = errors.New("body over the size limit")
+
+// NewHTTPHandler adapts a transport.Handler to net/http. The daemons
+// serve through Server; this adapter remains because the benchmark's
+// traced pass builds its in-process cluster on net/http servers.
+func NewHTTPHandler(h Handler) http.Handler { return newHTTPHandler(h, maxBody) }
+
+func newHTTPHandler(h Handler, limit int64) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxBody))
-		if err != nil {
+		body, err := readBody(r.Body, r.ContentLength, limit)
+		if err == errBodyTooLarge {
+			w.Header().Set("Connection", "close")
+			http.Error(w, fmt.Sprintf("request body over %d bytes", limit), http.StatusRequestEntityTooLarge)
+			return
+		} else if err != nil {
 			http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		req := &Request{Path: r.URL.Path, Body: body}
-		for k, vs := range r.Header {
-			if strings.HasPrefix(k, headerPrefix) && len(vs) > 0 {
-				req.SetHeader(strings.TrimPrefix(k, headerPrefix), vs[0])
-			}
-		}
-		resp := h.Serve(r.Context(), req)
+		resp := h.Serve(r.Context(), &Request{Path: r.URL.Path, Header: pdagentHeaders(r.Header), Body: body})
 		for k, v := range resp.Header {
 			w.Header().Set(headerPrefix+k, v)
 		}
 		w.WriteHeader(resp.Status)
 		w.Write(resp.Body) //nolint:errcheck // best-effort reply
 	})
+}
+
+// readBody reads a whole body of at most limit bytes; declared is its
+// Content-Length, or -1. A longer body is errBodyTooLarge, read no
+// further than limit+1 bytes. The buffer grows with the bytes that
+// arrive, whatever was declared.
+func readBody(r io.Reader, declared, limit int64) ([]byte, error) {
+	if declared > limit {
+		return nil, errBodyTooLarge
+	}
+	size := 512
+	if declared >= 0 {
+		// Room for the read that finds the end: one allocation.
+		size = int(min(declared, 64<<10)) + 1
+	}
+	b := make([]byte, 0, size)
+	r = io.LimitReader(r, limit+1)
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if int64(len(b)) > limit {
+		return nil, errBodyTooLarge
+	}
+	return b, nil
+}
+
+// pdagentHeaders returns h's X-Pdagent-* fields, the first value of
+// each, keyed by the rest of the name; nil when there are none.
+func pdagentHeaders(h http.Header) map[string]string {
+	var out map[string]string
+	for k, vs := range h {
+		if strings.HasPrefix(k, headerPrefix) && len(vs) > 0 {
+			if out == nil {
+				out = make(map[string]string)
+			}
+			out[strings.ToLower(k[len(headerPrefix):])] = vs[0]
+		}
+	}
+	return out
 }
 
 // Limits of the client side.
@@ -153,9 +207,28 @@ func appendRequest(b []byte, host string, req *Request) ([]byte, error) {
 			return nil, fmt.Errorf("invalid path %q", path)
 		}
 	}
+	b = append(b, "POST "...)
+	b = append(b, path...)
+	b = append(b, " HTTP/1.1\r\nHost: "...)
+	b = append(b, host...)
+	b = append(b, "\r\nUser-Agent: Go-http-client/1.1\r\nContent-Length: "...)
+	b = strconv.AppendInt(b, int64(len(req.Body)), 10)
+	b = append(b, "\r\n"...)
+	b, err := appendHeaders(b, req.Header)
+	if err != nil {
+		return nil, err
+	}
+	b = append(b, "\r\n"...)
+	return append(b, req.Body...), nil
+}
+
+// appendHeaders appends h as X-Pdagent-* fields sorted by name. A name
+// or value that could break the framing (CR, LF, other controls; a
+// space in the name) is refused.
+func appendHeaders(b []byte, h map[string]string) ([]byte, error) {
 	var arr [8]string
 	keys := arr[:0]
-	for k, v := range req.Header {
+	for k, v := range h {
 		if !validName(k) {
 			return nil, fmt.Errorf("invalid header name %q", k)
 		}
@@ -165,21 +238,13 @@ func appendRequest(b []byte, host string, req *Request) ([]byte, error) {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
-	b = append(b, "POST "...)
-	b = append(b, path...)
-	b = append(b, " HTTP/1.1\r\nHost: "...)
-	b = append(b, host...)
-	b = append(b, "\r\nUser-Agent: Go-http-client/1.1\r\nContent-Length: "...)
-	b = strconv.AppendInt(b, int64(len(req.Body)), 10)
-	b = append(b, "\r\n"...)
 	for _, k := range keys {
 		b = append(b, textproto.CanonicalMIMEHeaderKey(headerPrefix+k)...)
 		b = append(b, ": "...)
-		b = append(b, strings.Trim(req.Header[k], " \t")...)
+		b = append(b, strings.Trim(h[k], " \t")...)
 		b = append(b, "\r\n"...)
 	}
-	b = append(b, "\r\n"...)
-	return append(b, req.Body...), nil
+	return b, nil
 }
 
 // validName reports whether k is an HTTP token (RFC 9110 §5.6.2).
@@ -208,15 +273,16 @@ func validValue(v string) bool {
 
 // conn is one pooled keep-alive connection.
 type conn struct {
-	addr   string // the dial address: the pool's key
-	nc     net.Conn
-	lr     io.LimitedReader // nc, cut to maxHeaderBytes while a header is read
-	br     *bufio.Reader    // reads lr
-	idleAt time.Time        // when the pool took it back
+	addr    string // the dial address: the pool's key
+	nc      net.Conn
+	lr      io.LimitedReader // nc, cut to maxHeaderBytes while a header is read
+	br      *bufio.Reader    // reads lr
+	maxBody int64            // see maxBody
+	idleAt  time.Time        // when the pool took it back
 }
 
-func newConn(addr string, nc net.Conn) *conn {
-	c := &conn{addr: addr, nc: nc, lr: io.LimitedReader{R: nc, N: math.MaxInt64}}
+func newConn(addr string, nc net.Conn, maxBody int64) *conn {
+	c := &conn{addr: addr, nc: nc, lr: io.LimitedReader{R: nc, N: math.MaxInt64}, maxBody: maxBody}
 	c.br = bufio.NewReader(&c.lr)
 	return c
 }
@@ -252,16 +318,10 @@ func (c *conn) readResponse() (*Response, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	body, err := io.ReadAll(io.LimitReader(hresp.Body, maxBody))
+	body, err := readBody(hresp.Body, hresp.ContentLength, c.maxBody)
 	if err != nil {
 		return nil, false, fmt.Errorf("reading response body: %w", err)
 	}
-	resp := &Response{Status: hresp.StatusCode, Body: body}
-	for k, vs := range hresp.Header {
-		if strings.HasPrefix(k, headerPrefix) && len(vs) > 0 {
-			resp.SetHeader(strings.TrimPrefix(k, headerPrefix), vs[0])
-		}
-	}
-	keep := !hresp.Close && len(body) < maxBody && c.br.Buffered() == 0
-	return resp, keep, nil
+	resp := &Response{Status: hresp.StatusCode, Header: pdagentHeaders(hresp.Header), Body: body}
+	return resp, !hresp.Close && c.br.Buffered() == 0, nil
 }

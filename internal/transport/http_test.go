@@ -471,7 +471,7 @@ func FuzzReadResponse(f *testing.F) {
 			sent <- n
 		}()
 		cli.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-		c := newConn("pipe", cli)
+		c := newConn("pipe", cli, maxBody)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		resp, keep, err := c.roundTrip(context.Background(), wire)

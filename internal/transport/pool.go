@@ -36,6 +36,7 @@ type connPool struct {
 	maxPerDest  int
 	timeout     time.Duration // see requestTimeout
 	idleTimeout time.Duration
+	maxBody     int64 // see maxBody
 
 	mu    sync.Mutex
 	dests map[string]*dest
@@ -49,7 +50,7 @@ type dest struct {
 }
 
 func newConnPool(maxPerDest int) *connPool {
-	return &connPool{maxPerDest: maxPerDest, timeout: requestTimeout, idleTimeout: idleTimeout, dests: make(map[string]*dest)}
+	return &connPool{maxPerDest: maxPerDest, timeout: requestTimeout, idleTimeout: idleTimeout, maxBody: maxBody, dests: make(map[string]*dest)}
 }
 
 // get returns a connection to addr with its deadline set: the most
@@ -131,7 +132,7 @@ func (p *connPool) dial(ctx context.Context, addr string, deadline time.Time) (*
 		p.release(addr)
 		return nil, err
 	}
-	return newConn(addr, nc), nil
+	return newConn(addr, nc, p.maxBody), nil
 }
 
 // put takes back a connection that can carry another request.

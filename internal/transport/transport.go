@@ -6,17 +6,20 @@
 // Handler/RoundTripper pair defined here, so the same device, gateway
 // and MAS code runs over two interchangeable fabrics:
 //
-//   - the real net/http adapters in this package (daemons, integration
-//     tests), and
+//   - real HTTP/1.1 over sockets, this package's Server and HTTPClient
+//     (daemons, integration tests), and
 //   - the simulated network in internal/netsim (deterministic
 //     experiments with virtual time).
 //
-// The server side is net/http. The client side, HTTPClient, is a small
-// HTTP/1.1 client of this package's own: each round trip writes its
-// request and reads the answer on the caller's goroutine over a pooled
-// keep-alive connection, so a call costs no goroutine handoff.
-// NewPooledHTTPClient gives a client its own pool with a
-// per-destination connection cap, and Pooled wraps any RoundTripper
+// Both HTTP halves are the package's own and run on one goroutine per
+// exchange. Server reads each request, runs the handler and writes the
+// answer on its connection's goroutine, watching for a client hang-up
+// only when a handler waits on ctx.Done(). HTTPClient writes a request
+// and reads the answer on the caller's goroutine over a pooled
+// keep-alive connection. Both frame messages with net/http's readers
+// (http.ReadRequest, http.ReadResponse), so curl and net/http talk to
+// them unchanged. NewPooledHTTPClient gives a client its own pool with
+// a per-destination connection cap, and Pooled wraps any RoundTripper
 // with a per-destination in-flight request limit (backpressure under
 // bursts) — see DESIGN.md §5.
 package transport
