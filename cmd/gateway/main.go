@@ -22,7 +22,8 @@
 // connected devices are first-class. -mailbox-ttl, -mailbox-quota and
 // -result-ttl bound retention; a background sweeper (-sweep-every)
 // enforces them. With -journal PATH the embedded MAS keeps a durable
-// agent journal (resident agents survive a crash). Both are
+// agent journal: resident agents survive a crash, and an agent whose
+// hop fails parks and is retried every 30 s, as on masd. Both are
 // group-commit WAL directories, power-loss durable (DESIGN.md §9).
 //
 // Every device dispatch passes one admission rule after its dispatch
@@ -64,6 +65,7 @@ import (
 	"pdagent/internal/cluster"
 	"pdagent/internal/core"
 	"pdagent/internal/gateway"
+	"pdagent/internal/mas"
 	"pdagent/internal/pisec"
 	"pdagent/internal/push"
 	"pdagent/internal/repl"
@@ -128,9 +130,8 @@ func main() {
 	rt := transport.NewPooledHTTPClient(*maxConns)
 	// Declared ahead of the node so the eviction hook (which only runs
 	// after everything is wired and heartbeats start) can close over
-	// them.
+	// it.
 	var node *cluster.Node
-	var peer *repl.Peer
 	var gw *gateway.Gateway
 	if *clusterSeeds != "" {
 		if *clusterSecret == "" {
@@ -156,34 +157,19 @@ func main() {
 		}
 		if *replicate {
 			// Warm-standby promotion (DESIGN.md §10): when the fleet
-			// evicts a member whose replica this one holds, fence the
-			// dead instance, take the replicas, and adopt its agents and
-			// mailboxes.
+			// evicts a member whose replica this one holds, adopt it.
 			nodeCfg.OnEvict = func(dead string) {
-				if peer == nil || gw == nil || !peer.Has(dead) {
+				if gw == nil {
 					return
 				}
-				fence := node.RaiseFence(dead)
-				var journal, mailbox rms.Store
-				for role, r := range peer.Take(dead) {
-					switch role {
-					case repl.RoleJournal:
-						journal = r.NewStore("replica-journal-" + dead)
-					case repl.RoleMailbox:
-						mailbox = r.NewStore("replica-mailbox-" + dead)
-					}
-				}
-				if journal == nil && mailbox == nil {
-					return
-				}
-				log.Printf("gateway %s: promoting over evicted %s (fence epoch %d)", public, dead, fence)
-				if _, _, err := gw.PromoteFrom(context.Background(), dead, journal, mailbox); err != nil {
+				if _, err := gw.PromoteOver(context.Background(), dead); err != nil {
 					log.Printf("gateway %s: promoting over %s: %v", public, dead, err)
 				}
 			}
 		}
 		node = cluster.NewNode(nodeCfg)
 	}
+	var peer *repl.Peer
 	if *replicate {
 		if node == nil {
 			log.Fatalf("gateway: -replicate requires -cluster-seeds (replication rides the cluster transport)")
@@ -270,38 +256,27 @@ func main() {
 	if err := core.RegisterStandardApps(gw); err != nil {
 		log.Fatalf("gateway: %v", err)
 	}
+	// Background work (parked-transfer retries, journal compaction)
+	// runs under a context cancelled once the SIGTERM drain ends.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	if journal != nil {
-		n, err := gw.MAS().Resume(context.Background())
+		n, err := gw.MAS().Resume(ctx)
 		if err != nil {
 			log.Fatalf("gateway: resuming journaled agents: %v", err)
 		}
 		log.Printf("gateway %s: journal %s, resumed %d agent(s)", public, *journalPath, n)
+		go gw.MAS().RunUpkeep(ctx, mas.DefaultUpkeepInterval)
 	}
 	if node != nil {
 		node.Start(*heartbeat)
 		log.Printf("gateway %s: clustered, %d seed(s), heartbeat %v", public, len(strings.Split(*clusterSeeds, ",")), *heartbeat)
 	}
-	replDone := make(chan struct{})
+	stopRepl := func() {}
 	if peer != nil {
-		// The flush ticker is the async-mode shipper and, in semi-sync
-		// mode, the retry loop for anything a degraded stream buffered.
-		go func() {
-			t := time.NewTicker(*heartbeat)
-			defer t.Stop()
-			for {
-				select {
-				case <-replDone:
-					return
-				case <-t.C:
-					ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-					peer.Flush(ctx)
-					cancel()
-				}
-			}
-		}()
+		stopRepl = peer.Start(*heartbeat)
 		log.Printf("gateway %s: replicating to ring-successor standby (%s mode)", public, *replMode)
 	}
-	sweepDone := make(chan struct{})
 	if mailbox != nil && (*mailboxTTL > 0 || *resultTTL > 0) {
 		if *sweepEvery <= 0 {
 			log.Fatalf("gateway: -sweep-every must be positive, got %v", *sweepEvery)
@@ -311,7 +286,7 @@ func main() {
 			defer t.Stop()
 			for {
 				select {
-				case <-sweepDone:
+				case <-ctx.Done():
 					return
 				case <-t.C:
 					if results, entries := gw.Sweep(); results > 0 || entries > 0 {
@@ -342,21 +317,17 @@ func main() {
 		// after the timeout is reported (a journaled gateway recovers
 		// it on the next start).
 		log.Printf("gateway %s: %v received, draining (timeout %v)", public, s, *drainTimeout)
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		if left := gw.Drain(ctx); left > 0 {
+		drainCtx, drainCancel := context.WithTimeout(ctx, *drainTimeout)
+		if left := gw.Drain(drainCtx); left > 0 {
 			log.Printf("gateway %s: drain timeout with %d resident agent(s)", public, left)
 		} else {
 			log.Printf("gateway %s: drained clean", public)
 		}
+		drainCancel()
 		cancel()
-		close(replDone)
-		if peer != nil {
-			// One last flush so the standby holds everything the drain
-			// committed before this member goes away.
-			flushCtx, flushCancel := context.WithTimeout(context.Background(), 10*time.Second)
-			peer.Flush(flushCtx)
-			flushCancel()
-		}
+		// The last flush: the standby holds everything the drain
+		// committed before this member goes away.
+		stopRepl()
 		// The HTTP shutdown gets its own deadline: after a drain
 		// timeout the drain context is already expired, and reusing it
 		// would abort in-flight device requests instantly.
@@ -365,7 +336,6 @@ func main() {
 			log.Printf("gateway %s: http shutdown: %v", public, err)
 		}
 		shutCancel()
-		close(sweepDone)
 		// Close before the stores: the mailbox hub commits the acks it
 		// still holds staged (DESIGN.md §7) and needs its store open.
 		gw.Close()

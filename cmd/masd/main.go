@@ -18,9 +18,8 @@
 // be recovered from its standby.
 //
 // Tenant accounts are a gateway matter (gateway -tenants): a host
-// learns each arriving agent's account from its transfer and exports
-// pdagent_tenant_residents and pdagent_tenant_journal_bytes by account,
-// with a default row always present.
+// learns each arriving agent's account from its transfer, and its
+// /metrics breaks residents and journal bytes down by account.
 package main
 
 import (
@@ -42,7 +41,6 @@ import (
 	"pdagent/internal/repl"
 	"pdagent/internal/rms"
 	"pdagent/internal/services"
-	"pdagent/internal/tenant"
 	"pdagent/internal/transport"
 )
 
@@ -53,7 +51,7 @@ func main() {
 	svcList := flag.String("services", "bank", "comma-separated services to host: bank,food,docs")
 	journalPath := flag.String("journal", "", "agent journal directory (enables crash recovery; agents resume on restart)")
 	clusterSecret := flag.String("cluster-secret", "", "shared cluster secret stamped on the location relays sent to each agent's home gateway (clustered home gateways refuse unauthenticated ones; standalone ones are skipped)")
-	retryEvery := flag.Duration("retry-interval", 30*time.Second, "how often parked transfers are retried (with -journal)")
+	retryEvery := flag.Duration("retry-interval", mas.DefaultUpkeepInterval, "how often parked transfers are retried (with -journal)")
 	replicateTo := flag.String("replicate", "", "standby address to stream journal commits to (DESIGN.md §10; requires -journal and -cluster-secret); the standby holds a live replica and serves it back on /cluster/repl/fetch")
 	replMode := flag.String("repl-mode", string(repl.ModeAsync), "replication ack discipline: async (ship on the flush tick) or semi-sync (each commit waits for the standby)")
 	replFlush := flag.Duration("repl-flush", 2*time.Second, "async replication flush interval")
@@ -107,8 +105,7 @@ func main() {
 	var journal *rms.WALStore
 	if *journalPath != "" {
 		if *retryEvery <= 0 {
-			// time.Tick on a non-positive interval returns a nil channel
-			// and would silently never retry parked transfers.
+			// RunUpkeep's ticker cannot run on a non-positive interval.
 			log.Fatalf("masd: -retry-interval must be positive, got %v", *retryEvery)
 		}
 		journal, err = rms.OpenWALStore(*journalPath, rms.WALOptions{})
@@ -177,49 +174,12 @@ func main() {
 		log.Fatalf("masd: %v", err)
 	}
 	// The MAS built its own registry (served on /metrics); fold the
-	// host-level durability and replication signals into the same
-	// scrape.
-	if journal != nil {
-		journal.RegisterMetrics(srv.Metrics(), "pdagent_wal", "agent journal")
-	}
+	// replication signals into the same scrape.
 	if peer != nil {
-		m := srv.Metrics()
-		m.GaugeFunc("pdagent_repl_streams",
-			"Stores replicated to the standby.",
-			func() float64 { return float64(peer.Stats().Streams) })
-		m.GaugeFunc("pdagent_repl_degraded",
-			"Replication streams latched degraded (standby unreachable).",
-			func() float64 { return float64(peer.Stats().Degraded) })
-		m.GaugeFunc("pdagent_repl_pending_ops",
-			"Buffered-but-unreplicated ops across streams (replication lag).",
-			func() float64 { return float64(peer.Stats().PendingOps) })
+		peer.RegisterMetrics(srv.Metrics())
 	}
-	// Per-tenant residency: admission runs at the gateways (they resolve
-	// the account from the subscription table); a MAS host learns each
-	// agent's tenant from the authenticated transfer headers and breaks
-	// its /metrics down per account, the default one included.
-	m := srv.Metrics()
-	m.GaugeVecFunc("pdagent_tenant_residents",
-		"Resident agents by tenant account.", "tenant",
-		func() map[string]float64 {
-			out := map[string]float64{tenant.DefaultLabel: 0}
-			for label, n := range srv.ResidentsByTenant() {
-				out[label] = float64(n)
-			}
-			return out
-		})
-	m.GaugeVecFunc("pdagent_tenant_journal_bytes",
-		"Journaled agent bytes by tenant account.", "tenant",
-		func() map[string]float64 {
-			out := map[string]float64{tenant.DefaultLabel: 0}
-			for label, b := range srv.JournalBytesByTenant() {
-				out[label] = float64(b)
-			}
-			return out
-		})
 	// Background work (parked-transfer retries, journal compaction)
-	// runs under a context cancelled on SIGTERM, so a shutdown never
-	// races a half-finished retry round.
+	// runs under a context cancelled on SIGTERM.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go relay.run(ctx)
@@ -229,49 +189,11 @@ func main() {
 			log.Fatalf("masd: resuming journaled agents: %v", err)
 		}
 		log.Printf("masd %s: journal %s, resumed %d agent(s)", public, *journalPath, n)
-		go func() {
-			// Journals are append-only; reclaim superseded bytes once they
-			// pass a threshold so long-running daemons stay bounded on
-			// disk, not just in live records. (The WAL also compacts
-			// itself at segment rotation; this ticker is the backstop for
-			// idle hosts.)
-			const compactThreshold = 1 << 20
-			t := time.NewTicker(*retryEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-				}
-				if n := srv.RetryParked(ctx); n > 0 {
-					log.Printf("masd %s: retrying %d parked transfer(s)", public, n)
-				}
-				if journal.Garbage() > compactThreshold {
-					if err := journal.Compact(); err != nil {
-						log.Printf("masd %s: compacting journal: %v", public, err)
-					}
-				}
-			}
-		}()
+		go srv.RunUpkeep(ctx, *retryEvery)
 	}
+	stopRepl := func() {}
 	if *replicateTo != "" {
-		// The flush ticker is the async-mode shipper and, in semi-sync
-		// mode, the retry loop for anything a degraded stream buffered.
-		go func() {
-			t := time.NewTicker(*replFlush)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-					fctx, fcancel := context.WithTimeout(context.Background(), 10*time.Second)
-					peer.Flush(fctx)
-					fcancel()
-				}
-			}
-		}()
+		stopRepl = peer.Start(*replFlush)
 		log.Printf("masd %s: replicating journal to %s (%s mode)", public, *replicateTo, *replMode)
 	}
 	log.Printf("masd %s: %s flavour, services %v, listening on %s",
@@ -301,13 +223,9 @@ func main() {
 		log.Printf("masd %s: %v received, shutting down", public, s)
 		cancel()
 		<-relay.done
-		if *replicateTo != "" {
-			// One last flush so the standby's replica is current before
-			// this host goes away.
-			fctx, fcancel := context.WithTimeout(context.Background(), 10*time.Second)
-			peer.Flush(fctx)
-			fcancel()
-		}
+		// The last flush: the standby's replica is current before this
+		// host goes away.
+		stopRepl()
 		shutCtx, shutCancel := context.WithTimeout(context.Background(), 5*time.Second)
 		if err := httpSrv.Shutdown(shutCtx); err != nil {
 			log.Printf("masd %s: http shutdown: %v", public, err)

@@ -246,18 +246,16 @@ func CrashStorm(cfg CrashStormConfig) (*CrashStormResult, error) {
 			return err
 		}
 		// The standby fences the corpse and promotes its replica.
-		res.Fence = nodes[1].RaiseFence(addrs[0])
-		rep := peers[1].Take(addrs[0])[repl.RoleMailbox]
-		if rep == nil {
-			return fmt.Errorf("churnsim: standby holds no mailbox replica of %s", addrs[0])
-		}
-		_, mbs, err := gws[1].PromoteFrom(context.Background(), addrs[0], nil, rep.NewStore("promoted-"+addrs[0]))
+		p, err := gws[1].PromoteOver(context.Background(), addrs[0])
 		if err != nil {
 			return err
 		}
-		res.PromotedMailboxes = mbs
+		if p == nil {
+			return fmt.Errorf("churnsim: standby holds no replica of %s", addrs[0])
+		}
+		res.Fence, res.PromotedMailboxes = p.Fence, p.Mailboxes
 		logf("churnsim: killed %s at %v (window: %d pending ops, wave %d); %s promoted %d mailboxes",
-			addrs[0], cfg.CrashAt, res.LostWindow, wave, addrs[1], mbs)
+			addrs[0], cfg.CrashAt, res.LostWindow, wave, addrs[1], p.Mailboxes)
 		return nil
 	}
 

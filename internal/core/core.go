@@ -102,10 +102,7 @@ type SimConfig struct {
 
 // Promotion records one completed §10 failover: By adopted Dead's
 // replicated state after its eviction.
-type Promotion struct {
-	Dead, By          string
-	Agents, Mailboxes int
-}
+type Promotion = gateway.Promotion
 
 // SimWorld is a fully wired simulated deployment.
 type SimWorld struct {
@@ -453,43 +450,23 @@ func (w *SimWorld) TickCluster(ctx context.Context) int {
 }
 
 // promoteOver runs the §10 failover on one observed eviction. The
-// eviction may be aged out by any member, but only the one actually
-// holding dead's replica promotes (the ring successor that was its
-// standby) — and Take consumes the replica, so repeated observations
-// of the same eviction yield exactly one adoption.
+// eviction may be aged out by any member, but only the running one
+// holding dead's replica promotes, and exactly once (PromoteOver).
 func (w *SimWorld) promoteOver(ctx context.Context, dead string) {
-	i := -1
-	for j, p := range w.Repls {
-		if p != nil && !w.crashedGW[w.Gateways[j].Addr()] && p.Has(dead) {
-			i = j
-			break
+	for _, gw := range w.Gateways {
+		if w.crashedGW[gw.Addr()] {
+			continue
+		}
+		// A failed adoption leaves the replica consumed but the fence
+		// up, which is still safer than a half-fenced split brain: keep
+		// the world running.
+		if p, err := gw.PromoteOver(ctx, dead); p != nil || err != nil {
+			if p != nil {
+				w.promotions = append(w.promotions, *p)
+			}
+			return
 		}
 	}
-	if i < 0 {
-		return
-	}
-	// Fence first: from this heartbeat on, the ex-primary's streams and
-	// dispatches are refused fleet-wide, so adoption cannot race a
-	// zombie still answering requests.
-	w.Nodes[i].RaiseFence(dead)
-	replicas := w.Repls[i].Take(dead)
-	var journal, mailbox rms.Store
-	if r := replicas[repl.RoleJournal]; r != nil {
-		journal = r.NewStore("replica-journal-" + dead)
-	}
-	if r := replicas[repl.RoleMailbox]; r != nil {
-		mailbox = r.NewStore("replica-mailbox-" + dead)
-	}
-	agents, mailboxes, err := w.Gateways[i].PromoteFrom(ctx, dead, journal, mailbox)
-	if err != nil {
-		// Keep the world running: a failed adoption leaves the replica
-		// consumed but the fence up, which is still safer than a
-		// half-fenced split brain.
-		return
-	}
-	w.promotions = append(w.promotions, Promotion{
-		Dead: dead, By: w.Gateways[i].Addr(), Agents: agents, Mailboxes: mailboxes,
-	})
 }
 
 // Promotions lists completed §10 failovers in order.

@@ -81,9 +81,9 @@ type Config struct {
 	// journal (see mas.Config.Journal): resident agents survive a
 	// gateway restart and transfers become exactly-once handoffs.
 	// Journaled servers park agents on persistent transfer failure
-	// instead of failing them home, so the embedder must drive
-	// MAS().RetryParked (e.g. core.SimWorld.RetryParked, or a ticker
-	// like cmd/masd's) and MAS().Resume after a restart.
+	// instead of failing them home, so the embedder runs
+	// MAS().RunUpkeep (a simulation calls RetryParked in virtual time)
+	// and MAS().Resume after a restart.
 	Journal rms.Store
 	// Services are service agents resident at the gateway itself
 	// (usually none — services live at network hosts).
@@ -112,10 +112,11 @@ type Config struct {
 	// /cluster/repl/* endpoints and attaches commit taps to every
 	// durable store that supports one (the agent journal and the
 	// mailbox store, when they implement rms.Tapped), so a ring
-	// successor holds a live replica and can be promoted via
-	// PromoteFrom when this member dies. The embedder builds the peer
-	// wired to the same cluster node (identity stamping, fencing) and
-	// drives its Flush from the heartbeat loop in async mode.
+	// successor holds a live replica and promotes (PromoteOver) when
+	// this member dies. The embedder builds the peer wired to the same
+	// cluster node (identity stamping, fencing), runs its flush loop
+	// (Peer.Start; a simulation calls Flush from its own tick) and
+	// calls PromoteOver for each member the node evicts.
 	Repl *repl.Peer
 	// Mailbox, when set, enables the disconnection-tolerant device
 	// sessions of DESIGN.md §7: every device gets a durable,
@@ -1035,6 +1036,7 @@ func (g *Gateway) handleDispose(ctx context.Context, req *transport.Request) *tr
 		// A disposed agent will never produce a result: mark it
 		// terminal, so a result request answers 410 Gone.
 		g.reg.ReleaseAgent(agentID, "disposed by owner")
+		g.mas.RetireDisposed(agentID)
 		// Status change into the mailbox: any other session of this
 		// owner learns the journey is over without polling status.
 		g.enqueueNote(agentID, "", push.KindStatus, "disposed:"+agentID, "disposed by owner")

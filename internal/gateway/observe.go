@@ -194,36 +194,13 @@ func (g *Gateway) initObserve() {
 			func() float64 { _, s := g.MailboxPullStats(); return float64(s) })
 	}
 
-	if w := rms.WALOf(g.cfg.Journal); w != nil {
-		w.RegisterMetrics(m, "pdagent_wal", "agent journal")
-	}
+	// The embedded MAS registers the agent journal's WAL series.
 	if w := rms.WALOf(g.mailboxStore); w != nil && g.mailboxStore != g.cfg.Journal {
 		w.RegisterMetrics(m, "pdagent_mailbox_wal", "mailbox store")
 	}
-
-	if p := g.cfg.Repl; p != nil {
-		m.GaugeFunc("pdagent_repl_streams",
-			"Stores replicated to the warm standby.",
-			func() float64 { return float64(p.Stats().Streams) })
-		m.GaugeFunc("pdagent_repl_degraded",
-			"Replication streams latched degraded (standby unreachable).",
-			func() float64 { return float64(p.Stats().Degraded) })
-		m.GaugeFunc("pdagent_repl_pending_ops",
-			"Buffered-but-unreplicated ops across streams (replication lag).",
-			func() float64 { return float64(p.Stats().PendingOps) })
-		m.GaugeFunc("pdagent_repl_async",
-			"1 when the replication ack discipline is async, else 0.",
-			func() float64 {
-				if p.Stats().Mode == "async" {
-					return 1
-				}
-				return 0
-			})
+	if g.cfg.Repl != nil {
+		g.cfg.Repl.RegisterMetrics(m)
 	}
-
-	// The gauge closures read g.mas lazily at scrape time; the MAS is
-	// built right after initObserve returns, long before the first
-	// scrape.
 	g.initTenantObserve(m)
 
 	if node := g.cfg.Cluster; node != nil {

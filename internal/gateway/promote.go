@@ -6,34 +6,60 @@ import (
 
 	"pdagent/internal/cluster"
 	"pdagent/internal/push"
+	"pdagent/internal/repl"
 	"pdagent/internal/rms"
 )
 
-// This file is the warm-standby promotion path (DESIGN.md §10). The
-// embedder — core.SimWorld in simulations, the daemons' OnEvict hook
-// in production — detects the primary's death (SWIM eviction), fences
-// the dead instance (cluster.Node.RaiseFence), takes the replicas
-// from its repl.Peer, materialises them as stores, and hands them
-// here. PromoteFrom then makes this gateway answer for the dead
-// member: its journaled agents resume their journeys from the replica
-// (exactly-once — the journal's dedup watermarks ride along), the
-// location directory re-points at this member, and the dead member's
-// device mailboxes are imported (event-id dedup keeps entries the
-// devices already fetched from double-delivering).
+// This file is the warm-standby promotion path (DESIGN.md §10). Every
+// embedder makes one call when its cluster node evicts a member
+// (cluster.Config.OnEvict): PromoteOver. The member holding the dead
+// member's replicas fences the dead instance, takes and materialises
+// the replicas, and answers for the dead member: its journaled agents
+// resume their journeys from the replica (exactly-once — the journal's
+// dedup watermarks ride along), the location directory re-points at
+// this member, and the dead member's device mailboxes are imported
+// (event-id dedup keeps entries the devices already fetched from
+// double-delivering).
 
-// PromoteFrom adopts a dead member's replicated state. journal and
-// mailbox are the materialised replica stores (either may be nil when
-// that subsystem was not replicated). Returns the number of agents
-// set in motion and mailboxes imported.
-func (g *Gateway) PromoteFrom(ctx context.Context, from string, journal, mailbox rms.Store) (agents, mailboxes int, err error) {
-	if g.cfg.Cluster == nil {
-		return 0, 0, fmt.Errorf("gateway %s: promotion requires a cluster", g.cfg.Addr)
+// Promotion reports one warm-standby takeover: By adopted Dead's
+// replicated state behind fencing epoch Fence.
+type Promotion struct {
+	Dead, By          string
+	Fence             uint64
+	Agents, Mailboxes int
+}
+
+// PromoteOver runs the failover for one evicted member. If this member
+// holds dead's replicas, it raises the fence over dead, takes the
+// replicas (consuming them, so a repeated call adopts nothing) and
+// adopts dead's agents and mailboxes. It returns nil, nil when this
+// member holds no replica of dead.
+func (g *Gateway) PromoteOver(ctx context.Context, dead string) (*Promotion, error) {
+	node, peer := g.cfg.Cluster, g.cfg.Repl
+	if node == nil || peer == nil || !peer.Has(dead) {
+		return nil, nil
 	}
-	var adopted []string
+	// Fence first: from this heartbeat on, the ex-primary's streams and
+	// dispatches are refused fleet-wide, so adoption cannot race a
+	// zombie still answering requests.
+	p := &Promotion{Dead: dead, By: g.cfg.Addr, Fence: node.RaiseFence(dead)}
+	var journal, mailbox rms.Store
+	for role, r := range peer.Take(dead) {
+		switch role {
+		case repl.RoleJournal:
+			journal = r.NewStore("replica-journal-" + dead)
+		case repl.RoleMailbox:
+			mailbox = r.NewStore("replica-mailbox-" + dead)
+		}
+	}
+	if journal == nil && mailbox == nil {
+		return nil, nil // a concurrent call took the replicas
+	}
+	g.logf("gateway %s: promoting over evicted %s (fence epoch %d)", g.cfg.Addr, dead, p.Fence)
 	if journal != nil {
-		adopted, err = g.mas.AdoptJournal(ctx, from, journal)
+		adopted, err := g.mas.AdoptJournal(ctx, dead, journal)
 		if err != nil {
-			return 0, 0, fmt.Errorf("gateway %s: adopting %s's journal: %w", g.cfg.Addr, from, err)
+			return nil, fmt.Errorf("gateway %s: adopting %s's journal: %w", g.cfg.Addr, dead, err)
 		}
 		// Re-point the location directory: every adopted agent now lives
 		// (and is homed) here. The promotion update must outrank whatever
@@ -41,23 +67,24 @@ func (g *Gateway) PromoteFrom(ctx context.Context, from string, journal, mailbox
 		// that entry's sequence rather than deriving one from hop counts.
 		for _, id := range adopted {
 			seq := 1
-			if loc, ok := g.cfg.Cluster.Locations().Get(id); ok {
+			if loc, ok := node.Locations().Get(id); ok {
 				seq = loc.Seq + 1
 			}
-			g.cfg.Cluster.PublishLocation(ctx, cluster.Location{
+			node.PublishLocation(ctx, cluster.Location{
 				AgentID: id, Addr: g.cfg.Addr, HomeGW: g.cfg.Addr, Seq: seq,
 			})
 		}
+		p.Agents = len(adopted)
 	}
 	if mailbox != nil && g.hub != nil {
-		mailboxes, err = g.importMailboxes(from, mailbox)
-		if err != nil {
-			return len(adopted), mailboxes, err
+		var err error
+		if p.Mailboxes, err = g.importMailboxes(dead, mailbox); err != nil {
+			return nil, err
 		}
 	}
 	g.logf("gateway %s: promoted over %s: %d agent(s) adopted, %d mailbox(es) imported",
-		g.cfg.Addr, from, len(adopted), mailboxes)
-	return len(adopted), mailboxes, nil
+		g.cfg.Addr, dead, p.Agents, p.Mailboxes)
+	return p, nil
 }
 
 // importMailboxes folds a dead member's mailbox replica into the local

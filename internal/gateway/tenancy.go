@@ -152,8 +152,9 @@ func (g *Gateway) remoteUsage() map[string]tenant.Usage {
 	return out
 }
 
-// initTenantObserve registers the tenant-labelled metric families
-// (called from initObserve). The counter
+// initTenantObserve registers the gateway's tenant-labelled metric
+// families (called from initObserve; the embedded MAS registers its
+// residency and journal rows). The counter
 // families pre-touch their default rows so a scrape is well-formed
 // before the first dispatch; the gauges always emit a default row for
 // the same reason.
@@ -168,48 +169,18 @@ func (g *Gateway) initTenantObserve(m *metrics.Registry) {
 	g.mTenantShed.With(tenant.DefaultLabel)
 	g.mTenantQuota.With(tenant.DefaultLabel)
 
-	withDefault := func(rows map[string]float64) map[string]float64 {
-		if _, ok := rows[tenant.DefaultLabel]; !ok {
-			rows[tenant.DefaultLabel] = 0
-		}
-		return rows
-	}
 	m.GaugeVecFunc("pdagent_tenant_inflight",
 		"Dispatched-but-unfinished agents on this member, by tenant.", "tenant",
 		func() map[string]float64 {
-			rows := map[string]float64{}
+			counts := map[string]int64{}
 			for _, u := range g.reg.ledger.Snapshot() {
-				rows[u.Tenant] = float64(u.InFlight)
+				counts[u.Tenant] = u.InFlight
 			}
-			return withDefault(rows)
-		})
-	m.GaugeVecFunc("pdagent_tenant_residents",
-		"Agents resident on this member's MAS, by tenant.", "tenant",
-		func() map[string]float64 {
-			rows := map[string]float64{}
-			for label, n := range g.mas.ResidentsByTenant() {
-				rows[label] = float64(n)
-			}
-			return withDefault(rows)
-		})
-	m.GaugeVecFunc("pdagent_tenant_journal_bytes",
-		"Journaled agent bytes on this member, by tenant.", "tenant",
-		func() map[string]float64 {
-			rows := map[string]float64{}
-			for label, b := range g.mas.JournalBytesByTenant() {
-				rows[label] = float64(b)
-			}
-			return withDefault(rows)
+			return tenant.GaugeRows(counts)
 		})
 	if g.hub != nil {
 		m.GaugeVecFunc("pdagent_tenant_mailbox_bytes",
 			"Pending mailbox payload bytes on this member, by tenant.", "tenant",
-			func() map[string]float64 {
-				rows := map[string]float64{}
-				for label, b := range g.hub.BytesByTenant() {
-					rows[label] = float64(b)
-				}
-				return withDefault(rows)
-			})
+			func() map[string]float64 { return tenant.GaugeRows(g.hub.BytesByTenant()) })
 	}
 }

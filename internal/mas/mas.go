@@ -349,6 +349,13 @@ func NewServer(cfg Config) (*Server, error) {
 		"outcome", byOutcome(&s.arrives))
 	cfg.Metrics.GaugeFunc("pdagent_residents", "Agents currently resident on this server (scrape-time walk).",
 		func() float64 { return float64(s.ResidentCount()) })
+	cfg.Metrics.GaugeVecFunc("pdagent_tenant_residents", "Agents resident on this server, by tenant.", "tenant",
+		func() map[string]float64 { return tenant.GaugeRows(s.ResidentsByTenant()) })
+	cfg.Metrics.GaugeVecFunc("pdagent_tenant_journal_bytes", "Journaled agent bytes on this server, by tenant.", "tenant",
+		func() map[string]float64 { return tenant.GaugeRows(s.JournalBytesByTenant()) })
+	if w := rms.WALOf(cfg.Journal); w != nil {
+		w.RegisterMetrics(cfg.Metrics, "pdagent_wal", "agent journal")
+	}
 	m := transport.NewMux()
 	m.Handle("/metrics", cfg.Metrics.Handler())
 	m.HandleFunc("/pdagent/trace/", s.handleTrace)
@@ -1365,6 +1372,20 @@ func (s *Server) handleDispose(_ context.Context, req *transport.Request) *trans
 	return transport.OKText("disposed")
 }
 
+// RetireDisposed retires the departure record this home keeps for an
+// agent its owner disposed of away from home (the gateway's
+// /pdagent/manage/dispose): the homecoming that would replace it will
+// not come, so it joins the retirement ring like any finished agent.
+func (s *Server) RetireDisposed(id string) {
+	s.mu.Lock()
+	rec := s.agents[id]
+	away := rec != nil && rec.home == s.cfg.Addr && rec.state == StateDeparted
+	s.mu.Unlock()
+	if away {
+		s.enring(id, rec)
+	}
+}
+
 func (s *Server) handleAgents(_ context.Context, _ *transport.Request) *transport.Response {
 	s.mu.Lock()
 	ids := make([]string, 0, len(s.agents))
@@ -1533,8 +1554,44 @@ func (s *Server) forget(id string, still func() bool) bool {
 	return true
 }
 
+// DefaultUpkeepInterval is how often a daemon runs Upkeep: masd's
+// -retry-interval default, and the journaled gateway's interval.
+const DefaultUpkeepInterval = 30 * time.Second
+
+// Upkeep is one round of a journaled server's periodic duties: it
+// retries parked transfers and compacts the journal's WAL once more
+// than rms.DefaultCompactGarbage of it is superseded (the WAL also
+// compacts at segment rotation; this is the backstop for an idle
+// host). It returns the retries started.
+func (s *Server) Upkeep(ctx context.Context) int {
+	n := s.RetryParked(ctx)
+	if n > 0 {
+		s.logf("mas %s: retrying %d parked transfer(s)", s.cfg.Addr, n)
+	}
+	if w := rms.WALOf(s.cfg.Journal); w != nil && w.Garbage() > rms.DefaultCompactGarbage {
+		if err := w.Compact(); err != nil {
+			s.logf("mas %s: compacting journal: %v", s.cfg.Addr, err)
+		}
+	}
+	return n
+}
+
+// RunUpkeep runs Upkeep every interval until ctx ends.
+func (s *Server) RunUpkeep(ctx context.Context, every time.Duration) {
+	t := time.NewTicker(every)
+	defer t.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-t.C:
+			s.Upkeep(ctx)
+		}
+	}
+}
+
 // RetryParked re-attempts the pending transfer of every parked agent —
-// called after a partition heals (cmd/masd does it on a timer). It
+// called after a partition heals (Upkeep does it on a timer). It
 // returns the number of retries started. Receiver-side dedup makes a
 // retry of an already-accepted handoff idempotent.
 func (s *Server) RetryParked(ctx context.Context) int {

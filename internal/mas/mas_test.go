@@ -3,6 +3,7 @@ package mas
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"pdagent/internal/mascript"
 	"pdagent/internal/mavm"
 	"pdagent/internal/netsim"
+	"pdagent/internal/rms"
 	"pdagent/internal/services"
 	"pdagent/internal/tenant"
 	"pdagent/internal/transport"
@@ -639,5 +641,38 @@ func TestNewServerValidation(t *testing.T) {
 	}
 	if _, err := NewServer(Config{Addr: "a", Codec: atp.AgletsCodec{}}); err == nil {
 		t.Error("missing transport accepted")
+	}
+}
+
+// TestNewServerRegistersServerGauges: a server registers its own
+// per-tenant rows, the default account's present from the first scrape,
+// and its journal WAL's series, so no embedder repeats them.
+func TestNewServerRegistersServerGauges(t *testing.T) {
+	for _, journaled := range []bool{false, true} {
+		cfg := Config{Addr: "site", Codec: atp.AgletsCodec{}, Transport: netsim.New(1).Transport(netsim.ZoneWired)}
+		if journaled {
+			wal, err := rms.OpenWALStore(filepath.Join(t.TempDir(), "journal"), rms.WALOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer wal.Close()
+			cfg.Journal = wal
+		}
+		srv, err := NewServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scrape := string(srv.Metrics().AppendPrometheus(nil))
+		for _, row := range []string{
+			"pdagent_tenant_residents{tenant=\"default\"} 0\n",
+			"pdagent_tenant_journal_bytes{tenant=\"default\"} 0\n",
+		} {
+			if !strings.Contains(scrape, row) {
+				t.Errorf("journaled=%v: scrape lacks %q", journaled, row)
+			}
+		}
+		if got := strings.Contains(scrape, "\npdagent_wal_fsyncs "); got != journaled {
+			t.Errorf("journaled=%v: scrape has pdagent_wal_fsyncs = %v", journaled, got)
+		}
 	}
 }

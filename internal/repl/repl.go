@@ -42,6 +42,7 @@ import (
 	"sync"
 	"time"
 
+	"pdagent/internal/metrics"
 	"pdagent/internal/rms"
 	"pdagent/internal/transport"
 )
@@ -245,11 +246,8 @@ func (p *Peer) observe(st *stream, ops []rms.CommitOp) {
 	st.mu.Unlock()
 }
 
-// Flush pushes every stream's buffered commits to the standby — the
-// async-mode driver, called from the cluster tick. Safe (and cheap)
-// to call in semi-sync mode too: it retries anything a degraded
-// stream buffered.
-func (p *Peer) Flush(ctx context.Context) {
+// streamList returns the sender streams in role order.
+func (p *Peer) streamList() []*stream {
 	p.mu.Lock()
 	streams := make([]*stream, 0, len(p.streams))
 	for _, st := range p.streams {
@@ -257,30 +255,56 @@ func (p *Peer) Flush(ctx context.Context) {
 	}
 	p.mu.Unlock()
 	sort.Slice(streams, func(i, j int) bool { return streams[i].role < streams[j].role })
-	for _, st := range streams {
+	return streams
+}
+
+// Flush pushes every stream's buffered commits to the standby — the
+// async-mode driver, called from the cluster tick. Safe (and cheap)
+// to call in semi-sync mode too: it retries anything a degraded
+// stream buffered.
+func (p *Peer) Flush(ctx context.Context) {
+	for _, st := range p.streamList() {
 		st.mu.Lock()
 		p.flushLocked(ctx, st)
 		st.mu.Unlock()
 	}
 }
 
+// flushTimeout bounds one round of the flush loop (Start).
+const flushTimeout = 10 * time.Second
+
+// Start runs Flush every interval — the async-mode shipper and, in
+// semi-sync mode, the retry loop for whatever a degraded stream
+// buffered — until the returned stop is called. stop flushes once more,
+// so the standby holds every commit made before this member goes away.
+// A simulation calls Flush from its own tick instead.
+func (p *Peer) Start(every time.Duration) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	flush := func() {
+		ctx, cancel := context.WithTimeout(context.Background(), flushTimeout)
+		defer cancel()
+		p.Flush(ctx)
+	}
+	go func() {
+		defer close(done)
+		t := time.NewTicker(every)
+		defer t.Stop()
+		for {
+			select {
+			case <-t.C:
+				flush()
+			case <-quit:
+				flush()
+				return
+			}
+		}
+	}()
+	return sync.OnceFunc(func() { close(quit); <-done })
+}
+
 // PendingOps counts buffered, not-yet-replicated ops across all
 // streams — the at-most loss bound if this member dies right now.
-func (p *Peer) PendingOps() int {
-	p.mu.Lock()
-	streams := make([]*stream, 0, len(p.streams))
-	for _, st := range p.streams {
-		streams = append(streams, st)
-	}
-	p.mu.Unlock()
-	n := 0
-	for _, st := range streams {
-		st.mu.Lock()
-		n += len(st.pending)
-		st.mu.Unlock()
-	}
-	return n
-}
+func (p *Peer) PendingOps() int { return p.Stats().PendingOps }
 
 // Stats is a snapshot of the sender side's replication health, for
 // the `/metrics` gauges (DESIGN.md §11).
@@ -300,12 +324,7 @@ type Stats struct {
 
 // Stats returns a snapshot of the sender streams.
 func (p *Peer) Stats() Stats {
-	p.mu.Lock()
-	streams := make([]*stream, 0, len(p.streams))
-	for _, st := range p.streams {
-		streams = append(streams, st)
-	}
-	p.mu.Unlock()
+	streams := p.streamList()
 	s := Stats{Mode: p.cfg.Mode, Streams: len(streams)}
 	for _, st := range streams {
 		st.mu.Lock()
@@ -316,6 +335,27 @@ func (p *Peer) Stats() Stats {
 		st.mu.Unlock()
 	}
 	return s
+}
+
+// RegisterMetrics exposes the sender side's health (Stats) as gauges.
+func (p *Peer) RegisterMetrics(m *metrics.Registry) {
+	m.GaugeFunc("pdagent_repl_streams",
+		"Stores replicated to the standby.",
+		func() float64 { return float64(p.Stats().Streams) })
+	m.GaugeFunc("pdagent_repl_degraded",
+		"Replication streams latched degraded (standby unreachable).",
+		func() float64 { return float64(p.Stats().Degraded) })
+	m.GaugeFunc("pdagent_repl_pending_ops",
+		"Buffered-but-unreplicated ops across streams (replication lag).",
+		func() float64 { return float64(p.Stats().PendingOps) })
+	m.GaugeFunc("pdagent_repl_async",
+		"1 when the replication ack discipline is async, else 0.",
+		func() float64 {
+			if p.cfg.Mode == ModeAsync {
+				return 1
+			}
+			return 0
+		})
 }
 
 // flushLocked pushes st.pending to the current standby; st.mu held.

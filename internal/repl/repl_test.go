@@ -3,8 +3,11 @@ package repl
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
+	"pdagent/internal/metrics"
 	"pdagent/internal/rms"
 	"pdagent/internal/transport"
 )
@@ -276,5 +279,34 @@ func TestWALStoreSemiSyncEndToEnd(t *testing.T) {
 		if r.Records[id] == nil {
 			t.Fatalf("replica missing record %d", id)
 		}
+	}
+}
+
+// TestStopFlushesLastCommits: stopping the flush loop ships what the
+// async window still buffers, so a member going away leaves its standby
+// current; the gauges read the window before and after.
+func TestStopFlushesLastCommits(t *testing.T) {
+	h := newHarness(t, ModeAsync)
+	m := metrics.NewRegistry()
+	h.a.RegisterMetrics(m)
+	store := rms.NewMemStore("journal", 0)
+	h.a.Replicate("journal", store)
+	stop := h.a.Start(time.Hour) // no tick within the test: only stop flushes
+	if _, err := store.Add([]byte("last")); err != nil {
+		t.Fatal(err)
+	}
+	scrape := string(m.AppendPrometheus(nil))
+	for _, line := range []string{"pdagent_repl_async 1\n", "pdagent_repl_streams 1\n", "pdagent_repl_pending_ops 1\n"} {
+		if !strings.Contains(scrape, line) {
+			t.Fatalf("scrape lacks %q:\n%s", line, scrape)
+		}
+	}
+	stop()
+	stop() // a second call is a no-op
+	if n := h.a.PendingOps(); n != 0 {
+		t.Fatalf("%d ops pending after stop, want 0", n)
+	}
+	if r := h.b.Replica("a", "journal"); r == nil || len(r.Records) != 1 {
+		t.Fatalf("standby replica after stop = %+v, want the one record", r)
 	}
 }

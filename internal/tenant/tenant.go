@@ -38,6 +38,17 @@ func Label(id string) string {
 	return id
 }
 
+// GaugeRows renders per-tenant counts, keyed by label, as the rows of
+// a tenant-labelled gauge. The default account's row is always there,
+// so a scrape is well-formed before the first agent or byte arrives.
+func GaugeRows(counts map[string]int64) map[string]float64 {
+	rows := map[string]float64{DefaultLabel: 0}
+	for label, n := range counts {
+		rows[label] = float64(n)
+	}
+	return rows
+}
+
 // Limits bounds one tenant's resource consumption. Zero fields mean
 // unlimited — the default tenant of a single-tenant deployment has no
 // limits at all.
