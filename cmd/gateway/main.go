@@ -11,8 +11,8 @@
 // §3.5 list, dispatches are homed by consistent hashing, and results
 // are relayed to the member the device talks to:
 //
-//	gateway -listen :8080 -advertise host1:8080 -cluster-seeds host1:8080,host2:8080
-//	gateway -listen :8080 -advertise host2:8080 -cluster-seeds host1:8080,host2:8080
+//	gateway -listen :8080 -addr host1:8080 -cluster-seeds host1:8080,host2:8080
+//	gateway -listen :8080 -addr host2:8080 -cluster-seeds host1:8080,host2:8080
 //
 // With -mailbox-dir the gateway keeps a durable per-device mailbox
 // (DESIGN.md §7): results, status changes and management notifications
@@ -76,8 +76,7 @@ import (
 
 func main() {
 	listen := flag.String("listen", ":8080", "listen address")
-	addr := flag.String("addr", "", "public address other components use to reach this gateway (default: listen address)")
-	advertise := flag.String("advertise", "", "address advertised to cluster peers and served in directories (default: -addr, then -listen)")
+	addr := flag.String("addr", "", "public address devices, hosts and cluster peers use to reach this gateway, served in directories (default: listen address)")
 	flavour := flag.String("flavour", "aglets", "embedded MAS codec flavour (aglets|voyager)")
 	peers := flag.String("peers", "", "comma-separated peer gateway addresses for /pdagent/gateways (static fallback)")
 	clusterSeeds := flag.String("cluster-seeds", "", "comma-separated seed members; non-empty enables gateway federation (requires -cluster-secret)")
@@ -113,10 +112,7 @@ func main() {
 		}()
 	}
 
-	public := *advertise
-	if public == "" {
-		public = *addr
-	}
+	public := *addr
 	if public == "" {
 		public = *listen
 	}

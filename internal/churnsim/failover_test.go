@@ -19,11 +19,11 @@ func crashStormSize(t *testing.T) int {
 }
 
 func TestCrashStormSemiSyncLosesNothing(t *testing.T) {
-	res, err := CrashStorm(CrashStormConfig{
+	res, err := ReconnectStorm(StormConfig{
 		Devices:          crashStormSize(t),
 		EntriesPerDevice: 2,
 		Window:           30 * time.Second,
-		Mode:             repl.ModeSemiSync,
+		Crash:            repl.ModeSemiSync,
 		Seed:             71,
 		Logf:             t.Logf,
 	})
@@ -45,11 +45,11 @@ func TestCrashStormSemiSyncLosesNothing(t *testing.T) {
 }
 
 func TestCrashStormAsyncLossBoundedByWindow(t *testing.T) {
-	res, err := CrashStorm(CrashStormConfig{
+	res, err := ReconnectStorm(StormConfig{
 		Devices:          crashStormSize(t),
 		EntriesPerDevice: 2,
 		Window:           30 * time.Second,
-		Mode:             repl.ModeAsync,
+		Crash:            repl.ModeAsync,
 		Seed:             73,
 		Logf:             t.Logf,
 	})
@@ -66,5 +66,35 @@ func TestCrashStormAsyncLossBoundedByWindow(t *testing.T) {
 	}
 	if res.Redelivered != 0 {
 		t.Fatalf("redelivered = %d, want 0", res.Redelivered)
+	}
+}
+
+// TestCrashStormDeterminism: the same seed gives the same crash — the
+// same replication window at the kill, the same loss and the same
+// drain percentiles — so a crash drill's figures can be compared
+// across runs and machines like the plain storm's.
+func TestCrashStormDeterminism(t *testing.T) {
+	run := func() *StormResult {
+		res, err := ReconnectStorm(StormConfig{
+			Devices:          crashStormSize(t),
+			EntriesPerDevice: 2,
+			Window:           30 * time.Second,
+			Crash:            repl.ModeAsync,
+			Seed:             73,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	a, b := run(), run()
+	if a.Lost != b.Lost || a.LostWindow != b.LostWindow || a.Delivered != b.Delivered {
+		t.Fatalf("runs diverged: lost %d/%d, window %d/%d, delivered %d/%d",
+			a.Lost, b.Lost, a.LostWindow, b.LostWindow, a.Delivered, b.Delivered)
+	}
+	for _, q := range []float64{0.5, 0.99} {
+		if a.Drain.Quantile(q) != b.Drain.Quantile(q) {
+			t.Fatalf("p%g differs across runs: %v vs %v", q*100, a.Drain.Quantile(q), b.Drain.Quantile(q))
+		}
 	}
 }

@@ -8,11 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"pdagent/internal/cluster"
-	"pdagent/internal/gateway"
 	"pdagent/internal/netsim"
 	"pdagent/internal/push"
-	"pdagent/internal/rms"
 	"pdagent/internal/transport"
 )
 
@@ -30,36 +27,13 @@ func TestStormRace10k(t *testing.T) {
 		devices = 10_000
 		members = 3
 	)
-	kp, err := stormKeyPair()
+	net := netsim.New(99)
+	fl, err := newFleet(net, fleetConfig{members: members})
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := netsim.New(99)
-	addrs := make([]string, members)
-	for i := range addrs {
-		addrs[i] = "gw-" + strconv.Itoa(i)
-	}
-	gws := make([]*gateway.Gateway, members)
-	for i, addr := range addrs {
-		gw, err := gateway.New(gateway.Config{
-			Addr:      addr,
-			KeyPair:   kp,
-			Transport: net.Transport(netsim.ZoneWired),
-			Mailbox:   &gateway.MailboxConfig{Store: rms.NewMemStore("race-"+addr, 0)},
-			Cluster: cluster.NewNode(cluster.Config{
-				Self:      addr,
-				Seeds:     addrs,
-				Transport: net.Transport(netsim.ZoneWired),
-				Secret:    "race-secret",
-			}),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer gw.Close()
-		net.AddHost(addr, netsim.ZoneWired, gw.Handler())
-		gws[i] = gw
-	}
+	defer fl.close()
+	addrs, gws := fl.addrs, fl.gws
 
 	// Cold half: mailboxes pre-filled at member 0; the device reconnects
 	// through members 1/2 and the mailbox must chase it. Parked half:
@@ -226,8 +200,6 @@ func TestStormRace10k(t *testing.T) {
 	}
 	t.Logf("migration pulls: %d started, %d coalesced", started, shared)
 }
-
-func devName(d int) string { return "dev-" + strconv.Itoa(d) }
 
 func errStorm(dev, format string, args ...any) error {
 	return fmt.Errorf("%s: "+format, append([]any{dev}, args...)...)

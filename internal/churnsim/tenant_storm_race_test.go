@@ -2,15 +2,11 @@ package churnsim
 
 import (
 	"context"
-	"strconv"
 	"sync"
 	"testing"
 
-	"pdagent/internal/cluster"
-	"pdagent/internal/gateway"
 	"pdagent/internal/netsim"
 	"pdagent/internal/push"
-	"pdagent/internal/rms"
 	"pdagent/internal/tenant"
 )
 
@@ -34,37 +30,13 @@ func TestStormRace3Tenants(t *testing.T) {
 		}
 	}
 
-	kp, err := stormKeyPair()
+	net := netsim.New(7)
+	fl, err := newFleet(net, fleetConfig{members: members, tenants: treg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := netsim.New(7)
-	addrs := make([]string, members)
-	for i := range addrs {
-		addrs[i] = "gw-" + strconv.Itoa(i)
-	}
-	gws := make([]*gateway.Gateway, members)
-	for i, addr := range addrs {
-		gw, err := gateway.New(gateway.Config{
-			Addr:      addr,
-			KeyPair:   kp,
-			Transport: net.Transport(netsim.ZoneWired),
-			Tenants:   treg,
-			Mailbox:   &gateway.MailboxConfig{Store: rms.NewMemStore("trace-"+addr, 0)},
-			Cluster: cluster.NewNode(cluster.Config{
-				Self:      addr,
-				Seeds:     addrs,
-				Transport: net.Transport(netsim.ZoneWired),
-				Secret:    "race-secret",
-			}),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer gw.Close()
-		net.AddHost(addr, netsim.ZoneWired, gw.Handler())
-		gws[i] = gw
-	}
+	defer fl.close()
+	addrs, gws := fl.addrs, fl.gws
 
 	// Every mailbox starts at member 0, bound to its tenant, holding
 	// one result; the device then reconnects through member 1 or 2.

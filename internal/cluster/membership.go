@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pdagent/internal/kxml"
+	"pdagent/internal/tenant"
 	"pdagent/internal/transport"
 )
 
@@ -44,19 +45,7 @@ type Load struct {
 // on heartbeats so per-tenant quotas hold cluster-wide (DESIGN.md
 // §12). Each member gossips only its own rows; receivers store them
 // under the sender and sum across members on demand.
-type TenantUsage struct {
-	// Tenant is the account label ("default" for the implicit account).
-	Tenant string
-	// InFlight is the member's dispatched-but-unfinished agents for
-	// this tenant.
-	InFlight int64
-	// Residents is the tenant's agents resident on the member's MAS.
-	Residents int64
-	// MailboxBytes is the tenant's pending mailbox payload bytes there.
-	MailboxBytes int64
-	// JournalBytes is the tenant's journaled agent bytes there.
-	JournalBytes int64
-}
+type TenantUsage = tenant.Usage
 
 // Member is a snapshot of one cluster member as seen locally.
 type Member struct {
@@ -166,10 +155,7 @@ func (n *Node) RemoteTenantUsage() map[string]TenantUsage {
 		for _, u := range e.usage {
 			sum := out[u.Tenant]
 			sum.Tenant = u.Tenant
-			sum.InFlight += u.InFlight
-			sum.Residents += u.Residents
-			sum.MailboxBytes += u.MailboxBytes
-			sum.JournalBytes += u.JournalBytes
+			sum.Add(u)
 			out[u.Tenant] = sum
 		}
 	}

@@ -50,7 +50,6 @@ import (
 	"pdagent/internal/push"
 	"pdagent/internal/repl"
 	"pdagent/internal/rms"
-	"pdagent/internal/services"
 	"pdagent/internal/tenant"
 	"pdagent/internal/transport"
 	"pdagent/internal/wire"
@@ -85,19 +84,8 @@ type Config struct {
 	// MAS().RunUpkeep (a simulation calls RetryParked in virtual time)
 	// and MAS().Resume after a restart.
 	Journal rms.Store
-	// Services are service agents resident at the gateway itself
-	// (usually none — services live at network hosts).
-	Services *services.Registry
 	// FuelSlice overrides the MAS execution slice.
 	FuelSlice uint64
-	// Programs is the compiled-program cache shared by the dispatch
-	// path and the embedded MAS (default: a fresh cache). Registered
-	// code packages are pinned in it at AddCodePackage time, so a
-	// dispatch of catalogue code performs no MAScript compilation at
-	// all; ad-hoc sources and transferred agent images ride its bounded
-	// LRU. Pass a shared cache when several gateways should share
-	// compilations (simulation, tests).
-	Programs *progcache.Cache
 	// Cluster, when set, federates this gateway into a clustered middle
 	// tier (DESIGN.md §6): the node's live membership replaces the
 	// static §3.5 list, dispatches whose consistent-hash home is
@@ -132,15 +120,6 @@ type Config struct {
 	OutboundWorkers int
 	// Logf, when set, receives diagnostics.
 	Logf func(format string, args ...any)
-	// Metrics, when set, is the registry behind /metrics (default: a
-	// fresh one). The embedded MAS registers its transfer metrics on
-	// the same registry, so one scrape covers the whole member.
-	Metrics *metrics.Registry
-	// Trace, when set, is the span ring behind /pdagent/trace/{id}
-	// (default: a fresh ring of metrics.DefaultTraceCap spans). Shared
-	// with the embedded MAS so a journey's dispatch, transfer and
-	// delivery hops land in one ring.
-	Trace *metrics.TraceRing
 	// ShedInFlight is the in-flight watermark of admission control
 	// (DESIGN.md §11): while the registry holds at least this many
 	// dispatched-but-unfinished agents, an authenticated device dispatch
@@ -253,17 +232,11 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.Documents == nil {
 		cfg.Documents = rms.NewMemStore("gateway-docs", 0)
 	}
-	if cfg.Services == nil {
-		cfg.Services = services.NewRegistry()
-	}
 	if cfg.OutboundWorkers == 0 {
 		cfg.OutboundWorkers = defaultOutboundWorkers
 	}
 	if cfg.Spawn == nil {
 		cfg.Spawn = func(fn func()) { go fn() }
-	}
-	if cfg.Programs == nil {
-		cfg.Programs = progcache.New(0)
 	}
 	if cfg.Tenants == nil {
 		cfg.Tenants = tenant.NewRegistry()
@@ -277,7 +250,7 @@ func New(cfg Config) (*Gateway, error) {
 		cfg:   cfg,
 		reg:   NewRegistry(),
 		out:   newOutbound(cfg.OutboundWorkers, cfg.Logf),
-		progs: cfg.Programs,
+		progs: progcache.New(0),
 	}
 	g.admission = tenant.NewAdmission(cfg.Tenants, g.reg.ledger)
 	if cfg.Mailbox != nil {
@@ -300,18 +273,15 @@ func New(cfg Config) (*Gateway, error) {
 		g.mbPullInflight = map[string]chan struct{}{}
 		g.mbPulls = newOutbound(maxConcurrentMailboxPulls, cfg.Logf)
 	}
-	g.metrics = cfg.Metrics
-	g.trace = cfg.Trace
 	g.initObserve()
 	masCfg := mas.Config{
 		Addr:        cfg.Addr,
 		Codec:       codec,
 		Transport:   cfg.Transport,
-		Services:    cfg.Services,
 		Spawn:       cfg.Spawn,
 		FuelSlice:   cfg.FuelSlice,
 		Journal:     cfg.Journal,
-		Programs:    cfg.Programs,
+		Programs:    g.progs,
 		OnAgentHome: g.onAgentHome,
 		Logf:        cfg.Logf,
 		// The embedded MAS shares the gateway's registry and span
@@ -337,7 +307,7 @@ func New(cfg Config) (*Gateway, error) {
 		// per-tenant rows, and admission sums what the rest of the fleet
 		// last reported.
 		cfg.Cluster.SetTenantUsageFunc(g.tenantUsage)
-		g.admission.Remote = g.remoteUsage
+		g.admission.Remote = cfg.Cluster.RemoteTenantUsage
 	}
 
 	m := transport.NewMux()

@@ -55,12 +55,8 @@ func (c *hubStatsCache) stats() push.Stats {
 // gauges are functions evaluated lazily at scrape time, costing
 // nothing between scrapes.
 func (g *Gateway) initObserve() {
-	if g.metrics == nil {
-		g.metrics = metrics.NewRegistry()
-	}
-	if g.trace == nil {
-		g.trace = metrics.NewTraceRing(g.cfg.Addr, 0)
-	}
+	g.metrics = metrics.NewRegistry()
+	g.trace = metrics.NewTraceRing(g.cfg.Addr, 0)
 	g.log = metrics.NewLogger("gateway", g.cfg.Logf)
 
 	m := g.metrics

@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"time"
 
-	"pdagent/internal/cluster"
 	"pdagent/internal/metrics"
 	"pdagent/internal/tenant"
 	"pdagent/internal/transport"
@@ -16,8 +15,8 @@ import (
 // the mechanisms — accounts, token buckets, the in-flight ledger,
 // weighted-fair math; the code here runs every device dispatch through
 // them (admitTenant), composes the member's full per-tenant usage for
-// heartbeat gossip (tenantUsage), and folds the fleet's gossiped rows
-// back into admission decisions (remoteUsage), so quotas hold
+// heartbeat gossip (tenantUsage), and admission reads the fleet's
+// gossiped rows straight from the cluster node, so quotas hold
 // cluster-wide. A gateway without configured tenants runs the same
 // code on the one default account.
 
@@ -103,12 +102,12 @@ func (g *Gateway) slowUsage(id string) tenant.Usage {
 // for heartbeat gossip: in-flight counts from the ledger, residents
 // and journal bytes from the MAS, mailbox bytes from the hub. Rows
 // are keyed by label and sorted, matching the wire format.
-func (g *Gateway) tenantUsage() []cluster.TenantUsage {
-	rows := map[string]*cluster.TenantUsage{}
-	row := func(label string) *cluster.TenantUsage {
+func (g *Gateway) tenantUsage() []tenant.Usage {
+	rows := map[string]*tenant.Usage{}
+	row := func(label string) *tenant.Usage {
 		r, ok := rows[label]
 		if !ok {
-			r = &cluster.TenantUsage{Tenant: label}
+			r = &tenant.Usage{Tenant: label}
 			rows[label] = r
 		}
 		return r
@@ -127,28 +126,11 @@ func (g *Gateway) tenantUsage() []cluster.TenantUsage {
 			row(label).MailboxBytes += b
 		}
 	}
-	out := make([]cluster.TenantUsage, 0, len(rows))
+	out := make([]tenant.Usage, 0, len(rows))
 	for _, r := range rows {
 		out = append(out, *r)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
-	return out
-}
-
-// remoteUsage folds the fleet's last-gossiped per-tenant rows into the
-// tenant package's Usage shape for cluster-wide quota checks.
-func (g *Gateway) remoteUsage() map[string]tenant.Usage {
-	remote := g.cfg.Cluster.RemoteTenantUsage()
-	out := make(map[string]tenant.Usage, len(remote))
-	for label, u := range remote {
-		out[label] = tenant.Usage{
-			Tenant:       label,
-			InFlight:     u.InFlight,
-			Residents:    u.Residents,
-			MailboxBytes: u.MailboxBytes,
-			JournalBytes: u.JournalBytes,
-		}
-	}
 	return out
 }
 
