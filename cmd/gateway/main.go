@@ -21,10 +21,10 @@
 // the same handler, for older devices) — intermittently
 // connected devices are first-class. -mailbox-ttl, -mailbox-quota and
 // -result-ttl bound retention; a background sweeper (-sweep-every)
-// enforces them. With -journal PATH the embedded MAS keeps a durable
-// agent journal: resident agents survive a crash, and an agent whose
-// hop fails parks and is retried every 30 s, as on masd. Both are
-// group-commit WAL directories, power-loss durable (DESIGN.md §9).
+// enforces them. An agent whose hop fails parks and is retried every
+// 30 s, as on masd. With -journal PATH the embedded MAS's agent journal
+// is durable: resident agents survive a crash. Both are group-commit
+// WAL directories, power-loss durable (DESIGN.md §9).
 //
 // Every device dispatch passes one admission rule after its dispatch
 // key verifies (DESIGN.md §11–§12): -shed-inflight N refuses it with
@@ -256,14 +256,10 @@ func main() {
 	// runs under a context cancelled once the SIGTERM drain ends.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if journal != nil {
-		n, err := gw.MAS().Resume(ctx)
-		if err != nil {
-			log.Fatalf("gateway: resuming journaled agents: %v", err)
-		}
-		log.Printf("gateway %s: journal %s, resumed %d agent(s)", public, *journalPath, n)
-		go gw.MAS().RunUpkeep(ctx, mas.DefaultUpkeepInterval)
+	if _, err := gw.MAS().Resume(ctx); err != nil {
+		log.Fatalf("gateway: resuming journaled agents: %v", err)
 	}
+	go gw.MAS().RunUpkeep(ctx, mas.DefaultUpkeepInterval)
 	if node != nil {
 		node.Start(*heartbeat)
 		log.Printf("gateway %s: clustered, %d seed(s), heartbeat %v", public, len(strings.Split(*clusterSeeds, ",")), *heartbeat)

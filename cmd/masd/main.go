@@ -5,11 +5,11 @@
 //
 //	masd -listen :9001 -addr localhost:9001 -flavour voyager -services bank,food,docs
 //
-// With -journal PATH the host keeps a write-ahead agent journal:
-// resident agents survive a daemon crash (they are resumed on the
-// next start), and failed transfers park for periodic retry instead
-// of failing the journey. The journal is a group-commit WAL directory,
-// power-loss durable (DESIGN.md §9).
+// A failed transfer parks the agent, and the host retries it every
+// -retry-interval. With -journal PATH the agent journal is a
+// group-commit WAL directory, power-loss durable (DESIGN.md §9):
+// resident agents survive a daemon crash (they are resumed on the next
+// start). Without it the journal is kept in memory.
 //
 // With -replicate ADDR (plus -cluster-secret) the journal streams its
 // commits to a standby masd at ADDR (DESIGN.md §10); any masd started
@@ -51,7 +51,7 @@ func main() {
 	svcList := flag.String("services", "bank", "comma-separated services to host: bank,food,docs")
 	journalPath := flag.String("journal", "", "agent journal directory (enables crash recovery; agents resume on restart)")
 	clusterSecret := flag.String("cluster-secret", "", "shared cluster secret stamped on the location relays sent to each agent's home gateway (clustered home gateways refuse unauthenticated ones; standalone ones are skipped)")
-	retryEvery := flag.Duration("retry-interval", mas.DefaultUpkeepInterval, "how often parked transfers are retried (with -journal)")
+	retryEvery := flag.Duration("retry-interval", mas.DefaultUpkeepInterval, "how often parked transfers are retried")
 	replicateTo := flag.String("replicate", "", "standby address to stream journal commits to (DESIGN.md §10; requires -journal and -cluster-secret); the standby holds a live replica and serves it back on /cluster/repl/fetch")
 	replMode := flag.String("repl-mode", string(repl.ModeAsync), "replication ack discipline: async (ship on the flush tick) or semi-sync (each commit waits for the standby)")
 	replFlush := flag.Duration("repl-flush", 2*time.Second, "async replication flush interval")
@@ -102,12 +102,12 @@ func main() {
 		}
 	}
 
+	if *retryEvery <= 0 {
+		// RunUpkeep's ticker cannot run on a non-positive interval.
+		log.Fatalf("masd: -retry-interval must be positive, got %v", *retryEvery)
+	}
 	var journal *rms.WALStore
 	if *journalPath != "" {
-		if *retryEvery <= 0 {
-			// RunUpkeep's ticker cannot run on a non-positive interval.
-			log.Fatalf("masd: -retry-interval must be positive, got %v", *retryEvery)
-		}
 		journal, err = rms.OpenWALStore(*journalPath, rms.WALOptions{})
 		if err != nil {
 			log.Fatalf("masd: opening journal: %v", err)
@@ -183,14 +183,10 @@ func main() {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go relay.run(ctx)
-	if journal != nil {
-		n, err := srv.Resume(ctx)
-		if err != nil {
-			log.Fatalf("masd: resuming journaled agents: %v", err)
-		}
-		log.Printf("masd %s: journal %s, resumed %d agent(s)", public, *journalPath, n)
-		go srv.RunUpkeep(ctx, *retryEvery)
+	if _, err := srv.Resume(ctx); err != nil {
+		log.Fatalf("masd: resuming journaled agents: %v", err)
 	}
+	go srv.RunUpkeep(ctx, *retryEvery)
 	stopRepl := func() {}
 	if *replicateTo != "" {
 		stopRepl = peer.Start(*replFlush)

@@ -64,8 +64,9 @@ type SimConfig struct {
 	// tests use 1024 for speed).
 	KeyBits int
 	// Journal gives every MAS (hosts and the gateways' embedded home
-	// servers) a write-ahead agent journal, enabling CrashHost /
-	// RestartHost crash-recovery drills. The per-address stores are
+	// servers) an agent journal that outlives CrashHost and
+	// CrashGateway, enabling crash-recovery drills; without it each MAS
+	// journals in memory and a crash loses it. The per-address stores are
 	// exposed through SimWorld.Journals.
 	Journal bool
 	// Cluster federates the gateways into one clustered middle tier
@@ -380,10 +381,10 @@ func (w *SimWorld) CrashHost(addr string) error {
 }
 
 // RetryParked re-attempts parked transfers on every MAS in the world —
-// network hosts and the gateways' embedded home servers. Journaled
-// worlds park agents on persistent transfer failure instead of failing
-// them home; call this after healing a partition (or reviving a host)
-// to set those journeys moving again, then Run the world.
+// network hosts and the gateways' embedded home servers, which park
+// agents on persistent transfer failure; call this after healing a
+// partition (or reviving a host) to set those journeys moving again,
+// then Run the world. It is Upkeep's retry, in virtual time.
 func (w *SimWorld) RetryParked(ctx context.Context) int {
 	n := 0
 	for _, srv := range w.Hosts {
@@ -413,9 +414,6 @@ func (w *SimWorld) RestartHost(ctx context.Context, addr string) (int, error) {
 		return 0, err
 	}
 	w.Hosts[addr] = srv
-	if w.Journals[addr] == nil {
-		return 0, nil
-	}
 	return srv.Resume(ctx)
 }
 
@@ -540,9 +538,6 @@ func (w *SimWorld) RestartGateway(ctx context.Context, addr string) (int, error)
 	w.Nodes[i] = node
 	w.Repls[i] = peer
 	delete(w.crashedGW, addr)
-	if w.Journals[addr] == nil {
-		return 0, nil
-	}
 	return gw.MAS().Resume(ctx)
 }
 

@@ -153,6 +153,8 @@ func TestForgedDispatchKeyRefused(t *testing.T) {
 	}
 }
 
+// TestFailedJourneyReportsError: the hop to a host that does not exist
+// parks, and its retries give up on it: the journey comes home failed.
 func TestFailedJourneyReportsError(t *testing.T) {
 	w := testWorld(t, SimConfig{Seed: 4})
 	dev, _ := w.NewDevice("alice")
@@ -164,6 +166,12 @@ func TestFailedJourneyReportsError(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Run()
+	for rounds := 0; w.RetryParked(ctx) > 0; rounds++ {
+		if rounds == 20 {
+			t.Fatal("the journey is still parked after 20 retry rounds")
+		}
+		w.Run()
+	}
 	rd, err := dev.Collect(ctx, agentID)
 	if err != nil {
 		t.Fatalf("Collect: %v", err)

@@ -55,7 +55,8 @@ type LiveConfig struct {
 }
 
 // LiveWorld is a running live deployment: one gateway (aglets flavour)
-// and two bank hosts (aglets and voyager).
+// and two bank hosts (aglets and voyager), each running its Upkeep at
+// mas.DefaultUpkeepInterval until Stop.
 type LiveWorld struct {
 	GatewayAddr string
 	BankAddrs   []string
@@ -78,6 +79,13 @@ func NewLiveWorld(cfg LiveConfig) (*LiveWorld, error) {
 		cfg.Transport = &transport.HTTPClient{}
 	}
 	w := &LiveWorld{Banks: map[string]*services.Bank{}}
+	ctx, cancel := context.WithCancel(context.Background())
+	var upkeeps sync.WaitGroup
+	w.stops = append(w.stops, func() { cancel(); upkeeps.Wait() })
+	upkeep := func(srv *mas.Server) {
+		upkeeps.Add(1)
+		go func() { defer upkeeps.Done(); srv.RunUpkeep(ctx, mas.DefaultUpkeepInterval) }()
+	}
 
 	startHost := func(flavour string) (string, *services.Bank, error) {
 		holder := &HandlerHolder{}
@@ -101,6 +109,7 @@ func NewLiveWorld(cfg LiveConfig) (*LiveWorld, error) {
 			return "", nil, err
 		}
 		holder.Set(srv.Handler())
+		upkeep(srv)
 		return addr, bank, nil
 	}
 
@@ -138,6 +147,7 @@ func NewLiveWorld(cfg LiveConfig) (*LiveWorld, error) {
 	}
 	w.stops = append(w.stops, gw.Close)
 	holder.Set(gw.Handler())
+	upkeep(gw.MAS())
 	w.GatewayAddr = addr
 	w.Gateway = gw
 	return w, nil

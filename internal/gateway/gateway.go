@@ -76,13 +76,12 @@ type Config struct {
 	// Documents is the File Directory backing store (default: an
 	// in-memory rms store).
 	Documents rms.Store
-	// Journal, when set, is the embedded home MAS's write-ahead agent
-	// journal (see mas.Config.Journal): resident agents survive a
-	// gateway restart and transfers become exactly-once handoffs.
-	// Journaled servers park agents on persistent transfer failure
-	// instead of failing them home, so the embedder runs
-	// MAS().RunUpkeep (a simulation calls RetryParked in virtual time)
-	// and MAS().Resume after a restart.
+	// Journal is the embedded home MAS's write-ahead agent journal (see
+	// mas.Config.Journal; default in memory). A durable one lets
+	// resident agents survive a gateway restart: the embedder runs
+	// MAS().Resume after it. A failed transfer parks its agent either
+	// way, so the embedder runs MAS().RunUpkeep (a simulation calls
+	// RetryParked in virtual time).
 	Journal rms.Store
 	// FuelSlice overrides the MAS execution slice.
 	FuelSlice uint64
@@ -885,7 +884,7 @@ func (g *Gateway) handleStatus(ctx context.Context, req *transport.Request) *tra
 	}
 	if st.Gone {
 		// Terminal without a result (disposed): answer directly instead
-		// of burning a pool worker chasing an agent that no longer
+		// of taking an outbound slot to chase an agent that no longer
 		// exists.
 		resp := transport.OKText(st.LastWhy)
 		resp.SetHeader("agent-state", "disposed")

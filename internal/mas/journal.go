@@ -2,6 +2,7 @@ package mas
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -82,20 +83,23 @@ type journalEntry struct {
 	Watermark int
 }
 
+// encode writes the entry in one allocation, sized up front.
 func (e *journalEntry) encode() []byte {
 	im := &e.Image
-	var b bytes.Buffer
-	b.Write(journalMagic)
-	writeU32(&b, uint32(e.Watermark+1))
-	for _, f := range [][]byte{
-		[]byte(im.AgentID), []byte(im.Home), []byte(im.CodeID), []byte(im.Owner),
-		[]byte(e.State), []byte(e.Target), []byte(e.Kind), []byte(e.LastErr),
-		[]byte(e.Tenant), im.Program, im.State,
-	} {
-		writeU32(&b, uint32(len(f)))
-		b.Write(f)
+	strs := [...]string{im.AgentID, im.Home, im.CodeID, im.Owner, string(e.State), e.Target, e.Kind, e.LastErr, e.Tenant}
+	n := len(journalMagic) + 4*(len(strs)+3) + len(im.Program) + len(im.State)
+	for _, f := range strs {
+		n += len(f)
 	}
-	return b.Bytes()
+	b := append(make([]byte, 0, n), journalMagic...)
+	b = binary.BigEndian.AppendUint32(b, uint32(e.Watermark+1))
+	for _, f := range strs {
+		b = append(binary.BigEndian.AppendUint32(b, uint32(len(f))), f...)
+	}
+	for _, f := range [...][]byte{im.Program, im.State} {
+		b = append(binary.BigEndian.AppendUint32(b, uint32(len(f))), f...)
+	}
+	return b
 }
 
 func decodeJournalEntry(data []byte) (*journalEntry, error) {
@@ -163,10 +167,6 @@ func decodeJournalEntry(data []byte) (*journalEntry, error) {
 // but not re-animate it.
 func (e *journalEntry) tombstone() bool {
 	return e.State == StateDeparted || e.State == StateDelivered || e.State == StateDisposed
-}
-
-func writeU32(b *bytes.Buffer, v uint32) {
-	b.Write([]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)})
 }
 
 func readU32(data []byte) (uint32, []byte, error) {

@@ -12,11 +12,11 @@
 // fails away from home it is automatically shipped back to its home
 // gateway so results are never stranded.
 //
-// With Config.Journal set, the server write-ahead-logs every resident
-// agent (at its first suspension point here, and at each departure)
-// into an rms.Store, transfers become two-phase handoffs deduplicated
-// on (agent id, hop counter),
-// and a replacement Server over the same store continues interrupted
+// Every server write-ahead-logs each resident agent (at its first
+// suspension point here, and at each departure) into Config.Journal (by
+// default in memory), transfers are two-phase handoffs deduplicated on
+// (agent id, hop counter), a failed transfer parks for Upkeep to retry,
+// and a replacement Server over a durable store continues interrupted
 // journeys via Resume — exactly one copy of each agent is delivered
 // even across crashes and partitions. See DESIGN.md §3 (mas).
 //
@@ -118,21 +118,18 @@ type Config struct {
 	// FuelSlice is the op budget per execution slice (default
 	// mavm.DefaultFuel).
 	FuelSlice uint64
-	// Journal, when set, is the write-ahead agent journal: an agent that
-	// enters this server — admitted locally or arriving by /atp/transfer,
-	// whose handoff is acked only after that write — is journaled at its
-	// first suspension point (enter) and again at each later departure,
-	// and a replacement Server over the same store re-hydrates them via
+	// Journal is the write-ahead agent journal (default: an in-memory
+	// rms.MemStore, which a crash loses): an agent that enters this
+	// server — admitted locally or arriving by /atp/transfer, whose
+	// handoff is acked only after that write — is journaled at its first
+	// suspension point (enter) and again at each later departure, and a
+	// replacement Server over the same durable store re-hydrates them via
 	// Resume. An agent that finishes at home inside its first slice is
 	// never journaled: OnAgentHome taking the result is the durable
-	// hand-over, exactly as for a KindDone homecoming — so with a Journal
-	// but no durable home-side store (a gateway without a mailbox keeps
-	// results in Documents only) such a result is as durable as
-	// Documents is.
-	// With a journal, persistently failed transfers park the
-	// agent for RetryParked instead of failing it home, and /atp/transfer
-	// becomes a two-phase handoff (the journal write is the commit, the
-	// OK response the ack; duplicates dedup on agent id + hop counter).
+	// hand-over, exactly as for a KindDone homecoming — so a result kept
+	// in Documents only (a gateway without a mailbox) is as durable as
+	// Documents is. The journal write is the handoff's commit and the OK
+	// response its ack; duplicates dedup on agent id + hop counter.
 	Journal rms.Store
 	// Programs is the compiled-program cache consulted when an agent
 	// arrives by /atp/transfer (and on journal Resume): an image whose
@@ -190,11 +187,14 @@ type record struct {
 	// parked transfer destination and kind, set with StateParked.
 	parkTarget string
 	parkKind   string
+	// failed transfer rounds, and whether one may have landed (sendAgent).
+	failedRounds  int
+	mayHaveLanded bool
 
 	// image is the agent's last snapshot: the image it arrived in, or
 	// the one journalPut last took. journaledTo/journaledKind name the
-	// transfer that snapshot was taken for ("" = none) — with a journal,
-	// the one its entry names. An agent runs no further here once a
+	// transfer that snapshot was taken for ("" = none) — the one its
+	// journal entry names. An agent runs no further here once a
 	// snapshot names a destination, so while they name a departure,
 	// image is what leaves (shipAgent). Its program bytes never go
 	// stale, and every later snapshot reuses them. Owned, like vm, by
@@ -203,7 +203,13 @@ type record struct {
 	journaledTo   string
 	journaledKind string
 
-	// execMu serialises VM execution with clone/status access.
+	// what /atp/status reports of an agent whose VM has left (vm nil).
+	leftStatus mavm.Status
+	leftHops   int
+	leftSteps  uint64
+
+	// execMu serialises VM execution with clone/status access, and
+	// guards dropping vm once the agent has left.
 	execMu sync.Mutex
 }
 
@@ -211,7 +217,7 @@ type record struct {
 type Server struct {
 	cfg  Config
 	mux  *transport.Mux
-	jr   *journal    // nil when cfg.Journal is unset
+	jr   *journal
 	dead atomic.Bool // set by Kill: the simulated process crash
 	// maxHops bounds an agent's lifetime migrations; an arriving agent
 	// beyond the bound is failed home instead of admitted, which stops
@@ -278,6 +284,11 @@ const maxLogLines = 512
 // agent is considered stuck.
 const transferAttempts = 3
 
+// maxParkedRounds is how many retries a parked migration that cannot
+// have landed waits before it is failed home (see sendAgent): about 5
+// minutes at DefaultUpkeepInterval.
+const maxParkedRounds = 10
+
 // defaultMaxHops is the hop limit of every server (Server.maxHops).
 const defaultMaxHops = 64
 
@@ -310,21 +321,22 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Trace == nil {
 		cfg.Trace = metrics.NewTraceRing(cfg.Addr, 0)
 	}
+	if cfg.Journal == nil {
+		cfg.Journal = rms.NewMemStore("journal-"+cfg.Addr, 0)
+	}
+	jr, err := openJournal(cfg.Journal)
+	if err != nil {
+		return nil, err
+	}
 	s := &Server{
 		cfg:      cfg,
+		jr:       jr,
 		maxHops:  defaultMaxHops,
 		agents:   make(map[string]*record),
 		flavours: make(map[string]atp.Codec),
 		accepted: make(map[string]int),
 		pending:  make(map[string]pendingAccept),
 		retired:  make(map[string]*list.Element),
-	}
-	if cfg.Journal != nil {
-		jr, err := openJournal(cfg.Journal)
-		if err != nil {
-			return nil, err
-		}
-		s.jr = jr
 	}
 	s.mTransferUs = cfg.Metrics.Histogram("pdagent_transfer_us", "Outbound ATP transfer latency (codec adapt, wire, ack), microseconds.")
 	s.mTransferOut = cfg.Metrics.Counter("pdagent_transfer_out_total", "Agent images shipped to another host.")
@@ -733,6 +745,9 @@ func (s *Server) notifyHome(ctx context.Context, a *Arrival) (err error) {
 	return s.cfg.OnAgentHome(ctx, a)
 }
 
+// errEncoding wraps a failed snapshot, which would fail the same way again.
+var errEncoding = errors.New("encoding agent")
+
 // snapshot is the one encoder of an agent: its image as the VM now
 // stands. The program bytes come from the record's last image when it
 // has one (an arrival's, or an earlier snapshot's) and are marshaled
@@ -743,10 +758,10 @@ func snapshot(rec *record) (*atp.Image, error) {
 	if rec.image != nil {
 		im.Program = rec.image.Program
 	} else if im.Program, err = mavm.MarshalProgram(rec.vm.Program()); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", errEncoding, err)
 	}
 	if im.State, err = mavm.MarshalState(rec.vm); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", errEncoding, err)
 	}
 	return im, nil
 }
@@ -780,36 +795,43 @@ func (s *Server) decodeAgent(im *atp.Image) (*record, error) {
 // that image without marshaling or journaling again.
 func (s *Server) shipAgent(ctx context.Context, rec *record, target, kind string) {
 	if rec.journaledTo != target || rec.journaledKind != kind {
-		if err := s.journalPut(rec, target, kind); err != nil {
-			if s.jr == nil {
-				// Only the snapshot can fail, and it fails the same way again.
-				s.setErr(rec, "encoding agent: "+err.Error())
-				s.setState(rec, StateStranded, "")
-				return
-			}
-			// The WAL write must precede the wire: sending an unjournaled
-			// image risks losing the only copy if the ack is missed and we
-			// crash. Park instead; RetryParked re-attempts the journal too.
+		err := s.journalPut(rec, target, kind)
+		switch {
+		case errors.Is(err, errEncoding):
+			s.setErr(rec, err.Error())
+			s.setState(rec, StateStranded, "")
+			return
+		case err != nil:
+			// The journal write must precede the wire: an unjournaled image
+			// whose ack is missed is lost in a crash. RetryParked re-attempts
+			// the journal too.
 			s.logf("mas %s: journaling departure of %s: %v", s.cfg.Addr, rec.id, err)
 			s.setErr(rec, "journaling departure: "+err.Error())
-			s.mu.Lock()
-			rec.state = StateParked
-			rec.parkTarget, rec.parkKind = target, kind
-			s.mu.Unlock()
-			s.mParked.Inc()
+			s.park(rec, target, kind)
 			return
 		}
 	}
 	s.sendAgent(ctx, rec, target, kind)
 }
 
+// park leaves rec for RetryParked (or a restart's Resume) to ship to
+// target.
+func (s *Server) park(rec *record, target, kind string) {
+	s.mu.Lock()
+	rec.state = StateParked
+	rec.parkTarget, rec.parkKind = target, kind
+	s.mu.Unlock()
+	s.mParked.Inc()
+}
+
 // sendAgent encodes the agent's last snapshot (rec.image) for the
-// destination's flavour and transfers it, with retries. With a journal
-// the receiver's OK is the commit-ack that releases the entry, and a
-// persistent failure parks the agent for RetryParked / Resume instead
-// of losing it. Without a journal nothing could re-send it later, so a
-// failed migration is failed home, and if even home is unreachable the
-// record strands.
+// destination's flavour and transfers it, with retries. The receiver's
+// OK is the commit-ack that releases the journal entry; the VM leaves
+// with it. A failed round parks the agent for RetryParked / Resume; a
+// migration none of whose rounds can have landed is failed home after
+// maxParkedRounds retries. One that may have (an answer lost) is never,
+// or a lost ack would leave a second copy; a homecoming, or a migration
+// home, parks until delivered: failing it home goes to the same host.
 func (s *Server) sendAgent(ctx context.Context, rec *record, target, kind string) {
 	sentHops := rec.vm.Hops // as serialised into the departing image
 	im := rec.image
@@ -818,46 +840,37 @@ func (s *Server) sendAgent(ctx context.Context, rec *record, target, kind string
 	// hit, local service, migrate home) can bring the agent BACK here
 	// before our RoundTrip call even returns. If this record still read
 	// StateRunning at that moment, the homecoming transfer would bounce
-	// with a permanent conflict and strand the agent. Every failure
-	// path below overwrites the state (parked / failed home / local
-	// delivery / stranded), so a failed send never stays "departed".
+	// with a permanent conflict and strand the agent. A failed send
+	// parks or fails the agent home, so it never stays "departed".
 	s.setState(rec, StateDeparted, target)
 	shipStart := time.Now()
-	if err := s.transferImage(ctx, im, target, kind, rec.tenant); err != nil {
+	if landed, err := s.transferImage(ctx, im, target, kind, rec.tenant); err != nil {
 		s.mTransferFail.Inc()
 		s.logf("mas %s: transfer of %s to %s failed: %v", s.cfg.Addr, rec.id, target, err)
-		s.setErr(rec, fmt.Sprintf("transfer to %s: %v", target, err))
-		if s.jr != nil {
-			// The journal holds the suspended image: park the agent and
-			// let RetryParked (or a restart's Resume) finish the handoff
-			// once the destination is reachable again.
-			s.mu.Lock()
-			rec.state = StateParked
-			rec.parkTarget, rec.parkKind = target, kind
-			s.mu.Unlock()
-			s.mParked.Inc()
-			s.logf("mas %s: parked agent %s (%s -> %s)", s.cfg.Addr, rec.id, kind, target)
+		msg := fmt.Sprintf("transfer to %s: %v", target, err)
+		s.setErr(rec, msg)
+		rec.failedRounds++
+		rec.mayHaveLanded = rec.mayHaveLanded || landed
+		if kind == KindMigrate && target != rec.home && !rec.mayHaveLanded && rec.failedRounds > maxParkedRounds {
+			s.logf("mas %s: failing agent %s home after %d failed rounds", s.cfg.Addr, rec.id, rec.failedRounds)
+			rec.execMu.Lock()
+			rec.vm.ForceFail("mas: " + msg)
+			rec.execMu.Unlock()
+			s.setState(rec, StateRunning, "") // journaled as resident, not as departed
+			_ = s.finishAgent(ctx, rec, KindFailed)
 			return
 		}
-		if kind == KindMigrate && rec.home != s.cfg.Addr && target != rec.home {
-			// Return the failed journey home so the user learns about it.
-			if err2 := s.transferImage(ctx, im, rec.home, KindFailed, rec.tenant); err2 == nil {
-				s.setState(rec, StateDeparted, rec.home)
-				s.retire(rec, StateDeparted)
-				return
-			}
-		}
-		if (kind == KindFailed || kind == KindDone || kind == KindMigrate) && rec.home == s.cfg.Addr {
-			// Home is here: deliver what we have instead of stranding.
-			_ = s.deliverLocal(ctx, rec, KindFailed)
-			return
-		}
-		s.setState(rec, StateStranded, "")
+		s.park(rec, target, kind)
+		s.logf("mas %s: parked agent %s (%s -> %s)", s.cfg.Addr, rec.id, kind, target)
 		return
 	}
 	s.mTransferUs.Observe(time.Since(shipStart))
 	s.mTransferOut.Inc()
-	rec.image = nil // the receiver holds the agent now; the record is bookkeeping
+	// The receiver holds the agent now; the record is a pointer.
+	rec.execMu.Lock()
+	rec.leftStatus, rec.leftHops, rec.leftSteps = rec.vm.Status(), rec.vm.Hops, rec.vm.Steps
+	rec.vm, rec.image = nil, nil
+	rec.execMu.Unlock()
 	s.span(rec.id, "transfer-out", target)
 	// Publish the forwarding pointer (seq 2h+1 sorts after our arrival
 	// at 2h and before the destination's arrival at 2h+2, so a racing
@@ -895,20 +908,22 @@ func (s *Server) sendAgent(ctx context.Context, rec *record, target, kind string
 }
 
 // transferImage sends an encoded image to target with flavour
-// adaptation and bounded retries. The tenant account rides as a
+// adaptation and bounded retries. A failure's landed says an attempt
+// may have reached target: an error not transport.NotDelivered, after
+// the handshake. The tenant account rides as a
 // transport header rather than inside the image: the ATP codecs
 // (aglets binary, voyager XML) have a fixed field set that foreign
 // hosts parse strictly, so the envelope cannot grow without breaking
 // wire compatibility — and a header is exactly the out-of-band routing
 // metadata layer this belongs to.
-func (s *Server) transferImage(ctx context.Context, im *atp.Image, target, kind, tenantID string) error {
+func (s *Server) transferImage(ctx context.Context, im *atp.Image, target, kind, tenantID string) (landed bool, err error) {
 	codec, err := s.codecFor(ctx, target)
 	if err != nil {
-		return err
+		return false, err
 	}
 	body, err := codec.Encode(im)
 	if err != nil {
-		return err
+		return false, err
 	}
 	req := &transport.Request{Path: "/atp/transfer", Body: body}
 	req.SetHeader("kind", kind)
@@ -921,10 +936,11 @@ func (s *Server) transferImage(ctx context.Context, im *atp.Image, target, kind,
 		resp, err := s.cfg.Transport.RoundTrip(ctx, target, req)
 		if err != nil {
 			lastErr = err
+			landed = landed || !transport.NotDelivered(err)
 			continue
 		}
 		if resp.IsOK() {
-			return nil
+			return false, nil
 		}
 		lastErr = resp.Err()
 		// Conflict (duplicate id) and client errors will not improve
@@ -933,7 +949,7 @@ func (s *Server) transferImage(ctx context.Context, im *atp.Image, target, kind,
 			break
 		}
 	}
-	return lastErr
+	return landed, lastErr
 }
 
 // codecFor resolves the codec flavour spoken at addr, caching the
@@ -1238,15 +1254,17 @@ func (s *Server) statusXML(rec *record) *kxml.Node {
 	state, movedTo, lastErr, codeID := rec.state, rec.movedTo, rec.lastErr, rec.codeID
 	s.mu.Unlock()
 	rec.execMu.Lock()
-	vmStatus := rec.vm.Status().String()
-	hops, steps := rec.vm.Hops, rec.vm.Steps
+	vmStatus, hops, steps := rec.leftStatus, rec.leftHops, rec.leftSteps
+	if rec.vm != nil {
+		vmStatus, hops, steps = rec.vm.Status(), rec.vm.Hops, rec.vm.Steps
+	}
 	rec.execMu.Unlock()
 
 	n := kxml.NewElement("agent-status")
 	n.SetAttr("id", rec.id)
 	n.SetAttr("host", s.cfg.Addr)
 	n.SetAttr("state", string(state))
-	n.SetAttr("vm-status", vmStatus)
+	n.SetAttr("vm-status", vmStatus.String())
 	n.SetAttr("hops", strconv.Itoa(hops))
 	n.SetAttr("steps", strconv.FormatUint(steps, 10))
 	n.SetAttr("code-id", codeID)
@@ -1281,6 +1299,10 @@ func (s *Server) handleClone(ctx context.Context, req *transport.Request) *trans
 	s.mu.Unlock()
 
 	rec.execMu.Lock()
+	if rec.vm == nil { // it left since the state check
+		rec.execMu.Unlock()
+		return transport.Errorf(transport.StatusConflict, "agent %q has left, cannot clone", id)
+	}
 	cloneVM, err := rec.vm.Clone(newID)
 	rec.execMu.Unlock()
 	if err != nil {
@@ -1425,62 +1447,54 @@ func containsAgent(line, id string) bool {
 // --- durability: journal writes, parked retries, crash recovery --------
 
 // journalPut snapshots rec and journals the snapshot, which becomes
-// rec.image. target/kind record a pending transfer destination. Without
-// a journal only a departure takes a snapshot (the one it sends).
-// Callers must not be racing the VM (journal only at slice boundaries:
-// the first suspension point after the agent entered, departure).
+// rec.image. target/kind record a pending transfer destination. A
+// snapshot that fails wraps errEncoding. Callers must not be racing the
+// VM (journal only at slice boundaries: the first suspension point
+// after the agent entered, departure).
 func (s *Server) journalPut(rec *record, target, kind string) error {
-	if s.jr == nil && kind == "" {
-		return nil
-	}
 	im, err := snapshot(rec)
 	if err != nil {
 		return err
 	}
-	if s.jr != nil {
-		s.mu.Lock()
-		wm, ok := s.accepted[rec.id]
-		if !ok {
-			wm = -1
-		}
-		e := &journalEntry{
-			Image: *im, State: rec.state, Target: target, Kind: kind,
-			LastErr: rec.lastErr, Tenant: rec.tenant, Watermark: wm,
-		}
-		s.mu.Unlock()
-		if err = s.jr.put(e); err != nil {
-			return err
-		}
+	s.mu.Lock()
+	wm, ok := s.accepted[rec.id]
+	if !ok {
+		wm = -1
+	}
+	e := &journalEntry{
+		Image: *im, State: rec.state, Target: target, Kind: kind,
+		LastErr: rec.lastErr, Tenant: rec.tenant, Watermark: wm,
+	}
+	s.mu.Unlock()
+	if err = s.jr.put(e); err != nil {
+		return err
 	}
 	rec.image, rec.journaledTo, rec.journaledKind = im, target, kind
 	return nil
 }
 
-// retire is the one retirement rule, with or without a journal, for an
-// agent no longer resident here (departed, delivered, disposed). Its
-// journal entry shrinks to a dedup tombstone — the watermark must
-// outlive the resident copy, or a sender's retry after a crash would
-// land a second copy — or, without a watermark, is dropped. An agent
-// finished here (not departed from its home, whose record stays as the
-// first forwarding pointer until the homecoming replaces it) then joins
-// the retirement ring.
+// retire is the one retirement rule for an agent no longer resident
+// here (departed, delivered, disposed). Its journal entry shrinks to a
+// dedup tombstone — the watermark must outlive the resident copy, or a
+// sender's retry after a crash would land a second copy — or, without a
+// watermark, is dropped. An agent finished here (not departed from its
+// home, whose record stays as the first forwarding pointer until the
+// homecoming replaces it) then joins the retirement ring.
 func (s *Server) retire(rec *record, st AgentState) {
-	if s.jr != nil {
-		s.mu.Lock()
-		wm, ok := s.accepted[rec.id]
-		s.mu.Unlock()
-		var err error
-		if ok {
-			err = s.jr.put(&journalEntry{
-				Image:  atp.Image{AgentID: rec.id, Home: rec.home, CodeID: rec.codeID, Owner: rec.owner},
-				Tenant: rec.tenant, State: st, Watermark: wm,
-			})
-		} else {
-			err = s.jr.drop(rec.id)
-		}
-		if err != nil {
-			s.logf("mas %s: retiring journal entry for %s: %v", s.cfg.Addr, rec.id, err)
-		}
+	s.mu.Lock()
+	wm, ok := s.accepted[rec.id]
+	s.mu.Unlock()
+	var err error
+	if ok {
+		err = s.jr.put(&journalEntry{
+			Image:  atp.Image{AgentID: rec.id, Home: rec.home, CodeID: rec.codeID, Owner: rec.owner},
+			Tenant: rec.tenant, State: st, Watermark: wm,
+		})
+	} else {
+		err = s.jr.drop(rec.id)
+	}
+	if err != nil {
+		s.logf("mas %s: retiring journal entry for %s: %v", s.cfg.Addr, rec.id, err)
 	}
 	if st != StateDeparted || rec.home != s.cfg.Addr {
 		s.enring(rec.id, rec)
@@ -1532,11 +1546,9 @@ func (s *Server) enring(id string, rec *record) {
 // either replaced it before the check, so nothing is forgotten, or
 // journals itself after the drop. It reports whether id was forgotten.
 func (s *Server) forget(id string, still func() bool) bool {
-	if s.jr != nil {
-		st := s.jr.stripe(id)
-		st.Lock()
-		defer st.Unlock()
-	}
+	st := s.jr.stripe(id)
+	st.Lock()
+	defer st.Unlock()
 	s.mu.Lock()
 	if _, busy := s.pending[id]; busy || !still() {
 		s.mu.Unlock()
@@ -1546,19 +1558,17 @@ func (s *Server) forget(id string, still func() bool) bool {
 	delete(s.accepted, id)
 	s.unretireLocked(id)
 	s.mu.Unlock()
-	if s.jr != nil {
-		if err := s.jr.dropLocked(id); err != nil {
-			s.logf("mas %s: dropping journal entry for %s: %v", s.cfg.Addr, id, err)
-		}
+	if err := s.jr.dropLocked(id); err != nil {
+		s.logf("mas %s: dropping journal entry for %s: %v", s.cfg.Addr, id, err)
 	}
 	return true
 }
 
 // DefaultUpkeepInterval is how often a daemon runs Upkeep: masd's
-// -retry-interval default, and the journaled gateway's interval.
+// -retry-interval default, and the gateway's interval.
 const DefaultUpkeepInterval = 30 * time.Second
 
-// Upkeep is one round of a journaled server's periodic duties: it
+// Upkeep is one round of a server's periodic duties: it
 // retries parked transfers and compacts the journal's WAL once more
 // than rms.DefaultCompactGarbage of it is superseded (the WAL also
 // compacts at segment rotation; this is the backstop for an idle
@@ -1628,9 +1638,6 @@ func (s *Server) RetryParked(ctx context.Context) int {
 // from the sender's), so service calls within that hop may re-execute
 // (at-least-once); the agent itself is delivered exactly once.
 func (s *Server) Resume(ctx context.Context) (int, error) {
-	if s.jr == nil {
-		return 0, errors.New("mas: no journal configured")
-	}
 	entries, err := s.jr.loadAll()
 	if err != nil {
 		return 0, err
@@ -1672,7 +1679,7 @@ func (s *Server) mergeWatermark(id string, wm int) {
 // resumeEntry re-hydrates one non-tombstone journal entry and sets its
 // journey moving again; ctx must already be detached from cancellation.
 // journaled says e needs no journal write here (this server's journal
-// holds it, or there is no journal), so a transfer it names ships e's
+// holds it), so a transfer it names ships e's
 // image as it is. Returns false when the entry is skipped (undecodable,
 // or the agent is already resident — it arrived by transfer while we
 // were recovering).
@@ -1682,7 +1689,8 @@ func (s *Server) resumeEntry(ctx context.Context, e *journalEntry, journaled boo
 		s.logf("mas %s: journal entry %s: %v", s.cfg.Addr, e.Image.AgentID, err)
 		return false
 	}
-	rec.tenant, rec.state, rec.lastErr = e.Tenant, e.State, e.LastErr
+	// Every resumed entry sets off again (below).
+	rec.tenant, rec.state, rec.lastErr = e.Tenant, StateRunning, e.LastErr
 	vm := rec.vm
 	s.mu.Lock()
 	if _, exists := s.agents[rec.id]; exists {
@@ -1701,8 +1709,8 @@ func (s *Server) resumeEntry(ctx context.Context, e *journalEntry, journaled boo
 	case e.Target != "":
 		// A transfer was in flight (or parked) when the server died:
 		// finish the handoff. The receiver dedups if the old server's
-		// send had actually landed.
-		rec.state = StateRunning
+		// send had actually landed — so it may have, and is never given up.
+		rec.mayHaveLanded = true
 		if journaled {
 			rec.journaledTo, rec.journaledKind = e.Target, e.Kind
 		}
@@ -1712,16 +1720,12 @@ func (s *Server) resumeEntry(ctx context.Context, e *journalEntry, journaled boo
 		}
 		s.spawn(func() { s.shipAgent(ctx, rec, target, kind) })
 	case vm.Status() == mavm.StatusMigrating:
-		rec.state = StateRunning
 		s.spawn(func() { s.shipAgent(ctx, rec, vm.MigrateTarget(), KindMigrate) })
 	case vm.Status() == mavm.StatusDone:
-		rec.state = StateRunning
 		s.spawn(func() { _ = s.finishAgent(ctx, rec, KindDone) })
 	case vm.Status() == mavm.StatusFailed:
-		rec.state = StateRunning
 		s.spawn(func() { _ = s.finishAgent(ctx, rec, KindFailed) })
 	default: // mavm.StatusReady: mid-itinerary, re-enter the loop
-		rec.state = StateRunning
 		s.startLoop(ctx, rec, nil)
 	}
 	return true
@@ -1762,7 +1766,7 @@ func (s *Server) AdoptJournal(ctx context.Context, from string, store rms.Store)
 			s.mergeWatermark(id, e.Watermark)
 			// Persist the acceptance evidence unless a live local entry
 			// would be clobbered by it, and retire it like our own.
-			if !resident && s.jr != nil {
+			if !resident {
 				if err := s.jr.put(e); err != nil {
 					s.logf("mas %s: adopting tombstone %s from %s: %v", s.cfg.Addr, id, from, err)
 				}
@@ -1775,13 +1779,11 @@ func (s *Server) AdoptJournal(ctx context.Context, from string, store rms.Store)
 			continue
 		}
 		journaled := true
-		if s.jr != nil {
-			if err := s.jr.put(e); err != nil {
-				// Our own journal is failing; adopt in memory anyway —
-				// a running copy beats a stranded journey.
-				s.logf("mas %s: journaling adopted agent %s: %v", s.cfg.Addr, id, err)
-				journaled = false
-			}
+		if err := s.jr.put(e); err != nil {
+			// Our own journal is failing; adopt in memory anyway —
+			// a running copy beats a stranded journey.
+			s.logf("mas %s: journaling adopted agent %s: %v", s.cfg.Addr, id, err)
+			journaled = false
 		}
 		if s.resumeEntry(ctx, e, journaled) {
 			adopted = append(adopted, id)
@@ -1826,12 +1828,9 @@ func (s *Server) ResidentsByTenant() map[string]int64 {
 }
 
 // JournalBytesByTenant breaks the journal's stored bytes down by
-// tenant label — the durable-footprint half of the per-tenant quota
-// signal. Nil without a journal.
+// tenant label — the journaled-footprint half of the per-tenant quota
+// signal (in memory on a server without a durable journal).
 func (s *Server) JournalBytesByTenant() map[string]int64 {
-	if s.jr == nil {
-		return nil
-	}
 	sums := s.jr.bytesByTenant()
 	out := make(map[string]int64, len(sums))
 	for t, n := range sums {

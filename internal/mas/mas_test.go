@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -29,8 +30,26 @@ type simWorld struct {
 	servers map[string]*Server
 	banks   map[string]*services.Bank
 
+	// hook, when set, carries every request a server sends; next is
+	// the network.
+	hook func(ctx context.Context, from, to string, req *transport.Request, next transport.RoundTripper) (*transport.Response, error)
+
 	mu       sync.Mutex
 	arrivals []*Arrival
+}
+
+// viaHook is a server's transport: the network, through simWorld.hook.
+type viaHook struct {
+	w    *simWorld
+	from string
+	next transport.RoundTripper
+}
+
+func (v viaHook) RoundTrip(ctx context.Context, to string, req *transport.Request) (*transport.Response, error) {
+	if v.w.hook != nil {
+		return v.w.hook(ctx, v.from, to, req, v.next)
+	}
+	return v.next.RoundTrip(ctx, to, req)
 }
 
 // newSimWorld creates a world with the given host flavours (addr ->
@@ -53,7 +72,7 @@ func newSimWorld(t *testing.T, hosts map[string]string) *simWorld {
 		cfg := Config{
 			Addr:      addr,
 			Codec:     codec,
-			Transport: w.net.Transport(netsim.ZoneWired),
+			Transport: viaHook{w, addr, w.net.Transport(netsim.ZoneWired)},
 			Services:  reg,
 			Spawn:     w.queue.Go,
 		}
@@ -102,12 +121,46 @@ func (w *simWorld) dispatch(t *testing.T, src string, params map[string]mavm.Val
 		t.Fatal(err)
 	}
 	w.queue.Drain()
+	return w.lastArrival()
+}
+
+func (w *simWorld) lastArrival() *Arrival {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if len(w.arrivals) == 0 {
 		return nil
 	}
 	return w.arrivals[len(w.arrivals)-1]
+}
+
+// retryParked runs n RetryParked rounds on every server, draining the
+// queue after each, and returns the last arrival home.
+func (w *simWorld) retryParked(n int) *Arrival {
+	ctx := netsim.WithClock(context.Background(), netsim.NewClock())
+	addrs := make([]string, 0, len(w.servers))
+	for addr := range w.servers {
+		addrs = append(addrs, addr)
+	}
+	sort.Strings(addrs)
+	for i := 0; i < n; i++ {
+		for _, addr := range addrs {
+			w.servers[addr].RetryParked(ctx)
+		}
+		w.queue.Drain()
+	}
+	return w.lastArrival()
+}
+
+// status reads the /atp/status document of agent id at addr.
+func (w *simWorld) status(t *testing.T, addr, id string) []byte {
+	t.Helper()
+	req := &transport.Request{Path: "/atp/status"}
+	req.SetHeader("agent", id)
+	resp, err := w.net.Transport(netsim.ZoneWired).RoundTrip(context.Background(), addr, req)
+	if err != nil || !resp.IsOK() {
+		t.Fatalf("status of %s at %s: %v %v", id, addr, resp, err)
+	}
+	return resp.Body
 }
 
 func listParam(hosts ...string) mavm.Value {
@@ -207,13 +260,17 @@ func TestCompletionAwayFromHomeAutoShipsHome(t *testing.T) {
 	}
 }
 
+// TestMigrateToUnknownHostFailsHome: the hop to a host that never
+// answers parks at bank-a, and is failed home once its retries pass
+// maxParkedRounds.
 func TestMigrateToUnknownHostFailsHome(t *testing.T) {
 	w := newSimWorld(t, map[string]string{"bank-a": "aglets"})
-	arrival := w.dispatch(t, `
+	w.dispatch(t, `
 		migrate("bank-a");
 		migrate("ghost-host");
 		deliver("never", 1);
 	`, nil)
+	arrival := w.retryParked(maxParkedRounds)
 	if arrival == nil {
 		t.Fatal("agent stranded silently")
 	}
@@ -222,9 +279,13 @@ func TestMigrateToUnknownHostFailsHome(t *testing.T) {
 	}
 }
 
+// TestFirstHopUnreachableDeliversFailureLocally: a first hop that never
+// leaves home parks there, and is delivered home as failed once its
+// retries pass maxParkedRounds.
 func TestFirstHopUnreachableDeliversFailureLocally(t *testing.T) {
 	w := newSimWorld(t, nil)
-	arrival := w.dispatch(t, `migrate("nowhere"); deliver("x", 1);`, nil)
+	w.dispatch(t, `migrate("nowhere"); deliver("x", 1);`, nil)
+	arrival := w.retryParked(maxParkedRounds)
 	if arrival == nil {
 		t.Fatal("no failure delivered")
 	}
@@ -546,39 +607,59 @@ func TestRetractDepartedAgentReportsForwarding(t *testing.T) {
 	}
 }
 
-func TestAgentStrandsWhenHomeUnreachable(t *testing.T) {
-	w := newSimWorld(t, map[string]string{"bank-a": "aglets"})
-	prog, err := mascript.Compile(`migrate("bank-a"); deliver("x", 1);`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm, _ := mavm.New(prog, "ag-stranded", nil)
-	ctx := netsim.WithClock(context.Background(), netsim.NewClock())
-	if err := w.home.AdmitAgent(ctx, vm, "code-1", "dev", tenant.DefaultID, "gw-0"); err != nil {
-		t.Fatal(err)
-	}
-	// The gateway vanishes from the network right after dispatch. Its
-	// local MAS still executes the queued agent loop, so the outbound
-	// migration to bank-a succeeds — but the return transfer to the
-	// downed gateway cannot.
-	if err := w.net.SetDown("gw-0", true); err != nil {
-		t.Fatal(err)
-	}
-	w.queue.Drain()
-	if got := w.servers["bank-a"].AgentStates()["ag-stranded"]; got != StateStranded {
-		t.Fatalf("state at bank-a = %q, want stranded", got)
-	}
-	// The stranded record carries the error for operators to see.
-	tr := w.net.Transport(netsim.ZoneWired)
-	req := &transport.Request{Path: "/atp/status"}
-	req.SetHeader("agent", "ag-stranded")
-	resp, err := tr.RoundTrip(context.Background(), "bank-a", req)
-	if err != nil || !resp.IsOK() {
-		t.Fatalf("status: %v %v", resp, err)
-	}
-	st, _ := kxml.ParseBytes(resp.Body)
-	if st.AttrDefault("error", "") == "" {
-		t.Fatalf("stranded status has no error: %s", resp.Body)
+// TestHomecomingParksWhenHomeUnreachable: a homecoming to a home that
+// is down parks, with the error in /atp/status, and so does a migration
+// to it, however many retries fail — failing either home would go to
+// the same host. One RetryParked after home returns delivers it exactly
+// once.
+func TestHomecomingParksWhenHomeUnreachable(t *testing.T) {
+	for name, src := range map[string]string{
+		"homecoming":     `migrate("bank-a"); deliver("x", 1);`,
+		"migration home": `migrate("bank-a"); migrate(home()); deliver("x", 1);`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			w := newSimWorld(t, map[string]string{"bank-a": "aglets"})
+			prog, err := mascript.Compile(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vm, _ := mavm.New(prog, "ag-away", nil)
+			ctx := netsim.WithClock(context.Background(), netsim.NewClock())
+			if err := w.home.AdmitAgent(ctx, vm, "code-1", "dev", tenant.DefaultID, "gw-0"); err != nil {
+				t.Fatal(err)
+			}
+			// The gateway vanishes from the network right after dispatch. Its
+			// local MAS still executes the queued agent loop, so the outbound
+			// migration to bank-a succeeds — but the return transfer to the
+			// downed gateway cannot.
+			if err := w.net.SetDown("gw-0", true); err != nil {
+				t.Fatal(err)
+			}
+			w.queue.Drain()
+			w.retryParked(maxParkedRounds + 1)
+			bankA := w.servers["bank-a"]
+			if got := bankA.AgentStates()["ag-away"]; got != StateParked || len(w.arrivals) != 0 {
+				t.Fatalf("state at bank-a = %q with %d arrival(s), want parked", got, len(w.arrivals))
+			}
+			// The parked record carries the error for operators to see.
+			body := w.status(t, "bank-a", "ag-away")
+			if st, _ := kxml.ParseBytes(body); st.AttrDefault("error", "") == "" {
+				t.Fatalf("parked status has no error: %s", body)
+			}
+			if err := w.net.SetDown("gw-0", false); err != nil {
+				t.Fatal(err)
+			}
+			if n := bankA.RetryParked(ctx); n != 1 {
+				t.Fatalf("RetryParked = %d, want 1", n)
+			}
+			w.queue.Drain()
+			if n := len(w.arrivals); n != 1 || w.arrivals[0].Kind != KindDone {
+				t.Fatalf("arrivals = %d, want the journey home once, done", n)
+			}
+			if n := bankA.RetryParked(ctx); n != 0 {
+				t.Fatalf("RetryParked after delivery = %d, want 0", n)
+			}
+		})
 	}
 }
 

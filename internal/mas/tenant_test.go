@@ -3,6 +3,7 @@ package mas
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"testing"
 
 	"pdagent/internal/atp"
@@ -26,18 +27,15 @@ func compileSrc(t *testing.T, src string) *mavm.Program {
 // decoder must keep accepting these so an upgraded daemon re-hydrates
 // journals written before the multi-tenant control plane.
 func encodeV1Entry(e *journalEntry) []byte {
-	var b bytes.Buffer
-	b.Write(journalMagicV1)
-	writeU32(&b, uint32(e.Watermark+1))
+	b := binary.BigEndian.AppendUint32(append([]byte(nil), journalMagicV1...), uint32(e.Watermark+1))
 	for _, f := range [][]byte{
 		[]byte(e.Image.AgentID), []byte(e.Image.Home), []byte(e.Image.CodeID), []byte(e.Image.Owner),
 		[]byte(e.State), []byte(e.Target), []byte(e.Kind), []byte(e.LastErr),
 		e.Image.Program, e.Image.State,
 	} {
-		writeU32(&b, uint32(len(f)))
-		b.Write(f)
+		b = append(binary.BigEndian.AppendUint32(b, uint32(len(f))), f...)
 	}
-	return b.Bytes()
+	return b
 }
 
 func TestJournalV1EntryDecodes(t *testing.T) {

@@ -69,7 +69,8 @@ type Limits struct {
 	MaxResidents int64
 	// MaxMailboxBytes caps pending mailbox payload bytes, cluster-wide.
 	MaxMailboxBytes int64
-	// MaxJournalBytes caps journaled agent bytes, cluster-wide.
+	// MaxJournalBytes caps journaled agent bytes, cluster-wide (a
+	// member without a durable journal counts its in-memory one).
 	MaxJournalBytes int64
 }
 
