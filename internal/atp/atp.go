@@ -21,7 +21,9 @@ package atp
 import (
 	"bytes"
 	"encoding/base64"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 
 	"pdagent/internal/kxml"
@@ -71,9 +73,13 @@ func (im *Image) Validate() error {
 type Codec interface {
 	// Name is the flavour identifier used in the /atp/hello handshake.
 	Name() string
-	// Encode serialises an image.
+	// Encode serialises an image into a buffer of its own.
 	Encode(im *Image) ([]byte, error)
-	// Decode parses an image and validates it.
+	// AppendEncode appends the encoding of im to dst and returns the
+	// extended slice, growing dst at most once.
+	AppendEncode(dst []byte, im *Image) ([]byte, error)
+	// Decode parses an image and validates it. The image's Program and
+	// State may alias data, which must not change while they are in use.
 	Decode(data []byte) (*Image, error)
 }
 
@@ -106,18 +112,27 @@ var agletsMagic = []byte("ATPA1")
 func (AgletsCodec) Name() string { return "aglets" }
 
 // Encode implements Codec.
-func (AgletsCodec) Encode(im *Image) ([]byte, error) {
+func (c AgletsCodec) Encode(im *Image) ([]byte, error) { return c.AppendEncode(nil, im) }
+
+// AppendEncode implements Codec. The envelope's size is known up front,
+// so dst grows once, to exactly that.
+func (AgletsCodec) AppendEncode(dst []byte, im *Image) ([]byte, error) {
 	if err := im.Validate(); err != nil {
 		return nil, err
 	}
-	var b bytes.Buffer
-	b.Write(agletsMagic)
-	for _, s := range []string{im.AgentID, im.Home, im.CodeID, im.Owner} {
-		writeLenPrefixed(&b, []byte(s))
+	strs := [...]string{im.AgentID, im.Home, im.CodeID, im.Owner}
+	n := len(agletsMagic) + 4*6 + len(im.Program) + len(im.State)
+	for _, f := range strs {
+		n += len(f)
 	}
-	writeLenPrefixed(&b, im.Program)
-	writeLenPrefixed(&b, im.State)
-	return b.Bytes(), nil
+	b := append(slices.Grow(dst, n), agletsMagic...)
+	for _, f := range strs {
+		b = append(binary.BigEndian.AppendUint32(b, uint32(len(f))), f...)
+	}
+	for _, f := range [...][]byte{im.Program, im.State} {
+		b = append(binary.BigEndian.AppendUint32(b, uint32(len(f))), f...)
+	}
+	return b, nil
 }
 
 // Decode implements Codec.
@@ -129,7 +144,7 @@ func (AgletsCodec) Decode(data []byte) (*Image, error) {
 		return nil, fmt.Errorf("atp: bad aglets envelope magic")
 	}
 	rest := data[len(agletsMagic):]
-	fields := make([][]byte, 6)
+	var fields [6][]byte
 	for i := range fields {
 		var f []byte
 		var err error
@@ -153,16 +168,8 @@ func (AgletsCodec) Decode(data []byte) (*Image, error) {
 	return im, nil
 }
 
-func writeLenPrefixed(b *bytes.Buffer, data []byte) {
-	var hdr [4]byte
-	hdr[0] = byte(len(data) >> 24)
-	hdr[1] = byte(len(data) >> 16)
-	hdr[2] = byte(len(data) >> 8)
-	hdr[3] = byte(len(data))
-	b.Write(hdr[:])
-	b.Write(data)
-}
-
+// readLenPrefixed splits one length-prefixed field off data. field
+// aliases data, its capacity cut at its end.
 func readLenPrefixed(data []byte) (field, rest []byte, err error) {
 	if len(data) < 4 {
 		return nil, nil, fmt.Errorf("truncated length")
@@ -171,9 +178,7 @@ func readLenPrefixed(data []byte) (field, rest []byte, err error) {
 	if n < 0 || n > len(data)-4 {
 		return nil, nil, fmt.Errorf("field length %d out of range", n)
 	}
-	out := make([]byte, n)
-	copy(out, data[4:4+n])
-	return out, data[4+n:], nil
+	return data[4 : 4+n : 4+n], data[4+n:], nil
 }
 
 // --- voyager flavour: XML ----------------------------------------------
@@ -185,18 +190,36 @@ type VoyagerCodec struct{}
 func (VoyagerCodec) Name() string { return "voyager" }
 
 // Encode implements Codec.
-func (VoyagerCodec) Encode(im *Image) ([]byte, error) {
+func (c VoyagerCodec) Encode(im *Image) ([]byte, error) { return c.AppendEncode(nil, im) }
+
+// voyagerDecl is the XML declaration every voyager envelope starts with.
+const voyagerDecl = `<?xml version="1.0" encoding="UTF-8"?>`
+
+// AppendEncode implements Codec. It writes the document directly —
+// declaration, root with its four attributes, then <program> and
+// <state> as base64 text, which never needs escaping — and grows dst
+// once, by the document's size when no attribute needs escaping.
+func (VoyagerCodec) AppendEncode(dst []byte, im *Image) ([]byte, error) {
 	if err := im.Validate(); err != nil {
 		return nil, err
 	}
-	root := kxml.NewElement("voyager-agent")
-	root.SetAttr("id", im.AgentID)
-	root.SetAttr("home", im.Home)
-	root.SetAttr("code-id", im.CodeID)
-	root.SetAttr("owner", im.Owner)
-	root.AddElement("program").AddText(base64.StdEncoding.EncodeToString(im.Program))
-	root.AddElement("state").AddText(base64.StdEncoding.EncodeToString(im.State))
-	return root.EncodeDocument(), nil
+	enc := base64.StdEncoding
+	attrs := [...]struct{ name, value string }{
+		{"id", im.AgentID}, {"home", im.Home}, {"code-id", im.CodeID}, {"owner", im.Owner},
+	}
+	n := len(voyagerDecl) + len("<voyager-agent><program></program><state></state></voyager-agent>") +
+		enc.EncodedLen(len(im.Program)) + enc.EncodedLen(len(im.State))
+	for _, a := range attrs {
+		n += len(` =""`) + len(a.name) + len(a.value)
+	}
+	b := append(slices.Grow(dst, n), voyagerDecl+"<voyager-agent"...)
+	for _, a := range attrs {
+		b = append(append(append(b, ' '), a.name...), `="`...)
+		b = append(kxml.AppendEscapedAttr(b, a.value), '"')
+	}
+	b = enc.AppendEncode(append(b, "><program>"...), im.Program)
+	b = enc.AppendEncode(append(b, "</program><state>"...), im.State)
+	return append(b, "</state></voyager-agent>"...), nil
 }
 
 // Decode implements Codec. It pull-parses exactly the shape Encode
@@ -208,7 +231,7 @@ func (VoyagerCodec) Decode(data []byte) (*Image, error) {
 	if len(data) > MaxImageSize {
 		return nil, fmt.Errorf("atp: image of %d bytes exceeds limit", len(data))
 	}
-	im, err := decodeVoyager(kxml.NewParserBytes(data))
+	im, err := decodeVoyager(kxml.NewParserBytes(data), len(data))
 	if err != nil {
 		return nil, fmt.Errorf("atp: voyager envelope: %w", err)
 	}
@@ -218,7 +241,7 @@ func (VoyagerCodec) Decode(data []byte) (*Image, error) {
 	return im, nil
 }
 
-func decodeVoyager(p *kxml.Parser) (*Image, error) {
+func decodeVoyager(p *kxml.Parser, size int) (*Image, error) {
 	var ev kxml.Event
 	var err error
 	// next moves ev on, past whitespace between elements.
@@ -237,6 +260,9 @@ func decodeVoyager(p *kxml.Parser) (*Image, error) {
 		return err == nil
 	}
 	im := &Image{}
+	// Both payloads decode into one buffer, sized for the whole input:
+	// base64 text is never shorter than what it decodes to.
+	var payload []byte
 	next() // StartDocument
 	if next(); ev.Type == kxml.ProcInst && ev.Name == "xml" {
 		next()
@@ -255,12 +281,25 @@ func decodeVoyager(p *kxml.Parser) (*Image, error) {
 		dst  *[]byte
 	}{{"program", &im.Program}, {"state", &im.State}} {
 		next()
-		want(kxml.StartElement, f.name)
-		if next(); err == nil && ev.Type == kxml.Text {
-			if *f.dst, err = base64.StdEncoding.DecodeString(ev.Text); err != nil {
+		if !want(kxml.StartElement, f.name) {
+			break
+		}
+		// The payload is base64, which needs no entity references: read
+		// it where it lies; anything else goes through Next as text.
+		text, raw := p.RawText()
+		if next(); !raw && err == nil && ev.Type == kxml.Text {
+			text = []byte(ev.Text)
+			next()
+		}
+		if text != nil {
+			if payload == nil {
+				payload = make([]byte, 0, base64.StdEncoding.DecodedLen(size))
+			}
+			from := len(payload)
+			if payload, err = base64.StdEncoding.AppendDecode(payload, text); err != nil {
 				return nil, fmt.Errorf("%s payload: %w", f.name, err)
 			}
-			next()
+			*f.dst = payload[from:len(payload):len(payload)]
 		}
 		want(kxml.EndElement, f.name)
 	}

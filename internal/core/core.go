@@ -18,6 +18,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"sync"
 	"time"
 
 	"pdagent/internal/atp"
@@ -137,6 +139,7 @@ type SimWorld struct {
 	clusterKey  string                    // shared cluster secret (Cluster worlds)
 	deviceZones map[string]string         // device owner -> private aliased zone
 	evictions   []string                  // evicted addrs pending the promotion check
+	entropy     *seededEntropy            // what NewJourney's journeys mint secrets from
 	promotions  []Promotion               // completed failovers, in order
 }
 
@@ -152,6 +155,7 @@ func NewSimWorld(cfg SimConfig) (*SimWorld, error) {
 		cfg.KeyBits = pisec.DefaultKeyBits
 	}
 	w := &SimWorld{
+		entropy:     &seededEntropy{r: rand.New(rand.NewSource(cfg.Seed))},
 		Net:         netsim.New(cfg.Seed),
 		Queue:       &netsim.Queue{},
 		Hosts:       map[string]*mas.Server{},
@@ -188,7 +192,7 @@ func NewSimWorld(cfg SimConfig) (*SimWorld, error) {
 		// One shared cluster secret for the whole world: members accept
 		// each other's heartbeats/forwards, and anything without the
 		// token (e.g. a simulated rogue client) is refused.
-		secret, err := pisec.NewSubscriptionSecret()
+		secret, err := pisec.NewSubscriptionSecret(context.Background())
 		if err != nil {
 			return nil, err
 		}
@@ -625,9 +629,26 @@ func (w *SimWorld) ReconnectDevice(owner string) error {
 
 // NewJourney returns a context carrying a fresh virtual clock, plus
 // the clock for reading elapsed online time.
+//
+// The context also carries the world's seeded entropy: the nonces and
+// subscription secrets minted for the journey, and so the bytes their
+// compressed documents take on the links, replay under cfg.Seed.
 func (w *SimWorld) NewJourney() (context.Context, *netsim.Clock) {
 	clock := netsim.NewClock()
-	return netsim.WithClock(context.Background(), clock), clock
+	return pisec.WithEntropy(netsim.WithClock(context.Background(), clock), w.entropy), clock
+}
+
+// seededEntropy is a world's pisec.WithEntropy reader: math/rand under
+// the world's seed, safe for the journeys of a live world to share.
+type seededEntropy struct {
+	mu sync.Mutex
+	r  *rand.Rand
+}
+
+func (e *seededEntropy) Read(p []byte) (int, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.r.Read(p)
 }
 
 // Run drains the world's task queue — every dispatched agent runs its

@@ -21,7 +21,7 @@ import (
 // agent id assigned by the gateway. This is the only online step of a
 // service invocation besides result collection.
 func (p *Platform) Dispatch(ctx context.Context, codeID string, params map[string]mavm.Value) (string, error) {
-	pi, err := p.buildPI(codeID, params)
+	pi, err := p.buildPI(ctx, codeID, params)
 	if err != nil {
 		return "", err
 	}
@@ -33,14 +33,14 @@ func (p *Platform) Dispatch(ctx context.Context, codeID string, params map[strin
 // the subscription holds the code), parameters, a fresh nonce and the
 // derived dispatch key. The offline part of §3.2 — no network
 // involved, so it also backs the offline dispatch queue.
-func (p *Platform) buildPI(codeID string, params map[string]mavm.Value) (*wire.PackedInformation, error) {
+func (p *Platform) buildPI(ctx context.Context, codeID string, params map[string]mavm.Value) (*wire.PackedInformation, error) {
 	p.mu.Lock()
 	entry, ok := p.subs[codeID]
 	p.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotSubscribed, codeID)
 	}
-	nonce, err := wire.NewNonce()
+	nonce, err := wire.NewNonce(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -75,7 +75,7 @@ type Session struct {
 // queued item; the nonce inside makes the eventual upload idempotent
 // even if a drain is retried across a crash.
 func (p *Platform) QueueDispatch(codeID string, params map[string]mavm.Value) (string, error) {
-	pi, err := p.buildPI(codeID, params)
+	pi, err := p.buildPI(context.Background(), codeID, params)
 	if err != nil {
 		return "", err
 	}

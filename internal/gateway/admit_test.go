@@ -107,7 +107,7 @@ func TestDispatchFailsWhenResultNotEnqueued(t *testing.T) {
 	f := newMailboxFixture(t, &MailboxConfig{Store: store})
 	f.addEcho(t)
 	sub := f.subscribe(t, "echo", "dev-1")
-	nonce, err := wire.NewNonce()
+	nonce, err := wire.NewNonce(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -271,7 +271,7 @@ func TestConcurrentCachedDispatch(t *testing.T) {
 					pi.CodeID, pi.DispatchKey = "echo", keyEcho
 					pi.Source = fmt.Sprintf(`deliver("adhoc", %d);`, i%5)
 				}
-				nonce, err := wire.NewNonce()
+				nonce, err := wire.NewNonce(context.Background())
 				if err != nil {
 					errs <- err
 					return

@@ -557,7 +557,7 @@ func (g *Gateway) handleCatalog(_ context.Context, _ *transport.Request) *transp
 	return transport.OK(cat.EncodeXML())
 }
 
-func (g *Gateway) handleSubscribe(_ context.Context, req *transport.Request) *transport.Response {
+func (g *Gateway) handleSubscribe(ctx context.Context, req *transport.Request) *transport.Response {
 	codeID := req.GetHeader("code-id")
 	owner := req.GetHeader("owner")
 	if codeID == "" || owner == "" {
@@ -582,7 +582,7 @@ func (g *Gateway) handleSubscribe(_ context.Context, req *transport.Request) *tr
 		}
 		tenantID = id
 	}
-	secret, err := pisec.NewSubscriptionSecret()
+	secret, err := pisec.NewSubscriptionSecret(ctx)
 	if err != nil {
 		return transport.Errorf(transport.StatusServerError, "issuing secret: %v", err)
 	}

@@ -152,7 +152,7 @@ func (f *fixture) dispatchPI(t *testing.T, pi *wire.PackedInformation, sealed bo
 func (f *fixture) packPI(t *testing.T, pi *wire.PackedInformation, sealed bool) []byte {
 	t.Helper()
 	if pi.Nonce == "" {
-		n, err := wire.NewNonce()
+		n, err := wire.NewNonce(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +329,7 @@ func TestReplayedPIRejected(t *testing.T) {
 	f := newFixture(t)
 	f.addEcho(t)
 	sub := f.subscribe(t, "echo", "dev-1")
-	nonce, err := wire.NewNonce()
+	nonce, err := wire.NewNonce(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestReplayedPIRejected(t *testing.T) {
 		t.Fatalf("replays created agents: %d, want 1", n)
 	}
 	// A fresh nonce goes through as a new agent.
-	pi.Nonce, _ = wire.NewNonce()
+	pi.Nonce, _ = wire.NewNonce(context.Background())
 	if resp := f.dispatchPI(t, pi, true); !resp.IsOK() || resp.Text() == agentID {
 		t.Fatalf("fresh nonce: %d %s", resp.Status, resp.Text())
 	}

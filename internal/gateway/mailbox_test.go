@@ -429,7 +429,7 @@ func TestFailedAdmissionReleasesNonce(t *testing.T) {
 	f := newMailboxFixture(t, nil)
 	f.addEcho(t)
 	sub := f.subscribe(t, "echo", "dev-1")
-	nonce, err := wire.NewNonce()
+	nonce, err := wire.NewNonce(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -250,7 +250,7 @@ func TestGatewayConcurrentDispatchNoLostResults(t *testing.T) {
 			}
 			for k := 0; k < perG; k++ {
 				tag := fmt.Sprintf("tag-%d-%d", i, k)
-				nonce, err := wire.NewNonce()
+				nonce, err := wire.NewNonce(context.Background())
 				if err != nil {
 					t.Error(err)
 					return
@@ -303,7 +303,7 @@ func TestGatewayConcurrentDispatchNoLostResults(t *testing.T) {
 	// goroutines must dispatch exactly once (nonceWindow under
 	// contention).
 	sub := mustSubscribe(t, f, "echo", "racer")
-	nonce, err := wire.NewNonce()
+	nonce, err := wire.NewNonce(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +421,7 @@ func TestGatewayDisposeReleasesResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nonce, _ := wire.NewNonce()
+	nonce, _ := wire.NewNonce(context.Background())
 	pi := &wire.PackedInformation{
 		CodeID:      "echo",
 		DispatchKey: pisec.DispatchKey("echo", sub.Secret),
@@ -507,7 +507,7 @@ func TestGatewayConcurrentStatusChase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nonce, _ := wire.NewNonce()
+	nonce, _ := wire.NewNonce(context.Background())
 	pi := &wire.PackedInformation{
 		CodeID:      "echo",
 		DispatchKey: pisec.DispatchKey("echo", sub.Secret),

@@ -335,6 +335,33 @@ func (p *Parser) Next() (Event, error) {
 	}
 }
 
+// RawText consumes the character data at the parser's position inside
+// an element when it holds no entity reference, and returns it without
+// copying: the bytes alias the input, which must not change while they
+// are in use. Anywhere else — markup next, a reference in the text,
+// outside the root — it reports false and consumes nothing; Next then
+// reads what follows as before.
+func (p *Parser) RawText() ([]byte, bool) {
+	if p.pending != nil || !p.started || len(p.stack) == 0 {
+		return nil, false
+	}
+	end := p.pos
+	for end < len(p.src) && p.src[end] != '<' {
+		if p.src[end] == '&' {
+			return nil, false
+		}
+		end++
+	}
+	if end == p.pos {
+		return nil, false
+	}
+	start := p.pos
+	for p.pos < end {
+		p.advance()
+	}
+	return p.src[start:end], true
+}
+
 func (p *Parser) readProcInst(line, col int) (Event, error) {
 	target, err := p.readName()
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -84,14 +85,17 @@ type journalEntry struct {
 }
 
 // encode writes the entry in one allocation, sized up front.
-func (e *journalEntry) encode() []byte {
+func (e *journalEntry) encode() []byte { return e.appendTo(nil) }
+
+// appendTo appends the entry's encoding to dst, growing it at most once.
+func (e *journalEntry) appendTo(dst []byte) []byte {
 	im := &e.Image
 	strs := [...]string{im.AgentID, im.Home, im.CodeID, im.Owner, string(e.State), e.Target, e.Kind, e.LastErr, e.Tenant}
 	n := len(journalMagic) + 4*(len(strs)+3) + len(im.Program) + len(im.State)
 	for _, f := range strs {
 		n += len(f)
 	}
-	b := append(make([]byte, 0, n), journalMagic...)
+	b := append(slices.Grow(dst, n), journalMagic...)
 	b = binary.BigEndian.AppendUint32(b, uint32(e.Watermark+1))
 	for _, f := range strs {
 		b = append(binary.BigEndian.AppendUint32(b, uint32(len(f))), f...)
@@ -176,6 +180,12 @@ func readU32(data []byte) (uint32, []byte, error) {
 	v := uint32(data[0])<<24 | uint32(data[1])<<16 | uint32(data[2])<<8 | uint32(data[3])
 	return v, data[4:], nil
 }
+
+// entryBufs recycles the buffers journal.put encodes entries into;
+// one over maxPooledEntry is left to the collector.
+var entryBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledEntry = 64 << 10
 
 // journalStripes is the per-agent lock-stripe count (power of two).
 const journalStripes = 64
@@ -287,7 +297,16 @@ func openJournal(store rms.Store) (*journal, error) {
 // order tombstones by *completion* time, the order Resume hands them
 // to the server's retirement ring.
 func (j *journal) put(e *journalEntry) error {
-	data, id := e.encode(), e.Image.AgentID
+	// The encoding lives only for this call: a store copies what it
+	// keeps (rms.Store), so the buffer goes back to entryBufs.
+	bp := entryBufs.Get().(*[]byte)
+	data, id := e.appendTo((*bp)[:0]), e.Image.AgentID
+	defer func() {
+		if cap(data) <= maxPooledEntry {
+			*bp = data
+			entryBufs.Put(bp)
+		}
+	}()
 	st := j.stripe(id)
 	st.Lock()
 	defer st.Unlock()

@@ -236,8 +236,11 @@ type Server struct {
 	admits        [len(entryOutcomes)]atomic.Uint64 // AdmitAgent, by entryOutcomes index
 	arrives       [len(entryOutcomes)]atomic.Uint64 // migrate arrivals, likewise
 
-	mu       sync.Mutex
-	agents   map[string]*record
+	mu     sync.Mutex
+	agents map[string]*record
+	// parked is the records of s.agents in StateParked: RetryParked's
+	// worklist, so a retry round touches no other record.
+	parked   map[*record]struct{}
 	flavours map[string]atp.Codec     // destination addr -> codec cache
 	accepted map[string]int           // agent id -> highest sent-hop accepted (transfer dedup)
 	pending  map[string]pendingAccept // agent id -> handoff mid-commit
@@ -333,6 +336,7 @@ func NewServer(cfg Config) (*Server, error) {
 		jr:       jr,
 		maxHops:  defaultMaxHops,
 		agents:   make(map[string]*record),
+		parked:   make(map[*record]struct{}),
 		flavours: make(map[string]atp.Codec),
 		accepted: make(map[string]int),
 		pending:  make(map[string]pendingAccept),
@@ -708,12 +712,24 @@ func (s *Server) deliverLocal(ctx context.Context, rec *record, kind string) err
 	s.setState(rec, StateDelivered, "")
 	s.mDeliver.Inc()
 	s.span(rec.id, "deliver", kind)
+	hops := rec.vm.Hops
 	s.retire(rec, StateDelivered)
+	vacate(rec)
 	s.notifyMove(ctx, AgentMove{
 		AgentID: rec.id, Addr: s.cfg.Addr, Home: rec.home,
-		Seq: 2*rec.vm.Hops + 3, Terminal: true,
+		Seq: 2*hops + 3, Terminal: true,
 	})
 	return nil
+}
+
+// vacate makes the record of an agent that has left or finished here a
+// pointer: its VM and image go, and what /atp/status reports of them
+// stays.
+func vacate(rec *record) {
+	rec.execMu.Lock()
+	rec.leftStatus, rec.leftHops, rec.leftSteps = rec.vm.Status(), rec.vm.Hops, rec.vm.Steps
+	rec.vm, rec.image = nil, nil
+	rec.execMu.Unlock()
 }
 
 // notifyMove invokes the OnAgentMove callback, isolated from panics
@@ -820,6 +836,7 @@ func (s *Server) park(rec *record, target, kind string) {
 	s.mu.Lock()
 	rec.state = StateParked
 	rec.parkTarget, rec.parkKind = target, kind
+	s.parked[rec] = struct{}{}
 	s.mu.Unlock()
 	s.mParked.Inc()
 }
@@ -867,10 +884,7 @@ func (s *Server) sendAgent(ctx context.Context, rec *record, target, kind string
 	s.mTransferUs.Observe(time.Since(shipStart))
 	s.mTransferOut.Inc()
 	// The receiver holds the agent now; the record is a pointer.
-	rec.execMu.Lock()
-	rec.leftStatus, rec.leftHops, rec.leftSteps = rec.vm.Status(), rec.vm.Hops, rec.vm.Steps
-	rec.vm, rec.image = nil, nil
-	rec.execMu.Unlock()
+	vacate(rec)
 	s.span(rec.id, "transfer-out", target)
 	// Publish the forwarding pointer (seq 2h+1 sorts after our arrival
 	// at 2h and before the destination's arrival at 2h+2, so a racing
@@ -1136,6 +1150,7 @@ func (s *Server) handleTransfer(ctx context.Context, req *transport.Request) *tr
 		// sender's retry redeliver (the gateway's result intake is
 		// idempotent); a crash after it dedups cleanly.
 		s.retire(rec, StateDelivered)
+		vacate(rec)
 		s.notifyMove(ctx, AgentMove{
 			AgentID: rec.id, Addr: s.cfg.Addr, Home: rec.home,
 			Seq: 2*sentHop + 3, Terminal: true,
@@ -1504,6 +1519,7 @@ func (s *Server) retire(rec *record, st AgentState) {
 // putLocked (s.mu held) makes rec its id's record and reports whether
 // the id had retired: it leaves the ring again.
 func (s *Server) putLocked(rec *record) (wasRetired bool) {
+	delete(s.parked, s.agents[rec.id])
 	s.agents[rec.id] = rec
 	return s.unretireLocked(rec.id)
 }
@@ -1554,6 +1570,7 @@ func (s *Server) forget(id string, still func() bool) bool {
 		s.mu.Unlock()
 		return false
 	}
+	delete(s.parked, s.agents[id])
 	delete(s.agents, id)
 	delete(s.accepted, id)
 	s.unretireLocked(id)
@@ -1611,12 +1628,11 @@ func (s *Server) RetryParked(ctx context.Context) int {
 	}
 	s.mu.Lock()
 	var todo []retry
-	for _, rec := range s.agents {
-		if rec.state == StateParked {
-			rec.state = StateRunning
-			todo = append(todo, retry{rec, rec.parkTarget, rec.parkKind})
-		}
+	for rec := range s.parked {
+		rec.state = StateRunning
+		todo = append(todo, retry{rec, rec.parkTarget, rec.parkKind})
 	}
+	clear(s.parked)
 	s.mu.Unlock()
 	ctx = context.WithoutCancel(ctx)
 	for _, r := range todo {

@@ -95,7 +95,7 @@ func (c *compiler) compile(ast *Program) (*mavm.Program, error) {
 		fc.finish()
 	}
 
-	if err := c.prog.Validate(); err != nil {
+	if err := c.prog.Freeze(); err != nil {
 		return nil, fmt.Errorf("mascript: internal error: compiled program invalid: %w", err)
 	}
 	return c.prog, nil

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // Op is a bytecode opcode.
@@ -69,7 +70,8 @@ const (
 	OpSetIndex
 )
 
-var opNames = map[Op]string{
+// opNames names every opcode; an empty entry is an unknown opcode.
+var opNames = [256]string{
 	OpHalt: "HALT", OpConst: "CONST", OpNil: "NIL", OpTrue: "TRUE", OpFalse: "FALSE",
 	OpPop: "POP", OpDup: "DUP",
 	OpLoadGlobal: "LOADG", OpStoreGlobal: "STOREG", OpLoadLocal: "LOADL", OpStoreLocal: "STOREL",
@@ -82,7 +84,7 @@ var opNames = map[Op]string{
 }
 
 func (o Op) String() string {
-	if s, ok := opNames[o]; ok {
+	if s := opNames[o]; s != "" {
 		return s
 	}
 	return fmt.Sprintf("Op(%d)", byte(o))
@@ -126,6 +128,32 @@ type Program struct {
 	// Source optionally retains the original MAScript text for
 	// re-shipment and debugging.
 	Source string
+
+	// validated is set by Freeze, which UnmarshalProgram and the
+	// compiler call before they hand a program out: New and
+	// UnmarshalState trust a frozen program without validating it again.
+	// A hand-built program is validated on every use.
+	validated bool
+	// encoded memoises MarshalProgram of a frozen program.
+	encoded atomic.Pointer[[]byte]
+}
+
+// Freeze validates p and marks it valid, so New and UnmarshalState
+// skip Validate for it. p must not be changed afterwards.
+func (p *Program) Freeze() error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	p.validated = true
+	return nil
+}
+
+// validate is Validate for a program not frozen.
+func (p *Program) validate() error {
+	if p.validated {
+		return nil
+	}
+	return p.Validate()
 }
 
 // Digest returns a stable hex id of the compiled code (not the source),
@@ -175,34 +203,45 @@ var programMagic = []byte("MAVMP1")
 // MaxProgramSize bounds deserialisation input.
 const MaxProgramSize = 4 << 20
 
-// MarshalProgram serialises a Program.
+// MarshalProgram serialises a Program. A frozen program is serialised
+// once, and every call shares those bytes: callers must not modify them.
 func MarshalProgram(p *Program) ([]byte, error) {
-	var b bytes.Buffer
-	b.Write(programMagic)
-	writeUvarint(&b, uint64(len(p.Constants)))
+	if b := p.encoded.Load(); b != nil {
+		return *b, nil
+	}
+	b, err := marshalProgram(p)
+	if err == nil && p.validated {
+		p.encoded.Store(&b)
+	}
+	return b, err
+}
+
+func marshalProgram(p *Program) ([]byte, error) {
+	b := append([]byte(nil), programMagic...)
+	b = binary.AppendUvarint(b, uint64(len(p.Constants)))
+	var err error
 	for _, c := range p.Constants {
-		if err := writeScalar(&b, c); err != nil {
+		if b, err = appendScalar(b, c); err != nil {
 			return nil, err
 		}
 	}
-	writeUvarint(&b, uint64(len(p.Globals)))
+	b = binary.AppendUvarint(b, uint64(len(p.Globals)))
 	for _, g := range p.Globals {
-		writeString(&b, g)
+		b = appendString(b, g)
 	}
-	writeUvarint(&b, uint64(len(p.Functions)))
+	b = binary.AppendUvarint(b, uint64(len(p.Functions)))
 	for _, f := range p.Functions {
-		writeString(&b, f.Name)
-		writeUvarint(&b, uint64(f.NumParams))
-		writeUvarint(&b, uint64(f.NumLocals))
-		writeUvarint(&b, uint64(len(f.Code)))
-		b.Write(f.Code)
-		writeUvarint(&b, uint64(len(f.Lines)))
+		b = appendString(b, f.Name)
+		b = binary.AppendUvarint(b, uint64(f.NumParams))
+		b = binary.AppendUvarint(b, uint64(f.NumLocals))
+		b = binary.AppendUvarint(b, uint64(len(f.Code)))
+		b = append(b, f.Code...)
+		b = binary.AppendUvarint(b, uint64(len(f.Lines)))
 		for _, l := range f.Lines {
-			writeUvarint(&b, uint64(l))
+			b = binary.AppendUvarint(b, uint64(l))
 		}
 	}
-	writeString(&b, p.Source)
-	return b.Bytes(), nil
+	return appendString(b, p.Source), nil
 }
 
 // UnmarshalProgram parses a serialised Program and validates its
@@ -247,7 +286,7 @@ func UnmarshalProgram(data []byte) (*Program, error) {
 	if r.err != nil {
 		return nil, fmt.Errorf("mavm: truncated program: %w", r.err)
 	}
-	if err := p.Validate(); err != nil {
+	if err := p.Freeze(); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -271,7 +310,7 @@ func (p *Program) Validate() error {
 		}
 		for pc := 0; pc < len(f.Code); {
 			op := Op(f.Code[pc])
-			if _, known := opNames[op]; !known {
+			if opNames[op] == "" {
 				return fmt.Errorf("mavm: function %d: unknown opcode %d at %d", fi, op, pc)
 			}
 			w := operandWidth(op)
@@ -312,43 +351,28 @@ func (p *Program) Validate() error {
 
 // --- shared little encoding helpers ----------------------------------
 
-func writeUvarint(b *bytes.Buffer, v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	b.Write(tmp[:n])
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
-func writeString(b *bytes.Buffer, s string) {
-	writeUvarint(b, uint64(len(s)))
-	b.WriteString(s)
-}
-
-// writeScalar encodes a scalar constant (containers never appear in the
-// constant pool).
-func writeScalar(b *bytes.Buffer, v Value) error {
-	b.WriteByte(byte(v.kind))
+// appendScalar encodes a scalar constant (containers never appear in
+// the constant pool).
+func appendScalar(b []byte, v Value) ([]byte, error) {
+	b = append(b, byte(v.kind))
 	switch v.kind {
 	case KindNil:
 	case KindBool:
-		if v.b {
-			b.WriteByte(1)
-		} else {
-			b.WriteByte(0)
-		}
+		b = append(b, byte(v.n))
 	case KindInt:
-		var tmp [binary.MaxVarintLen64]byte
-		n := binary.PutVarint(tmp[:], v.i)
-		b.Write(tmp[:n])
+		b = binary.AppendVarint(b, int64(v.n))
 	case KindFloat:
-		var tmp [8]byte
-		binary.BigEndian.PutUint64(tmp[:], math.Float64bits(v.f))
-		b.Write(tmp[:])
+		b = binary.BigEndian.AppendUint64(b, v.n)
 	case KindStr:
-		writeString(b, v.s)
+		b = appendString(b, v.s)
 	default:
-		return fmt.Errorf("mavm: %v constant not allowed in pool", v.kind)
+		return nil, fmt.Errorf("mavm: %v constant not allowed in pool", v.kind)
 	}
-	return nil
+	return b, nil
 }
 
 func readScalar(r *reader) (Value, error) {

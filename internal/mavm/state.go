@@ -2,8 +2,10 @@ package mavm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 )
 
 // stateMagic begins every serialised VM snapshot.
@@ -28,15 +30,49 @@ const maxSnapshotObjects = 1 << 20
 // same list after a mid-expression snapshot.
 
 // objTable assigns stable ids to reachable containers during marshal.
+// It is scratch, reused through tablePool: AppendState takes one and
+// hands it back cleared.
 type objTable struct {
 	listIDs map[*List]int
 	mapIDs  map[*Map]int
-	// objects in id order; entry is either *List or *Map.
-	objects []any
+	// objects in id order.
+	objects []object
+	// keys holds every registered map's keys, each map's run sorted
+	// once (register) and read again when its contents are written.
+	keys []string
+	// params is the VM's parameter names, sorted.
+	params []string
 }
 
-func newObjTable() *objTable {
+// object is one container of the table: a list, or a map and its run
+// of sorted keys, keys[from:to].
+type object struct {
+	list     *List
+	m        *Map
+	from, to int
+}
+
+// maxPooledObjects bounds the table a pooled objTable may keep: one
+// huge snapshot must not pin its scratch for the life of the process.
+const maxPooledObjects = 4096
+
+var tablePool = sync.Pool{New: func() any {
 	return &objTable{listIDs: map[*List]int{}, mapIDs: map[*Map]int{}}
+}}
+
+// release clears t, so it holds no value of the VM it walked, and
+// returns it to tablePool.
+func (t *objTable) release() {
+	if len(t.objects) > maxPooledObjects || len(t.keys) > maxPooledObjects {
+		return
+	}
+	clear(t.listIDs)
+	clear(t.mapIDs)
+	clear(t.objects)
+	clear(t.keys)
+	clear(t.params)
+	t.objects, t.keys, t.params = t.objects[:0], t.keys[:0], t.params[:0]
+	tablePool.Put(t)
 }
 
 // register walks v, assigning ids to every reachable container once.
@@ -50,7 +86,7 @@ func (t *objTable) register(v Value) error {
 			return fmt.Errorf("mavm: snapshot exceeds %d containers", maxSnapshotObjects)
 		}
 		t.listIDs[v.list] = len(t.objects)
-		t.objects = append(t.objects, v.list)
+		t.objects = append(t.objects, object{list: v.list})
 		for _, it := range v.list.Items {
 			if err := t.register(it); err != nil {
 				return err
@@ -63,10 +99,17 @@ func (t *objTable) register(v Value) error {
 		if len(t.objects) >= maxSnapshotObjects {
 			return fmt.Errorf("mavm: snapshot exceeds %d containers", maxSnapshotObjects)
 		}
+		from := len(t.keys)
+		for k := range v.m.Entries {
+			t.keys = append(t.keys, k)
+		}
+		slices.Sort(t.keys[from:])
+		to := len(t.keys)
 		t.mapIDs[v.m] = len(t.objects)
-		t.objects = append(t.objects, v.m)
-		for _, k := range v.MapKeys() {
-			if err := t.register(v.m.Entries[k]); err != nil {
+		t.objects = append(t.objects, object{m: v.m, from: from, to: to})
+		// Index, not range: a nested map's keys may grow t.keys.
+		for i := from; i < to; i++ {
+			if err := t.register(v.m.Entries[t.keys[i]]); err != nil {
 				return err
 			}
 		}
@@ -74,49 +117,77 @@ func (t *objTable) register(v Value) error {
 	return nil
 }
 
-// writeRef encodes a value either inline (scalar) or as an object
+// appendRef encodes a value either inline (scalar) or as an object
 // reference.
-func (t *objTable) writeRef(b *bytes.Buffer, v Value) error {
+func (t *objTable) appendRef(b []byte, v Value) ([]byte, error) {
 	switch v.kind {
 	case KindList:
-		b.WriteByte(byte(KindList))
-		writeUvarint(b, uint64(t.listIDs[v.list]))
-		return nil
+		return binary.AppendUvarint(append(b, byte(KindList)), uint64(t.listIDs[v.list])), nil
 	case KindMap:
-		b.WriteByte(byte(KindMap))
-		writeUvarint(b, uint64(t.mapIDs[v.m]))
-		return nil
+		return binary.AppendUvarint(append(b, byte(KindMap)), uint64(t.mapIDs[v.m])), nil
 	default:
-		return writeScalar(b, v)
+		return appendScalar(b, v)
 	}
+}
+
+// appendRefs encodes a counted slice of values.
+func (t *objTable) appendRefs(b []byte, vs []Value) ([]byte, error) {
+	b = binary.AppendUvarint(b, uint64(len(vs)))
+	var err error
+	for _, v := range vs {
+		if b, err = t.appendRef(b, v); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
 }
 
 // MarshalState serialises the VM's complete execution state. Paired
 // with the program (MarshalProgram), the result is a complete mobile
 // agent image: the destination host reconstructs the VM and resumes at
-// exactly the next instruction.
+// exactly the next instruction. The snapshot is written into reused
+// scratch and copied out once, at its exact size.
 func MarshalState(vm *VM) ([]byte, error) {
-	t := newObjTable()
-	paramKeys := make([]string, 0, len(vm.Params))
-	for k := range vm.Params {
-		paramKeys = append(paramKeys, k)
+	bp := stateBufPool.Get().(*[]byte)
+	b, err := AppendState((*bp)[:0], vm)
+	if err != nil {
+		stateBufPool.Put(bp)
+		return nil, err
 	}
-	sort.Strings(paramKeys)
+	out := bytes.Clone(b)
+	if cap(b) <= maxPooledStateBuf {
+		*bp = b
+		stateBufPool.Put(bp)
+	}
+	return out, nil
+}
+
+// maxPooledStateBuf bounds the snapshot scratch MarshalState keeps.
+const maxPooledStateBuf = 64 << 10
+
+var stateBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// AppendState appends the MarshalState encoding of vm to dst and
+// returns the extended slice.
+func AppendState(dst []byte, vm *VM) ([]byte, error) {
+	t := tablePool.Get().(*objTable)
+	defer t.release()
+	for k := range vm.Params {
+		t.params = append(t.params, k)
+	}
+	slices.Sort(t.params)
 
 	// Pass 1: register every reachable container.
-	for _, k := range paramKeys {
+	for _, k := range t.params {
 		if err := t.register(vm.Params[k]); err != nil {
 			return nil, err
 		}
 	}
-	for _, v := range vm.globals {
-		if err := t.register(v); err != nil {
-			return nil, err
-		}
-	}
-	for _, v := range vm.stack {
-		if err := t.register(v); err != nil {
-			return nil, err
+	for _, vs := range [...][]Value{vm.globals, vm.stack} {
+		for _, v := range vs {
+			if err := t.register(v); err != nil {
+				return nil, err
+			}
 		}
 	}
 	for _, r := range vm.Results {
@@ -132,89 +203,68 @@ func MarshalState(vm *VM) ([]byte, error) {
 		}
 	}
 
-	var b bytes.Buffer
-	b.Write(stateMagic)
-	writeString(&b, vm.AgentID)
-	b.WriteByte(byte(vm.status))
-	writeString(&b, vm.migrateTarget)
-	writeString(&b, vm.failMsg)
-	writeUvarint(&b, uint64(vm.Hops))
-	writeUvarint(&b, vm.Steps)
+	b := append(dst, stateMagic...)
+	b = appendString(b, vm.AgentID)
+	b = append(b, byte(vm.status))
+	b = appendString(b, vm.migrateTarget)
+	b = appendString(b, vm.failMsg)
+	b = binary.AppendUvarint(b, uint64(vm.Hops))
+	b = binary.AppendUvarint(b, vm.Steps)
 
 	// Object table: kinds first, then contents (so readers can allocate
 	// shells before resolving references).
-	writeUvarint(&b, uint64(len(t.objects)))
+	b = binary.AppendUvarint(b, uint64(len(t.objects)))
 	for _, o := range t.objects {
-		if _, isList := o.(*List); isList {
-			b.WriteByte(byte(KindList))
+		if o.list != nil {
+			b = append(b, byte(KindList))
 		} else {
-			b.WriteByte(byte(KindMap))
+			b = append(b, byte(KindMap))
 		}
 	}
+	var err error
 	for _, o := range t.objects {
-		switch c := o.(type) {
-		case *List:
-			writeUvarint(&b, uint64(len(c.Items)))
-			for _, it := range c.Items {
-				if err := t.writeRef(&b, it); err != nil {
-					return nil, err
-				}
+		if o.list != nil {
+			if b, err = t.appendRefs(b, o.list.Items); err != nil {
+				return nil, err
 			}
-		case *Map:
-			keys := make([]string, 0, len(c.Entries))
-			for k := range c.Entries {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			writeUvarint(&b, uint64(len(keys)))
-			for _, k := range keys {
-				writeString(&b, k)
-				if err := t.writeRef(&b, c.Entries[k]); err != nil {
-					return nil, err
-				}
+			continue
+		}
+		b = binary.AppendUvarint(b, uint64(o.to-o.from))
+		for _, k := range t.keys[o.from:o.to] {
+			if b, err = t.appendRef(appendString(b, k), o.m.Entries[k]); err != nil {
+				return nil, err
 			}
 		}
 	}
 
 	// Roots.
-	writeUvarint(&b, uint64(len(paramKeys)))
-	for _, k := range paramKeys {
-		writeString(&b, k)
-		if err := t.writeRef(&b, vm.Params[k]); err != nil {
+	b = binary.AppendUvarint(b, uint64(len(t.params)))
+	for _, k := range t.params {
+		if b, err = t.appendRef(appendString(b, k), vm.Params[k]); err != nil {
 			return nil, err
 		}
 	}
-	writeRefSlice := func(vs []Value) error {
-		writeUvarint(&b, uint64(len(vs)))
-		for _, v := range vs {
-			if err := t.writeRef(&b, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := writeRefSlice(vm.globals); err != nil {
+	if b, err = t.appendRefs(b, vm.globals); err != nil {
 		return nil, err
 	}
-	if err := writeRefSlice(vm.stack); err != nil {
+	if b, err = t.appendRefs(b, vm.stack); err != nil {
 		return nil, err
 	}
-	writeUvarint(&b, uint64(len(vm.Results)))
+	b = binary.AppendUvarint(b, uint64(len(vm.Results)))
 	for _, r := range vm.Results {
-		writeString(&b, r.Key)
-		if err := t.writeRef(&b, r.Value); err != nil {
+		if b, err = t.appendRef(appendString(b, r.Key), r.Value); err != nil {
 			return nil, err
 		}
 	}
-	writeUvarint(&b, uint64(len(vm.frames)))
+	b = binary.AppendUvarint(b, uint64(len(vm.frames)))
 	for _, f := range vm.frames {
-		writeUvarint(&b, uint64(f.fn))
-		writeUvarint(&b, uint64(f.pc))
-		if err := writeRefSlice(f.locals); err != nil {
+		b = binary.AppendUvarint(b, uint64(f.fn))
+		b = binary.AppendUvarint(b, uint64(f.pc))
+		if b, err = t.appendRefs(b, f.locals); err != nil {
 			return nil, err
 		}
 	}
-	return b.Bytes(), nil
+	return b, nil
 }
 
 // stateReader resolves object references while decoding.
@@ -271,7 +321,7 @@ func UnmarshalState(prog *Program, data []byte) (*VM, error) {
 	if len(data) > MaxStateSize {
 		return nil, fmt.Errorf("mavm: snapshot of %d bytes exceeds limit", len(data))
 	}
-	if err := prog.Validate(); err != nil {
+	if err := prog.validate(); err != nil {
 		return nil, err
 	}
 	r := &reader{data: data}

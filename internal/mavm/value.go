@@ -60,9 +60,9 @@ func (k Kind) String() string {
 // both), matching the language definition.
 type Value struct {
 	kind Kind
-	b    bool
-	i    int64
-	f    float64
+	// n is a bool's 0 or 1, an int's two's complement or a float's
+	// IEEE 754 bits: one word for the three scalar kinds.
+	n    uint64
 	s    string
 	list *List
 	m    *Map
@@ -85,13 +85,18 @@ type Map struct {
 func Nil() Value { return Value{kind: KindNil} }
 
 // Bool returns a boolean value.
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
+func Bool(b bool) Value {
+	if b {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // Int returns an integer value.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{kind: KindInt, n: uint64(i)} }
 
 // Float returns a floating-point value.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value { return Value{kind: KindFloat, n: math.Float64bits(f)} }
 
 // Str returns a string value.
 func Str(s string) Value { return Value{kind: KindStr, s: s} }
@@ -115,17 +120,17 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNil() bool { return v.kind == KindNil }
 
 // AsBool returns the boolean payload (valid only for KindBool).
-func (v Value) AsBool() bool { return v.b }
+func (v Value) AsBool() bool { return v.n != 0 }
 
 // AsInt returns the integer payload (valid only for KindInt).
-func (v Value) AsInt() int64 { return v.i }
+func (v Value) AsInt() int64 { return int64(v.n) }
 
 // AsFloat returns the float payload, converting from int if needed.
 func (v Value) AsFloat() float64 {
 	if v.kind == KindInt {
-		return float64(v.i)
+		return float64(int64(v.n))
 	}
-	return v.f
+	return math.Float64frombits(v.n)
 }
 
 // AsStr returns the string payload (valid only for KindStr).
@@ -167,7 +172,7 @@ func (v Value) Truthy() bool {
 	case KindNil:
 		return false
 	case KindBool:
-		return v.b
+		return v.n != 0
 	default:
 		return true
 	}
@@ -181,7 +186,7 @@ func (v Value) isNumber() bool { return v.kind == KindInt || v.kind == KindFloat
 func (v Value) Equal(o Value) bool {
 	if v.isNumber() && o.isNumber() {
 		if v.kind == KindInt && o.kind == KindInt {
-			return v.i == o.i
+			return v.n == o.n
 		}
 		return v.AsFloat() == o.AsFloat()
 	}
@@ -192,7 +197,7 @@ func (v Value) Equal(o Value) bool {
 	case KindNil:
 		return true
 	case KindBool:
-		return v.b == o.b
+		return v.n == o.n
 	case KindStr:
 		return v.s == o.s
 	case KindList:
@@ -227,14 +232,15 @@ func (v Value) String() string {
 	case KindNil:
 		return "nil"
 	case KindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.AsBool())
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.AsInt(), 10)
 	case KindFloat:
-		if v.f == math.Trunc(v.f) && math.Abs(v.f) < 1e15 {
-			return strconv.FormatFloat(v.f, 'f', 1, 64)
+		f := v.AsFloat()
+		if f == math.Trunc(f) && math.Abs(f) < 1e15 {
+			return strconv.FormatFloat(f, 'f', 1, 64)
 		}
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(f, 'g', -1, 64)
 	case KindStr:
 		return v.s
 	case KindList:

@@ -106,7 +106,7 @@ type VM struct {
 
 // New creates a fresh VM at the entry point of prog.
 func New(prog *Program, agentID string, params map[string]Value) (*VM, error) {
-	if err := prog.Validate(); err != nil {
+	if err := prog.validate(); err != nil {
 		return nil, err
 	}
 	if params == nil {

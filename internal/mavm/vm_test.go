@@ -438,3 +438,40 @@ func TestStackOverflowCaught(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// TestHandBuiltProgramValidatedOnEveryUse: only a program a validating
+// constructor froze skips Validate. A hand-built one is checked by New
+// and UnmarshalState on every use, so one made invalid after a first
+// use is refused by both; Freeze refuses it too, and a frozen program
+// round-trips without being checked again.
+func TestHandBuiltProgramValidatedOnEveryUse(t *testing.T) {
+	p := asm([]Value{Int(1)}, []string{"g"}, []int{int(OpConst), 0}, []int{int(OpHalt)})
+	vm, err := New(p, "a", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := MarshalState(vm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UnmarshalState(p, snap); err != nil {
+		t.Fatalf("UnmarshalState of a valid hand-built program: %v", err)
+	}
+	p.Functions[0].Code[0] = 0xff // no such opcode
+	if _, err := New(p, "a", nil); err == nil || !strings.Contains(err.Error(), "unknown opcode") {
+		t.Errorf("New with an invalid hand-built program: %v", err)
+	}
+	if _, err := UnmarshalState(p, snap); err == nil || !strings.Contains(err.Error(), "unknown opcode") {
+		t.Errorf("UnmarshalState with an invalid hand-built program: %v", err)
+	}
+	if err := p.Freeze(); err == nil {
+		t.Error("Freeze accepted an invalid program")
+	}
+	p.Functions[0].Code[0] = byte(OpConst)
+	if err := p.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UnmarshalState(p, snap); err != nil {
+		t.Fatalf("UnmarshalState of a frozen program: %v", err)
+	}
+}

@@ -30,6 +30,7 @@ package pisec
 
 import (
 	"bytes"
+	"context"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/md5"
@@ -42,6 +43,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -435,11 +437,32 @@ func VerifyDispatchKey(codeID string, secret []byte, presented string) bool {
 	return diff == 0
 }
 
+// entropyKey carries WithEntropy's reader on a context.
+type entropyKey struct{}
+
+// WithEntropy returns ctx carrying r as the source of the secrets and
+// nonces minted on its behalf (NewSubscriptionSecret, wire.NewNonce).
+// A simulated world passes a reader seeded from its seed, so a journey
+// replays byte for byte; nothing else sets one, because the secrets a
+// seeded reader mints are predictable.
+func WithEntropy(ctx context.Context, r io.Reader) context.Context {
+	return context.WithValue(ctx, entropyKey{}, r)
+}
+
+// Entropy returns ctx's entropy source: crypto/rand.Reader unless
+// WithEntropy set another.
+func Entropy(ctx context.Context) io.Reader {
+	if r, ok := ctx.Value(entropyKey{}).(io.Reader); ok {
+		return r
+	}
+	return rand.Reader
+}
+
 // NewSubscriptionSecret returns a fresh random secret issued alongside
-// a downloaded code package.
-func NewSubscriptionSecret() ([]byte, error) {
+// a downloaded code package, read from ctx's Entropy.
+func NewSubscriptionSecret(ctx context.Context) ([]byte, error) {
 	s := make([]byte, 16)
-	if _, err := rand.Read(s); err != nil {
+	if _, err := io.ReadFull(Entropy(ctx), s); err != nil {
 		return nil, fmt.Errorf("pisec: subscription secret: %w", err)
 	}
 	return s, nil

@@ -2,6 +2,7 @@ package pisec
 
 import (
 	"bytes"
+	"context"
 	"crypto/aes"
 	"crypto/md5"
 	"crypto/rsa"
@@ -157,7 +158,7 @@ func TestOpenWithWrongKey(t *testing.T) {
 }
 
 func TestDispatchKey(t *testing.T) {
-	secret, err := NewSubscriptionSecret()
+	secret, err := NewSubscriptionSecret(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,11 +35,12 @@ var (
 type Store interface {
 	// Name returns the store's name.
 	Name() string
-	// Add appends a record and returns its id (ids start at 1).
+	// Add appends a record and returns its id (ids start at 1). data
+	// is not retained: the caller may reuse it once Add returns.
 	Add(data []byte) (int, error)
 	// Get returns a copy of the record with the given id.
 	Get(id int) ([]byte, error)
-	// Set replaces the record with the given id.
+	// Set replaces the record with the given id. data is not retained.
 	Set(id int, data []byte) error
 	// Delete removes the record with the given id. The id is not reused.
 	Delete(id int) error

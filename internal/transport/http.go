@@ -116,15 +116,15 @@ const (
 // HTTPClient is a RoundTripper over real HTTP/1.1. Addresses are
 // "host:port" or "http://host:port".
 //
-// A round trip writes its request in one write and reads the answer
-// with http.ReadResponse, both on the caller's goroutine, over a
-// keep-alive connection from a per-destination pool; nothing is
-// handed to another goroutine. A request is never re-sent: once its
-// bytes may have reached the server, a failure is the caller's to
-// judge (the ATP watermark makes a transfer's retry idempotent). The
-// zero value shares one package-level pool with no per-destination
-// cap; NewPooledHTTPClient makes a client with a capped pool of its
-// own.
+// A round trip writes its request in one vectored write — a head built
+// in a buffer the connection reuses, then the caller's body, not copied
+// — and reads the answer with http.ReadResponse, both on the caller's
+// goroutine, over a keep-alive connection from a per-destination pool;
+// nothing is handed to another goroutine. A request is never re-sent:
+// once its bytes may have reached the server, a failure is the caller's
+// to judge (the ATP watermark makes a transfer's retry idempotent). The
+// zero value shares one package-level pool with no per-destination cap;
+// NewPooledHTTPClient makes a client with a capped pool of its own.
 type HTTPClient struct {
 	pool *connPool
 }
@@ -149,8 +149,7 @@ func (p *connPool) roundTrip(ctx context.Context, addr string, req *Request) (*R
 	if err != nil {
 		return nil, err
 	}
-	wire, err := appendRequest(make([]byte, 0, 256+len(req.Body)), host, req)
-	if err != nil {
+	if err := checkRequest(req); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -164,7 +163,13 @@ func (p *connPool) roundTrip(ctx context.Context, addr string, req *Request) (*R
 	if err != nil {
 		return nil, err
 	}
-	resp, keep, err := cn.roundTrip(ctx, wire)
+	head, err := appendRequestHead(cn.head[:0], host, req)
+	if err != nil {
+		p.put(cn)
+		return nil, err
+	}
+	cn.head = head
+	resp, keep, err := cn.roundTrip(ctx, head, req.Body)
 	if keep {
 		p.put(cn)
 	} else {
@@ -192,20 +197,25 @@ func splitAddr(addr string) (dialAddr, host string, err error) {
 	return host, host, nil
 }
 
-// appendRequest appends req as a POST to host: request line, Host,
-// User-Agent, Content-Length, the X-Pdagent-* headers sorted by name,
-// then the body. A path, header name or value that could break the
-// framing (CR, LF, other controls; a space in the path or name) is
-// refused.
-func appendRequest(b []byte, host string, req *Request) ([]byte, error) {
+// checkRequest refuses a request whose path, header name or value
+// could break the framing: CR, LF, other controls; a space in the path
+// or name.
+func checkRequest(req *Request) error {
+	for i := 0; i < len(req.Path); i++ {
+		if c := req.Path[i]; c <= ' ' || c == 0x7f {
+			return fmt.Errorf("invalid path %q", req.Path)
+		}
+	}
+	return checkHeaders(req.Header)
+}
+
+// appendRequestHead appends the head of a checked request as a POST to
+// host: request line, Host, User-Agent, Content-Length, the X-Pdagent-*
+// headers sorted by name and the blank line.
+func appendRequestHead(b []byte, host string, req *Request) ([]byte, error) {
 	path := req.Path
 	if path == "" {
 		path = "/"
-	}
-	for i := 0; i < len(path); i++ {
-		if c := path[i]; c <= ' ' || c == 0x7f {
-			return nil, fmt.Errorf("invalid path %q", path)
-		}
 	}
 	b = append(b, "POST "...)
 	b = append(b, path...)
@@ -218,23 +228,19 @@ func appendRequest(b []byte, host string, req *Request) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	b = append(b, "\r\n"...)
-	return append(b, req.Body...), nil
+	return append(b, "\r\n"...), nil
 }
 
 // appendHeaders appends h as X-Pdagent-* fields sorted by name. A name
 // or value that could break the framing (CR, LF, other controls; a
 // space in the name) is refused.
 func appendHeaders(b []byte, h map[string]string) ([]byte, error) {
+	if err := checkHeaders(h); err != nil {
+		return nil, err
+	}
 	var arr [8]string
 	keys := arr[:0]
-	for k, v := range h {
-		if !validName(k) {
-			return nil, fmt.Errorf("invalid header name %q", k)
-		}
-		if !validValue(v) {
-			return nil, fmt.Errorf("invalid value for header %q", k)
-		}
+	for k := range h {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
@@ -245,6 +251,20 @@ func appendHeaders(b []byte, h map[string]string) ([]byte, error) {
 		b = append(b, "\r\n"...)
 	}
 	return b, nil
+}
+
+// checkHeaders refuses a header name or value that could break the
+// framing.
+func checkHeaders(h map[string]string) error {
+	for k, v := range h {
+		if !validName(k) {
+			return fmt.Errorf("invalid header name %q", k)
+		}
+		if !validValue(v) {
+			return fmt.Errorf("invalid value for header %q", k)
+		}
+	}
+	return nil
 }
 
 // validName reports whether k is an HTTP token (RFC 9110 §5.6.2).
@@ -279,6 +299,11 @@ type conn struct {
 	br      *bufio.Reader    // reads lr
 	maxBody int64            // see maxBody
 	idleAt  time.Time        // when the pool took it back
+	// head is the last request head's buffer, reused; wv and iov are
+	// the vectored write of a request, head and body.
+	head []byte
+	iov  [2][]byte
+	wv   net.Buffers
 }
 
 func newConn(addr string, nc net.Conn, maxBody int64) *conn {
@@ -287,12 +312,13 @@ func newConn(addr string, nc net.Conn, maxBody int64) *conn {
 	return c
 }
 
-// roundTrip writes one encoded request and reads its response. keep
+// roundTrip writes one encoded request, its parts in one vectored
+// write, and reads its response. keep
 // reports whether the connection may carry another request: the
 // response was read whole, nothing followed it, the server did not ask
 // to close and ctx did not abort the I/O. The connection's deadline is
 // already set.
-func (c *conn) roundTrip(ctx context.Context, wire []byte) (resp *Response, keep bool, err error) {
+func (c *conn) roundTrip(ctx context.Context, wire ...[]byte) (resp *Response, keep bool, err error) {
 	if ctx.Done() != nil {
 		stop := context.AfterFunc(ctx, func() { c.nc.SetDeadline(time.Unix(1, 0)) }) //nolint:errcheck // best effort: a closed conn is aborted anyway
 		defer func() {
@@ -304,7 +330,10 @@ func (c *conn) roundTrip(ctx context.Context, wire []byte) (resp *Response, keep
 			}
 		}()
 	}
-	if _, err := c.nc.Write(wire); err != nil {
+	c.wv = append(c.iov[:0], wire...)
+	_, err = c.wv.WriteTo(c.nc)
+	c.iov, c.wv = [2][]byte{}, nil // hold no body past its request
+	if err != nil {
 		return nil, false, err
 	}
 	return c.readResponse()

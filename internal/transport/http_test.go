@@ -349,6 +349,19 @@ func TestHTTPClientResponseFraming(t *testing.T) {
 	}
 }
 
+// appendRequest appends req as the client writes it: the checked head,
+// then the body.
+func appendRequest(b []byte, host string, req *Request) ([]byte, error) {
+	if err := checkRequest(req); err != nil {
+		return nil, err
+	}
+	b, err := appendRequestHead(b, host, req)
+	if err != nil {
+		return nil, err
+	}
+	return append(b, req.Body...), nil
+}
+
 // TestHTTPClientRequestBytes pins the request bytes to what net/http
 // writes for the same request, so either client can talk to either
 // server.

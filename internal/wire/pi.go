@@ -2,10 +2,11 @@ package wire
 
 import (
 	"bytes"
-	"crypto/rand"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 
 	"pdagent/internal/compress"
 	"pdagent/internal/mavm"
@@ -40,10 +41,11 @@ type PackedInformation struct {
 	Params map[string]mavm.Value
 }
 
-// NewNonce returns a fresh random dispatch nonce.
-func NewNonce() (string, error) {
+// NewNonce returns a fresh random dispatch nonce, read from ctx's
+// pisec.Entropy.
+func NewNonce(ctx context.Context) (string, error) {
 	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
+	if _, err := io.ReadFull(pisec.Entropy(ctx), b[:]); err != nil {
 		return "", fmt.Errorf("wire: nonce: %w", err)
 	}
 	return hex.EncodeToString(b[:]), nil

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -70,7 +71,7 @@ func TestValueFromXMLErrors(t *testing.T) {
 }
 
 func TestPackedInformationRoundTrip(t *testing.T) {
-	nonce, err := NewNonce()
+	nonce, err := NewNonce(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestPackedInformationRoundTrip(t *testing.T) {
 		back.Owner != pi.Owner || back.Source != pi.Source || back.Nonce != pi.Nonce {
 		t.Fatalf("fields changed: %+v", back)
 	}
-	if n2, _ := NewNonce(); n2 == nonce || len(n2) != 32 {
+	if n2, _ := NewNonce(context.Background()); n2 == nonce || len(n2) != 32 {
 		t.Fatalf("nonces not unique/sized: %q vs %q", nonce, n2)
 	}
 	if !back.Params["banks"].Equal(pi.Params["banks"]) || !back.Params["amount"].Equal(pi.Params["amount"]) {
