@@ -14,12 +14,13 @@
 //	gateway -listen :8080 -addr host1:8080 -cluster-seeds host1:8080,host2:8080
 //	gateway -listen :8080 -addr host2:8080 -cluster-seeds host1:8080,host2:8080
 //
-// With -mailbox-dir the gateway keeps a durable per-device mailbox
-// (DESIGN.md §7): results, status changes and management notifications
-// are enqueued the moment they happen and delivered through
-// /pdagent/mailbox/poll when the device reconnects (/pdagent/mailbox is
-// the same handler, for older devices) — intermittently
-// connected devices are first-class. -mailbox-ttl, -mailbox-quota and
+// Every gateway keeps a per-device mailbox (DESIGN.md §7): results,
+// status changes and management notifications are enqueued the moment
+// they happen and delivered through /pdagent/mailbox/poll when the
+// device reconnects (/pdagent/mailbox is the same handler, for older
+// devices) — intermittently connected devices are first-class. With
+// -mailbox-dir the mailboxes are durable; without it they live in
+// memory and a restart loses them. -mailbox-ttl, -mailbox-quota and
 // -result-ttl bound retention; a background sweeper (-sweep-every)
 // enforces them. An agent whose hop fails parks and is retried every
 // 30 s, as on masd. With -journal PATH the embedded MAS's agent journal
@@ -86,11 +87,11 @@ func main() {
 	replMode := flag.String("repl-mode", string(repl.ModeAsync), "replication ack discipline: async (ship on the heartbeat tick) or semi-sync (each commit waits for the standby)")
 	startEpoch := flag.Uint64("epoch", 0, "fencing epoch this instance starts at; after a fenced member recovers, restart it at or above the fence the standby raised")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "SIGTERM: max wait for resident agents to drain")
-	mailboxDir := flag.String("mailbox-dir", "", "directory for the durable per-device mailbox store; empty disables the device-session mailbox subsystem")
+	mailboxDir := flag.String("mailbox-dir", "", "directory for the durable per-device mailbox store; empty keeps mailboxes in memory (a restart loses them)")
 	journalPath := flag.String("journal", "", "agent journal directory for the embedded MAS (agents resume on restart)")
 	mailboxTTL := flag.Duration("mailbox-ttl", 72*time.Hour, "expire undelivered mailbox entries after this long (0 keeps them until quota eviction)")
 	mailboxQuota := flag.Int("mailbox-quota", push.DefaultQuota, "max pending mailbox entries per device (oldest expendable evicted first)")
-	resultTTL := flag.Duration("result-ttl", 0, "expire stored result documents this long after completion (0 keeps them forever; requires -mailbox-dir)")
+	resultTTL := flag.Duration("result-ttl", 0, "expire stored result documents this long after completion (0 keeps them forever)")
 	sweepEvery := flag.Duration("sweep-every", time.Minute, "how often the mailbox/result TTL sweeper runs")
 	keyBits := flag.Int("key-bits", pisec.DefaultKeyBits, "RSA key size")
 	workers := flag.Int("outbound-workers", 32, "bound on concurrent outbound calls (status chasing, management)")
@@ -184,7 +185,11 @@ func main() {
 		})
 	}
 
-	var mailbox *gateway.MailboxConfig
+	mailbox := &gateway.MailboxConfig{
+		TTL:       *mailboxTTL,
+		Quota:     *mailboxQuota,
+		ResultTTL: *resultTTL,
+	}
 	if *mailboxDir != "" {
 		if err := os.MkdirAll(*mailboxDir, 0o755); err != nil {
 			log.Fatalf("gateway: creating mailbox dir: %v", err)
@@ -193,17 +198,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("gateway: opening mailbox store: %v", err)
 		}
-		mailbox = &gateway.MailboxConfig{
-			Store:     store,
-			TTL:       *mailboxTTL,
-			Quota:     *mailboxQuota,
-			ResultTTL: *resultTTL,
-		}
-	} else if *resultTTL > 0 {
-		// The result sweeper shares the mailbox subsystem (expiry notes
-		// land in the owners' mailboxes); require the flag pairing
-		// instead of silently keeping results forever.
-		log.Fatalf("gateway: -result-ttl requires -mailbox-dir")
+		mailbox.Store = store
 	}
 
 	var journal rms.Store
@@ -269,7 +264,7 @@ func main() {
 		stopRepl = peer.Start(*heartbeat)
 		log.Printf("gateway %s: replicating to ring-successor standby (%s mode)", public, *replMode)
 	}
-	if mailbox != nil && (*mailboxTTL > 0 || *resultTTL > 0) {
+	if *mailboxTTL > 0 || *resultTTL > 0 {
 		if *sweepEvery <= 0 {
 			log.Fatalf("gateway: -sweep-every must be positive, got %v", *sweepEvery)
 		}
@@ -287,8 +282,11 @@ func main() {
 				}
 			}
 		}()
-		log.Printf("gateway %s: mailbox at %s (ttl %v, quota %d, result ttl %v, sweep %v)",
-			public, *mailboxDir, *mailboxTTL, *mailboxQuota, *resultTTL, *sweepEvery)
+		log.Printf("gateway %s: sweeping every %v (mailbox ttl %v, result ttl %v)",
+			public, *sweepEvery, *mailboxTTL, *resultTTL)
+	}
+	if *mailboxDir != "" {
+		log.Printf("gateway %s: mailbox at %s (quota %d)", public, *mailboxDir, *mailboxQuota)
 	}
 	log.Printf("gateway %s: %s flavour, key %s, listening on %s",
 		public, *flavour, kp.Public().Fingerprint(), *listen)
@@ -333,7 +331,7 @@ func main() {
 		gw.Close()
 		// Closing the stores ends with an fsync: everything enqueued,
 		// acknowledged or journaled is on disk before the process exits.
-		if mailbox != nil {
+		if mailbox.Store != nil {
 			if err := mailbox.Store.Close(); err != nil {
 				log.Printf("gateway %s: closing mailbox store: %v", public, err)
 			}

@@ -35,7 +35,7 @@ func ebankingParams(amount int64) map[string]mavm.Value {
 }
 
 func main() {
-	world, err := core.NewSimWorld(core.SimConfig{Seed: 7, Mailbox: true})
+	world, err := core.NewSimWorld(core.SimConfig{Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}

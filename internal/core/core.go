@@ -79,15 +79,8 @@ type SimConfig struct {
 	// heartbeats manually with SimWorld.TickCluster (deterministic);
 	// kill and recover members with CrashGateway / RestartGateway.
 	Cluster bool
-	// Mailbox enables the disconnection-tolerant device sessions
-	// (DESIGN.md §7) on every gateway: results, status changes and
-	// management notifications are enqueued into durable per-device
-	// mailboxes and delivered through /pdagent/mailbox/poll. The per-gateway
-	// stores are exposed through SimWorld.Mailboxes and survive
-	// CrashGateway / RestartGateway, like the journals.
-	Mailbox bool
 	// ResultTTL expires stored result documents (0 keeps them forever);
-	// enforced by Gateway.Sweep. Requires Mailbox.
+	// enforced by Gateway.Sweep.
 	ResultTTL time.Duration
 	// Replicate enables warm-standby replication (DESIGN.md §10) on
 	// clustered worlds: every gateway streams its journal and mailbox
@@ -95,8 +88,8 @@ type SimConfig struct {
 	// fences the dead member and promotes — adopted agents resume,
 	// mailboxes import, the location directory re-points. Drive it with
 	// TickCluster; destroy a member completely with
-	// CrashGatewayLosingDisk. Requires Cluster (and typically Journal
-	// and/or Mailbox — an empty stream replicates nothing).
+	// CrashGatewayLosingDisk. Requires Cluster (and typically Journal:
+	// without it only the mailboxes stream).
 	Replicate bool
 	// ReplMode is the replication ack discipline (default
 	// repl.ModeAsync; repl.ModeSemiSync acks each commit on two members).
@@ -123,9 +116,9 @@ type SimWorld struct {
 	// Nodes are the gateways' cluster nodes, aligned with Gateways
 	// (nil entries when SimConfig.Cluster is off).
 	Nodes []*cluster.Node
-	// Mailboxes holds the per-gateway mailbox stores when
-	// SimConfig.Mailbox is set; they survive CrashGateway /
-	// RestartGateway like the journals do.
+	// Mailboxes holds the per-gateway mailbox stores (DESIGN.md §7):
+	// every gateway keeps device mailboxes, and the stores survive
+	// CrashGateway / RestartGateway like the journals do.
 	Mailboxes map[string]rms.Store
 	// Repls are the gateways' replication peers, aligned with Gateways
 	// (nil entries when SimConfig.Replicate is off).
@@ -285,28 +278,25 @@ func (w *SimWorld) buildGateway(i int, addr string, kp *pisec.KeyPair, journal r
 			Mode:      w.cfg.ReplMode,
 		})
 	}
-	gwCfg := gateway.Config{
+	// The mailbox store outlives the gateway process (like the
+	// journal): RestartGateway reattaches the replacement instance to
+	// the same store, so undelivered mail survives the crash.
+	mailbox, ok := w.Mailboxes[addr]
+	if !ok {
+		mailbox = rms.NewMemStore("mailbox-"+addr, 0)
+		w.Mailboxes[addr] = mailbox
+	}
+	gw, err := gateway.New(gateway.Config{
 		Addr:      addr,
 		KeyPair:   kp,
 		Transport: w.Net.Transport(netsim.ZoneWired),
 		Spawn:     w.Queue.Go,
 		Peers:     peers,
 		Journal:   journal,
+		Mailbox:   &gateway.MailboxConfig{Store: mailbox, ResultTTL: w.cfg.ResultTTL},
 		Cluster:   node,
 		Repl:      peer,
-	}
-	if w.cfg.Mailbox {
-		// The mailbox store outlives the gateway process (like the
-		// journal): RestartGateway reattaches the replacement instance
-		// to the same store, so undelivered mail survives the crash.
-		store, ok := w.Mailboxes[addr]
-		if !ok {
-			store = rms.NewMemStore("mailbox-"+addr, 0)
-			w.Mailboxes[addr] = store
-		}
-		gwCfg.Mailbox = &gateway.MailboxConfig{Store: store, ResultTTL: w.cfg.ResultTTL}
-	}
-	gw, err := gateway.New(gwCfg)
+	})
 	if err != nil {
 		return nil, nil, nil, err
 	}

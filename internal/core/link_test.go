@@ -57,7 +57,7 @@ func (m *linkMeter) RoundTrip(ctx context.Context, addr string, req *transport.R
 // dispatch key are random hex, so the compressed upload wobbles by a
 // byte or two between runs.
 func TestEBankJourneyLinkBytes(t *testing.T) {
-	w := testWorld(t, SimConfig{Seed: 7, Mailbox: true})
+	w := testWorld(t, SimConfig{Seed: 7})
 	defer w.Close()
 	gw := w.GatewayAddrs()[0]
 	m := &linkMeter{inner: w.Transport(netsim.ZoneWireless)}

@@ -18,7 +18,7 @@ import (
 // recover).
 
 func TestOfflineDeviceReceivesResultOnce(t *testing.T) {
-	w := testWorld(t, SimConfig{Seed: 31, Mailbox: true})
+	w := testWorld(t, SimConfig{Seed: 31})
 	defer w.Close()
 	ctx, _ := w.NewJourney()
 	dev := deviceAt(t, w, "alice")
@@ -76,7 +76,7 @@ func TestOfflineDeviceReceivesResultOnce(t *testing.T) {
 // edge and lands in the mailbox THERE, so the reconnecting device gets
 // it in one hop.
 func TestClusterOfflineDeliveryEdgeNotHome(t *testing.T) {
-	w := clusterWorld(t, SimConfig{Seed: 37, Mailbox: true})
+	w := clusterWorld(t, SimConfig{Seed: 37})
 	defer w.Close()
 	ctx, _ := w.NewJourney()
 	owner := "alice"
@@ -124,7 +124,7 @@ func TestClusterOfflineDeliveryEdgeNotHome(t *testing.T) {
 // replacement instance serves the same mailbox store; the device
 // resumes from its cursor with no loss and no duplicate.
 func TestMailboxSurvivesGatewayCrash(t *testing.T) {
-	w := testWorld(t, SimConfig{Seed: 41, Mailbox: true, Journal: true})
+	w := testWorld(t, SimConfig{Seed: 41, Journal: true})
 	defer w.Close()
 	ctx, _ := w.NewJourney()
 	dev := deviceAt(t, w, "alice")
@@ -168,7 +168,7 @@ func TestMailboxSurvivesGatewayCrash(t *testing.T) {
 // restart, and the reconnecting device receives it exactly once — the
 // banks' ledgers prove the transactions also ran exactly once.
 func TestClusterCrashMidJourneyMailboxExactlyOnce(t *testing.T) {
-	w := clusterWorld(t, SimConfig{Seed: 43, Mailbox: true, Journal: true})
+	w := clusterWorld(t, SimConfig{Seed: 43, Journal: true})
 	defer w.Close()
 	ctx, _ := w.NewJourney()
 	owner := "alice"
@@ -241,7 +241,7 @@ func TestClusterCrashMidJourneyMailboxExactlyOnce(t *testing.T) {
 // DIFFERENT member than the one holding its mailbox; the new edge pulls
 // the mailbox over on demand and the old edge retires it.
 func TestMailboxFollowsDeviceAcrossEdges(t *testing.T) {
-	w := clusterWorld(t, SimConfig{Seed: 47, Mailbox: true})
+	w := clusterWorld(t, SimConfig{Seed: 47})
 	defer w.Close()
 	ctx, _ := w.NewJourney()
 	owner := "alice"
@@ -319,7 +319,7 @@ func (a *attackerSink) Serve(_ context.Context, req *transport.Request) *transpo
 // must only honour it for live cluster members — never forward the
 // secret to an address an unauthenticated client chose.
 func TestMailboxPullRefusesNonMembers(t *testing.T) {
-	w := clusterWorld(t, SimConfig{Seed: 53, Mailbox: true})
+	w := clusterWorld(t, SimConfig{Seed: 53})
 	defer w.Close()
 	ctx, _ := w.NewJourney()
 	sink := &attackerSink{}

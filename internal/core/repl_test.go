@@ -55,7 +55,7 @@ func promoteOverDead(t *testing.T, w *SimWorld, dead string) Promotion {
 // also ran exactly once.
 func TestReplicatePromotionAfterDiskLoss(t *testing.T) {
 	w := clusterWorld(t, SimConfig{
-		Seed: 61, Journal: true, Mailbox: true,
+		Seed: 61, Journal: true,
 		Replicate: true, ReplMode: repl.ModeSemiSync,
 	})
 	defer w.Close()
@@ -133,7 +133,7 @@ func TestReplicatePromotionAfterDiskLoss(t *testing.T) {
 // fenced from the first refused heartbeat.
 func TestZombieExPrimaryFenced(t *testing.T) {
 	w := clusterWorld(t, SimConfig{
-		Seed: 67, Journal: true, Mailbox: true, Replicate: true, // async
+		Seed: 67, Journal: true, Replicate: true, // async
 	})
 	defer w.Close()
 	ctx, _ := w.NewJourney()

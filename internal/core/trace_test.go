@@ -18,7 +18,7 @@ import (
 // same /pdagent/trace/{agent-id} (the hosts chased along the
 // transfer-out hops).
 func TestTraceReconstructsForwardedJourney(t *testing.T) {
-	w := clusterWorld(t, SimConfig{Seed: 7, Mailbox: true})
+	w := clusterWorld(t, SimConfig{Seed: 7})
 	defer w.Close()
 	ctx, _ := w.NewJourney()
 	owner := "alice"

@@ -1305,21 +1305,16 @@ func TestStaleTokenGetsFreshOneAndNoMail(t *testing.T) {
 	}
 }
 
-// TestDispatchAgainstMailboxlessGateway: a device that asks for its mail
-// on an upload to a gateway that runs no mailbox subsystem gets the plain
-// answer — the agent id — and collects directly, as it always did.
-func TestDispatchAgainstMailboxlessGateway(t *testing.T) {
-	f, tap, _ := newTappedFixture(t)
-	ctx := context.Background()
-	gw, err := gateway.New(gateway.Config{
-		Addr: "gw-d", KeyPair: kp, Transport: f.net.Transport(netsim.ZoneWired),
-		Spawn: f.queue.Go, FuelSlice: fixtureFuel,
+// TestTokenlessDispatchGetsPlainAnswer: a device holding no mailbox
+// token for the gateway it uploads to asks for no mail. It gets the
+// plain answer — the agent id — and collects directly, as it always did.
+func TestTokenlessDispatchGetsPlainAnswer(t *testing.T) {
+	tap := &downlinkTap{}
+	f := newSessionFixture(t, func(c *Config) {
+		tap.lossy = lossyDispatch{inner: c.Transport, tripped: true}
+		c.Transport = tap
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addEchoPackages(t, gw)
-	f.net.AddHost("gw-d", netsim.ZoneWired, gw.Handler())
+	ctx := context.Background()
 	if err := f.plat.Subscribe(ctx, "gw-d", "echo"); err != nil {
 		t.Fatal(err)
 	}
@@ -1327,11 +1322,37 @@ func TestDispatchAgainstMailboxlessGateway(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, ok := gw.Registry().Agent(id); !ok || !st.Done || tap.attached != 0 {
+	if st, ok := f.gw.Registry().Agent(id); !ok || !st.Done || tap.attached != 0 {
 		t.Fatalf("dispatch returned %q: registry %+v, %d answer(s) carried mail", id, st, tap.attached)
 	}
 	if rd, err := f.plat.Collect(ctx, id); err != nil || !rd.OK() {
 		t.Fatalf("collect = %+v, %v", rd, err)
+	}
+}
+
+// TestCollectOnlyDeviceMailboxBounded: every gateway keeps a mailbox for
+// every device that dispatches, so a device that only ever collects
+// directly and never reads its mail leaves its results there. The
+// per-device quota bounds what it leaves, and the direct collects are
+// not disturbed by the evictions.
+func TestCollectOnlyDeviceMailboxBounded(t *testing.T) {
+	f := newSessionFixture(t, nil)
+	ctx := context.Background()
+	if err := f.plat.Subscribe(ctx, "gw-d", "echo"); err != nil {
+		t.Fatal(err)
+	}
+	const journeys = 300
+	for i := 0; i < journeys; i++ {
+		id, err := f.plat.Dispatch(ctx, "echo", mavmParams(int64(i)))
+		if err != nil {
+			t.Fatalf("dispatch %d: %v", i, err)
+		}
+		if rd, err := f.plat.Collect(ctx, id); err != nil || !rd.OK() {
+			t.Fatalf("collect %d (%s) = %+v, %v", i, id, rd, err)
+		}
+	}
+	if n := f.gw.Mailbox().Pending("test-dev"); n > push.DefaultQuota {
+		t.Fatalf("%d entries pending after %d collected journeys, want at most %d", n, journeys, push.DefaultQuota)
 	}
 }
 

@@ -38,7 +38,7 @@ type E8Row struct {
 }
 
 // MeasureDelivery runs one e-banking journey (txns transactions over
-// both banks) on a mailbox-enabled world and returns the dispatch-to-
+// both banks) on a simulated world and returns the dispatch-to-
 // delivery time plus the result-ready-to-delivered lag. With outage >
 // 0 the device disconnects right after the upload and reconnects
 // outage after the journey completed; with outage == 0 it stays
@@ -50,7 +50,6 @@ func MeasureDelivery(seed int64, txns int, outage time.Duration) (total, lag tim
 		Wireless: &wireless,
 		Wired:    &wired,
 		KeyBits:  1024,
-		Mailbox:  true,
 	})
 	if err != nil {
 		return 0, 0, err

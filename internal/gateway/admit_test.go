@@ -150,12 +150,12 @@ func TestDispatchFailsWhenResultNotEnqueued(t *testing.T) {
 	}
 }
 
-// TestZeroHopJourneyWithoutMailboxIsNotJournaled: a gateway with a
-// Journal and no mailbox treats an agent that finishes inside its
-// admission as it has always treated a KindDone homecoming — the result
-// goes to the File Directory and the journal holds no record of it
+// TestZeroHopJourneyIsNotJournaled: a gateway with a Journal treats an
+// agent that finishes inside its admission as it has always treated a
+// KindDone homecoming — the result goes to the File Directory and the
+// owner's mailbox, and the journal holds no record of it
 // (mas.Config.Journal says what that makes of durability).
-func TestZeroHopJourneyWithoutMailboxIsNotJournaled(t *testing.T) {
+func TestZeroHopJourneyIsNotJournaled(t *testing.T) {
 	journal := rms.NewMemStore("journal", 0)
 	f := newFixtureCfg(t, func(c *Config) { c.Journal = journal })
 	f.addEcho(t)

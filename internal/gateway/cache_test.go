@@ -157,7 +157,7 @@ func TestStaleCodeHashPreconditionFailed(t *testing.T) {
 // token nor the nonce, and opens no mailbox. The re-send of the same
 // upload with the wrapped key is admitted.
 func TestUnknownSessionPreconditionFailed(t *testing.T) {
-	f := newTenantFixture(t, func(c *Config) { c.Mailbox = &MailboxConfig{} },
+	f := newTenantFixture(t, nil,
 		&tenant.Tenant{ID: "acme", Secret: "s3", Limits: tenant.Limits{RatePerSec: 0.0001, Burst: 1}})
 	f.addEcho(t)
 	sub, _ := f.subscribeTenant(t, "echo", "dev-1", "acme", "s3")

@@ -286,7 +286,7 @@ func TestDispatchAnswerMailNeedsFreshNonceAndToken(t *testing.T) {
 // admission (429) happened, as far as the mailbox goes, not at all — the
 // ack it carried is not staged and the hub is not touched.
 func TestRefusedTenantAdmissionStagesNothing(t *testing.T) {
-	f := newTenantFixture(t, func(c *Config) { c.Mailbox = &MailboxConfig{} },
+	f := newTenantFixture(t, nil,
 		&tenant.Tenant{ID: "acme", Secret: "s3", Limits: tenant.Limits{RatePerSec: 0.0001, Burst: 1}})
 	f.addEcho(t)
 	sub, _ := f.subscribeTenant(t, "echo", "dev-1", "acme", "s3")

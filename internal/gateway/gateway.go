@@ -31,6 +31,7 @@
 package gateway
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -105,14 +106,14 @@ type Config struct {
 	// (Peer.Start; a simulation calls Flush from its own tick) and
 	// calls PromoteOver for each member the node evicts.
 	Repl *repl.Peer
-	// Mailbox, when set, enables the disconnection-tolerant device
-	// sessions of DESIGN.md §7: every device gets a durable,
-	// quota-bounded mailbox into which result documents, status changes
-	// and management notifications are enqueued the moment they happen,
-	// served through /pdagent/mailbox/poll (fetch+ack with resumable
-	// cursors, long-polling when the device asks to wait). Back it with a
-	// persistent store and mailboxes survive gateway crashes like the
-	// agent journal does.
+	// Mailbox configures the disconnection-tolerant device sessions of
+	// DESIGN.md §7 (nil = in-memory store, defaults): every device gets
+	// a quota-bounded mailbox into which result documents, status
+	// changes and management notifications are enqueued the moment they
+	// happen, served through /pdagent/mailbox/poll (fetch+ack with
+	// resumable cursors, long-polling when the device asks to wait).
+	// Back it with a persistent store and mailboxes survive gateway
+	// crashes like the agent journal does.
 	Mailbox *MailboxConfig
 	// OutboundWorkers bounds concurrent outbound calls — status chasing
 	// and management verbs (default 16).
@@ -153,9 +154,7 @@ type Gateway struct {
 	reg   *Registry
 	out   *outbound
 	progs *progcache.Cache
-	hub   *push.Hub // nil when Config.Mailbox is unset
-	// mailboxStore backs the hub; kept for the health probe.
-	mailboxStore rms.Store
+	hub   *push.Hub
 	// draining refuses new dispatches during graceful shutdown.
 	draining atomic.Bool
 	// relays counts result relays handed to Spawn and not finished yet;
@@ -212,14 +211,17 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.Transport == nil {
 		return nil, fmt.Errorf("gateway: config missing Transport")
 	}
+	// Every gateway keeps device mailboxes; without a store they live in
+	// memory. The copy keeps the caller's config untouched.
+	mc := *cmp.Or(cfg.Mailbox, &MailboxConfig{})
+	if mc.Store == nil {
+		mc.Store = rms.NewMemStore("mailbox-"+cfg.Addr, 0)
+	}
+	cfg.Mailbox = &mc
 	if cfg.Repl != nil {
 		// A member asked to replicate must be able to: a store without a
 		// commit tap would run with no standby copy and no error.
-		stores := []rms.Store{cfg.Journal}
-		if cfg.Mailbox != nil {
-			stores = append(stores, cfg.Mailbox.Store)
-		}
-		for _, st := range stores {
+		for _, st := range []rms.Store{cfg.Journal, mc.Store} {
 			if _, ok := st.(rms.Tapped); st != nil && !ok {
 				return nil, fmt.Errorf("gateway: config sets Repl but store %q has no commit tap (rms.Tapped)", st.Name())
 			}
@@ -245,33 +247,25 @@ func New(cfg Config) (*Gateway, error) {
 		return nil, err
 	}
 
+	hub, err := push.NewHub(push.Config{
+		Store: mc.Store,
+		TTL:   mc.TTL,
+		Quota: mc.Quota,
+		Logf:  cfg.Logf,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("gateway: opening mailbox store: %w", err)
+	}
 	g := &Gateway{
-		cfg:   cfg,
-		reg:   NewRegistry(),
-		out:   newOutbound(cfg.OutboundWorkers, cfg.Logf),
-		progs: progcache.New(0),
+		cfg:            cfg,
+		reg:            NewRegistry(),
+		out:            newOutbound(cfg.OutboundWorkers, cfg.Logf),
+		progs:          progcache.New(0),
+		hub:            hub,
+		mbPullInflight: map[string]chan struct{}{},
+		mbPulls:        newOutbound(maxConcurrentMailboxPulls, cfg.Logf),
 	}
 	g.admission = tenant.NewAdmission(cfg.Tenants, g.reg.ledger)
-	if cfg.Mailbox != nil {
-		store := cfg.Mailbox.Store
-		if store == nil {
-			store = rms.NewMemStore("mailbox-"+cfg.Addr, 0)
-		}
-		hub, err := push.NewHub(push.Config{
-			Store:    store,
-			TTL:      cfg.Mailbox.TTL,
-			DedupTTL: cfg.Mailbox.DedupTTL,
-			Quota:    cfg.Mailbox.Quota,
-			Logf:     cfg.Logf,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("gateway: opening mailbox store: %w", err)
-		}
-		g.hub = hub
-		g.mailboxStore = store
-		g.mbPullInflight = map[string]chan struct{}{}
-		g.mbPulls = newOutbound(maxConcurrentMailboxPulls, cfg.Logf)
-	}
 	g.initObserve()
 	masCfg := mas.Config{
 		Addr:        cfg.Addr,
@@ -325,22 +319,18 @@ func New(cfg Config) (*Gateway, error) {
 	m.HandleFunc("/pdagent/manage/clone", g.handleClone)
 	m.Handle("/metrics", g.metrics.Handler())
 	m.HandleFunc("/pdagent/trace/", g.handleTrace)
-	if g.hub != nil {
-		// One handler, one ack rule; the bare path stays mounted for
-		// devices built before every read went to /poll.
-		m.HandleFunc("/pdagent/mailbox/poll", g.handleMailbox)
-		m.HandleFunc("/pdagent/mailbox", g.handleMailbox)
-	}
+	// One handler, one ack rule; the bare path stays mounted for
+	// devices built before every read went to /poll.
+	m.HandleFunc("/pdagent/mailbox/poll", g.handleMailbox)
+	m.HandleFunc("/pdagent/mailbox", g.handleMailbox)
 	if cfg.Cluster != nil {
 		// Federation endpoints: the exact paths below are gateway-level
 		// (they need registry/MAS access); everything else under
 		// /cluster/ (heartbeat, location gossip) goes to the node.
 		m.HandleFunc("/cluster/dispatch", g.handleClusterDispatch)
 		m.HandleFunc("/cluster/result", g.handleClusterResult)
-		if g.hub != nil {
-			m.HandleFunc("/cluster/mailbox/export", g.handleClusterMailboxExport)
-			m.HandleFunc("/cluster/mailbox/ack", g.handleClusterMailboxAck)
-		}
+		m.HandleFunc("/cluster/mailbox/export", g.handleClusterMailboxExport)
+		m.HandleFunc("/cluster/mailbox/ack", g.handleClusterMailboxAck)
 		if cfg.Repl != nil {
 			cfg.Repl.Mount(m)
 		}
@@ -353,9 +343,7 @@ func New(cfg Config) (*Gateway, error) {
 		if cfg.Journal != nil {
 			cfg.Repl.Replicate(repl.RoleJournal, cfg.Journal.(rms.Tapped))
 		}
-		if g.mailboxStore != nil {
-			cfg.Repl.Replicate(repl.RoleMailbox, g.mailboxStore.(rms.Tapped))
-		}
+		cfg.Repl.Replicate(repl.RoleMailbox, mc.Store.(rms.Tapped))
 	}
 	return g, nil
 }
@@ -388,12 +376,10 @@ func (g *Gateway) Close() {
 	if g.cfg.Cluster != nil {
 		g.cfg.Cluster.Stop()
 	}
-	if g.hub != nil {
-		// Wake parked mailbox long-polls so devices racing shutdown get
-		// an (empty) answer instead of hanging on a dead gateway.
-		g.hub.Close()
-		g.mbPulls.close()
-	}
+	// Wake parked mailbox long-polls so devices racing shutdown get an
+	// (empty) answer instead of hanging on a dead gateway.
+	g.hub.Close()
+	g.mbPulls.close()
 	g.out.close()
 }
 
@@ -445,7 +431,7 @@ func (g *Gateway) unhealthy() string {
 	if g.cfg.Cluster != nil && g.cfg.Cluster.Fenced() {
 		return "member is fenced (a promoted standby owns its state)"
 	}
-	for _, s := range []rms.Store{g.cfg.Journal, g.mailboxStore} {
+	for _, s := range []rms.Store{g.cfg.Journal, g.cfg.Mailbox.Store} {
 		if s == nil {
 			continue
 		}
@@ -707,14 +693,11 @@ func (g *Gateway) dispatchDevice(ctx context.Context, req *transport.Request) *t
 	// long-polls park even before the first notification lands, and
 	// hand it the mailbox token the delivery endpoints demand (on
 	// fresh-nonce admissions only; see the replay path below).
-	mailboxToken := ""
-	if g.hub != nil {
-		mailboxToken = g.hub.Touch(pi.Owner)
-		if tenantID != "" {
-			// Bind the mailbox to the subscription's account, so pending
-			// mail bills against the tenant's mailbox-byte quota.
-			g.hub.SetTenant(pi.Owner, tenantID)
-		}
+	mailboxToken := g.hub.Touch(pi.Owner)
+	if tenantID != "" {
+		// Bind the mailbox to the subscription's account, so pending
+		// mail bills against the tenant's mailbox-byte quota.
+		g.hub.SetTenant(pi.Owner, tenantID)
 	}
 
 	// Replay protection (extension beyond the paper's Figure 7): every
@@ -751,7 +734,7 @@ func (g *Gateway) dispatchDevice(ctx context.Context, req *transport.Request) *t
 	// mail goes out with the answer. Any other request — no token, a stale
 	// one, no cursor — is answered as it always was, current token stamped.
 	mailAsked := false
-	if g.hub != nil && g.hub.CheckToken(pi.Owner, req.GetHeader("mailbox-token")) {
+	if g.hub.CheckToken(pi.Owner, req.GetHeader("mailbox-token")) {
 		if ack, err := strconv.ParseUint(req.GetHeader("ack"), 10, 64); err == nil {
 			mailAsked = true
 			// Only the ack is wanted here; the mail is read once the

@@ -36,7 +36,8 @@ import (
 // member, that member pulls the old mailbox on demand (the same
 // push-with-pull-repair shape as the result relay itself).
 
-// MailboxConfig enables the mailbox subsystem on a gateway.
+// MailboxConfig configures a gateway's mailbox hub; the zero value is
+// an in-memory store with the hub's defaults.
 type MailboxConfig struct {
 	// Store backs the mailboxes; a persistent store makes them survive
 	// gateway restarts (default: in-memory).
@@ -46,17 +47,13 @@ type MailboxConfig struct {
 	// Quota bounds each device's pending entries (default
 	// push.DefaultQuota).
 	Quota int
-	// DedupTTL ages delivered event ids out of the hub's dedup windows
-	// (see push.Config.DedupTTL; 0 = push.DefaultDedupTTL).
-	DedupTTL time.Duration
 	// ResultTTL expires stored result documents from the gateway's File
 	// Directory once collectable for this long (0 = keep forever). The
 	// Sweep method enforces it together with the mailbox TTL.
 	ResultTTL time.Duration
 }
 
-// Mailbox exposes the gateway's mailbox hub (tests, metrics); nil when
-// the subsystem is disabled.
+// Mailbox exposes the gateway's mailbox hub (tests, metrics).
 func (g *Gateway) Mailbox() *push.Hub { return g.hub }
 
 // ResultsSwept reports how many result documents the TTL sweeper has
@@ -70,8 +67,8 @@ func (g *Gateway) ResultsSwept() uint64 { return g.resultsSwept.Load() }
 // documents and expired mailbox entries. Daemons drive it on a ticker;
 // simulations call it directly.
 func (g *Gateway) Sweep() (results, mailbox int) {
-	if mc := g.cfg.Mailbox; mc != nil && mc.ResultTTL > 0 {
-		for _, ex := range g.reg.ExpireResults(time.Now().Add(-mc.ResultTTL)) {
+	if ttl := g.cfg.Mailbox.ResultTTL; ttl > 0 {
+		for _, ex := range g.reg.ExpireResults(time.Now().Add(-ttl)) {
 			if ex.DocID != 0 {
 				_ = g.cfg.Documents.Delete(ex.DocID)
 			}
@@ -86,16 +83,13 @@ func (g *Gateway) Sweep() (results, mailbox int) {
 		// answers "expired", not "unknown". Reclaim the tombstones
 		// themselves once well past any plausible client retry — without
 		// this the registry grows by every agent ever dispatched.
-		retain := goneTombstoneRetention * mc.ResultTTL
+		retain := goneTombstoneRetention * ttl
 		if retain < minGoneTombstoneRetention {
 			retain = minGoneTombstoneRetention
 		}
 		g.reg.PruneGone(time.Now().Add(-retain))
 	}
-	if g.hub != nil {
-		mailbox = g.hub.SweepExpired()
-	}
-	return results, mailbox
+	return results, g.hub.SweepExpired()
 }
 
 // enqueueResult files a completed journey's result document into the
@@ -103,9 +97,6 @@ func (g *Gateway) Sweep() (results, mailbox int) {
 // or a retried cluster relay cannot produce a second copy. The error
 // is the mailbox store refusing the commit.
 func (g *Gateway) enqueueResult(rd *wire.ResultDocument, doc []byte) error {
-	if g.hub == nil {
-		return nil
-	}
 	_, dup, err := g.hub.Enqueue(rd.Owner, push.KindResult, rd.AgentID, "result:"+rd.AgentID, doc)
 	if err != nil {
 		return fmt.Errorf("mailbox enqueue for %s: %w", rd.AgentID, err)
@@ -121,9 +112,6 @@ func (g *Gateway) enqueueResult(rd *wire.ResultDocument, doc []byte) error {
 // enqueueNote files a short status/management notification. owner may
 // be empty when only the agent id is known; the registry resolves it.
 func (g *Gateway) enqueueNote(agentID, owner, kind, eventID, note string) {
-	if g.hub == nil {
-		return
-	}
 	if owner == "" {
 		st, ok := g.reg.Agent(agentID)
 		if !ok || st.Owner == "" {
@@ -203,9 +191,6 @@ func (g *Gateway) handleMailbox(ctx context.Context, req *transport.Request) *tr
 }
 
 func (g *Gateway) serveMailbox(ctx context.Context, req *transport.Request) *transport.Response {
-	if g.hub == nil {
-		return transport.Errorf(transport.StatusNotFound, "gateway %s has no mailbox subsystem", g.cfg.Addr)
-	}
 	device := req.GetHeader("device")
 	if device == "" {
 		return transport.Errorf(transport.StatusBadRequest, "mailbox requests need a device header")
@@ -420,9 +405,6 @@ func (g *Gateway) handleClusterMailboxExport(_ context.Context, req *transport.R
 	if !g.cfg.Cluster.Authorized(req) {
 		return transport.Errorf(transport.StatusForbidden, "mailbox export requires the cluster token")
 	}
-	if g.hub == nil {
-		return transport.Errorf(transport.StatusNotFound, "gateway %s has no mailbox subsystem", g.cfg.Addr)
-	}
 	device := req.GetHeader("device")
 	if device == "" {
 		return transport.Errorf(transport.StatusBadRequest, "mailbox export needs a device header")
@@ -450,9 +432,6 @@ func (g *Gateway) handleClusterMailboxExport(_ context.Context, req *transport.R
 func (g *Gateway) handleClusterMailboxAck(_ context.Context, req *transport.Request) *transport.Response {
 	if !g.cfg.Cluster.Authorized(req) {
 		return transport.Errorf(transport.StatusForbidden, "mailbox ack requires the cluster token")
-	}
-	if g.hub == nil {
-		return transport.Errorf(transport.StatusNotFound, "gateway %s has no mailbox subsystem", g.cfg.Addr)
 	}
 	device := req.GetHeader("device")
 	upTo, err := strconv.ParseUint(req.GetHeader("upto"), 10, 64)

@@ -23,9 +23,6 @@ import (
 
 func newMailboxFixture(t *testing.T, mc *MailboxConfig) *fixture {
 	t.Helper()
-	if mc == nil {
-		mc = &MailboxConfig{}
-	}
 	return newFixtureCfg(t, func(c *Config) { c.Mailbox = mc })
 }
 
@@ -200,19 +197,35 @@ func TestMailboxReceivesResult(t *testing.T) {
 	}
 }
 
-func TestMailboxDisabledIs404(t *testing.T) {
+// TestDefaultGatewayDeliversThroughMailbox: a gateway built with no
+// Config.Mailbox keeps device mailboxes all the same (in memory): the
+// dispatch answer hands out the token, and an echo result comes back
+// through /pdagent/mailbox/poll.
+func TestDefaultGatewayDeliversThroughMailbox(t *testing.T) {
 	f := newFixture(t)
-	req := &transport.Request{Path: "/pdagent/mailbox"}
+	f.addEcho(t)
+	sub := f.subscribe(t, "echo", "dev-1")
+	resp := f.dispatchPI(t, &wire.PackedInformation{
+		CodeID:      "echo",
+		DispatchKey: pisec.DispatchKey("echo", sub.Secret),
+		Owner:       "dev-1",
+		Source:      sub.Package.Source,
+	}, true)
+	tok := resp.GetHeader("mailbox-token")
+	if !resp.IsOK() || tok == "" {
+		t.Fatalf("dispatch: %d %s, mailbox token %q", resp.Status, resp.Text(), tok)
+	}
+	req := &transport.Request{Path: "/pdagent/mailbox/poll"}
 	req.SetHeader("device", "dev-1")
-	resp, err := f.tr.RoundTrip(context.Background(), "gw-t", req)
-	if err != nil {
-		t.Fatal(err)
+	req.SetHeader("ack", "0")
+	req.SetHeader("mailbox-token", tok)
+	poll, err := f.tr.RoundTrip(context.Background(), "gw-t", req)
+	if err != nil || !poll.IsOK() {
+		t.Fatalf("mailbox poll: %v %d %s", err, poll.Status, poll.Text())
 	}
-	if resp.Status != transport.StatusNotFound {
-		t.Fatalf("mailbox on a plain gateway: %d, want 404", resp.Status)
-	}
-	if f.gw.Mailbox() != nil {
-		t.Fatal("hub exists without Config.Mailbox")
+	_, entries, _, _, _, _, err := push.ParseEntries(poll.Body)
+	if err != nil || len(entries) != 1 || entries[0].Kind != push.KindResult || entries[0].AgentID != resp.Text() {
+		t.Fatalf("poll delivered %+v, %v; want the result of %s", entries, err, resp.Text())
 	}
 }
 
@@ -736,7 +749,7 @@ func mailboxRecords(t *testing.T, store rms.Store) (entries, metas int, sealed m
 // committers.
 func TestMailboxAckRaces(t *testing.T) {
 	store := rms.NewMemStore("mbx", 0)
-	f := newMailboxFixture(t, &MailboxConfig{Store: store, DedupTTL: -1})
+	f := newMailboxFixture(t, &MailboxConfig{Store: store})
 	f.addEcho(t)
 	sub := f.subscribe(t, "echo", "dev-1")
 	hub := f.gw.Mailbox()

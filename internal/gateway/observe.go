@@ -129,69 +129,67 @@ func (g *Gateway) initObserve() {
 		"Spans overwritten in the trace ring (ring capacity exceeded).",
 		func() float64 { return float64(g.trace.Dropped()) })
 
-	if g.hub != nil {
-		c := &hubStatsCache{hub: g.hub}
-		m.GaugeFunc("pdagent_mailbox_devices",
-			"Devices with a mailbox.",
-			func() float64 { return float64(c.stats().Devices) })
-		m.GaugeFunc("pdagent_mailbox_connected",
-			"Devices with an active session (e.g. a parked long-poll).",
-			func() float64 { return float64(c.stats().Connected) })
-		m.GaugeFunc("pdagent_mailbox_pending",
-			"Undelivered mailbox entries across all devices.",
-			func() float64 { return float64(c.stats().Pending) })
-		m.GaugeFunc("pdagent_mailbox_dirty_devices",
-			"Mailboxes holding pending entries, dedup memory or staged acks (sweep working set).",
-			func() float64 { return float64(c.stats().DirtyDevices) })
-		m.GaugeFunc("pdagent_mailbox_enqueued",
-			"Mailbox entries accepted since start (duplicates excluded).",
-			func() float64 { return float64(c.stats().Enqueued) })
-		m.GaugeFunc("pdagent_mailbox_delivered",
-			"Mailbox entries acknowledged by devices since start.",
-			func() float64 { return float64(c.stats().Delivered) })
-		m.GaugeFunc("pdagent_mailbox_duplicates",
-			"Mailbox enqueues suppressed by the event-id dedup window.",
-			func() float64 { return float64(c.stats().Duplicates) })
-		m.GaugeFunc("pdagent_mailbox_evicted_quota",
-			"Mailbox entries dropped by per-device quota before delivery.",
-			func() float64 { return float64(c.stats().EvictedQuota) })
-		m.GaugeFunc("pdagent_mailbox_evicted_ttl",
-			"Mailbox entries expired by TTL before delivery.",
-			func() float64 { return float64(c.stats().EvictedTTL) })
-		m.CounterVecFunc("pdagent_mailbox_acks_total",
-			"Mailbox acknowledgements committed, by how: folded rode the device's next enqueue (one fsync for both), flushed paid a commit of its own (an empty mailbox answer, the sweeper or shutdown).",
-			"commit", func() map[string]float64 {
-				st := c.stats()
-				return map[string]float64{"folded": float64(st.AcksFolded), "flushed": float64(st.AcksFlushed)}
-			})
-		m.CounterVecFunc("pdagent_mailbox_delivered_total",
-			"Mailbox entries handed to devices, by the answer that carried them: dispatch cost the device no request of its own, poll is a read that asked to wait, fetch one that did not (a session's drain).",
-			"via", func() map[string]float64 {
-				return map[string]float64{
-					"dispatch": float64(g.mailDispatch.Load()),
-					"poll":     float64(g.mailPoll.Load()),
-					"fetch":    float64(g.mailFetch.Load()),
-				}
-			})
-		m.GaugeFunc("pdagent_mailbox_staged_acks",
-			"Acknowledgements (a mailbox read's, an upload's) in force in memory and waiting for their mailbox's next commit.",
-			func() float64 { return float64(c.stats().StagedAcks) })
-		m.GaugeFunc("pdagent_mailbox_dedup_ids",
-			"Event ids currently held in mailbox dedup windows.",
-			func() float64 { return float64(c.stats().DedupIDs) })
-		m.GaugeFunc("pdagent_mailbox_dedup_window",
-			"Per-mailbox dedup window capacity.",
-			func() float64 { return float64(c.stats().DedupWindow) })
-		m.GaugeFunc("pdagent_mailbox_pull_started",
-			"Migration pulls sent to a previous edge member.",
-			func() float64 { s, _ := g.MailboxPullStats(); return float64(s) })
-		m.GaugeFunc("pdagent_mailbox_pull_shared",
-			"Mailbox polls coalesced onto another in-flight migration pull.",
-			func() float64 { _, s := g.MailboxPullStats(); return float64(s) })
-	}
+	c := &hubStatsCache{hub: g.hub}
+	m.GaugeFunc("pdagent_mailbox_devices",
+		"Devices with a mailbox.",
+		func() float64 { return float64(c.stats().Devices) })
+	m.GaugeFunc("pdagent_mailbox_connected",
+		"Devices with an active session (e.g. a parked long-poll).",
+		func() float64 { return float64(c.stats().Connected) })
+	m.GaugeFunc("pdagent_mailbox_pending",
+		"Undelivered mailbox entries across all devices.",
+		func() float64 { return float64(c.stats().Pending) })
+	m.GaugeFunc("pdagent_mailbox_dirty_devices",
+		"Mailboxes holding pending entries, dedup memory or staged acks (sweep working set).",
+		func() float64 { return float64(c.stats().DirtyDevices) })
+	m.GaugeFunc("pdagent_mailbox_enqueued",
+		"Mailbox entries accepted since start (duplicates excluded).",
+		func() float64 { return float64(c.stats().Enqueued) })
+	m.GaugeFunc("pdagent_mailbox_delivered",
+		"Mailbox entries acknowledged by devices since start.",
+		func() float64 { return float64(c.stats().Delivered) })
+	m.GaugeFunc("pdagent_mailbox_duplicates",
+		"Mailbox enqueues suppressed by the event-id dedup window.",
+		func() float64 { return float64(c.stats().Duplicates) })
+	m.GaugeFunc("pdagent_mailbox_evicted_quota",
+		"Mailbox entries dropped by per-device quota before delivery.",
+		func() float64 { return float64(c.stats().EvictedQuota) })
+	m.GaugeFunc("pdagent_mailbox_evicted_ttl",
+		"Mailbox entries expired by TTL before delivery.",
+		func() float64 { return float64(c.stats().EvictedTTL) })
+	m.CounterVecFunc("pdagent_mailbox_acks_total",
+		"Mailbox acknowledgements committed, by how: folded rode the device's next enqueue (one fsync for both), flushed paid a commit of its own (an empty mailbox answer, the sweeper or shutdown).",
+		"commit", func() map[string]float64 {
+			st := c.stats()
+			return map[string]float64{"folded": float64(st.AcksFolded), "flushed": float64(st.AcksFlushed)}
+		})
+	m.CounterVecFunc("pdagent_mailbox_delivered_total",
+		"Mailbox entries handed to devices, by the answer that carried them: dispatch cost the device no request of its own, poll is a read that asked to wait, fetch one that did not (a session's drain).",
+		"via", func() map[string]float64 {
+			return map[string]float64{
+				"dispatch": float64(g.mailDispatch.Load()),
+				"poll":     float64(g.mailPoll.Load()),
+				"fetch":    float64(g.mailFetch.Load()),
+			}
+		})
+	m.GaugeFunc("pdagent_mailbox_staged_acks",
+		"Acknowledgements (a mailbox read's, an upload's) in force in memory and waiting for their mailbox's next commit.",
+		func() float64 { return float64(c.stats().StagedAcks) })
+	m.GaugeFunc("pdagent_mailbox_dedup_ids",
+		"Event ids currently held in mailbox dedup windows.",
+		func() float64 { return float64(c.stats().DedupIDs) })
+	m.GaugeFunc("pdagent_mailbox_dedup_window",
+		"Per-mailbox dedup window capacity.",
+		func() float64 { return float64(c.stats().DedupWindow) })
+	m.GaugeFunc("pdagent_mailbox_pull_started",
+		"Migration pulls sent to a previous edge member.",
+		func() float64 { s, _ := g.MailboxPullStats(); return float64(s) })
+	m.GaugeFunc("pdagent_mailbox_pull_shared",
+		"Mailbox polls coalesced onto another in-flight migration pull.",
+		func() float64 { _, s := g.MailboxPullStats(); return float64(s) })
 
 	// The embedded MAS registers the agent journal's WAL series.
-	if w := rms.WALOf(g.mailboxStore); w != nil && g.mailboxStore != g.cfg.Journal {
+	if w := rms.WALOf(g.cfg.Mailbox.Store); w != nil && g.cfg.Mailbox.Store != g.cfg.Journal {
 		w.RegisterMetrics(m, "pdagent_mailbox_wal", "mailbox store")
 	}
 	if g.cfg.Repl != nil {

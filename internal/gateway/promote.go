@@ -76,7 +76,7 @@ func (g *Gateway) PromoteOver(ctx context.Context, dead string) (*Promotion, err
 		}
 		p.Agents = len(adopted)
 	}
-	if mailbox != nil && g.hub != nil {
+	if mailbox != nil {
 		var err error
 		if p.Mailboxes, err = g.importMailboxes(dead, mailbox); err != nil {
 			return nil, err

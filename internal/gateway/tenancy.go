@@ -92,9 +92,7 @@ func (g *Gateway) slowUsage(id string) tenant.Usage {
 	u := tenant.Usage{Tenant: label}
 	u.Residents = g.mas.ResidentsByTenant()[label]
 	u.JournalBytes = g.mas.JournalBytesByTenant()[label]
-	if g.hub != nil {
-		u.MailboxBytes = g.hub.BytesByTenant()[label]
-	}
+	u.MailboxBytes = g.hub.BytesByTenant()[label]
 	return u
 }
 
@@ -121,10 +119,8 @@ func (g *Gateway) tenantUsage() []tenant.Usage {
 	for label, b := range g.mas.JournalBytesByTenant() {
 		row(label).JournalBytes += b
 	}
-	if g.hub != nil {
-		for label, b := range g.hub.BytesByTenant() {
-			row(label).MailboxBytes += b
-		}
+	for label, b := range g.hub.BytesByTenant() {
+		row(label).MailboxBytes += b
 	}
 	out := make([]tenant.Usage, 0, len(rows))
 	for _, r := range rows {
@@ -160,9 +156,7 @@ func (g *Gateway) initTenantObserve(m *metrics.Registry) {
 			}
 			return tenant.GaugeRows(counts)
 		})
-	if g.hub != nil {
-		m.GaugeVecFunc("pdagent_tenant_mailbox_bytes",
-			"Pending mailbox payload bytes on this member, by tenant.", "tenant",
-			func() map[string]float64 { return tenant.GaugeRows(g.hub.BytesByTenant()) })
-	}
+	m.GaugeVecFunc("pdagent_tenant_mailbox_bytes",
+		"Pending mailbox payload bytes on this member, by tenant.", "tenant",
+		func() map[string]float64 { return tenant.GaugeRows(g.hub.BytesByTenant()) })
 }

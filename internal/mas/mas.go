@@ -126,9 +126,9 @@ type Config struct {
 	// replacement Server over the same durable store re-hydrates them via
 	// Resume. An agent that finishes at home inside its first slice is
 	// never journaled: OnAgentHome taking the result is the durable
-	// hand-over, exactly as for a KindDone homecoming — so a result kept
-	// in Documents only (a gateway without a mailbox) is as durable as
-	// Documents is. The journal write is the handoff's commit and the OK
+	// hand-over, exactly as for a KindDone homecoming — so a result is
+	// as durable as the store OnAgentHome commits it to (a gateway's
+	// mailbox store). The journal write is the handoff's commit and the OK
 	// response its ack; duplicates dedup on agent id + hop counter.
 	Journal rms.Store
 	// Programs is the compiled-program cache consulted when an agent
