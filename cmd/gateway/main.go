@@ -36,8 +36,9 @@
 //
 // With -replicate (clustered members only) the journal and mailbox
 // stores stream their commits to the ring-successor standby
-// (DESIGN.md §10): if this member dies — even losing its disk — the
-// standby is fenced in, adopts the resident agents, and imports the
+// (DESIGN.md §10), whether -journal and -mailbox-dir make them durable
+// or they live in memory: if this member dies — even losing its disk —
+// the standby is fenced in, adopts the resident agents, and imports the
 // device mailboxes, exactly once. -repl-mode picks the ack discipline:
 // async bounds loss to the last heartbeat window, semi-sync makes each
 // commit wait for the standby.

@@ -11,11 +11,11 @@
 // resident agents survive a daemon crash (they are resumed on the next
 // start). Without it the journal is kept in memory.
 //
-// With -replicate ADDR (plus -cluster-secret) the journal streams its
-// commits to a standby masd at ADDR (DESIGN.md §10); any masd started
-// with the same secret serves as a standby, holding a live replica
-// and answering /cluster/repl/fetch so a host that lost its disk can
-// be recovered from its standby.
+// A masd is no cluster member and replicates nothing: fault tolerance
+// belongs to the gateways that hold agents for disconnected users
+// (DESIGN.md §10). With -cluster-secret it stamps the location relays
+// it sends each agent's clustered home gateway; without one it sends
+// none, since a clustered home would refuse them.
 //
 // Tenant accounts are a gateway matter (gateway -tenants): a host
 // learns each arriving agent's account from its transfer, and its
@@ -38,7 +38,6 @@ import (
 	"pdagent/internal/cluster"
 	"pdagent/internal/mas"
 	"pdagent/internal/metrics"
-	"pdagent/internal/repl"
 	"pdagent/internal/rms"
 	"pdagent/internal/services"
 	"pdagent/internal/transport"
@@ -50,11 +49,8 @@ func main() {
 	flavour := flag.String("flavour", "aglets", "MAS codec flavour (aglets|voyager)")
 	svcList := flag.String("services", "bank", "comma-separated services to host: bank,food,docs")
 	journalPath := flag.String("journal", "", "agent journal directory (enables crash recovery; agents resume on restart)")
-	clusterSecret := flag.String("cluster-secret", "", "shared cluster secret stamped on the location relays sent to each agent's home gateway (clustered home gateways refuse unauthenticated ones; standalone ones are skipped)")
+	clusterSecret := flag.String("cluster-secret", "", "shared cluster secret stamped on the location relays sent to each agent's clustered home gateway (empty: no relays are sent, since clustered homes refuse unauthenticated ones; standalone homes are skipped)")
 	retryEvery := flag.Duration("retry-interval", mas.DefaultUpkeepInterval, "how often parked transfers are retried")
-	replicateTo := flag.String("replicate", "", "standby address to stream journal commits to (DESIGN.md §10; requires -journal and -cluster-secret); the standby holds a live replica and serves it back on /cluster/repl/fetch")
-	replMode := flag.String("repl-mode", string(repl.ModeAsync), "replication ack discipline: async (ship on the flush tick) or semi-sync (each commit waits for the standby)")
-	replFlush := flag.Duration("repl-flush", 2*time.Second, "async replication flush interval")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6061); empty disables")
 	flag.Parse()
 
@@ -115,40 +111,6 @@ func main() {
 	}
 
 	rt := transport.NewPooledHTTPClient(0)
-
-	// Journal replication (DESIGN.md §10): any masd with the cluster
-	// secret can stand by for another (the receiver endpoints ride the
-	// same listener); -replicate names this host's own standby and
-	// starts streaming journal commits to it. A masd is not a cluster
-	// member, so its identity is static — same token, no fencing
-	// epochs; recovery is by operator (fetch the replica back from the
-	// standby via /cluster/repl/fetch).
-	var peer *repl.Peer
-	if *clusterSecret != "" {
-		mode, err := repl.ParseMode(*replMode)
-		if err != nil {
-			log.Fatalf("masd: %v", err)
-		}
-		peer = repl.NewPeer(repl.Config{
-			Self:      public,
-			Transport: rt,
-			Identity:  cluster.StaticIdentity{Self: public, Secret: *clusterSecret},
-			StandbyFn: func() string { return *replicateTo },
-			Mode:      mode,
-			Logf:      log.Printf,
-		})
-	}
-	if *replicateTo != "" {
-		switch {
-		case peer == nil:
-			log.Fatalf("masd: -replicate requires -cluster-secret (streams are authenticated)")
-		case journal == nil:
-			log.Fatalf("masd: -replicate requires -journal (there is nothing else to replicate)")
-		case *replFlush <= 0:
-			log.Fatalf("masd: -repl-flush must be positive, got %v", *replFlush)
-		}
-		peer.Replicate(repl.RoleJournal, journal)
-	}
 	masCfg := mas.Config{
 		Addr:      public,
 		Codec:     codec,
@@ -163,8 +125,9 @@ func main() {
 	// Location relays, best-effort: clustered home gateways fold the event
 	// into the replicated location directory and refuse it (logged once)
 	// without the matching -cluster-secret; a standalone gateway answers
-	// 404 and is left alone until the next re-probe. Sent from the
-	// background, so no transfer waits for a relay.
+	// 404 and is left alone until the next re-probe. Without a secret
+	// none is sent. Sent from the background, so no transfer waits for
+	// a relay.
 	sender := cluster.NewRelay(rt, public, *clusterSecret)
 	sender.RegisterMetrics(masCfg.Metrics)
 	relay := newLocRelay(sender.Send, masCfg.Metrics)
@@ -172,11 +135,6 @@ func main() {
 	srv, err := mas.NewServer(masCfg)
 	if err != nil {
 		log.Fatalf("masd: %v", err)
-	}
-	// The MAS built its own registry (served on /metrics); fold the
-	// replication signals into the same scrape.
-	if peer != nil {
-		peer.RegisterMetrics(srv.Metrics())
 	}
 	// Background work (parked-transfer retries, journal compaction)
 	// runs under a context cancelled on SIGTERM.
@@ -187,24 +145,10 @@ func main() {
 		log.Fatalf("masd: resuming journaled agents: %v", err)
 	}
 	go srv.RunUpkeep(ctx, *retryEvery)
-	stopRepl := func() {}
-	if *replicateTo != "" {
-		stopRepl = peer.Start(*replFlush)
-		log.Printf("masd %s: replicating journal to %s (%s mode)", public, *replicateTo, *replMode)
-	}
 	log.Printf("masd %s: %s flavour, services %v, listening on %s",
 		public, *flavour, reg.Names(), *listen)
 
-	handler := srv.Handler()
-	if peer != nil {
-		// Replication endpoints share the listener; everything else
-		// falls through to the MAS.
-		m := transport.NewMux()
-		peer.Mount(m)
-		m.Handle("/", handler)
-		handler = m
-	}
-	httpSrv := transport.NewServer(handler)
+	httpSrv := transport.NewServer(srv.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe(*listen) }()
 	sig := make(chan os.Signal, 1)
@@ -219,9 +163,6 @@ func main() {
 		log.Printf("masd %s: %v received, shutting down", public, s)
 		cancel()
 		<-relay.done
-		// The last flush: the standby's replica is current before this
-		// host goes away.
-		stopRepl()
 		shutCtx, shutCancel := context.WithTimeout(context.Background(), 5*time.Second)
 		if err := httpSrv.Shutdown(shutCtx); err != nil {
 			log.Printf("masd %s: http shutdown: %v", public, err)

@@ -3,7 +3,9 @@
 // WAL directory (rms.WALStore), so subscriptions and pending journeys
 // survive between invocations and a power loss — subscribe once,
 // dispatch while "connected", collect later, exactly the paper's
-// offline workflow.
+// offline workflow. A dispatch answer may carry the device's mail (a
+// zero-hop journey's own result among it); dispatch shows it and moves
+// the mailbox cursor past it, and the next upload acknowledges it.
 //
 // Usage:
 //
@@ -25,6 +27,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -45,7 +48,7 @@ Commands:
   catalog    list a gateway's applications  (-gateway ADDR)
   subscribe  download a code package  (-gateway ADDR -code ID)
   list       show stored subscriptions and pending agents
-  dispatch   launch an application  (-code ID -param k=v ...)
+  dispatch   launch an application, then show the mail its answer carried  (-code ID -param k=v ...)
   queue      queue an execution offline for the next session  (-code ID -param ...)
   session    reconnect: drain the offline queue and pull the mailbox  (-gateway ADDR optional)
   status     agent progress  (-agent ID)
@@ -70,19 +73,25 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	defer store.Close()
 	plat, err := device.NewPlatform(device.Config{
 		Owner:     *owner,
 		Transport: &transport.HTTPClient{},
 		Store:     store,
 		Secure:    true,
 	})
+	if err == nil {
+		err = run(context.Background(), plat, args[0], args[1:], os.Stdout)
+	}
+	if cerr := store.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		fatal(err)
 	}
-	ctx := context.Background()
+}
 
-	cmd, rest := args[0], args[1:]
+// run carries out one command on plat, writing what it shows to out.
+func run(ctx context.Context, plat *device.Platform, cmd string, rest []string, out io.Writer) error {
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	gw := fs.String("gateway", "", "gateway address")
 	central := fs.String("central", "", "central server address")
@@ -96,138 +105,149 @@ func main() {
 	case "gateways":
 		need(*central != "", "-central")
 		if err := plat.RefreshGateways(ctx, *central); err != nil {
-			fatal(err)
+			return err
 		}
 		for _, a := range plat.Gateways() {
-			fmt.Println(a)
+			fmt.Fprintln(out, a)
 		}
 	case "probe":
 		probes, err := plat.ProbeGateways(ctx)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		for _, p := range probes {
 			if p.Err != nil {
-				fmt.Printf("%-24s unreachable (%v)\n", p.Addr, p.Err)
+				fmt.Fprintf(out, "%-24s unreachable (%v)\n", p.Addr, p.Err)
 				continue
 			}
-			fmt.Printf("%-24s %v\n", p.Addr, p.RTT)
+			fmt.Fprintf(out, "%-24s %v\n", p.Addr, p.RTT)
 		}
 		best, rtt, err := plat.SelectGateway(ctx)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("nearest: %s (%v)\n", best, rtt)
+		fmt.Fprintf(out, "nearest: %s (%v)\n", best, rtt)
 	case "catalog":
 		need(*gw != "", "-gateway")
 		entries, err := plat.Catalogue(ctx, *gw)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		for _, e := range entries {
-			fmt.Printf("%-20s %-8s %s — %s\n", e.CodeID, e.Version, e.Name, e.Description)
+			fmt.Fprintf(out, "%-20s %-8s %s — %s\n", e.CodeID, e.Version, e.Name, e.Description)
 		}
 	case "subscribe":
 		need(*gw != "" && *code != "", "-gateway and -code")
 		if err := plat.Subscribe(ctx, *gw, *code); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("subscribed to %s at %s\n", *code, *gw)
+		fmt.Fprintf(out, "subscribed to %s at %s\n", *code, *gw)
 	case "list":
-		fmt.Println("subscriptions:")
+		fmt.Fprintln(out, "subscriptions:")
 		for _, s := range plat.Subscriptions() {
-			fmt.Println("  " + s)
+			fmt.Fprintln(out, "  "+s)
 		}
-		fmt.Println("pending agents:")
+		fmt.Fprintln(out, "pending agents:")
 		for _, a := range plat.Pending() {
-			fmt.Println("  " + a)
+			fmt.Fprintln(out, "  "+a)
 		}
 		if n, err := plat.Footprint(); err == nil {
-			fmt.Printf("database: %d bytes\n", n)
+			fmt.Fprintf(out, "database: %d bytes\n", n)
 		}
 	case "dispatch":
 		need(*code != "", "-code")
 		id, err := plat.Dispatch(ctx, *code, params.values)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println(id)
+		fmt.Fprintln(out, id)
+		// The answer may carry mail (DESIGN.md §7), this journey's own
+		// result among it when the journey is already over. Read here,
+		// it moves the persisted cursor that the next upload acks;
+		// left unread, it would die with this process and come back on
+		// every dispatch until the mailbox overflowed.
+		printDeliveries(out, plat.ReadHeldMail())
 	case "queue":
 		// Entirely offline: the Packed Information is built and stored
 		// now, uploaded by the next `session`.
 		need(*code != "", "-code")
 		id, err := plat.QueueDispatch(*code, params.values)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("queued %s (%d in queue; run `pdagent session` when connected)\n", id, len(plat.QueuedDispatches()))
+		fmt.Fprintf(out, "queued %s (%d in queue; run `pdagent session` when connected)\n", id, len(plat.QueuedDispatches()))
 	case "session":
 		// The §7 reconnection ritual: drain queued dispatches, then
 		// pull everything the gateway mailbox accumulated while away.
 		s, err := plat.OpenSessionAt(ctx, *gw)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("session at %s: %d queued dispatch(es) sent, %d left, %d delivered, %d evicted\n",
+		fmt.Fprintf(out, "session at %s: %d queued dispatch(es) sent, %d left, %d delivered, %d evicted\n",
 			s.Gateway, len(s.Dispatched), s.QueuedLeft, len(s.Deliveries), s.Evicted)
 		for _, id := range s.Dispatched {
-			fmt.Println("dispatched: " + id)
+			fmt.Fprintln(out, "dispatched: "+id)
 		}
-		for _, d := range s.Deliveries {
-			if d.Result != nil {
-				printResult(d.Result)
-				continue
-			}
-			fmt.Printf("%s %s: %s\n", d.Kind, d.AgentID, d.Note)
-		}
+		printDeliveries(out, s.Deliveries)
 	case "status":
 		need(*agent != "", "-agent")
 		state, body, err := plat.AgentStatus(ctx, *agent)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println(state)
+		fmt.Fprintln(out, state)
 		if len(body) > 0 {
-			fmt.Println(string(body))
+			fmt.Fprintln(out, string(body))
 		}
 	case "collect":
 		need(*agent != "", "-agent")
 		rd, err := plat.Collect(ctx, *agent)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		printResult(rd)
+		printResult(out, rd)
 	case "retract":
 		need(*agent != "", "-agent")
 		if err := plat.Retract(ctx, *agent); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println("retract scheduled; collect the partial result once it arrives")
+		fmt.Fprintln(out, "retract scheduled; collect the partial result once it arrives")
 	case "dispose":
 		need(*agent != "", "-agent")
 		if err := plat.Dispose(ctx, *agent); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println("disposed")
+		fmt.Fprintln(out, "disposed")
 	case "clone":
 		need(*agent != "", "-agent")
 		id, err := plat.Clone(ctx, *agent)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println(id)
+		fmt.Fprintln(out, id)
 	default:
 		usage()
 	}
+	return nil
 }
 
-func printResult(rd *wire.ResultDocument) {
-	fmt.Printf("agent:  %s\nstatus: %s\nhops:   %d\n", rd.AgentID, rd.Status, rd.Hops)
+func printDeliveries(out io.Writer, ds []device.Delivery) {
+	for _, d := range ds {
+		if d.Result != nil {
+			printResult(out, d.Result)
+			continue
+		}
+		fmt.Fprintf(out, "%s %s: %s\n", d.Kind, d.AgentID, d.Note)
+	}
+}
+
+func printResult(out io.Writer, rd *wire.ResultDocument) {
+	fmt.Fprintf(out, "agent:  %s\nstatus: %s\nhops:   %d\n", rd.AgentID, rd.Status, rd.Hops)
 	if rd.Error != "" {
-		fmt.Printf("error:  %s\n", rd.Error)
+		fmt.Fprintf(out, "error:  %s\n", rd.Error)
 	}
 	for _, r := range rd.Results {
-		fmt.Printf("%s = %s\n", r.Key, r.Value)
+		fmt.Fprintf(out, "%s = %s\n", r.Key, r.Value)
 	}
 }
 

@@ -48,15 +48,14 @@ func stamp(req *transport.Request, self, secret string, epoch uint64) {
 
 // vet is the one check every intra-cluster request passes: a
 // constant-time compare of the shared secret, then the fence of the
-// origin the request names against the epoch it claims. fenceOf nil
-// checks the token alone. A request refused by a fence comes back with
-// that fence (0 otherwise), so the heartbeat handler can tell the
-// zombie its own death.
+// origin the request names against the epoch it claims. A request
+// refused by a fence comes back with that fence (0 otherwise), so the
+// heartbeat handler can tell the zombie its own death.
 func vet(req *transport.Request, secret string, fenceOf func(string) uint64) (ok bool, fence uint64) {
 	if subtle.ConstantTimeCompare([]byte(req.GetHeader(tokenHeader)), []byte(secret)) != 1 {
 		return false, 0
 	}
-	if origin := req.GetHeader(originHeader); origin != "" && fenceOf != nil {
+	if origin := req.GetHeader(originHeader); origin != "" {
 		if f := fenceOf(origin); f > parseEpoch(req.GetHeader(epochHeader)) {
 			return false, f
 		}
@@ -78,32 +77,3 @@ func parseEpoch(header string) uint64 {
 // if unstamped). It is client-settable, so it is meaningful only AFTER
 // vet accepted the request.
 func origin(req *transport.Request) string { return req.GetHeader(originHeader) }
-
-// StaticIdentity is a fixed cluster identity for hosts that speak the
-// authenticated intra-cluster protocol without being members — a masd
-// replicating its journal to a standby or relaying locations, for
-// instance. It stamps and vets like Node, but knows nothing about
-// fencing: a non-member never gossips fences, so Authorized admits any
-// epoch.
-type StaticIdentity struct {
-	// Self is the address stamped as the request origin.
-	Self string
-	// Secret is the shared cluster secret (-cluster-secret).
-	Secret string
-	// Epoch is the fencing epoch stamped on outgoing requests (0 for a
-	// host that has never been promoted over).
-	Epoch uint64
-}
-
-// Stamp adds the cluster token, origin and epoch to an outgoing
-// request.
-func (id StaticIdentity) Stamp(req *transport.Request) { stamp(req, id.Self, id.Secret, id.Epoch) }
-
-// Authorized vets an incoming request by the shared secret alone.
-func (id StaticIdentity) Authorized(req *transport.Request) bool {
-	ok, _ := vet(req, id.Secret, nil)
-	return ok
-}
-
-// Origin returns the member an authorized request came from.
-func (StaticIdentity) Origin(req *transport.Request) string { return origin(req) }

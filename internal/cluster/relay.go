@@ -30,19 +30,22 @@ type relayHome struct {
 }
 
 // Relay sends a NON-member MAS host's location events to each agent's
-// home gateway's /cluster/loc endpoint, stamped with the host's static
-// cluster identity, so mid-itinerary hops between hosts reach the replicated
+// home gateway's /cluster/loc endpoint, stamped with the host's address
+// and the shared cluster secret (at epoch 0: a non-member is never
+// fenced), so mid-itinerary hops between hosts reach the replicated
 // directory. Best-effort by design — a missed or refused relay only
-// costs chase hops. It learns from the answers which homes want them: a
-// standalone gateway has no /cluster/loc and answers 404, and is then
-// skipped until the next re-probe; only a 404 answer does that — not a
-// transport error, a 5xx, or the 401/403 of a wrong secret, which is
-// logged once per home — and an OK un-learns it.
+// costs chase hops. A relay without a secret sends nothing: a clustered
+// home would refuse it and a standalone one keeps no directory. It
+// learns from the answers which homes want them: a standalone gateway
+// has no /cluster/loc and answers 404, and is then skipped until the
+// next re-probe; only a 404 answer does that — not a transport error, a
+// 5xx, or the 401/403 of a wrong secret, which is logged once per home
+// — and an OK un-learns it.
 type Relay struct {
-	rt  transport.RoundTripper
-	id  StaticIdentity
-	log *metrics.Logger
-	now func() time.Time
+	rt           transport.RoundTripper
+	self, secret string
+	log          *metrics.Logger
+	now          func() time.Time
 
 	mu    sync.Mutex
 	homes map[string]*relayHome
@@ -53,7 +56,7 @@ type Relay struct {
 // NewRelay builds the relay of the host at selfAddr.
 func NewRelay(rt transport.RoundTripper, selfAddr, secret string) *Relay {
 	return &Relay{
-		rt: rt, id: StaticIdentity{Self: selfAddr, Secret: secret},
+		rt: rt, self: selfAddr, secret: secret,
 		log: metrics.NewLogger("loc-relay", nil), now: time.Now,
 		homes: map[string]*relayHome{},
 	}
@@ -70,7 +73,7 @@ func LocationRelay(rt transport.RoundTripper, selfAddr, secret string) func(cont
 // RegisterMetrics exposes what became of each location event.
 func (r *Relay) RegisterMetrics(m *metrics.Registry) {
 	m.CounterVecFunc("pdagent_loc_relay_total",
-		"Location relays by outcome: sent (the home took it), skipped (the home keeps no directory: it answered this one 404, or answered 404 within the re-probe interval and this one was not sent), refused (401/403: check -cluster-secret), failed (transport error or any other answer).",
+		"Location relays by outcome: sent (the home took it), skipped (the home keeps no directory: it answered this one 404, or answered 404 within the re-probe interval and this one was not sent), refused (401/403: check -cluster-secret), failed (transport error or any other answer). A host without -cluster-secret sends and counts none.",
 		"outcome", func() map[string]float64 {
 			return map[string]float64{
 				"sent": float64(r.sent.Load()), "skipped": float64(r.skipped.Load()),
@@ -109,7 +112,7 @@ func (r *Relay) forget(addr string) {
 // Send relays one location event, or skips it. It is the OnAgentMove
 // hook LocationRelay returns.
 func (r *Relay) Send(ctx context.Context, mv mas.AgentMove) {
-	if mv.Home == "" || mv.Home == r.id.Self {
+	if r.secret == "" || mv.Home == "" || mv.Home == r.self {
 		return
 	}
 	r.mu.Lock()
@@ -131,7 +134,7 @@ func (r *Relay) Send(ctx context.Context, mv mas.AgentMove) {
 			Seq: mv.Seq, Terminal: mv.Terminal,
 		}),
 	}
-	r.id.Stamp(req)
+	stamp(req, r.self, r.secret, 0)
 	pushCtx, cancel := context.WithTimeout(ctx, locationPushTimeout)
 	resp, err := r.rt.RoundTrip(pushCtx, mv.Home, req)
 	cancel()
@@ -159,6 +162,6 @@ func (r *Relay) Send(ctx context.Context, mv mas.AgentMove) {
 	outcome.Add(1)
 	if outcome == &r.refused {
 		r.log.Oncef("refused:"+mv.Home, "%s: home gateway %s refuses location relays (%d %s): its -cluster-secret is not this host's; agents homed there are found by chasing only",
-			r.id.Self, mv.Home, resp.Status, resp.Text())
+			r.self, mv.Home, resp.Status, resp.Text())
 	}
 }

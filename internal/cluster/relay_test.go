@@ -165,6 +165,22 @@ func TestLocationRelayLearnsDirectoryLessHomes(t *testing.T) {
 		}
 	})
 
+	t.Run("a relay without a secret sends nothing", func(t *testing.T) {
+		// A clustered home would answer every such relay 401, and a 401
+		// is never learned: each agent move would cost a refused round
+		// trip.
+		f := newRelayFixture()
+		f.secret = ""
+		f.rt.set("gw-clustered", transport.StatusUnauthorized)
+		f.send("gw-clustered", 5)
+		if got := f.rt.requests("gw-clustered"); got != 0 {
+			t.Fatalf("%d requests from a relay without a secret, want none", got)
+		}
+		if got, want := f.counts(), [4]uint64{}; got != want || len(f.lines) != 0 {
+			t.Fatalf("sent/skipped/refused/failed = %v, log %q; want nothing counted or said", got, f.lines)
+		}
+	})
+
 	t.Run("the table is bounded", func(t *testing.T) {
 		f := newRelayFixture()
 		const extra = 10

@@ -88,8 +88,9 @@ type SimConfig struct {
 	// fences the dead member and promotes — adopted agents resume,
 	// mailboxes import, the location directory re-points. Drive it with
 	// TickCluster; destroy a member completely with
-	// CrashGatewayLosingDisk. Requires Cluster (and typically Journal:
-	// without it only the mailboxes stream).
+	// CrashGatewayLosingDisk. Requires Cluster. Journal or not, both
+	// stores stream: without Journal a member's journal lives in memory
+	// and dies with the member, but its standby holds a replica.
 	Replicate bool
 	// ReplMode is the replication ack discipline (default
 	// repl.ModeAsync; repl.ModeSemiSync acks each commit on two members).

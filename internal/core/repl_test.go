@@ -52,10 +52,19 @@ func promoteOverDead(t *testing.T, w *SimWorld, dead string) Promotion {
 // journal AND mailbox dies losing its disk entirely, the ring-successor
 // standby promotes, and the reconnecting device receives its result
 // exactly once from the adopter — the ledgers prove the journey itself
-// also ran exactly once.
+// also ran exactly once. A member whose journal lives in memory streams
+// it all the same, so the drill holds without a durable journal too.
 func TestReplicatePromotionAfterDiskLoss(t *testing.T) {
+	for _, journal := range []bool{true, false} {
+		t.Run(fmt.Sprintf("journal=%v", journal), func(t *testing.T) {
+			replicatePromotionAfterDiskLoss(t, journal)
+		})
+	}
+}
+
+func replicatePromotionAfterDiskLoss(t *testing.T, journal bool) {
 	w := clusterWorld(t, SimConfig{
-		Seed: 61, Journal: true,
+		Seed: 61, Journal: journal,
 		Replicate: true, ReplMode: repl.ModeSemiSync,
 	})
 	defer w.Close()

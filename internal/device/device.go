@@ -119,9 +119,10 @@ type Platform struct {
 	queued    map[string]*queuedDispatch
 	queueIDs  []string // queue order (dispatch ids, FIFO)
 	// unread holds, per gateway, the mailbox batch a dispatch answer
-	// carried and PollMailbox has not processed yet. Memory only and at
-	// most one per gateway: the cursor moves when PollMailbox processes
-	// the batch, so one lost with the process is offered again.
+	// carried and neither PollMailbox nor ReadHeldMail has processed
+	// yet. Memory only and at most one per gateway: the cursor moves
+	// when the batch is processed, so one lost with the process is
+	// offered again.
 	unread map[string]*mailBatch
 	// flateDict marks, per gateway, that its last mailbox answer was a
 	// compress.FlateDict frame: it reads that codec, so uploads to it

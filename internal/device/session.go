@@ -394,24 +394,10 @@ type mailBatch struct {
 func (p *Platform) PollMailbox(ctx context.Context, gw string, wait time.Duration) ([]Delivery, uint64, error) {
 	p.mu.Lock()
 	prevEdge := p.sessionGW
-	cursor := p.cursors[gw]
-	held := p.unread[gw]
-	delete(p.unread, gw)
 	p.mu.Unlock()
-
-	var all []Delivery
-	var evicted uint64
-	if held != nil && held.watermark > cursor {
-		// Entries a poll running beside the dispatch already processed
-		// are behind the cursor.
-		for len(held.entries) > 0 && held.entries[0].Seq <= cursor {
-			held.entries = held.entries[1:]
-		}
-		all = p.deliverBatch(gw, prevEdge, held.entries, held.watermark)
-		cursor, evicted = held.watermark, held.evicted
-		if wait > 0 {
-			return all, evicted, nil
-		}
+	all, cursor, evicted, read := p.readHeld(gw, prevEdge)
+	if read && wait > 0 {
+		return all, evicted, nil
 	}
 	for round := 0; ; round++ {
 		pe := ""
@@ -441,6 +427,39 @@ func (p *Platform) PollMailbox(ctx context.Context, gw string, wait time.Duratio
 		// costs a redelivery that the cursor filters out.
 	}
 	return all, evicted, nil
+}
+
+// readHeld processes the batch the last dispatch's answer from gw
+// carried, if it is ahead of the cursor, and reports the cursor and
+// eviction count that leaves.
+func (p *Platform) readHeld(gw, prevEdge string) (out []Delivery, cursor, evicted uint64, read bool) {
+	p.mu.Lock()
+	cursor = p.cursors[gw]
+	held := p.unread[gw]
+	delete(p.unread, gw)
+	p.mu.Unlock()
+	if held == nil || held.watermark <= cursor {
+		return nil, cursor, 0, false
+	}
+	// Entries a poll running beside the dispatch already processed are
+	// behind the cursor.
+	for len(held.entries) > 0 && held.entries[0].Seq <= cursor {
+		held.entries = held.entries[1:]
+	}
+	return p.deliverBatch(gw, prevEdge, held.entries, held.watermark), held.watermark, held.evicted, true
+}
+
+// ReadHeldMail processes the mail the last dispatch's answer carried,
+// without a request, and persists the cursor it advances to; the cursor
+// rides the next upload to that gateway as the ack. A device that will
+// not poll before it stops — a process per command — calls it after
+// dispatching, or the gateway answers the same mail again.
+func (p *Platform) ReadHeldMail() []Delivery {
+	p.mu.Lock()
+	gw := p.sessionGW
+	p.mu.Unlock()
+	out, _, _, _ := p.readHeld(gw, gw)
+	return out
 }
 
 // deliverBatch processes one mailbox batch from gw and persists the

@@ -82,7 +82,8 @@ type Config struct {
 	// resident agents survive a gateway restart: the embedder runs
 	// MAS().Resume after it. A failed transfer parks its agent either
 	// way, so the embedder runs MAS().RunUpkeep (a simulation calls
-	// RetryParked in virtual time).
+	// RetryParked in virtual time). With Repl it streams to the standby,
+	// durable or not.
 	Journal rms.Store
 	// FuelSlice overrides the MAS execution slice.
 	FuelSlice uint64
@@ -97,14 +98,14 @@ type Config struct {
 	Cluster *cluster.Node
 	// Repl, when set alongside Cluster, is this member's warm-standby
 	// replication peer (DESIGN.md §10): the gateway mounts its
-	// /cluster/repl/* endpoints and attaches commit taps to every
-	// durable store that supports one (the agent journal and the
-	// mailbox store, when they implement rms.Tapped), so a ring
-	// successor holds a live replica and promotes (PromoteOver) when
-	// this member dies. The embedder builds the peer wired to the same
-	// cluster node (identity stamping, fencing), runs its flush loop
-	// (Peer.Start; a simulation calls Flush from its own tick) and
-	// calls PromoteOver for each member the node evicts.
+	// /cluster/repl/* endpoints and streams every store it keeps — the
+	// agent journal and the mailbox store, in memory or durable, each
+	// of which must implement rms.Tapped — so a ring successor holds a
+	// live replica and promotes (PromoteOver) when this member dies.
+	// The embedder builds the peer wired to the same cluster node
+	// (identity stamping, fencing), runs its flush loop (Peer.Start; a
+	// simulation calls Flush from its own tick) and calls PromoteOver
+	// for each member the node evicts.
 	Repl *repl.Peer
 	// Mailbox configures the disconnection-tolerant device sessions of
 	// DESIGN.md §7 (nil = in-memory store, defaults): every device gets
@@ -211,8 +212,12 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.Transport == nil {
 		return nil, fmt.Errorf("gateway: config missing Transport")
 	}
-	// Every gateway keeps device mailboxes; without a store they live in
-	// memory. The copy keeps the caller's config untouched.
+	// Every gateway keeps an agent journal and device mailboxes; without
+	// a store each lives in memory. The copy keeps the caller's config
+	// untouched.
+	if cfg.Journal == nil {
+		cfg.Journal = rms.NewMemStore("journal-"+cfg.Addr, 0)
+	}
 	mc := *cmp.Or(cfg.Mailbox, &MailboxConfig{})
 	if mc.Store == nil {
 		mc.Store = rms.NewMemStore("mailbox-"+cfg.Addr, 0)
@@ -222,7 +227,7 @@ func New(cfg Config) (*Gateway, error) {
 		// A member asked to replicate must be able to: a store without a
 		// commit tap would run with no standby copy and no error.
 		for _, st := range []rms.Store{cfg.Journal, mc.Store} {
-			if _, ok := st.(rms.Tapped); st != nil && !ok {
+			if _, ok := st.(rms.Tapped); !ok {
 				return nil, fmt.Errorf("gateway: config sets Repl but store %q has no commit tap (rms.Tapped)", st.Name())
 			}
 		}
@@ -338,11 +343,9 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g.mux = m
 	if cfg.Repl != nil {
-		// Attach commit taps to the configured stores (each was checked
-		// to have one on the way in).
-		if cfg.Journal != nil {
-			cfg.Repl.Replicate(repl.RoleJournal, cfg.Journal.(rms.Tapped))
-		}
+		// Attach commit taps to both stores (each was checked to have one
+		// on the way in).
+		cfg.Repl.Replicate(repl.RoleJournal, cfg.Journal.(rms.Tapped))
 		cfg.Repl.Replicate(repl.RoleMailbox, mc.Store.(rms.Tapped))
 	}
 	return g, nil
@@ -432,9 +435,6 @@ func (g *Gateway) unhealthy() string {
 		return "member is fenced (a promoted standby owns its state)"
 	}
 	for _, s := range []rms.Store{g.cfg.Journal, g.cfg.Mailbox.Store} {
-		if s == nil {
-			continue
-		}
 		if err := rms.StoreErr(s); err != nil {
 			g.log.Oncef("store-wedge",
 				"gateway %s: durable store wedged, refusing dispatches until restart: %v", g.cfg.Addr, err)

@@ -59,7 +59,7 @@ func allocatedBy(fn func()) uint64 {
 
 // FuzzDecodeOps throws at the repl stream decoder what any member
 // holding the cluster secret may send to /cluster/repl/stream and
-// /cluster/repl/snapshot, or answer a fetch with: the framing of real
+// /cluster/repl/snapshot: the framing of real
 // commit batches and store images, their truncations, and mutations of
 // both. No input panics or allocates more than a fixed multiple of its
 // own length, and a batch that decodes re-encodes to the bytes it came

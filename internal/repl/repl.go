@@ -1,10 +1,13 @@
 // Package repl streams rms store commit batches from each cluster
-// member to its warm standby (DESIGN.md §10).
+// member to its warm standby (DESIGN.md §10). Only clustered gateways
+// replicate: they hold the agents of disconnected users, while a MAS
+// host is no member and replicates nothing.
 //
 // Each member runs one Peer playing both roles at once:
 //
-//   - sender: every replicated store (the agent journal, the mailbox
-//     store) gets a commit tap (rms.Tapped); committed mutations are
+//   - sender: every store the member keeps (the agent journal and the
+//     mailbox store, in memory or durable) gets a commit tap
+//     (rms.Tapped); committed mutations are
 //     framed and shipped to the member's ring-successor standby over
 //     the authenticated §6 cluster transport. In semi-sync mode the
 //     batch is pushed before the committing operation returns; in
@@ -88,9 +91,6 @@ const (
 	PathStream = "/cluster/repl/stream"
 	// PathSnapshot receives a full store image, resetting the stream.
 	PathSnapshot = "/cluster/repl/snapshot"
-	// PathFetch serves a held replica back — a rejoining member that
-	// lost its disk can recover its own state from its standby.
-	PathFetch = "/cluster/repl/fetch"
 )
 
 // Stream headers.
@@ -98,7 +98,7 @@ const (
 	hdrPrimary = "x-repl-primary" // member whose store this is
 	hdrRole    = "x-repl-role"    // which store: "journal", "mailbox", ...
 	hdrSeq     = "x-repl-seq"     // sequence of the first op in the batch
-	hdrNextID  = "x-repl-nextid"  // store id watermark (snapshot, fetch)
+	hdrNextID  = "x-repl-nextid"  // store id watermark (snapshot)
 )
 
 // streamTimeout bounds one replication round trip so a hung standby
@@ -107,14 +107,14 @@ const (
 const streamTimeout = 5 * time.Second
 
 // Identity is the cluster identity replication rides: a member's
-// cluster.Node (so streams get the same secret and fencing the
-// heartbeats use) or a masd's cluster.StaticIdentity.
+// cluster.Node, so streams get the same secret and fencing the
+// heartbeats use.
 type Identity interface {
 	// Stamp adds the identity (token, origin, epoch) to an outgoing
 	// request.
 	Stamp(req *transport.Request)
-	// Authorized vets an incoming request: shared secret plus, for a
-	// member, fencing epoch (refuses zombie primaries).
+	// Authorized vets an incoming request: shared secret plus fencing
+	// epoch (refuses zombie primaries).
 	Authorized(req *transport.Request) bool
 	// Origin returns the member an authorized request came from; a
 	// stream whose claimed primary differs from its origin is refused,
@@ -216,7 +216,6 @@ func (p *Peer) logf(format string, args ...any) {
 func (p *Peer) Mount(m *transport.Mux) {
 	m.HandleFunc(PathStream, p.HandleStream)
 	m.HandleFunc(PathSnapshot, p.HandleSnapshot)
-	m.HandleFunc(PathFetch, p.HandleFetch)
 }
 
 // Replicate attaches a commit tap to store and starts streaming it to
@@ -545,67 +544,6 @@ func (p *Peer) HandleStream(_ context.Context, req *transport.Request) *transpor
 		r.Seq = end
 	}
 	return transport.OK(nil)
-}
-
-// HandleFetch is the PathFetch endpoint: serve a held replica back to
-// an authorized member — the disk-loss recovery path for a rejoining
-// primary.
-func (p *Peer) HandleFetch(_ context.Context, req *transport.Request) *transport.Response {
-	if !p.cfg.Identity.Authorized(req) {
-		return transport.Errorf(transport.StatusForbidden, "repl: unauthorized")
-	}
-	primary := req.GetHeader(hdrPrimary)
-	role := req.GetHeader(hdrRole)
-	p.rmu.Lock()
-	r := p.replicas[primary][role]
-	var recs map[int][]byte
-	var nextID int
-	var seq uint64
-	if r != nil {
-		recs = make(map[int][]byte, len(r.Records))
-		for id, data := range r.Records {
-			recs[id] = data
-		}
-		nextID, seq = r.NextID, r.Seq
-	}
-	p.rmu.Unlock()
-	if recs == nil {
-		return transport.Errorf(transport.StatusNotFound, "repl: no replica for %s/%s", primary, role)
-	}
-	resp := transport.OK(encodeRecords(recs))
-	resp.SetHeader(hdrNextID, strconv.Itoa(nextID))
-	resp.SetHeader(hdrSeq, strconv.FormatUint(seq, 10))
-	return resp
-}
-
-// Fetch pulls a replica of (primary, role) from addr — the client side
-// of PathFetch.
-func (p *Peer) Fetch(ctx context.Context, addr, primary, role string) (*Replica, error) {
-	req := &transport.Request{Path: PathFetch}
-	p.cfg.Identity.Stamp(req)
-	req.SetHeader(hdrPrimary, primary)
-	req.SetHeader(hdrRole, role)
-	resp, err := p.cfg.Transport.RoundTrip(ctx, addr, req)
-	if err != nil {
-		return nil, err
-	}
-	if !resp.IsOK() {
-		return nil, fmt.Errorf("repl: fetch %s/%s from %s: status %d: %s", primary, role, addr, resp.Status, resp.Body)
-	}
-	ops, err := decodeOps(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	nextID, _ := strconv.Atoi(resp.GetHeader(hdrNextID))
-	seq, _ := strconv.ParseUint(resp.GetHeader(hdrSeq), 10, 64)
-	r := &Replica{Primary: primary, Role: role, NextID: nextID, Seq: seq, Records: make(map[int][]byte, len(ops))}
-	for _, op := range ops {
-		r.apply(op)
-	}
-	if r.NextID < nextID {
-		r.NextID = nextID
-	}
-	return r, nil
 }
 
 // vet runs the shared receiver checks: authorization (secret +

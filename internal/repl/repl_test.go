@@ -208,23 +208,6 @@ func TestTakeGuardsPromotion(t *testing.T) {
 	}
 }
 
-func TestFetchServesReplicaBack(t *testing.T) {
-	h := newHarness(t, ModeSemiSync)
-	store := rms.NewMemStore("journal", 0)
-	h.a.Replicate("journal", store)
-	id, _ := store.Add([]byte("payload"))
-	r, err := h.a.Fetch(context.Background(), "b", "a", "journal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(r.Records[id]) != "payload" {
-		t.Fatalf("fetched replica = %+v", r)
-	}
-	if _, err := h.a.Fetch(context.Background(), "b", "nobody", "journal"); err == nil {
-		t.Fatal("fetch of unknown primary should error")
-	}
-}
-
 func TestCrossPrimaryWriteRefused(t *testing.T) {
 	h := newHarness(t, ModeSemiSync)
 	// A request claiming primary "b" but stamped origin "a" must be
