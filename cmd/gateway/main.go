@@ -20,12 +20,13 @@
 // device reconnects (/pdagent/mailbox is the same handler, for older
 // devices) — intermittently connected devices are first-class. With
 // -mailbox-dir the mailboxes are durable; without it they live in
-// memory and a restart loses them. -mailbox-ttl, -mailbox-quota and
-// -result-ttl bound retention; a background sweeper (-sweep-every)
-// enforces them. An agent whose hop fails parks and is retried every
-// 30 s, as on masd. With -journal PATH the embedded MAS's agent journal
-// is durable: resident agents survive a crash. Both are group-commit
-// WAL directories, power-loss durable (DESIGN.md §9).
+// memory and a restart loses them. -mailbox-ttl and -mailbox-quota
+// bound each mailbox; the File Directory keeps the results of the
+// newest 4,096 finished journeys (mas.MaxRetired), older ones answer
+// 404. One upkeep loop every 30 s retries agents whose hop failed, as
+// on masd, and expires old mail. With -journal PATH the agent journal
+// is durable: a restarted gateway resumes its journeys. Both are
+// group-commit WAL directories, power-loss durable (DESIGN.md §9).
 //
 // Every device dispatch passes one admission rule after its dispatch
 // key verifies (DESIGN.md §11–§12): -shed-inflight N refuses it with
@@ -92,8 +93,6 @@ func main() {
 	journalPath := flag.String("journal", "", "agent journal directory for the embedded MAS (agents resume on restart)")
 	mailboxTTL := flag.Duration("mailbox-ttl", 72*time.Hour, "expire undelivered mailbox entries after this long (0 keeps them until quota eviction)")
 	mailboxQuota := flag.Int("mailbox-quota", push.DefaultQuota, "max pending mailbox entries per device (oldest expendable evicted first)")
-	resultTTL := flag.Duration("result-ttl", 0, "expire stored result documents this long after completion (0 keeps them forever)")
-	sweepEvery := flag.Duration("sweep-every", time.Minute, "how often the mailbox/result TTL sweeper runs")
 	keyBits := flag.Int("key-bits", pisec.DefaultKeyBits, "RSA key size")
 	workers := flag.Int("outbound-workers", 32, "bound on concurrent outbound calls (status chasing, management)")
 	maxConns := flag.Int("max-conns-per-host", transport.DefaultMaxPerDest, "outbound connections per destination; every call holds one, so this also bounds in-flight calls, and callers beyond it queue")
@@ -187,9 +186,8 @@ func main() {
 	}
 
 	mailbox := &gateway.MailboxConfig{
-		TTL:       *mailboxTTL,
-		Quota:     *mailboxQuota,
-		ResultTTL: *resultTTL,
+		TTL:   *mailboxTTL,
+		Quota: *mailboxQuota,
 	}
 	if *mailboxDir != "" {
 		if err := os.MkdirAll(*mailboxDir, 0o755); err != nil {
@@ -248,14 +246,15 @@ func main() {
 	if err := core.RegisterStandardApps(gw); err != nil {
 		log.Fatalf("gateway: %v", err)
 	}
-	// Background work (parked-transfer retries, journal compaction)
-	// runs under a context cancelled once the SIGTERM drain ends.
+	// Background work (parked-transfer retries, journal compaction,
+	// mailbox expiry) runs under a context cancelled once the SIGTERM
+	// drain ends.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if _, err := gw.MAS().Resume(ctx); err != nil {
+	if _, err := gw.Resume(ctx); err != nil {
 		log.Fatalf("gateway: resuming journaled agents: %v", err)
 	}
-	go gw.MAS().RunUpkeep(ctx, mas.DefaultUpkeepInterval)
+	go mas.Every(ctx, mas.DefaultUpkeepInterval, gw.Upkeep)
 	if node != nil {
 		node.Start(*heartbeat)
 		log.Printf("gateway %s: clustered, %d seed(s), heartbeat %v", public, len(strings.Split(*clusterSeeds, ",")), *heartbeat)
@@ -264,27 +263,6 @@ func main() {
 	if peer != nil {
 		stopRepl = peer.Start(*heartbeat)
 		log.Printf("gateway %s: replicating to ring-successor standby (%s mode)", public, *replMode)
-	}
-	if *mailboxTTL > 0 || *resultTTL > 0 {
-		if *sweepEvery <= 0 {
-			log.Fatalf("gateway: -sweep-every must be positive, got %v", *sweepEvery)
-		}
-		go func() {
-			t := time.NewTicker(*sweepEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-					if results, entries := gw.Sweep(); results > 0 || entries > 0 {
-						log.Printf("gateway %s: swept %d expired result doc(s), %d mailbox entr(ies)", public, results, entries)
-					}
-				}
-			}
-		}()
-		log.Printf("gateway %s: sweeping every %v (mailbox ttl %v, result ttl %v)",
-			public, *sweepEvery, *mailboxTTL, *resultTTL)
 	}
 	if *mailboxDir != "" {
 		log.Printf("gateway %s: mailbox at %s (quota %d)", public, *mailboxDir, *mailboxQuota)

@@ -72,3 +72,50 @@ func TestDispatchMovesMailboxCursor(t *testing.T) {
 		t.Fatalf("pdagent_mailbox_evicted_quota = %d, want 0", n)
 	}
 }
+
+// TestCollectOfDeliveredJourney: once a dispatch's output has shown
+// the journey's own result, collecting it says the result was already
+// delivered and succeeds, as one process per verb runs it.
+func TestCollectOfDeliveredJourney(t *testing.T) {
+	w, err := core.NewSimWorld(core.SimConfig{Seed: 6, KeyBits: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	ctx, _ := w.NewJourney()
+	store := rms.NewMemStore("pda", 0)
+	verb := func(args ...string) (string, error) {
+		plat, err := device.NewPlatform(device.Config{
+			Owner:     "pda-user",
+			Transport: w.Transport(netsim.ZoneWireless),
+			Store:     store,
+			Secure:    true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		err = run(ctx, plat, args[0], args[1:], &out)
+		return out.String(), err
+	}
+	if _, err := verb("subscribe", "-gateway", "gw-0", "-code", core.AppEcho); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		out, err := verb("dispatch", "-code", core.AppEcho)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, mail, _ := strings.Cut(out, "\n")
+		w.Run()
+		if !strings.Contains(mail, "agent:  "+id+"\n") {
+			continue // not over when answered: collect finds it pending
+		}
+		out, err = verb("collect", "-agent", id)
+		if err != nil || out != id+": result already delivered\n" {
+			t.Fatalf("collect of %s, whose result its dispatch printed: %q, %v", id, out, err)
+		}
+		return
+	}
+	t.Fatal("no dispatch answer carried its own journey's result")
+}

@@ -25,6 +25,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -202,6 +203,12 @@ func run(ctx context.Context, plat *device.Platform, cmd string, rest []string, 
 	case "collect":
 		need(*agent != "", "-agent")
 		rd, err := plat.Collect(ctx, *agent)
+		if errors.Is(err, device.ErrDelivered) {
+			// Its result was printed when the mail carrying it was read
+			// (a dispatch answer or a session).
+			fmt.Fprintf(out, "%s: result already delivered\n", *agent)
+			return nil
+		}
 		if err != nil {
 			return err
 		}

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
 	"pdagent/internal/atp"
 	"pdagent/internal/cluster"
@@ -79,9 +78,6 @@ type SimConfig struct {
 	// heartbeats manually with SimWorld.TickCluster (deterministic);
 	// kill and recover members with CrashGateway / RestartGateway.
 	Cluster bool
-	// ResultTTL expires stored result documents (0 keeps them forever);
-	// enforced by Gateway.Sweep.
-	ResultTTL time.Duration
 	// Replicate enables warm-standby replication (DESIGN.md §10) on
 	// clustered worlds: every gateway streams its journal and mailbox
 	// commits to its ring successor, and on SWIM eviction the standby
@@ -294,7 +290,7 @@ func (w *SimWorld) buildGateway(i int, addr string, kp *pisec.KeyPair, journal r
 		Spawn:     w.Queue.Go,
 		Peers:     peers,
 		Journal:   journal,
-		Mailbox:   &gateway.MailboxConfig{Store: mailbox, ResultTTL: w.cfg.ResultTTL},
+		Mailbox:   &gateway.MailboxConfig{Store: mailbox},
 		Cluster:   node,
 		Repl:      peer,
 	})
@@ -533,7 +529,7 @@ func (w *SimWorld) RestartGateway(ctx context.Context, addr string) (int, error)
 	w.Nodes[i] = node
 	w.Repls[i] = peer
 	delete(w.crashedGW, addr)
-	return gw.MAS().Resume(ctx)
+	return gw.Resume(ctx)
 }
 
 func (w *SimWorld) gatewayIndex(addr string) int {

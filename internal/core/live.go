@@ -82,9 +82,9 @@ func NewLiveWorld(cfg LiveConfig) (*LiveWorld, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var upkeeps sync.WaitGroup
 	w.stops = append(w.stops, func() { cancel(); upkeeps.Wait() })
-	upkeep := func(srv *mas.Server) {
+	upkeep := func(fn func(context.Context)) {
 		upkeeps.Add(1)
-		go func() { defer upkeeps.Done(); srv.RunUpkeep(ctx, mas.DefaultUpkeepInterval) }()
+		go func() { defer upkeeps.Done(); mas.Every(ctx, mas.DefaultUpkeepInterval, fn) }()
 	}
 
 	startHost := func(flavour string) (string, *services.Bank, error) {
@@ -109,7 +109,7 @@ func NewLiveWorld(cfg LiveConfig) (*LiveWorld, error) {
 			return "", nil, err
 		}
 		holder.Set(srv.Handler())
-		upkeep(srv)
+		upkeep(func(ctx context.Context) { srv.Upkeep(ctx) })
 		return addr, bank, nil
 	}
 
@@ -147,7 +147,7 @@ func NewLiveWorld(cfg LiveConfig) (*LiveWorld, error) {
 	}
 	w.stops = append(w.stops, gw.Close)
 	holder.Set(gw.Handler())
-	upkeep(gw.MAS())
+	upkeep(gw.Upkeep)
 	w.GatewayAddr = addr
 	w.Gateway = gw
 	return w, nil

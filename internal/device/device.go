@@ -46,6 +46,9 @@ var (
 	ErrNotSubscribed = errors.New("device: not subscribed to this code package")
 	// ErrNotReady means the agent has not returned to the gateway yet.
 	ErrNotReady = errors.New("device: result not ready")
+	// ErrDelivered means the journey is over here: its result was
+	// already delivered (by mail or an earlier Collect).
+	ErrDelivered = errors.New("device: result already delivered")
 	// ErrNoGateways means no gateway list is available.
 	ErrNoGateways = errors.New("device: gateway list empty")
 	// ErrAllGatewaysFar means every probed gateway exceeded the RTT

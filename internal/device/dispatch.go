@@ -200,6 +200,9 @@ func (p *Platform) pendingGateway(agentID string) (string, error) {
 	defer p.mu.Unlock()
 	info, ok := p.pending[agentID]
 	if !ok {
+		if p.collected[agentID] {
+			return "", fmt.Errorf("%w: agent %s", ErrDelivered, agentID)
+		}
 		return "", fmt.Errorf("device: unknown agent %q", agentID)
 	}
 	return info.Gateway, nil
@@ -207,7 +210,8 @@ func (p *Platform) pendingGateway(agentID string) (string, error) {
 
 // Collect performs §3.3 result collection: it downloads the XML result
 // document from the gateway. ErrNotReady is returned while the agent
-// is still travelling; on success the pending record is removed.
+// is still travelling, ErrDelivered once its result was delivered; on
+// success the pending record is removed.
 func (p *Platform) Collect(ctx context.Context, agentID string) (*wire.ResultDocument, error) {
 	gw, err := p.pendingGateway(agentID)
 	if err != nil {

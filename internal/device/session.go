@@ -341,8 +341,7 @@ func (p *Platform) processEntries(entries []*push.Entry) []Delivery {
 			d.Note = string(e.Body)
 			if e.Kind == push.KindStatus {
 				// Status notes mark result-less terminal transitions
-				// (disposed by another session, result expired at the
-				// gateway): close the journey so future sessions stop
+				// (disposed by another session): close the journey so future sessions stop
 				// burning repair probes — and RMS records — on it.
 				p.forgetPending(e.AgentID)
 			}
@@ -557,10 +556,13 @@ func (p *Platform) OpenSessionAt(ctx context.Context, gw string) (*Session, erro
 		rd, cerr := p.Collect(ctx, agentID)
 		if cerr != nil {
 			var se *transport.StatusError
-			if errors.As(cerr, &se) && se.Status == transport.StatusGone {
-				// Terminal without a result (disposed, or the result
-				// expired past its retention TTL): close the journey
-				// instead of re-probing it every session forever.
+			if errors.As(cerr, &se) && (se.Status == transport.StatusGone || se.Status == transport.StatusNotFound) {
+				// Terminal without a result here (410: disposed; 404:
+				// unknown at the gateway, retired past its cap or lost
+				// to a restart without a journal): close the journey
+				// instead of re-probing it every session forever. A
+				// mailbox copy arriving later is still delivered, as a
+				// result no longer pending.
 				p.forgetPending(agentID)
 				s.Deliveries = append(s.Deliveries, Delivery{
 					Kind: push.KindStatus, AgentID: agentID, Note: se.Body,

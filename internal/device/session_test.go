@@ -1173,6 +1173,7 @@ func TestDispatchAnswerCarriesMail(t *testing.T) {
 				plat = f.restartPlatform(t)
 			}
 			before := tap.requests
+			var lost string // a journey the restarted gateway no longer knows
 			ds, _, err := plat.PollMailbox(ctx, "gw-d", time.Second)
 			if err != nil || len(ds) != 1 || ds[0].AgentID != id {
 				t.Fatalf("delivered %+v, %v; want the result of %s once", ds, err, id)
@@ -1197,7 +1198,7 @@ func TestDispatchAnswerCarriesMail(t *testing.T) {
 				// An upload whose agent travels carries ack=2 and commits
 				// nothing; the gateway dies (the journal-less fixture's
 				// travelling agent with it) before anything else does.
-				if _, err := plat.Dispatch(ctx, "slow", nil); err != nil {
+				if lost, err = plat.Dispatch(ctx, "slow", nil); err != nil {
 					t.Fatal(err)
 				}
 				if st := hub.Stats(); st.StagedAcks != 1 || st.Pending != 0 {
@@ -1210,12 +1211,19 @@ func TestDispatchAnswerCarriesMail(t *testing.T) {
 				}
 			}
 			// Whatever happened, the next contacts deliver nothing again and
-			// leave the mailbox empty on disk.
+			// leave the mailbox empty on disk. A journey lost with the
+			// gateway is closed by the session's repair collect (404), with
+			// one status note.
 			if ds, _, err := plat.PollMailbox(ctx, "gw-d", 5*time.Millisecond); err != nil || len(ds) != 0 {
 				t.Fatalf("long-poll afterwards delivered %+v, %v", ds, err)
 			}
-			if s, err := plat.OpenSession(ctx); err != nil || len(s.Deliveries) != 0 {
+			s, err := plat.OpenSession(ctx)
+			if err != nil || (lost == "" && len(s.Deliveries) != 0) ||
+				(lost != "" && (len(s.Deliveries) != 1 || s.Deliveries[0].Kind != push.KindStatus || s.Deliveries[0].AgentID != lost)) {
 				t.Fatalf("session afterwards delivered %+v, %v", s, err)
+			}
+			if s, err := plat.OpenSession(ctx); err != nil || len(s.Deliveries) != 0 || len(plat.Pending()) != 0 {
+				t.Fatalf("second session delivered %+v, %v, with %v pending", s, err, plat.Pending())
 			}
 			if st := hub.Stats(); st.Pending != 0 || st.StagedAcks != 0 {
 				t.Fatalf("mailbox not empty at the end: %+v", st)
@@ -1385,5 +1393,63 @@ func TestUnreadBatchBehindCursorIsSkipped(t *testing.T) {
 	f.plat.mu.Unlock()
 	if ds, _, err := f.plat.PollMailbox(ctx, "gw-d", time.Millisecond); err != nil || len(ds) != 0 || tap.requests != before+1 {
 		t.Fatalf("a batch wholly behind the cursor delivered %+v, %v after %d request(s); want it dropped and one long-poll", ds, err, tap.requests-before)
+	}
+}
+
+// TestCollectAfterMailDelivery: a journey whose result a dispatch
+// answer's mail delivered is over on the device; collecting it says so
+// instead of calling the agent unknown.
+func TestCollectAfterMailDelivery(t *testing.T) {
+	f, _, _ := newTappedFixture(t)
+	ctx := context.Background()
+	id, err := f.plat.Dispatch(ctx, "echo", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds := f.plat.ReadHeldMail(); len(ds) != 1 || ds[0].AgentID != id || ds[0].Result == nil {
+		t.Fatalf("held mail delivered %+v, want the result of %s", ds, id)
+	}
+	if _, err := f.plat.Collect(ctx, id); !errors.Is(err, ErrDelivered) {
+		t.Fatalf("collect after delivery: %v, want ErrDelivered", err)
+	}
+	if _, err := f.plat.Collect(ctx, "ag-never"); err == nil || errors.Is(err, ErrDelivered) {
+		t.Fatalf("collect of a journey never dispatched: %v, want unknown agent", err)
+	}
+}
+
+// TestRepairCollectClosesUnknownJourney: a journey the gateway no
+// longer knows (here lost with a journal-less restart; a journey
+// retired past the gateway's cap answers the same 404) is closed by the
+// session's repair collect with one status note, and later sessions
+// stop probing it. A mailbox copy of its result arriving afterwards is
+// still delivered.
+func TestRepairCollectClosesUnknownJourney(t *testing.T) {
+	f, tap, mbx := newTappedFixture(t)
+	ctx := context.Background()
+	lost, err := f.plat.Dispatch(ctx, "slow", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.startGateway(t, mbx)
+	s, err := f.plat.OpenSession(ctx)
+	if err != nil || len(s.Deliveries) != 1 || s.Deliveries[0].Kind != push.KindStatus || s.Deliveries[0].AgentID != lost {
+		t.Fatalf("session delivered %+v, %v; want one status note for %s", s, err, lost)
+	}
+	if p := f.plat.Pending(); len(p) != 0 {
+		t.Fatalf("%v still pending", p)
+	}
+	before := tap.requests
+	if s, err := f.plat.OpenSession(ctx); err != nil || len(s.Deliveries) != 0 || tap.requests-before != 1 {
+		t.Fatalf("next session delivered %+v, %v in %d request(s); want nothing in the poll alone", s, err, tap.requests-before)
+	}
+	doc, err := (&wire.ResultDocument{AgentID: lost, CodeID: "slow", Owner: "test-dev", Status: "done"}).EncodeXML()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := f.gw.Mailbox().Enqueue("test-dev", push.KindResult, lost, "result:"+lost, doc); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := f.plat.OpenSession(ctx); err != nil || len(s.Deliveries) != 1 || s.Deliveries[0].Result == nil || s.Deliveries[0].AgentID != lost {
+		t.Fatalf("late mail delivered %+v, %v; want the result of %s", s, err, lost)
 	}
 }

@@ -75,15 +75,17 @@ type Config struct {
 	// included.
 	Peers []string
 	// Documents is the File Directory backing store (default: an
-	// in-memory rms store).
+	// in-memory rms store). It holds the result documents of the
+	// newest mas.MaxRetired finished journeys; an older one is deleted
+	// with its registry entry.
 	Documents rms.Store
 	// Journal is the embedded home MAS's write-ahead agent journal (see
 	// mas.Config.Journal; default in memory). A durable one lets
-	// resident agents survive a gateway restart: the embedder runs
-	// MAS().Resume after it. A failed transfer parks its agent either
-	// way, so the embedder runs MAS().RunUpkeep (a simulation calls
-	// RetryParked in virtual time). With Repl it streams to the standby,
-	// durable or not.
+	// journeys survive a gateway restart: the embedder runs Resume
+	// after it. A failed transfer parks its agent either way, so the
+	// embedder runs Upkeep (a simulation calls RetryParked in virtual
+	// time). With Repl it streams to the standby, durable or
+	// not.
 	Journal rms.Store
 	// FuelSlice overrides the MAS execution slice.
 	FuelSlice uint64
@@ -161,8 +163,6 @@ type Gateway struct {
 	// relays counts result relays handed to Spawn and not finished yet;
 	// Drain waits for them as it does for resident agents.
 	relays atomic.Int64
-	// resultsSwept counts result documents reclaimed by the TTL sweep.
-	resultsSwept atomic.Uint64
 	// Mailbox entries handed to devices, by the answer that carried them:
 	// a dispatch's, a read that waited, a read that did not.
 	mailDispatch, mailPoll, mailFetch atomic.Uint64
@@ -263,7 +263,7 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g := &Gateway{
 		cfg:            cfg,
-		reg:            NewRegistry(),
+		reg:            NewRegistry(cfg.Documents),
 		out:            newOutbound(cfg.OutboundWorkers, cfg.Logf),
 		progs:          progcache.New(0),
 		hub:            hub,
@@ -371,6 +371,35 @@ func (g *Gateway) Registry() *Registry { return g.reg }
 
 // PublicKey returns the gateway's public key.
 func (g *Gateway) PublicKey() *pisec.PublicKey { return g.cfg.KeyPair.Public() }
+
+// Upkeep is one round of the gateway's periodic duties: the embedded
+// MAS's (parked-transfer retries, journal compaction) and the mailbox
+// TTL sweep. A daemon runs it every mas.DefaultUpkeepInterval
+// (mas.Every).
+func (g *Gateway) Upkeep(ctx context.Context) {
+	g.mas.Upkeep(ctx)
+	if n := g.hub.SweepExpired(); n > 0 {
+		g.logf("gateway %s: expired %d mailbox entr(ies)", g.cfg.Addr, n)
+	}
+}
+
+// Resume continues the journeys the embedded MAS's journal kept (see
+// mas.Server.Resume) and files the open ones in the registry again, so
+// a restarted gateway answers for an agent still away as travelling,
+// not as unknown. New agent ids continue past every id the journal and
+// the mailboxes remember. It returns the journeys set in motion.
+func (g *Gateway) Resume(ctx context.Context) (int, error) {
+	n, err := g.mas.Resume(ctx)
+	if err != nil {
+		return n, err
+	}
+	skip := g.reg.SkipIDs(g.cfg.Addr)
+	g.hub.EventIDs(skip)
+	g.mas.Journeys(skip, func(id, codeID, owner, tenant string) {
+		g.reg.CreateAgent(id, codeID, owner, tenant, "", "")
+	})
+	return n, nil
+}
 
 // Close wakes parked mailbox long-polls and fails every outbound call
 // (chase, management verb, mailbox pull) that is waiting for a slot or
@@ -487,8 +516,8 @@ func (g *Gateway) onAgentHome(ctx context.Context, a *mas.Arrival) error {
 	// Spawn: a best-effort push must not hold a dispatch's answer, and
 	// an edge that hears the result before the forward's answer adopts
 	// it early (CompleteAgent, then CreateAgent merges).
-	origin, _ := g.reg.Origin(rd.AgentID)
-	relay := g.cfg.Cluster != nil && origin != "" && origin != g.cfg.Addr
+	st, _ := g.reg.Agent(rd.AgentID)
+	relay := g.cfg.Cluster != nil && st.Origin != "" && st.Origin != g.cfg.Addr
 	if err := g.fileResult(rd, doc, "result", !relay); err != nil {
 		return err
 	}
@@ -498,7 +527,7 @@ func (g *Gateway) onAgentHome(ctx context.Context, a *mas.Arrival) error {
 		g.relays.Add(1)
 		g.cfg.Spawn(func() {
 			defer g.relays.Add(-1)
-			g.relayResult(rctx, origin, rd, doc)
+			g.relayResult(rctx, st.Origin, rd, doc)
 		})
 	}
 	return nil
@@ -827,11 +856,13 @@ func agentAnswer(agentID string) *transport.Response {
 	return resp
 }
 
+// handleResult serves a result document. 404 means the agent is
+// unknown here: never dispatched, or retired past mas.MaxRetired.
 func (g *Gateway) handleResult(ctx context.Context, req *transport.Request) *transport.Response {
 	agentID := req.GetHeader("agent")
 	st, ok := g.reg.Agent(agentID)
 	if !ok {
-		return transport.Errorf(transport.StatusNotFound, "unknown agent %q", agentID)
+		return transport.Errorf(transport.StatusNotFound, "unknown agent %q (never dispatched here, or retired)", agentID)
 	}
 	if !st.Done {
 		if st.Gone {

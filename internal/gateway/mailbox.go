@@ -47,50 +47,10 @@ type MailboxConfig struct {
 	// Quota bounds each device's pending entries (default
 	// push.DefaultQuota).
 	Quota int
-	// ResultTTL expires stored result documents from the gateway's File
-	// Directory once collectable for this long (0 = keep forever). The
-	// Sweep method enforces it together with the mailbox TTL.
-	ResultTTL time.Duration
 }
 
 // Mailbox exposes the gateway's mailbox hub (tests, metrics).
 func (g *Gateway) Mailbox() *push.Hub { return g.hub }
-
-// ResultsSwept reports how many result documents the TTL sweeper has
-// reclaimed from the File Directory.
-func (g *Gateway) ResultsSwept() uint64 { return g.resultsSwept.Load() }
-
-// Sweep runs one retention pass: result documents collectable longer
-// than MailboxConfig.ResultTTL are deleted from the File Directory (the
-// agents flip to the terminal "expired" state), and mailbox entries
-// past their TTL are dropped. It returns the number of reclaimed result
-// documents and expired mailbox entries. Daemons drive it on a ticker;
-// simulations call it directly.
-func (g *Gateway) Sweep() (results, mailbox int) {
-	if ttl := g.cfg.Mailbox.ResultTTL; ttl > 0 {
-		for _, ex := range g.reg.ExpireResults(time.Now().Add(-ttl)) {
-			if ex.DocID != 0 {
-				_ = g.cfg.Documents.Delete(ex.DocID)
-			}
-			results++
-			// The owner may be offline: leave a status entry so the
-			// expiry is visible on the next session, not silent.
-			g.enqueueNote(ex.AgentID, "", push.KindStatus, "expired:"+ex.AgentID,
-				"result expired (retention TTL)")
-		}
-		g.resultsSwept.Add(uint64(results))
-		// Expired agents leave tombstones so a late status/result request
-		// answers "expired", not "unknown". Reclaim the tombstones
-		// themselves once well past any plausible client retry — without
-		// this the registry grows by every agent ever dispatched.
-		retain := goneTombstoneRetention * ttl
-		if retain < minGoneTombstoneRetention {
-			retain = minGoneTombstoneRetention
-		}
-		g.reg.PruneGone(time.Now().Add(-retain))
-	}
-	return results, g.hub.SweepExpired()
-}
 
 // enqueueResult files a completed journey's result document into the
 // owner's mailbox. Dedup key is the agent id: a crash-replayed arrival
@@ -293,15 +253,6 @@ const mailboxPullTimeout = 5 * time.Second
 // member, and the herd would take down exactly the node the fleet is
 // failing away from.
 const maxConcurrentMailboxPulls = 32
-
-// goneTombstoneRetention is how many ResultTTLs an expired agent's
-// registry tombstone outlives its result, covering stragglers that ask
-// about it long after expiry; minGoneTombstoneRetention floors it for
-// configs with very short ResultTTLs.
-const (
-	goneTombstoneRetention    = 4
-	minGoneTombstoneRetention = time.Minute
-)
 
 // pullMailboxFrom migrates a device's mailbox from the member it
 // previously talked to, with two layers of thundering-herd

@@ -265,46 +265,6 @@ func TestMailboxSurvivesGatewayRestart(t *testing.T) {
 	}
 }
 
-// TestResultTTLSweep: the shared sweeper reclaims expired result
-// documents from the File Directory, flips the agent to the terminal
-// expired state, and leaves a visible status note in the owner's
-// mailbox.
-func TestResultTTLSweep(t *testing.T) {
-	f := newMailboxFixture(t, &MailboxConfig{ResultTTL: time.Nanosecond})
-	f.addEcho(t)
-	agentID := dispatchEcho(t, f, "dev-1")
-	f.queue.Drain()
-
-	if n, _ := f.docs.NumRecords(); n != 1 {
-		t.Fatalf("documents before sweep = %d, want the result alone", n)
-	}
-	time.Sleep(2 * time.Millisecond) // let the 1ns TTL elapse
-	results, _ := f.gw.Sweep()
-	if results != 1 || f.gw.ResultsSwept() != 1 {
-		t.Fatalf("sweep reclaimed %d (counter %d), want 1", results, f.gw.ResultsSwept())
-	}
-	if n, _ := f.docs.NumRecords(); n != 0 {
-		t.Fatalf("documents after sweep = %d, want 0 (result reclaimed)", n)
-	}
-	// A second sweep finds nothing: expiry is terminal, not repeated.
-	if results, _ := f.gw.Sweep(); results != 0 {
-		t.Fatalf("second sweep reclaimed %d", results)
-	}
-
-	rreq := &transport.Request{Path: "/pdagent/result"}
-	rreq.SetHeader("agent", agentID)
-	resp, _ := f.tr.RoundTrip(context.Background(), "gw-t", rreq)
-	if resp.Status != transport.StatusGone {
-		t.Fatalf("expired result fetch: %d %s, want 410", resp.Status, resp.Text())
-	}
-
-	// The mailbox holds the original result entry plus the expiry note.
-	entries, _, _ := pollMailbox(t, f, "dev-1", 0)
-	if len(entries) != 2 || entries[0].Kind != push.KindResult || entries[1].Kind != push.KindStatus {
-		t.Fatalf("mailbox after sweep = %+v", entries)
-	}
-}
-
 // TestMailboxLongPollWakes: a parked long-poll marks the device
 // connected (presence) and wakes wait-free the instant mail arrives.
 func TestMailboxLongPollWakes(t *testing.T) {
@@ -625,10 +585,12 @@ func TestEchoJourneyFsyncBudget(t *testing.T) {
 			t.Fatalf("journey did not complete: %+v", st)
 		}
 		// The rest of the journey at the gateway: the departure record
-		// dropped on the site's ack, the homecoming's dedup tombstone —
-		// both trailing appends, durable with the journal's next commit.
-		if st := journal.Stats(); st.Fsyncs != 1 || st.TrailingOps != 2 {
-			t.Fatalf("one-hop journey cost the gateway %d journal fsyncs and %d trailing ops, want 1 and 2", st.Fsyncs, st.TrailingOps)
+		// replaced by its forwarding pointer on the site's ack, and the
+		// pointer by the homecoming's dedup tombstone — each an add and a
+		// delete in one trailing append, durable with the journal's next
+		// commit.
+		if st := journal.Stats(); st.Fsyncs != 1 || st.TrailingOps != 4 {
+			t.Fatalf("one-hop journey cost the gateway %d journal fsyncs and %d trailing ops, want 1 and 4", st.Fsyncs, st.TrailingOps)
 		}
 	})
 }
@@ -853,7 +815,7 @@ func TestMailboxAckRaces(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				f.gw.Sweep()
+				f.gw.Mailbox().SweepExpired()
 			}
 		}
 	}()

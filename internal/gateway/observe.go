@@ -119,9 +119,9 @@ func (g *Gateway) initObserve() {
 	m.GaugeFunc("pdagent_outbound_workers",
 		"Bound on concurrent outbound calls (OutboundWorkers).",
 		func() float64 { return float64(cap(g.out.slots)) })
-	m.GaugeFunc("pdagent_results_swept",
-		"Result documents reclaimed by the retention sweep since start.",
-		func() float64 { return float64(g.resultsSwept.Load()) })
+	m.GaugeFunc("pdagent_results_retired",
+		"Result documents deleted since start because the registry keeps at most mas.MaxRetired finished journeys.",
+		func() float64 { return float64(g.reg.docsRetired.Load()) })
 	m.GaugeFunc("pdagent_trace_spans",
 		"Spans recorded into the trace ring since start.",
 		func() float64 { return float64(g.trace.Total()) })

@@ -3,10 +3,12 @@ package gateway
 import (
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
+	"pdagent/internal/mas"
+	"pdagent/internal/rms"
 	"pdagent/internal/tenant"
 	"pdagent/internal/wire"
 )
@@ -22,6 +24,11 @@ const registryShards = 32
 // key or agent id) is hashed onto one of a fixed set of shards, each
 // with its own RWMutex — so requests touching unrelated agents or
 // subscriptions never contend.
+//
+// Finished agents (done or gone) retire by the MAS's rule: the
+// registry remembers at most mas.MaxRetired of them, and the oldest
+// leaves — its meta and its result document in docs together — when
+// one more finishes. Agents in flight are never retired.
 type Registry struct {
 	shards   []registryShard
 	agentSeq atomic.Uint64
@@ -31,6 +38,14 @@ type Registry struct {
 	// ledger splits the inFlight gauge by tenant (admission's quota and
 	// weighted-share input).
 	ledger *tenant.Ledger
+	// docs is the File Directory holding the result documents.
+	docs rms.Store
+	// retireMu guards retired, the FIFO of finished agent ids; it is
+	// never held with a shard lock.
+	retireMu sync.Mutex
+	retired  []string
+	// docsRetired counts result documents deleted by retirement.
+	docsRetired atomic.Uint64
 }
 
 // subEntry binds one subscription's dispatch secret to the tenant it
@@ -47,19 +62,13 @@ type registryShard struct {
 	secrets  map[string]subEntry     // subKey -> secret + owning tenant
 	dispatch map[string]*agentMeta   // agent id -> meta
 	replay   map[string]*nonceWindow // subKey -> recent dispatch nonces
-	// doneQ and goneQ are retention queues: agent ids in completion /
-	// tombstone order, so the TTL sweeps pop ripe entries from the
-	// front instead of scanning every dispatched agent the gateway has
-	// ever seen (stamps are taken under the shard lock, so each queue
-	// is monotone). Entries can go stale — the id re-completed, or was
-	// released first — and are re-checked against the meta when popped.
-	doneQ []string
-	goneQ []string
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	r := &Registry{shards: make([]registryShard, registryShards), ledger: tenant.NewLedger()}
+// NewRegistry returns an empty registry whose agents' result documents
+// live in docs.
+func NewRegistry(docs rms.Store) *Registry {
+	r := &Registry{shards: make([]registryShard, registryShards), ledger: tenant.NewLedger(),
+		docs: docs}
 	for i := range r.shards {
 		s := &r.shards[i]
 		s.catalog = map[string]catalogEntry{}
@@ -273,13 +282,6 @@ type agentMeta struct {
 	gone    bool // terminal without a result (disposed by owner)
 	docID   int  // record id of the result document in Documents
 	lastWhy string
-	// doneAt stamps when the result became collectable (drives the
-	// result-document TTL sweep).
-	doneAt time.Time
-	// goneAt stamps when the agent turned terminal-without-result, so
-	// the tombstone itself can be reclaimed once no client can
-	// plausibly still ask about it.
-	goneAt time.Time
 	// origin, on a clustered home gateway, is the edge member that
 	// forwarded the dispatch; the result document is relayed there.
 	origin string
@@ -311,6 +313,23 @@ func (r *Registry) NextAgentID(gatewayAddr string) string {
 	b = append(b, '-')
 	b = strconv.AppendUint(b, r.agentSeq.Add(1), 10)
 	return string(b)
+}
+
+// SkipIDs returns a func that raises the agent sequence past the id
+// NextAgentID(gatewayAddr) handed out that its argument names (an agent
+// id, or an event id such as "result:<agent>"), so a gateway restarted
+// over its stores never reissues an id they, or a host that dedups on
+// it, remember.
+func (r *Registry) SkipIDs(gatewayAddr string) func(string) {
+	prefix := "ag-" + gatewayAddr + "-"
+	return func(s string) {
+		if _, rest, ok := strings.Cut(s, prefix); ok {
+			if n, err := strconv.ParseUint(rest, 10, 64); err == nil {
+				for cur := r.agentSeq.Load(); n > cur && !r.agentSeq.CompareAndSwap(cur, n); cur = r.agentSeq.Load() {
+				}
+			}
+		}
+	}
 }
 
 // CreateAgent registers a dispatched agent, billed to tenantID (its
@@ -362,10 +381,11 @@ func (r *Registry) InFlight() int {
 }
 
 // CompleteAgent marks an agent's result as ready, adopting agents this
-// gateway never dispatched (e.g. clones created remotely) so their
-// owners can still collect. An agent completed twice keeps its first
-// document: the caller whose docID Agent does not report afterwards
-// withdraws its copy.
+// gateway never dispatched (e.g. clones created remotely, or an agent
+// retired before its result came back) so their owners can still
+// collect. An agent completed twice keeps its first document: the
+// caller whose docID Agent does not report afterwards withdraws its
+// copy.
 func (r *Registry) CompleteAgent(id, codeID, owner string, docID int, why string) {
 	s := r.shardFor(id)
 	s.mu.Lock()
@@ -374,113 +394,50 @@ func (r *Registry) CompleteAgent(id, codeID, owner string, docID int, why string
 		meta = &agentMeta{codeID: codeID, owner: owner}
 		s.dispatch[id] = meta
 	}
-	wasLive := ok && !meta.done && !meta.gone && meta.homeGW == ""
+	finishing := !meta.done && !meta.gone
+	wasLive := ok && finishing && meta.homeGW == ""
 	tenantID := meta.tenant
 	if !meta.done {
-		// First completion (or resurrection after expiry): queue for the
-		// retention sweep.
-		s.doneQ = append(s.doneQ, id)
 		meta.done = true
 		meta.docID = docID
 		meta.lastWhy = why
-		meta.doneAt = time.Now()
 	}
 	s.mu.Unlock()
 	if wasLive {
 		r.inFlight.Add(-1)
 		r.ledger.AddInFlight(tenantID, -1)
 	}
-}
-
-// ExpiredResult names the storage still held by one expired agent.
-type ExpiredResult struct {
-	AgentID string
-	DocID   int // result document record id
-}
-
-// ExpireResults retires every completed agent whose result became
-// collectable at or before cutoff: the agent flips to the terminal
-// "gone" state (result requests answer StatusGone with the reason) and
-// result document ids are returned so the caller can delete them from the
-// File Directory. Uncompleted and already-expired agents are untouched.
-// Cost is O(expired), not O(agents): each shard pops ripe entries from
-// the front of its completion queue and stops at the first unripe one,
-// so a sweep over a million-agent registry with nothing to reclaim
-// touches nothing.
-func (r *Registry) ExpireResults(cutoff time.Time) []ExpiredResult {
-	var out []ExpiredResult
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		for len(s.doneQ) > 0 {
-			id := s.doneQ[0]
-			meta, ok := s.dispatch[id]
-			if ok && meta.done && meta.doneAt.After(cutoff) {
-				break // front not ripe; the queue is in doneAt order
-			}
-			s.doneQ = s.doneQ[1:]
-			if !ok || !meta.done {
-				continue // stale entry (released or pruned since queued)
-			}
-			out = append(out, ExpiredResult{AgentID: id, DocID: meta.docID})
-			meta.done = false
-			meta.gone = true
-			meta.goneAt = time.Now()
-			meta.docID = 0
-			meta.lastWhy = "result expired (retention TTL)"
-			s.goneQ = append(s.goneQ, id)
-		}
-		if len(s.doneQ) == 0 {
-			s.doneQ = nil // release the drained queue's backing array
-		}
-		s.mu.Unlock()
+	if finishing {
+		r.retire(id)
 	}
-	return out
 }
 
-// PruneGone deletes terminal "gone" agents whose tombstone is older
-// than cutoff, returning how many were removed. Tombstones exist so a
-// late result request answers "expired" instead of "unknown"; once no
-// client can plausibly still ask, keeping them would grow the registry
-// by every agent ever dispatched. O(pruned) via the per-shard
-// tombstone queue.
-func (r *Registry) PruneGone(cutoff time.Time) int {
-	n := 0
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		for len(s.goneQ) > 0 {
-			id := s.goneQ[0]
-			meta, ok := s.dispatch[id]
-			if ok && meta.gone && meta.goneAt.After(cutoff) {
-				break // front not ripe; the queue is in goneAt order
-			}
-			s.goneQ = s.goneQ[1:]
-			if !ok || !meta.gone || meta.done {
-				continue // stale entry (resurrected by a late completion)
-			}
-			delete(s.dispatch, id)
-			n++
-		}
-		if len(s.goneQ) == 0 {
-			s.goneQ = nil
-		}
-		s.mu.Unlock()
+// retire files a newly finished agent at the back of the FIFO and,
+// past mas.MaxRetired, forgets the agent at its front: the meta and
+// the result document go in one step. Each finished id is filed once,
+// so an id is never in the FIFO twice.
+func (r *Registry) retire(id string) {
+	r.retireMu.Lock()
+	r.retired = append(r.retired, id)
+	var old string
+	if len(r.retired) > mas.MaxRetired {
+		old = r.retired[0]
+		r.retired[0] = ""
+		r.retired = r.retired[1:]
 	}
-	return n
-}
-
-// Origin returns the routing metadata of one agent: the edge member
-// that forwarded its dispatch (if any).
-func (r *Registry) Origin(id string) (origin string, ok bool) {
-	s := r.shardFor(id)
-	s.mu.RLock()
-	meta, ok := s.dispatch[id]
-	if ok {
-		origin = meta.origin
+	r.retireMu.Unlock()
+	if old == "" {
+		return
 	}
-	s.mu.RUnlock()
-	return origin, ok
+	s := r.shardFor(old)
+	s.mu.Lock()
+	meta := s.dispatch[old]
+	delete(s.dispatch, old)
+	s.mu.Unlock()
+	if meta != nil && meta.docID != 0 {
+		_ = r.docs.Delete(meta.docID)
+		r.docsRetired.Add(1)
+	}
 }
 
 // Agent returns the status snapshot for one agent id.
@@ -497,16 +454,6 @@ func (r *Registry) Agent(id string) (AgentStatus, bool) {
 	return st, ok
 }
 
-// KnownAgent reports whether the agent id was ever dispatched or
-// adopted here.
-func (r *Registry) KnownAgent(id string) bool {
-	s := r.shardFor(id)
-	s.mu.RLock()
-	_, ok := s.dispatch[id]
-	s.mu.RUnlock()
-	return ok
-}
-
 // ReleaseAgent marks a known agent terminal without a result (disposed
 // by its owner, or its admission failed), recording why; false for an
 // unknown agent.
@@ -518,18 +465,18 @@ func (r *Registry) ReleaseAgent(id, why string) bool {
 		s.mu.Unlock()
 		return false
 	}
-	wasLive := !meta.done && !meta.gone && meta.homeGW == ""
+	finishing := !meta.done && !meta.gone
+	wasLive := finishing && meta.homeGW == ""
 	tenantID := meta.tenant
-	if !meta.gone {
-		meta.goneAt = time.Now()
-		s.goneQ = append(s.goneQ, id)
-	}
 	meta.gone = true
 	meta.lastWhy = why
 	s.mu.Unlock()
 	if wasLive {
 		r.inFlight.Add(-1)
 		r.ledger.AddInFlight(tenantID, -1)
+	}
+	if finishing {
+		r.retire(id)
 	}
 	return true
 }

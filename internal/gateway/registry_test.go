@@ -24,7 +24,7 @@ import (
 // visible afterwards. Run under -race this also proves the striping is
 // data-race free.
 func TestRegistryConcurrentDispatchNoLoss(t *testing.T) {
-	reg := NewRegistry()
+	reg := NewRegistry(rms.NewMemStore("docs", 0))
 	const goroutines = 16
 	const perG = 200
 	for i := 0; i < goroutines; i++ {
@@ -84,7 +84,7 @@ func TestRegistryConcurrentDispatchNoLoss(t *testing.T) {
 // TestRegistryNonceSingleAcceptance races many goroutines on the SAME
 // nonce: exactly one must win.
 func TestRegistryNonceSingleAcceptance(t *testing.T) {
-	reg := NewRegistry()
+	reg := NewRegistry(rms.NewMemStore("docs", 0))
 	reg.SetSecret("app.echo", "dev-1", []byte("s"), tenant.DefaultID)
 	for round := 0; round < 50; round++ {
 		nonce := fmt.Sprintf("contested-%d", round)
@@ -111,7 +111,7 @@ func TestRegistryNonceSingleAcceptance(t *testing.T) {
 }
 
 func TestRegistryReleaseAgent(t *testing.T) {
-	reg := NewRegistry()
+	reg := NewRegistry(rms.NewMemStore("docs", 0))
 	if reg.ReleaseAgent("ghost", "x") {
 		t.Fatal("released unknown agent")
 	}
@@ -132,7 +132,7 @@ func TestRegistryReleaseAgent(t *testing.T) {
 }
 
 func TestRegistryAdoptClone(t *testing.T) {
-	reg := NewRegistry()
+	reg := NewRegistry(rms.NewMemStore("docs", 0))
 	if reg.AdoptClone("ghost", "clone-1") {
 		t.Fatal("adopted clone of unknown agent")
 	}
@@ -556,5 +556,19 @@ func TestGatewayConcurrentStatusChase(t *testing.T) {
 	}
 	if resp.Status != transport.StatusServerError {
 		t.Fatalf("status after Close = %d %s, want %d", resp.Status, resp.Text(), transport.StatusServerError)
+	}
+}
+
+// TestSkipIDs: the sequence moves past every id of this gateway that an
+// argument names, agent or event id, and ignores the rest.
+func TestSkipIDs(t *testing.T) {
+	reg := NewRegistry(rms.NewMemStore("docs", 0))
+	skip := reg.SkipIDs("gw-0")
+	for _, s := range []string{"ag-gw-0-3", "result:ag-gw-0-12", "ag-gw-1-99", "ag-gw-0-5",
+		"clone:ag-gw-0-40-c1", "ag-gw-0-184467440737095516160"} {
+		skip(s)
+	}
+	if id := reg.NextAgentID("gw-0"); id != "ag-gw-0-13" {
+		t.Fatalf("next id after the skips = %s, want ag-gw-0-13", id)
 	}
 }

@@ -322,7 +322,16 @@ func TestArrivalFaults(t *testing.T) {
 		if got := w.servers["bank-a"].AgentStates()["ag-hr"]; got != StateParked {
 			t.Fatalf("sender state = %q, want parked on its journaled copy", got)
 		}
-		empty(t, w.servers["gw-0"], cs, "ag-hr")
+		// Of the refused homecoming nothing is left at home: its journal
+		// still holds only the departure's forwarding pointer.
+		home := w.servers["gw-0"]
+		home.mu.Lock()
+		_, reserved := home.pending["ag-hr"]
+		_, marked := home.accepted["ag-hr"]
+		home.mu.Unlock()
+		if e := soleEntry(t, cs); reserved || marked || e.State != StateDeparted || e.Target != "bank-a" {
+			t.Fatalf("refused homecoming left reserved %v, watermark %v, journal %+v", reserved, marked, e)
+		}
 		w.mu.Lock()
 		w.refuseHome = nil
 		w.mu.Unlock()

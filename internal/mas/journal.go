@@ -36,7 +36,9 @@ import (
 //
 // target/kind are non-empty only while a transfer is pending (the
 // agent suspended at migrate, or parked after a failed transfer); they
-// tell Resume where the retry must go. The watermark persists the
+// tell Resume where the retry must go — except in the tombstone of an
+// agent departed from its home, where target is where it went (the
+// forwarding pointer Resume restores). The watermark persists the
 // receiver-side dedup key (agent id + hop counter) across restarts, so
 // a sender retrying a transfer the dead server had already accepted
 // gets an idempotent commit-ack instead of landing a second copy.

@@ -724,12 +724,12 @@ func TestTombstoneReplaceIsOneCommit(t *testing.T) {
 	}
 }
 
-// TestTombstoneEvictionTrails: past maxRetired every retirement also
+// TestTombstoneEvictionTrails: past MaxRetired every retirement also
 // forgets the oldest retiree, and its journal drop is a trailing append
 // like the tombstone that pushed it out — a waited Delete would be a
 // second fsync per retirement for the rest of the daemon's life. The
 // ring is filled the way a restart fills it: Resume retires a journal of
-// maxRetired tombstones in record-id order.
+// MaxRetired tombstones in record-id order.
 func TestTombstoneEvictionTrails(t *testing.T) {
 	wal, err := rms.OpenWALStore(filepath.Join(t.TempDir(), "journal.wal"), rms.WALOptions{})
 	if err != nil {
@@ -740,7 +740,7 @@ func TestTombstoneEvictionTrails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < maxRetired; i++ {
+	for i := 0; i < MaxRetired; i++ {
 		tomb := &journalEntry{Image: atp.Image{AgentID: fmt.Sprintf("ag-%d", i), Home: "gw-0"}, State: StateDelivered, Watermark: 1}
 		if err := jr.put(tomb); err != nil {
 			t.Fatal(err)
@@ -757,7 +757,7 @@ func TestTombstoneEvictionTrails(t *testing.T) {
 	// are not the journal's.
 	commits := func() uint64 { return wal.Fsyncs() - wal.Stats().TrailingSyncs }
 	before, ops := commits(), wal.Stats().TrailingOps
-	for i := maxRetired; i < maxRetired+3; i++ {
+	for i := MaxRetired; i < MaxRetired+3; i++ {
 		id := fmt.Sprintf("ag-%d", i)
 		body, _, _ := imageAtMigrate(t, id, `migrate("gw-0"); deliver("x", 1);`, -1)
 		req := &transport.Request{Path: "/atp/transfer", Body: body}
@@ -765,14 +765,14 @@ func TestTombstoneEvictionTrails(t *testing.T) {
 		if resp := srv.Handler().Serve(context.Background(), req); !resp.IsOK() {
 			t.Fatalf("homecoming %s: %d %s", id, resp.Status, resp.Text())
 		}
-		if _, ok := srv.accepted[fmt.Sprintf("ag-%d", i-maxRetired)]; ok {
-			t.Fatalf("retirement %d kept the oldest watermark, ag-%d", i, i-maxRetired)
+		if _, ok := srv.accepted[fmt.Sprintf("ag-%d", i-MaxRetired)]; ok {
+			t.Fatalf("retirement %d kept the oldest watermark, ag-%d", i, i-MaxRetired)
 		}
 	}
 	if got, appended := commits()-before, wal.Stats().TrailingOps-ops; got != 0 || appended != 6 {
 		t.Fatalf("3 retirements over the cap cost %d fsyncs in %d trailing ops, want 0 in 6 (tombstone + eviction each)", got, appended)
 	}
-	if n, _ := wal.NumRecords(); n != maxRetired {
-		t.Fatalf("journal holds %d records, want the cap %d", n, maxRetired)
+	if n, _ := wal.NumRecords(); n != MaxRetired {
+		t.Fatalf("journal holds %d records, want the cap %d", n, MaxRetired)
 	}
 }

@@ -252,10 +252,12 @@ type Server struct {
 	logs     []string // ring of recent agent log lines
 }
 
-// maxRetired bounds the finished agents a server remembers — records,
-// dedup watermarks and journal tombstones alike. Retries arrive on
-// RetryParked/restart timescales, so a watermark's window is short.
-const maxRetired = 4096
+// MaxRetired bounds the finished agents a server remembers — records,
+// dedup watermarks and journal tombstones alike — and the finished
+// journeys a gateway's registry keeps with their result documents.
+// Retries arrive on RetryParked/restart timescales, so a watermark's
+// window is short.
+const MaxRetired = 4096
 
 // entryOutcomes labels pdagent_admit_total and pdagent_arrive_total:
 // what the first slice of an agent entering this server came to (see
@@ -1412,14 +1414,41 @@ func (s *Server) handleDispose(_ context.Context, req *transport.Request) *trans
 // RetireDisposed retires the departure record this home keeps for an
 // agent its owner disposed of away from home (the gateway's
 // /pdagent/manage/dispose): the homecoming that would replace it will
-// not come, so it joins the retirement ring like any finished agent.
+// not come, so it retires like any finished agent, and its journaled
+// pointer goes with it.
 func (s *Server) RetireDisposed(id string) {
 	s.mu.Lock()
 	rec := s.agents[id]
 	away := rec != nil && rec.home == s.cfg.Addr && rec.state == StateDeparted
 	s.mu.Unlock()
 	if away {
-		s.enring(id, rec)
+		s.retire(rec, StateDisposed)
+	}
+}
+
+// Journeys passes seen every agent id this server remembers — after
+// Resume, what its journal kept, retired ones included — and open each
+// agent homed here whose journey is not over: resident (running or
+// parked), or departed and not home yet.
+func (s *Server) Journeys(seen func(id string), open func(id, codeID, owner, tenant string)) {
+	s.mu.Lock()
+	ids := make([]string, 0, len(s.agents)+len(s.retired))
+	var homed []*record
+	for id, rec := range s.agents {
+		ids = append(ids, id)
+		if rec.home == s.cfg.Addr && (rec.state == StateRunning || rec.state == StateParked || rec.state == StateDeparted) {
+			homed = append(homed, rec)
+		}
+	}
+	for id := range s.retired {
+		ids = append(ids, id)
+	}
+	s.mu.Unlock()
+	for _, id := range ids {
+		seen(id)
+	}
+	for _, rec := range homed { // identity fields, fixed before a record is published
+		open(rec.id, rec.codeID, rec.owner, rec.tenant)
 	}
 }
 
@@ -1492,26 +1521,37 @@ func (s *Server) journalPut(rec *record, target, kind string) error {
 // here (departed, delivered, disposed). Its journal entry shrinks to a
 // dedup tombstone — the watermark must outlive the resident copy, or a
 // sender's retry after a crash would land a second copy — or, without a
-// watermark, is dropped. An agent finished here (not departed from its
-// home, whose record stays as the first forwarding pointer until the
-// homecoming replaces it) then joins the retirement ring.
+// watermark, is dropped. A departure from its home keeps its tombstone,
+// watermark or not, naming where the agent went: the record stays as the
+// first forwarding pointer until the homecoming replaces it, and Resume
+// restores it, so a restarted home still knows the journey. Any other
+// retiree then joins the retirement ring.
 func (s *Server) retire(rec *record, st AgentState) {
+	away := st == StateDeparted && rec.home == s.cfg.Addr
 	s.mu.Lock()
 	wm, ok := s.accepted[rec.id]
+	movedTo := rec.movedTo
 	s.mu.Unlock()
+	if !ok {
+		wm = -1
+	}
 	var err error
-	if ok {
-		err = s.jr.put(&journalEntry{
+	if ok || away {
+		e := &journalEntry{
 			Image:  atp.Image{AgentID: rec.id, Home: rec.home, CodeID: rec.codeID, Owner: rec.owner},
 			Tenant: rec.tenant, State: st, Watermark: wm,
-		})
+		}
+		if away {
+			e.Target = movedTo
+		}
+		err = s.jr.put(e)
 	} else {
 		err = s.jr.drop(rec.id)
 	}
 	if err != nil {
 		s.logf("mas %s: retiring journal entry for %s: %v", s.cfg.Addr, rec.id, err)
 	}
-	if st != StateDeparted || rec.home != s.cfg.Addr {
+	if !away {
 		s.enring(rec.id, rec)
 	}
 }
@@ -1536,14 +1576,14 @@ func (s *Server) unretireLocked(id string) bool {
 
 // enring retires id into the ring if rec is still its record (nil: a
 // tombstone re-read with no record) and forgets the oldest retirees past
-// maxRetired.
+// MaxRetired.
 func (s *Server) enring(id string, rec *record) {
 	s.mu.Lock()
 	if s.agents[id] == rec {
 		s.unretireLocked(id)
 		s.retired[id] = s.ring.PushBack(id)
 	}
-	for s.ring.Len() > maxRetired {
+	for s.ring.Len() > MaxRetired {
 		el := s.ring.Front()
 		old := el.Value.(string)
 		s.mu.Unlock()
@@ -1605,6 +1645,12 @@ func (s *Server) Upkeep(ctx context.Context) int {
 
 // RunUpkeep runs Upkeep every interval until ctx ends.
 func (s *Server) RunUpkeep(ctx context.Context, every time.Duration) {
+	Every(ctx, every, func(ctx context.Context) { s.Upkeep(ctx) })
+}
+
+// Every runs fn every interval until ctx ends: a daemon's one periodic
+// loop.
+func Every(ctx context.Context, every time.Duration, fn func(context.Context)) {
 	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
@@ -1612,7 +1658,7 @@ func (s *Server) RunUpkeep(ctx context.Context, every time.Duration) {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			s.Upkeep(ctx)
+			fn(ctx)
 		}
 	}
 }
@@ -1661,15 +1707,25 @@ func (s *Server) Resume(ctx context.Context) (int, error) {
 	ctx = context.WithoutCancel(ctx)
 	resumed := 0
 	for _, e := range entries {
-		if e.tombstone() {
-			// Dedup bookkeeping only: restore the watermark so retried
-			// handoffs the dead server had accepted stay idempotent, and
-			// retire it again, in record-id order, so the cap holds.
-			s.mergeWatermark(e.Image.AgentID, e.Watermark)
-			s.enring(e.Image.AgentID, nil)
-			continue
-		}
-		if s.resumeEntry(ctx, e, true) {
+		// The watermark first: retried handoffs the dead server had
+		// accepted stay idempotent.
+		id := e.Image.AgentID
+		s.mergeWatermark(id, e.Watermark)
+		switch {
+		case e.State == StateDeparted && e.Image.Home == s.cfg.Addr:
+			// A journey away from home: its forwarding pointer comes
+			// back, not retired, until the homecoming replaces it.
+			s.mu.Lock()
+			if _, exists := s.agents[id]; !exists {
+				s.agents[id] = &record{id: id, home: e.Image.Home, codeID: e.Image.CodeID,
+					owner: e.Image.Owner, tenant: e.Tenant, state: StateDeparted, movedTo: e.Target}
+			}
+			s.mu.Unlock()
+		case e.tombstone():
+			// Dedup bookkeeping only: retire it again, in record-id
+			// order, so the cap holds.
+			s.enring(id, nil)
+		case s.resumeEntry(ctx, e, true):
 			resumed++
 		}
 	}
@@ -1714,11 +1770,6 @@ func (s *Server) resumeEntry(ctx context.Context, e *journalEntry, journaled boo
 		return false
 	}
 	s.putLocked(rec)
-	if e.Watermark >= 0 {
-		if wm, ok := s.accepted[rec.id]; !ok || e.Watermark > wm {
-			s.accepted[rec.id] = e.Watermark
-		}
-	}
 	s.mu.Unlock()
 
 	switch {
@@ -1775,11 +1826,11 @@ func (s *Server) AdoptJournal(ctx context.Context, from string, store rms.Store)
 		if e.Image.Home == from {
 			e.Image.Home = s.cfg.Addr
 		}
+		s.mergeWatermark(id, e.Watermark)
 		s.mu.Lock()
 		_, resident := s.agents[id]
 		s.mu.Unlock()
 		if e.tombstone() {
-			s.mergeWatermark(id, e.Watermark)
 			// Persist the acceptance evidence unless a live local entry
 			// would be clobbered by it, and retire it like our own.
 			if !resident {
@@ -1791,7 +1842,6 @@ func (s *Server) AdoptJournal(ctx context.Context, from string, store rms.Store)
 			continue
 		}
 		if resident {
-			s.mergeWatermark(id, e.Watermark)
 			continue
 		}
 		journaled := true

@@ -71,7 +71,7 @@ func TestHopAllocsPerOp(t *testing.T) {
 	txn := mavm.NewMap()
 	txn.MapEntries()["from"], txn.MapEntries()["to"], txn.MapEntries()["amount"] = mavm.Str("alice"), mavm.Str("bob"), mavm.Int(1)
 	params := map[string]mavm.Value{"transactions": mavm.NewList(txn, txn)}
-	ids := make([]string, 3*maxRetired)
+	ids := make([]string, 3*MaxRetired)
 	for i := range ids {
 		ids[i] = "ag-" + strconv.Itoa(i)
 	}
@@ -88,7 +88,7 @@ func TestHopAllocsPerOp(t *testing.T) {
 		queue.Drain()
 	}
 	// Fill both retirement rings: a journey then also evicts the oldest.
-	for next < maxRetired+10 {
+	for next < MaxRetired+10 {
 		journey()
 	}
 	if bal, _ := bank.Balance("bob"); bal != int64(next) {

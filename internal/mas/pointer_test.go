@@ -61,7 +61,7 @@ func TestRetryParkedTouchesOnlyParked(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := netsim.WithClock(context.Background(), netsim.NewClock())
-	for i := 0; i < maxRetired; i++ {
+	for i := 0; i < MaxRetired; i++ {
 		vm, err := mavm.New(prog, fmt.Sprintf("ag-r%d", i), nil)
 		if err != nil {
 			t.Fatal(err)
@@ -78,8 +78,8 @@ func TestRetryParkedTouchesOnlyParked(t *testing.T) {
 	s.mu.Lock()
 	retired, records, parked := s.ring.Len(), len(s.agents), len(s.parked)
 	s.mu.Unlock()
-	if retired != maxRetired || records != maxRetired+1 || parked != 1 {
-		t.Fatalf("%d retired, %d records, %d parked; want %d, %d, 1", retired, records, parked, maxRetired, maxRetired+1)
+	if retired != MaxRetired || records != MaxRetired+1 || parked != 1 {
+		t.Fatalf("%d retired, %d records, %d parked; want %d, %d, 1", retired, records, parked, MaxRetired, MaxRetired+1)
 	}
 	if n := s.RetryParked(ctx); n != 1 {
 		t.Fatalf("RetryParked started %d retries, want 1", n)

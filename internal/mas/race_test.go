@@ -157,7 +157,7 @@ func (s *tailStore) crashed() *tailStore {
 }
 
 // TestLostRetirementIsReshippedAndAnswered: a retirement write (the
-// sender's tombstone, the gateway's drop, the homecoming's tombstone) is
+// sender's tombstone, the gateway's pointer, the homecoming's tombstone) is
 // a trailing append, so a server killed before its next commit restarts
 // over a journal that still holds the live entry. That is the state
 // "crashed between the receiver's OK and the tombstone write": Resume
@@ -242,12 +242,13 @@ func TestLostRetirementIsReshippedAndAnswered(t *testing.T) {
 			t.Fatalf("arrivals = %d before any crash, want 1", got)
 		}
 		// The gateway's journal has waited for one write, the admission's
-		// record; its drop and the homecoming's tombstone die with it, and
+		// record; the departure's pointer and the homecoming's tombstone
+		// (each an add and a delete) die with it, and
 		// so does bank B's tombstone. The gateway re-ships to bank A (a
 		// duplicate there); bank B re-ships home, where no watermark is
 		// left to answer it: the home side takes the same agent's result a
 		// second time and its intake, keyed by agent id, files it once.
-		killLosingTail(ctx, w, "gw-0", 2, 1)   // drop, homecoming tombstone
+		killLosingTail(ctx, w, "gw-0", 4, 1)   // departure pointer, homecoming tombstone
 		killLosingTail(ctx, w, "bank-b", 2, 1) // tombstone + delete
 		w.queue.Drain()
 		w.mu.Lock()

@@ -13,7 +13,7 @@ import (
 	"pdagent/internal/transport"
 )
 
-// TestRetirementBoundsEveryServer: a server remembers at most maxRetired
+// TestRetirementBoundsEveryServer: a server remembers at most MaxRetired
 // finished agents — records, dedup watermarks and journal tombstones —
 // whether it journals to a WAL, to memory or not at all. Three times the
 // cap of zero-hop admissions finished at home and of one-hop round trips
@@ -39,7 +39,7 @@ func TestRetirementBoundsEveryServer(t *testing.T) {
 			}
 			ctx := netsim.WithClock(context.Background(), netsim.NewClock())
 			homecomings := 0
-			for i := 0; i < 3*maxRetired; i++ {
+			for i := 0; i < 3*MaxRetired; i++ {
 				w.admit(ctx, `deliver("x", 1);`, fmt.Sprintf("ag-z%d", i), nil)
 				w.admit(ctx, `migrate("bank-a"); deliver("x", 1);`, fmt.Sprintf("ag-r%d", i), nil)
 				w.queue.Drain()
@@ -48,7 +48,7 @@ func TestRetirementBoundsEveryServer(t *testing.T) {
 				w.arrivals = w.arrivals[:0]
 				w.mu.Unlock()
 			}
-			if want := 6 * maxRetired; homecomings != want {
+			if want := 6 * MaxRetired; homecomings != want {
 				t.Fatalf("%d results home, want %d", homecomings, want)
 			}
 			for addr, srv := range w.servers {
@@ -56,9 +56,9 @@ func TestRetirementBoundsEveryServer(t *testing.T) {
 				srv.mu.Lock()
 				records, accepted := len(srv.agents), len(srv.accepted)
 				srv.mu.Unlock()
-				if records != maxRetired+residents || accepted > maxRetired+residents {
+				if records != MaxRetired+residents || accepted > MaxRetired+residents {
 					t.Errorf("%s: %d records and %d watermarks with %d residents; want %d records, ≤ %d watermarks",
-						addr, records, accepted, residents, maxRetired+residents, maxRetired+residents)
+						addr, records, accepted, residents, MaxRetired+residents, MaxRetired+residents)
 				}
 				if srv.jr == nil {
 					continue
@@ -73,8 +73,8 @@ func TestRetirementBoundsEveryServer(t *testing.T) {
 						tombs++
 					}
 				}
-				if tombs > maxRetired || len(entries) != tombs {
-					t.Errorf("%s: journal holds %d entries, %d of them tombstones; want tombstones alone, ≤ %d", addr, len(entries), tombs, maxRetired)
+				if tombs > MaxRetired || len(entries) != tombs {
+					t.Errorf("%s: journal holds %d entries, %d of them tombstones; want tombstones alone, ≤ %d", addr, len(entries), tombs, MaxRetired)
 				}
 			}
 		})
@@ -129,7 +129,7 @@ func TestDisposeForgetsWatermark(t *testing.T) {
 // holds the victim's stripe from its check to its drop — and the cap
 // holds throughout. Run under -race.
 func TestEvictionRacesReArrival(t *testing.T) {
-	const senders, each, lag = 4, 1500, maxRetired / 4
+	const senders, each, lag = 4, 1500, MaxRetired / 4
 	srv, err := NewServer(Config{
 		Addr: "gw-0", Codec: atp.AgletsCodec{}, Transport: &directTransport{},
 		Journal: rms.NewMemStore("journal-gw-0", 0),
@@ -201,7 +201,7 @@ func TestEvictionRacesReArrival(t *testing.T) {
 			t.Fatalf("re-arrived %s is %q, live journal entry %v; want parked and journaled", id, states[id], live[id])
 		}
 	}
-	if len(states) > maxRetired+len(again) || tombs > maxRetired {
-		t.Fatalf("%d records and %d tombstones with %d residents, want at most %d retired", len(states), tombs, len(again), maxRetired)
+	if len(states) > MaxRetired+len(again) || tombs > MaxRetired {
+		t.Fatalf("%d records and %d tombstones with %d residents, want at most %d retired", len(states), tombs, len(again), MaxRetired)
 	}
 }

@@ -1277,6 +1277,30 @@ func (h *Hub) Import(device string, entries []*Entry) (int, error) {
 	return n, nil
 }
 
+// EventIDs calls fn with every event id the mailboxes remember (their
+// dedup windows), so an embedder restarted over the store can keep the
+// ids it issues clear of them.
+func (h *Hub) EventIDs(fn func(id string)) {
+	h.mu.Lock()
+	boxes := make([]*mailbox, 0, len(h.boxes))
+	for _, mb := range h.boxes {
+		boxes = append(boxes, mb)
+	}
+	h.mu.Unlock()
+	var ids []string
+	for _, mb := range boxes {
+		mb.mu.Lock()
+		ids = ids[:0]
+		for id := range mb.dedup {
+			ids = append(ids, id)
+		}
+		mb.mu.Unlock()
+		for _, id := range ids {
+			fn(id)
+		}
+	}
+}
+
 // Devices lists every device with a mailbox, sorted.
 func (h *Hub) Devices() []string {
 	h.mu.Lock()
