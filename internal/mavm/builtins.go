@@ -117,15 +117,16 @@ func biLen(_ *VM, args []Value) (Value, error) {
 	}
 }
 
-func biPush(_ *VM, args []Value) (Value, error) {
+func biPush(vm *VM, args []Value) (Value, error) {
 	if args[0].Kind() != KindList {
 		return Nil(), argErr("push", fmt.Sprintf("want list, got %v", args[0].Kind()))
 	}
+	vm.detach()
 	args[0].list.Items = append(args[0].list.Items, args[1])
 	return args[0], nil
 }
 
-func biPop(_ *VM, args []Value) (Value, error) {
+func biPop(vm *VM, args []Value) (Value, error) {
 	if args[0].Kind() != KindList {
 		return Nil(), argErr("pop", fmt.Sprintf("want list, got %v", args[0].Kind()))
 	}
@@ -133,6 +134,7 @@ func biPop(_ *VM, args []Value) (Value, error) {
 	if len(items) == 0 {
 		return Nil(), argErr("pop", "empty list")
 	}
+	vm.detach()
 	last := items[len(items)-1]
 	args[0].list.Items = items[:len(items)-1]
 	return last, nil
@@ -216,10 +218,11 @@ func biHas(_ *VM, args []Value) (Value, error) {
 	}
 }
 
-func biDel(_ *VM, args []Value) (Value, error) {
+func biDel(vm *VM, args []Value) (Value, error) {
 	if args[0].Kind() != KindMap || args[1].Kind() != KindStr {
 		return Nil(), argErr("del", "want (map, str)")
 	}
+	vm.detach()
 	delete(args[0].MapEntries(), args[1].AsStr())
 	return Nil(), nil
 }
@@ -457,18 +460,24 @@ func biService(vm *VM, args []Value) (Value, error) {
 	if args[0].Kind() != KindStr {
 		return Nil(), argErr("service", "want str service name")
 	}
+	vm.detach() // a service may keep or change its arguments
 	return vm.host.CallService(args[0].AsStr(), args[1:])
 }
 
+// biDeliver records a result as the value stands now. It copies
+// nothing: the value is appended by reference, and detach copies it
+// before anything can change a container it shares with the agent (a
+// mutating builtin, a service call, a suspension). An agent that
+// delivers last and ends, as e-banking does, has its results taken home
+// uncopied. A cyclic or over-deep value still fails here.
 func biDeliver(vm *VM, args []Value) (Value, error) {
 	if args[0].Kind() != KindStr {
 		return Nil(), argErr("deliver", "want str key")
 	}
-	v, err := args[1].Clone()
-	if err != nil {
+	if err := args[1].checkDepth(0); err != nil {
 		return Nil(), err
 	}
-	vm.Results = append(vm.Results, Result{Key: args[0].AsStr(), Value: v})
+	vm.Results = append(vm.Results, Result{Key: args[0].AsStr(), Value: args[1]})
 	return Nil(), nil
 }
 

@@ -419,6 +419,7 @@ func UnmarshalState(prog *Program, data []byte) (*VM, error) {
 		}
 		vm.Results = append(vm.Results, Result{Key: k, Value: v})
 	}
+	vm.detached = len(vm.Results)
 	nFrames := r.uvarint()
 	if nFrames > maxFrameDepth {
 		return nil, fmt.Errorf("mavm: corrupt snapshot: %d frames", nFrames)

@@ -294,6 +294,29 @@ func (v Value) Clone() (Value, error) {
 	return v.cloneDepth(0)
 }
 
+// checkDepth fails as Clone does on a value nested deeper than
+// maxValueDepth, and copies nothing.
+func (v Value) checkDepth(depth int) error {
+	if depth > maxValueDepth {
+		return ErrValueTooDeep
+	}
+	switch v.kind {
+	case KindList:
+		for _, it := range v.list.Items {
+			if err := it.checkDepth(depth + 1); err != nil {
+				return err
+			}
+		}
+	case KindMap:
+		for _, it := range v.m.Entries {
+			if err := it.checkDepth(depth + 1); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 func (v Value) cloneDepth(depth int) (Value, error) {
 	if depth > maxValueDepth {
 		return Nil(), ErrValueTooDeep

@@ -86,8 +86,15 @@ type VM struct {
 	// Params are the user parameters carried from the Packed
 	// Information.
 	Params map[string]Value
-	// Results accumulates deliver() entries.
+	// Results accumulates deliver() entries, each as it stood at its
+	// deliver. A result shares no container with the agent's other
+	// values once detached: before the agent can next change a
+	// container (a mutating builtin or a service call) and whenever Run
+	// suspends it. A finished VM's results may still share containers
+	// with its globals, which nothing changes any more.
 	Results []Result
+	// detached counts the leading Results already detached.
+	detached int
 	// Hops counts completed migrations.
 	Hops int
 	// Steps counts ops executed over the agent's lifetime.
@@ -257,13 +264,29 @@ func (vm *VM) Run(host Host, fuel uint64) (Status, error) {
 			// already on the stack and pc points past the call, so the
 			// snapshot resumes cleanly at the destination.
 			vm.status = StatusMigrating
+			vm.detach()
 			return vm.status, nil
 		}
 		if vm.status == StatusDone {
 			return vm.status, nil
 		}
 	}
+	vm.detach()
 	return vm.status, ErrOutOfFuel
+}
+
+// detach deep-copies the results delivered since the last detach, so
+// that a change to a container they share with the agent leaves them
+// as delivered. A suspended VM is detached: its snapshot holds results
+// that share nothing, and UnmarshalState restores it detached.
+func (vm *VM) detach() {
+	for i := vm.detached; i < len(vm.Results); i++ {
+		// deliver checked the depth, and nothing changed the value since.
+		if v, err := vm.Results[i].Value.Clone(); err == nil {
+			vm.Results[i].Value = v
+		}
+	}
+	vm.detached = len(vm.Results)
 }
 
 // step executes a single decoded op. f is the current frame (pc already
@@ -613,12 +636,14 @@ func (vm *VM) setIndex(c, idx, val Value) error {
 		if i < 0 || i >= int64(len(items)) {
 			return vm.fail(fmt.Sprintf("list index %d out of range [0,%d)", i, len(items)))
 		}
+		vm.detach()
 		c.list.Items[i] = val
 		return nil
 	case KindMap:
 		if idx.Kind() != KindStr {
 			return vm.fail(fmt.Sprintf("map key must be str, got %v", idx.Kind()))
 		}
+		vm.detach()
 		c.MapEntries()[idx.AsStr()] = val
 		return nil
 	default:

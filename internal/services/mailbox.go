@@ -91,6 +91,13 @@ func (m *Mailbox) read(args []mavm.Value, drain bool) (mavm.Value, error) {
 	copy(out, msgs)
 	if drain {
 		delete(m.queues, topic)
+	} else {
+		// A kept message goes out as a copy, so that no reader's change
+		// reaches the queue, a later reader or a result another agent
+		// delivered. post cloned it once, so cloning cannot fail.
+		for i, msg := range msgs {
+			out[i], _ = msg.Clone()
+		}
 	}
 	return okResult("site", m.site, "topic", topic, "messages", mavm.NewList(out...)), nil
 }

@@ -92,3 +92,18 @@ func TestMailboxManyTopics(t *testing.T) {
 		t.Fatalf("topics = %d", got)
 	}
 }
+
+// TestMailboxPeekHandsOutCopies: a reader that changes a peeked message
+// changes its own copy only, not what the queue or a later reader holds.
+func TestMailboxPeekHandsOutCopies(t *testing.T) {
+	m := NewMailbox("hub")
+	r := NewRegistry()
+	r.Register(m.Services()...)
+	callOK(t, r, "mail.post", mavm.Str("t"), mavm.NewList(mavm.Int(1)))
+
+	first := callOK(t, r, "mail.peek", mavm.Str("t"))["messages"].ListItems()[0]
+	first.ListItems()[0] = mavm.Int(99)
+	if got := callOK(t, r, "mail.fetch", mavm.Str("t"))["messages"].ListItems()[0].String(); got != "[1]" {
+		t.Fatalf("a peeked message changed by its reader is fetched as %s", got)
+	}
+}

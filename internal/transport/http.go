@@ -52,9 +52,9 @@ func newHTTPHandler(h Handler, limit int64) http.Handler {
 }
 
 // readBody reads a whole body of at most limit bytes; declared is its
-// Content-Length, or -1. A longer body is errBodyTooLarge, read no
-// further than limit+1 bytes. The buffer grows with the bytes that
-// arrive, whatever was declared.
+// Content-Length, and r then ends after it, or -1. A longer body is
+// errBodyTooLarge, read no further than limit+1 bytes. The buffer grows
+// with the bytes that arrive, whatever was declared.
 func readBody(r io.Reader, declared, limit int64) ([]byte, error) {
 	if declared > limit {
 		return nil, errBodyTooLarge
@@ -63,9 +63,10 @@ func readBody(r io.Reader, declared, limit int64) ([]byte, error) {
 	if declared >= 0 {
 		// Room for the read that finds the end: one allocation.
 		size = int(min(declared, 64<<10)) + 1
+	} else {
+		r = io.LimitReader(r, limit+1)
 	}
 	b := make([]byte, 0, size)
-	r = io.LimitReader(r, limit+1)
 	for {
 		if len(b) == cap(b) {
 			b = append(b, 0)[:len(b)]
@@ -118,13 +119,15 @@ const (
 //
 // A round trip writes its request in one vectored write — a head built
 // in a buffer the connection reuses, then the caller's body, not copied
-// — and reads the answer with http.ReadResponse, both on the caller's
-// goroutine, over a keep-alive connection from a per-destination pool;
-// nothing is handed to another goroutine. A request is never re-sent:
-// once its bytes may have reached the server, a failure is the caller's
-// to judge (the ATP watermark makes a transfer's retry idempotent). The
-// zero value shares one package-level pool with no per-destination cap;
-// NewPooledHTTPClient makes a client with a capped pool of its own.
+// — and reads the answer, both on the caller's goroutine, over a
+// keep-alive connection from a per-destination pool; nothing is handed
+// to another goroutine. An answer whose head is of the shape Server
+// writes is read with readHead, any other with http.ReadResponse. A
+// request is never re-sent: once its bytes may have reached the
+// server, a failure is the caller's to judge (the ATP watermark makes a
+// transfer's retry idempotent). The zero value shares one
+// package-level pool with no per-destination cap; NewPooledHTTPClient
+// makes a client with a capped pool of its own.
 type HTTPClient struct {
 	pool *connPool
 }
@@ -299,6 +302,7 @@ type conn struct {
 	br      *bufio.Reader    // reads lr
 	maxBody int64            // see maxBody
 	idleAt  time.Time        // when the pool took it back
+	body    lengthReader     // a body readHead's head declared
 	// head is the last request head's buffer, reused; wv and iov are
 	// the vectored write of a request, head and body.
 	head []byte
@@ -339,9 +343,21 @@ func (c *conn) roundTrip(ctx context.Context, wire ...[]byte) (resp *Response, k
 	return c.readResponse()
 }
 
-// readResponse reads one response from the connection.
+// readResponse reads one response from the connection: with readHead
+// when its head is of the shape Server writes, else with
+// http.ReadResponse.
 func (c *conn) readResponse() (*Response, bool, error) {
 	c.lr.N = maxHeaderBytes
+	var h head
+	if _, err := c.br.Peek(1); err == nil && readHead(c.br, true, &h) {
+		c.lr.N = math.MaxInt64
+		c.body = lengthReader{r: c.br, n: h.length}
+		body, err := readBody(&c.body, h.length, c.maxBody)
+		if err != nil {
+			return nil, false, fmt.Errorf("reading response body: %w", err)
+		}
+		return &Response{Status: h.status, Header: h.fields, Body: body}, !h.closing && c.br.Buffered() == 0, nil
+	}
 	hresp, err := http.ReadResponse(c.br, nil)
 	c.lr.N = math.MaxInt64
 	if err != nil {

@@ -21,11 +21,13 @@ import (
 
 // Server serves a Handler over HTTP/1.1 keep-alive connections (the
 // Tomcat role in the paper), one goroutine per connection. That
-// goroutine reads a request with http.ReadRequest, so the framing rules
-// are net/http's (Content-Length, chunked, HTTP/1.0, Connection: close,
-// a 1 MiB header cap), runs the handler and writes the answer in one
-// write. Like net/http's server as the daemons configured it, it sets
-// no read or idle timeout.
+// goroutine reads a request with readHead, straight into the Request,
+// when its head is already buffered and of the plain shape HTTPClient
+// writes; any other it reads with http.ReadRequest, so the framing
+// rules are net/http's (Content-Length, chunked, HTTP/1.0, Connection:
+// close, a 1 MiB header cap). It runs the handler and writes the answer
+// in one write. Like net/http's server as the daemons configured it, it
+// sets no read or idle timeout.
 //
 // A handler's ctx ends when the handler returns, or when the client
 // hangs up. The hang-up is watched for only once something calls
@@ -35,6 +37,9 @@ type Server struct {
 	handler Handler
 	maxBody int64 // see maxBody; tests shorten it
 	shut    atomic.Bool
+	// lastDate is the Date value of the second an answer was last
+	// written.
+	lastDate atomic.Pointer[dateLine]
 
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
@@ -147,6 +152,7 @@ type serverConn struct {
 	br   *bufio.Reader    // reads lr
 	held int              // a byte the hang-up watcher read first, or -1
 	wbuf []byte           // the last answer's bytes, reused
+	body lengthReader     // a body readHead's head declared
 }
 
 // Read hands out the byte the hang-up watcher read, then the socket's.
@@ -185,57 +191,84 @@ func (c *serverConn) serve() {
 // serveOne reads one request and answers it. It reports whether the
 // connection can carry another.
 func (c *serverConn) serveOne() bool {
+	var h head
+	if !readHead(c.br, false, &h) {
+		return c.serveNetHTTP()
+	}
+	c.lr.N = math.MaxInt64
+	c.body = lengthReader{r: c.br, n: max(h.length, 0)}
+	body, err := readBody(&c.body, c.body.n, c.srv.maxBody)
+	if err != nil {
+		return c.refuseBody(err, true, false)
+	}
+	return c.run(&Request{Path: h.path, Header: h.fields, Body: body}, true, false, h.closing)
+}
+
+// serveNetHTTP reads with http.ReadRequest a request readHead did not
+// take, and answers it.
+func (c *serverConn) serveNetHTTP() bool {
 	hreq, err := http.ReadRequest(c.br)
 	if err != nil {
 		if c.lr.N <= 0 {
-			return c.refuse(nil, Errorf(http.StatusRequestHeaderFieldsTooLarge, "request header over %d bytes", maxHeaderBytes))
+			return c.refuse(Errorf(http.StatusRequestHeaderFieldsTooLarge, "request header over %d bytes", maxHeaderBytes), true, false)
 		} else if err != io.EOF {
-			return c.refuse(nil, Errorf(StatusBadRequest, "malformed request: %v", err))
+			return c.refuse(Errorf(StatusBadRequest, "malformed request: %v", err), true, false)
 		}
 		return false
 	}
 	c.lr.N = math.MaxInt64
 	limit := c.srv.maxBody
-	if hreq.ContentLength != 0 && hreq.ContentLength <= limit && hreq.ProtoAtLeast(1, 1) && strings.EqualFold(hreq.Header.Get("Expect"), "100-continue") {
+	is11, isHead := hreq.ProtoAtLeast(1, 1), hreq.Method == http.MethodHead
+	if hreq.ContentLength != 0 && hreq.ContentLength <= limit && is11 && strings.EqualFold(hreq.Header.Get("Expect"), "100-continue") {
 		if _, err := io.WriteString(c.nc, "HTTP/1.1 100 Continue\r\n\r\n"); err != nil {
 			return false
 		}
 	}
 	body, err := readBody(hreq.Body, hreq.ContentLength, limit)
-	if err == errBodyTooLarge {
-		return c.refuse(hreq, Errorf(http.StatusRequestEntityTooLarge, "request body over %d bytes", limit))
-	} else if err != nil {
-		return c.refuse(hreq, Errorf(StatusBadRequest, "reading body: %v", err))
+	if err != nil {
+		return c.refuseBody(err, is11, isHead)
 	}
+	return c.run(&Request{Path: hreq.URL.Path, Header: pdagentHeaders(hreq.Header), Body: body}, is11, isHead, hreq.Close)
+}
+
+// run hands req to the handler and answers it.
+func (c *serverConn) run(req *Request, is11, isHead, closing bool) bool {
 	x := &reqCtx{c: c}
-	resp := c.srv.handler.Serve(x, &Request{Path: hreq.URL.Path, Header: pdagentHeaders(hreq.Header), Body: body})
+	resp := c.srv.handler.Serve(x, req)
 	x.finish()
-	return c.answer(hreq, resp, hreq.Close)
+	return c.answer(resp, is11, isHead, closing)
+}
+
+// refuseBody refuses a request whose body readBody could not read.
+func (c *serverConn) refuseBody(err error, is11, isHead bool) bool {
+	if err == errBodyTooLarge {
+		return c.refuse(Errorf(http.StatusRequestEntityTooLarge, "request body over %d bytes", c.srv.maxBody), is11, isHead)
+	}
+	return c.refuse(Errorf(StatusBadRequest, "reading body: %v", err), is11, isHead)
 }
 
 // refuse answers a request the server will not read further and ends
 // the connection as net/http does: close the write side and wait
 // before closing, so bytes the client is still sending do not reset
 // the connection before it has read the answer.
-func (c *serverConn) refuse(hreq *http.Request, resp *Response) bool {
-	c.answer(hreq, resp, true)
+func (c *serverConn) refuse(resp *Response, is11, isHead bool) bool {
+	c.answer(resp, is11, isHead, true)
 	if cw, ok := c.nc.(interface{ CloseWrite() error }); ok && cw.CloseWrite() == nil {
 		time.Sleep(500 * time.Millisecond)
 	}
 	return false
 }
 
-// answer writes resp to the request hreq (nil: one that could not be
-// read) in one write. It reports whether the write succeeded and the
+// answer writes resp in one write, in HTTP/1.1 form or 1.0 and without
+// the body for a HEAD. It reports whether the write succeeded and the
 // connection stays open: not when closing is set or the server is
 // shutting down.
-func (c *serverConn) answer(hreq *http.Request, resp *Response, closing bool) bool {
+func (c *serverConn) answer(resp *Response, is11, isHead, closing bool) bool {
 	closing = closing || c.srv.shut.Load()
-	is11 := hreq == nil || hreq.ProtoAtLeast(1, 1)
-	head := hreq != nil && hreq.Method == http.MethodHead
-	b, err := appendResponse(c.wbuf[:0], resp, is11, closing, head)
+	date := c.srv.date()
+	b, err := appendResponse(c.wbuf[:0], resp, date, is11, closing, isHead)
 	if err != nil {
-		b, _ = appendResponse(c.wbuf[:0], Errorf(StatusServerError, "%v", err), is11, closing, head)
+		b, _ = appendResponse(c.wbuf[:0], Errorf(StatusServerError, "%v", err), date, is11, closing, isHead)
 	}
 	_, err = c.nc.Write(b)
 	if cap(b) <= 64<<10 {
@@ -245,10 +278,10 @@ func (c *serverConn) answer(hreq *http.Request, resp *Response, closing bool) bo
 }
 
 // appendResponse appends resp as net/http's server writes it: status
-// line, the X-Pdagent-* headers sorted by name, Date, Content-Length,
+// line, the X-Pdagent-* headers sorted by name, date, Content-Length,
 // a sniffed Content-Type, Connection where it is not the protocol's
 // default, then the body (none for a HEAD).
-func appendResponse(b []byte, resp *Response, is11, closing, head bool) ([]byte, error) {
+func appendResponse(b []byte, resp *Response, date []byte, is11, closing, head bool) ([]byte, error) {
 	if is11 {
 		b = append(b, "HTTP/1.1 "...)
 	} else {
@@ -267,7 +300,7 @@ func appendResponse(b []byte, resp *Response, is11, closing, head bool) ([]byte,
 		return nil, err
 	}
 	b = append(b, "Date: "...)
-	b = time.Now().UTC().AppendFormat(b, http.TimeFormat)
+	b = append(b, date...)
 	b = append(b, "\r\nContent-Length: "...)
 	b = strconv.AppendInt(b, int64(len(resp.Body)), 10)
 	b = append(b, "\r\n"...)
@@ -287,6 +320,24 @@ func appendResponse(b []byte, resp *Response, is11, closing, head bool) ([]byte,
 		return b, nil
 	}
 	return append(b, resp.Body...), nil
+}
+
+// dateLine is the Date value of one second.
+type dateLine struct {
+	sec int64
+	b   []byte
+}
+
+// date returns the current time as http.TimeFormat, formatted at most
+// once a second.
+func (s *Server) date() []byte {
+	now := time.Now()
+	d := s.lastDate.Load()
+	if d == nil || d.sec != now.Unix() {
+		d = &dateLine{sec: now.Unix(), b: now.UTC().AppendFormat(nil, http.TimeFormat)}
+		s.lastDate.Store(d)
+	}
+	return d.b
 }
 
 // reqCtx is a handler's ctx: no deadline, no values, cancelled when the

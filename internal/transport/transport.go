@@ -16,9 +16,11 @@
 // answer on its connection's goroutine, watching for a client hang-up
 // only when a handler waits on ctx.Done(). HTTPClient writes a request
 // and reads the answer on the caller's goroutine over a pooled
-// keep-alive connection. Both frame messages with net/http's readers
-// (http.ReadRequest, http.ReadResponse), so curl and net/http talk to
-// them unchanged. NewPooledHTTPClient gives a client its own pool with
+// keep-alive connection. Each reads a head of the one shape the other
+// writes (a POST or GET of a plain path, or a status with a
+// Content-Length; X-Pdagent-* fields) itself, and leaves any other to
+// net/http's readers (http.ReadRequest, http.ReadResponse), so curl and
+// net/http talk to them unchanged. NewPooledHTTPClient gives a client its own pool with
 // a per-destination connection cap, and Pooled wraps any RoundTripper
 // with a per-destination in-flight request limit (backpressure under
 // bursts) — see DESIGN.md §5.
